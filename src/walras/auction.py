@@ -43,7 +43,14 @@ Allocation = UnitAllocation | MultiAllocation
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Demand-side view of one auction iteration."""
+    """Demand-side view of one auction iteration.
+
+    Taken from the descent's value drop: ``deficiency`` is
+    ``g_before - g_after``, which equals the demand-side deficiency of the
+    chosen set by the identity ``L(p + chi_X) - L(p) == -deficiency(X, p)``.
+    The demand-side route (``LyapunovOracle.deficiency_mask``) is its
+    test-time twin.
+    """
 
     chosen_set: ItemSet
     deficiency: int
@@ -169,12 +176,12 @@ def ascending_auction(instance: Instance,
                                    seed=seed, iteration_cap=iteration_cap)
     diagnostics = []
     for step in trajectory.steps:
-        mask = mask_from_items(step.chosen_set, instance.n)
-        delta = ly.deficiency_mask(mask, step.p_before)
-        supply = mask_weight(mask, instance.u)
+        # L(p + chi_X) - L(p) == -deficiency(X, p), so the recorded value
+        # drop is the step's deficiency; tests check it against demand sets.
+        supply = mask_weight(mask_from_items(step.chosen_set, instance.n), instance.u)
         diagnostics.append(StepDiagnostics(chosen_set=step.chosen_set,
-                                           deficiency=delta,
-                                           demanded_units=delta + supply,
+                                           deficiency=step.deficiency_like,
+                                           demanded_units=step.deficiency_like + supply,
                                            supply_units=supply))
     allocation = None
     allocation_error = None
@@ -276,35 +283,50 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
         suffix_max[k] = tuple(maxs[k][j] + suffix_max[k + 1][j] for j in range(n))
         suffix_min[k] = tuple(mins[k][j] + suffix_min[k + 1][j] for j in range(n))
     chosen: list[Bundle | None] = [None] * m
+
+    def rest_after(x: Bundle, remaining: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+        """Supply left once bidder k takes x, or None when the rest cannot clear it."""
+        hi = suffix_max[k + 1]
+        lo = suffix_min[k + 1]
+        rest = []
+        for j in range(n):
+            r = remaining[j] - x[j]
+            if r < 0 or r > hi[j] or r < lo[j]:
+                return None
+            rest.append(r)
+        return tuple(rest)
+
     nodes = 0
 
-    def walk(k: int, remaining: tuple[int, ...]) -> bool:
+    def count_node() -> None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
-                f"allocation search exceeded budget {budget}")
-        if k == m:
-            return all(r == 0 for r in remaining)
-        hi = suffix_max[k + 1]
-        lo = suffix_min[k + 1]
-        for x in sets[k]:
-            fits = True
-            rest = []
-            for j in range(n):
-                r = remaining[j] - x[j]
-                if r < 0 or r > hi[j] or r < lo[j]:
-                    fits = False
-                    break
-                rest.append(r)
-            if fits:
-                chosen[k] = x
-                if walk(k + 1, tuple(rest)):
-                    return True
-        return False
+            raise BudgetExceededError(f"allocation search exceeded budget {budget}")
 
-    if walk(0, u):
-        return MultiAllocation(bundles=tuple(chosen))  # type: ignore[arg-type]
+    # Depth-first search with an explicit stack, one frame per bidder, so the
+    # depth is not bounded by Python's recursion limit.  A frame holds the
+    # supply still to clear and the index of the next bundle to try.
+    count_node()
+    stack: list[tuple[tuple[int, ...], int]] = [(u, 0)]
+    while stack:
+        k = len(stack) - 1
+        remaining, i = stack[k]
+        ds = sets[k]
+        rest = None
+        while rest is None and i < len(ds):
+            rest = rest_after(ds[i], remaining, k)
+            i += 1
+        if rest is None:
+            stack.pop()
+            continue
+        stack[k] = (remaining, i)
+        chosen[k] = ds[i - 1]
+        count_node()
+        if k + 1 < m:
+            stack.append((rest, 0))
+        elif all(r == 0 for r in rest):
+            return MultiAllocation(bundles=tuple(chosen))  # type: ignore[arg-type]
     return None
 
 

@@ -1,7 +1,10 @@
 """Demand oracles for both auction models.
 
-The canonical multi-unit demand computation is exhaustive enumeration of the
-bundle box; a greedy single-improvement fast path and a lexicographic
+Multi-unit demand sets dispatch per valuation family: a separable bidder's
+demand set is the product of its per-item argmax sets, and explicit tables
+(and unit-demand valuations under the multi model) scan the bundle box.  The
+two routes agree on separable bidders, tuples and order included; that is
+test-enforced.  A greedy single-improvement fast path and a lexicographic
 minimum-take shortcut exist as test-gated optimizations.  The unit model has
 its own oracle around the artificial no-purchase item 0 and never routes
 through the multi-model code.
@@ -172,23 +175,40 @@ class DemandCache:
     # -- multi model -----------------------------------------------------------
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
-        """All payoff-maximizing bundles, in lexicographic order."""
+        """All payoff-maximizing bundles, in lexicographic order.
+
+        Separable bidders' demand sets are products of per-item argmax sets;
+        every other family scans the bundle box.
+        """
         key = (b, p)
         cached = self._demand_sets.get(key)
         if cached is None:
-            values = self._bidder_values(b)
-            best = None
-            arg: list[Bundle] = []
-            for x, w in zip(self._bundles, values):
-                payoff = w - sum(c * q for c, q in zip(p, x))
-                if best is None or payoff > best:
-                    best = payoff
-                    arg = [x]
-                elif payoff == best:
-                    arg.append(x)
-            cached = tuple(arg)
+            v = self.instance.valuations[b]
+            if v.family == SEPARABLE_CONCAVE:
+                per_item = []
+                for row, c in zip(v._prefix, p):
+                    payoffs = [w - k * c for k, w in enumerate(row)]
+                    top = max(payoffs)
+                    per_item.append([k for k, pay in enumerate(payoffs) if pay == top])
+                cached = tuple(product(*per_item))
+            else:
+                cached = self.demand_set_enum(b, p)
             self._demand_sets[key] = cached
         return cached
+
+    def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
+        """Payoff-maximizing bundles by full enumeration of the bundle box."""
+        values = self._bidder_values(b)
+        best = None
+        arg: list[Bundle] = []
+        for x, w in zip(self._bundles, values):
+            payoff = w - sum(c * q for c, q in zip(p, x))
+            if best is None or payoff > best:
+                best = payoff
+                arg = [x]
+            elif payoff == best:
+                arg.append(x)
+        return tuple(arg)
 
     def mu_vector(self, b: int, p: PriceVector) -> tuple[int, ...]:
         """Minimum take from every item subset, indexed by subset bitmask."""

@@ -4,7 +4,9 @@ The Lyapunov value of a price vector is the bidders' total indirect utility
 plus the revenue term; its minimizers are exactly the equilibrium prices.
 ``deficiency`` is computed from demand-side primitives and ``step`` from two
 Lyapunov evaluations, so the identity ``step == -deficiency`` cross-validates
-the two routes instead of holding by construction.
+the two routes instead of holding by construction.  The auction's step
+diagnostics report the value drop; the demand-side ``deficiency`` is the
+twin the tests hold them against.
 """
 
 from __future__ import annotations

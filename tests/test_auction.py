@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multi_instance, random_unit_instance
+from conftest import random_multi_instance, random_unit_instance, tabulate
 from walras import (BudgetExceededError, Instance, LyapunovOracle,
                     MultiAllocation, StrategyKind, UnitAllocation, Valuation,
                     allocation_certifies, ascending_auction,
@@ -14,7 +14,7 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle,
                     is_excess_demand, is_overdemanded, verify_equilibrium)
 from walras.auction import excess_demand_table
 from walras.demand import DemandCache
-from walras.itemsets import items_from_mask
+from walras.itemsets import items_from_mask, mask_from_items
 
 
 class TestOverdemanded:
@@ -81,10 +81,27 @@ class TestAscendingAuction:
         assert len(res.trajectory) == 2
         assert res.allocation == MultiAllocation(bundles=((1,), (1,)))
 
-    def test_diagnostics_match_value_drops(self, ex21):
-        res = ascending_auction(ex21, StrategyKind.MINIMAL_DESCENT)
-        for step, diag in zip(res.trajectory.steps, res.diagnostics):
-            assert step.deficiency_like == diag.deficiency
+    def test_diagnostics_match_value_drops(self, ex21, two_bidder_multi):
+        """Reported deficiencies are value drops; the demand-side route is their twin."""
+        rng = random.Random(7)
+        markets = [ex21, two_bidder_multi]
+        for _ in range(6):
+            markets.append(random_unit_instance(rng, n_max=4, m_max=5, value_max=4))
+            sep = random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=5)
+            markets.append(sep)
+            markets.append(Instance(model="multi", n=sep.n, u=sep.u,
+                                    valuations=tuple(tabulate(v) for v in sep.valuations)))
+        for inst in markets:
+            ly = LyapunovOracle(inst)
+            for kind in StrategyKind:
+                res = ascending_auction(inst, kind, seed=5, oracle=ly)
+                assert len(res.diagnostics) == len(res.trajectory)
+                for step, diag in zip(res.trajectory.steps, res.diagnostics):
+                    mask = mask_from_items(step.chosen_set, inst.n)
+                    assert diag.chosen_set == step.chosen_set
+                    assert diag.deficiency == ly.deficiency_mask(mask, step.p_before)
+                    assert diag.supply_units == sum(inst.u[i - 1] for i in step.chosen_set)
+                    assert diag.demanded_units == diag.deficiency + diag.supply_units
 
     def test_custom_start(self, ex21):
         res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (1, 0, 0))

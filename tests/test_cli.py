@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import EX21_JSON
 from walras import parse_instance, verify_equilibrium
 from walras.auction import UnitAllocation
-from walras.cli import run_command
+from walras.cli import STRATEGY_FLAGS, run_command
 
 COMPLEMENTS_JSON = (
     '{"model": "multi", "n": 2, "m": 1, "u": [1, 1], "valuations": '
@@ -23,6 +24,9 @@ MULTI_JSON = (
     '[{"family": "separable_concave", "marginals": [[3, 2]]}, '
     '{"family": "separable_concave", "marginals": [[3, 2]]}]}'
 )
+
+SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_instances").glob("*.json"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -172,3 +176,37 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["p_min"] == [1, 1, 1]
+
+    def test_many_bidders_exit_cleanly(self, tmp_path):
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps({
+            "model": "multi", "n": 1, "m": 1100, "u": [2],
+            "valuations": [{"family": "separable_concave", "marginals": [[5, 3]]}] * 1100}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "solve", "--instance", str(path),
+             "--strategy", "steepest"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["p_final"] == [5]
+        assert doc["allocation"]["bundles"] == [[0]] * 1098 + [[1], [1]]
+
+
+class TestGoldenOutput:
+    """``solve`` stdout on the sample instances, byte for byte.
+
+    ``tests/golden/<instance>.<strategy>.<format>`` holds the exact stdout of
+    ``walras solve --instance sample_instances/<instance>.json --strategy
+    <strategy> --format <format>``; any difference is a change to the CLI's
+    output.
+    """
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_FLAGS))
+    @pytest.mark.parametrize("sample", SAMPLES, ids=lambda path: path.stem)
+    def test_solve_matches_golden(self, sample, strategy, fmt, capsys):
+        assert run_command(["solve", "--instance", str(sample),
+                            "--strategy", strategy, "--format", fmt]) == 0
+        expected = (GOLDEN / f"{sample.stem}.{strategy}.{fmt}").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected

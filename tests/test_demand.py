@@ -11,6 +11,7 @@ from walras import (BudgetExceededError, Instance, Valuation,
                     bidders_demanding_some, bidders_only_demanding, demand_set,
                     greedy_demand_bundle, mu, unit_demand_set)
 from walras.demand import DemandCache
+from walras.itemsets import subset_sums
 
 
 class TestUnitDemandSets:
@@ -187,6 +188,33 @@ class TestFastPaths:
         dc = DemandCache(inst)
         for p in product(range(4), repeat=2):
             assert dc.indirect_utility(0, p) == dc.indirect_utility_enum(0, p)
+
+    def test_separable_demand_sets_match_box_scan(self):
+        """Per-item products equal the box scan, tuples and order included.
+
+        Prices are drawn from the bidders' own marginals and zero marginals
+        are common, so ties within an item are the usual case.
+        """
+        rng = random.Random(11)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            u = tuple(rng.randint(1, 3) for _ in range(n))
+            vals = tuple(
+                Valuation.separable([sorted((rng.choice((0, rng.randint(0, 6)))
+                                             for _ in range(cap)), reverse=True)
+                                     for cap in u])
+                for _ in range(rng.randint(1, 3)))
+            inst = Instance(model="multi", n=n, u=u, valuations=vals)
+            dc = DemandCache(inst)
+            for b, v in enumerate(vals):
+                levels = sorted({w for row in v.marginals for w in row} | {0, 7})
+                for _ in range(4):
+                    p = tuple(rng.choice(levels) for _ in range(n))
+                    box = dc.demand_set_enum(b, p)
+                    assert dc.demand_set(b, p) == box
+                    vec = dc.mu_vector(b, p)
+                    for mask in range(1 << n):
+                        assert vec[mask] == min(subset_sums(x, n)[mask] for x in box)
 
     @given(st.integers(0, 2**32 - 1))
     def test_lexicographic_mu_matches_scan(self, seed):
