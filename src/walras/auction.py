@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .demand import DemandCache, _check_price
-from .errors import BudgetExceededError, ContractError, ConvexityError
+from .errors import (BudgetExceededError, ContractError, ConvexityError,
+                     WalrasError)
 from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, Bundle,
                        Instance, ItemSet, PriceVector, verify_mnat_exc)
 from .itemsets import (chi_sub, items_from_mask, mask_from_items, mask_weight,
@@ -46,10 +47,10 @@ class StepDiagnostics:
     """Demand-side view of one auction iteration.
 
     Taken from the descent's value drop: ``deficiency`` is
-    ``g_before - g_after``, which equals the demand-side deficiency of the
-    chosen set by the identity ``L(p + chi_X) - L(p) == -deficiency(X, p)``.
-    The demand-side route (``LyapunovOracle.deficiency_mask``) is its
-    test-time twin.
+    ``g_before - g_after``.  The descent chose the set from its demand-side
+    neighborhood table ``L(p) - deficiency(X, p)`` and certified that table
+    entry against the Lyapunov value after the step, so the reported drop
+    is the demand-side deficiency of the chosen set.
     """
 
     chosen_set: ItemSet
@@ -156,8 +157,11 @@ def ascending_auction(instance: Instance,
     """Run the ascending auction from p0 (default all-zero prices).
 
     The start must lie at or below the minimal equilibrium price; zero always
-    does.  Explicit-table valuations are admitted only after passing the
-    substitutes exchange check, since nothing below is guaranteed otherwise.
+    does.  A final scan of unit price cuts within the support certifies that
+    the result is minimal; a start above the minimal equilibrium price fails
+    it and raises WalrasError.  Explicit-table valuations are admitted only
+    after passing the substitutes exchange check, since nothing below is
+    guaranteed otherwise.
     Allocation extraction is best-effort: on budget exhaustion the result is
     still returned, with ``allocation_error`` set.
     """
@@ -173,11 +177,21 @@ def ascending_auction(instance: Instance,
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)
     p_final, trajectory = minimize(ly.function_oracle(), p0, strategy,
-                                   seed=seed, iteration_cap=iteration_cap)
+                                   seed=seed, iteration_cap=iteration_cap,
+                                   neighborhood=ly.neighborhood)
+    # The ascent's stop only shows that no raise descends; from a start above
+    # the minimal equilibrium price it stops above it, so certify from below.
+    base = ly.value(p_final)
+    for mask, val in _support_cuts(ly, p_final):
+        if val <= base:
+            raise WalrasError(
+                f"final price {list(p_final)} is not the minimal equilibrium price: "
+                f"lowering items {sorted(items_from_mask(mask))} does not raise the "
+                "Lyapunov value (the start must not exceed the minimal equilibrium price)")
     diagnostics = []
     for step in trajectory.steps:
-        # L(p + chi_X) - L(p) == -deficiency(X, p), so the recorded value
-        # drop is the step's deficiency; tests check it against demand sets.
+        # The descent checked each value drop against the step's entry in the
+        # deficiency table, so the drop is the chosen set's deficiency.
         supply = mask_weight(mask_from_items(step.chosen_set, instance.n), instance.u)
         diagnostics.append(StepDiagnostics(chosen_set=step.chosen_set,
                                            deficiency=step.deficiency_like,
@@ -372,6 +386,21 @@ def allocation_certifies(instance: Instance, p: PriceVector,
     return total == instance.u
 
 
+def _support_cuts(ly: LyapunovOracle, p: PriceVector):
+    """``(mask, L(p - chi_X))`` for every nonempty X within the support of p,
+    in increasing mask order."""
+    supp = 0
+    for k, c in enumerate(p):
+        if c > 0:
+            supp |= 1 << k
+    mask = 0
+    while True:
+        mask = (mask - supp) & supp  # next submask of supp, ascending
+        if mask == 0:
+            return
+        yield mask, ly.value(chi_sub(p, mask))
+
+
 @dataclass(frozen=True)
 class DescentWitness:
     """A unit price move (raise for direction +1, cut for -1) that lowers
@@ -403,19 +432,12 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
     base = ly.value(p)
-    size = 1 << instance.n
-    for mask in range(1, size):
+    for mask in range(1, 1 << instance.n):
         if ly.step_mask(mask, p) < 0:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(+1, items_from_mask(mask)))
-    supp = 0
-    for k, c in enumerate(p):
-        if c > 0:
-            supp |= 1 << k
-    for mask in range(1, size):
-        if mask & ~supp:
-            continue
-        if ly.value(chi_sub(p, mask)) < base:
+    for mask, val in _support_cuts(ly, p):
+        if val < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(-1, items_from_mask(mask)))
     if instance.model == MULTI and instance.m == 0:

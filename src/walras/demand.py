@@ -1,11 +1,13 @@
 """Demand oracles for both auction models.
 
 Multi-unit demand sets dispatch per valuation family: a separable bidder's
-demand set is the product of its per-item argmax sets, and explicit tables
+demand set is the product of its per-item argmax sets (and its minimum take
+from an item set the sum of per-item least argmaxes), and explicit tables
 (and unit-demand valuations under the multi model) scan the bundle box.  The
-two routes agree on separable bidders, tuples and order included; that is
-test-enforced.  A greedy single-improvement fast path and a lexicographic
-minimum-take shortcut exist as test-gated optimizations.  The unit model has
+two routes agree on separable bidders, tuples, order and minimum takes
+included; that is test-enforced.  The bundle box is built, and checked against the budget,
+only when a scan first needs it.  A greedy single-improvement fast path
+exists as a test-gated optimization.  The unit model has
 its own oracle around the artificial no-purchase item 0 and never routes
 through the multi-model code.
 """
@@ -17,7 +19,7 @@ from itertools import product
 from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, MULTI, SEPARABLE_CONCAVE, UNIT,
                        UNIT_DEMAND, Bundle, Instance, ItemSet, PriceVector,
-                       box_volume, evaluate)
+                       Valuation, box_volume, evaluate)
 from .itemsets import mask_from_items, subset_sums
 
 
@@ -47,25 +49,29 @@ class DemandCache:
         self.instance = instance
         self.budget = budget
         self._n = instance.n
-        if instance.model == MULTI:
-            volume = box_volume(instance.u)
-            if volume > budget:
-                raise BudgetExceededError(
-                    f"bundle box volume {volume} exceeds budget {budget}")
-            self._bundles: tuple[Bundle, ...] = tuple(
-                product(*(range(c + 1) for c in instance.u)))
-            self._values: dict[int, list[int]] = {}
+        self._bundles: tuple[Bundle, ...] | None = None
+        self._values: dict[int, list[int]] = {}
         self._unit_masks: dict[tuple[int, PriceVector], int] = {}
         self._mu_vectors: dict[tuple[int, PriceVector], tuple[int, ...]] = {}
         self._demand_sets: dict[tuple[int, PriceVector], tuple[Bundle, ...]] = {}
 
     # -- shared ------------------------------------------------------------
 
+    def _bundle_box(self) -> tuple[Bundle, ...]:
+        """Every bundle in [0, u], built on the first box scan, within budget."""
+        if self._bundles is None:
+            volume = box_volume(self.instance.u)
+            if volume > self.budget:
+                raise BudgetExceededError(
+                    f"bundle box volume {volume} exceeds budget {self.budget}")
+            self._bundles = tuple(product(*(range(c + 1) for c in self.instance.u)))
+        return self._bundles
+
     def _bidder_values(self, b: int) -> list[int]:
         vals = self._values.get(b)
         if vals is None:
             v = self.instance.valuations[b]
-            vals = [evaluate(v, x) for x in self._bundles]
+            vals = [evaluate(v, x) for x in self._bundle_box()]
             self._values[b] = vals
         return vals
 
@@ -185,12 +191,7 @@ class DemandCache:
         if cached is None:
             v = self.instance.valuations[b]
             if v.family == SEPARABLE_CONCAVE:
-                per_item = []
-                for row, c in zip(v._prefix, p):
-                    payoffs = [w - k * c for k, w in enumerate(row)]
-                    top = max(payoffs)
-                    per_item.append([k for k, pay in enumerate(payoffs) if pay == top])
-                cached = tuple(product(*per_item))
+                cached = tuple(product(*_per_item_argmax(v, p)))
             else:
                 cached = self.demand_set_enum(b, p)
             self._demand_sets[key] = cached
@@ -201,7 +202,7 @@ class DemandCache:
         values = self._bidder_values(b)
         best = None
         arg: list[Bundle] = []
-        for x, w in zip(self._bundles, values):
+        for x, w in zip(self._bundle_box(), values):
             payoff = w - sum(c * q for c, q in zip(p, x))
             if best is None or payoff > best:
                 best = payoff
@@ -211,20 +212,30 @@ class DemandCache:
         return tuple(arg)
 
     def mu_vector(self, b: int, p: PriceVector) -> tuple[int, ...]:
-        """Minimum take from every item subset, indexed by subset bitmask."""
+        """Minimum take from every item subset, indexed by subset bitmask.
+
+        A separable bidder's demand set is a product over items, so its
+        minimum take from X is the sum of each item's least argmax; that
+        avoids building the product, which ties make exponentially large.
+        """
         key = (b, p)
         cached = self._mu_vectors.get(key)
         if cached is None:
+            v = self.instance.valuations[b]
             n = self._n
-            size = 1 << n
-            mins = [None] * size
-            for x in self.demand_set(b, p):
-                sums = subset_sums(x, n)
-                for mask in range(size):
-                    cur = mins[mask]
-                    if cur is None or sums[mask] < cur:
-                        mins[mask] = sums[mask]
-            cached = tuple(mins)
+            if v.family == SEPARABLE_CONCAVE:
+                least = tuple(ks[0] for ks in _per_item_argmax(v, p))
+                cached = tuple(subset_sums(least, n))
+            else:
+                size = 1 << n
+                mins = [None] * size
+                for x in self.demand_set(b, p):
+                    sums = subset_sums(x, n)
+                    for mask in range(size):
+                        cur = mins[mask]
+                        if cur is None or sums[mask] < cur:
+                            mins[mask] = sums[mask]
+                cached = tuple(mins)
             self._mu_vectors[key] = cached
         return cached
 
@@ -249,35 +260,11 @@ class DemandCache:
         """Best payoff by full enumeration of the bundle box (canonical path)."""
         values = self._bidder_values(b)
         best = None
-        for x, w in zip(self._bundles, values):
+        for x, w in zip(self._bundle_box(), values):
             payoff = w - sum(c * q for c, q in zip(p, x))
             if best is None or payoff > best:
                 best = payoff
         return best
-
-    def mu_lex(self, b: int, X_mask: int, p: PriceVector) -> int:
-        """Minimum take from X via a single argmax scan with lexicographic tie-break.
-
-        Internal optimization; must agree with the demand-set scan.
-        """
-        values = self._bidder_values(b)
-        n = self._n
-        best = None
-        take = None
-        for x, w in zip(self._bundles, values):
-            payoff = w - sum(c * q for c, q in zip(p, x))
-            y = 0
-            mask = X_mask
-            k = 0
-            while mask:
-                if mask & 1:
-                    y += x[k]
-                mask >>= 1
-                k += 1
-            if best is None or payoff > best or (payoff == best and y < take):
-                best = payoff
-                take = y
-        return take
 
     # -- deficiency ------------------------------------------------------------
 
@@ -296,6 +283,16 @@ class DemandCache:
             mask >>= 1
             k += 1
         return demanded - supply
+
+
+def _per_item_argmax(v: Valuation, p: PriceVector) -> list[list[int]]:
+    """A separable valuation's payoff-maximizing unit counts per item, ascending."""
+    out = []
+    for row, c in zip(v._prefix, p):
+        payoffs = [w - k * c for k, w in enumerate(row)]
+        top = max(payoffs)
+        out.append([k for k, pay in enumerate(payoffs) if pay == top])
+    return out
 
 
 # --- free-function oracle surface ----------------------------------------

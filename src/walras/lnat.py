@@ -5,6 +5,11 @@ neighborhoods is submodular (discrete midpoint convexity).  The minimization
 loop repeatedly raises a chosen item set's coordinates by one; with any
 selection rule whose sets satisfy the local-minimality condition below, the
 loop lands on the unique componentwise-minimal minimizer.
+
+Each iteration reads one neighborhood table ``vals[mask] = g(p + chi_mask)``
+(None outside the domain).  The termination test and every selection rule
+work on that table; a caller may supply a faster builder for it, and the
+oracle's own values then certify each step and the stop.
 """
 
 from __future__ import annotations
@@ -174,57 +179,92 @@ def _item_mask(X, n: int) -> int:
     return mask
 
 
-def minimal_descent_set(g: FunctionOracle, p: PriceVector) -> ItemSet | None:
+def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
+    """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
+
+    Entry 0 is ``g(p)``; None marks raises outside the oracle's domain.
+    """
+    p = tuple(p)
+    return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
+
+
+def _table(g: FunctionOracle, p: PriceVector,
+           vals: list[int | None] | None) -> list[int | None]:
+    """The given neighborhood table at p, or one built from the oracle."""
+    if vals is None:
+        vals = neighborhood_values(g, p)
+    elif len(vals) != 1 << g.n:
+        raise ValueError(f"neighborhood table must have {1 << g.n} entries")
+    if vals[0] is None:
+        raise ValueError("p is outside the oracle's domain")
+    return vals
+
+
+def gp_minimal_table(vals: list[int | None]) -> list[bool]:
+    """``is_gp_minimal`` for every mask of a neighborhood table at once.
+
+    One pass in increasing mask order keeps, per mask, the least finite
+    value over all its submasks, so the least value over a mask's proper
+    submasks costs one lookup per member: O(2^n * n) instead of 3^n.
+    """
+    low = list(vals)
+    flags = [False] * len(vals)
+    for mask in range(1, len(vals)):
+        below = None
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = low[mask ^ bit]
+            if v is not None and (below is None or v < below):
+                below = v
+        val = vals[mask]
+        if val is not None and (below is None or val < below):
+            flags[mask] = True
+        elif below is not None:
+            low[mask] = below
+    return flags
+
+
+def minimal_descent_set(g: FunctionOracle, p: PriceVector,
+                        vals: list[int | None] | None = None) -> ItemSet | None:
     """First descent set in (cardinality, lexicographic) scan order.
 
     The minimum-cardinality guarantee makes the result inclusion-minimal.
-    Returns None when no raise descends.
+    Returns None when no raise descends.  ``vals`` is the neighborhood
+    table at p; it is built from ``g`` when omitted.
     """
-    p = tuple(p)
-    base = g.fn(p)
-    if base is None:
-        raise ValueError("p is outside the oracle's domain")
+    vals = _table(g, p, vals)
+    base = vals[0]
     for k in range(1, g.n + 1):
-        for combo in combinations(range(1, g.n + 1), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << (i - 1)
-            val = g.fn(chi_add(p, mask))
+        for combo in combinations(range(g.n), k):
+            mask = sum(1 << i for i in combo)
+            val = vals[mask]
             if val is not None and val < base:
-                return frozenset(combo)
+                return items_from_mask(mask)
     return None
 
 
-def minimal_minimizer_step(g: FunctionOracle, p: PriceVector) -> ItemSet:
+def minimal_minimizer_step(g: FunctionOracle, p: PriceVector,
+                           vals: list[int | None] | None = None) -> ItemSet:
     """Intersection of all sets minimizing the one-step change g(p + chi_X) - g(p).
 
     The intersection must itself attain the minimum; if it does not, the
     step function is not submodular and the input is rejected.
     """
-    p = tuple(p)
-    base = g.fn(p)
-    if base is None:
-        raise ValueError("p is outside the oracle's domain")
-    size = 1 << g.n
-    vals: list[int | None] = [None] * size
-    best = 0  # step of the empty set
-    vals[0] = base
-    for mask in range(1, size):
-        val = g.fn(chi_add(p, mask))
-        vals[mask] = val
-        if val is not None and val - base < best:
-            best = val - base
-    meet = None
-    for mask in range(size):
-        val = vals[mask]
-        if val is not None and val - base == best:
-            meet = mask if meet is None else meet & mask
-    if vals[meet] is None or vals[meet] - base != best:
+    vals = _table(g, p, vals)
+    best = min(val for val in vals if val is not None)
+    meet = -1
+    for mask, val in enumerate(vals):
+        if val == best:
+            meet &= mask
+    if vals[meet] != best:
         raise ConvexityError("step function not submodular")
     return items_from_mask(meet)
 
 
-def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int) -> ItemSet | None:
+def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int,
+                     vals: list[int | None] | None = None) -> ItemSet | None:
     """First locally-minimal descent set in a seeded pseudorandom subset order.
 
     The order is a Fisher-Yates shuffle of all nonempty subset indices, so a
@@ -232,34 +272,29 @@ def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int) -> ItemSet | 
     descends.
     """
     _check_seed(seed)
-    p = tuple(p)
-    base = g.fn(p)
-    if base is None:
-        raise ValueError("p is outside the oracle's domain")
+    flags = gp_minimal_table(_table(g, p, vals))
     order = list(range(1, 1 << g.n))
     random.Random(seed).shuffle(order)
     for mask in order:
-        val = g.fn(chi_add(p, mask))
-        if val is None or val >= base:
-            continue
-        if is_gp_minimal(g, p, items_from_mask(mask)):
+        if flags[mask]:
             return items_from_mask(mask)
     return None
 
 
-def maximal_gp_minimal(g: FunctionOracle, p: PriceVector) -> ItemSet:
+def maximal_gp_minimal(g: FunctionOracle, p: PriceVector,
+                       vals: list[int | None] | None = None) -> ItemSet:
     """Unique maximal locally-minimal descent set, computed two ways.
 
     Takes the union of all such sets and checks it against the minimal
     minimizer of the one-step change; disagreement means the oracle is not
     midpoint convex.  Degenerates to the empty set when nothing descends.
     """
-    p = tuple(p)
+    vals = _table(g, p, vals)
     union = 0
-    for mask in range(1, 1 << g.n):
-        if is_gp_minimal(g, p, items_from_mask(mask)):
+    for mask, flag in enumerate(gp_minimal_table(vals)):
+        if flag:
             union |= mask
-    other = minimal_minimizer_step(g, p)
+    other = minimal_minimizer_step(g, p, vals)
     if items_from_mask(union) != other:
         raise ConvexityError(
             "union of locally-minimal descent sets disagrees with the minimal minimizer")
@@ -273,14 +308,20 @@ def _check_seed(seed: int) -> None:
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, iteration_cap: int | None = None,
-             max_items: int = 24) -> tuple[PriceVector, Trajectory]:
+             max_items: int = 24,
+             neighborhood: Callable[[PriceVector], list[int | None]] | None = None,
+             ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
 
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
-    iteration first proves termination by scanning all unit raises, then
-    advances by the strategy's chosen set.  Returns the final point and the
-    full trajectory.
+    iteration builds one neighborhood table, by ``neighborhood(p)`` when
+    given (a faster route to the same values) or else from ``g``; the
+    termination test and the strategy both read it.  ``g`` certifies the
+    table: entry 0 must be g(p), each step's g(p + chi_X) must equal its
+    entry, and a stop is confirmed by one scan of g's own neighborhood;
+    a mismatch raises ConvexityError.  Returns the final point and the full
+    trajectory.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -299,29 +340,32 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     size = 1 << g.n
     steps: list[Step] = []
     while True:
-        descending = False
-        for mask in range(1, size):
-            val = gm(chi_add(p, mask))
-            if val is not None and val < base:
-                descending = True
-                break
-        if not descending:
+        vals = neighborhood_values(gm, p) if neighborhood is None else neighborhood(p)
+        if len(vals) != size or vals[0] != base:
+            raise ConvexityError("neighborhood table disagrees with the oracle at p")
+        if not any(val is not None and val < base for val in vals):
+            if neighborhood is not None and neighborhood_values(gm, p) != vals:
+                raise ConvexityError(
+                    "neighborhood table disagrees with the oracle at the stop")
             break
         if len(steps) >= iteration_cap:
             raise IterationCapError(
                 f"no minimizer reached within {iteration_cap} iterations")
         if strategy is StrategyKind.MINIMAL_DESCENT:
-            chosen = minimal_descent_set(gm, p)
+            chosen = minimal_descent_set(gm, p, vals)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:
-            chosen = minimal_minimizer_step(gm, p)
+            chosen = minimal_minimizer_step(gm, p, vals)
         elif strategy is StrategyKind.FIRST_GP_MINIMAL:
-            chosen = first_gp_minimal(gm, p, seed)
+            chosen = first_gp_minimal(gm, p, seed, vals)
         else:
-            chosen = maximal_gp_minimal(gm, p)
+            chosen = maximal_gp_minimal(gm, p, vals)
         if not chosen:
             raise ContractError("strategy found no set although a descent exists")
-        q = chi_add(p, _item_mask(chosen, g.n))
+        mask = _item_mask(chosen, g.n)
+        q = chi_add(p, mask)
         after = gm(q)
+        if after != vals[mask]:
+            raise ConvexityError("neighborhood table disagrees with the oracle at a step")
         if after is None or after >= base:
             raise ContractError("strategy returned a non-descent set")
         steps.append(Step(p_before=p, chosen_set=frozenset(chosen), g_before=base,

@@ -11,7 +11,8 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle,
                     MultiAllocation, StrategyKind, UnitAllocation, Valuation,
                     allocation_certifies, ascending_auction,
                     equilibrium_prices_by_enumeration, extract_allocation,
-                    is_excess_demand, is_overdemanded, verify_equilibrium)
+                    WalrasError, is_excess_demand, is_overdemanded,
+                    verify_equilibrium)
 from walras.auction import excess_demand_table
 from walras.demand import DemandCache
 from walras.itemsets import items_from_mask, mask_from_items
@@ -260,3 +261,45 @@ class TestExtractionAgainstEnumeration:
                 for i in w.items:
                     q[i - 1] += w.direction
                 assert ly.value(tuple(q)) < ly.value(p)
+
+
+class TestDescentWork:
+    def test_lyapunov_values_per_run_stay_linear_in_iterations(self, monkeypatch):
+        """One neighborhood table per step: a run evaluates L about twice per
+        iteration plus two 2^n certificate scans (the stop and the downward
+        minimality check), never 2^n values per iteration."""
+        rng = random.Random(9)
+        n, m = 9, 12
+        inst = Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(
+            Valuation.unit_demand([rng.randint(0, 100) for _ in range(n)])
+            for _ in range(m)))
+        calls = 0
+        value = LyapunovOracle.value
+
+        def counted(self, p):
+            nonlocal calls
+            calls += 1
+            return value(self, p)
+
+        monkeypatch.setattr(LyapunovOracle, "value", counted)
+        finals = set()
+        for kind in StrategyKind:
+            calls = 0
+            res = ascending_auction(inst, kind, seed=4)
+            iterations = len(res.trajectory)
+            assert iterations > 0
+            assert calls <= 2 * iterations + 2 ** (n + 1) + 2, (kind, calls, iterations)
+            if kind is StrategyKind.STEEPEST_MINIMAL:
+                assert iterations == max(res.p_min)
+            finals.add(res.p_min)
+        assert len(finals) == 1
+
+
+class TestMinimalityCertificate:
+    def test_start_above_the_minimal_price_is_refused(self, ex21):
+        with pytest.raises(WalrasError, match=r"not the minimal equilibrium price"):
+            ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (2, 2, 2))
+
+    def test_start_at_the_minimal_price_is_accepted(self, ex21):
+        res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (1, 1, 1))
+        assert res.p_min == (1, 1, 1) and len(res.trajectory) == 0

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import EX21_JSON
-from walras import parse_instance, verify_equilibrium
+from walras import (Instance, Valuation, brute_force_min_equilibrium,
+                    parse_instance, serialize_instance, verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import STRATEGY_FLAGS, run_command
 
@@ -25,7 +27,8 @@ MULTI_JSON = (
     '{"family": "separable_concave", "marginals": [[3, 2]]}]}'
 )
 
-SAMPLES = sorted((Path(__file__).resolve().parent.parent / "sample_instances").glob("*.json"))
+SAMPLES_DIR = Path(__file__).resolve().parent.parent / "sample_instances"
+SAMPLES = sorted(SAMPLES_DIR.glob("*.json"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -90,6 +93,39 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["start"] == [1, 0, 0]
         assert doc["p_final"] == [1, 1, 1]
+
+    def test_start_above_the_minimal_price_exits_1(self, tmp_path, capsys):
+        sample = SAMPLES_DIR / "assignment_six_bidders.json"
+        start = tmp_path / "start.json"
+        start.write_text("[2, 2, 2]")
+        assert run_command(["solve", "--instance", str(sample), "--strategy",
+                            "steepest", "--start", str(start)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not the minimal equilibrium price" in err and "lowering items [1]" in err
+        assert run_command(["oracle", "--instance", str(sample)]) == 0
+        assert json.loads(capsys.readouterr().out)["min_equilibrium_price"] == [1, 1, 1]
+
+    def test_separable_market_beyond_the_box_budget(self, tmp_path, capsys):
+        """Ten items of three units each: the bundle box (4^10 bundles) is
+        over the default budget, but separable bidders never scan it.  A
+        separable Lyapunov function splits by item, so each price is the
+        minimal equilibrium price of its one-item sub-market."""
+        rng = random.Random(10)
+        rows = [[sorted((rng.randint(0, 30) for _ in range(3)), reverse=True)
+                 for _ in range(10)] for _ in range(2)]
+        inst = Instance(model="multi", n=10, u=(3,) * 10,
+                        valuations=tuple(Valuation.separable(r) for r in rows))
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_instance(inst))
+        assert run_command(["solve", "--instance", str(path), "--strategy", "steepest"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        expected = [brute_force_min_equilibrium(Instance(
+            model="multi", n=1, u=(3,),
+            valuations=tuple(Valuation.separable([r[j]]) for r in rows)))[0]
+            for j in range(10)]
+        assert doc["p_final"] == expected
+        assert doc["allocation"] is not None
 
     def test_solve_rejects_non_substitutes(self, complements_path, capsys):
         assert run_command(["solve", "--instance", complements_path,

@@ -48,10 +48,16 @@ class TestMultiDemandSets:
         assert demand_set(0, (1, 2), inst) == {(0, 0)}
 
     def test_budget_exceeded(self):
+        """The budget guards every scan of the bundle box; a separable
+        bidder's per-item demand set never builds the box."""
         inst = Instance(model="multi", n=4, u=(40, 40, 40, 40),
                         valuations=(Valuation.separable([[1] * 40] * 4),))
+        p = (0, 0, 0, 0)
+        assert demand_set(0, p, inst, budget=10_000) == {(40, 40, 40, 40)}
         with pytest.raises(BudgetExceededError):
-            demand_set(0, (0, 0, 0, 0), inst, budget=10_000)
+            DemandCache(inst, budget=10_000).demand_set_enum(0, p)
+        with pytest.raises(BudgetExceededError):
+            DemandCache(inst, budget=10_000).indirect_utility_enum(0, p)
 
 
 class TestMu:
@@ -215,17 +221,6 @@ class TestFastPaths:
                     vec = dc.mu_vector(b, p)
                     for mask in range(1 << n):
                         assert vec[mask] == min(subset_sums(x, n)[mask] for x in box)
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_lexicographic_mu_matches_scan(self, seed):
-        rng = random.Random(seed)
-        inst = random_multi_instance(rng, n_max=3, u_max=2, m_max=2, value_max=4)
-        p = tuple(rng.randint(0, 4) for _ in range(inst.n))
-        dc = DemandCache(inst)
-        for b in range(inst.m):
-            vec = dc.mu_vector(b, p)
-            for mask in range(1 << inst.n):
-                assert dc.mu_lex(b, mask, p) == vec[mask]
 
 
 class TestDeterminism:

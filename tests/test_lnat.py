@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from walras import (ConvexityError, FunctionOracle, IterationCapError,
                     LyapunovOracle, StrategyKind, first_gp_minimal,
-                    is_gp_minimal, is_lnat_convex_on_box, maximal_gp_minimal,
-                    minimal_descent_set, minimal_minimizer_step, minimize)
+                    gp_minimal_table, is_gp_minimal, is_lnat_convex_on_box,
+                    maximal_gp_minimal, minimal_descent_set,
+                    minimal_minimizer_step, minimize, neighborhood_values)
 from walras.errors import BudgetExceededError, ContractError
+from walras.itemsets import items_from_mask
 from walras.lnat import Step
 
 
@@ -246,7 +248,6 @@ class TestGenericOracles:
         rng = random.Random(seed)
         n = rng.randint(1, 3)
         g = random_lattice_convex(rng, n)
-        from walras.itemsets import items_from_mask
         for _ in range(5):
             p = tuple(rng.randint(0, 4) for _ in range(n))
             family = [items_from_mask(mask) for mask in range(1, 1 << n)
@@ -256,3 +257,81 @@ class TestGenericOracles:
                     assert (x | y) in family
             union = frozenset().union(*family) if family else frozenset()
             assert union == minimal_minimizer_step(g, p)
+
+
+def cube_oracle(vals, n):
+    """Oracle on {0,1}^n reading g(chi_mask) = vals[mask]; None elsewhere."""
+    def fn(q):
+        if any(c not in (0, 1) for c in q):
+            return None
+        return vals[sum(c << k for k, c in enumerate(q))]
+
+    return FunctionOracle(n=n, fn=fn, box=((0,) * n, (1,) * n))
+
+
+class TestNeighborhoodTable:
+    def test_gp_minimal_table_matches_the_predicate(self):
+        """The proper-submask pass equals ``is_gp_minimal`` on arbitrary
+        tables, ties and missing entries included."""
+        rng = random.Random(41)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            vals = [rng.choice((None, rng.randint(0, 6))) if mask else rng.randint(0, 6)
+                    for mask in range(1 << n)]
+            g = cube_oracle(vals, n)
+            zero = (0,) * n
+            assert neighborhood_values(g, zero) == vals
+            flags = gp_minimal_table(vals)
+            assert not flags[0]
+            for mask in range(1, 1 << n):
+                assert flags[mask] == is_gp_minimal(g, zero, items_from_mask(mask)), \
+                    (vals, mask)
+
+    def test_gp_minimal_table_on_lattice_convex_oracles(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            g = random_lattice_convex(rng, n)
+            p = tuple(rng.randint(0, 9) for _ in range(n))
+            flags = gp_minimal_table(neighborhood_values(g, p))
+            for mask in range(1, 1 << n):
+                assert flags[mask] == is_gp_minimal(g, p, items_from_mask(mask))
+
+    def test_short_table_rejected(self, ex21):
+        with pytest.raises(ValueError, match="entries"):
+            minimal_minimizer_step(lyap_oracle(ex21), (0, 0, 0), [6, 5])
+
+    @staticmethod
+    def _shifted(ly, delta):
+        def neighborhood(p):
+            vals = ly.neighborhood(p)
+            return [v if mask == 0 or v is None else v + delta
+                    for mask, v in enumerate(vals)]
+        return neighborhood
+
+    def test_off_by_one_table_fails_at_a_step(self, ex21, two_bidder_multi):
+        for inst in (ex21, two_bidder_multi):
+            ly = LyapunovOracle(inst)
+            for kind in StrategyKind:
+                with pytest.raises(ConvexityError, match="at a step"):
+                    minimize(ly.function_oracle(), (0,) * inst.n, kind,
+                             neighborhood=self._shifted(ly, -1))
+
+    def test_off_by_one_table_fails_at_the_stop(self, ex21, two_bidder_multi):
+        for inst, p_min in ((ex21, (1, 1, 1)), (two_bidder_multi, (2,))):
+            ly = LyapunovOracle(inst)
+            for kind in StrategyKind:
+                with pytest.raises(ConvexityError, match="at the stop"):
+                    minimize(ly.function_oracle(), p_min, kind,
+                             neighborhood=self._shifted(ly, +1))
+
+    def test_table_must_start_at_the_current_value(self, ex21):
+        ly = LyapunovOracle(ex21)
+
+        def neighborhood(p):
+            vals = ly.neighborhood(p)
+            return [vals[0] + 1] + vals[1:]
+
+        with pytest.raises(ConvexityError, match="at p"):
+            minimize(ly.function_oracle(), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,
+                     neighborhood=neighborhood)

@@ -5,9 +5,11 @@ from itertools import product
 
 from hypothesis import given, strategies as st
 
-from conftest import random_multi_instance, random_unit_instance
-from walras import (Instance, LyapunovOracle, deficiency, lyapunov,
-                    lyapunov_step, max_total_value)
+from conftest import random_multi_instance, random_unit_instance, tabulate
+from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
+                    deficiency, first_gp_minimal, lyapunov, lyapunov_step,
+                    max_total_value, maximal_gp_minimal, minimal_descent_set,
+                    minimal_minimizer_step, neighborhood_values)
 
 
 class TestValues:
@@ -123,3 +125,69 @@ class TestMemo:
         assert g((-1, 0, 0)) is None
         hi = g.box[1]
         assert g((hi[0] + 1, 0, 0)) is None
+
+
+def _neighborhood_markets(rng):
+    """Seeded unit, separable and admitted-table markets."""
+    markets = []
+    for _ in range(4):
+        markets.append(random_unit_instance(rng, n_max=4, m_max=5, value_max=4))
+        sep = random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=5)
+        markets.append(sep)
+        markets.append(Instance(model="multi", n=sep.n, u=sep.u,
+                                valuations=tuple(tabulate(v) for v in sep.valuations)))
+    return markets
+
+
+class TestNeighborhoodTable:
+    """``LyapunovOracle.neighborhood`` against the generic value-route builder."""
+
+    def test_matches_value_route_up_to_the_box_ceiling(self):
+        rng = random.Random(23)
+        for inst in _neighborhood_markets(rng):
+            ly = LyapunovOracle(inst)
+            g = ly.function_oracle()
+            hi = g.box[1][0]
+            levels = [0, 1, hi // 2, hi - 1, hi]
+            for _ in range(6):
+                p = tuple(rng.choice(levels) for _ in range(inst.n))
+                fast = ly.neighborhood(p)
+                slow = neighborhood_values(g, p)
+                assert len(fast) == len(slow) == 1 << inst.n
+                for mask, (a, b) in enumerate(zip(fast, slow)):
+                    assert a == b, (inst, p, mask)
+            top = (hi,) * inst.n
+            assert ly.neighborhood(top) == [ly.value(top)] + [None] * ((1 << inst.n) - 1)
+            assert ly.neighborhood((hi + 1,) * inst.n) == [None] * (1 << inst.n)
+
+    def test_strategies_choose_the_same_set_from_either_table(self):
+        rng = random.Random(29)
+        for inst in _neighborhood_markets(rng):
+            ly = LyapunovOracle(inst)
+            g = ly.function_oracle()
+            cap = max_total_value(inst) + 1
+            for _ in range(6):
+                p = tuple(rng.randint(0, cap) for _ in range(inst.n))
+                fast = ly.neighborhood(p)
+                assert minimal_descent_set(g, p, fast) == minimal_descent_set(g, p)
+                assert minimal_minimizer_step(g, p, fast) == minimal_minimizer_step(g, p)
+                assert maximal_gp_minimal(g, p, fast) == maximal_gp_minimal(g, p)
+                for seed in (0, 3, 2**40):
+                    assert first_gp_minimal(g, p, seed, fast) == \
+                        first_gp_minimal(g, p, seed)
+
+    def test_separable_table_skips_the_demand_set_product(self, monkeypatch):
+        """Where every item ties, each separable bidder's demand set holds
+        4^n bundles; the table must come from per-item argmaxes instead."""
+        n = 8
+        inst = Instance(model="multi", n=n, u=(3,) * n, valuations=tuple(
+            Valuation.separable([[5, 5, 5]] * n) for _ in range(2)))
+        ly = LyapunovOracle(inst)
+        prices = [(4,) * n, (5,) * n, (5, 6) * (n // 2)]
+        slow = [neighborhood_values(ly.function_oracle(), p) for p in prices]
+
+        def refuse(self, b, p):
+            raise AssertionError("demand set built")
+
+        monkeypatch.setattr(DemandCache, "demand_set", refuse)
+        assert [ly.neighborhood(p) for p in prices] == slow
