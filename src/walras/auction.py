@@ -176,13 +176,14 @@ def ascending_auction(instance: Instance,
     if p0 is None:
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)
-    p_final, trajectory = minimize(ly.function_oracle(), p0, strategy,
+    g = ly.function_oracle()
+    p_final, trajectory = minimize(g, p0, strategy,
                                    seed=seed, iteration_cap=iteration_cap,
                                    neighborhood=ly.neighborhood)
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
-    base = ly.value(p_final)
-    for mask, val in _support_cuts(ly, p_final):
+    base = g.fn(p_final)
+    for mask, val in _support_cuts(g.fn, p_final):
         if val <= base:
             raise WalrasError(
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
@@ -386,9 +387,9 @@ def allocation_certifies(instance: Instance, p: PriceVector,
     return total == instance.u
 
 
-def _support_cuts(ly: LyapunovOracle, p: PriceVector):
-    """``(mask, L(p - chi_X))`` for every nonempty X within the support of p,
-    in increasing mask order."""
+def _support_cuts(value, p: PriceVector):
+    """``(mask, value(p - chi_X))`` for every nonempty X within the support
+    of p, in increasing mask order."""
     supp = 0
     for k, c in enumerate(p):
         if c > 0:
@@ -398,7 +399,7 @@ def _support_cuts(ly: LyapunovOracle, p: PriceVector):
         mask = (mask - supp) & supp  # next submask of supp, ascending
         if mask == 0:
             return
-        yield mask, ly.value(chi_sub(p, mask))
+        yield mask, value(chi_sub(p, mask))
 
 
 @dataclass(frozen=True)
@@ -436,7 +437,7 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
         if ly.step_mask(mask, p) < 0:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(+1, items_from_mask(mask)))
-    for mask, val in _support_cuts(ly, p):
+    for mask, val in _support_cuts(ly.value, p):
         if val < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(-1, items_from_mask(mask)))

@@ -5,11 +5,12 @@ demand set is the product of its per-item argmax sets (and its minimum take
 from an item set the sum of per-item least argmaxes), and explicit tables
 (and unit-demand valuations under the multi model) scan the bundle box.  The
 two routes agree on separable bidders, tuples, order and minimum takes
-included; that is test-enforced.  The bundle box is built, and checked against the budget,
-only when a scan first needs it.  A greedy single-improvement fast path
-exists as a test-gated optimization.  The unit model has
-its own oracle around the artificial no-purchase item 0 and never routes
-through the multi-model code.
+included; that is test-enforced.  The bundle box is built, and checked
+against the budget, only when a scan first needs it; minimum-take tables
+(one entry per item subset per bidder) are checked against the same budget.
+A greedy single-improvement fast path exists as a test-gated optimization.
+The unit model has its own oracle around the artificial no-purchase item 0
+and never routes through the multi-model code.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._unit_masks: dict[tuple[int, PriceVector], int] = {}
-        self._mu_vectors: dict[tuple[int, PriceVector], tuple[int, ...]] = {}
+        self._mu_vectors: tuple[PriceVector | None, dict[int, tuple[int, ...]]] = (None, {})
         self._demand_sets: dict[tuple[int, PriceVector], tuple[Bundle, ...]] = {}
 
     # -- shared ------------------------------------------------------------
@@ -66,6 +67,15 @@ class DemandCache:
                     f"bundle box volume {volume} exceeds budget {self.budget}")
             self._bundles = tuple(product(*(range(c + 1) for c in self.instance.u)))
         return self._bundles
+
+    def _check_table_budget(self) -> None:
+        """Minimum-take tables hold one entry per item subset per bidder."""
+        entries = (self.instance.m + 1) << self._n
+        if entries > self.budget:
+            raise BudgetExceededError(
+                f"deficiency tables over {1 << self._n} item sets for "
+                f"{self.instance.m} bidders need {entries} entries, "
+                f"budget is {self.budget}")
 
     def _bidder_values(self, b: int) -> list[int]:
         vals = self._values.get(b)
@@ -174,6 +184,7 @@ class DemandCache:
         if inst.model == UNIT:
             only = self.only_demanders_table(p)
             return [only[s].bit_count() - s.bit_count() for s in range(size)]
+        self._check_table_budget()
         vectors = [self.mu_vector(b, p) for b in range(inst.m)]
         supply = subset_sums(inst.u, self._n)
         return [sum(vec[s] for vec in vectors) - supply[s] for s in range(size)]
@@ -217,9 +228,15 @@ class DemandCache:
         A separable bidder's demand set is a product over items, so its
         minimum take from X is the sum of each item's least argmax; that
         avoids building the product, which ties make exponentially large.
+        Vectors are kept for the latest price only, so a descent holds one
+        table's worth of them rather than one per step.
         """
-        key = (b, p)
-        cached = self._mu_vectors.get(key)
+        price, vectors = self._mu_vectors
+        if p != price:
+            self._check_table_budget()
+            vectors = {}
+            self._mu_vectors = (p, vectors)
+        cached = vectors.get(b)
         if cached is None:
             v = self.instance.valuations[b]
             n = self._n
@@ -229,14 +246,14 @@ class DemandCache:
             else:
                 size = 1 << n
                 mins = [None] * size
-                for x in self.demand_set(b, p):
+                for x in self.demand_set_enum(b, p):
                     sums = subset_sums(x, n)
                     for mask in range(size):
                         cur = mins[mask]
                         if cur is None or sums[mask] < cur:
                             mins[mask] = sums[mask]
                 cached = tuple(mins)
-            self._mu_vectors[key] = cached
+            vectors[b] = cached
         return cached
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:

@@ -8,8 +8,9 @@ loop lands on the unique componentwise-minimal minimizer.
 
 Each iteration reads one neighborhood table ``vals[mask] = g(p + chi_mask)``
 (None outside the domain).  The termination test and every selection rule
-work on that table; a caller may supply a faster builder for it, and the
-oracle's own values then certify each step and the stop.
+work on that table; a caller may supply a faster route to its one-step
+changes ``g(p + chi_X) - g(p)``, and the oracle's own values then certify
+each step and the stop.
 """
 
 from __future__ import annotations
@@ -188,6 +189,21 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
 
 
+def neighborhood_from_steps(g: FunctionOracle, p: PriceVector, base: int,
+                            deltas: list[int]) -> list[int | None]:
+    """The neighborhood table at p from ``base = g(p)`` and the one-step
+    changes ``deltas[mask] = g(p + chi_mask) - g(p)``.
+
+    Entries whose raise leaves ``g.box`` read None, as the oracle reports them.
+    """
+    out = 0
+    if g.box is not None:
+        for k, (c, top) in enumerate(zip(p, g.box[1])):
+            if c >= top:
+                out |= 1 << k
+    return [None if mask & out else base + d for mask, d in enumerate(deltas)]
+
+
 def _table(g: FunctionOracle, p: PriceVector,
            vals: list[int | None] | None) -> list[int | None]:
     """The given neighborhood table at p, or one built from the oracle."""
@@ -309,18 +325,21 @@ def _check_seed(seed: int) -> None:
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, iteration_cap: int | None = None,
              max_items: int = 24,
-             neighborhood: Callable[[PriceVector], list[int | None]] | None = None,
+             neighborhood: Callable[[PriceVector], list[int]] | None = None,
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
 
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
-    iteration builds one neighborhood table, by ``neighborhood(p)`` when
-    given (a faster route to the same values) or else from ``g``; the
-    termination test and the strategy both read it.  ``g`` certifies the
-    table: entry 0 must be g(p), each step's g(p + chi_X) must equal its
-    entry, and a stop is confirmed by one scan of g's own neighborhood;
-    a mismatch raises ConvexityError.  Returns the final point and the full
+    iteration builds one neighborhood table; the termination test and the
+    strategy both read it.  Without ``neighborhood`` the table is read from
+    ``g``.  With it, ``neighborhood(p)`` gives the one-step changes
+    ``g(p + chi_X) - g(p)`` for every X by a faster route, and the table is
+    the current value plus those changes, None outside ``g.box``
+    (``neighborhood_from_steps``).  ``g`` certifies such a table: the change
+    for the empty set must be 0, each step's g(p + chi_X) must equal its
+    entry, and a stop is confirmed by one scan of g's own neighborhood; a
+    mismatch raises ConvexityError.  Returns the final point and the full
     trajectory.
     """
     if not isinstance(strategy, StrategyKind):
@@ -340,9 +359,13 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     size = 1 << g.n
     steps: list[Step] = []
     while True:
-        vals = neighborhood_values(gm, p) if neighborhood is None else neighborhood(p)
-        if len(vals) != size or vals[0] != base:
-            raise ConvexityError("neighborhood table disagrees with the oracle at p")
+        if neighborhood is None:
+            vals = neighborhood_values(gm, p)
+        else:
+            deltas = neighborhood(p)
+            if len(deltas) != size or deltas[0] != 0:
+                raise ConvexityError("neighborhood table disagrees with the oracle at p")
+            vals = neighborhood_from_steps(g, p, base, deltas)
         if not any(val is not None and val < base for val in vals):
             if neighborhood is not None and neighborhood_values(gm, p) != vals:
                 raise ConvexityError(

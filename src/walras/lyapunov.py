@@ -5,9 +5,9 @@ plus the revenue term; its minimizers are exactly the equilibrium prices.
 ``deficiency`` is computed from demand-side primitives and ``step`` from two
 Lyapunov evaluations, so the identity ``step == -deficiency`` cross-validates
 the two routes instead of holding by construction.  The descent reads its
-one-step neighborhood from the demand side, ``L(p) - deficiency(X, p)`` for
-every X at once (``LyapunovOracle.neighborhood``); Lyapunov values certify
-each chosen step and the final stop.
+one-step changes from the demand side, ``-deficiency(X, p)`` for every X at
+once (``LyapunovOracle.neighborhood``); Lyapunov values certify each chosen
+step and the final stop.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from .instance import (DEFAULT_BUDGET, UNIT, Instance, ItemSet, PriceVector,
                        max_total_value)
 from .itemsets import chi_add, mask_from_items
 from .lnat import FunctionOracle
-
-#: Default headroom of the declared price box above the value ceiling.
-_SLACK = 2
 
 
 class LyapunovOracle:
@@ -74,29 +71,19 @@ class LyapunovOracle:
         return self.demand.deficiency_mask(mask_from_items(X, self.instance.n),
                                            _check_price(self.instance, p))
 
-    def neighborhood(self, p: PriceVector) -> list[int | None]:
-        """``L(p + chi_X)`` for every item subset X, indexed by bitmask.
+    def neighborhood(self, p: PriceVector) -> list[int]:
+        """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
 
-        Built as ``L(p) - deficiency(X, p)`` from one deficiency table.  An
-        entry is None where p + chi_X leaves the box of ``function_oracle()``,
-        so the table equals that adapter's values entry by entry.
+        Read as ``-deficiency(X, p)`` from one deficiency table, with no
+        Lyapunov evaluation; ``minimize`` adds the current value and blanks
+        the raises that leave its oracle's box.
         """
-        t = _check_price(self.instance, p)
-        hi = self._ceiling + _SLACK
-        if any(c > hi for c in t):
-            return [None] * (1 << self.instance.n)
-        base = self.value(t)
-        top = 0
-        for k, c in enumerate(t):
-            if c == hi:
-                top |= 1 << k
-        table = self.demand.deficiency_table(t)
-        return [None if mask & top else base - d for mask, d in enumerate(table)]
+        return [-d for d in self.demand.deficiency_table(_check_price(self.instance, p))]
 
     def price_ceiling(self) -> int:
         return self._ceiling
 
-    def function_oracle(self, *, slack: int = _SLACK) -> FunctionOracle:
+    def function_oracle(self, *, slack: int = 2) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.
 
         Declares the box [0, ceiling + slack]^n; queries outside it read as

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_multi_instance, random_unit_instance, tabulate
-from walras import (BudgetExceededError, Instance, LyapunovOracle,
+from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracle,
                     MultiAllocation, StrategyKind, UnitAllocation, Valuation,
                     allocation_certifies, ascending_auction,
                     equilibrium_prices_by_enumeration, extract_allocation,
@@ -293,6 +293,41 @@ class TestDescentWork:
                 assert iterations == max(res.p_min)
             finals.add(res.p_min)
         assert len(finals) == 1
+
+    def test_every_lyapunov_value_goes_through_the_oracle_adapter(self, monkeypatch):
+        """The run reads L only through ``function_oracle()``: the change
+        table needs no value of its own, and the minimality scan asks the
+        adapter too, so adapter queries and Lyapunov evaluations agree."""
+        rng = random.Random(12)
+        markets = [random_unit_instance(rng, n_max=4, m_max=5, value_max=6)
+                   for _ in range(5)]
+        markets += [random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=6)
+                    for _ in range(5)]
+        counts = {"value": 0, "adapter": 0}
+        value = LyapunovOracle.value
+        adapter = LyapunovOracle.function_oracle
+
+        def counted_value(self, p):
+            counts["value"] += 1
+            return value(self, p)
+
+        def counted_adapter(self, **kwargs):
+            g = adapter(self, **kwargs)
+            query = g.fn
+
+            def fn(q):
+                counts["adapter"] += 1
+                return query(q)
+
+            return FunctionOracle(n=g.n, fn=fn, box=g.box, value_floor=g.value_floor)
+
+        monkeypatch.setattr(LyapunovOracle, "value", counted_value)
+        monkeypatch.setattr(LyapunovOracle, "function_oracle", counted_adapter)
+        for inst in markets:
+            for kind in StrategyKind:
+                counts.update(value=0, adapter=0)
+                ascending_auction(inst, kind, seed=2)
+                assert counts["value"] == counts["adapter"] > 0, (inst, kind, counts)
 
 
 class TestMinimalityCertificate:

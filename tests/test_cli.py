@@ -127,6 +127,19 @@ class TestSolve:
         assert doc["p_final"] == expected
         assert doc["allocation"] is not None
 
+    def test_wide_separable_market_hits_the_table_budget(self, tmp_path, capsys):
+        """21 single-unit items and two bidders: each step's deficiency
+        tables would hold 3 * 2^21 entries, over the default budget, so the
+        solve stops with a budget error instead of running unbounded."""
+        inst = Instance(model="multi", n=21, u=(1,) * 21,
+                        valuations=tuple(Valuation.separable([[2]] * 21) for _ in range(2)))
+        path = tmp_path / "wider.json"
+        path.write_text(serialize_instance(inst))
+        assert run_command(["solve", "--instance", str(path), "--strategy", "steepest"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "budget" in err and "deficiency tables" in err
+
     def test_solve_rejects_non_substitutes(self, complements_path, capsys):
         assert run_command(["solve", "--instance", complements_path,
                             "--strategy", "steepest"]) == 1

@@ -59,6 +59,33 @@ class TestMultiDemandSets:
         with pytest.raises(BudgetExceededError):
             DemandCache(inst, budget=10_000).indirect_utility_enum(0, p)
 
+    def test_deficiency_tables_within_budget(self):
+        """Minimum-take tables hold (m + 1) * 2^n entries; past the budget
+        they are refused before any is built."""
+        inst = Instance(model="multi", n=12, u=(1,) * 12,
+                        valuations=tuple(Valuation.separable([[3]] * 12) for _ in range(3)))
+        p = (1,) * 12
+        dc = DemandCache(inst, budget=4 << 12)
+        assert len(dc.deficiency_table(p)) == 1 << 12
+        tight = DemandCache(inst, budget=(4 << 12) - 1)
+        with pytest.raises(BudgetExceededError, match="deficiency tables"):
+            tight.deficiency_table(p)
+        with pytest.raises(BudgetExceededError, match="deficiency tables"):
+            tight.mu_vector(0, p)
+
+    def test_minimum_takes_kept_for_one_price(self):
+        """Only the latest price's vectors stay cached; going back to an
+        earlier price recomputes the same answer."""
+        rng = random.Random(17)
+        for _ in range(20):
+            inst = random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=5)
+            prices = [tuple(rng.randint(0, 4) for _ in range(inst.n)) for _ in range(3)]
+            dc = DemandCache(inst)
+            for p in prices + prices[::-1]:
+                for b in range(inst.m):
+                    assert dc.mu_vector(b, p) == DemandCache(inst).mu_vector(b, p)
+                assert dc._mu_vectors[0] == p
+
 
 class TestMu:
     def test_empty_set(self, two_bidder_multi):

@@ -10,7 +10,8 @@ from walras import (ConvexityError, FunctionOracle, IterationCapError,
                     LyapunovOracle, StrategyKind, first_gp_minimal,
                     gp_minimal_table, is_gp_minimal, is_lnat_convex_on_box,
                     maximal_gp_minimal, minimal_descent_set,
-                    minimal_minimizer_step, minimize, neighborhood_values)
+                    minimal_minimizer_step, minimize,
+                    neighborhood_from_steps, neighborhood_values)
 from walras.errors import BudgetExceededError, ContractError
 from walras.itemsets import items_from_mask
 from walras.lnat import Step
@@ -304,9 +305,8 @@ class TestNeighborhoodTable:
     @staticmethod
     def _shifted(ly, delta):
         def neighborhood(p):
-            vals = ly.neighborhood(p)
-            return [v if mask == 0 or v is None else v + delta
-                    for mask, v in enumerate(vals)]
+            return [d if mask == 0 else d + delta
+                    for mask, d in enumerate(ly.neighborhood(p))]
         return neighborhood
 
     def test_off_by_one_table_fails_at_a_step(self, ex21, two_bidder_multi):
@@ -325,13 +325,28 @@ class TestNeighborhoodTable:
                     minimize(ly.function_oracle(), p_min, kind,
                              neighborhood=self._shifted(ly, +1))
 
-    def test_table_must_start_at_the_current_value(self, ex21):
+    def test_empty_raise_must_change_nothing(self, ex21):
         ly = LyapunovOracle(ex21)
 
         def neighborhood(p):
-            vals = ly.neighborhood(p)
-            return [vals[0] + 1] + vals[1:]
+            return [1] + ly.neighborhood(p)[1:]
 
         with pytest.raises(ConvexityError, match="at p"):
             minimize(ly.function_oracle(), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,
                      neighborhood=neighborhood)
+
+    def test_table_takes_the_box_from_the_oracle(self, ex21, two_bidder_multi):
+        """The same change table serves any declared box: raises past the
+        oracle's ceiling read None whatever the slack."""
+        for inst in (ex21, two_bidder_multi):
+            ly = LyapunovOracle(inst)
+            for slack in (0, 1, 5):
+                g = ly.function_oracle(slack=slack)
+                for kind in StrategyKind:
+                    plain = minimize(g, (0,) * inst.n, kind, seed=3)
+                    fast = minimize(g, (0,) * inst.n, kind, seed=3,
+                                    neighborhood=ly.neighborhood)
+                    assert fast == plain
+                top = g.box[1]
+                assert neighborhood_from_steps(g, top, g(top), ly.neighborhood(top)) == \
+                    neighborhood_values(g, top)

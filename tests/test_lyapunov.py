@@ -9,7 +9,8 @@ from conftest import random_multi_instance, random_unit_instance, tabulate
 from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
                     deficiency, first_gp_minimal, lyapunov, lyapunov_step,
                     max_total_value, maximal_gp_minimal, minimal_descent_set,
-                    minimal_minimizer_step, neighborhood_values)
+                    minimal_minimizer_step, neighborhood_from_steps,
+                    neighborhood_values)
 
 
 class TestValues:
@@ -139,6 +140,11 @@ def _neighborhood_markets(rng):
     return markets
 
 
+def _table(ly, g, p):
+    """The descent's table at p: Lyapunov value plus the demand-side changes."""
+    return neighborhood_from_steps(g, p, g(p), ly.neighborhood(p))
+
+
 class TestNeighborhoodTable:
     """``LyapunovOracle.neighborhood`` against the generic value-route builder."""
 
@@ -151,14 +157,34 @@ class TestNeighborhoodTable:
             levels = [0, 1, hi // 2, hi - 1, hi]
             for _ in range(6):
                 p = tuple(rng.choice(levels) for _ in range(inst.n))
-                fast = ly.neighborhood(p)
+                fast = _table(ly, g, p)
                 slow = neighborhood_values(g, p)
                 assert len(fast) == len(slow) == 1 << inst.n
                 for mask, (a, b) in enumerate(zip(fast, slow)):
                     assert a == b, (inst, p, mask)
             top = (hi,) * inst.n
-            assert ly.neighborhood(top) == [ly.value(top)] + [None] * ((1 << inst.n) - 1)
-            assert ly.neighborhood((hi + 1,) * inst.n) == [None] * (1 << inst.n)
+            assert _table(ly, g, top) == [ly.value(top)] + [None] * ((1 << inst.n) - 1)
+            beyond = (hi + 1,) * inst.n
+            assert ly.neighborhood(beyond) == \
+                [ly.step_mask(mask, beyond) for mask in range(1 << inst.n)]
+
+    def test_reads_no_lyapunov_value(self, monkeypatch):
+        """The changes come from demand primitives alone; the descent adds
+        the value it already holds."""
+        rng = random.Random(31)
+        markets = _neighborhood_markets(rng)
+        expected = []
+        for inst in markets:
+            ly = LyapunovOracle(inst)
+            p = (1,) * inst.n
+            expected.append([ly.step_mask(mask, p) for mask in range(1 << inst.n)])
+
+        def refuse(self, p):
+            raise AssertionError("Lyapunov value read")
+
+        monkeypatch.setattr(LyapunovOracle, "value", refuse)
+        assert [LyapunovOracle(inst).neighborhood((1,) * inst.n) for inst in markets] == \
+            expected
 
     def test_strategies_choose_the_same_set_from_either_table(self):
         rng = random.Random(29)
@@ -168,7 +194,7 @@ class TestNeighborhoodTable:
             cap = max_total_value(inst) + 1
             for _ in range(6):
                 p = tuple(rng.randint(0, cap) for _ in range(inst.n))
-                fast = ly.neighborhood(p)
+                fast = _table(ly, g, p)
                 assert minimal_descent_set(g, p, fast) == minimal_descent_set(g, p)
                 assert minimal_minimizer_step(g, p, fast) == minimal_minimizer_step(g, p)
                 assert maximal_gp_minimal(g, p, fast) == maximal_gp_minimal(g, p)
@@ -183,11 +209,12 @@ class TestNeighborhoodTable:
         inst = Instance(model="multi", n=n, u=(3,) * n, valuations=tuple(
             Valuation.separable([[5, 5, 5]] * n) for _ in range(2)))
         ly = LyapunovOracle(inst)
+        g = ly.function_oracle()
         prices = [(4,) * n, (5,) * n, (5, 6) * (n // 2)]
-        slow = [neighborhood_values(ly.function_oracle(), p) for p in prices]
+        slow = [neighborhood_values(g, p) for p in prices]
 
         def refuse(self, b, p):
             raise AssertionError("demand set built")
 
         monkeypatch.setattr(DemandCache, "demand_set", refuse)
-        assert [ly.neighborhood(p) for p in prices] == slow
+        assert [_table(ly, g, p) for p in prices] == slow
