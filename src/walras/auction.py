@@ -150,9 +150,7 @@ def ascending_auction(instance: Instance,
                       strategy: StrategyKind = StrategyKind.STEEPEST_MINIMAL,
                       p0: PriceVector | None = None, *,
                       seed: int = 0,
-                      iteration_cap: int | None = None,
                       budget: int = DEFAULT_BUDGET,
-                      allocation_budget: int = DEFAULT_BUDGET,
                       oracle: LyapunovOracle | None = None) -> AuctionResult:
     """Run the ascending auction from p0 (default all-zero prices).
 
@@ -177,8 +175,7 @@ def ascending_auction(instance: Instance,
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)
     g = ly.function_oracle()
-    p_final, trajectory = minimize(g, p0, strategy,
-                                   seed=seed, iteration_cap=iteration_cap,
+    p_final, trajectory = minimize(g, p0, strategy, seed=seed,
                                    neighborhood=ly.neighborhood)
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
@@ -202,7 +199,7 @@ def ascending_auction(instance: Instance,
     allocation_error = None
     try:
         allocation = extract_allocation(instance, p_final,
-                                        budget=allocation_budget, demand=ly.demand)
+                                        budget=budget, demand=ly.demand)
     except BudgetExceededError:
         allocation_error = "allocation search budget exceeded"
     return AuctionResult(p_min=p_final, trajectory=trajectory,

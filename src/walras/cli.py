@@ -125,8 +125,7 @@ def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     p0 = _load_start(instance, args.start)
     strategy = STRATEGY_FLAGS[args.strategy]
-    result = ascending_auction(instance, strategy, p0, seed=args.seed,
-                               budget=budget, allocation_budget=budget)
+    result = ascending_auction(instance, strategy, p0, seed=args.seed, budget=budget)
     if args.format == "json":
         doc = _result_json(instance, args.strategy, args.seed, p0, result)
         _emit(json.dumps(doc, indent=2) + "\n", args.out)

@@ -6,8 +6,8 @@ from an item set the sum of per-item least argmaxes), and explicit tables
 (and unit-demand valuations under the multi model) scan the bundle box.  The
 two routes agree on separable bidders, tuples, order and minimum takes
 included; that is test-enforced.  The bundle box is built, and checked
-against the budget, only when a scan first needs it; minimum-take tables
-(one entry per item subset per bidder) are checked against the same budget.
+against the budget, only when a scan first needs it; deficiency tables in
+both models ((m + 1) * 2^n entries) are checked against the same budget.
 A greedy single-improvement fast path exists as a test-gated optimization.
 The unit model has its own oracle around the artificial no-purchase item 0
 and never routes through the multi-model code.
@@ -69,7 +69,9 @@ class DemandCache:
         return self._bundles
 
     def _check_table_budget(self) -> None:
-        """Minimum-take tables hold one entry per item subset per bidder."""
+        """A deficiency table, and the minimum-take tables behind it in the
+        multi model, hold one entry per item subset per bidder and one more
+        for the table itself."""
         entries = (self.instance.m + 1) << self._n
         if entries > self.budget:
             raise BudgetExceededError(
@@ -181,10 +183,10 @@ class DemandCache:
         """Deficiency of every item subset at once, indexed by subset bitmask."""
         inst = self.instance
         size = 1 << self._n
+        self._check_table_budget()
         if inst.model == UNIT:
             only = self.only_demanders_table(p)
             return [only[s].bit_count() - s.bit_count() for s in range(size)]
-        self._check_table_budget()
         vectors = [self.mu_vector(b, p) for b in range(inst.m)]
         supply = subset_sums(inst.u, self._n)
         return [sum(vec[s] for vec in vectors) - supply[s] for s in range(size)]

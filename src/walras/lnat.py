@@ -8,9 +8,9 @@ loop lands on the unique componentwise-minimal minimizer.
 
 Each iteration reads one neighborhood table ``vals[mask] = g(p + chi_mask)``
 (None outside the domain).  The termination test and every selection rule
-work on that table; a caller may supply a faster route to its one-step
-changes ``g(p + chi_X) - g(p)``, and the oracle's own values then certify
-each step and the stop.
+are functions of that table alone; a caller may supply a faster route to its
+one-step changes ``g(p + chi_X) - g(p)``, and the oracle's own values then
+certify each step and the stop.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ from typing import Callable
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import ItemSet, PriceVector
-from .itemsets import chi_add, items_from_mask, proper_submasks
+from .itemsets import chi_add, items_from_mask, mask_from_items, proper_submasks
 
 _SEED_LIMIT = 1 << 64
+
+#: Largest item count the descent accepts; each step enumerates 2^n sets.
+MAX_ITEMS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +38,9 @@ class FunctionOracle:
     """Deterministic integer function on Z^n.
 
     ``fn`` returns None outside the function's domain (read as +infinity).
-    ``box`` declares per-coordinate bounds containing every finite query;
-    ``value_floor`` is any known lower bound on the minimum, used to derive
-    a default iteration cap for the descent loop.
+    ``box``, when given, declares per-coordinate bounds containing every
+    finite query; ``value_floor`` is any known lower bound on the minimum,
+    used to derive a default iteration cap for the descent loop.
     """
 
     n: int
@@ -158,7 +161,7 @@ def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
     choices for the loop's raise step.
     """
     p = tuple(p)
-    mask = _item_mask(X, g.n)
+    mask = mask_from_items(X, g.n)
     if mask == 0:
         raise ValueError("X must be nonempty")
     target = g.fn(chi_add(p, mask))
@@ -171,15 +174,6 @@ def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
     return True
 
 
-def _item_mask(X, n: int) -> int:
-    mask = 0
-    for i in X:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-            raise ValueError(f"item label {i!r} outside 1..{n}")
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
 
@@ -189,31 +183,15 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
 
 
-def neighborhood_from_steps(g: FunctionOracle, p: PriceVector, base: int,
-                            deltas: list[int]) -> list[int | None]:
-    """The neighborhood table at p from ``base = g(p)`` and the one-step
-    changes ``deltas[mask] = g(p + chi_mask) - g(p)``.
-
-    Entries whose raise leaves ``g.box`` read None, as the oracle reports them.
-    """
-    out = 0
-    if g.box is not None:
-        for k, (c, top) in enumerate(zip(p, g.box[1])):
-            if c >= top:
-                out |= 1 << k
-    return [None if mask & out else base + d for mask, d in enumerate(deltas)]
-
-
-def _table(g: FunctionOracle, p: PriceVector,
-           vals: list[int | None] | None) -> list[int | None]:
-    """The given neighborhood table at p, or one built from the oracle."""
-    if vals is None:
-        vals = neighborhood_values(g, p)
-    elif len(vals) != 1 << g.n:
-        raise ValueError(f"neighborhood table must have {1 << g.n} entries")
+def _width(vals: list[int | None]) -> int:
+    """Item count of a neighborhood table, which must hold 2^n entries and
+    a finite value at p."""
+    n = len(vals).bit_length() - 1
+    if len(vals) != 1 << n:
+        raise ValueError("neighborhood table must have 2^n entries")
     if vals[0] is None:
         raise ValueError("p is outside the oracle's domain")
-    return vals
+    return n
 
 
 def gp_minimal_table(vals: list[int | None]) -> list[bool]:
@@ -242,18 +220,16 @@ def gp_minimal_table(vals: list[int | None]) -> list[bool]:
     return flags
 
 
-def minimal_descent_set(g: FunctionOracle, p: PriceVector,
-                        vals: list[int | None] | None = None) -> ItemSet | None:
+def minimal_descent_set(vals: list[int | None]) -> ItemSet | None:
     """First descent set in (cardinality, lexicographic) scan order.
 
     The minimum-cardinality guarantee makes the result inclusion-minimal.
-    Returns None when no raise descends.  ``vals`` is the neighborhood
-    table at p; it is built from ``g`` when omitted.
+    Returns None when no raise descends.
     """
-    vals = _table(g, p, vals)
+    n = _width(vals)
     base = vals[0]
-    for k in range(1, g.n + 1):
-        for combo in combinations(range(g.n), k):
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
             mask = sum(1 << i for i in combo)
             val = vals[mask]
             if val is not None and val < base:
@@ -261,14 +237,13 @@ def minimal_descent_set(g: FunctionOracle, p: PriceVector,
     return None
 
 
-def minimal_minimizer_step(g: FunctionOracle, p: PriceVector,
-                           vals: list[int | None] | None = None) -> ItemSet:
+def minimal_minimizer_step(vals: list[int | None]) -> ItemSet:
     """Intersection of all sets minimizing the one-step change g(p + chi_X) - g(p).
 
     The intersection must itself attain the minimum; if it does not, the
     step function is not submodular and the input is rejected.
     """
-    vals = _table(g, p, vals)
+    _width(vals)
     best = min(val for val in vals if val is not None)
     meet = -1
     for mask, val in enumerate(vals):
@@ -279,8 +254,7 @@ def minimal_minimizer_step(g: FunctionOracle, p: PriceVector,
     return items_from_mask(meet)
 
 
-def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int,
-                     vals: list[int | None] | None = None) -> ItemSet | None:
+def first_gp_minimal(vals: list[int | None], seed: int) -> ItemSet | None:
     """First locally-minimal descent set in a seeded pseudorandom subset order.
 
     The order is a Fisher-Yates shuffle of all nonempty subset indices, so a
@@ -288,8 +262,9 @@ def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int,
     descends.
     """
     _check_seed(seed)
-    flags = gp_minimal_table(_table(g, p, vals))
-    order = list(range(1, 1 << g.n))
+    _width(vals)
+    flags = gp_minimal_table(vals)
+    order = list(range(1, len(vals)))
     random.Random(seed).shuffle(order)
     for mask in order:
         if flags[mask]:
@@ -297,24 +272,16 @@ def first_gp_minimal(g: FunctionOracle, p: PriceVector, seed: int,
     return None
 
 
-def maximal_gp_minimal(g: FunctionOracle, p: PriceVector,
-                       vals: list[int | None] | None = None) -> ItemSet:
-    """Unique maximal locally-minimal descent set, computed two ways.
+def maximal_gp_minimal(vals: list[int | None]) -> ItemSet:
+    """Unique maximal locally-minimal descent set.
 
-    Takes the union of all such sets and checks it against the minimal
-    minimizer of the one-step change; disagreement means the oracle is not
-    midpoint convex.  Degenerates to the empty set when nothing descends.
+    The locally-minimal descent sets are closed under union, and their union
+    is the minimal minimizer of the one-step change (Murota, Shioura and
+    Yang, 2016), so this is ``minimal_minimizer_step``; the tests hold the
+    identity against the union of ``gp_minimal_table`` flags.  Degenerates
+    to the empty set when nothing descends.
     """
-    vals = _table(g, p, vals)
-    union = 0
-    for mask, flag in enumerate(gp_minimal_table(vals)):
-        if flag:
-            union |= mask
-    other = minimal_minimizer_step(g, p, vals)
-    if items_from_mask(union) != other:
-        raise ConvexityError(
-            "union of locally-minimal descent sets disagrees with the minimal minimizer")
-    return other
+    return minimal_minimizer_step(vals)
 
 
 def _check_seed(seed: int) -> None:
@@ -324,7 +291,6 @@ def _check_seed(seed: int) -> None:
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, iteration_cap: int | None = None,
-             max_items: int = 24,
              neighborhood: Callable[[PriceVector], list[int]] | None = None,
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
@@ -335,18 +301,18 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     strategy both read it.  Without ``neighborhood`` the table is read from
     ``g``.  With it, ``neighborhood(p)`` gives the one-step changes
     ``g(p + chi_X) - g(p)`` for every X by a faster route, and the table is
-    the current value plus those changes, None outside ``g.box``
-    (``neighborhood_from_steps``).  ``g`` certifies such a table: the change
-    for the empty set must be 0, each step's g(p + chi_X) must equal its
-    entry, and a stop is confirmed by one scan of g's own neighborhood; a
-    mismatch raises ConvexityError.  Returns the final point and the full
-    trajectory.
+    the current value plus those changes.  ``g`` certifies such a table: the
+    change for the empty set must be 0, each step's g(p + chi_X) must equal
+    its entry, and a stop is confirmed by one scan of g's own neighborhood;
+    a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
+    BudgetExceededError.  Returns the final point and the full trajectory.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_seed(seed)
-    if g.n > max_items:
-        raise ValueError(f"n={g.n} exceeds the subset-enumeration cap {max_items}")
+    if g.n > MAX_ITEMS:
+        raise BudgetExceededError(
+            f"n={g.n} exceeds the subset-enumeration cap {MAX_ITEMS}")
     p = tuple(p0)
     gm = _memoized(g)
     base = gm(p)
@@ -365,7 +331,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             deltas = neighborhood(p)
             if len(deltas) != size or deltas[0] != 0:
                 raise ConvexityError("neighborhood table disagrees with the oracle at p")
-            vals = neighborhood_from_steps(g, p, base, deltas)
+            vals = [base + d for d in deltas]
         if not any(val is not None and val < base for val in vals):
             if neighborhood is not None and neighborhood_values(gm, p) != vals:
                 raise ConvexityError(
@@ -375,16 +341,16 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             raise IterationCapError(
                 f"no minimizer reached within {iteration_cap} iterations")
         if strategy is StrategyKind.MINIMAL_DESCENT:
-            chosen = minimal_descent_set(gm, p, vals)
+            chosen = minimal_descent_set(vals)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:
-            chosen = minimal_minimizer_step(gm, p, vals)
+            chosen = minimal_minimizer_step(vals)
         elif strategy is StrategyKind.FIRST_GP_MINIMAL:
-            chosen = first_gp_minimal(gm, p, seed, vals)
+            chosen = first_gp_minimal(vals, seed)
         else:
-            chosen = maximal_gp_minimal(gm, p, vals)
+            chosen = maximal_gp_minimal(vals)
         if not chosen:
             raise ContractError("strategy found no set although a descent exists")
-        mask = _item_mask(chosen, g.n)
+        mask = mask_from_items(chosen, g.n)
         q = chi_add(p, mask)
         after = gm(q)
         if after != vals[mask]:

@@ -75,30 +75,26 @@ class LyapunovOracle:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
 
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
-        Lyapunov evaluation; ``minimize`` adds the current value and blanks
-        the raises that leave its oracle's box.
+        Lyapunov evaluation; ``minimize`` adds the current value.
         """
         return [-d for d in self.demand.deficiency_table(_check_price(self.instance, p))]
 
     def price_ceiling(self) -> int:
         return self._ceiling
 
-    def function_oracle(self, *, slack: int = 2) -> FunctionOracle:
+    def function_oracle(self) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.
 
-        Declares the box [0, ceiling + slack]^n; queries outside it read as
-        +infinity.  Zero is a valid floor since the value dominates p.u >= 0.
+        Defined on every nonnegative price vector, so it declares no box;
+        queries with a negative price read as +infinity.  Zero is a valid
+        floor since the value dominates p.u >= 0.
         """
-        n = self.instance.n
-        hi = self._ceiling + slack
-        box = ((0,) * n, (hi,) * n)
-
         def fn(q: PriceVector) -> int | None:
-            if any(c < 0 or c > hi for c in q):
+            if any(c < 0 for c in q):
                 return None
             return self.value(q)
 
-        return FunctionOracle(n=n, fn=fn, box=box, value_floor=0)
+        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0)
 
 
 def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:

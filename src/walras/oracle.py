@@ -57,8 +57,7 @@ def all_lyapunov_minimizers(instance: Instance, *, budget: int = DEFAULT_BUDGET,
 
 
 def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUDGET,
-                                oracle: LyapunovOracle | None = None,
-                                cross_check: bool | None = None) -> PriceVector:
+                                oracle: LyapunovOracle | None = None) -> PriceVector:
     """Componentwise meet of all Lyapunov minimizers.
 
     The meet must itself be a minimizer; if not, the valuations are outside
@@ -73,9 +72,7 @@ def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUD
     if meet not in minimizers:
         raise ConvexityError("minimizer set not meet-closed")
     volume, _ = _scan_box(instance)
-    if cross_check is None:
-        cross_check = volume <= CROSS_CHECK_VOLUME
-    if cross_check:
+    if volume <= CROSS_CHECK_VOLUME:
         degenerate = instance.model == MULTI and instance.m == 0
         if not degenerate:
             exact = equilibrium_prices_by_enumeration(instance, budget=budget)

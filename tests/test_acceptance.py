@@ -52,8 +52,7 @@ class Record:
     solve_seconds: float = 0.0
 
 
-def _box_checks(inst: Instance, ly: LyapunovOracle, g: FunctionOracle,
-                cap: int, rec: Record) -> None:
+def _box_checks(inst: Instance, ly: LyapunovOracle, cap: int, rec: Record) -> None:
     n = inst.n
     size = 1 << n
     dc = ly.demand
@@ -97,7 +96,7 @@ def _box_checks(inst: Instance, ly: LyapunovOracle, g: FunctionOracle,
                 for b in family:
                     if (a | b) not in famset:
                         closed = False
-            if not closed or items_from_mask(union) != minimal_minimizer_step(g, p):
+            if not closed or items_from_mask(union) != minimal_minimizer_step(vals):
                 rec.closure = f"p={p}"
         if inst.model == UNIT and rec.families is None:
             problem = _family_laws([delta[m] > 0 for m in range(size)], exc,
@@ -189,7 +188,7 @@ def _build_record(inst: Instance, label: str, seed: int) -> Record:
                     break
     rec.solve_seconds = time.perf_counter() - started
 
-    _box_checks(inst, ly, g, cap, rec)
+    _box_checks(inst, ly, cap, rec)
 
     rec.mnat_ok = all(verify_mnat_exc(v, inst.u) is None for v in inst.valuations)
     side = _lnat_side(cap, inst.n)

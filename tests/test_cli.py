@@ -1,16 +1,20 @@
 """Command-line behavior: subcommands, exit codes, determinism."""
 
+import io
 import json
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import EX21_JSON
+from conftest import EX21_JSON, random_multi_instance, random_unit_instance
 from walras import (Instance, Valuation, brute_force_min_equilibrium,
-                    parse_instance, serialize_instance, verify_equilibrium)
+                    max_total_value, parse_instance, serialize_instance,
+                    verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import STRATEGY_FLAGS, run_command
 
@@ -94,10 +98,11 @@ class TestSolve:
         assert doc["start"] == [1, 0, 0]
         assert doc["p_final"] == [1, 1, 1]
 
-    def test_start_above_the_minimal_price_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("prices", ["[2, 2, 2]", "[5, 0, 0]", "[1000, 1000, 1000]"])
+    def test_start_above_the_minimal_price_exits_1(self, tmp_path, capsys, prices):
         sample = SAMPLES_DIR / "assignment_six_bidders.json"
         start = tmp_path / "start.json"
-        start.write_text("[2, 2, 2]")
+        start.write_text(prices)
         assert run_command(["solve", "--instance", str(sample), "--strategy",
                             "steepest", "--start", str(start)]) == 1
         out, err = capsys.readouterr()
@@ -140,6 +145,25 @@ class TestSolve:
         assert out == ""
         assert "budget" in err and "deficiency tables" in err
 
+    def test_unit_market_tables_obey_the_budget(self, ex21_path, monkeypatch, capsys):
+        """ex21's tables hold (6 + 1) * 2^3 = 56 entries."""
+        monkeypatch.setenv("WALRAS_BUDGET", "50")
+        assert run_command(["solve", "--instance", ex21_path, "--strategy", "steepest"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "budget is 50" in err and "deficiency tables" in err
+
+    def test_unit_market_over_the_item_cap_exits_1(self, tmp_path, capsys):
+        rng = random.Random(25)
+        inst = Instance(model="unit", n=25, u=(1,) * 25, valuations=tuple(
+            Valuation.unit_demand([rng.randint(0, 9) for _ in range(25)]) for _ in range(2)))
+        path = tmp_path / "wide_unit.json"
+        path.write_text(serialize_instance(inst))
+        assert run_command(["solve", "--instance", str(path), "--strategy", "steepest"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "subset-enumeration cap 24" in err
+
     def test_solve_rejects_non_substitutes(self, complements_path, capsys):
         assert run_command(["solve", "--instance", complements_path,
                             "--strategy", "steepest"]) == 1
@@ -153,6 +177,42 @@ class TestSolve:
         assert run_command(["solve", "--instance", ex21_path,
                             "--strategy", "mystery"]) == 2
         assert run_command([]) == 2
+
+
+class TestStartFuzz:
+    """``solve`` from random starts in [0, ceiling + 4]^n: it succeeds exactly
+    when the start lies at or below the minimal equilibrium price, and every
+    other start exits 1 with a message."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_exit_code_follows_the_oracle(self, tmp_path_factory, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            inst = random_unit_instance(rng, n_max=3, m_max=4, value_max=4)
+        else:
+            inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3, value_max=4)
+        p_min = brute_force_min_equilibrium(inst)
+        if rng.random() < 0.5:
+            start = [rng.randint(0, c) for c in p_min]
+        else:
+            start = [rng.randint(0, max_total_value(inst) + 4) for _ in p_min]
+        below = all(s <= c for s, c in zip(start, p_min))
+        folder = tmp_path_factory.mktemp("fuzz")
+        (folder / "market.json").write_text(serialize_instance(inst))
+        (folder / "start.json").write_text(json.dumps(start))
+        for flag in STRATEGY_FLAGS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = run_command(["solve", "--instance", str(folder / "market.json"),
+                                    "--strategy", flag, "--seed", str(seed),
+                                    "--start", str(folder / "start.json")])
+            if below:
+                assert code == 0, (flag, start, p_min, err.getvalue())
+                assert json.loads(out.getvalue())["p_final"] == list(p_min)
+            else:
+                assert code == 1, (flag, start, p_min)
+                assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 class TestVerify:

@@ -10,8 +10,7 @@ from walras import (ConvexityError, FunctionOracle, IterationCapError,
                     LyapunovOracle, StrategyKind, first_gp_minimal,
                     gp_minimal_table, is_gp_minimal, is_lnat_convex_on_box,
                     maximal_gp_minimal, minimal_descent_set,
-                    minimal_minimizer_step, minimize,
-                    neighborhood_from_steps, neighborhood_values)
+                    minimal_minimizer_step, minimize, neighborhood_values)
 from walras.errors import BudgetExceededError, ContractError
 from walras.itemsets import items_from_mask
 from walras.lnat import Step
@@ -77,14 +76,14 @@ class TestLocalMinimality:
 class TestMinimalDescentSet:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert minimal_descent_set(g, (0, 0, 0)) == {1}
-        assert minimal_descent_set(g, (1, 0, 0)) == {2, 3}
-        assert minimal_descent_set(g, (1, 1, 1)) is None
+        assert minimal_descent_set(neighborhood_values(g, (0, 0, 0))) == {1}
+        assert minimal_descent_set(neighborhood_values(g, (1, 0, 0))) == {2, 3}
+        assert minimal_descent_set(neighborhood_values(g, (1, 1, 1))) is None
 
     def test_result_is_inclusion_minimal(self, ex21):
         g = lyap_oracle(ex21)
         for p in product(range(2), repeat=3):
-            chosen = minimal_descent_set(g, p)
+            chosen = minimal_descent_set(neighborhood_values(g, p))
             if chosen is None:
                 continue
             base = g(p)
@@ -99,51 +98,50 @@ class TestMinimalDescentSet:
 class TestMinimalMinimizerStep:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert minimal_minimizer_step(g, (0, 0, 0)) == {1, 2, 3}
-        assert minimal_minimizer_step(g, (1, 1, 1)) == frozenset()
+        assert minimal_minimizer_step(neighborhood_values(g, (0, 0, 0))) == {1, 2, 3}
+        assert minimal_minimizer_step(neighborhood_values(g, (1, 1, 1))) == frozenset()
 
     def test_two_bidder_multi(self, two_bidder_multi):
         g = lyap_oracle(two_bidder_multi)
-        assert minimal_minimizer_step(g, (0,)) == {1}
+        assert minimal_minimizer_step(neighborhood_values(g, (0,))) == {1}
 
     def test_non_submodular_step_rejected(self):
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
         with pytest.raises(ConvexityError, match="not submodular"):
-            minimal_minimizer_step(g, (0, 0))
+            minimal_minimizer_step(neighborhood_values(g, (0, 0)))
 
 
 class TestFirstGpMinimal:
     def test_lands_in_the_descent_family(self, ex21):
-        g = lyap_oracle(ex21)
+        vals = neighborhood_values(lyap_oracle(ex21), (0, 0, 0))
         family = ({1}, {2, 3}, {1, 2, 3})
         for seed in range(20):
-            assert first_gp_minimal(g, (0, 0, 0), seed) in family
+            assert first_gp_minimal(vals, seed) in family
 
     def test_seed_determinism(self, ex21):
-        g = lyap_oracle(ex21)
+        vals = neighborhood_values(lyap_oracle(ex21), (0, 0, 0))
         for seed in (0, 7, 2**63):
-            assert first_gp_minimal(g, (0, 0, 0), seed) == \
-                first_gp_minimal(g, (0, 0, 0), seed)
+            assert first_gp_minimal(vals, seed) == first_gp_minimal(vals, seed)
 
     def test_none_at_a_minimizer(self, ex21):
-        assert first_gp_minimal(lyap_oracle(ex21), (1, 1, 1), 5) is None
+        assert first_gp_minimal(neighborhood_values(lyap_oracle(ex21), (1, 1, 1)), 5) is None
 
     def test_seed_range_enforced(self, ex21):
         with pytest.raises(ValueError, match="64-bit"):
-            first_gp_minimal(lyap_oracle(ex21), (0, 0, 0), -1)
+            first_gp_minimal(neighborhood_values(lyap_oracle(ex21), (0, 0, 0)), -1)
 
 
 class TestMaximalGpMinimal:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert maximal_gp_minimal(g, (0, 0, 0)) == {1, 2, 3}
-        assert maximal_gp_minimal(g, (1, 0, 0)) == {2, 3}
-        assert maximal_gp_minimal(g, (1, 1, 1)) == frozenset()
+        assert maximal_gp_minimal(neighborhood_values(g, (0, 0, 0))) == {1, 2, 3}
+        assert maximal_gp_minimal(neighborhood_values(g, (1, 0, 0))) == {2, 3}
+        assert maximal_gp_minimal(neighborhood_values(g, (1, 1, 1))) == frozenset()
 
     def test_non_convex_input_rejected(self):
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
         with pytest.raises(ConvexityError):
-            maximal_gp_minimal(g, (0, 0))
+            maximal_gp_minimal(neighborhood_values(g, (0, 0)))
 
 
 class TestMinimize:
@@ -177,7 +175,7 @@ class TestMinimize:
 
     def test_dimension_guard(self):
         g = FunctionOracle(n=25, fn=lambda p: sum(p), value_floor=0)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(BudgetExceededError, match="cap"):
             minimize(g, (0,) * 25, StrategyKind.STEEPEST_MINIMAL)
 
     def test_step_contract(self):
@@ -257,7 +255,7 @@ class TestGenericOracles:
                 for y in family:
                     assert (x | y) in family
             union = frozenset().union(*family) if family else frozenset()
-            assert union == minimal_minimizer_step(g, p)
+            assert union == minimal_minimizer_step(neighborhood_values(g, p))
 
 
 def cube_oracle(vals, n):
@@ -294,13 +292,22 @@ class TestNeighborhoodTable:
             n = rng.randint(1, 3)
             g = random_lattice_convex(rng, n)
             p = tuple(rng.randint(0, 9) for _ in range(n))
-            flags = gp_minimal_table(neighborhood_values(g, p))
+            vals = neighborhood_values(g, p)
+            flags = gp_minimal_table(vals)
+            union = 0
             for mask in range(1, 1 << n):
                 assert flags[mask] == is_gp_minimal(g, p, items_from_mask(mask))
+                if flags[mask]:
+                    union |= mask
+            assert maximal_gp_minimal(vals) == items_from_mask(union)
 
-    def test_short_table_rejected(self, ex21):
-        with pytest.raises(ValueError, match="entries"):
-            minimal_minimizer_step(lyap_oracle(ex21), (0, 0, 0), [6, 5])
+    def test_malformed_table_rejected(self):
+        for rule in (minimal_descent_set, minimal_minimizer_step, maximal_gp_minimal,
+                     lambda vals: first_gp_minimal(vals, 0)):
+            with pytest.raises(ValueError, match="entries"):
+                rule([6, 5, 4])
+            with pytest.raises(ValueError, match="domain"):
+                rule([None, 5])
 
     @staticmethod
     def _shifted(ly, delta):
@@ -335,18 +342,16 @@ class TestNeighborhoodTable:
             minimize(ly.function_oracle(), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,
                      neighborhood=neighborhood)
 
-    def test_table_takes_the_box_from_the_oracle(self, ex21, two_bidder_multi):
-        """The same change table serves any declared box: raises past the
-        oracle's ceiling read None whatever the slack."""
+    def test_change_table_serves_starts_past_the_price_ceiling(self, ex21, two_bidder_multi):
+        """The oracle reads every nonnegative price, so the change table and
+        the value route agree at and beyond the price ceiling too."""
         for inst in (ex21, two_bidder_multi):
             ly = LyapunovOracle(inst)
-            for slack in (0, 1, 5):
-                g = ly.function_oracle(slack=slack)
+            g = ly.function_oracle()
+            top = ly.price_ceiling()
+            for start in (0, 1, top, top + 1, top + 3):
+                p0 = (start,) * inst.n
                 for kind in StrategyKind:
-                    plain = minimize(g, (0,) * inst.n, kind, seed=3)
-                    fast = minimize(g, (0,) * inst.n, kind, seed=3,
-                                    neighborhood=ly.neighborhood)
+                    plain = minimize(g, p0, kind, seed=3)
+                    fast = minimize(g, p0, kind, seed=3, neighborhood=ly.neighborhood)
                     assert fast == plain
-                top = g.box[1]
-                assert neighborhood_from_steps(g, top, g(top), ly.neighborhood(top)) == \
-                    neighborhood_values(g, top)

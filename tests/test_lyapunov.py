@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_multi_instance, random_unit_instance, tabulate
 from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
-                    deficiency, first_gp_minimal, lyapunov, lyapunov_step,
-                    max_total_value, maximal_gp_minimal, minimal_descent_set,
-                    minimal_minimizer_step, neighborhood_from_steps,
+                    deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
 
 
@@ -120,12 +118,14 @@ class TestMemo:
         ly = LyapunovOracle(ex21)
         assert ly.value((1, 0, 1)) == ly.value((1, 0, 1))
 
-    def test_oracle_adapter_blocks_out_of_box_queries(self, ex21):
-        g = LyapunovOracle(ex21).function_oracle()
+    def test_oracle_adapter_reads_only_negative_prices_as_none(self, ex21):
+        ly = LyapunovOracle(ex21)
+        g = ly.function_oracle()
+        assert g.box is None
         assert g((0, 0, 0)) == 6
         assert g((-1, 0, 0)) is None
-        hi = g.box[1]
-        assert g((hi[0] + 1, 0, 0)) is None
+        past = (ly.price_ceiling() + 3, 0, 0)
+        assert g(past) == ly.value(past)
 
 
 def _neighborhood_markets(rng):
@@ -142,31 +142,28 @@ def _neighborhood_markets(rng):
 
 def _table(ly, g, p):
     """The descent's table at p: Lyapunov value plus the demand-side changes."""
-    return neighborhood_from_steps(g, p, g(p), ly.neighborhood(p))
+    return [g(p) + d for d in ly.neighborhood(p)]
 
 
 class TestNeighborhoodTable:
     """``LyapunovOracle.neighborhood`` against the generic value-route builder."""
 
-    def test_matches_value_route_up_to_the_box_ceiling(self):
+    def test_matches_value_route_past_the_price_ceiling(self):
         rng = random.Random(23)
         for inst in _neighborhood_markets(rng):
             ly = LyapunovOracle(inst)
             g = ly.function_oracle()
-            hi = g.box[1][0]
-            levels = [0, 1, hi // 2, hi - 1, hi]
-            for _ in range(6):
+            top = ly.price_ceiling()
+            levels = [0, 1, top // 2, max(top - 1, 0), top, top + 1, top + 2, top + 3]
+            for _ in range(8):
                 p = tuple(rng.choice(levels) for _ in range(inst.n))
                 fast = _table(ly, g, p)
                 slow = neighborhood_values(g, p)
                 assert len(fast) == len(slow) == 1 << inst.n
                 for mask, (a, b) in enumerate(zip(fast, slow)):
                     assert a == b, (inst, p, mask)
-            top = (hi,) * inst.n
-            assert _table(ly, g, top) == [ly.value(top)] + [None] * ((1 << inst.n) - 1)
-            beyond = (hi + 1,) * inst.n
-            assert ly.neighborhood(beyond) == \
-                [ly.step_mask(mask, beyond) for mask in range(1 << inst.n)]
+            beyond = (top + 2,) * inst.n
+            assert _table(ly, g, beyond) == neighborhood_values(g, beyond)
 
     def test_reads_no_lyapunov_value(self, monkeypatch):
         """The changes come from demand primitives alone; the descent adds
@@ -185,22 +182,6 @@ class TestNeighborhoodTable:
         monkeypatch.setattr(LyapunovOracle, "value", refuse)
         assert [LyapunovOracle(inst).neighborhood((1,) * inst.n) for inst in markets] == \
             expected
-
-    def test_strategies_choose_the_same_set_from_either_table(self):
-        rng = random.Random(29)
-        for inst in _neighborhood_markets(rng):
-            ly = LyapunovOracle(inst)
-            g = ly.function_oracle()
-            cap = max_total_value(inst) + 1
-            for _ in range(6):
-                p = tuple(rng.randint(0, cap) for _ in range(inst.n))
-                fast = _table(ly, g, p)
-                assert minimal_descent_set(g, p, fast) == minimal_descent_set(g, p)
-                assert minimal_minimizer_step(g, p, fast) == minimal_minimizer_step(g, p)
-                assert maximal_gp_minimal(g, p, fast) == maximal_gp_minimal(g, p)
-                for seed in (0, 3, 2**40):
-                    assert first_gp_minimal(g, p, seed, fast) == \
-                        first_gp_minimal(g, p, seed)
 
     def test_separable_table_skips_the_demand_set_product(self, monkeypatch):
         """Where every item ties, each separable bidder's demand set holds
