@@ -187,7 +187,7 @@ def _width(vals: list[int | None]) -> int:
     """Item count of a neighborhood table, which must hold 2^n entries and
     a finite value at p."""
     n = len(vals).bit_length() - 1
-    if len(vals) != 1 << n:
+    if n < 0 or len(vals) != 1 << n:
         raise ValueError("neighborhood table must have 2^n entries")
     if vals[0] is None:
         raise ValueError("p is outside the oracle's domain")

@@ -306,6 +306,8 @@ class TestNeighborhoodTable:
                      lambda vals: first_gp_minimal(vals, 0)):
             with pytest.raises(ValueError, match="entries"):
                 rule([6, 5, 4])
+            with pytest.raises(ValueError, match="entries"):
+                rule([])
             with pytest.raises(ValueError, match="domain"):
                 rule([None, 5])
 
