@@ -23,11 +23,12 @@ from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI,
                        verify_mnat_exc, verify_monotone_normalized)
 from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    Trajectory, first_gp_minimal, gp_minimal_table,
-                   is_gp_minimal, is_lnat_convex_on_box, maximal_gp_minimal,
+                   is_lnat_convex_on_box, maximal_gp_minimal,
                    minimal_descent_set, minimal_minimizer_step, minimize,
                    neighborhood_values)
 from .lyapunov import LyapunovOracle, deficiency, lyapunov, lyapunov_step
 from .oracle import (all_lyapunov_minimizers, brute_force_min_equilibrium,
-                     equilibrium_prices_by_enumeration, price_cap)
+                     equilibrium_prices_by_enumeration, is_gp_minimal,
+                     price_cap)
 
 __version__ = "0.1.0"

@@ -159,18 +159,24 @@ def ascending_auction(instance: Instance,
     the result is minimal; a start above the minimal equilibrium price fails
     it and raises WalrasError.  Explicit-table valuations are admitted only
     after passing the substitutes exchange check, since nothing below is
-    guaranteed otherwise.
+    guaranteed otherwise.  The check runs once per Lyapunov oracle (``oracle``
+    must belong to ``instance``): runs sharing one oracle, as ``compare``'s
+    strategies do, repeat it only under a smaller budget than the one it
+    passed within.
     Allocation extraction is best-effort: on budget exhaustion the result is
     still returned, with ``allocation_error`` set.
     """
-    for b, v in enumerate(instance.valuations):
-        if v.family == EXPLICIT_TABLE:
-            bad = verify_mnat_exc(v, instance.u, budget=budget)
-            if bad is not None:
-                raise ConvexityError(
-                    f"valuations[{b}] violates the substitutes exchange property: "
-                    f"x={bad.x} y={bad.y} i={bad.i}")
     ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
+    # A check that passed within some budget passes within any larger one.
+    if ly.admitted_budget is None or budget < ly.admitted_budget:
+        for b, v in enumerate(instance.valuations):
+            if v.family == EXPLICIT_TABLE:
+                bad = verify_mnat_exc(v, instance.u, budget=budget)
+                if bad is not None:
+                    raise ConvexityError(
+                        f"valuations[{b}] violates the substitutes exchange property: "
+                        f"x={bad.x} y={bad.y} i={bad.i}")
+        ly.admitted_budget = budget
     if p0 is None:
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)

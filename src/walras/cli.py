@@ -49,8 +49,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise WalrasError(f"--out {out_path}: {exc.strerror or exc}") from None
 
 
 def _allocation_json(allocation) -> dict | None:

@@ -16,6 +16,7 @@ and never routes through the multi-model code.
 from __future__ import annotations
 
 from itertools import product
+from operator import sub
 
 from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, MULTI, SEPARABLE_CONCAVE, UNIT,
@@ -44,6 +45,8 @@ class DemandCache:
 
     Instances are immutable, so cached answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
+    Box scans read each bundle's cost p.x from one list per price vector,
+    shared by every bidder and kept for the latest price only.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -52,6 +55,7 @@ class DemandCache:
         self._n = instance.n
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
+        self._costs: tuple[PriceVector | None, list[int]] = (None, [])
         self._unit_masks: dict[tuple[int, PriceVector], int] = {}
         self._mu_vectors: tuple[PriceVector | None, dict[int, tuple[int, ...]]] = (None, {})
         self._demand_sets: dict[tuple[int, PriceVector], tuple[Bundle, ...]] = {}
@@ -78,6 +82,17 @@ class DemandCache:
                 f"deficiency tables over {1 << self._n} item sets for "
                 f"{self.instance.m} bidders need {entries} entries, "
                 f"budget is {self.budget}")
+
+    def _box_costs(self, p: PriceVector) -> list[int]:
+        """``p.x`` for every bundle of the box, in box order; kept for the
+        latest price only."""
+        price, costs = self._costs
+        if p != price:
+            costs = [0]
+            for c, cap in zip(p, self.instance.u):
+                costs = [t + k * c for t in costs for k in range(cap + 1)]
+            self._costs = (p, costs)
+        return costs
 
     def _bidder_values(self, b: int) -> list[int]:
         vals = self._values.get(b)
@@ -212,17 +227,9 @@ class DemandCache:
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """Payoff-maximizing bundles by full enumeration of the bundle box."""
-        values = self._bidder_values(b)
-        best = None
-        arg: list[Bundle] = []
-        for x, w in zip(self._bundle_box(), values):
-            payoff = w - sum(c * q for c, q in zip(p, x))
-            if best is None or payoff > best:
-                best = payoff
-                arg = [x]
-            elif payoff == best:
-                arg.append(x)
-        return tuple(arg)
+        payoffs = list(map(sub, self._bidder_values(b), self._box_costs(p)))
+        best = max(payoffs)
+        return tuple(x for x, pay in zip(self._bundle_box(), payoffs) if pay == best)
 
     def mu_vector(self, b: int, p: PriceVector) -> tuple[int, ...]:
         """Minimum take from every item subset, indexed by subset bitmask.
@@ -277,13 +284,7 @@ class DemandCache:
 
     def indirect_utility_enum(self, b: int, p: PriceVector) -> int:
         """Best payoff by full enumeration of the bundle box (canonical path)."""
-        values = self._bidder_values(b)
-        best = None
-        for x, w in zip(self._bundle_box(), values):
-            payoff = w - sum(c * q for c, q in zip(p, x))
-            if best is None or payoff > best:
-                best = payoff
-        return best
+        return max(map(sub, self._bidder_values(b), self._box_costs(p)))
 
     # -- deficiency ------------------------------------------------------------
 

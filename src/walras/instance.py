@@ -85,6 +85,7 @@ class Valuation:
             if not vals:
                 raise ValueError("values: must not be empty")
             object.__setattr__(self, "values", vals)
+            box = (1,) * len(vals)
         elif self.family == SEPARABLE_CONCAVE:
             if self.marginals is None or self.values is not None or self.table is not None:
                 raise ValueError("marginals: separable_concave valuation takes exactly the 'marginals' payload")
@@ -101,6 +102,7 @@ class Valuation:
             object.__setattr__(self, "marginals", tuple(rows))
             prefix = tuple(tuple(accumulate(row, initial=0)) for row in rows)
             object.__setattr__(self, "_prefix", prefix)
+            box = tuple(len(row) for row in rows)
         elif self.family == EXPLICIT_TABLE:
             if self.table is None or self.values is not None or self.marginals is not None:
                 raise ValueError("entries: explicit_table valuation takes exactly the 'entries' payload")
@@ -126,22 +128,15 @@ class Valuation:
             object.__setattr__(self, "_lookup", dict(pairs))
         else:
             raise ValueError(f"family: unknown family tag {self.family!r}")
+        object.__setattr__(self, "_box", box)
 
     @property
     def n(self) -> int:
-        if self.family == UNIT_DEMAND:
-            return len(self.values)
-        if self.family == SEPARABLE_CONCAVE:
-            return len(self.marginals)
-        return len(self.table[0][0])
+        return len(self._box)
 
     def box(self) -> Bundle:
-        """Upper corner of this valuation's bundle domain."""
-        if self.family == UNIT_DEMAND:
-            return (1,) * len(self.values)
-        if self.family == SEPARABLE_CONCAVE:
-            return tuple(len(row) for row in self.marginals)
-        return tuple(max(x[j] for x, _ in self.table) for j in range(self.n))
+        """Upper corner of this valuation's bundle domain, fixed at construction."""
+        return self._box
 
     @staticmethod
     def unit_demand(values) -> "Valuation":
@@ -198,8 +193,12 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
     """Exhaustively test the gross-substitutes exchange axiom on the box [0, u].
 
     Returns None when the axiom holds, else the first violating triple in
-    lexicographic (x, y, ascending i) order.  The budget counts valuation
-    evaluations, including memoized lookups during the pair scan.
+    lexicographic (x, y, ascending i) order.  The box is evaluated once into
+    a flat list in lexicographic order, and each exchange
+    x - chi_j + chi_k, y + chi_j - chi_k is read at mixed-radix index
+    offsets.  The budget counts valuation evaluations, including two per
+    exchange attempt (items k before the drop option k=0), charged before
+    the attempt is read.
     """
     if u is None:
         u = v.box()
@@ -213,36 +212,37 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
             f"verification box volume {volume} exceeds budget {budget}")
     spent = volume
     bundles = list(iter_box(u))
-    worth = {x: evaluate(v, x) for x in bundles}
+    worth = [evaluate(v, x) for x in bundles]
     n = len(u)
-    for x in bundles:
-        wx = worth[x]
-        for y in bundles:
-            wy = worth[y]
-            need = wx + wy
+    stride = [1] * n
+    for j in range(n - 1, 0, -1):
+        stride[j - 1] = stride[j] * (u[j] + 1)
+    for ix, x in enumerate(bundles):
+        wx = worth[ix]
+        for iy, y in enumerate(bundles):
             up = [j for j in range(n) if x[j] > y[j]]
             if not up:
                 continue
-            down = [j for j in range(n) if x[j] < y[j]]
+            need = wx + worth[iy]
+            down = [stride[k] for k in range(n) if x[k] < y[k]]
             for j in up:
-                ok = False
-                for k in down + [None]:
-                    xx = list(x)
-                    yy = list(y)
-                    xx[j] -= 1
-                    yy[j] += 1
-                    if k is not None:
-                        xx[k] += 1
-                        yy[k] -= 1
+                # x - chi_j and y + chi_j; each k then moves a unit back.
+                ax = ix - stride[j]
+                ay = iy + stride[j]
+                for sk in down:
                     spent += 2
                     if spent > budget:
                         raise BudgetExceededError(
                             f"exchange check exceeded budget {budget}")
-                    if worth[tuple(xx)] + worth[tuple(yy)] >= need:
-                        ok = True
+                    if worth[ax + sk] + worth[ay - sk] >= need:
                         break
-                if not ok:
-                    return MnatCounterexample(x=x, y=y, i=j + 1)
+                else:
+                    spent += 2
+                    if spent > budget:
+                        raise BudgetExceededError(
+                            f"exchange check exceeded budget {budget}")
+                    if worth[ax] + worth[ay] < need:
+                        return MnatCounterexample(x=x, y=y, i=j + 1)
     return None
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import ItemSet, PriceVector
-from .itemsets import chi_add, items_from_mask, mask_from_items, proper_submasks
+from .itemsets import chi_add, items_from_mask, mask_from_items
 
 _SEED_LIMIT = 1 << 64
 
@@ -118,7 +118,12 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     """Exhaustive discrete-midpoint-convexity check over a box.
 
     Scans every in-box pair (p, q) and every shift 0..diameter; returns the
-    first violation in lexicographic (p, q, shift) order, or None.
+    first violation in lexicographic (p, q, shift) order, or None.  Each box
+    point is queried once, in lexicographic order, and the shifted points
+    are read at index offsets.  Shifts at or past max_c(q_c - p_c) are
+    skipped: there the shifted pair is (q, p) itself, so the inequality holds
+    by identity (and a None value at p or q never makes a violation).  The
+    budget is charged volume^2 * (diameter + 1) tests all the same.
     """
     if box is None:
         box = g.box
@@ -127,51 +132,50 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     lo, hi = tuple(box[0]), tuple(box[1])
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
         raise ValueError("box bounds must be two n-vectors with lo <= hi")
-    volume = prod(b - a + 1 for a, b in zip(lo, hi))
-    diameter = max(b - a for a, b in zip(lo, hi))
+    widths = [b - a for a, b in zip(lo, hi)]
+    volume = prod(w + 1 for w in widths)
+    diameter = max(widths)
     work = volume * volume * (diameter + 1)
     if work > budget:
         raise BudgetExceededError(
             f"convexity check needs {work} inequality tests, budget is {budget}")
-    gm = _memoized(g)
     points = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    for p in points:
-        gp = gm(p)
-        for q in points:
-            gq = gm(q)
-            lhs = None if (gp is None or gq is None) else gp + gq
-            for lam in range(diameter + 1):
-                a = tuple(min(pc + lam, qc) for pc, qc in zip(p, q))
-                b = tuple(max(pc, qc - lam) for pc, qc in zip(p, q))
-                ga = gm(a)
-                gb = gm(b)
-                if ga is None or gb is None:
-                    if lhs is not None:
-                        return LnatCounterexample(p=p, q=q, lam=lam)
-                    continue
-                if lhs is not None and lhs < ga + gb:
-                    return LnatCounterexample(p=p, q=q, lam=lam)
+    vals = [g.fn(p) for p in points]
+    # A point x sits at index sum_c stride_c * (x_c - lo_c).  For d = q - p,
+    # a = min(p + lam, q) sits at index(p) + sum_c stride_c * min(lam, d_c)
+    # and b = max(p, q - lam) at index(p) + index(q) - index(a).  Those
+    # offsets depend on d alone, so they are listed once per difference
+    # vector, for the shifts below max(d); d is found at key[q] - key[p] + zero.
+    stride = [1] * g.n
+    dstride = [1] * g.n
+    for c in range(g.n - 1, 0, -1):
+        stride[c - 1] = stride[c] * (widths[c] + 1)
+        dstride[c - 1] = dstride[c] * (2 * widths[c] + 1)
+    shifts = []
+    for d in product(*(range(-w, w + 1) for w in widths)):
+        shifts.append([sum(s * min(lam, dc) for s, dc in zip(stride, d))
+                       for lam in range(max(d))])
+    key = [sum(t * (x - a) for t, x, a in zip(dstride, p, lo)) for p in points]
+    zero = sum(t * w for t, w in zip(dstride, widths))
+    for ip, p in enumerate(points):
+        gp = vals[ip]
+        if gp is None:
+            continue
+        row = zero - key[ip]
+        for iq in range(volume):
+            offsets = shifts[row + key[iq]]
+            if not offsets:
+                continue
+            gq = vals[iq]
+            if gq is None:
+                continue
+            lhs = gp + gq
+            for lam, off in enumerate(offsets):
+                ga = vals[ip + off]
+                gb = vals[iq - off]
+                if ga is None or gb is None or lhs < ga + gb:
+                    return LnatCounterexample(p=p, q=points[iq], lam=lam)
     return None
-
-
-def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
-    """True iff every proper subset raise lands strictly above the raise by X.
-
-    With Y = {} this forces a strict descent, so such sets are always valid
-    choices for the loop's raise step.
-    """
-    p = tuple(p)
-    mask = mask_from_items(X, g.n)
-    if mask == 0:
-        raise ValueError("X must be nonempty")
-    target = g.fn(chi_add(p, mask))
-    if target is None:
-        return False
-    for sub in proper_submasks(mask):
-        val = g.fn(chi_add(p, sub))
-        if val is not None and val <= target:
-            return False
-    return True
 
 
 def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
@@ -195,7 +199,7 @@ def _width(vals: list[int | None]) -> int:
 
 
 def gp_minimal_table(vals: list[int | None]) -> list[bool]:
-    """``is_gp_minimal`` for every mask of a neighborhood table at once.
+    """``oracle.is_gp_minimal`` for every mask of a neighborhood table at once.
 
     One pass in increasing mask order keeps, per mask, the least finite
     value over all its submasks, so the least value over a mask's proper

@@ -24,6 +24,8 @@ class LyapunovOracle:
 
     The memo is keyed by exact price vector; values never change across
     calls.  Reads and inserts are safe under CPython's GIL.
+    ``admitted_budget`` is the budget within which ``ascending_auction``
+    found every explicit table to pass the exchange check, None until then.
     """
 
     def __init__(self, instance: Instance, *, demand: DemandCache | None = None,
@@ -32,6 +34,7 @@ class LyapunovOracle:
         self.demand = demand if demand is not None else DemandCache(instance, budget=budget)
         self._memo: dict[PriceVector, int] = {}
         self._ceiling = max_total_value(instance)
+        self.admitted_budget: int | None = None
 
     def value(self, p: PriceVector) -> int:
         t = tuple(p)

@@ -12,8 +12,10 @@ from itertools import product
 
 from .demand import DemandCache
 from .errors import BudgetExceededError, ConvexityError
-from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Instance, PriceVector,
-                       max_total_value)
+from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Instance, ItemSet,
+                       PriceVector, max_total_value)
+from .itemsets import chi_add, mask_from_items, proper_submasks
+from .lnat import FunctionOracle
 from .lyapunov import LyapunovOracle
 
 #: Price-box volume up to which the minimizer scan cross-checks itself
@@ -189,3 +191,27 @@ def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = Fals
         if good:
             out.append(p)
     return frozenset(out)
+
+
+# --- local minimality, set by set ------------------------------------------
+
+
+def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
+    """True iff every proper subset raise lands strictly above the raise by X.
+
+    With Y = {} this forces a strict descent, so such sets are always valid
+    choices for the loop's raise step.  The definitional twin of
+    ``lnat.gp_minimal_table``, which the descent reads.
+    """
+    p = tuple(p)
+    mask = mask_from_items(X, g.n)
+    if mask == 0:
+        raise ValueError("X must be nonempty")
+    target = g.fn(chi_add(p, mask))
+    if target is None:
+        return False
+    for sub in proper_submasks(mask):
+        val = g.fn(chi_add(p, sub))
+        if val is not None and val <= target:
+            return False
+    return True

@@ -56,6 +56,21 @@ def two_bidder_multi() -> Instance:
     return make_two_bidder_multi()
 
 
+@pytest.fixture
+def mnat_calls(monkeypatch) -> list[int]:
+    """Budgets of the exchange checks ``ascending_auction`` runs, in order."""
+    import walras.auction as auction
+    calls = []
+    check = auction.verify_mnat_exc
+
+    def counted(v, u=None, *, budget):
+        calls.append(budget)
+        return check(v, u, budget=budget)
+
+    monkeypatch.setattr(auction, "verify_mnat_exc", counted)
+    return calls
+
+
 def random_unit_instance(rng: random.Random, *, n_max: int = 5, m_max: int = 7,
                          value_max: int = 5) -> Instance:
     n = rng.randint(1, n_max)

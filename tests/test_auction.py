@@ -124,6 +124,40 @@ class TestAscendingAuction:
         assert res.p_min == (0, 0)
 
 
+class TestAdmission:
+    """Explicit tables pass the exchange check once per Lyapunov oracle."""
+
+    def test_shared_oracle_admits_once(self, mnat_calls):
+        calls = mnat_calls
+        inst = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.from_table({(0, 0): 0, (1, 0): 2, (0, 1): 1, (1, 1): 3}),
+            Valuation.separable([[2], [1]]),
+            Valuation.from_table({(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 2})))
+        ly = LyapunovOracle(inst)
+        for kind in StrategyKind:
+            ascending_auction(inst, kind, oracle=ly, budget=1000)
+        assert calls == [1000, 1000]
+        assert ly.admitted_budget == 1000
+        ascending_auction(inst, oracle=ly, budget=10**6)
+        assert len(calls) == 2
+        # A smaller budget than the one admitted under is checked again.
+        with pytest.raises(BudgetExceededError, match="exceeds budget 3"):
+            ascending_auction(inst, oracle=ly, budget=3)
+        assert ly.admitted_budget == 1000
+
+    def test_rejected_oracle_is_not_admitted(self, mnat_calls):
+        from walras.errors import ConvexityError
+        calls = mnat_calls
+        inst = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.from_table({(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}),))
+        ly = LyapunovOracle(inst)
+        for kind in StrategyKind:
+            with pytest.raises(ConvexityError, match="exchange property"):
+                ascending_auction(inst, kind, oracle=ly)
+            assert ly.admitted_budget is None
+        assert len(calls) == 4
+
+
 class TestExtractAllocation:
     def test_worked_example_equilibrium_price(self, ex21):
         alloc = extract_allocation(ex21, (1, 1, 1))

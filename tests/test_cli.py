@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import EX21_JSON, random_multi_instance, random_unit_instance
+from conftest import (EX21_JSON, random_multi_instance, random_unit_instance,
+                      tabulate)
 from walras import (Instance, Valuation, brute_force_min_equilibrium,
                     max_total_value, parse_instance, serialize_instance,
                     verify_equilibrium)
@@ -235,6 +236,29 @@ class TestVerify:
 
 
 class TestCompare:
+    def test_table_bidders_are_admitted_once(self, tmp_path, mnat_calls, capsys):
+        calls = mnat_calls
+        rng = random.Random(11)
+        inst = random_multi_instance(rng, n_max=2, u_max=2, m_min=3, m_max=3)
+        inst = Instance(model="multi", n=inst.n, u=inst.u,
+                        valuations=(tabulate(inst.valuations[0]), inst.valuations[1],
+                                    tabulate(inst.valuations[2])))
+        path = tmp_path / "tables.json"
+        path.write_text(serialize_instance(inst))
+        assert run_command(["compare", "--instance", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_equal"] is True
+        assert len(calls) == 2
+        for flag in STRATEGY_FLAGS:
+            calls.clear()
+            assert run_command(["solve", "--instance", str(path), "--strategy", flag]) == 0
+            assert len(calls) == 2
+
+    def test_complements_table_exits_1(self, complements_path, capsys):
+        assert run_command(["compare", "--instance", complements_path]) == 1
+        err = capsys.readouterr().err
+        assert "violates the substitutes exchange property" in err
+        assert "x=(1, 1) y=(0, 0) i=1" in err
+
     def test_worked_example_report(self, ex21_path, capsys):
         assert run_command(["compare", "--instance", ex21_path]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -244,6 +268,27 @@ class TestCompare:
         assert doc["strategies"]["minimal-overdemanded"]["iterations"] == 2
         assert set(doc["strategies"]) == {"minimal-overdemanded", "steepest",
                                           "excess-random", "excess-maximal"}
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [["solve", "--strategy", "steepest"], ["compare"]])
+    def test_exits_1_naming_the_path(self, command, ex21_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        argv = command[:1] + ["--instance", ex21_path, "--out", str(out)] + command[1:]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ")
+        assert "No such file or directory" in err
+        assert not out.exists()
+
+    def test_module_invocation_prints_no_traceback(self, ex21_path, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "solve", "--instance", ex21_path,
+             "--strategy", "steepest", "--out", str(tmp_path / "missing" / "x.json")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: --out ")
 
 
 class TestOracleCommand:

@@ -1,5 +1,7 @@
 """Instance model, JSON format, and the valuation verifiers."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,10 +12,77 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     MnatCounterexample, Valuation, evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
-from walras.instance import iter_box
+from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
+
+
+def exchange_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+    """Definitional twin of ``verify_mnat_exc``: every exchange is built as a
+    bundle tuple and looked up by key, in the same order and at the same
+    budget charge."""
+    if u is None:
+        u = v.box()
+    else:
+        u = tuple(u)
+        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
+            raise ValueError("u: verification box must lie inside the valuation's box")
+    volume = box_volume(u)
+    if volume > budget:
+        raise BudgetExceededError(
+            f"verification box volume {volume} exceeds budget {budget}")
+    spent = volume
+    bundles = list(iter_box(u))
+    worth = {x: evaluate(v, x) for x in bundles}
+    n = len(u)
+    for x in bundles:
+        wx = worth[x]
+        for y in bundles:
+            wy = worth[y]
+            need = wx + wy
+            up = [j for j in range(n) if x[j] > y[j]]
+            if not up:
+                continue
+            down = [j for j in range(n) if x[j] < y[j]]
+            for j in up:
+                ok = False
+                for k in down + [None]:
+                    xx = list(x)
+                    yy = list(y)
+                    xx[j] -= 1
+                    yy[j] += 1
+                    if k is not None:
+                        xx[k] += 1
+                        yy[k] -= 1
+                    spent += 2
+                    if spent > budget:
+                        raise BudgetExceededError(
+                            f"exchange check exceeded budget {budget}")
+                    if worth[tuple(xx)] + worth[tuple(yy)] >= need:
+                        ok = True
+                        break
+                if not ok:
+                    return MnatCounterexample(x=x, y=y, i=j + 1)
+    return None
+
+
+def _outcome(check, v, u, budget):
+    try:
+        return check(v, u, budget=budget)
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+def bumped_table(rng):
+    """A separable table over a box with n <= 3, u <= 2, some entries raised
+    at random so that the exchange axiom may fail anywhere in the box."""
+    u = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
+    base = random_separable_valuation(rng, u)
+    worth = {x: evaluate(base, x) for x in iter_box(u)}
+    for x in rng.sample(sorted(worth), min(len(worth), rng.randint(0, 3))):
+        worth[x] += rng.randint(1, 4)
+    return Valuation.from_table(worth), u
 
 
 class TestParsing:
@@ -134,6 +203,32 @@ class TestExchangeVerifier:
         v = Valuation.separable([[1] * 30] * 4)
         with pytest.raises(BudgetExceededError):
             verify_mnat_exc(v, budget=10_000)
+
+
+class TestExchangeTwin:
+    def test_index_scan_matches_the_twin(self):
+        """Same witness, None or budget message as the tuple-by-tuple twin,
+        on the valuation's box or a random sub-box, at random budgets and on
+        both sides of the least budget the twin completes within."""
+        rng = random.Random(57)
+        seen = set()
+        for _ in range(300):
+            v, u = bumped_table(rng)
+            if rng.random() < 0.3:
+                u = tuple(rng.randint(0, c) for c in u)
+            lo, hi = 1, 10**6
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if isinstance(_outcome(exchange_twin, v, u, mid), tuple):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            budgets = {lo - 1, lo, lo + 1, 10**6} | {rng.randint(1, 3000) for _ in range(3)}
+            for budget in sorted(budgets - {0}):
+                want = _outcome(exchange_twin, v, u, budget)
+                assert _outcome(verify_mnat_exc, v, u, budget) == want, (v, u, budget)
+                seen.add(type(want))
+        assert seen == {tuple, MnatCounterexample, type(None)}
 
 
 class TestMonotoneVerifier:

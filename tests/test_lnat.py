@@ -2,18 +2,21 @@
 
 import random
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walras import (ConvexityError, FunctionOracle, IterationCapError,
-                    LyapunovOracle, StrategyKind, first_gp_minimal,
-                    gp_minimal_table, is_gp_minimal, is_lnat_convex_on_box,
+from conftest import random_multi_instance, tabulate
+from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
+                    LnatCounterexample, LyapunovOracle, StrategyKind, first_gp_minimal,
+                    gp_minimal_table, is_lnat_convex_on_box,
                     maximal_gp_minimal, minimal_descent_set,
                     minimal_minimizer_step, minimize, neighborhood_values)
 from walras.errors import BudgetExceededError, ContractError
 from walras.itemsets import items_from_mask
 from walras.lnat import Step
+from walras.oracle import is_gp_minimal
 
 
 def table_oracle(table, n, floor=None):
@@ -55,6 +58,49 @@ class TestConvexityVerifier:
         g = FunctionOracle(n=1, fn=lambda p: p[0] * p[0])
         with pytest.raises(ValueError, match="box"):
             is_lnat_convex_on_box(g)
+
+
+class TestMidpointTwin:
+    @staticmethod
+    def _outcome(check, g, box, budget):
+        try:
+            return check(g, box, budget=budget)
+        except BudgetExceededError as exc:
+            return ("budget", str(exc))
+
+    def test_index_scan_matches_the_twin(self):
+        """Same counterexample, None or budget message as the twin, on cut
+        and perturbed midpoint-convex functions over boxes with lo > 0."""
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(200):
+            n = rng.randint(1, 3)
+            lo = tuple(rng.randint(1, 3) for _ in range(n))
+            hi = tuple(a + rng.randint(0, 3 if n < 3 else 2) for a in lo)
+            g = perturbed_convex(rng, lo, hi)
+            work = prod(b - a + 1 for a, b in zip(lo, hi)) ** 2 * (max(
+                b - a for a, b in zip(lo, hi)) + 1)
+            budget = rng.choice((10**6, 10**6, work, work - 1))
+            want = self._outcome(midpoint_twin, g, (lo, hi), budget)
+            assert self._outcome(is_lnat_convex_on_box, g, (lo, hi), budget) == want, \
+                (lo, hi, budget)
+            seen.add(type(want))
+        assert seen == {tuple, LnatCounterexample, type(None)}
+
+    def test_index_scan_matches_the_twin_on_lyapunov_adapters(self):
+        """Lyapunov adapters of table markets (None at negative prices),
+        as ``verify`` runs them, and with boxes reaching below zero."""
+        rng = random.Random(67)
+        for _ in range(25):
+            inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3)
+            if rng.random() < 0.5:
+                inst = Instance(model="multi", n=inst.n, u=inst.u,
+                                valuations=tuple(tabulate(v) for v in inst.valuations))
+            g = LyapunovOracle(inst).function_oracle()
+            lo = tuple(rng.randint(-2, 2) for _ in range(inst.n))
+            hi = tuple(a + rng.randint(0, 4) for a in lo)
+            want = midpoint_twin(g, (lo, hi))
+            assert is_lnat_convex_on_box(g, (lo, hi)) == want, (inst, lo, hi)
 
 
 class TestLocalMinimality:
@@ -256,6 +302,66 @@ class TestGenericOracles:
                     assert (x | y) in family
             union = frozenset().union(*family) if family else frozenset()
             assert union == minimal_minimizer_step(neighborhood_values(g, p))
+
+
+def midpoint_twin(g, box, *, budget=2_000_000):
+    """Definitional twin of ``is_lnat_convex_on_box``: every shift of every
+    pair, with the shifted points built as tuples and queried through a memo."""
+    lo, hi = tuple(box[0]), tuple(box[1])
+    volume = prod(b - a + 1 for a, b in zip(lo, hi))
+    diameter = max(b - a for a, b in zip(lo, hi))
+    work = volume * volume * (diameter + 1)
+    if work > budget:
+        raise BudgetExceededError(
+            f"convexity check needs {work} inequality tests, budget is {budget}")
+    memo = {}
+
+    def gm(p):
+        if p not in memo:
+            memo[p] = g.fn(p)
+        return memo[p]
+
+    points = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+    for p in points:
+        gp = gm(p)
+        for q in points:
+            gq = gm(q)
+            lhs = None if (gp is None or gq is None) else gp + gq
+            for lam in range(diameter + 1):
+                a = tuple(min(pc + lam, qc) for pc, qc in zip(p, q))
+                b = tuple(max(pc, qc - lam) for pc, qc in zip(p, q))
+                ga = gm(a)
+                gb = gm(b)
+                if ga is None or gb is None:
+                    if lhs is not None:
+                        return LnatCounterexample(p=p, q=q, lam=lam)
+                    continue
+                if lhs is not None and lhs < ga + gb:
+                    return LnatCounterexample(p=p, q=q, lam=lam)
+    return None
+
+
+def perturbed_convex(rng, lo, hi):
+    """A midpoint-convex function with its domain cut to p_i - p_j <= k for
+    some pairs, then up to two entries in the box [lo, hi] lowered, raised
+    or removed."""
+    n = len(lo)
+    g = random_lattice_convex(rng, n)
+    cuts = [(i, j, rng.randint(0, 3)) for i in range(n) for j in range(n)
+            if i != j and rng.random() < 0.3]
+    edits = {tuple(rng.randint(a, b) for a, b in zip(lo, hi)):
+             rng.choice((None, -9, -5, -1, 5, 9)) for _ in range(rng.randint(0, 2))}
+
+    def fn(p):
+        val = g.fn(p)
+        if val is None or any(p[i] - p[j] > k for i, j, k in cuts):
+            return None
+        if p in edits:
+            delta = edits[p]
+            return None if delta is None else val + delta
+        return val
+
+    return FunctionOracle(n=n, fn=fn)
 
 
 def cube_oracle(vals, n):
