@@ -8,11 +8,8 @@ verification, and a JSON instance format with a CLI front end.
 from .auction import (Allocation, AuctionResult, DescentWitness,
                       EquilibriumVerdict, MultiAllocation, StepDiagnostics,
                       UnitAllocation, allocation_certifies, ascending_auction,
-                      extract_allocation, is_excess_demand, is_overdemanded,
-                      verify_equilibrium)
-from .demand import (DemandCache, bidders_demanding_some,
-                     bidders_only_demanding, demand_set, greedy_demand_bundle,
-                     mu, unit_demand_set)
+                      extract_allocation, verify_equilibrium)
+from .demand import DemandCache
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      InstanceFormatError, IterationCapError, WalrasError)
 from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI,
@@ -26,9 +23,11 @@ from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    is_lnat_convex_on_box, maximal_gp_minimal,
                    minimal_descent_set, minimal_minimizer_step, minimize,
                    neighborhood_values)
-from .lyapunov import LyapunovOracle, deficiency, lyapunov, lyapunov_step
-from .oracle import (all_lyapunov_minimizers, brute_force_min_equilibrium,
-                     equilibrium_prices_by_enumeration, is_gp_minimal,
-                     price_cap)
+from .lyapunov import LyapunovOracle
+from .oracle import (all_lyapunov_minimizers, bidders_demanding_some,
+                     bidders_only_demanding, brute_force_min_equilibrium,
+                     deficiency, demand_set, equilibrium_prices_by_enumeration,
+                     is_excess_demand, is_gp_minimal, is_overdemanded,
+                     lyapunov, lyapunov_step, mu, price_cap, unit_demand_set)
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Auction-facing layer over the generic descent engine.
 
-Translates overdemanded / excess-demand semantics into the lattice engine's
-terms, runs the ascending auction, and certifies equilibria with explicit
-allocations.
+Runs the ascending auction as Lyapunov descent, reads each step's
+diagnostics off the descent's value drops, and certifies equilibria with
+explicit allocations.  The set-by-set overdemand and excess-demand
+predicates the auction is defined by live in ``oracle``, where tests hold
+them against the descent's tables.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      WalrasError)
 from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, Bundle,
                        Instance, ItemSet, PriceVector, verify_mnat_exc)
-from .itemsets import (chi_sub, items_from_mask, mask_from_items, mask_weight,
-                       proper_submasks, subset_sums)
+from .itemsets import chi_sub, items_from_mask, mask_from_items, mask_weight
 from .lnat import StrategyKind, Trajectory, minimize
 from .lyapunov import LyapunovOracle
 
@@ -66,84 +67,6 @@ class AuctionResult:
     allocation: Allocation | None
     diagnostics: tuple[StepDiagnostics, ...]
     allocation_error: str | None = None
-
-
-def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance, *,
-                    demand: DemandCache | None = None) -> bool:
-    """True when the minimal aggregate demand from X exceeds its supply."""
-    dc = demand if demand is not None else DemandCache(instance)
-    p = _check_price(instance, p)
-    mask = mask_from_items(X, instance.n)
-    return dc.deficiency_mask(mask, p) > 0
-
-
-def is_excess_demand(X: ItemSet, p: PriceVector, instance: Instance, *,
-                     demand: DemandCache | None = None) -> bool:
-    """True when every nonempty part of X is strictly overdemanded.
-
-    Unit model: bidders confined to X who demand inside Z outnumber Z.
-    Multi model: the extra units bidders must take from Z exceed Z's supply.
-    """
-    dc = demand if demand is not None else DemandCache(instance)
-    p = _check_price(instance, p)
-    mask = mask_from_items(X, instance.n)
-    if mask == 0:
-        raise ValueError("X must be nonempty")
-    if instance.model == UNIT:
-        only_in_x = dc.only_demanders_mask(mask, p)
-        for z in _nonempty_submasks(mask):
-            if (dc.some_demanders_mask(z, p) & only_in_x).bit_count() <= z.bit_count():
-                return False
-        return True
-    vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
-    for z in _nonempty_submasks(mask):
-        gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
-        if gap <= mask_weight(z, instance.u):
-            return False
-    return True
-
-
-def _nonempty_submasks(mask: int):
-    yield mask
-    for sub in proper_submasks(mask):
-        if sub:
-            yield sub
-
-
-def excess_demand_table(instance: Instance, p: PriceVector, *,
-                        demand: DemandCache | None = None) -> list[bool]:
-    """``is_excess_demand`` for every item subset at once, indexed by bitmask.
-
-    Index 0 is False by convention (excess-demand sets are nonempty).
-    Agrees with the per-set predicate; equality is test-enforced.
-    """
-    dc = demand if demand is not None else DemandCache(instance)
-    p = _check_price(instance, p)
-    size = 1 << instance.n
-    out = [False] * size
-    if instance.model == UNIT:
-        only = dc.only_demanders_table(p)
-        some = dc.some_demanders_table(p)
-        for mask in range(1, size):
-            ox = only[mask]
-            ok = True
-            for z in _nonempty_submasks(mask):
-                if (some[z] & ox).bit_count() <= z.bit_count():
-                    ok = False
-                    break
-            out[mask] = ok
-        return out
-    vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
-    supply = subset_sums(instance.u, instance.n)
-    for mask in range(1, size):
-        ok = True
-        for z in _nonempty_submasks(mask):
-            gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
-            if gap <= supply[z]:
-                ok = False
-                break
-        out[mask] = ok
-    return out
 
 
 def ascending_auction(instance: Instance,

@@ -115,7 +115,8 @@ def _load_start(instance: Instance, source: str):
     try:
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, not UTF-8, or a huge integer; RecursionError: deep nesting
         raise WalrasError(f"start vector {source}: {exc}") from None
     if (not isinstance(raw, list) or len(raw) != instance.n
             or not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in raw)):

@@ -1,33 +1,28 @@
-"""Demand oracles for both auction models.
+"""Demand oracles, one path for both auction models.
 
-Multi-unit demand sets dispatch per valuation family: a separable bidder's
-demand set is the product of its per-item argmax sets (and its minimum take
-from an item set the sum of per-item least argmaxes), and explicit tables
-(and unit-demand valuations under the multi model) scan the bundle box.  The
-two routes agree on separable bidders, tuples, order and minimum takes
-included; that is test-enforced.  The bundle box is built, and checked
-against the budget, only when a scan first needs it; deficiency tables in
-both models ((m + 1) * 2^n entries) are checked against the same budget.
-A greedy single-improvement fast path exists as a test-gated optimization.
-The unit model has its own oracle around the artificial no-purchase item 0
-and never routes through the multi-model code.
+A bidder's demand set and its minimum take from each item set dispatch on
+its valuation family, not on the model: a separable bidder's demand set is
+the product of its per-item argmax sets and its minimum take the sum of
+per-item least argmaxes; a unit-demand bidder demands single items, read as
+a bitmask with the artificial no-purchase item 0 at bit 0; explicit tables
+scan the bundle box.  The deficiency table, demanded minus supplied units
+for every item set, adds each bidder's minimum take to minus the supply
+family by family; the unit model is the case where every bidder is
+unit-demand and the supply is one of each item.  The bundle box is built,
+and checked against the budget, only when a scan first needs it; deficiency
+tables ((m + 1) * 2^n entries) are checked against the same budget.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from .errors import BudgetExceededError
-from .instance import (DEFAULT_BUDGET, MULTI, SEPARABLE_CONCAVE, UNIT,
-                       UNIT_DEMAND, Bundle, Instance, ItemSet, PriceVector,
-                       Valuation, box_volume, evaluate)
-from .itemsets import mask_from_items, subset_sums
-
-
-def _check_bidder(instance: Instance, b: int) -> None:
-    if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < instance.m:
-        raise IndexError(f"bidder index out of range: {b!r} (m={instance.m})")
+from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE,
+                       UNIT_DEMAND, Bundle, Instance, PriceVector, Valuation,
+                       box_volume, evaluate)
+from .itemsets import subset_sums
 
 
 def _check_price(instance: Instance, p) -> PriceVector:
@@ -45,8 +40,9 @@ class DemandCache:
 
     Instances are immutable, so cached answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
-    Box scans read each bundle's cost p.x from one list per price vector,
-    shared by every bidder and kept for the latest price only.
+    Per-price answers (unit-demand masks, demand sets, minimum-take vectors
+    and the box scans' bundle costs p.x) are kept for the latest price only,
+    so a descent holds one step's worth of them rather than one per step.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -56,11 +52,20 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
-        self._unit_masks: dict[tuple[int, PriceVector], int] = {}
+        self._unit_masks: tuple[PriceVector | None, dict[int, int]] = (None, {})
         self._mu_vectors: tuple[PriceVector | None, dict[int, tuple[int, ...]]] = (None, {})
-        self._demand_sets: dict[tuple[int, PriceVector], tuple[Bundle, ...]] = {}
+        self._demand_sets: tuple[PriceVector | None, dict[int, tuple[Bundle, ...]]] = (None, {})
 
     # -- shared ------------------------------------------------------------
+
+    def _latest(self, slot: str, p: PriceVector) -> dict:
+        """The per-bidder memo held in ``slot`` for price p; a new price
+        replaces the previous one's."""
+        price, memo = getattr(self, slot)
+        if p != price:
+            memo = {}
+            setattr(self, slot, (p, memo))
+        return memo
 
     def _bundle_box(self) -> tuple[Bundle, ...]:
         """Every bundle in [0, u], built on the first box scan, within budget."""
@@ -73,9 +78,9 @@ class DemandCache:
         return self._bundles
 
     def _check_table_budget(self) -> None:
-        """A deficiency table, and the minimum-take tables behind it in the
-        multi model, hold one entry per item subset per bidder and one more
-        for the table itself."""
+        """A deficiency table, and the minimum-take tables behind it, hold
+        one entry per item subset per bidder and one more for the table
+        itself."""
         entries = (self.instance.m + 1) << self._n
         if entries > self.budget:
             raise BudgetExceededError(
@@ -102,12 +107,13 @@ class DemandCache:
             self._values[b] = vals
         return vals
 
-    # -- unit model ----------------------------------------------------------
+    # -- demand sets -----------------------------------------------------------
 
     def unit_demand_mask(self, b: int, p: PriceVector) -> int:
-        """Demand set as a bitmask: bit 0 is the artificial item, bit i item i."""
-        key = (b, p)
-        mask = self._unit_masks.get(key)
+        """A unit-demand bidder's demand set as a bitmask: bit 0 is the
+        artificial no-purchase item, bit i item i."""
+        masks = self._latest("_unit_masks", p)
+        mask = masks.get(b)
         if mask is None:
             values = self.instance.valuations[b].values
             best = 0
@@ -118,95 +124,8 @@ class DemandCache:
             for i, (w, c) in enumerate(zip(values, p)):
                 if w - c == best:
                     mask |= 1 << (i + 1)
-            self._unit_masks[key] = mask
+            masks[b] = mask
         return mask
-
-    def unit_demand_set(self, b: int, p: PriceVector) -> frozenset[int]:
-        mask = self.unit_demand_mask(b, p)
-        out = set()
-        i = 0
-        while mask:
-            if mask & 1:
-                out.add(i)
-            mask >>= 1
-            i += 1
-        return frozenset(out)
-
-    def only_demanders_mask(self, items_mask: int, p: PriceVector) -> int:
-        """Bitmask of bidders whose whole demand set lies inside the item set."""
-        blocked = ~(items_mask << 1)
-        out = 0
-        for b in range(self.instance.m):
-            if self.unit_demand_mask(b, p) & blocked == 0:
-                out |= 1 << b
-        return out
-
-    def some_demanders_mask(self, items_mask: int, p: PriceVector) -> int:
-        """Bitmask of bidders demanding at least one item of the item set."""
-        probe = items_mask << 1
-        out = 0
-        for b in range(self.instance.m):
-            if self.unit_demand_mask(b, p) & probe:
-                out |= 1 << b
-        return out
-
-    def only_demanders_table(self, p: PriceVector) -> list[int]:
-        """``only_demanders_mask`` for every item subset at once.
-
-        Walks each bidder's supersets instead of re-testing all subsets;
-        agrees with the per-set method (equality is test-enforced).
-        """
-        size = 1 << self._n
-        full = size - 1
-        out = [0] * size
-        for b in range(self.instance.m):
-            dm = self.unit_demand_mask(b, p)
-            if dm & 1:
-                continue  # the no-purchase option never lies inside an item set
-            d = dm >> 1
-            bit = 1 << b
-            s = d
-            while True:
-                out[s] |= bit
-                if s == full:
-                    break
-                s = (s + 1) | d
-        return out
-
-    def some_demanders_table(self, p: PriceVector) -> list[int]:
-        """``some_demanders_mask`` for every item subset at once."""
-        size = 1 << self._n
-        full = size - 1
-        miss = [0] * size
-        base = 0
-        for b in range(self.instance.m):
-            d = self.unit_demand_mask(b, p) >> 1
-            if d == 0:
-                continue
-            bit = 1 << b
-            base |= bit
-            w = full ^ d
-            t = w
-            while True:
-                miss[t] |= bit
-                if t == 0:
-                    break
-                t = (t - 1) & w
-        return [base ^ miss[s] for s in range(size)]
-
-    def deficiency_table(self, p: PriceVector) -> list[int]:
-        """Deficiency of every item subset at once, indexed by subset bitmask."""
-        inst = self.instance
-        size = 1 << self._n
-        self._check_table_budget()
-        if inst.model == UNIT:
-            only = self.only_demanders_table(p)
-            return [only[s].bit_count() - s.bit_count() for s in range(size)]
-        vectors = [self.mu_vector(b, p) for b in range(inst.m)]
-        supply = subset_sums(inst.u, self._n)
-        return [sum(vec[s] for vec in vectors) - supply[s] for s in range(size)]
-
-    # -- multi model -----------------------------------------------------------
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """All payoff-maximizing bundles, in lexicographic order.
@@ -214,15 +133,15 @@ class DemandCache:
         Separable bidders' demand sets are products of per-item argmax sets;
         every other family scans the bundle box.
         """
-        key = (b, p)
-        cached = self._demand_sets.get(key)
+        sets = self._latest("_demand_sets", p)
+        cached = sets.get(b)
         if cached is None:
             v = self.instance.valuations[b]
             if v.family == SEPARABLE_CONCAVE:
                 cached = tuple(product(*_per_item_argmax(v, p)))
             else:
                 cached = self.demand_set_enum(b, p)
-            self._demand_sets[key] = cached
+            sets[b] = cached
         return cached
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
@@ -231,20 +150,18 @@ class DemandCache:
         best = max(payoffs)
         return tuple(x for x, pay in zip(self._bundle_box(), payoffs) if pay == best)
 
+    # -- minimum takes -----------------------------------------------------------
+
     def mu_vector(self, b: int, p: PriceVector) -> tuple[int, ...]:
         """Minimum take from every item subset, indexed by subset bitmask.
 
         A separable bidder's demand set is a product over items, so its
         minimum take from X is the sum of each item's least argmax; that
         avoids building the product, which ties make exponentially large.
-        Vectors are kept for the latest price only, so a descent holds one
-        table's worth of them rather than one per step.
+        Every other family takes the least subset sum over its box scan.
         """
-        price, vectors = self._mu_vectors
-        if p != price:
-            self._check_table_budget()
-            vectors = {}
-            self._mu_vectors = (p, vectors)
+        self._check_table_budget()
+        vectors = self._latest("_mu_vectors", p)
         cached = vectors.get(b)
         if cached is None:
             v = self.instance.valuations[b]
@@ -264,6 +181,45 @@ class DemandCache:
                 cached = tuple(mins)
             vectors[b] = cached
         return cached
+
+    def deficiency_table(self, p: PriceVector) -> list[int]:
+        """Demanded minus supplied units of every item subset, indexed by
+        subset bitmask.
+
+        Starts from minus the supply and adds each bidder's minimum take by
+        family.  A separable bidder's is modular, so its per-item least
+        argmaxes join the supply in one subset-sum pass.  A unit-demand
+        bidder takes one unit from every superset of its demanded items,
+        and none when buying nothing is demanded.  A table bidder adds its
+        ``mu_vector``.  ``LyapunovOracle.deficiency_mask`` is the per-set
+        twin; equality is test-enforced.
+        """
+        self._check_table_budget()
+        inst = self.instance
+        takes = [-c for c in inst.u]
+        for v in inst.valuations:
+            if v.family == SEPARABLE_CONCAVE:
+                for j, ks in enumerate(_per_item_argmax(v, p)):
+                    takes[j] += ks[0]
+        out = subset_sums(takes, self._n)
+        full = len(out) - 1
+        for b, v in enumerate(inst.valuations):
+            if v.family == UNIT_DEMAND:
+                dm = self.unit_demand_mask(b, p)
+                if dm & 1:
+                    continue
+                d = dm >> 1
+                s = d
+                while True:  # every superset of d, in increasing order
+                    out[s] += 1
+                    if s == full:
+                        break
+                    s = (s + 1) | d
+            elif v.family == EXPLICIT_TABLE:
+                out = list(map(add, out, self.mu_vector(b, p)))
+        return out
+
+    # -- indirect utility --------------------------------------------------------
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
         """Best payoff max(v(x) - p.x); per-family shortcut where one exists."""
@@ -286,24 +242,6 @@ class DemandCache:
         """Best payoff by full enumeration of the bundle box (canonical path)."""
         return max(map(sub, self._bidder_values(b), self._box_costs(p)))
 
-    # -- deficiency ------------------------------------------------------------
-
-    def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
-        """Demanded units from X minus supplied units, from demand primitives."""
-        inst = self.instance
-        if inst.model == UNIT:
-            return self.only_demanders_mask(X_mask, p).bit_count() - X_mask.bit_count()
-        demanded = sum(self.mu_vector(b, p)[X_mask] for b in range(inst.m))
-        supply = 0
-        mask = X_mask
-        k = 0
-        while mask:
-            if mask & 1:
-                supply += inst.u[k]
-            mask >>= 1
-            k += 1
-        return demanded - supply
-
 
 def _per_item_argmax(v: Valuation, p: PriceVector) -> list[list[int]]:
     """A separable valuation's payoff-maximizing unit counts per item, ascending."""
@@ -313,87 +251,3 @@ def _per_item_argmax(v: Valuation, p: PriceVector) -> list[list[int]]:
         top = max(payoffs)
         out.append([k for k, pay in enumerate(payoffs) if pay == top])
     return out
-
-
-# --- free-function oracle surface ----------------------------------------
-
-
-def unit_demand_set(b: int, p: PriceVector, instance: Instance) -> frozenset[int]:
-    """Payoff-maximizing items for a unit-demand bidder, 0 meaning "buy nothing"."""
-    if instance.model != UNIT:
-        raise ValueError("unit_demand_set requires model 'unit'")
-    _check_bidder(instance, b)
-    p = _check_price(instance, p)
-    return DemandCache(instance).unit_demand_set(b, p)
-
-
-def demand_set(b: int, p: PriceVector, instance: Instance, *,
-               budget: int = DEFAULT_BUDGET) -> frozenset[Bundle]:
-    """All payoff-maximizing bundles of a multi-demand bidder."""
-    if instance.model != MULTI:
-        raise ValueError("demand_set requires model 'multi'")
-    _check_bidder(instance, b)
-    p = _check_price(instance, p)
-    return frozenset(DemandCache(instance, budget=budget).demand_set(b, p))
-
-
-def mu(b: int, X: ItemSet, p: PriceVector, instance: Instance, *,
-       budget: int = DEFAULT_BUDGET) -> int:
-    """Minimum number of units bidder b takes from item set X across its demand set."""
-    if instance.model != MULTI:
-        raise ValueError("mu requires model 'multi'")
-    _check_bidder(instance, b)
-    p = _check_price(instance, p)
-    mask = mask_from_items(X, instance.n)
-    return DemandCache(instance, budget=budget).mu_vector(b, p)[mask]
-
-
-def bidders_only_demanding(Y: ItemSet, p: PriceVector, instance: Instance) -> frozenset[int]:
-    """Bidders whose demand set is contained in Y (item 0 never is, by convention)."""
-    if instance.model != UNIT:
-        raise ValueError("bidders_only_demanding requires model 'unit'")
-    p = _check_price(instance, p)
-    mask = mask_from_items(Y, instance.n)
-    out = DemandCache(instance).only_demanders_mask(mask, p)
-    return frozenset(b for b in range(instance.m) if out >> b & 1)
-
-
-def bidders_demanding_some(Y: ItemSet, p: PriceVector, instance: Instance) -> frozenset[int]:
-    """Bidders demanding at least one item of Y."""
-    if instance.model != UNIT:
-        raise ValueError("bidders_demanding_some requires model 'unit'")
-    p = _check_price(instance, p)
-    mask = mask_from_items(Y, instance.n)
-    out = DemandCache(instance).some_demanders_mask(mask, p)
-    return frozenset(b for b in range(instance.m) if out >> b & 1)
-
-
-def greedy_demand_bundle(b: int, p: PriceVector, instance: Instance) -> Bundle:
-    """One payoff-maximizing bundle by greedy unit increments.
-
-    Correct for gross-substitutes valuations; the equality of its payoff with
-    the enumeration maximum is enforced by tests, not assumed here.
-    """
-    if instance.model != MULTI:
-        raise ValueError("greedy_demand_bundle requires model 'multi'")
-    _check_bidder(instance, b)
-    p = _check_price(instance, p)
-    v = instance.valuations[b]
-    u = instance.u
-    x = [0] * instance.n
-    worth = evaluate(v, tuple(x))
-    while True:
-        best_gain = 0
-        best_j = None
-        for j in range(instance.n):
-            if x[j] < u[j]:
-                x[j] += 1
-                gain = evaluate(v, tuple(x)) - worth - p[j]
-                x[j] -= 1
-                if gain > best_gain:
-                    best_gain = gain
-                    best_j = j
-        if best_j is None:
-            return tuple(x)
-        x[best_j] += 1
-        worth += best_gain + p[best_j]

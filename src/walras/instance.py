@@ -387,7 +387,7 @@ def parse_instance(text: str) -> Instance:
     """Parse the JSON instance format into a validated Instance."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, a huge integer, deep nesting
         raise InstanceFormatError(f"malformed JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InstanceFormatError("instance: must be a JSON object")
@@ -452,10 +452,11 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def load_instance(path: str) -> Instance:
-    """Read and parse an instance file."""
+    """Read and parse an instance file; every failure names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_instance(fh.read())
     except OSError as exc:
         raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from None
-    return parse_instance(text)
+    except (UnicodeDecodeError, InstanceFormatError) as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None

@@ -64,10 +64,13 @@ def proper_submasks(mask: int) -> Iterator[int]:
 
 
 def subset_sums(vec: tuple[int, ...], n: int) -> list[int]:
-    """Table of ``sum(vec[k] for k in mask)`` for every mask over n coordinates."""
-    size = 1 << n
-    out = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        out[mask] = out[mask ^ low] + vec[low.bit_length() - 1]
+    """Table of ``sum(vec[k] for k in mask)`` for every mask over n coordinates.
+
+    Built by doubling: the masks with bit k set are the lower half shifted
+    by 2^k, each plus ``vec[k]``.
+    """
+    out = [0]
+    for k in range(n):
+        c = vec[k]
+        out += [t + c for t in out]
     return out

@@ -99,19 +99,6 @@ class LnatCounterexample:
     lam: int
 
 
-def _memoized(g: FunctionOracle) -> FunctionOracle:
-    memo: dict[PriceVector, int | None] = {}
-
-    def fn(p: PriceVector) -> int | None:
-        hit = memo.get(p, _memoized)
-        if hit is _memoized:
-            hit = g.fn(p)
-            memo[p] = hit
-        return hit
-
-    return FunctionOracle(n=g.n, fn=fn, box=g.box, value_floor=g.value_floor)
-
-
 def is_lnat_convex_on_box(g: FunctionOracle,
                           box: tuple[PriceVector, PriceVector] | None = None, *,
                           budget: int = 2_000_000) -> LnatCounterexample | None:
@@ -303,7 +290,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     checkable here and is validated externally against brute force.  Each
     iteration builds one neighborhood table; the termination test and the
     strategy both read it.  Without ``neighborhood`` the table is read from
-    ``g``.  With it, ``neighborhood(p)`` gives the one-step changes
+    ``g``, which is queried unmemoized (the Lyapunov oracle keeps its own
+    memo).  With it, ``neighborhood(p)`` gives the one-step changes
     ``g(p + chi_X) - g(p)`` for every X by a faster route, and the table is
     the current value plus those changes.  ``g`` certifies such a table: the
     change for the empty set must be 0, each step's g(p + chi_X) must equal
@@ -318,8 +306,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
         raise BudgetExceededError(
             f"n={g.n} exceeds the subset-enumeration cap {MAX_ITEMS}")
     p = tuple(p0)
-    gm = _memoized(g)
-    base = gm(p)
+    base = g.fn(p)
     if base is None:
         raise ValueError("start point is outside the oracle's domain")
     if iteration_cap is None:
@@ -330,14 +317,14 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     steps: list[Step] = []
     while True:
         if neighborhood is None:
-            vals = neighborhood_values(gm, p)
+            vals = neighborhood_values(g, p)
         else:
             deltas = neighborhood(p)
             if len(deltas) != size or deltas[0] != 0:
                 raise ConvexityError("neighborhood table disagrees with the oracle at p")
             vals = [base + d for d in deltas]
         if not any(val is not None and val < base for val in vals):
-            if neighborhood is not None and neighborhood_values(gm, p) != vals:
+            if neighborhood is not None and neighborhood_values(g, p) != vals:
                 raise ConvexityError(
                     "neighborhood table disagrees with the oracle at the stop")
             break
@@ -356,7 +343,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             raise ContractError("strategy found no set although a descent exists")
         mask = mask_from_items(chosen, g.n)
         q = chi_add(p, mask)
-        after = gm(q)
+        after = g.fn(q)
         if after != vals[mask]:
             raise ConvexityError("neighborhood table disagrees with the oracle at a step")
         if after is None or after >= base:

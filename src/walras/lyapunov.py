@@ -1,21 +1,21 @@
-"""Lyapunov functions for both auction models, plus the deficiency statistic.
+"""The Lyapunov function of a market, one oracle for both auction models.
 
 The Lyapunov value of a price vector is the bidders' total indirect utility
 plus the revenue term; its minimizers are exactly the equilibrium prices.
-``deficiency`` is computed from demand-side primitives and ``step`` from two
-Lyapunov evaluations, so the identity ``step == -deficiency`` cross-validates
-the two routes instead of holding by construction.  The descent reads its
-one-step changes from the demand side, ``-deficiency(X, p)`` for every X at
-once (``LyapunovOracle.neighborhood``); Lyapunov values certify each chosen
-step and the final stop.
+The descent reads its one-step changes from the demand side, minus the
+deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
+Lyapunov values certify each chosen step and the final stop.  Deficiencies
+come from minimum takes and the change ``step_mask`` from two Lyapunov
+values, so the identity ``step_mask == -deficiency_mask`` cross-validates
+the two routes instead of holding by construction.
 """
 
 from __future__ import annotations
 
 from .demand import DemandCache, _check_price
-from .instance import (DEFAULT_BUDGET, UNIT, Instance, ItemSet, PriceVector,
+from .instance import (DEFAULT_BUDGET, UNIT, Instance, PriceVector,
                        max_total_value)
-from .itemsets import chi_add, mask_from_items
+from .itemsets import chi_add, mask_weight
 from .lnat import FunctionOracle
 
 
@@ -60,19 +60,16 @@ class LyapunovOracle:
         return total
 
     def step_mask(self, X_mask: int, p: PriceVector) -> int:
+        """Lyapunov change when raising every price in X (a bitmask) by one."""
         return self.value(chi_add(tuple(p), X_mask)) - self.value(p)
 
-    def step(self, X: ItemSet, p: PriceVector) -> int:
-        """Lyapunov change when raising every price in X by one unit."""
-        return self.step_mask(mask_from_items(X, self.instance.n), p)
-
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
-        return self.demand.deficiency_mask(X_mask, tuple(p))
-
-    def deficiency(self, X: ItemSet, p: PriceVector) -> int:
-        """Demanded units from X minus supply of X, via demand primitives."""
-        return self.demand.deficiency_mask(mask_from_items(X, self.instance.n),
-                                           _check_price(self.instance, p))
+        """Demanded units from X minus supply of X, bidder by bidder from
+        minimum takes; the per-set twin of ``neighborhood``."""
+        p = tuple(p)
+        dc = self.demand
+        demanded = sum(dc.mu_vector(b, p)[X_mask] for b in range(self.instance.m))
+        return demanded - mask_weight(X_mask, self.instance.u)
 
     def neighborhood(self, p: PriceVector) -> list[int]:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
@@ -99,19 +96,3 @@ class LyapunovOracle:
 
         return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0)
 
-
-def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Lyapunov value at p: total indirect utility plus revenue at full supply."""
-    return LyapunovOracle(instance, budget=budget).value(p)
-
-
-def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,
-                  budget: int = DEFAULT_BUDGET) -> int:
-    """lyapunov(p + chi_X) - lyapunov(p); equals -deficiency(X, p) for valid inputs."""
-    return LyapunovOracle(instance, budget=budget).step(X, p)
-
-
-def deficiency(X: ItemSet, p: PriceVector, instance: Instance, *,
-               budget: int = DEFAULT_BUDGET) -> int:
-    """Deficiency of X at p, from demand primitives (never from Lyapunov values)."""
-    return LyapunovOracle(instance, budget=budget).deficiency(X, p)

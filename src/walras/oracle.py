@@ -1,20 +1,30 @@
-"""Brute-force ground truth: exhaustive Lyapunov minimization and definitional
-equilibrium enumeration over a bounded price box.
+"""Brute-force ground truth and the definitional twins of the fast paths.
 
-Everything here exists to check the fast paths, so it deliberately shares no
-search logic with the auction layer: equilibria are decided straight from the
-definitions by enumeration.
+Everything here exists to check the production paths, so it deliberately
+shares no search logic with the auction layer:
+
+* exhaustive Lyapunov minimization and definitional equilibrium enumeration
+  over a bounded price box;
+* the unit model's definitions from Andersson, Andersson and Talman (2013):
+  demand sets with the no-purchase item 0, the bidders demanding only or
+  some items of a set, and overdemanded and excess-demand sets, with their
+  multi-unit counterparts from minimum takes;
+* set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
+  ``deficiency``, ``lyapunov_step``).
+
+The solver modules never import this one.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .demand import DemandCache
+from .demand import DemandCache, _check_price
 from .errors import BudgetExceededError, ConvexityError
-from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Instance, ItemSet,
+from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, max_total_value)
-from .itemsets import chi_add, mask_from_items, proper_submasks
+from .itemsets import (chi_add, mask_from_items, mask_weight, proper_submasks,
+                       subset_sums)
 from .lnat import FunctionOracle
 from .lyapunov import LyapunovOracle
 
@@ -96,33 +106,51 @@ def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUD
 def _unit_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
                    charge) -> bool:
     """Does some assignment give every bidder a demanded option and sell every
-    positively priced item?  Straight depth-first enumeration."""
+    positively priced item?  Straight depth-first enumeration, bidder by
+    bidder, with an explicit stack so the depth is not bounded by Python's
+    recursion limit; ``charge`` is called once per node."""
     m, n = instance.m, instance.n
-    demands = [dc.unit_demand_set(b, p) for b in range(m)]
+    options = [sorted(_unit_options(dc, b, p)) for b in range(m)]
     priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
 
-    def walk(b: int, used: frozenset[int]) -> bool:
+    def settled(b: int, used: frozenset[int]) -> bool | None:
+        """Charge the node for bidder b; its verdict, or None to branch."""
         charge()
         if len(priced - used) > m - b:
             return False
         if b == m:
             return priced <= used
-        for a in sorted(demands[b]):
-            if a == 0:
-                if walk(b + 1, used):
-                    return True
-            elif a not in used:
-                if walk(b + 1, used | {a}):
-                    return True
-        return False
+        return None
 
-    return walk(0, frozenset())
+    verdict = settled(0, frozenset())
+    if verdict is not None:
+        return verdict
+    # One frame per bidder: the items already taken and the next option.
+    stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
+    while stack:
+        b = len(stack) - 1
+        used, i = stack[b]
+        opts = options[b]
+        while i < len(opts) and opts[i] != 0 and opts[i] in used:
+            i += 1
+        if i == len(opts):
+            stack.pop()
+            continue
+        stack[b] = (used, i + 1)
+        taken = used if opts[i] == 0 else used | {opts[i]}
+        verdict = settled(b + 1, taken)
+        if verdict is None:
+            stack.append((taken, 0))
+        elif verdict:
+            return True
+    return False
 
 
 def _multi_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
                     charge, unsold: bool) -> bool:
     """Does some choice of demanded bundles clear the supply?  With ``unsold``
-    the total may fall short wherever the price is zero."""
+    the total may fall short wherever the price is zero.  Depth-first over
+    bidders with an explicit stack; ``charge`` is called once per node."""
     m, n, u = instance.m, instance.n, instance.u
     if m == 0:
         return unsold and all(c == 0 for c in p)
@@ -137,25 +165,37 @@ def _multi_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
             return all(r == 0 or p[j] == 0 for j, r in enumerate(remaining))
         return all(r == 0 for r in remaining)
 
-    def walk(k: int, remaining: tuple[int, ...]) -> bool:
-        charge()
-        if k == m:
-            return closes(remaining)
+    def rest_after(x: Bundle, remaining: tuple[int, ...], k: int) -> tuple[int, ...] | None:
         hi = suffix_max[k + 1]
-        for x in sets[k]:
-            fits = True
-            rest = []
-            for j in range(n):
-                r = remaining[j] - x[j]
-                if r < 0 or (r > hi[j] and not (unsold and p[j] == 0)):
-                    fits = False
-                    break
-                rest.append(r)
-            if fits and walk(k + 1, tuple(rest)):
-                return True
-        return False
+        rest = []
+        for j in range(n):
+            r = remaining[j] - x[j]
+            if r < 0 or (r > hi[j] and not (unsold and p[j] == 0)):
+                return None
+            rest.append(r)
+        return tuple(rest)
 
-    return walk(0, u)
+    charge()
+    # One frame per bidder: the supply still to clear and the next bundle.
+    stack: list[tuple[tuple[int, ...], int]] = [(u, 0)]
+    while stack:
+        k = len(stack) - 1
+        remaining, i = stack[k]
+        ds = sets[k]
+        rest = None
+        while rest is None and i < len(ds):
+            rest = rest_after(ds[i], remaining, k)
+            i += 1
+        if rest is None:
+            stack.pop()
+            continue
+        stack[k] = (remaining, i)
+        charge()
+        if k + 1 < m:
+            stack.append((rest, 0))
+        elif closes(rest):
+            return True
+    return False
 
 
 def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = False,
@@ -215,3 +255,208 @@ def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
         if val is not None and val <= target:
             return False
     return True
+
+
+# --- unit-model definitions (Andersson, Andersson and Talman, 2013) ---------
+
+
+def _check_bidder(instance: Instance, b: int) -> None:
+    if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < instance.m:
+        raise IndexError(f"bidder index out of range: {b!r} (m={instance.m})")
+
+
+def _unit_options(dc: DemandCache, b: int, p: PriceVector) -> frozenset[int]:
+    """A unit-demand bidder's demanded options, 0 meaning "buy nothing"."""
+    mask = dc.unit_demand_mask(b, p)
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def only_demanders_mask(dc: DemandCache, items_mask: int, p: PriceVector) -> int:
+    """Bitmask of bidders whose whole demand set lies inside the item set."""
+    blocked = ~(items_mask << 1)
+    out = 0
+    for b in range(dc.instance.m):
+        if dc.unit_demand_mask(b, p) & blocked == 0:
+            out |= 1 << b
+    return out
+
+
+def some_demanders_mask(dc: DemandCache, items_mask: int, p: PriceVector) -> int:
+    """Bitmask of bidders demanding at least one item of the item set."""
+    probe = items_mask << 1
+    out = 0
+    for b in range(dc.instance.m):
+        if dc.unit_demand_mask(b, p) & probe:
+            out |= 1 << b
+    return out
+
+
+def only_demanders_table(dc: DemandCache, p: PriceVector) -> list[int]:
+    """``only_demanders_mask`` for every item subset, set by set."""
+    masks = [dc.unit_demand_mask(b, p) for b in range(dc.instance.m)]
+    return [sum(1 << b for b, d in enumerate(masks) if not d & ~(s << 1))
+            for s in range(1 << dc.instance.n)]
+
+
+def some_demanders_table(dc: DemandCache, p: PriceVector) -> list[int]:
+    """``some_demanders_mask`` for every item subset, set by set."""
+    masks = [dc.unit_demand_mask(b, p) for b in range(dc.instance.m)]
+    return [sum(1 << b for b, d in enumerate(masks) if d & s << 1)
+            for s in range(1 << dc.instance.n)]
+
+
+def unit_demand_set(b: int, p: PriceVector, instance: Instance) -> frozenset[int]:
+    """Payoff-maximizing items for a unit-demand bidder, 0 meaning "buy nothing"."""
+    if instance.model != UNIT:
+        raise ValueError("unit_demand_set requires model 'unit'")
+    _check_bidder(instance, b)
+    p = _check_price(instance, p)
+    return _unit_options(DemandCache(instance), b, p)
+
+
+def bidders_only_demanding(Y: ItemSet, p: PriceVector, instance: Instance) -> frozenset[int]:
+    """Bidders whose demand set is contained in Y (item 0 never is, by convention)."""
+    if instance.model != UNIT:
+        raise ValueError("bidders_only_demanding requires model 'unit'")
+    p = _check_price(instance, p)
+    mask = mask_from_items(Y, instance.n)
+    out = only_demanders_mask(DemandCache(instance), mask, p)
+    return frozenset(b for b in range(instance.m) if out >> b & 1)
+
+
+def bidders_demanding_some(Y: ItemSet, p: PriceVector, instance: Instance) -> frozenset[int]:
+    """Bidders demanding at least one item of Y."""
+    if instance.model != UNIT:
+        raise ValueError("bidders_demanding_some requires model 'unit'")
+    p = _check_price(instance, p)
+    mask = mask_from_items(Y, instance.n)
+    out = some_demanders_mask(DemandCache(instance), mask, p)
+    return frozenset(b for b in range(instance.m) if out >> b & 1)
+
+
+# --- multi-unit demand, one bidder at a time ---------------------------------
+
+
+def demand_set(b: int, p: PriceVector, instance: Instance, *,
+               budget: int = DEFAULT_BUDGET) -> frozenset[Bundle]:
+    """All payoff-maximizing bundles of a multi-demand bidder."""
+    if instance.model != MULTI:
+        raise ValueError("demand_set requires model 'multi'")
+    _check_bidder(instance, b)
+    p = _check_price(instance, p)
+    return frozenset(DemandCache(instance, budget=budget).demand_set(b, p))
+
+
+def mu(b: int, X: ItemSet, p: PriceVector, instance: Instance, *,
+       budget: int = DEFAULT_BUDGET) -> int:
+    """Minimum number of units bidder b takes from item set X across its demand set."""
+    if instance.model != MULTI:
+        raise ValueError("mu requires model 'multi'")
+    _check_bidder(instance, b)
+    p = _check_price(instance, p)
+    mask = mask_from_items(X, instance.n)
+    return DemandCache(instance, budget=budget).mu_vector(b, p)[mask]
+
+
+# --- overdemand and excess demand, set by set --------------------------------
+
+
+def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance, *,
+                    demand: DemandCache | None = None) -> bool:
+    """True when the minimal aggregate demand from X exceeds its supply."""
+    ly = LyapunovOracle(instance, demand=demand)
+    p = _check_price(instance, p)
+    mask = mask_from_items(X, instance.n)
+    return ly.deficiency_mask(mask, p) > 0
+
+
+def is_excess_demand(X: ItemSet, p: PriceVector, instance: Instance, *,
+                     demand: DemandCache | None = None) -> bool:
+    """True when every nonempty part of X is strictly overdemanded.
+
+    Unit model: bidders confined to X who demand inside Z outnumber Z.
+    Multi model: the extra units bidders must take from Z exceed Z's supply.
+    """
+    dc = demand if demand is not None else DemandCache(instance)
+    p = _check_price(instance, p)
+    mask = mask_from_items(X, instance.n)
+    if mask == 0:
+        raise ValueError("X must be nonempty")
+    if instance.model == UNIT:
+        only_in_x = only_demanders_mask(dc, mask, p)
+        for z in _nonempty_submasks(mask):
+            if (some_demanders_mask(dc, z, p) & only_in_x).bit_count() <= z.bit_count():
+                return False
+        return True
+    vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
+    for z in _nonempty_submasks(mask):
+        gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
+        if gap <= mask_weight(z, instance.u):
+            return False
+    return True
+
+
+def _nonempty_submasks(mask: int):
+    yield mask
+    for sub in proper_submasks(mask):
+        if sub:
+            yield sub
+
+
+def excess_demand_table(instance: Instance, p: PriceVector, *,
+                        demand: DemandCache | None = None) -> list[bool]:
+    """``is_excess_demand`` for every item subset at once, indexed by bitmask.
+
+    Index 0 is False by convention (excess-demand sets are nonempty).
+    Agrees with the per-set predicate; equality is test-enforced.
+    """
+    dc = demand if demand is not None else DemandCache(instance)
+    p = _check_price(instance, p)
+    size = 1 << instance.n
+    out = [False] * size
+    if instance.model == UNIT:
+        only = only_demanders_table(dc, p)
+        some = some_demanders_table(dc, p)
+        for mask in range(1, size):
+            ox = only[mask]
+            ok = True
+            for z in _nonempty_submasks(mask):
+                if (some[z] & ox).bit_count() <= z.bit_count():
+                    ok = False
+                    break
+            out[mask] = ok
+        return out
+    vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
+    supply = subset_sums(instance.u, instance.n)
+    for mask in range(1, size):
+        ok = True
+        for z in _nonempty_submasks(mask):
+            gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
+            if gap <= supply[z]:
+                ok = False
+                break
+        out[mask] = ok
+    return out
+
+
+# --- Lyapunov values and deficiency, set by set ------------------------------
+
+
+def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
+    """Lyapunov value at p: total indirect utility plus revenue at full supply."""
+    return LyapunovOracle(instance, budget=budget).value(p)
+
+
+def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,
+                  budget: int = DEFAULT_BUDGET) -> int:
+    """lyapunov(p + chi_X) - lyapunov(p); equals -deficiency(X, p) for valid inputs."""
+    mask = mask_from_items(X, instance.n)
+    return LyapunovOracle(instance, budget=budget).step_mask(mask, p)
+
+
+def deficiency(X: ItemSet, p: PriceVector, instance: Instance, *,
+               budget: int = DEFAULT_BUDGET) -> int:
+    """Deficiency of X at p, from demand primitives (never from Lyapunov values)."""
+    mask = mask_from_items(X, instance.n)
+    return LyapunovOracle(instance, budget=budget).deficiency_mask(
+        mask, _check_price(instance, p))

@@ -20,7 +20,7 @@ from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind,
                     bidders_only_demanding, brute_force_min_equilibrium,
                     is_excess_demand, is_lnat_convex_on_box, is_overdemanded,
                     max_total_value, minimal_minimizer_step, verify_mnat_exc)
-from walras.auction import excess_demand_table
+from walras.oracle import excess_demand_table
 from walras.instance import UNIT, Valuation
 from walras.itemsets import chi_add, items_from_mask
 from walras.lnat import FunctionOracle

@@ -13,7 +13,7 @@ from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracl
                     equilibrium_prices_by_enumeration, extract_allocation,
                     WalrasError, is_excess_demand, is_overdemanded,
                     verify_equilibrium)
-from walras.auction import excess_demand_table
+from walras.oracle import excess_demand_table
 from walras.demand import DemandCache
 from walras.itemsets import items_from_mask, mask_from_items
 

@@ -301,6 +301,47 @@ class TestOracleCommand:
         assert doc["lyapunov_minimizers"] == [[2], [3]]
         assert doc["min_equilibrium_price"] == [2]
 
+    @pytest.mark.parametrize("record", [
+        {"family": "unit_demand", "values": [3]},
+        {"family": "separable_concave", "marginals": [[3]]},
+    ], ids=["unit", "multi"])
+    def test_many_bidders_exit_cleanly(self, tmp_path, record):
+        """The definitional enumeration goes one level per bidder, so 1,100
+        bidders must not reach Python's recursion limit."""
+        model = "unit" if record["family"] == "unit_demand" else "multi"
+        path = tmp_path / "crowd.json"
+        path.write_text(json.dumps({"model": model, "n": 1, "m": 1100, "u": [1],
+                                    "valuations": [record] * 1100}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "oracle", "--instance", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["min_equilibrium_price"] == [3]
+
+
+UNDECODABLE = {
+    "not-utf8": b'{"model": "unit", "n": 1, "m": 0, "valuations": [], "note": "\xe9"}',
+    "long-integer": b"[" + b"9" * 5000 + b"]",
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+}
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("flag", ["--instance", "--start"])
+    @pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+    def test_exits_1_naming_the_file(self, tmp_path, ex21_path, kind, flag):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_bytes(UNDECODABLE[kind])
+        paths = {"--instance": ex21_path, "--start": "zero", flag: str(bad)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "solve", "--strategy", "steepest",
+             "--instance", paths["--instance"], "--start", paths["--start"]],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_bytes(self, ex21_path, tmp_path):

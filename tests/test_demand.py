@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 from itertools import product
 
 from conftest import random_multi_instance, random_unit_instance, tabulate
-from walras import (BudgetExceededError, Instance, Valuation,
-                    bidders_demanding_some, bidders_only_demanding, demand_set,
-                    greedy_demand_bundle, mu, unit_demand_set)
+from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
+                    Valuation, ascending_auction, bidders_demanding_some,
+                    bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.demand import DemandCache
 from walras.itemsets import subset_sums
+from walras.oracle import (only_demanders_mask, only_demanders_table,
+                           some_demanders_mask, some_demanders_table)
 
 
 class TestUnitDemandSets:
@@ -86,6 +88,22 @@ class TestMultiDemandSets:
                     assert dc.mu_vector(b, p) == DemandCache(inst).mu_vector(b, p)
                 assert dc._mu_vectors[0] == p
 
+    def test_long_descent_keeps_one_price(self):
+        """Each per-price cache holds at most one entry per bidder after a
+        descent of hundreds of steps."""
+        unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
+            Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([300, 250]), Valuation.separable([[280], [260]]),
+            tabulate(Valuation.unit_demand([200, 290]))))
+        for inst in (unit, mixed):
+            ly = LyapunovOracle(inst)
+            res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
+            assert res.p_min == (280, 260) and len(res.trajectory) >= 100
+            dc = ly.demand
+            for _, memo in (dc._unit_masks, dc._demand_sets, dc._mu_vectors):
+                assert len(memo) <= inst.m
+
 
 class TestMu:
     def test_empty_set(self, two_bidder_multi):
@@ -150,8 +168,8 @@ class TestSetIdentities:
     def _check_identity(inst, p):
         dc = DemandCache(inst)
         size = 1 << inst.n
-        only = dc.only_demanders_table(p)
-        some = dc.some_demanders_table(p)
+        only = only_demanders_table(dc, p)
+        some = some_demanders_table(dc, p)
         for x in range(size):
             assert only[x] & some[x] == only[x]  # O(Y,p) is contained in U(Y,p)
             z = x
@@ -164,15 +182,27 @@ class TestSetIdentities:
 
     @given(st.integers(0, 2**32 - 1))
     def test_tables_agree_with_single_set_ops(self, seed):
+        """The deficiency table's superset walk counts the bidders who demand
+        only inside X, less |X|, as the unit model defines deficiency."""
         rng = random.Random(seed)
         inst = random_unit_instance(rng, n_max=4, m_max=5, value_max=3)
         p = _unit_prices(rng, inst, 3)
         dc = DemandCache(inst)
-        only = dc.only_demanders_table(p)
-        some = dc.some_demanders_table(p)
+        only = only_demanders_table(dc, p)
+        some = some_demanders_table(dc, p)
+        deficiency = dc.deficiency_table(p)
         for mask in range(1 << inst.n):
-            assert only[mask] == dc.only_demanders_mask(mask, p)
-            assert some[mask] == dc.some_demanders_mask(mask, p)
+            assert only[mask] == only_demanders_mask(dc, mask, p)
+            assert some[mask] == some_demanders_mask(dc, mask, p)
+            assert deficiency[mask] == only[mask].bit_count() - mask.bit_count()
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_subset_sums_match_the_definition(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 6)
+        vec = tuple(rng.randint(-5, 9) for _ in range(n))
+        assert subset_sums(vec, n) == [sum(vec[k] for k in range(n) if mask >> k & 1)
+                                       for mask in range(1 << n)]
 
     @given(st.integers(0, 2**32 - 1))
     def test_mu_monotone_in_items(self, seed):
@@ -188,24 +218,6 @@ class TestSetIdentities:
 
 
 class TestFastPaths:
-    @given(st.integers(0, 2**32 - 1))
-    def test_greedy_reaches_the_enumeration_maximum(self, seed):
-        rng = random.Random(seed)
-        inst = random_multi_instance(rng, n_max=3, u_max=3, m_max=2)
-        if rng.random() < 0.3:
-            vals = tuple(tabulate(v) for v in inst.valuations)
-            inst = Instance(model="multi", n=inst.n, u=inst.u, valuations=vals)
-        p = tuple(rng.randint(0, 5) for _ in range(inst.n))
-        dc = DemandCache(inst)
-        for b in range(inst.m):
-            best = dc.indirect_utility_enum(b, p)
-            x = greedy_demand_bundle(b, p, inst)
-            from walras import evaluate
-            payoff = evaluate(inst.valuations[b], x) - sum(
-                c * q for c, q in zip(p, x))
-            assert payoff == best
-            assert x in dc.demand_set(b, p)
-
     @given(st.integers(0, 2**32 - 1))
     def test_indirect_utility_shortcut_matches_enumeration(self, seed):
         rng = random.Random(seed)

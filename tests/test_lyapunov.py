@@ -5,7 +5,8 @@ from itertools import product
 
 from hypothesis import given, strategies as st
 
-from conftest import random_multi_instance, random_unit_instance, tabulate
+from conftest import (random_multi_instance, random_separable_valuation,
+                      random_unit_instance, tabulate)
 from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
                     deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
@@ -129,7 +130,11 @@ class TestMemo:
 
 
 def _neighborhood_markets(rng):
-    """Seeded unit, separable and admitted-table markets."""
+    """Seeded unit, separable, admitted-table and mixed-family markets.
+
+    The mixed kind is the multi model with one unit of each item and
+    unit-demand, separable and tabulated bidders side by side.
+    """
     markets = []
     for _ in range(4):
         markets.append(random_unit_instance(rng, n_max=4, m_max=5, value_max=4))
@@ -137,6 +142,16 @@ def _neighborhood_markets(rng):
         markets.append(sep)
         markets.append(Instance(model="multi", n=sep.n, u=sep.u,
                                 valuations=tuple(tabulate(v) for v in sep.valuations)))
+    for _ in range(4):
+        n = rng.randint(1, 3)
+        u = (1,) * n
+        vals = [Valuation.unit_demand([rng.randint(0, 5) for _ in range(n)])
+                for _ in range(rng.randint(1, 3))]
+        vals.append(random_separable_valuation(rng, u, value_max=5))
+        vals.append(tabulate(random_separable_valuation(rng, u, value_max=5)))
+        vals.append(tabulate(Valuation.unit_demand([rng.randint(0, 5) for _ in range(n)])))
+        rng.shuffle(vals)
+        markets.append(Instance(model="multi", n=n, u=u, valuations=tuple(vals)))
     return markets
 
 
@@ -164,6 +179,18 @@ class TestNeighborhoodTable:
                     assert a == b, (inst, p, mask)
             beyond = (top + 2,) * inst.n
             assert _table(ly, g, beyond) == neighborhood_values(g, beyond)
+
+    def test_matches_the_per_set_twin(self):
+        """Every entry is minus ``deficiency_mask``, the bidder-by-bidder sum
+        of minimum takes less the supply."""
+        rng = random.Random(29)
+        for inst in _neighborhood_markets(rng):
+            ly = LyapunovOracle(inst)
+            top = ly.price_ceiling()
+            for _ in range(6):
+                p = tuple(rng.randint(0, top + 1) for _ in range(inst.n))
+                assert ly.neighborhood(p) == \
+                    [-ly.deficiency_mask(mask, p) for mask in range(1 << inst.n)], (inst, p)
 
     def test_reads_no_lyapunov_value(self, monkeypatch):
         """The changes come from demand primitives alone; the descent adds

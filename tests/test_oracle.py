@@ -1,6 +1,7 @@
 """Brute-force ground truth: caps, minimizer scans, definitional enumeration."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle,
                     StrategyKind, Valuation, all_lyapunov_minimizers,
                     ascending_auction, brute_force_min_equilibrium,
                     equilibrium_prices_by_enumeration, price_cap)
+from walras.demand import DemandCache
+from walras.oracle import _multi_clearing, _unit_clearing, _unit_options
 
 
 class TestPriceCap:
@@ -104,3 +107,86 @@ class TestDefinitionalEnumeration:
     def test_budget_guard(self, two_bidder_multi):
         with pytest.raises(BudgetExceededError):
             equilibrium_prices_by_enumeration(two_bidder_multi, budget=3)
+
+
+def recursive_unit_walk(instance, dc, p, charge):
+    """The recursive depth-first enumeration ``_unit_clearing`` replaced."""
+    m, n = instance.m, instance.n
+    demands = [_unit_options(dc, b, p) for b in range(m)]
+    priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
+
+    def walk(b, used):
+        charge()
+        if len(priced - used) > m - b:
+            return False
+        if b == m:
+            return priced <= used
+        for a in sorted(demands[b]):
+            if a == 0:
+                if walk(b + 1, used):
+                    return True
+            elif a not in used:
+                if walk(b + 1, used | {a}):
+                    return True
+        return False
+
+    return walk(0, frozenset())
+
+
+def recursive_multi_walk(instance, dc, p, charge, unsold):
+    """The recursive depth-first enumeration ``_multi_clearing`` replaced."""
+    m, n, u = instance.m, instance.n, instance.u
+    if m == 0:
+        return unsold and all(c == 0 for c in p)
+    sets = [dc.demand_set(b, p) for b in range(m)]
+    maxs = [tuple(max(x[j] for x in ds) for j in range(n)) for ds in sets]
+    suffix_max = [(0,) * n] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        suffix_max[k] = tuple(maxs[k][j] + suffix_max[k + 1][j] for j in range(n))
+
+    def walk(k, remaining):
+        charge()
+        if k == m:
+            if unsold:
+                return all(r == 0 or p[j] == 0 for j, r in enumerate(remaining))
+            return all(r == 0 for r in remaining)
+        hi = suffix_max[k + 1]
+        for x in sets[k]:
+            rest = tuple(remaining[j] - x[j] for j in range(n))
+            if all(r >= 0 and (r <= hi[j] or (unsold and p[j] == 0))
+                   for j, r in enumerate(rest)) and walk(k + 1, rest):
+                return True
+        return False
+
+    return walk(0, u)
+
+
+class TestClearingWalks:
+    """The explicit-stack enumerations against the recursive walks they
+    replaced: the same verdict and the same number of charged nodes, so
+    every budget error stays where it was."""
+
+    def test_unit_walk_matches_the_recursion(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            inst = random_unit_instance(rng, n_max=4, m_max=6, value_max=3)
+            dc = DemandCache(inst)
+            for p in product(range(4), repeat=inst.n):
+                fast, slow = [], []
+                got = _unit_clearing(inst, dc, p, lambda: fast.append(None))
+                want = recursive_unit_walk(inst, dc, p, lambda: slow.append(None))
+                assert (got, len(fast)) == (want, len(slow)), (inst, p)
+
+    def test_multi_walk_matches_the_recursion(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            inst = random_multi_instance(rng, n_max=2, u_max=3, m_min=0, m_max=4,
+                                         value_max=4)
+            dc = DemandCache(inst)
+            for p in product(range(5), repeat=inst.n):
+                for unsold in (False, True):
+                    fast, slow = [], []
+                    got = _multi_clearing(inst, dc, p, lambda: fast.append(None), unsold)
+                    want = recursive_multi_walk(inst, dc, p, lambda: slow.append(None),
+                                                unsold)
+                    assert (got, len(fast)) == (want, len(slow)), (inst, p, unsold)
