@@ -86,8 +86,10 @@ def ascending_auction(instance: Instance,
     must belong to ``instance``): runs sharing one oracle, as ``compare``'s
     strategies do, repeat it only under a smaller budget than the one it
     passed within.
-    Allocation extraction is best-effort: on budget exhaustion the result is
-    still returned, with ``allocation_error`` set.
+    The budget also caps the descent's iterations: a run that needs more
+    raises BudgetExceededError.  Allocation extraction is best-effort: on
+    budget exhaustion the result is still returned, with
+    ``allocation_error`` set.
     """
     ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
     # A check that passed within some budget passes within any larger one.
@@ -104,7 +106,7 @@ def ascending_auction(instance: Instance,
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)
     g = ly.function_oracle()
-    p_final, trajectory = minimize(g, p0, strategy, seed=seed,
+    p_final, trajectory = minimize(g, p0, strategy, seed=seed, budget=budget,
                                    neighborhood=ly.neighborhood)
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.

@@ -175,6 +175,14 @@ def evaluate(v: Valuation, x: Bundle) -> int:
     return v._lookup[tuple(x)]
 
 
+def _box_worths(v: Valuation, u: Bundle) -> list[int]:
+    """Worth of every bundle in [0, u], in lexicographic order; a table over
+    exactly that box already stores them so."""
+    if v.family == EXPLICIT_TABLE and u == v.box():
+        return [w for _, w in v.table]
+    return [evaluate(v, x) for x in iter_box(u)]
+
+
 @dataclass(frozen=True)
 class MnatCounterexample:
     """Witness that the single-improvement exchange property fails.
@@ -196,9 +204,15 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
     lexicographic (x, y, ascending i) order.  The box is evaluated once into
     a flat list in lexicographic order, and each exchange
     x - chi_j + chi_k, y + chi_j - chi_k is read at mixed-radix index
-    offsets.  The budget counts valuation evaluations, including two per
-    exchange attempt (items k before the drop option k=0), charged before
-    the attempt is read.
+    offsets.  Which items j may move and which k may come back depend only
+    on the difference d = x - y, so those offsets are listed once per
+    difference class, the first time a pair needs it: a check refused after
+    a few rows of x lists only the classes those rows met.  The budget
+    counts valuation evaluations, including two per exchange attempt
+    (items k before the drop option k=0), charged before the attempt is
+    read.  The charge only grows, so comparing it with the budget once per x
+    and before a witness is returned gives the same witness, None or budget
+    error as comparing it at every attempt.
     """
     if u is None:
         u = v.box()
@@ -212,37 +226,59 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
             f"verification box volume {volume} exceeds budget {budget}")
     spent = volume
     bundles = list(iter_box(u))
-    worth = [evaluate(v, x) for x in bundles]
+    worth = _box_worths(v, u)
     n = len(u)
+    # x sits at index sum_c stride_c * x_c; d = x - y has the class key
+    # sum_c dstride_c * (d_c + u_c) = key[x] - key[y] + zero.
     stride = [1] * n
-    for j in range(n - 1, 0, -1):
-        stride[j - 1] = stride[j] * (u[j] + 1)
+    dstride = [1] * n
+    for c in range(n - 1, 0, -1):
+        stride[c - 1] = stride[c] * (u[c] + 1)
+        dstride[c - 1] = dstride[c] * (2 * u[c] + 1)
+    key = [sum(t * c for t, c in zip(dstride, x)) for x in bundles]
+    zero = sum(t * c for t, c in zip(dstride, u))
+    moves = [(j, stride[j]) for j in range(n)]
+    # Class key -> ((j, stride_j) for x_j > y_j, (stride_k for x_k < y_k)),
+    # or () when no item j has x_j > y_j.  Equal item lists are stored once.
+    classes: dict[int, tuple] = {}
+    shared: dict[tuple, tuple] = {}
+    known = classes.get
     for ix, x in enumerate(bundles):
         wx = worth[ix]
-        for iy, y in enumerate(bundles):
-            up = [j for j in range(n) if x[j] > y[j]]
-            if not up:
+        row = zero + key[ix]
+        for iy, ky in enumerate(key):
+            cls = known(row - ky)
+            if cls is None:
+                y = bundles[iy]
+                up = tuple(moves[j] for j in range(n) if x[j] > y[j])
+                if up:
+                    down = tuple(stride[k] for k in range(n) if x[k] < y[k])
+                    cls = (shared.setdefault(up, up), shared.setdefault(down, down))
+                else:
+                    cls = ()
+                classes[row - ky] = cls
+            if not cls:
                 continue
+            up, down = cls
             need = wx + worth[iy]
-            down = [stride[k] for k in range(n) if x[k] < y[k]]
-            for j in up:
+            for j, sj in up:
                 # x - chi_j and y + chi_j; each k then moves a unit back.
-                ax = ix - stride[j]
-                ay = iy + stride[j]
+                ax = ix - sj
+                ay = iy + sj
                 for sk in down:
                     spent += 2
-                    if spent > budget:
-                        raise BudgetExceededError(
-                            f"exchange check exceeded budget {budget}")
                     if worth[ax + sk] + worth[ay - sk] >= need:
                         break
                 else:
                     spent += 2
-                    if spent > budget:
-                        raise BudgetExceededError(
-                            f"exchange check exceeded budget {budget}")
                     if worth[ax] + worth[ay] < need:
-                        return MnatCounterexample(x=x, y=y, i=j + 1)
+                        if spent > budget:
+                            raise BudgetExceededError(
+                                f"exchange check exceeded budget {budget}")
+                        return MnatCounterexample(x=x, y=bundles[iy], i=j + 1)
+        if spent > budget:
+            raise BudgetExceededError(
+                f"exchange check exceeded budget {budget}")
     return None
 
 
@@ -257,28 +293,36 @@ class MonotonicityCounterexample:
 
 def verify_monotone_normalized(v: Valuation, u: Bundle | None = None, *,
                                budget: int = DEFAULT_BUDGET) -> MonotonicityCounterexample | None:
-    """Check v(0) = 0 and componentwise monotonicity over the box [0, u]."""
+    """Check v(0) = 0 and componentwise monotonicity over the box [0, u].
+
+    The budget is charged volume * (n + 1) evaluations up front.  The box is
+    evaluated once into a flat list in lexicographic order, and each x + chi_j
+    is read at a stride offset; witnesses come in (x, ascending j) order.
+    """
     if u is None:
         u = v.box()
     else:
         u = tuple(u)
+        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
+            raise ValueError("u: verification box must lie inside the valuation's box")
     volume = box_volume(u)
     n = len(u)
     if volume * (n + 1) > budget:
         raise BudgetExceededError(
             f"monotonicity scan of volume {volume} exceeds budget {budget}")
-    if evaluate(v, (0,) * n) != 0:
+    worth = _box_worths(v, u)
+    if worth[0] != 0:
         return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
-    for x in iter_box(u):
-        wx = evaluate(v, x)
+    stride = [1] * n
+    for j in range(n - 1, 0, -1):
+        stride[j - 1] = stride[j] * (u[j] + 1)
+    for ix, x in enumerate(iter_box(u)):
+        wx = worth[ix]
         for j in range(n):
-            if x[j] < u[j]:
-                step = list(x)
-                step[j] += 1
-                if evaluate(v, tuple(step)) < wx:
-                    return MonotonicityCounterexample(
-                        x=x, i=j + 1,
-                        message=f"v decreases from {x} when adding item {j + 1}")
+            if x[j] < u[j] and worth[ix + stride[j]] < wx:
+                return MonotonicityCounterexample(
+                    x=x, i=j + 1,
+                    message=f"v decreases from {x} when adding item {j + 1}")
     return None
 
 

@@ -16,6 +16,7 @@ certify each step and the stop.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -249,18 +250,29 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> ItemSet | None:
     """First locally-minimal descent set in a seeded pseudorandom subset order.
 
     The order is a Fisher-Yates shuffle of all nonempty subset indices, so a
-    fixed seed always yields the same choice.  Returns None when no raise
-    descends.
+    fixed seed always yields the same choice; it is built once per (seed,
+    table size) and reused while those stay the same.  Returns None when no
+    raise descends.
     """
     _check_seed(seed)
     _width(vals)
     flags = gp_minimal_table(vals)
-    order = list(range(1, len(vals)))
-    random.Random(seed).shuffle(order)
-    for mask in order:
+    for mask in _shuffled_masks(seed, len(vals)):
         if flags[mask]:
             return items_from_mask(mask)
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _shuffled_masks(seed: int, size: int) -> tuple[int, ...]:
+    """The masks 1..size-1 shuffled by ``random.Random(seed)``.
+
+    A descent asks for the same order at every iteration, so the latest
+    order is kept and rebuilt only when the seed or the size changes.
+    """
+    order = list(range(1, size))
+    random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 def maximal_gp_minimal(vals: list[int | None]) -> ItemSet:
@@ -282,6 +294,7 @@ def _check_seed(seed: int) -> None:
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, iteration_cap: int | None = None,
+             budget: int | None = None,
              neighborhood: Callable[[PriceVector], list[int]] | None = None,
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
@@ -297,7 +310,13 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     change for the empty set must be 0, each step's g(p + chi_X) must equal
     its entry, and a stop is confirmed by one scan of g's own neighborhood;
     a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
-    BudgetExceededError.  Returns the final point and the full trajectory.
+    BudgetExceededError.  ``iteration_cap`` defaults to g(p0) minus the
+    oracle's ``value_floor`` plus one, since every step lowers the value by
+    at least one; a run still descending after that many steps raises
+    IterationCapError.  A ``budget`` caps the steps too, for values too
+    large to wait for: a run still descending after ``budget`` steps, below
+    the iteration cap, raises BudgetExceededError.  Returns the final point
+    and the full trajectory.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -331,6 +350,10 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
         if len(steps) >= iteration_cap:
             raise IterationCapError(
                 f"no minimizer reached within {iteration_cap} iterations")
+        if budget is not None and len(steps) >= budget:
+            raise BudgetExceededError(
+                f"descent exceeded budget {budget}: no minimizer within "
+                f"{budget} iterations")
         if strategy is StrategyKind.MINIMAL_DESCENT:
             chosen = minimal_descent_set(vals)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:

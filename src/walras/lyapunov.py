@@ -23,7 +23,9 @@ class LyapunovOracle:
     """Memoized Lyapunov function of one instance.
 
     The memo is keyed by exact price vector; values never change across
-    calls.  Reads and inserts are safe under CPython's GIL.
+    calls.  It holds at most ``budget`` entries: an insert that finds it
+    full clears it first, so memory stays bounded and only repeat reads
+    pay again.  Reads and inserts are safe under CPython's GIL.
     ``admitted_budget`` is the budget within which ``ascending_auction``
     found every explicit table to pass the exchange check, None until then.
     """
@@ -32,6 +34,7 @@ class LyapunovOracle:
                  budget: int = DEFAULT_BUDGET):
         self.instance = instance
         self.demand = demand if demand is not None else DemandCache(instance, budget=budget)
+        self.budget = budget
         self._memo: dict[PriceVector, int] = {}
         self._ceiling = max_total_value(instance)
         self.admitted_budget: int | None = None
@@ -56,7 +59,10 @@ class LyapunovOracle:
             total = sum(c * q for c, q in zip(t, inst.u))
             for b in range(inst.m):
                 total += dc.indirect_utility(b, t)
-        self._memo[t] = total
+        memo = self._memo
+        if len(memo) >= self.budget:
+            memo.clear()
+        memo[t] = total
         return total
 
     def step_mask(self, X_mask: int, p: PriceVector) -> int:

@@ -297,6 +297,28 @@ class TestExtractionAgainstEnumeration:
                 assert ly.value(tuple(q)) < ly.value(p)
 
 
+def _one_item_market(worth):
+    return Instance(model="unit", n=1, u=(1,), valuations=(
+        Valuation.unit_demand([worth]), Valuation.unit_demand([worth])))
+
+
+class TestIterationBudget:
+    def test_budget_caps_the_iterations(self):
+        """Two bidders worth 10 on one item: every strategy takes 10 unit
+        raises, so a budget of 10 solves and a budget of 9 refuses."""
+        inst = _one_item_market(10)
+        for kind in StrategyKind:
+            res = ascending_auction(inst, kind, budget=10)
+            assert (res.p_min, len(res.trajectory)) == ((10,), 10)
+            with pytest.raises(BudgetExceededError,
+                               match="descent exceeded budget 9: no minimizer within 9"):
+                ascending_auction(inst, kind, budget=9)
+
+    def test_huge_values_stop_at_the_budget(self):
+        with pytest.raises(BudgetExceededError, match="descent exceeded budget 1000"):
+            ascending_auction(_one_item_market(10**9), budget=1000)
+
+
 class TestDescentWork:
     def test_lyapunov_values_per_run_stay_linear_in_iterations(self, monkeypatch):
         """One neighborhood table per step: a run evaluates L about twice per

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -386,6 +387,25 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["p_final"] == [5]
         assert doc["allocation"]["bundles"] == [[0]] * 1098 + [[1], [1]]
+
+
+class TestIterationBudget:
+    def test_huge_values_exit_1_within_the_budget(self, tmp_path):
+        """Two bidders worth 10^9 on one item need 10^9 unit raises; a budget
+        of 1000 stops the descent after 1000 of them."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "model": "unit", "n": 1, "m": 2,
+            "valuations": [{"family": "unit_demand", "values": [10**9]}] * 2}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "solve", "--instance", str(path),
+             "--strategy", "steepest"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "WALRAS_BUDGET": "1000"})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "budget 1000" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestGoldenOutput:

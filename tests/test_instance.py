@@ -1,6 +1,10 @@
 """Instance model, JSON format, and the valuation verifiers."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,13 +13,15 @@ from conftest import (EX21_JSON, make_ex21, random_multi_instance,
                       random_separable_valuation, random_unit_instance,
                       tabulate)
 from walras import (BudgetExceededError, Instance, InstanceFormatError,
-                    MnatCounterexample, Valuation, evaluate, parse_instance,
+                    MnatCounterexample, MonotonicityCounterexample, Valuation,
+                    evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
 from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def exchange_twin(v, u=None, *, budget=DEFAULT_BUDGET):
@@ -64,6 +70,82 @@ def exchange_twin(v, u=None, *, budget=DEFAULT_BUDGET):
                         break
                 if not ok:
                     return MnatCounterexample(x=x, y=y, i=j + 1)
+    return None
+
+
+def index_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+    """The flat-list scan ``verify_mnat_exc`` ran before difference classes:
+    it lists the moving items for every (x, y) pair and compares the charge
+    with the budget at every attempt."""
+    if u is None:
+        u = v.box()
+    else:
+        u = tuple(u)
+        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
+            raise ValueError("u: verification box must lie inside the valuation's box")
+    volume = box_volume(u)
+    if volume > budget:
+        raise BudgetExceededError(
+            f"verification box volume {volume} exceeds budget {budget}")
+    spent = volume
+    bundles = list(iter_box(u))
+    worth = [evaluate(v, x) for x in bundles]
+    n = len(u)
+    stride = [1] * n
+    for j in range(n - 1, 0, -1):
+        stride[j - 1] = stride[j] * (u[j] + 1)
+    for ix, x in enumerate(bundles):
+        wx = worth[ix]
+        for iy, y in enumerate(bundles):
+            up = [j for j in range(n) if x[j] > y[j]]
+            if not up:
+                continue
+            need = wx + worth[iy]
+            down = [stride[k] for k in range(n) if x[k] < y[k]]
+            for j in up:
+                ax = ix - stride[j]
+                ay = iy + stride[j]
+                for sk in down:
+                    spent += 2
+                    if spent > budget:
+                        raise BudgetExceededError(
+                            f"exchange check exceeded budget {budget}")
+                    if worth[ax + sk] + worth[ay - sk] >= need:
+                        break
+                else:
+                    spent += 2
+                    if spent > budget:
+                        raise BudgetExceededError(
+                            f"exchange check exceeded budget {budget}")
+                    if worth[ax] + worth[ay] < need:
+                        return MnatCounterexample(x=x, y=y, i=j + 1)
+    return None
+
+
+def monotone_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+    """The bundle-by-bundle scan ``verify_monotone_normalized`` ran before it
+    read a flat list of worths."""
+    if u is None:
+        u = v.box()
+    else:
+        u = tuple(u)
+    volume = box_volume(u)
+    n = len(u)
+    if volume * (n + 1) > budget:
+        raise BudgetExceededError(
+            f"monotonicity scan of volume {volume} exceeds budget {budget}")
+    if evaluate(v, (0,) * n) != 0:
+        return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
+    for x in iter_box(u):
+        wx = evaluate(v, x)
+        for j in range(n):
+            if x[j] < u[j]:
+                step = list(x)
+                step[j] += 1
+                if evaluate(v, tuple(step)) < wx:
+                    return MonotonicityCounterexample(
+                        x=x, i=j + 1,
+                        message=f"v decreases from {x} when adding item {j + 1}")
     return None
 
 
@@ -230,6 +312,65 @@ class TestExchangeTwin:
                 seen.add(type(want))
         assert seen == {tuple, MnatCounterexample, type(None)}
 
+    def test_classes_outnumber_the_budget(self):
+        """Boxes of 4 to 6 items with more difference classes than the
+        budget: both twins and the class scan give the same witness, None or
+        budget message at budgets between the box volume and the class count
+        (where the scan stops after a few rows) and at the default budget."""
+        rng = random.Random(83)
+        seen = set()
+        for _ in range(80):
+            n = rng.randint(4, 6)
+            u = tuple(rng.choice((1, 1, 2)) if n < 6 else 1 for _ in range(n))
+            base = random_separable_valuation(rng, u)
+            worth = {x: evaluate(base, x) for x in iter_box(u)}
+            if rng.random() < 0.5:
+                for x in rng.sample(sorted(worth), rng.randint(1, 3)):
+                    worth[x] += rng.randint(1, 4)
+            v = Valuation.from_table(worth)
+            volume = box_volume(u)
+            classes = box_volume(tuple(2 * c for c in u))
+            budgets = {volume, classes - 1, DEFAULT_BUDGET}
+            budgets |= {rng.randint(volume, classes - 1) for _ in range(3)}
+            for budget in sorted(budgets):
+                want = _outcome(exchange_twin, v, u, budget)
+                assert _outcome(index_twin, v, u, budget) == want, (worth, budget)
+                assert _outcome(verify_mnat_exc, v, u, budget) == want, (worth, budget)
+                seen.add((budget < classes, type(want)))
+        assert {(True, tuple), (True, MnatCounterexample), (False, type(None))} <= seen
+
+
+class TestExchangeMemory:
+    def test_refusing_a_13_item_table_lists_few_classes(self):
+        """A 13-item, u = 1 table runs out of the default budget after a few
+        dozen rows of x, so the classes listed by then stay few.  Listing all
+        3^13 = 1,594,323 classes up front, each with two item tuples of at
+        least 56 bytes, would need more than 170 MB; the traced peak must stay
+        under 48 MB.  The subprocess has a timeout because a scan that
+        compared its charge with the budget only at the end would visit all
+        8192^2 pairs first."""
+        script = (
+            "import tracemalloc\n"
+            "from walras import BudgetExceededError, Valuation, verify_mnat_exc\n"
+            "from walras.instance import iter_box\n"
+            "u = (1,) * 13\n"
+            "v = Valuation.from_table(\n"
+            "    {x: sum((j + 1) * c for j, c in enumerate(x)) for x in iter_box(u)})\n"
+            "tracemalloc.start()\n"
+            "try:\n"
+            "    verify_mnat_exc(v)\n"
+            "except BudgetExceededError as exc:\n"
+            "    print(exc)\n"
+            "print(tracemalloc.get_traced_memory()[1])\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        message, peak = proc.stdout.splitlines()
+        assert message == f"exchange check exceeded budget {DEFAULT_BUDGET}"
+        assert int(peak) < 48 * 2**20, int(peak)
+
 
 class TestMonotoneVerifier:
     def test_zero_valuation_holds(self):
@@ -243,6 +384,35 @@ class TestMonotoneVerifier:
         table = {(0, 0): 0, (0, 1): 0, (1, 0): 2, (1, 1): 1}
         bad = verify_monotone_normalized(Valuation.from_table(table))
         assert bad is not None and (bad.x, bad.i) == ((1, 0), 2)
+
+
+class TestMonotoneTwin:
+    def test_flat_scan_matches_the_twin(self):
+        """Same witness, None or budget message as the bundle-by-bundle
+        twin, on tables with planted decreases or v(0) != 0, on the box or a
+        sub-box, at exactly the charged budget volume * (n + 1) and one less."""
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(300):
+            u = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            base = random_separable_valuation(rng, u)
+            worth = {x: evaluate(base, x) for x in iter_box(u)}
+            kind = rng.random()
+            if kind < 0.2:
+                worth[(0,) * len(u)] = rng.choice((-2, 1, 3))
+            elif kind < 0.7:
+                rest = sorted(worth)[1:]
+                for x in rng.sample(rest, min(len(rest), rng.randint(1, 2))):
+                    worth[x] -= rng.randint(1, 5)
+            v = Valuation.from_table(worth)
+            box = u if rng.random() < 0.6 else tuple(rng.randint(0, c) for c in u)
+            need = box_volume(box) * (len(box) + 1)
+            for budget in (need, need - 1):
+                want = _outcome(monotone_twin, v, box, budget)
+                assert _outcome(verify_monotone_normalized, v, box, budget) == want, \
+                    (worth, box, budget)
+                seen.add("origin" if getattr(want, "x", 0) is None else type(want))
+        assert seen == {tuple, MonotonicityCounterexample, "origin", type(None)}
 
 
 class TestRandomized:

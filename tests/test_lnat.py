@@ -13,6 +13,7 @@ from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     gp_minimal_table, is_lnat_convex_on_box,
                     maximal_gp_minimal, minimal_descent_set,
                     minimal_minimizer_step, minimize, neighborhood_values)
+from walras import lnat
 from walras.errors import BudgetExceededError, ContractError
 from walras.itemsets import items_from_mask
 from walras.lnat import Step
@@ -175,6 +176,25 @@ class TestFirstGpMinimal:
     def test_seed_range_enforced(self, ex21):
         with pytest.raises(ValueError, match="64-bit"):
             first_gp_minimal(neighborhood_values(lyap_oracle(ex21), (0, 0, 0)), -1)
+
+    def test_kept_order_matches_a_fresh_shuffle(self):
+        """The order kept across calls picks what a fresh
+        ``random.Random(seed).shuffle`` picks, on tables with ties and None
+        entries, while seeds and table sizes change and repeat; only the
+        latest order is kept."""
+        rng = random.Random(29)
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            vals = [rng.choice((None, rng.randint(0, 4))) if mask else rng.randint(0, 4)
+                    for mask in range(1 << n)]
+            seed = rng.choice((0, 1, 7, 2**63, rng.randrange(2**64)))
+            flags = gp_minimal_table(vals)
+            order = list(range(1, 1 << n))
+            random.Random(seed).shuffle(order)
+            want = next((items_from_mask(mask) for mask in order if flags[mask]), None)
+            assert first_gp_minimal(vals, seed) == want, (vals, seed)
+            assert lnat._shuffled_masks.cache_info().currsize == 1
+            assert lnat._shuffled_masks(seed, 1 << n) == tuple(order)
 
 
 class TestMaximalGpMinimal:
