@@ -138,6 +138,7 @@ class TestMemoBound:
             inst = (random_unit_instance(rng, n_max=3, m_max=4) if rng.random() < 0.5
                     else random_multi_instance(rng, n_max=2, u_max=2, m_max=3))
             budget = rng.randint(1, 12)
+            # The demand side keeps the default budget; only the memo is small.
             small = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
             full = LyapunovOracle(inst)
             cap = max_total_value(inst) + 1
