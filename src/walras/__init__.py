@@ -6,9 +6,8 @@ verification, and a JSON instance format with a CLI front end.
 """
 
 from .auction import (Allocation, AuctionResult, DescentWitness,
-                      EquilibriumVerdict, MultiAllocation, StepDiagnostics,
-                      UnitAllocation, allocation_certifies, ascending_auction,
-                      extract_allocation, verify_equilibrium)
+                      EquilibriumVerdict, MultiAllocation, UnitAllocation,
+                      ascending_auction, extract_allocation, verify_equilibrium)
 from .demand import DemandCache
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      InstanceFormatError, IterationCapError, WalrasError)
@@ -24,10 +23,11 @@ from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    minimal_descent_set, minimal_minimizer_step, minimize,
                    neighborhood_values)
 from .lyapunov import LyapunovOracle
-from .oracle import (all_lyapunov_minimizers, bidders_demanding_some,
-                     bidders_only_demanding, brute_force_min_equilibrium,
-                     deficiency, demand_set, equilibrium_prices_by_enumeration,
-                     is_excess_demand, is_gp_minimal, is_overdemanded,
-                     lyapunov, lyapunov_step, mu, price_cap, unit_demand_set)
+from .oracle import (all_lyapunov_minimizers, allocation_certifies,
+                     bidders_demanding_some, bidders_only_demanding,
+                     brute_force_min_equilibrium, deficiency, demand_set,
+                     equilibrium_prices_by_enumeration, is_excess_demand,
+                     is_gp_minimal, is_overdemanded, lyapunov, lyapunov_step,
+                     mu, price_cap, unit_demand_set)
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Auction-facing layer over the generic descent engine.
 
-Runs the ascending auction as Lyapunov descent, reads each step's
-diagnostics off the descent's value drops, and certifies equilibria with
-explicit allocations.  The set-by-set overdemand and excess-demand
-predicates the auction is defined by live in ``oracle``, where tests hold
-them against the descent's tables.
+Runs the ascending auction as Lyapunov descent, whose trajectory is the
+only per-step record, and certifies equilibria with explicit allocations.
+The set-by-set overdemand and excess-demand predicates the auction is
+defined by live in ``oracle``, where tests hold them against the descent's
+tables.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      WalrasError)
 from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, Bundle,
                        Instance, ItemSet, PriceVector, verify_mnat_exc)
-from .itemsets import chi_sub, items_from_mask, mask_from_items, mask_weight
-from .lnat import StrategyKind, Trajectory, minimize
+from .itemsets import chi_sub, items_from_mask
+from .lnat import StrategyKind, Trajectory, minimize, neighborhood_values
 from .lyapunov import LyapunovOracle
 
 
@@ -44,28 +44,10 @@ Allocation = UnitAllocation | MultiAllocation
 
 
 @dataclass(frozen=True)
-class StepDiagnostics:
-    """Demand-side view of one auction iteration.
-
-    Taken from the descent's value drop: ``deficiency`` is
-    ``g_before - g_after``.  The descent chose the set from its demand-side
-    neighborhood table ``L(p) - deficiency(X, p)`` and certified that table
-    entry against the Lyapunov value after the step, so the reported drop
-    is the demand-side deficiency of the chosen set.
-    """
-
-    chosen_set: ItemSet
-    deficiency: int
-    demanded_units: int
-    supply_units: int
-
-
-@dataclass(frozen=True)
 class AuctionResult:
     p_min: PriceVector
     trajectory: Trajectory
     allocation: Allocation | None
-    diagnostics: tuple[StepDiagnostics, ...]
     allocation_error: str | None = None
 
 
@@ -117,15 +99,6 @@ def ascending_auction(instance: Instance,
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
                 f"lowering items {sorted(items_from_mask(mask))} does not raise the "
                 "Lyapunov value (the start must not exceed the minimal equilibrium price)")
-    diagnostics = []
-    for step in trajectory.steps:
-        # The descent checked each value drop against the step's entry in the
-        # deficiency table, so the drop is the chosen set's deficiency.
-        supply = mask_weight(mask_from_items(step.chosen_set, instance.n), instance.u)
-        diagnostics.append(StepDiagnostics(chosen_set=step.chosen_set,
-                                           deficiency=step.deficiency_like,
-                                           demanded_units=step.deficiency_like + supply,
-                                           supply_units=supply))
     allocation = None
     allocation_error = None
     try:
@@ -134,8 +107,7 @@ def ascending_auction(instance: Instance,
     except BudgetExceededError:
         allocation_error = "allocation search budget exceeded"
     return AuctionResult(p_min=p_final, trajectory=trajectory,
-                         allocation=allocation, diagnostics=tuple(diagnostics),
-                         allocation_error=allocation_error)
+                         allocation=allocation, allocation_error=allocation_error)
 
 
 # --- allocation extraction -------------------------------------------------
@@ -290,31 +262,6 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     return _extract_multi(instance, p, dc, budget)
 
 
-def allocation_certifies(instance: Instance, p: PriceVector,
-                         allocation: Allocation) -> bool:
-    """Check an allocation against the equilibrium conditions at p."""
-    p = _check_price(instance, p)
-    dc = DemandCache(instance)
-    if instance.model == UNIT:
-        if not isinstance(allocation, UnitAllocation) or len(allocation.assignment) != instance.m:
-            return False
-        sold = set()
-        for b, a in enumerate(allocation.assignment):
-            mask = dc.unit_demand_mask(b, p)
-            if not mask >> a & 1:
-                return False
-            if a != 0:
-                sold.add(a)
-        return all(p[i - 1] == 0 for i in range(1, instance.n + 1) if i not in sold)
-    if not isinstance(allocation, MultiAllocation) or len(allocation.bundles) != instance.m:
-        return False
-    for b, x in enumerate(allocation.bundles):
-        if x not in dc.demand_set(b, p):
-            return False
-    total = tuple(sum(x[j] for x in allocation.bundles) for j in range(instance.n))
-    return total == instance.u
-
-
 def _support_cuts(value, p: PriceVector):
     """``(mask, value(p - chi_X))`` for every nonempty X within the support
     of p, in increasing mask order."""
@@ -360,9 +307,10 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     allocation = extract_allocation(instance, p, budget=budget, demand=ly.demand)
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
-    base = ly.value(p)
-    for mask in range(1, 1 << instance.n):
-        if ly.step_mask(mask, p) < 0:
+    vals = neighborhood_values(ly.function_oracle(), p)
+    base = vals[0]
+    for mask in range(1, len(vals)):
+        if vals[mask] < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(+1, items_from_mask(mask)))
     for mask, val in _support_cuts(ly.value, p):

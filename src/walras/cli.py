@@ -16,8 +16,9 @@ import sys
 from .auction import UnitAllocation, ascending_auction
 from .errors import WalrasError
 from .instance import (DEFAULT_BUDGET, Instance, load_instance,
-                       verify_mnat_exc, verify_monotone_normalized)
-from .itemsets import mask_from_items
+                       max_total_value, verify_mnat_exc,
+                       verify_monotone_normalized)
+from .itemsets import mask_weight
 from .lnat import StrategyKind, is_lnat_convex_on_box
 from .lyapunov import LyapunovOracle
 from .oracle import all_lyapunov_minimizers, brute_force_min_equilibrium, price_cap
@@ -64,22 +65,29 @@ def _allocation_json(allocation) -> dict | None:
     return {"model": "multi", "bundles": [list(x) for x in allocation.bundles]}
 
 
-def _result_json(instance: Instance, strategy_flag: str, seed: int,
-                 p0, result) -> dict:
-    steps = []
-    for k, (step, diag) in enumerate(zip(result.trajectory.steps, result.diagnostics)):
-        members = sorted(step.chosen_set)
-        steps.append({
+def _step_rows(instance: Instance, result):
+    """Per-step columns of both formats; the descent certified each step's
+    value drop as its chosen set's deficiency."""
+    items = range(instance.n)
+    for k, step in enumerate(result.trajectory.steps):
+        mask = step.chosen_mask
+        deficiency = step.g_before - step.g_after
+        supply = mask_weight(mask, instance.u)
+        yield {
             "iteration": k + 1,
             "p_before": list(step.p_before),
-            "chosen_items": members,
-            "chosen_mask": mask_from_items(members, instance.n),
+            "chosen_items": [i + 1 for i in items if mask >> i & 1],
+            "chosen_mask": mask,
             "lyapunov_before": step.g_before,
             "lyapunov_after": step.g_after,
-            "deficiency": diag.deficiency,
-            "demanded_units": diag.demanded_units,
-            "supply_units": diag.supply_units,
-        })
+            "deficiency": deficiency,
+            "demanded_units": deficiency + supply,
+            "supply_units": supply,
+        }
+
+
+def _result_json(instance: Instance, strategy_flag: str, seed: int,
+                 p0, result) -> dict:
     return {
         "model": instance.model,
         "strategy": strategy_flag,
@@ -87,7 +95,7 @@ def _result_json(instance: Instance, strategy_flag: str, seed: int,
         "start": list(p0),
         "p_final": list(result.p_min),
         "iterations": len(result.trajectory),
-        "trajectory": steps,
+        "trajectory": list(_step_rows(instance, result)),
         "allocation": _allocation_json(result.allocation),
         "allocation_error": result.allocation_error,
     }
@@ -99,13 +107,10 @@ def _result_csv(instance: Instance, result) -> str:
     header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
     header += ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]
     writer.writerow(header)
-    for k, (step, diag) in enumerate(zip(result.trajectory.steps, result.diagnostics)):
-        members = sorted(step.chosen_set)
-        row = [k + 1] + list(step.p_before)
-        row += [mask_from_items(members, instance.n),
-                ";".join(str(i) for i in members),
-                step.g_before, diag.deficiency]
-        writer.writerow(row)
+    for row in _step_rows(instance, result):
+        writer.writerow([row["iteration"], *row["p_before"], row["chosen_mask"],
+                         ";".join(str(i) for i in row["chosen_items"]),
+                         row["lyapunov_before"], row["deficiency"]])
     return buf.getvalue()
 
 
@@ -163,8 +168,7 @@ def _cmd_verify(args) -> int:
                              f"x={tuple(bad.x)} y={tuple(bad.y)} i={bad.i}")
     if "lnat" in checks:
         ly = LyapunovOracle(instance, budget=budget)
-        cap = ly.price_ceiling()
-        side = cap
+        side = max_total_value(instance)
         while side > 0 and (side + 1) ** (2 * instance.n + 1) > _LNAT_CHECK_BUDGET:
             side -= 1
         box = ((0,) * instance.n, (side,) * instance.n)

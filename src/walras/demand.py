@@ -21,7 +21,7 @@ from operator import add, sub
 from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE,
                        UNIT_DEMAND, Bundle, Instance, PriceVector, Valuation,
-                       box_volume, evaluate)
+                       _box_worths, box_volume, iter_box)
 from .itemsets import subset_sums
 
 
@@ -74,7 +74,7 @@ class DemandCache:
             if volume > self.budget:
                 raise BudgetExceededError(
                     f"bundle box volume {volume} exceeds budget {self.budget}")
-            self._bundles = tuple(product(*(range(c + 1) for c in self.instance.u)))
+            self._bundles = tuple(iter_box(self.instance.u))
         return self._bundles
 
     def _check_table_budget(self) -> None:
@@ -100,10 +100,11 @@ class DemandCache:
         return costs
 
     def _bidder_values(self, b: int) -> list[int]:
+        """Bidder b's worth of every bundle in box order, after the box's budget check."""
         vals = self._values.get(b)
         if vals is None:
-            v = self.instance.valuations[b]
-            vals = [evaluate(v, x) for x in self._bundle_box()]
+            self._bundle_box()
+            vals = _box_worths(self.instance.valuations[b], self.instance.u)
             self._values[b] = vals
         return vals
 

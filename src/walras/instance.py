@@ -14,6 +14,7 @@ from math import prod
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceededError, InstanceFormatError
+from .itemsets import strides
 
 Bundle = tuple[int, ...]
 PriceVector = tuple[int, ...]
@@ -230,11 +231,8 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
     n = len(u)
     # x sits at index sum_c stride_c * x_c; d = x - y has the class key
     # sum_c dstride_c * (d_c + u_c) = key[x] - key[y] + zero.
-    stride = [1] * n
-    dstride = [1] * n
-    for c in range(n - 1, 0, -1):
-        stride[c - 1] = stride[c] * (u[c] + 1)
-        dstride[c - 1] = dstride[c] * (2 * u[c] + 1)
+    stride = strides([c + 1 for c in u])
+    dstride = strides([2 * c + 1 for c in u])
     key = [sum(t * c for t, c in zip(dstride, x)) for x in bundles]
     zero = sum(t * c for t, c in zip(dstride, u))
     moves = [(j, stride[j]) for j in range(n)]
@@ -313,9 +311,7 @@ def verify_monotone_normalized(v: Valuation, u: Bundle | None = None, *,
     worth = _box_worths(v, u)
     if worth[0] != 0:
         return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
-    stride = [1] * n
-    for j in range(n - 1, 0, -1):
-        stride[j - 1] = stride[j] * (u[j] + 1)
+    stride = strides([c + 1 for c in u])
     for ix, x in enumerate(iter_box(u)):
         wx = worth[ix]
         for j in range(n):
@@ -379,8 +375,6 @@ def max_total_value(instance: Instance) -> int:
     """
     if instance.m == 0:
         return 0
-    if instance.model == UNIT:
-        return max(max(v.values) for v in instance.valuations)
     return max(evaluate(v, instance.u) for v in instance.valuations)
 
 

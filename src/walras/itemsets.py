@@ -1,12 +1,12 @@
 """Bitmask helpers for sets of items labelled 1..n.
 
-Item ``i`` corresponds to bit ``i - 1``.  Masks keep the exhaustive subset
-scans cheap; public APIs exchange ``frozenset[int]`` values.
+Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
+``frozenset[int]`` values appear only at the oracle and witness edges.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_from_items(items: Iterable[int], n: int) -> int:
@@ -73,4 +73,13 @@ def subset_sums(vec: tuple[int, ...], n: int) -> list[int]:
     for k in range(n):
         c = vec[k]
         out += [t + c for t in out]
+    return out
+
+
+def strides(radices: Sequence[int]) -> list[int]:
+    """Place values of the lexicographic index of a box with ``radices[c]``
+    points along coordinate c, each counted from the box's low corner."""
+    out = [1] * len(radices)
+    for c in range(len(radices) - 1, 0, -1):
+        out[c - 1] = out[c] * radices[c]
     return out

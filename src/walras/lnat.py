@@ -25,8 +25,8 @@ from typing import Callable
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
-from .instance import ItemSet, PriceVector
-from .itemsets import chi_add, items_from_mask, mask_from_items
+from .instance import PriceVector
+from .itemsets import chi_add, strides
 
 _SEED_LIMIT = 1 << 64
 
@@ -62,18 +62,19 @@ class StrategyKind(enum.Enum):
     MAXIMAL_GP_MINIMAL = "maximal_gp_minimal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
-    """One descent iteration: the chosen set and the value drop it caused."""
+    """One descent iteration: the chosen set's bitmask and the values before
+    and after raising it.  The drop g_before - g_after is the set's
+    deficiency when g is a Lyapunov function."""
 
     p_before: PriceVector
-    chosen_set: ItemSet
+    chosen_mask: int
     g_before: int
     g_after: int
-    deficiency_like: int
 
     def __post_init__(self):
-        if not self.chosen_set:
+        if not self.chosen_mask:
             raise ContractError("descent step chose the empty set")
         if self.g_after >= self.g_before:
             raise ContractError("descent step failed to decrease the objective")
@@ -134,11 +135,8 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     # and b = max(p, q - lam) at index(p) + index(q) - index(a).  Those
     # offsets depend on d alone, so they are listed once per difference
     # vector, for the shifts below max(d); d is found at key[q] - key[p] + zero.
-    stride = [1] * g.n
-    dstride = [1] * g.n
-    for c in range(g.n - 1, 0, -1):
-        stride[c - 1] = stride[c] * (widths[c] + 1)
-        dstride[c - 1] = dstride[c] * (2 * widths[c] + 1)
+    stride = strides([w + 1 for w in widths])
+    dstride = strides([2 * w + 1 for w in widths])
     shifts = []
     for d in product(*(range(-w, w + 1) for w in widths)):
         shifts.append([sum(s * min(lam, dc) for s, dc in zip(stride, d))
@@ -212,8 +210,8 @@ def gp_minimal_table(vals: list[int | None]) -> list[bool]:
     return flags
 
 
-def minimal_descent_set(vals: list[int | None]) -> ItemSet | None:
-    """First descent set in (cardinality, lexicographic) scan order.
+def minimal_descent_set(vals: list[int | None]) -> int | None:
+    """Mask of the first descent set in (cardinality, lexicographic) scan order.
 
     The minimum-cardinality guarantee makes the result inclusion-minimal.
     Returns None when no raise descends.
@@ -225,15 +223,16 @@ def minimal_descent_set(vals: list[int | None]) -> ItemSet | None:
             mask = sum(1 << i for i in combo)
             val = vals[mask]
             if val is not None and val < base:
-                return items_from_mask(mask)
+                return mask
     return None
 
 
-def minimal_minimizer_step(vals: list[int | None]) -> ItemSet:
-    """Intersection of all sets minimizing the one-step change g(p + chi_X) - g(p).
+def minimal_minimizer_step(vals: list[int | None]) -> int:
+    """Mask of the meet of all sets minimizing the one-step change g(p + chi_X) - g(p).
 
-    The intersection must itself attain the minimum; if it does not, the
-    step function is not submodular and the input is rejected.
+    The meet must itself attain the minimum; if it does not, the step
+    function is not submodular and the input is rejected.  0 means nothing
+    descends.
     """
     _width(vals)
     best = min(val for val in vals if val is not None)
@@ -243,11 +242,11 @@ def minimal_minimizer_step(vals: list[int | None]) -> ItemSet:
             meet &= mask
     if vals[meet] != best:
         raise ConvexityError("step function not submodular")
-    return items_from_mask(meet)
+    return meet
 
 
-def first_gp_minimal(vals: list[int | None], seed: int) -> ItemSet | None:
-    """First locally-minimal descent set in a seeded pseudorandom subset order.
+def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
+    """Mask of the first locally-minimal descent set in a seeded subset order.
 
     The order is a Fisher-Yates shuffle of all nonempty subset indices, so a
     fixed seed always yields the same choice; it is built once per (seed,
@@ -259,7 +258,7 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> ItemSet | None:
     flags = gp_minimal_table(vals)
     for mask in _shuffled_masks(seed, len(vals)):
         if flags[mask]:
-            return items_from_mask(mask)
+            return mask
     return None
 
 
@@ -275,14 +274,14 @@ def _shuffled_masks(seed: int, size: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def maximal_gp_minimal(vals: list[int | None]) -> ItemSet:
-    """Unique maximal locally-minimal descent set.
+def maximal_gp_minimal(vals: list[int | None]) -> int:
+    """Mask of the unique maximal locally-minimal descent set.
 
     The locally-minimal descent sets are closed under union, and their union
     is the minimal minimizer of the one-step change (Murota, Shioura and
     Yang, 2016), so this is ``minimal_minimizer_step``; the tests hold the
     identity against the union of ``gp_minimal_table`` flags.  Degenerates
-    to the empty set when nothing descends.
+    to 0, the empty set, when nothing descends.
     """
     return minimal_minimizer_step(vals)
 
@@ -293,8 +292,7 @@ def _check_seed(seed: int) -> None:
 
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
-             seed: int = 0, iteration_cap: int | None = None,
-             budget: int | None = None,
+             seed: int = 0, budget: int | None = None,
              neighborhood: Callable[[PriceVector], list[int]] | None = None,
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
@@ -310,13 +308,13 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     change for the empty set must be 0, each step's g(p + chi_X) must equal
     its entry, and a stop is confirmed by one scan of g's own neighborhood;
     a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
-    BudgetExceededError.  ``iteration_cap`` defaults to g(p0) minus the
-    oracle's ``value_floor`` plus one, since every step lowers the value by
-    at least one; a run still descending after that many steps raises
-    IterationCapError.  A ``budget`` caps the steps too, for values too
-    large to wait for: a run still descending after ``budget`` steps, below
-    the iteration cap, raises BudgetExceededError.  Returns the final point
-    and the full trajectory.
+    BudgetExceededError.  The oracle must declare a ``value_floor``: every
+    step lowers the value by at least one, so a run still descending after
+    g(p0) - value_floor + 1 steps raises IterationCapError.  A ``budget``
+    caps the steps too, for values too large to wait for: a run still
+    descending after ``budget`` steps, below that cap, raises
+    BudgetExceededError.  Returns the final point and the full trajectory,
+    one Step per iteration holding the chosen rule's mask as it came.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -328,10 +326,9 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     base = g.fn(p)
     if base is None:
         raise ValueError("start point is outside the oracle's domain")
-    if iteration_cap is None:
-        if g.value_floor is None:
-            raise ValueError("iteration_cap required when the oracle declares no value_floor")
-        iteration_cap = base - g.value_floor + 1
+    if g.value_floor is None:
+        raise ValueError("the descent needs an oracle that declares a value_floor")
+    cap = base - g.value_floor + 1
     size = 1 << g.n
     steps: list[Step] = []
     while True:
@@ -347,32 +344,29 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 raise ConvexityError(
                     "neighborhood table disagrees with the oracle at the stop")
             break
-        if len(steps) >= iteration_cap:
-            raise IterationCapError(
-                f"no minimizer reached within {iteration_cap} iterations")
+        if len(steps) >= cap:
+            raise IterationCapError(f"no minimizer reached within {cap} iterations")
         if budget is not None and len(steps) >= budget:
             raise BudgetExceededError(
                 f"descent exceeded budget {budget}: no minimizer within "
                 f"{budget} iterations")
         if strategy is StrategyKind.MINIMAL_DESCENT:
-            chosen = minimal_descent_set(vals)
+            mask = minimal_descent_set(vals)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:
-            chosen = minimal_minimizer_step(vals)
+            mask = minimal_minimizer_step(vals)
         elif strategy is StrategyKind.FIRST_GP_MINIMAL:
-            chosen = first_gp_minimal(vals, seed)
+            mask = first_gp_minimal(vals, seed)
         else:
-            chosen = maximal_gp_minimal(vals)
-        if not chosen:
+            mask = maximal_gp_minimal(vals)
+        if not mask:
             raise ContractError("strategy found no set although a descent exists")
-        mask = mask_from_items(chosen, g.n)
         q = chi_add(p, mask)
         after = g.fn(q)
         if after != vals[mask]:
             raise ConvexityError("neighborhood table disagrees with the oracle at a step")
         if after is None or after >= base:
             raise ContractError("strategy returned a non-descent set")
-        steps.append(Step(p_before=p, chosen_set=frozenset(chosen), g_before=base,
-                          g_after=after, deficiency_like=base - after))
+        steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
         p = q
         base = after
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)

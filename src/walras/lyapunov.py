@@ -5,17 +5,16 @@ plus the revenue term; its minimizers are exactly the equilibrium prices.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  Deficiencies
-come from minimum takes and the change ``step_mask`` from two Lyapunov
-values, so the identity ``step_mask == -deficiency_mask`` cross-validates
-the two routes instead of holding by construction.
+come from minimum takes, never from Lyapunov values, so the identity
+``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
+routes instead of holding by construction.
 """
 
 from __future__ import annotations
 
 from .demand import DemandCache, _check_price
-from .instance import (DEFAULT_BUDGET, UNIT, Instance, PriceVector,
-                       max_total_value)
-from .itemsets import chi_add, mask_weight
+from .instance import DEFAULT_BUDGET, UNIT, Instance, PriceVector
+from .itemsets import mask_weight
 from .lnat import FunctionOracle
 
 
@@ -36,7 +35,6 @@ class LyapunovOracle:
         self.demand = demand if demand is not None else DemandCache(instance, budget=budget)
         self.budget = budget
         self._memo: dict[PriceVector, int] = {}
-        self._ceiling = max_total_value(instance)
         self.admitted_budget: int | None = None
 
     def value(self, p: PriceVector) -> int:
@@ -65,10 +63,6 @@ class LyapunovOracle:
         memo[t] = total
         return total
 
-    def step_mask(self, X_mask: int, p: PriceVector) -> int:
-        """Lyapunov change when raising every price in X (a bitmask) by one."""
-        return self.value(chi_add(tuple(p), X_mask)) - self.value(p)
-
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
         """Demanded units from X minus supply of X, bidder by bidder from
         minimum takes; the per-set twin of ``neighborhood``."""
@@ -84,9 +78,6 @@ class LyapunovOracle:
         Lyapunov evaluation; ``minimize`` adds the current value.
         """
         return [-d for d in self.demand.deficiency_table(_check_price(self.instance, p))]
-
-    def price_ceiling(self) -> int:
-        return self._ceiling
 
     def function_oracle(self) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.

@@ -10,7 +10,8 @@ shares no search logic with the auction layer:
   some items of a set, and overdemanded and excess-demand sets, with their
   multi-unit counterparts from minimum takes;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
-  ``deficiency``, ``lyapunov_step``).
+  ``deficiency``, ``lyapunov_step``), and the equilibrium conditions
+  checked against an allocation (``allocation_certifies``).
 
 The solver modules never import this one.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .auction import Allocation, MultiAllocation, UnitAllocation
 from .demand import DemandCache, _check_price
 from .errors import BudgetExceededError, ConvexityError
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
@@ -98,6 +100,31 @@ def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUD
                 raise ConvexityError(
                     "unsold-items equilibrium prices differ from Lyapunov minimizers")
     return meet
+
+
+def allocation_certifies(instance: Instance, p: PriceVector,
+                         allocation: Allocation) -> bool:
+    """Check an allocation against the equilibrium conditions at p."""
+    p = _check_price(instance, p)
+    dc = DemandCache(instance)
+    if instance.model == UNIT:
+        if not isinstance(allocation, UnitAllocation) or len(allocation.assignment) != instance.m:
+            return False
+        sold = set()
+        for b, a in enumerate(allocation.assignment):
+            mask = dc.unit_demand_mask(b, p)
+            if not mask >> a & 1:
+                return False
+            if a != 0:
+                sold.add(a)
+        return all(p[i - 1] == 0 for i in range(1, instance.n + 1) if i not in sold)
+    if not isinstance(allocation, MultiAllocation) or len(allocation.bundles) != instance.m:
+        return False
+    for b, x in enumerate(allocation.bundles):
+        if x not in dc.demand_set(b, p):
+            return False
+    total = tuple(sum(x[j] for x in allocation.bundles) for j in range(instance.n))
+    return total == instance.u
 
 
 # --- definitional equilibrium enumeration ---------------------------------
@@ -451,7 +478,9 @@ def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,
                   budget: int = DEFAULT_BUDGET) -> int:
     """lyapunov(p + chi_X) - lyapunov(p); equals -deficiency(X, p) for valid inputs."""
     mask = mask_from_items(X, instance.n)
-    return LyapunovOracle(instance, budget=budget).step_mask(mask, p)
+    ly = LyapunovOracle(instance, budget=budget)
+    p = tuple(p)
+    return ly.value(chi_add(p, mask)) - ly.value(p)
 
 
 def deficiency(X: ItemSet, p: PriceVector, instance: Instance, *,

@@ -96,7 +96,7 @@ def _box_checks(inst: Instance, ly: LyapunovOracle, cap: int, rec: Record) -> No
                 for b in family:
                     if (a | b) not in famset:
                         closed = False
-            if not closed or items_from_mask(union) != minimal_minimizer_step(vals):
+            if not closed or union != minimal_minimizer_step(vals):
                 rec.closure = f"p={p}"
         if inst.model == UNIT and rec.families is None:
             problem = _family_laws([delta[m] > 0 for m in range(size)], exc,

@@ -1,6 +1,8 @@
 """Auction layer: overdemand/excess predicates, the auction loop, allocations."""
 
+import gc
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -15,7 +17,7 @@ from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracl
                     verify_equilibrium)
 from walras.oracle import excess_demand_table
 from walras.demand import DemandCache
-from walras.itemsets import items_from_mask, mask_from_items
+from walras.itemsets import chi_add, items_from_mask
 
 
 class TestOverdemanded:
@@ -67,14 +69,14 @@ class TestAscendingAuction:
         res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL)
         assert res.p_min == (1, 1, 1)
         assert len(res.trajectory) == 1
-        diag = res.diagnostics[0]
-        assert diag.chosen_set == {1, 2, 3}
-        assert (diag.deficiency, diag.demanded_units, diag.supply_units) == (3, 6, 3)
+        step = res.trajectory.steps[0]
+        assert step.chosen_mask == 0b111
+        assert step.g_before - step.g_after == 3
 
     def test_worked_example_minimal_descent(self, ex21):
         res = ascending_auction(ex21, StrategyKind.MINIMAL_DESCENT)
         assert res.p_min == (1, 1, 1)
-        assert [d.chosen_set for d in res.diagnostics] == [{1}, {2, 3}]
+        assert [s.chosen_mask for s in res.trajectory.steps] == [0b001, 0b110]
 
     def test_two_bidder_multi_steepest(self, two_bidder_multi):
         res = ascending_auction(two_bidder_multi, StrategyKind.STEEPEST_MINIMAL)
@@ -83,7 +85,8 @@ class TestAscendingAuction:
         assert res.allocation == MultiAllocation(bundles=((1,), (1,)))
 
     def test_diagnostics_match_value_drops(self, ex21, two_bidder_multi):
-        """Reported deficiencies are value drops; the demand-side route is their twin."""
+        """Each step's value drop is its chosen set's deficiency, read by the
+        per-set demand-side twin."""
         rng = random.Random(7)
         markets = [ex21, two_bidder_multi]
         for _ in range(6):
@@ -96,13 +99,27 @@ class TestAscendingAuction:
             ly = LyapunovOracle(inst)
             for kind in StrategyKind:
                 res = ascending_auction(inst, kind, seed=5, oracle=ly)
-                assert len(res.diagnostics) == len(res.trajectory)
-                for step, diag in zip(res.trajectory.steps, res.diagnostics):
-                    mask = mask_from_items(step.chosen_set, inst.n)
-                    assert diag.chosen_set == step.chosen_set
-                    assert diag.deficiency == ly.deficiency_mask(mask, step.p_before)
-                    assert diag.supply_units == sum(inst.u[i - 1] for i in step.chosen_set)
-                    assert diag.demanded_units == diag.deficiency + diag.supply_units
+                for step in res.trajectory.steps:
+                    assert step.g_before - step.g_after == \
+                        ly.deficiency_mask(step.chosen_mask, step.p_before)
+
+    def test_result_holds_few_bytes_per_step(self):
+        """A finished run keeps one small record per iteration and nothing
+        derived from it: 20,000 steps hold under 320 bytes each."""
+        steps = 20_000
+        inst = Instance(model="unit", n=1, u=(1,), valuations=(
+            Valuation.unit_demand([steps]), Valuation.unit_demand([steps])))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.p_min == (steps,) and len(res.trajectory) == steps
+        assert held < 320 * steps, held / steps
 
     def test_custom_start(self, ex21):
         res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (1, 0, 0))
@@ -246,8 +263,8 @@ class TestFamilyIndependence:
             a = ascending_auction(inst, kind, seed=seed % (1 << 64))
             b = ascending_auction(twin, kind, seed=seed % (1 << 64))
             assert a.p_min == b.p_min
-            assert [s.chosen_set for s in a.trajectory.steps] == \
-                [s.chosen_set for s in b.trajectory.steps]
+            assert [s.chosen_mask for s in a.trajectory.steps] == \
+                [s.chosen_mask for s in b.trajectory.steps]
 
 
 class TestExtractionAgainstEnumeration:
@@ -295,6 +312,10 @@ class TestExtractionAgainstEnumeration:
                 for i in w.items:
                     q[i - 1] += w.direction
                 assert ly.value(tuple(q)) < ly.value(p)
+                if w.direction == 1:  # the first descending raise, by mask
+                    first = next(mask for mask in range(1, 1 << inst.n)
+                                 if ly.value(chi_add(p, mask)) < ly.value(p))
+                    assert w.items == items_from_mask(first)
 
 
 def _one_item_market(worth):

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import (EX21_JSON, random_multi_instance, random_unit_instance,
                       tabulate)
 from walras import (Instance, Valuation, brute_force_min_equilibrium,
-                    max_total_value, parse_instance, serialize_instance,
-                    verify_equilibrium)
+                    deficiency, max_total_value, parse_instance,
+                    serialize_instance, verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import STRATEGY_FLAGS, run_command
 
@@ -69,6 +69,26 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations"] == 2
         assert [s["chosen_items"] for s in doc["trajectory"]] == [[1], [2, 3]]
+
+    @pytest.mark.parametrize("text", [EX21_JSON, MULTI_JSON], ids=["ex21", "multi"])
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_FLAGS))
+    def test_step_columns_match_the_definitions(self, tmp_path, text, strategy, capsys):
+        """Each step's deficiency is the chosen set's deficiency from demand
+        primitives, its supply the set's units, and its demand their sum."""
+        path = tmp_path / "market.json"
+        path.write_text(text)
+        assert run_command(["solve", "--instance", str(path),
+                            "--strategy", strategy]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        inst = parse_instance(text)
+        assert doc["trajectory"]
+        for step in doc["trajectory"]:
+            items = step["chosen_items"]
+            supply = sum(inst.u[i - 1] for i in items)
+            assert step["chosen_mask"] == sum(1 << (i - 1) for i in items)
+            assert step["deficiency"] == deficiency(set(items), tuple(step["p_before"]), inst)
+            assert step["supply_units"] == supply
+            assert step["demanded_units"] == step["deficiency"] + supply
 
     def test_csv_format(self, ex21_path, tmp_path):
         out = tmp_path / "run.csv"

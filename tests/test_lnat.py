@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_multi_instance, tabulate
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, first_gp_minimal,
-                    gp_minimal_table, is_lnat_convex_on_box,
+                    gp_minimal_table, is_lnat_convex_on_box, max_total_value,
                     maximal_gp_minimal, minimal_descent_set,
                     minimal_minimizer_step, minimize, neighborhood_values)
 from walras import lnat
@@ -123,16 +123,17 @@ class TestLocalMinimality:
 class TestMinimalDescentSet:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert minimal_descent_set(neighborhood_values(g, (0, 0, 0))) == {1}
-        assert minimal_descent_set(neighborhood_values(g, (1, 0, 0))) == {2, 3}
+        assert minimal_descent_set(neighborhood_values(g, (0, 0, 0))) == 0b001
+        assert minimal_descent_set(neighborhood_values(g, (1, 0, 0))) == 0b110
         assert minimal_descent_set(neighborhood_values(g, (1, 1, 1))) is None
 
     def test_result_is_inclusion_minimal(self, ex21):
         g = lyap_oracle(ex21)
         for p in product(range(2), repeat=3):
-            chosen = minimal_descent_set(neighborhood_values(g, p))
-            if chosen is None:
+            mask = minimal_descent_set(neighborhood_values(g, p))
+            if mask is None:
                 continue
+            chosen = items_from_mask(mask)
             base = g(p)
             for k in range(1, len(chosen)):
                 for sub in combinations(sorted(chosen), k):
@@ -145,12 +146,12 @@ class TestMinimalDescentSet:
 class TestMinimalMinimizerStep:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert minimal_minimizer_step(neighborhood_values(g, (0, 0, 0))) == {1, 2, 3}
-        assert minimal_minimizer_step(neighborhood_values(g, (1, 1, 1))) == frozenset()
+        assert minimal_minimizer_step(neighborhood_values(g, (0, 0, 0))) == 0b111
+        assert minimal_minimizer_step(neighborhood_values(g, (1, 1, 1))) == 0
 
     def test_two_bidder_multi(self, two_bidder_multi):
         g = lyap_oracle(two_bidder_multi)
-        assert minimal_minimizer_step(neighborhood_values(g, (0,))) == {1}
+        assert minimal_minimizer_step(neighborhood_values(g, (0,))) == 0b1
 
     def test_non_submodular_step_rejected(self):
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
@@ -161,7 +162,7 @@ class TestMinimalMinimizerStep:
 class TestFirstGpMinimal:
     def test_lands_in_the_descent_family(self, ex21):
         vals = neighborhood_values(lyap_oracle(ex21), (0, 0, 0))
-        family = ({1}, {2, 3}, {1, 2, 3})
+        family = (0b001, 0b110, 0b111)
         for seed in range(20):
             assert first_gp_minimal(vals, seed) in family
 
@@ -191,7 +192,7 @@ class TestFirstGpMinimal:
             flags = gp_minimal_table(vals)
             order = list(range(1, 1 << n))
             random.Random(seed).shuffle(order)
-            want = next((items_from_mask(mask) for mask in order if flags[mask]), None)
+            want = next((mask for mask in order if flags[mask]), None)
             assert first_gp_minimal(vals, seed) == want, (vals, seed)
             assert lnat._shuffled_masks.cache_info().currsize == 1
             assert lnat._shuffled_masks(seed, 1 << n) == tuple(order)
@@ -200,9 +201,9 @@ class TestFirstGpMinimal:
 class TestMaximalGpMinimal:
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert maximal_gp_minimal(neighborhood_values(g, (0, 0, 0))) == {1, 2, 3}
-        assert maximal_gp_minimal(neighborhood_values(g, (1, 0, 0))) == {2, 3}
-        assert maximal_gp_minimal(neighborhood_values(g, (1, 1, 1))) == frozenset()
+        assert maximal_gp_minimal(neighborhood_values(g, (0, 0, 0))) == 0b111
+        assert maximal_gp_minimal(neighborhood_values(g, (1, 0, 0))) == 0b110
+        assert maximal_gp_minimal(neighborhood_values(g, (1, 1, 1))) == 0
 
     def test_non_convex_input_rejected(self):
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
@@ -215,28 +216,32 @@ class TestMinimize:
         p, traj = minimize(lyap_oracle(ex21), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL)
         assert p == (1, 1, 1)
         assert len(traj) == 1
-        assert traj.steps[0].chosen_set == {1, 2, 3}
+        assert traj.steps[0].chosen_mask == 0b111
 
     def test_minimal_descent_trajectory(self, ex21):
         p, traj = minimize(lyap_oracle(ex21), (0, 0, 0), StrategyKind.MINIMAL_DESCENT)
         assert p == (1, 1, 1)
-        assert [s.chosen_set for s in traj.steps] == [{1}, {2, 3}]
+        assert [s.chosen_mask for s in traj.steps] == [0b001, 0b110]
         assert [(s.g_before, s.g_after) for s in traj.steps] == [(6, 5), (5, 3)]
 
     def test_start_at_the_minimizer(self, ex21):
         p, traj = minimize(lyap_oracle(ex21), (1, 1, 1), StrategyKind.MINIMAL_DESCENT)
         assert p == (1, 1, 1) and len(traj) == 0
 
-    def test_iteration_cap(self, two_bidder_multi):
-        with pytest.raises(IterationCapError):
-            minimize(lyap_oracle(two_bidder_multi), (0,),
-                     StrategyKind.STEEPEST_MINIMAL, iteration_cap=1)
+    def test_iteration_cap(self):
+        """A floor above the true minimum makes the value-derived cap too
+        small: (p - 2)^2 from 0 with floor 4 allows one step, and the run
+        needs two."""
+        g = FunctionOracle(n=1, fn=lambda p: (p[0] - 2) ** 2, value_floor=4)
+        with pytest.raises(IterationCapError, match="within 1 iterations"):
+            minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL)
 
     def test_cap_needs_a_floor(self):
         g = FunctionOracle(n=1, fn=lambda p: (p[0] - 2) ** 2, box=((0,), (9,)))
         with pytest.raises(ValueError, match="value_floor"):
             minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL)
-        p, _ = minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL, iteration_cap=10)
+        floored = FunctionOracle(n=1, fn=g.fn, box=g.box, value_floor=0)
+        p, _ = minimize(floored, (0,), StrategyKind.STEEPEST_MINIMAL)
         assert p == (2,)
 
     def test_dimension_guard(self):
@@ -246,11 +251,9 @@ class TestMinimize:
 
     def test_step_contract(self):
         with pytest.raises(ContractError):
-            Step(p_before=(0,), chosen_set=frozenset({1}), g_before=1,
-                 g_after=1, deficiency_like=0)
+            Step(p_before=(0,), chosen_mask=0b1, g_before=1, g_after=1)
         with pytest.raises(ContractError):
-            Step(p_before=(0,), chosen_set=frozenset(), g_before=2,
-                 g_after=1, deficiency_like=1)
+            Step(p_before=(0,), chosen_mask=0, g_before=2, g_after=1)
 
 
 def random_lattice_convex(rng, n):
@@ -321,7 +324,7 @@ class TestGenericOracles:
                 for y in family:
                     assert (x | y) in family
             union = frozenset().union(*family) if family else frozenset()
-            assert union == minimal_minimizer_step(neighborhood_values(g, p))
+            assert union == items_from_mask(minimal_minimizer_step(neighborhood_values(g, p)))
 
 
 def midpoint_twin(g, box, *, budget=2_000_000):
@@ -425,7 +428,7 @@ class TestNeighborhoodTable:
                 assert flags[mask] == is_gp_minimal(g, p, items_from_mask(mask))
                 if flags[mask]:
                     union |= mask
-            assert maximal_gp_minimal(vals) == items_from_mask(union)
+            assert maximal_gp_minimal(vals) == union
 
     def test_malformed_table_rejected(self):
         for rule in (minimal_descent_set, minimal_minimizer_step, maximal_gp_minimal,
@@ -476,7 +479,7 @@ class TestNeighborhoodTable:
         for inst in (ex21, two_bidder_multi):
             ly = LyapunovOracle(inst)
             g = ly.function_oracle()
-            top = ly.price_ceiling()
+            top = max_total_value(inst)
             for start in (0, 1, top, top + 1, top + 3):
                 p0 = (start,) * inst.n
                 for kind in StrategyKind:

@@ -10,6 +10,7 @@ from conftest import (random_multi_instance, random_separable_valuation,
 from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
                     ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
+from walras.itemsets import chi_add
 
 
 class TestValues:
@@ -72,7 +73,7 @@ def _assert_identity_on_box(inst, cap):
     for p in product(range(cap + 1), repeat=inst.n):
         table = ly.demand.deficiency_table(p)
         for mask in range(size):
-            assert ly.step_mask(mask, p) == -table[mask], (p, mask)
+            assert ly.value(chi_add(p, mask)) - ly.value(p) == -table[mask], (p, mask)
 
 
 class TestDifferenceIdentity:
@@ -125,7 +126,7 @@ class TestMemo:
         assert g.box is None
         assert g((0, 0, 0)) == 6
         assert g((-1, 0, 0)) is None
-        past = (ly.price_ceiling() + 3, 0, 0)
+        past = (max_total_value(ex21) + 3, 0, 0)
         assert g(past) == ly.value(past)
 
 
@@ -192,7 +193,7 @@ class TestNeighborhoodTable:
         for inst in _neighborhood_markets(rng):
             ly = LyapunovOracle(inst)
             g = ly.function_oracle()
-            top = ly.price_ceiling()
+            top = max_total_value(inst)
             levels = [0, 1, top // 2, max(top - 1, 0), top, top + 1, top + 2, top + 3]
             for _ in range(8):
                 p = tuple(rng.choice(levels) for _ in range(inst.n))
@@ -210,7 +211,7 @@ class TestNeighborhoodTable:
         rng = random.Random(29)
         for inst in _neighborhood_markets(rng):
             ly = LyapunovOracle(inst)
-            top = ly.price_ceiling()
+            top = max_total_value(inst)
             for _ in range(6):
                 p = tuple(rng.randint(0, top + 1) for _ in range(inst.n))
                 assert ly.neighborhood(p) == \
@@ -225,7 +226,8 @@ class TestNeighborhoodTable:
         for inst in markets:
             ly = LyapunovOracle(inst)
             p = (1,) * inst.n
-            expected.append([ly.step_mask(mask, p) for mask in range(1 << inst.n)])
+            expected.append([ly.value(chi_add(p, mask)) - ly.value(p)
+                             for mask in range(1 << inst.n)])
 
         def refuse(self, p):
             raise AssertionError("Lyapunov value read")
