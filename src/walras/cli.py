@@ -7,11 +7,10 @@ identical inputs and seeds.  Exit codes: 0 success, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from .auction import UnitAllocation, ascending_auction
 from .errors import WalrasError
@@ -46,13 +45,16 @@ def _budget() -> int:
     return value
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the strings of ``chunks`` in order, each as it comes."""
     if out_path is None:
-        sys.stdout.write(text)
+        for text in chunks:
+            sys.stdout.write(text)
     else:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                for text in chunks:
+                    fh.write(text)
         except OSError as exc:
             raise WalrasError(f"--out {out_path}: {exc.strerror or exc}") from None
 
@@ -86,32 +88,42 @@ def _step_rows(instance: Instance, result):
         }
 
 
-def _result_json(instance: Instance, strategy_flag: str, seed: int,
-                 p0, result) -> dict:
-    return {
+def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2)``, one trajectory row at a
+    time: the document is dumped with an empty trajectory, and each row,
+    encoded alone, is indented to its place inside the list."""
+    doc = {
         "model": instance.model,
         "strategy": strategy_flag,
         "seed": seed,
         "start": list(p0),
         "p_final": list(result.p_min),
         "iterations": len(result.trajectory),
-        "trajectory": list(_step_rows(instance, result)),
+        "trajectory": [],
         "allocation": _allocation_json(result.allocation),
         "allocation_error": result.allocation_error,
     }
-
-
-def _result_csv(instance: Instance, result) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
-    header += ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]
-    writer.writerow(header)
+    # Only strings could hold the placeholder, and json escapes their quotes.
+    head, _, tail = json.dumps(doc, indent=2).partition('"trajectory": []')
+    yield head + '"trajectory": ['
+    encode = json.JSONEncoder(indent=2).encode
+    sep = "\n"
     for row in _step_rows(instance, result):
-        writer.writerow([row["iteration"], *row["p_before"], row["chosen_mask"],
-                         ";".join(str(i) for i in row["chosen_items"]),
-                         row["lyapunov_before"], row["deficiency"]])
-    return buf.getvalue()
+        yield sep + "    " + encode(row).replace("\n", "\n    ")
+        sep = ",\n"
+    yield ("\n  ]" if result.trajectory else "]") + tail + "\n"
+
+
+def _result_csv(instance: Instance, result) -> Iterator[str]:
+    """The CSV text, one line at a time; no field holds a comma, a quote or
+    a line break, so none is quoted."""
+    header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
+    yield ",".join(header + ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]) + "\n"
+    for row in _step_rows(instance, result):
+        fields = [row["iteration"], *row["p_before"], row["chosen_mask"],
+                  ";".join(str(i) for i in row["chosen_items"]),
+                  row["lyapunov_before"], row["deficiency"]]
+        yield ",".join(map(str, fields)) + "\n"
 
 
 def _load_start(instance: Instance, source: str):
@@ -136,8 +148,7 @@ def _cmd_solve(args) -> int:
     strategy = STRATEGY_FLAGS[args.strategy]
     result = ascending_auction(instance, strategy, p0, seed=args.seed, budget=budget)
     if args.format == "json":
-        doc = _result_json(instance, args.strategy, args.seed, p0, result)
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_result_json(instance, args.strategy, args.seed, p0, result), args.out)
     else:
         _emit(_result_csv(instance, result), args.out)
     return 0
@@ -168,9 +179,11 @@ def _cmd_verify(args) -> int:
                              f"x={tuple(bad.x)} y={tuple(bad.y)} i={bad.i}")
     if "lnat" in checks:
         ly = LyapunovOracle(instance, budget=budget)
-        side = max_total_value(instance)
-        while side > 0 and (side + 1) ** (2 * instance.n + 1) > _LNAT_CHECK_BUDGET:
-            side -= 1
+        # The largest side s whose (s + 1)^(2n + 1) midpoint tests fit the budget.
+        root = 1
+        while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
+            root += 1
+        side = min(root - 1, max_total_value(instance))
         box = ((0,) * instance.n, (side,) * instance.n)
         bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)
         if bad is None:
@@ -202,7 +215,7 @@ def _cmd_compare(args) -> int:
     agree = all(p == finals[0] for p in finals)
     doc = {"seed": args.seed, "strategies": report, "all_equal": agree,
            "p_min": list(finals[0]) if agree else None}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     if not agree:
         sys.stderr.write("strategies disagree on the final price\n")
         return 1
@@ -219,7 +232,7 @@ def _cmd_oracle(args) -> int:
         "lyapunov_minimizers": [list(p) for p in sorted(minimizers)],
         "min_equilibrium_price": list(p_min),
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit([json.dumps(doc, indent=2) + "\n"], args.out)
     return 0
 
 

@@ -36,13 +36,15 @@ def _check_price(instance: Instance, p) -> PriceVector:
 
 
 class DemandCache:
-    """Per-instance demand computations with memoization.
+    """Per-instance demand computations.
 
-    Instances are immutable, so cached answers never go stale.  One cache may
+    Instances are immutable, so kept answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
-    Per-price answers (unit-demand masks, demand sets, minimum-take vectors
-    and the box scans' bundle costs p.x) are kept for the latest price only,
-    so a descent holds one step's worth of them rather than one per step.
+    It keeps the bundle box and each box-scanned bidder's worth of every
+    bundle; the only per-price state is the box scans' bundle costs p.x,
+    kept for the latest price only, which every scan at that price re-reads.
+    Unit-demand masks, demand sets and minimum-take vectors are computed
+    afresh at each call.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -52,20 +54,8 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
-        self._unit_masks: tuple[PriceVector | None, dict[int, int]] = (None, {})
-        self._mu_vectors: tuple[PriceVector | None, dict[int, tuple[int, ...]]] = (None, {})
-        self._demand_sets: tuple[PriceVector | None, dict[int, tuple[Bundle, ...]]] = (None, {})
 
     # -- shared ------------------------------------------------------------
-
-    def _latest(self, slot: str, p: PriceVector) -> dict:
-        """The per-bidder memo held in ``slot`` for price p; a new price
-        replaces the previous one's."""
-        price, memo = getattr(self, slot)
-        if p != price:
-            memo = {}
-            setattr(self, slot, (p, memo))
-        return memo
 
     def _bundle_box(self) -> tuple[Bundle, ...]:
         """Every bundle in [0, u], built on the first box scan, within budget."""
@@ -113,19 +103,15 @@ class DemandCache:
     def unit_demand_mask(self, b: int, p: PriceVector) -> int:
         """A unit-demand bidder's demand set as a bitmask: bit 0 is the
         artificial no-purchase item, bit i item i."""
-        masks = self._latest("_unit_masks", p)
-        mask = masks.get(b)
-        if mask is None:
-            values = self.instance.valuations[b].values
-            best = 0
-            for w, c in zip(values, p):
-                if w - c > best:
-                    best = w - c
-            mask = 1 if best == 0 else 0
-            for i, (w, c) in enumerate(zip(values, p)):
-                if w - c == best:
-                    mask |= 1 << (i + 1)
-            masks[b] = mask
+        values = self.instance.valuations[b].values
+        best = 0
+        for w, c in zip(values, p):
+            if w - c > best:
+                best = w - c
+        mask = 1 if best == 0 else 0
+        for i, (w, c) in enumerate(zip(values, p)):
+            if w - c == best:
+                mask |= 1 << (i + 1)
         return mask
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
@@ -134,16 +120,10 @@ class DemandCache:
         Separable bidders' demand sets are products of per-item argmax sets;
         every other family scans the bundle box.
         """
-        sets = self._latest("_demand_sets", p)
-        cached = sets.get(b)
-        if cached is None:
-            v = self.instance.valuations[b]
-            if v.family == SEPARABLE_CONCAVE:
-                cached = tuple(product(*_per_item_argmax(v, p)))
-            else:
-                cached = self.demand_set_enum(b, p)
-            sets[b] = cached
-        return cached
+        v = self.instance.valuations[b]
+        if v.family == SEPARABLE_CONCAVE:
+            return tuple(product(*_per_item_argmax(v, p)))
+        return self.demand_set_enum(b, p)
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """Payoff-maximizing bundles by full enumeration of the bundle box."""
@@ -162,26 +142,20 @@ class DemandCache:
         Every other family takes the least subset sum over its box scan.
         """
         self._check_table_budget()
-        vectors = self._latest("_mu_vectors", p)
-        cached = vectors.get(b)
-        if cached is None:
-            v = self.instance.valuations[b]
-            n = self._n
-            if v.family == SEPARABLE_CONCAVE:
-                least = tuple(ks[0] for ks in _per_item_argmax(v, p))
-                cached = tuple(subset_sums(least, n))
-            else:
-                size = 1 << n
-                mins = [None] * size
-                for x in self.demand_set_enum(b, p):
-                    sums = subset_sums(x, n)
-                    for mask in range(size):
-                        cur = mins[mask]
-                        if cur is None or sums[mask] < cur:
-                            mins[mask] = sums[mask]
-                cached = tuple(mins)
-            vectors[b] = cached
-        return cached
+        v = self.instance.valuations[b]
+        n = self._n
+        if v.family == SEPARABLE_CONCAVE:
+            least = tuple(ks[0] for ks in _per_item_argmax(v, p))
+            return tuple(subset_sums(least, n))
+        size = 1 << n
+        mins = [None] * size
+        for x in self.demand_set_enum(b, p):
+            sums = subset_sums(x, n)
+            for mask in range(size):
+                cur = mins[mask]
+                if cur is None or sums[mask] < cur:
+                    mins[mask] = sums[mask]
+        return tuple(mins)
 
     def deficiency_table(self, p: PriceVector) -> list[int]:
         """Demanded minus supplied units of every item subset, indexed by

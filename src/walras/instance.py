@@ -14,7 +14,7 @@ from math import prod
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceededError, InstanceFormatError
-from .itemsets import strides
+from .itemsets import difference_keys, strides
 
 Bundle = tuple[int, ...]
 PriceVector = tuple[int, ...]
@@ -230,11 +230,9 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
     worth = _box_worths(v, u)
     n = len(u)
     # x sits at index sum_c stride_c * x_c; d = x - y has the class key
-    # sum_c dstride_c * (d_c + u_c) = key[x] - key[y] + zero.
+    # key[x] - key[y] + zero.
     stride = strides([c + 1 for c in u])
-    dstride = strides([2 * c + 1 for c in u])
-    key = [sum(t * c for t, c in zip(dstride, x)) for x in bundles]
-    zero = sum(t * c for t, c in zip(dstride, u))
+    key, zero = difference_keys(bundles, u)
     moves = [(j, stride[j]) for j in range(n)]
     # Class key -> ((j, stride_j) for x_j > y_j, (stride_k for x_k < y_k)),
     # or () when no item j has x_j > y_j.  Equal item lists are stored once.

@@ -83,3 +83,13 @@ def strides(radices: Sequence[int]) -> list[int]:
     for c in range(len(radices) - 1, 0, -1):
         out[c - 1] = out[c] * radices[c]
     return out
+
+
+def difference_keys(points: Sequence[Sequence[int]],
+                    widths: Sequence[int]) -> tuple[list[int], int]:
+    """``(key, zero)`` for the points of a box with side ``widths[c]`` along
+    coordinate c: ``points[i] - points[j]`` sits at lexicographic index
+    ``key[i] - key[j] + zero`` of the box [-widths, widths]."""
+    dstride = strides([2 * w + 1 for w in widths])
+    key = [sum(t * c for t, c in zip(dstride, x)) for x in points]
+    return key, sum(t * w for t, w in zip(dstride, widths))

@@ -6,11 +6,12 @@ loop repeatedly raises a chosen item set's coordinates by one; with any
 selection rule whose sets satisfy the local-minimality condition below, the
 loop lands on the unique componentwise-minimal minimizer.
 
-Each iteration reads one neighborhood table ``vals[mask] = g(p + chi_mask)``
-(None outside the domain).  The termination test and every selection rule
-are functions of that table alone; a caller may supply a faster route to its
-one-step changes ``g(p + chi_X) - g(p)``, and the oracle's own values then
-certify each step and the stop.
+Each iteration reads one change table ``deltas[mask] = g(p + chi_mask) - g(p)``
+(entry 0 is 0, None outside the domain).  The termination test and every
+selection rule are functions of that table alone, and the rules compare its
+entries only with each other and entry 0, so a value table such as
+``neighborhood_values`` gets the same answers.  A caller may supply a faster
+route to the changes; the oracle's own values then certify each step and the stop.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import PriceVector
-from .itemsets import chi_add, strides
+from .itemsets import chi_add, difference_keys, strides
 
 _SEED_LIMIT = 1 << 64
 
@@ -66,7 +67,8 @@ class StrategyKind(enum.Enum):
 class Step:
     """One descent iteration: the chosen set's bitmask and the values before
     and after raising it.  The drop g_before - g_after is the set's
-    deficiency when g is a Lyapunov function."""
+    deficiency when g is a Lyapunov function.  A step must raise a nonempty
+    set and lower the value (None, outside the domain, does not)."""
 
     p_before: PriceVector
     chosen_mask: int
@@ -76,7 +78,7 @@ class Step:
     def __post_init__(self):
         if not self.chosen_mask:
             raise ContractError("descent step chose the empty set")
-        if self.g_after >= self.g_before:
+        if self.g_after is None or self.g_after >= self.g_before:
             raise ContractError("descent step failed to decrease the objective")
 
 
@@ -136,13 +138,11 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     # offsets depend on d alone, so they are listed once per difference
     # vector, for the shifts below max(d); d is found at key[q] - key[p] + zero.
     stride = strides([w + 1 for w in widths])
-    dstride = strides([2 * w + 1 for w in widths])
     shifts = []
     for d in product(*(range(-w, w + 1) for w in widths)):
         shifts.append([sum(s * min(lam, dc) for s, dc in zip(stride, d))
                        for lam in range(max(d))])
-    key = [sum(t * (x - a) for t, x, a in zip(dstride, p, lo)) for p in points]
-    zero = sum(t * w for t, w in zip(dstride, widths))
+    key, zero = difference_keys(points, widths)
     for ip, p in enumerate(points):
         gp = vals[ip]
         if gp is None:
@@ -174,8 +174,8 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
 
 
 def _width(vals: list[int | None]) -> int:
-    """Item count of a neighborhood table, which must hold 2^n entries and
-    a finite value at p."""
+    """Item count of a neighborhood table, of changes or of values, which
+    must hold 2^n entries and a finite entry 0, the one at p."""
     n = len(vals).bit_length() - 1
     if n < 0 or len(vals) != 1 << n:
         raise ValueError("neighborhood table must have 2^n entries")
@@ -213,8 +213,9 @@ def gp_minimal_table(vals: list[int | None]) -> list[bool]:
 def minimal_descent_set(vals: list[int | None]) -> int | None:
     """Mask of the first descent set in (cardinality, lexicographic) scan order.
 
-    The minimum-cardinality guarantee makes the result inclusion-minimal.
-    Returns None when no raise descends.
+    A descent set's entry is below entry 0.  The minimum-cardinality
+    guarantee makes the result inclusion-minimal.  Returns None when no
+    raise descends.
     """
     n = _width(vals)
     base = vals[0]
@@ -230,9 +231,9 @@ def minimal_descent_set(vals: list[int | None]) -> int | None:
 def minimal_minimizer_step(vals: list[int | None]) -> int:
     """Mask of the meet of all sets minimizing the one-step change g(p + chi_X) - g(p).
 
-    The meet must itself attain the minimum; if it does not, the step
-    function is not submodular and the input is rejected.  0 means nothing
-    descends.
+    Only which entries are least matters.  The meet must itself attain the
+    minimum; if it does not, the step function is not submodular and the
+    input is rejected.  0 means nothing descends.
     """
     _width(vals)
     best = min(val for val in vals if val is not None)
@@ -248,10 +249,11 @@ def minimal_minimizer_step(vals: list[int | None]) -> int:
 def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     """Mask of the first locally-minimal descent set in a seeded subset order.
 
-    The order is a Fisher-Yates shuffle of all nonempty subset indices, so a
-    fixed seed always yields the same choice; it is built once per (seed,
-    table size) and reused while those stay the same.  Returns None when no
-    raise descends.
+    Local minimality compares entries with each other only.  The order is
+    a Fisher-Yates shuffle of all nonempty subset indices, so a fixed seed
+    always yields the same choice; it is built once per (seed, table size)
+    and reused while those stay the same.  Returns None when no raise
+    descends.
     """
     _check_seed(seed)
     _width(vals)
@@ -299,22 +301,22 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
 
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
-    iteration builds one neighborhood table; the termination test and the
-    strategy both read it.  Without ``neighborhood`` the table is read from
-    ``g``, which is queried unmemoized (the Lyapunov oracle keeps its own
-    memo).  With it, ``neighborhood(p)`` gives the one-step changes
-    ``g(p + chi_X) - g(p)`` for every X by a faster route, and the table is
-    the current value plus those changes.  ``g`` certifies such a table: the
-    change for the empty set must be 0, each step's g(p + chi_X) must equal
-    its entry, and a stop is confirmed by one scan of g's own neighborhood;
-    a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
+    iteration builds one change table, which the termination test reads
+    and, while something descends, the strategy.  Without ``neighborhood``
+    the changes are read from ``g``, which is queried unmemoized (the
+    Lyapunov oracle keeps its own memo).  With it, ``neighborhood(p)`` gives
+    them by a faster route, and ``g`` certifies them: the change for the
+    empty set must be 0, each step's g(p + chi_X) - g(p) must equal its
+    entry, and a stop is confirmed by one scan of g's own neighborhood; a
+    mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
     BudgetExceededError.  The oracle must declare a ``value_floor``: every
     step lowers the value by at least one, so a run still descending after
     g(p0) - value_floor + 1 steps raises IterationCapError.  A ``budget``
     caps the steps too, for values too large to wait for: a run still
     descending after ``budget`` steps, below that cap, raises
     BudgetExceededError.  Returns the final point and the full trajectory,
-    one Step per iteration holding the chosen rule's mask as it came.
+    one Step per iteration holding the chosen rule's mask as it came; a
+    rule that finds no set, or a non-descent one, fails the Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -333,14 +335,13 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     steps: list[Step] = []
     while True:
         if neighborhood is None:
-            vals = neighborhood_values(g, p)
+            deltas = _changes(neighborhood_values(g, p), base)
         else:
             deltas = neighborhood(p)
             if len(deltas) != size or deltas[0] != 0:
                 raise ConvexityError("neighborhood table disagrees with the oracle at p")
-            vals = [base + d for d in deltas]
-        if not any(val is not None and val < base for val in vals):
-            if neighborhood is not None and neighborhood_values(g, p) != vals:
+        if not any(d is not None and d < 0 for d in deltas):
+            if neighborhood is not None and _changes(neighborhood_values(g, p), base) != deltas:
                 raise ConvexityError(
                     "neighborhood table disagrees with the oracle at the stop")
             break
@@ -351,23 +352,25 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 f"descent exceeded budget {budget}: no minimizer within "
                 f"{budget} iterations")
         if strategy is StrategyKind.MINIMAL_DESCENT:
-            mask = minimal_descent_set(vals)
+            mask = minimal_descent_set(deltas)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:
-            mask = minimal_minimizer_step(vals)
+            mask = minimal_minimizer_step(deltas)
         elif strategy is StrategyKind.FIRST_GP_MINIMAL:
-            mask = first_gp_minimal(vals, seed)
+            mask = first_gp_minimal(deltas, seed)
         else:
-            mask = maximal_gp_minimal(vals)
-        if not mask:
-            raise ContractError("strategy found no set although a descent exists")
+            mask = maximal_gp_minimal(deltas)
+        mask = mask or 0  # nothing found: the Step below refuses the empty set
         q = chi_add(p, mask)
         after = g.fn(q)
-        if after != vals[mask]:
+        if (None if after is None else after - base) != deltas[mask]:
             raise ConvexityError("neighborhood table disagrees with the oracle at a step")
-        if after is None or after >= base:
-            raise ContractError("strategy returned a non-descent set")
         steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
         p = q
         base = after
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
     return p, trajectory
+
+
+def _changes(vals: list[int | None], base: int) -> list[int | None]:
+    """Values less ``base``, None kept as None."""
+    return [None if val is None else val - base for val in vals]

@@ -75,7 +75,8 @@ class LyapunovOracle:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
 
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
-        Lyapunov evaluation; ``minimize`` adds the current value.
+        Lyapunov evaluation; ``minimize`` hands it to the selection rule as
+        it is and checks only the chosen step and the stop against values.
         """
         return [-d for d in self.demand.deficiency_table(_check_price(self.instance, p))]
 

@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -255,6 +257,21 @@ class TestVerify:
                             "--check", "monotone"]) == 0
         assert "monotone: bidder 0: ok" in capsys.readouterr().out
 
+    def test_lnat_box_side_does_not_grow_with_the_values(self, tmp_path):
+        """The box side is capped by the check's budget, whatever the
+        largest value: worths of 10^7 and 10^9 check the same box, quickly."""
+        for worth in (10**7, 10**9):
+            path = tmp_path / f"worth{worth}.json"
+            path.write_text(json.dumps({
+                "model": "unit", "n": 1, "m": 2,
+                "valuations": [{"family": "unit_demand", "values": [worth]}] * 2}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "walras", "verify", "--instance", str(path),
+                 "--check", "lnat"],
+                capture_output=True, text=True, timeout=10)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == "lnat: holds on [0, 78]^1\n"
+
 
 class TestCompare:
     def test_table_bidders_are_admitted_once(self, tmp_path, mnat_calls, capsys):
@@ -407,6 +424,59 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["p_final"] == [5]
         assert doc["allocation"]["bundles"] == [[0]] * 1098 + [[1], [1]]
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_is_written_row_by_row(self, fmt, tmp_path):
+        """A 20,000-step trajectory is written without holding the whole
+        document: the traced peak stays within a few hundred bytes per step
+        (the trajectory alone takes about 200), and the file is what
+        ``json.dumps`` gives."""
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "model": "unit", "n": 1, "m": 2,
+            "valuations": [{"family": "unit_demand", "values": [20_000]}] * 2}))
+        out = tmp_path / f"out.{fmt}"
+        tracemalloc.start()
+        try:
+            code = run_command(["solve", "--instance", str(path), "--strategy", "steepest",
+                                "--format", fmt, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 800 * 20_000
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            doc = json.loads(text)
+            assert len(doc["trajectory"]) == doc["iterations"] == 20_000
+            # Digests, so a mismatch reports without diffing megabytes.
+            assert sha256(text.encode()).digest() == \
+                sha256((json.dumps(doc, indent=2) + "\n").encode()).digest()
+        else:
+            assert text.count("\n") == 20_001
+
+    @pytest.mark.parametrize("text", [EX21_JSON, MULTI_JSON], ids=["ex21", "multi"])
+    def test_json_matches_one_dump(self, text, tmp_path, capsys):
+        """Spliced rows give the bytes of one ``json.dumps`` of the whole
+        document, with rows and, from the minimal price, without."""
+        path = tmp_path / "market.json"
+        path.write_text(text)
+        start = tmp_path / "start.json"
+        for strategy in sorted(STRATEGY_FLAGS):
+            assert run_command(["solve", "--instance", str(path), "--strategy", strategy]) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out)
+            assert doc["iterations"] > 0
+            assert out == json.dumps(doc, indent=2) + "\n"
+            start.write_text(json.dumps(doc["p_final"]))
+            assert run_command(["solve", "--instance", str(path), "--strategy", strategy,
+                                "--start", str(start)]) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out)
+            assert doc["trajectory"] == [] and '"trajectory": [],' in out
+            assert out == json.dumps(doc, indent=2) + "\n"
 
 
 class TestIterationBudget:

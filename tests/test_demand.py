@@ -75,22 +75,30 @@ class TestMultiDemandSets:
         with pytest.raises(BudgetExceededError, match="deficiency tables"):
             tight.mu_vector(0, p)
 
-    def test_minimum_takes_kept_for_one_price(self):
-        """Only the latest price's vectors stay cached; going back to an
-        earlier price recomputes the same answer."""
+    def test_revisited_prices_give_the_same_answers(self):
+        """Going back to an earlier price gives what a fresh cache gives,
+        for every per-price answer, while the bundle costs kept for the
+        latest price change under it."""
         rng = random.Random(17)
         for _ in range(20):
             inst = random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=5)
             prices = [tuple(rng.randint(0, 4) for _ in range(inst.n)) for _ in range(3)]
             dc = DemandCache(inst)
             for p in prices + prices[::-1]:
-                for b in range(inst.m):
-                    assert dc.mu_vector(b, p) == DemandCache(inst).mu_vector(b, p)
-                assert dc._mu_vectors[0] == p
+                fresh = DemandCache(inst)
+                assert dc.deficiency_table(p) == fresh.deficiency_table(p)
+                for b, v in enumerate(inst.valuations):
+                    assert dc.mu_vector(b, p) == fresh.mu_vector(b, p)
+                    assert dc.demand_set(b, p) == fresh.demand_set(b, p)
+                    assert dc.indirect_utility(b, p) == fresh.indirect_utility(b, p)
+                    assert dc.indirect_utility_enum(b, p) == fresh.indirect_utility_enum(b, p)
+                    if v.family == "unit_demand":
+                        assert dc.unit_demand_mask(b, p) == fresh.unit_demand_mask(b, p)
 
-    def test_long_descent_keeps_one_price(self):
-        """Each per-price cache holds at most one entry per bidder after a
-        descent of hundreds of steps."""
+    def test_long_descent_keeps_no_per_step_state(self):
+        """After a descent of hundreds of steps the cache holds the bundle
+        box, at most one worth list per bidder and the latest price's bundle
+        costs: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -101,8 +109,11 @@ class TestMultiDemandSets:
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             dc = ly.demand
-            for _, memo in (dc._unit_masks, dc._demand_sets, dc._mu_vectors):
-                assert len(memo) <= inst.m
+            assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs"}
+            assert len(dc._values) <= inst.m
+            price, costs = dc._costs
+            assert len(costs) == (0 if price is None else 4)
+        assert dc._costs[0] is not None  # the table bidder's scans read it
 
 
 class TestMu:

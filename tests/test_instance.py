@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
 from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
+from walras.itemsets import difference_keys
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
@@ -338,6 +340,22 @@ class TestExchangeTwin:
                 assert _outcome(verify_mnat_exc, v, u, budget) == want, (worth, budget)
                 seen.add((budget < classes, type(want)))
         assert {(True, tuple), (True, MnatCounterexample), (False, type(None))} <= seen
+
+
+class TestDifferenceKeys:
+    def test_keys_index_the_difference_box(self):
+        """Both box scans find x - y at key[x] - key[y] + zero, its
+        lexicographic index in [-widths, widths], wherever the box sits."""
+        rng = random.Random(5)
+        for _ in range(30):
+            widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            lo = [rng.randint(-2, 4) for _ in widths]
+            points = list(product(*(range(a, a + w + 1) for a, w in zip(lo, widths))))
+            diffs = list(product(*(range(-w, w + 1) for w in widths)))
+            key, zero = difference_keys(points, widths)
+            for i, x in enumerate(points):
+                for j, y in enumerate(points):
+                    assert diffs[key[i] - key[j] + zero] == tuple(a - b for a, b in zip(x, y))
 
 
 class TestExchangeMemory:

@@ -486,3 +486,89 @@ class TestNeighborhoodTable:
                     plain = minimize(g, p0, kind, seed=3)
                     fast = minimize(g, p0, kind, seed=3, neighborhood=ly.neighborhood)
                     assert fast == plain
+
+
+RULE_OF = {
+    StrategyKind.MINIMAL_DESCENT: "minimal_descent_set",
+    StrategyKind.STEEPEST_MINIMAL: "minimal_minimizer_step",
+    StrategyKind.FIRST_GP_MINIMAL: "first_gp_minimal",
+    StrategyKind.MAXIMAL_GP_MINIMAL: "maximal_gp_minimal",
+}
+
+
+def outcome(rule, vals):
+    """The rule's mask, or the exception class it raised."""
+    try:
+        return rule(vals)
+    except ConvexityError:
+        return ConvexityError
+
+
+class TestChangeTable:
+    RULES = (minimal_descent_set, minimal_minimizer_step, maximal_gp_minimal,
+             lambda vals: first_gp_minimal(vals, 5))
+
+    def test_rules_ignore_a_constant_shift(self):
+        """Every rule gives the same answer on a table and on the table
+        shifted by any constant, minus entry 0 included, on random tables
+        with None entries and on lattice-convex neighborhoods."""
+        rng = random.Random(53)
+        answered = 0
+        for trial in range(400):
+            n = rng.randint(1, 5)
+            if trial % 2:
+                vals = [rng.choice((None, rng.randint(-6, 6))) if mask else rng.randint(-6, 6)
+                        for mask in range(1 << n)]
+            else:
+                g = random_lattice_convex(rng, min(n, 3))
+                vals = neighborhood_values(g, tuple(rng.randint(0, 9) for _ in range(g.n)))
+            for shift in (-vals[0], rng.randint(-50, 50), 10**12):
+                shifted = [None if v is None else v + shift for v in vals]
+                for rule in self.RULES:
+                    want = outcome(rule, vals)
+                    assert outcome(rule, shifted) == want, (vals, shift)
+                    answered += want is not ConvexityError
+        assert answered > 1000
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_rule_runs_once_per_step_on_change_tables(self, kind, ex21, two_bidder_multi,
+                                                      monkeypatch):
+        """``minimize`` asks its rule once per iteration, with entry 0 equal
+        to 0 on both routes, and never at the stop."""
+        tables = []
+        rule = getattr(lnat, RULE_OF[kind])
+
+        def counted(vals, *seed):
+            tables.append(vals)
+            return rule(vals, *seed)
+
+        monkeypatch.setattr(lnat, RULE_OF[kind], counted)
+        for inst, p_min in ((ex21, (1, 1, 1)), (two_bidder_multi, (2,))):
+            ly = LyapunovOracle(inst)
+            for route in (None, ly.neighborhood):
+                for start in ((0,) * inst.n, p_min):
+                    tables.clear()
+                    p, traj = minimize(ly.function_oracle(), start, kind, seed=7,
+                                       neighborhood=route)
+                    assert p == p_min
+                    assert len(tables) == len(traj)
+                    assert all(vals[0] == 0 for vals in tables)
+
+    @pytest.mark.parametrize("kind", list(StrategyKind))
+    def test_a_rule_that_finds_nothing_breaks_the_step_contract(self, kind, ex21, monkeypatch):
+        ly = LyapunovOracle(ex21)
+        for nothing in (None, 0):
+            monkeypatch.setattr(lnat, RULE_OF[kind], lambda vals, *seed: nothing)
+            for route in (None, ly.neighborhood):
+                with pytest.raises(ContractError, match="empty set"):
+                    minimize(ly.function_oracle(), (0, 0, 0), kind, neighborhood=route)
+
+    def test_a_non_descent_choice_breaks_the_step_contract(self, monkeypatch):
+        """At (0, 0) raising item 1 descends; raising item 2 does not, and
+        raising both leaves the domain."""
+        g = FunctionOracle(n=2, fn=lambda p: None if p[0] + p[1] > 1 else (p[0] - 2) ** 2
+                           + p[1], value_floor=0)
+        for mask in (0b10, 0b11):
+            monkeypatch.setattr(lnat, "minimal_descent_set", lambda vals: mask)
+            with pytest.raises(ContractError, match="failed to decrease"):
+                minimize(g, (0, 0), StrategyKind.MINIMAL_DESCENT)
