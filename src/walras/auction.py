@@ -10,14 +10,18 @@ tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import sub
+from typing import Iterator
 
-from .demand import DemandCache, _check_price
+from .demand import DemandCache, _check_price, _per_item_argmax
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      WalrasError)
-from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, Bundle,
-                       Instance, ItemSet, PriceVector, verify_mnat_exc)
-from .itemsets import chi_sub, items_from_mask
-from .lnat import StrategyKind, Trajectory, minimize, neighborhood_values
+from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, SEPARABLE_CONCAVE,
+                       UNIT, Bundle, Instance, ItemSet, PriceVector,
+                       verify_mnat_exc)
+from .itemsets import items_from_mask
+from .lnat import StrategyKind, Trajectory, minimize
 from .lyapunov import LyapunovOracle
 
 
@@ -93,7 +97,7 @@ def ascending_auction(instance: Instance,
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
     base = g.fn(p_final)
-    for mask, val in _support_cuts(g.fn, p_final):
+    for mask, val in _support_cuts(ly, p_final):
         if val <= base:
             raise WalrasError(
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
@@ -189,9 +193,20 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
     n, m, u = instance.n, instance.m, instance.u
     if m == 0:
         return None  # supply is positive, so nothing can clear it
-    sets = [dc.demand_set(b, p) for b in range(m)]
-    maxs = [tuple(max(x[j] for x in ds) for j in range(n)) for ds in sets]
-    mins = [tuple(min(x[j] for x in ds) for j in range(n)) for ds in sets]
+    # A separable bidder's demand set is the product of its per-item argmax
+    # ranges, which ties make exponentially large, so it is kept as the
+    # ranges; any other bidder's demand set is listed.
+    ranges = [_per_item_argmax(v, p) if v.family == SEPARABLE_CONCAVE else None
+              for v in instance.valuations]
+    sets = [dc.demand_set(b, p) if ranges[b] is None else None for b in range(m)]
+    maxs, mins = [], []
+    for r, ds in zip(ranges, sets):
+        if r is not None:
+            maxs.append(tuple(ks[-1] for ks in r))
+            mins.append(tuple(ks[0] for ks in r))
+        else:
+            maxs.append(tuple(max(x[j] for x in ds) for j in range(n)))
+            mins.append(tuple(min(x[j] for x in ds) for j in range(n)))
     suffix_max = [(0,) * n] * (m + 1)
     suffix_min = [(0,) * n] * (m + 1)
     for k in range(m - 1, -1, -1):
@@ -199,17 +214,17 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
         suffix_min[k] = tuple(mins[k][j] + suffix_min[k + 1][j] for j in range(n))
     chosen: list[Bundle | None] = [None] * m
 
-    def rest_after(x: Bundle, remaining: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-        """Supply left once bidder k takes x, or None when the rest cannot clear it."""
+    def options(k: int, remaining: tuple[int, ...]) -> Iterator[Bundle]:
+        """Bidder k's demanded bundles, in lexicographic order, that leave a
+        supply the later bidders can still clear: between their suffix
+        bounds, item by item."""
         hi = suffix_max[k + 1]
         lo = suffix_min[k + 1]
-        rest = []
-        for j in range(n):
-            r = remaining[j] - x[j]
-            if r < 0 or r > hi[j] or r < lo[j]:
-                return None
-            rest.append(r)
-        return tuple(rest)
+        if ranges[k] is not None:
+            return product(*([x for x in ks if r - h <= x <= r - l]
+                             for ks, r, h, l in zip(ranges[k], remaining, hi, lo)))
+        return (x for x in sets[k]
+                if all(l <= r - c <= h for c, r, h, l in zip(x, remaining, hi, lo)))
 
     nodes = 0
 
@@ -221,27 +236,24 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
 
     # Depth-first search with an explicit stack, one frame per bidder, so the
     # depth is not bounded by Python's recursion limit.  A frame holds the
-    # supply still to clear and the index of the next bundle to try.
+    # supply still to clear and the bidder's bundles not yet tried.
     count_node()
-    stack: list[tuple[tuple[int, ...], int]] = [(u, 0)]
+    stack: list[tuple[tuple[int, ...], Iterator[Bundle]]] = [(u, options(0, u))]
     while stack:
-        k = len(stack) - 1
-        remaining, i = stack[k]
-        ds = sets[k]
-        rest = None
-        while rest is None and i < len(ds):
-            rest = rest_after(ds[i], remaining, k)
-            i += 1
-        if rest is None:
+        remaining, todo = stack[-1]
+        x = next(todo, None)
+        if x is None:
             stack.pop()
             continue
-        stack[k] = (remaining, i)
-        chosen[k] = ds[i - 1]
+        k = len(stack) - 1
+        chosen[k] = x
         count_node()
-        if k + 1 < m:
-            stack.append((rest, 0))
-        elif all(r == 0 for r in rest):
+        if k + 1 == m:
+            # Past the last bidder the suffix bounds are zero, so x clears
+            # the supply.
             return MultiAllocation(bundles=tuple(chosen))  # type: ignore[arg-type]
+        rest = tuple(map(sub, remaining, x))
+        stack.append((rest, options(k + 1, rest)))
     return None
 
 
@@ -262,19 +274,13 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     return _extract_multi(instance, p, dc, budget)
 
 
-def _support_cuts(value, p: PriceVector):
-    """``(mask, value(p - chi_X))`` for every nonempty X within the support
-    of p, in increasing mask order."""
-    supp = 0
-    for k, c in enumerate(p):
-        if c > 0:
-            supp |= 1 << k
-    mask = 0
-    while True:
-        mask = (mask - supp) & supp  # next submask of supp, ascending
-        if mask == 0:
-            return
-        yield mask, value(chi_sub(p, mask))
+def _support_cuts(ly: LyapunovOracle, p: PriceVector):
+    """``(mask, L(p - chi_X))`` for every nonempty X within the support of
+    p, in increasing mask order: the finite entries of the downward scan."""
+    vals = ly.shifted_values(p, -1)
+    for mask in range(1, len(vals)):
+        if vals[mask] is not None:
+            yield mask, vals[mask]
 
 
 @dataclass(frozen=True)
@@ -307,13 +313,13 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     allocation = extract_allocation(instance, p, budget=budget, demand=ly.demand)
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
-    vals = neighborhood_values(ly.function_oracle(), p)
+    vals = ly.shifted_values(p, 1)
     base = vals[0]
     for mask in range(1, len(vals)):
         if vals[mask] < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(+1, items_from_mask(mask)))
-    for mask, val in _support_cuts(ly.value, p):
+    for mask, val in _support_cuts(ly, p):
         if val < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(-1, items_from_mask(mask)))

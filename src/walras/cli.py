@@ -88,10 +88,23 @@ def _step_rows(instance: Instance, result):
         }
 
 
+def _row_json(row: dict) -> str:
+    """``json.dumps(row, indent=2)`` indented four more spaces, to its place
+    in the trajectory list, for a row of int and int-list values under
+    plain keys.  Formatted here because CPython's encoder drops to pure
+    Python whenever it indents."""
+    fields = []
+    for key, val in row.items():
+        if isinstance(val, list):
+            val = "[\n        " + ",\n        ".join(map(str, val)) + "\n      ]" if val else "[]"
+        fields.append(f'      "{key}": {val}')
+    return "    {\n" + ",\n".join(fields) + "\n    }"
+
+
 def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) -> Iterator[str]:
     """The text of ``json.dumps(doc, indent=2)``, one trajectory row at a
-    time: the document is dumped with an empty trajectory, and each row,
-    encoded alone, is indented to its place inside the list."""
+    time: the document is dumped with an empty trajectory, and each row is
+    formatted alone at its place inside the list."""
     doc = {
         "model": instance.model,
         "strategy": strategy_flag,
@@ -106,10 +119,9 @@ def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) 
     # Only strings could hold the placeholder, and json escapes their quotes.
     head, _, tail = json.dumps(doc, indent=2).partition('"trajectory": []')
     yield head + '"trajectory": ['
-    encode = json.JSONEncoder(indent=2).encode
     sep = "\n"
     for row in _step_rows(instance, result):
-        yield sep + "    " + encode(row).replace("\n", "\n    ")
+        yield sep + _row_json(row)
         sep = ",\n"
     yield ("\n  ]" if result.trajectory else "]") + tail + "\n"
 

@@ -103,15 +103,15 @@ class DemandCache:
     def unit_demand_mask(self, b: int, p: PriceVector) -> int:
         """A unit-demand bidder's demand set as a bitmask: bit 0 is the
         artificial no-purchase item, bit i item i."""
-        values = self.instance.valuations[b].values
-        best = 0
-        for w, c in zip(values, p):
-            if w - c > best:
-                best = w - c
+        payoffs = list(map(sub, self.instance.valuations[b].values, p))
+        best = max(payoffs)
+        if best < 0:
+            return 1
         mask = 1 if best == 0 else 0
-        for i, (w, c) in enumerate(zip(values, p)):
-            if w - c == best:
-                mask |= 1 << (i + 1)
+        i = -1
+        for _ in range(payoffs.count(best)):
+            i = payoffs.index(best, i + 1)
+            mask |= 2 << i
         return mask
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
@@ -163,34 +163,42 @@ class DemandCache:
 
         Starts from minus the supply and adds each bidder's minimum take by
         family.  A separable bidder's is modular, so its per-item least
-        argmaxes join the supply in one subset-sum pass.  A unit-demand
-        bidder takes one unit from every superset of its demanded items,
-        and none when buying nothing is demanded.  A table bidder adds its
+        argmaxes join the supply in one subset-sum pass, and so does a
+        unit-demand bidder demanding exactly one item i, which takes one
+        unit from every set holding i.  A unit-demand bidder tied between
+        several items takes one unit from every superset of them, and none
+        when buying nothing is demanded.  A table bidder adds its
         ``mu_vector``.  ``LyapunovOracle.deficiency_mask`` is the per-set
         twin; equality is test-enforced.
         """
         self._check_table_budget()
         inst = self.instance
         takes = [-c for c in inst.u]
-        for v in inst.valuations:
+        tied = []
+        for b, v in enumerate(inst.valuations):
             if v.family == SEPARABLE_CONCAVE:
                 for j, ks in enumerate(_per_item_argmax(v, p)):
                     takes[j] += ks[0]
-        out = subset_sums(takes, self._n)
-        full = len(out) - 1
-        for b, v in enumerate(inst.valuations):
-            if v.family == UNIT_DEMAND:
+            elif v.family == UNIT_DEMAND:
                 dm = self.unit_demand_mask(b, p)
                 if dm & 1:
                     continue
                 d = dm >> 1
-                s = d
-                while True:  # every superset of d, in increasing order
-                    out[s] += 1
-                    if s == full:
-                        break
-                    s = (s + 1) | d
-            elif v.family == EXPLICIT_TABLE:
+                if d & (d - 1):
+                    tied.append(d)
+                else:
+                    takes[d.bit_length() - 1] += 1
+        out = subset_sums(takes, self._n)
+        full = len(out) - 1
+        for d in tied:
+            s = d
+            while True:  # every superset of d, in increasing order
+                out[s] += 1
+                if s == full:
+                    break
+                s = (s + 1) | d
+        for b, v in enumerate(inst.valuations):
+            if v.family == EXPLICIT_TABLE:
                 out = list(map(add, out, self.mu_vector(b, p)))
         return out
 

@@ -42,13 +42,17 @@ class FunctionOracle:
     ``fn`` returns None outside the function's domain (read as +infinity).
     ``box``, when given, declares per-coordinate bounds containing every
     finite query; ``value_floor`` is any known lower bound on the minimum,
-    used to derive a default iteration cap for the descent loop.
+    used to derive a default iteration cap for the descent loop.  ``scan``,
+    when given, is a faster route to ``neighborhood_values``: ``scan(p)``
+    must return ``fn(p + chi_X)`` for every X, indexed by bitmask, at any
+    p in the domain.
     """
 
     n: int
     fn: Callable[[PriceVector], int | None]
     box: tuple[PriceVector, PriceVector] | None = None
     value_floor: int | None = None
+    scan: Callable[[PriceVector], list[int | None]] | None = None
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -168,8 +172,12 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
 
     Entry 0 is ``g(p)``; None marks raises outside the oracle's domain.
+    Read from the oracle's ``scan`` when it declares one, for p in the
+    domain; otherwise one query per set.
     """
     p = tuple(p)
+    if g.scan is not None:
+        return g.scan(p)
     return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
 
 

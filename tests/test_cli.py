@@ -20,7 +20,7 @@ from walras import (Instance, Valuation, brute_force_min_equilibrium,
                     deficiency, max_total_value, parse_instance,
                     serialize_instance, verify_equilibrium)
 from walras.auction import UnitAllocation
-from walras.cli import STRATEGY_FLAGS, run_command
+from walras.cli import STRATEGY_FLAGS, _row_json, run_command
 
 COMPLEMENTS_JSON = (
     '{"model": "multi", "n": 2, "m": 1, "u": [1, 1], "valuations": '
@@ -477,6 +477,25 @@ class TestStreamedOutput:
             doc = json.loads(out)
             assert doc["trajectory"] == [] and '"trajectory": [],' in out
             assert out == json.dumps(doc, indent=2) + "\n"
+
+    def test_row_matches_the_indenting_encoder(self):
+        """Each hand-formatted row is the bytes of ``json.dumps(row,
+        indent=2)`` moved four spaces in, on random rows with empty lists
+        and ints far beyond 64 bits."""
+        rng = random.Random(41)
+        keys = ["iteration", "p_before", "chosen_items", "chosen_mask",
+                "lyapunov_before", "lyapunov_after", "deficiency",
+                "demanded_units", "supply_units"]
+
+        def number():
+            return rng.choice((0, 1, -1, rng.randint(-10**6, 10**6),
+                               rng.randint(-10**80, 10**80)))
+
+        for _ in range(300):
+            row = {key: [number() for _ in range(rng.choice((0, 0, 1, 3)))]
+                   if key in ("p_before", "chosen_items") else number() for key in keys}
+            expected = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+            assert _row_json(row) == expected, row
 
 
 class TestIterationBudget:

@@ -252,3 +252,35 @@ class TestNeighborhoodTable:
 
         monkeypatch.setattr(DemandCache, "demand_set", refuse)
         assert [_table(ly, g, p) for p in prices] == slow
+
+
+class TestShiftedValues:
+    """``LyapunovOracle.shifted_values``, the certificate scans' batch route,
+    against per-point ``LyapunovOracle.value``."""
+
+    def test_matches_per_point_values_in_both_directions(self):
+        rng = random.Random(37)
+        blocked = 0
+        for inst in _neighborhood_markets(rng):
+            ly = LyapunovOracle(inst)
+            point = LyapunovOracle(inst)
+            top = max_total_value(inst)
+            for _ in range(6):
+                p = tuple(rng.choice((0, 0, 1, 2, top, top + 1)) for _ in range(inst.n))
+                for s in (1, -1, 1):
+                    expected = []
+                    for mask in range(1 << inst.n):
+                        q = tuple(c + s * (mask >> k & 1) for k, c in enumerate(p))
+                        expected.append(None if min(q) < 0 else point.value(q))
+                    assert ly.shifted_values(p, s) == expected, (inst, p, s)
+                    blocked += expected.count(None)
+        assert blocked > 0
+
+    def test_kept_table_is_not_shared_with_callers(self, ex21):
+        ly = LyapunovOracle(ex21)
+        first = ly.shifted_values((1, 0, 1), -1)
+        first[1] = -7
+        assert ly.shifted_values((1, 0, 1), -1) == \
+            [ly.value(q) if min(q) >= 0 else None
+             for q in ((1, 0, 1), (0, 0, 1), (1, -1, 1), (0, -1, 1),
+                       (1, 0, 0), (0, 0, 0), (1, -1, 0), (0, -1, 0))]
