@@ -18,16 +18,15 @@ from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI,
                        max_total_value, parse_instance, serialize_instance,
                        verify_mnat_exc, verify_monotone_normalized)
 from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
-                   Trajectory, first_gp_minimal, gp_minimal_table,
-                   is_lnat_convex_on_box, maximal_gp_minimal,
-                   minimal_descent_set, minimal_minimizer_step, minimize,
-                   neighborhood_values)
+                   Trajectory, first_gp_minimal, is_lnat_convex_on_box,
+                   maximal_gp_minimal, minimal_descent_set,
+                   minimal_minimizer_step, minimize, neighborhood_values)
 from .lyapunov import LyapunovOracle
 from .oracle import (all_lyapunov_minimizers, allocation_certifies,
                      bidders_demanding_some, bidders_only_demanding,
                      brute_force_min_equilibrium, deficiency, demand_set,
-                     equilibrium_prices_by_enumeration, is_excess_demand,
-                     is_gp_minimal, is_overdemanded, lyapunov, lyapunov_step,
-                     mu, price_cap, unit_demand_set)
+                     equilibrium_prices_by_enumeration, gp_minimal_table,
+                     is_excess_demand, is_gp_minimal, is_overdemanded,
+                     lyapunov, lyapunov_step, mu, price_cap, unit_demand_set)
 
 __version__ = "0.1.0"

@@ -8,9 +8,14 @@ a bitmask with the artificial no-purchase item 0 at bit 0; explicit tables
 scan the bundle box.  The deficiency table, demanded minus supplied units
 for every item set, adds each bidder's minimum take to minus the supply
 family by family; the unit model is the case where every bidder is
-unit-demand and the supply is one of each item.  The bundle box is built,
-and checked against the budget, only when a scan first needs it; deficiency
-tables ((m + 1) * 2^n entries) are checked against the same budget.
+unit-demand and the supply is one of each item.  The table depends on the
+price only through the bidders' demand state, each bidder's minimum take,
+so it is built in two parts: ``DemandCache.demand_key`` reads that state as
+a hashable key, and ``DemandCache.deficiency_from_key`` builds the table
+from the key alone, which lets a caller keep one table per state.  The
+bundle box is built, and checked against the budget, only when a scan first
+needs it; deficiency tables ((m + 1) * 2^n entries) are checked against the
+same budget.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from itertools import product
 from operator import add, sub
 
 from .errors import BudgetExceededError
-from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE,
-                       UNIT_DEMAND, Bundle, Instance, PriceVector, Valuation,
-                       _box_worths, box_volume, iter_box)
+from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT_DEMAND, Bundle,
+                       Instance, PriceVector, Valuation, _box_worths,
+                       box_volume, iter_box)
 from .itemsets import subset_sums
 
 
@@ -43,8 +48,9 @@ class DemandCache:
     It keeps the bundle box and each box-scanned bidder's worth of every
     bundle; the only per-price state is the box scans' bundle costs p.x,
     kept for the latest price only, which every scan at that price re-reads.
-    Unit-demand masks, demand sets and minimum-take vectors are computed
-    afresh at each call.
+    Unit-demand masks, demand sets, minimum-take vectors and demand keys are
+    computed afresh at each call; keeping deficiency tables by demand key is
+    left to the caller (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -143,38 +149,28 @@ class DemandCache:
         """
         self._check_table_budget()
         v = self.instance.valuations[b]
-        n = self._n
         if v.family == SEPARABLE_CONCAVE:
             least = tuple(ks[0] for ks in _per_item_argmax(v, p))
-            return tuple(subset_sums(least, n))
-        size = 1 << n
-        mins = [None] * size
-        for x in self.demand_set_enum(b, p):
-            sums = subset_sums(x, n)
-            for mask in range(size):
-                cur = mins[mask]
-                if cur is None or sums[mask] < cur:
-                    mins[mask] = sums[mask]
-        return tuple(mins)
+            return tuple(subset_sums(least, self._n))
+        return tuple(_least_takes(self.demand_set_enum(b, p), self._n))
 
-    def deficiency_table(self, p: PriceVector) -> list[int]:
-        """Demanded minus supplied units of every item subset, indexed by
-        subset bitmask.
+    def demand_key(self, p: PriceVector) -> tuple:
+        """The bidders' demand state at p, which alone determines the
+        deficiency table: ``(takes, tied, tables)``.
 
-        Starts from minus the supply and adds each bidder's minimum take by
-        family.  A separable bidder's is modular, so its per-item least
-        argmaxes join the supply in one subset-sum pass, and so does a
-        unit-demand bidder demanding exactly one item i, which takes one
-        unit from every set holding i.  A unit-demand bidder tied between
-        several items takes one unit from every superset of them, and none
-        when buying nothing is demanded.  A table bidder adds its
-        ``mu_vector``.  ``LyapunovOracle.deficiency_mask`` is the per-set
-        twin; equality is test-enforced.
+        ``takes`` holds the modular per-item takes: minus the supply, plus
+        each separable bidder's per-item least argmaxes, plus one unit of
+        item i for each unit-demand bidder demanding exactly i.  ``tied``
+        holds the sorted item masks of the unit-demand bidders tied between
+        several items; one for whom buying nothing is demanded takes
+        nothing.  ``tables`` holds each table bidder's demand set.  Equal keys give equal tables, so a caller may keep tables by
+        key; the table budget is checked here, on every call.
         """
         self._check_table_budget()
         inst = self.instance
         takes = [-c for c in inst.u]
         tied = []
+        tables = []
         for b, v in enumerate(inst.valuations):
             if v.family == SEPARABLE_CONCAVE:
                 for j, ks in enumerate(_per_item_argmax(v, p)):
@@ -188,7 +184,24 @@ class DemandCache:
                     tied.append(d)
                 else:
                     takes[d.bit_length() - 1] += 1
-        out = subset_sums(takes, self._n)
+            else:
+                tables.append(self.demand_set_enum(b, p))
+        return tuple(takes), tuple(sorted(tied)), tuple(tables)
+
+    def deficiency_from_key(self, key: tuple) -> list[int]:
+        """Demanded minus supplied units of every item subset, indexed by
+        subset bitmask, built from a ``demand_key``.
+
+        The modular takes go through one subset-sum pass: a separable
+        bidder's minimum take is the sum of its per-item least argmaxes, and
+        a unit-demand bidder demanding exactly item i takes one unit from
+        every set holding i.  A tied unit-demand bidder takes one unit from
+        every superset of its items, and a table bidder its least subset sum
+        over its demand set.
+        """
+        takes, tied, tables = key
+        n = self._n
+        out = subset_sums(takes, n)
         full = len(out) - 1
         for d in tied:
             s = d
@@ -197,10 +210,19 @@ class DemandCache:
                 if s == full:
                     break
                 s = (s + 1) | d
-        for b, v in enumerate(inst.valuations):
-            if v.family == EXPLICIT_TABLE:
-                out = list(map(add, out, self.mu_vector(b, p)))
+        for demand in tables:
+            out = list(map(add, out, _least_takes(demand, n)))
         return out
+
+    def deficiency_table(self, p: PriceVector) -> list[int]:
+        """Demanded minus supplied units of every item subset, indexed by
+        subset bitmask: ``deficiency_from_key(demand_key(p))``.
+
+        Starts from minus the supply and adds each bidder's minimum take by
+        family.  ``LyapunovOracle.deficiency_mask`` is the per-set twin;
+        equality is test-enforced.
+        """
+        return self.deficiency_from_key(self.demand_key(p))
 
     # -- indirect utility --------------------------------------------------------
 
@@ -224,6 +246,16 @@ class DemandCache:
     def indirect_utility_enum(self, b: int, p: PriceVector) -> int:
         """Best payoff by full enumeration of the bundle box (canonical path)."""
         return max(map(sub, self._bidder_values(b), self._box_costs(p)))
+
+
+def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:
+    """Least subset sum over the bundles of a demand set, for every item
+    subset, indexed by subset bitmask."""
+    mins = None
+    for x in demand:
+        sums = subset_sums(x, n)
+        mins = sums if mins is None else list(map(min, mins, sums))
+    return mins
 
 
 def _per_item_argmax(v: Valuation, p: PriceVector) -> list[list[int]]:

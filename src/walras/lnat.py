@@ -192,32 +192,6 @@ def _width(vals: list[int | None]) -> int:
     return n
 
 
-def gp_minimal_table(vals: list[int | None]) -> list[bool]:
-    """``oracle.is_gp_minimal`` for every mask of a neighborhood table at once.
-
-    One pass in increasing mask order keeps, per mask, the least finite
-    value over all its submasks, so the least value over a mask's proper
-    submasks costs one lookup per member: O(2^n * n) instead of 3^n.
-    """
-    low = list(vals)
-    flags = [False] * len(vals)
-    for mask in range(1, len(vals)):
-        below = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = low[mask ^ bit]
-            if v is not None and (below is None or v < below):
-                below = v
-        val = vals[mask]
-        if val is not None and (below is None or val < below):
-            flags[mask] = True
-        elif below is not None:
-            low[mask] = below
-    return flags
-
-
 def minimal_descent_set(vals: list[int | None]) -> int | None:
     """Mask of the first descent set in (cardinality, lexicographic) scan order.
 
@@ -225,15 +199,22 @@ def minimal_descent_set(vals: list[int | None]) -> int | None:
     guarantee makes the result inclusion-minimal.  Returns None when no
     raise descends.
     """
-    n = _width(vals)
+    _width(vals)
     base = vals[0]
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            mask = sum(1 << i for i in combo)
-            val = vals[mask]
-            if val is not None and val < base:
-                return mask
+    for mask in _masks_by_size(len(vals)):
+        val = vals[mask]
+        if val is not None and val < base:
+            return mask
     return None
+
+
+@functools.lru_cache(maxsize=1)
+def _masks_by_size(size: int) -> tuple[int, ...]:
+    """The masks 1..size-1 by cardinality, then lexicographically by their
+    members, as ``combinations`` lists them; kept for the latest size."""
+    n = size.bit_length() - 1
+    return tuple(sum(1 << i for i in combo)
+                 for k in range(1, n + 1) for combo in combinations(range(n), k))
 
 
 def minimal_minimizer_step(vals: list[int | None]) -> int:
@@ -257,19 +238,66 @@ def minimal_minimizer_step(vals: list[int | None]) -> int:
 def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     """Mask of the first locally-minimal descent set in a seeded subset order.
 
-    Local minimality compares entries with each other only.  The order is
-    a Fisher-Yates shuffle of all nonempty subset indices, so a fixed seed
-    always yields the same choice; it is built once per (seed, table size)
-    and reused while those stay the same.  Returns None when no raise
-    descends.
+    A set X is locally minimal when its entry is finite and below the entry
+    of every proper subset (Murota, Shioura and Yang, 2016), so it compares
+    entries with each other only.  The order is a Fisher-Yates shuffle of
+    all nonempty subset indices, so a fixed seed always yields the same
+    choice; it is built once per (seed, table size) and reused while those
+    stay the same.  The walk stops at the first hit and rejects a set in
+    three steps, cheapest first: its entry is not below entry 0; some set
+    one item smaller has an entry at or below it; some proper subset does,
+    read from least-entry-over-subsets values kept for this call only.
+    ``oracle.gp_minimal_table`` flags every set at once and is its twin.
+    Returns None when no raise descends.
     """
     _check_seed(seed)
     _width(vals)
-    flags = gp_minimal_table(vals)
+    base = vals[0]
+    low = [None] * len(vals)
+    low[0] = base
     for mask in _shuffled_masks(seed, len(vals)):
-        if flags[mask]:
-            return mask
+        val = vals[mask]
+        if val is None or val >= base:
+            continue
+        rest = mask
+        while rest:  # the sets one item smaller
+            bit = rest & -rest
+            rest ^= bit
+            sub = vals[mask ^ bit]
+            if sub is not None and sub <= val:
+                break
+        else:
+            rest = mask
+            while rest:  # every proper subset, through the sets one smaller
+                bit = rest & -rest
+                rest ^= bit
+                if _least_over_subsets(vals, low, mask ^ bit) <= val:
+                    break
+            else:
+                return mask
     return None
+
+
+def _least_over_subsets(vals: list[int | None], low: list[int | None], mask: int) -> int:
+    """Least finite entry of ``vals`` over the subsets of ``mask``, itself
+    included, kept in ``low`` (None where not yet known).  Every such
+    subset holds the empty set, whose entry ``low[0]`` is finite.
+
+    A module function, not a closure, so a call leaves no reference cycle
+    that would keep the table alive until the cyclic collector runs.
+    """
+    least = low[mask]
+    if least is None:
+        least = vals[mask]
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            sub = _least_over_subsets(vals, low, mask ^ bit)
+            if least is None or sub < least:
+                least = sub
+        low[mask] = least
+    return least
 
 
 @functools.lru_cache(maxsize=1)
@@ -290,8 +318,8 @@ def maximal_gp_minimal(vals: list[int | None]) -> int:
     The locally-minimal descent sets are closed under union, and their union
     is the minimal minimizer of the one-step change (Murota, Shioura and
     Yang, 2016), so this is ``minimal_minimizer_step``; the tests hold the
-    identity against the union of ``gp_minimal_table`` flags.  Degenerates
-    to 0, the empty set, when nothing descends.
+    identity against the union of ``oracle.gp_minimal_table`` flags.
+    Degenerates to 0, the empty set, when nothing descends.
     """
     return minimal_minimizer_step(vals)
 

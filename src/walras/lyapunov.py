@@ -4,8 +4,11 @@ The Lyapunov value of a price vector is the bidders' total indirect utility
 plus the revenue term; its minimizers are exactly the equilibrium prices.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
-Lyapunov values certify each chosen step and the final stop.  Deficiencies
-come from minimum takes, never from Lyapunov values, so the identity
+Lyapunov values certify each chosen step and the final stop.  That table
+depends on the price only through the bidders' demand state, which an
+ascending run keeps returning to, so the oracle builds it once per
+``DemandCache.demand_key`` and keeps it.  Deficiencies come from minimum
+takes, never from Lyapunov values, so the identity
 ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
 routes instead of holding by construction.  The two certificate scans, of
 L(p + chi_X) at the stop and of L(p - chi_X) for minimality, read
@@ -16,7 +19,7 @@ check the change table against values.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, neg, sub
 
 from .demand import DemandCache, _check_price
 from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT, UNIT_DEMAND,
@@ -36,6 +39,9 @@ class LyapunovOracle:
     found every explicit table to pass the exchange check, None until then.
     ``shifted_values`` keeps its latest table for each shift, which
     ``compare``'s strategies, stopping at the same price, read again.
+    ``neighborhood`` keeps its change tables by demand key, at most
+    ``budget`` entries in all (2^n per table), cleared when full like the
+    value memo; runs sharing the oracle share them.
     """
 
     def __init__(self, instance: Instance, *, demand: DemandCache | None = None,
@@ -45,6 +51,7 @@ class LyapunovOracle:
         self.budget = budget
         self._memo: dict[PriceVector, int] = {}
         self._shifted: dict[int, tuple[PriceVector, tuple[int | None, ...]]] = {}
+        self._tables: dict[tuple, tuple[int, ...]] = {}
         self.admitted_budget: int | None = None
 
     def value(self, p: PriceVector) -> int:
@@ -143,8 +150,21 @@ class LyapunovOracle:
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
         Lyapunov evaluation; ``minimize`` hands it to the selection rule as
         it is and checks only the chosen step and the stop against values.
+        The table is built once per demand key and kept; each call returns
+        a fresh list.
         """
-        return [-d for d in self.demand.deficiency_table(_check_price(self.instance, p))]
+        dc = self.demand
+        key = dc.demand_key(_check_price(self.instance, p))
+        tables = self._tables
+        table = tables.get(key)
+        if table is None:
+            table = tuple(map(neg, dc.deficiency_from_key(key)))
+            room = self.budget >> self.instance.n  # tables of 2^n entries
+            if room:
+                if len(tables) >= room:
+                    tables.clear()
+                tables[key] = table
+        return list(table)
 
     def function_oracle(self) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.

@@ -10,7 +10,8 @@ shares no search logic with the auction layer:
   some items of a set, and overdemanded and excess-demand sets, with their
   multi-unit counterparts from minimum takes;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
-  ``deficiency``, ``lyapunov_step``), and the equilibrium conditions
+  ``deficiency``, ``lyapunov_step``), the flags of every locally-minimal set
+  of a table at once (``gp_minimal_table``), and the equilibrium conditions
   checked against an allocation (``allocation_certifies``).
 
 The solver modules never import this one.
@@ -268,7 +269,8 @@ def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
 
     With Y = {} this forces a strict descent, so such sets are always valid
     choices for the loop's raise step.  The definitional twin of
-    ``lnat.gp_minimal_table``, which the descent reads.
+    ``gp_minimal_table``, which flags every set of a table at once, and of
+    ``lnat.first_gp_minimal``, which the descent reads.
     """
     p = tuple(p)
     mask = mask_from_items(X, g.n)
@@ -282,6 +284,35 @@ def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
         if val is not None and val <= target:
             return False
     return True
+
+
+def gp_minimal_table(vals: list[int | None]) -> list[bool]:
+    """``is_gp_minimal`` for every mask of a neighborhood table at once.
+
+    The whole-table twin of ``lnat.first_gp_minimal``, which stops at the
+    first locally-minimal set of its seeded order: that rule's choice is
+    the first flagged mask of the same order.  One pass in increasing mask
+    order keeps, per mask, the least finite value over all its submasks, so
+    the least value over a mask's proper submasks costs one lookup per
+    member: O(2^n * n) instead of 3^n.
+    """
+    low = list(vals)
+    flags = [False] * len(vals)
+    for mask in range(1, len(vals)):
+        below = None
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = low[mask ^ bit]
+            if v is not None and (below is None or v < below):
+                below = v
+        val = vals[mask]
+        if val is not None and (below is None or val < below):
+            flags[mask] = True
+        elif below is not None:
+            low[mask] = below
+    return flags
 
 
 # --- unit-model definitions (Andersson, Andersson and Talman, 2013) ---------

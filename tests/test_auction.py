@@ -21,6 +21,7 @@ from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracl
 from walras.oracle import excess_demand_table
 from walras.auction import _extract_multi
 from walras.demand import DemandCache
+from walras import lnat
 from walras.itemsets import chi_add, items_from_mask
 
 
@@ -506,6 +507,42 @@ class TestDescentWork:
                     assert iterations == max(res.p_min)
                 finals.add(res.p_min)
             assert len(finals) == 1
+
+    def test_change_tables_are_built_once_per_demand_state(self, monkeypatch):
+        """On the n=9 unit market, a steepest run asks for a table at every
+        iteration and at the stop, but builds one only for a demand state it
+        has not met: tables built <= distinct demand keys < iterations.  The
+        rule still runs once per iteration."""
+        rng = random.Random(9)
+        n, m = 9, 12
+        inst = Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(
+            Valuation.unit_demand([rng.randint(0, 100) for _ in range(n)])
+            for _ in range(m)))
+        keys, counts = set(), {"built": 0, "rule": 0}
+        demand_key = DemandCache.demand_key
+        build = DemandCache.deficiency_from_key
+        rule = lnat.minimal_minimizer_step
+
+        def keyed(self, p):
+            key = demand_key(self, p)
+            keys.add(key)
+            return key
+
+        def built(self, key):
+            counts["built"] += 1
+            return build(self, key)
+
+        def ruled(vals):
+            counts["rule"] += 1
+            return rule(vals)
+
+        monkeypatch.setattr(DemandCache, "demand_key", keyed)
+        monkeypatch.setattr(DemandCache, "deficiency_from_key", built)
+        monkeypatch.setattr(lnat, "minimal_minimizer_step", ruled)
+        res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL)
+        iterations = len(res.trajectory)
+        assert counts["built"] <= len(keys) < iterations, (counts, len(keys), iterations)
+        assert counts["rule"] == iterations
 
     def test_every_lyapunov_value_goes_through_the_oracle_adapter(self, monkeypatch):
         """The run reads L per point only through ``function_oracle()``: the

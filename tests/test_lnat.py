@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_multi_instance, tabulate
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
-                    LnatCounterexample, LyapunovOracle, StrategyKind, first_gp_minimal,
-                    gp_minimal_table, is_lnat_convex_on_box, max_total_value,
+                    LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
+                    first_gp_minimal, is_lnat_convex_on_box, max_total_value,
                     maximal_gp_minimal, minimal_descent_set,
                     minimal_minimizer_step, minimize, neighborhood_values)
 from walras import lnat
 from walras.errors import BudgetExceededError, ContractError
-from walras.itemsets import items_from_mask
+from walras.itemsets import items_from_mask, proper_submasks
 from walras.lnat import Step
-from walras.oracle import is_gp_minimal
+from walras.oracle import gp_minimal_table, is_gp_minimal
 
 
 def table_oracle(table, n, floor=None):
@@ -142,6 +142,22 @@ class TestMinimalDescentSet:
                         q[i - 1] += 1
                     assert g(tuple(q)) >= base
 
+    def test_kept_order_matches_combinations(self):
+        """The kept scan order is by cardinality, then lexicographic, as
+        ``combinations`` lists the members; the first descent set found in
+        it is the one a fresh ``combinations`` scan finds."""
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            order = [sum(1 << i for i in combo)
+                     for k in range(1, n + 1) for combo in combinations(range(n), k)]
+            vals = [rng.choice((None, rng.randint(-3, 3))) if mask else rng.randint(-3, 3)
+                    for mask in range(1 << n)]
+            want = next((mask for mask in order
+                         if vals[mask] is not None and vals[mask] < vals[0]), None)
+            assert minimal_descent_set(vals) == want, vals
+            assert lnat._masks_by_size(1 << n) == tuple(order)
+
 
 class TestMinimalMinimizerStep:
     def test_worked_example(self, ex21):
@@ -179,23 +195,41 @@ class TestFirstGpMinimal:
             first_gp_minimal(neighborhood_values(lyap_oracle(ex21), (0, 0, 0)), -1)
 
     def test_kept_order_matches_a_fresh_shuffle(self):
-        """The order kept across calls picks what a fresh
-        ``random.Random(seed).shuffle`` picks, on tables with ties and None
-        entries, while seeds and table sizes change and repeat; only the
-        latest order is kept."""
+        """The walk that stops at the first locally-minimal set picks the
+        first set ``oracle.gp_minimal_table`` flags in a fresh
+        ``random.Random(seed).shuffle``, on change tables and value tables
+        (entry 0 not 0) with ties and None entries, while seeds and table
+        sizes change and repeat; only the latest order is kept.  A set that
+        ties one of its proper subsets is never chosen; such sets, past the
+        one-item-smaller check, come up in the walk."""
         rng = random.Random(29)
-        for _ in range(400):
-            n = rng.randint(1, 5)
-            vals = [rng.choice((None, rng.randint(0, 4))) if mask else rng.randint(0, 4)
-                    for mask in range(1 << n)]
+        deep_ties = 0
+        for trial in range(600):
+            n = rng.randint(1, 7)
+            top = rng.randint(1, 8)
+            vals = [rng.choice((None, rng.randint(-top, top))) if rng.random() < 0.2
+                    else rng.randint(-top, top) for _ in range(1 << n)]
+            vals[0] = 0 if trial % 2 else rng.randint(-top, top)
             seed = rng.choice((0, 1, 7, 2**63, rng.randrange(2**64)))
             flags = gp_minimal_table(vals)
             order = list(range(1, 1 << n))
             random.Random(seed).shuffle(order)
             want = next((mask for mask in order if flags[mask]), None)
-            assert first_gp_minimal(vals, seed) == want, (vals, seed)
+            got = first_gp_minimal(vals, seed)
+            assert got == want, (vals, seed)
             assert lnat._shuffled_masks.cache_info().currsize == 1
             assert lnat._shuffled_masks(seed, 1 << n) == tuple(order)
+            for mask in order if got is None else order[:order.index(got)]:
+                val = vals[mask]
+                if val is None or val >= vals[0]:
+                    continue
+                smaller = [mask ^ (1 << k) for k in range(n) if mask >> k & 1]
+                if all(vals[sub] is None or vals[sub] > val for sub in smaller):
+                    deep_ties += any(vals[sub] == val for sub in proper_submasks(mask))
+            if got is not None:
+                assert all(vals[sub] is None or vals[sub] > vals[got]
+                           for sub in proper_submasks(got)), (vals, got)
+        assert deep_ties > 20
 
 
 class TestMaximalGpMinimal:
@@ -486,6 +520,42 @@ class TestNeighborhoodTable:
                     plain = minimize(g, p0, kind, seed=3)
                     fast = minimize(g, p0, kind, seed=3, neighborhood=ly.neighborhood)
                     assert fast == plain
+
+
+def repeat_prone_market(rng):
+    """A small unit or separable market whose values are multiples of 5 or
+    8, so prices climb through long stretches of one demand state."""
+    n = rng.randint(1, 3)
+    step = rng.choice((5, 8))
+    if rng.random() < 0.5:
+        return Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(
+            Valuation.unit_demand([step * rng.randint(0, 4) for _ in range(n)])
+            for _ in range(rng.randint(1, 4))))
+    u = tuple(rng.randint(1, 2) for _ in range(n))
+    return Instance(model="multi", n=n, u=u, valuations=tuple(
+        Valuation.separable([sorted((step * rng.randint(0, 4) for _ in range(c)),
+                                    reverse=True) for c in u])
+        for _ in range(rng.randint(1, 3))))
+
+
+class TestKeptTables:
+    def test_kept_tables_give_the_value_route_trajectory(self):
+        """With change tables kept by demand state and shared by the four
+        rules, every rule's trajectory equals the value route's, while most
+        tables the runs ask for are served from the kept ones."""
+        rng = random.Random(59)
+        asked = built = 0
+        for trial in range(200):
+            inst = repeat_prone_market(rng)
+            ly = LyapunovOracle(inst)
+            g = ly.function_oracle()
+            for kind in StrategyKind:
+                plain = minimize(g, (0,) * inst.n, kind, seed=trial)
+                fast = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=ly.neighborhood)
+                assert fast == plain, (inst, kind)
+                asked += len(fast[1]) + 1
+            built += len(ly._tables)
+        assert asked > 3 * built
 
 
 RULE_OF = {

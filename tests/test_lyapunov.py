@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
-from walras import (DemandCache, Instance, LyapunovOracle, Valuation,
+from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind, Valuation,
                     ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
 from walras.itemsets import chi_add
@@ -252,6 +252,73 @@ class TestNeighborhoodTable:
 
         monkeypatch.setattr(DemandCache, "demand_set", refuse)
         assert [_table(ly, g, p) for p in prices] == slow
+
+
+def _visited_prices(ly):
+    """Every price the four strategies visit on ``ly``'s instance, sharing
+    ``ly`` as ``compare`` does, in visiting order."""
+    prices = []
+    for kind in StrategyKind:
+        res = ascending_auction(ly.instance, kind, seed=3, oracle=ly)
+        prices += [step.p_before for step in res.trajectory.steps] + [res.p_min]
+    return prices
+
+
+class TestKeptTables:
+    """``LyapunovOracle.neighborhood`` keeps its tables by demand key."""
+
+    def test_warm_tables_match_fresh_oracles(self):
+        """At every price any strategy visits, the warm oracle's table equals
+        a fresh oracle's and the per-set twin, on unit, separable,
+        admitted-table and mixed-family markets."""
+        rng = random.Random(41)
+        served = 0
+        for inst in _neighborhood_markets(rng):
+            ly = LyapunovOracle(inst)
+            prices = _visited_prices(ly)
+            served += len(prices) - len(ly._tables)
+            for p in prices:
+                want = LyapunovOracle(inst).neighborhood(p)
+                assert ly.neighborhood(p) == want, (inst, p)
+                assert want == [-ly.deficiency_mask(mask, p) for mask in range(1 << inst.n)]
+        assert served > 0
+
+    def test_returned_tables_are_copies(self, ex21, two_bidder_multi):
+        for inst, p in ((ex21, (0, 0, 0)), (two_bidder_multi, (1,))):
+            ly = LyapunovOracle(inst)
+            want = LyapunovOracle(inst).neighborhood(p)
+            first = ly.neighborhood(p)
+            first[1] += 5
+            first.append(0)
+            assert ly.neighborhood(p) == want
+            ly.neighborhood(p)[-1] = 9
+            assert ly.neighborhood(p) == want
+
+    def test_kept_entries_stay_within_the_budget(self):
+        """Under a small budget the kept tables never hold more than
+        ``budget`` entries, 2^n per table, and every table equals an
+        unbounded oracle's; a budget below 2^n keeps none."""
+        rng = random.Random(43)
+        held = cleared = 0
+        for _ in range(20):
+            inst = (random_unit_instance(rng, n_max=3, m_max=4) if rng.random() < 0.5
+                    else random_multi_instance(rng, n_max=2, u_max=2, m_max=3))
+            budget = rng.randint(1, 40)
+            # The demand side keeps the default budget; only the memo is small.
+            small = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
+            full = LyapunovOracle(inst)
+            prices = list(product(range(max_total_value(inst) + 2), repeat=inst.n))
+            for p in prices + prices[::-1]:
+                before = len(small._tables)
+                assert small.neighborhood(p) == full.neighborhood(p)
+                assert len(small._tables) << inst.n <= budget
+                held = max(held, len(small._tables))
+                cleared += len(small._tables) < before
+            bounded = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
+            assert ascending_auction(inst, oracle=bounded).p_min == \
+                ascending_auction(inst).p_min
+            assert len(bounded._tables) << inst.n <= budget
+        assert held > 1 and cleared > 0
 
 
 class TestShiftedValues:
