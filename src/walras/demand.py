@@ -12,15 +12,24 @@ unit-demand and the supply is one of each item.  The table depends on the
 price only through the bidders' demand state, each bidder's minimum take,
 so it is built in two parts: ``DemandCache.demand_key`` reads that state as
 a hashable key, and ``DemandCache.deficiency_from_key`` builds the table
-from the key alone, which lets a caller keep one table per state.  The
-bundle box is built, and checked against the budget, only when a scan first
-needs it; deficiency tables ((m + 1) * 2^n entries) are checked against the
-same budget.
+from the key alone, which lets a caller keep one table per state.
+
+Separable bidders are read per item, not per bidder: item j's total least
+take and total indirect utility over all of them depend only on the
+multiset of their marginals for j (the count of marginals above the price,
+and the sum of each marginal's excess over it), so the cache sorts that
+multiset once into one column per item and reads both with one bisection.
+The per-bidder forms (``_per_item_argmax``, ``indirect_utility``) serve
+demand sets, minimum takes and allocation extraction, and are the twins.
+The bundle box is built, and checked against the budget, only when a scan
+first needs it; deficiency tables ((m + 1) * 2^n entries) are checked
+against the same budget.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from bisect import bisect_right
+from itertools import accumulate, product
 from operator import add, sub
 
 from .errors import BudgetExceededError
@@ -45,12 +54,16 @@ class DemandCache:
 
     Instances are immutable, so kept answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
-    It keeps the bundle box and each box-scanned bidder's worth of every
-    bundle; the only per-price state is the box scans' bundle costs p.x,
-    kept for the latest price only, which every scan at that price re-reads.
-    Unit-demand masks, demand sets, minimum-take vectors and demand keys are
-    computed afresh at each call; keeping deficiency tables by demand key is
-    left to the caller (``LyapunovOracle.neighborhood`` does).
+    Built once: every separable bidder's marginals of each item in one
+    ascending column per item, with its suffix sums, which ``demand_key``
+    and ``item_utility`` read per item; and ``per_bidder``, the indices of
+    the other bidders, which those reads still visit one by one.  It keeps
+    the bundle box and each box-scanned bidder's worth of every bundle; the
+    only per-price state is the box scans' bundle costs p.x, kept for the
+    latest price only, which every scan at that price re-reads.  Unit-demand
+    masks, demand sets, minimum-take vectors and demand keys are computed
+    afresh at each call; keeping deficiency tables by demand key is left to
+    the caller (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -60,6 +73,18 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
+        columns = [[] for _ in range(self._n)]
+        per_bidder = []
+        for b, v in enumerate(instance.valuations):
+            if v.family == SEPARABLE_CONCAVE:
+                for col, row in zip(columns, v.marginals):
+                    col.extend(row)
+            else:
+                per_bidder.append(b)
+        self._columns = tuple(tuple(sorted(col)) for col in columns)
+        self._tails = tuple(tuple(accumulate(reversed(col), initial=0))[::-1]
+                            for col in self._columns)
+        self.per_bidder = tuple(per_bidder)
 
     # -- shared ------------------------------------------------------------
 
@@ -159,23 +184,27 @@ class DemandCache:
         deficiency table: ``(takes, tied, tables)``.
 
         ``takes`` holds the modular per-item takes: minus the supply, plus
-        each separable bidder's per-item least argmaxes, plus one unit of
-        item i for each unit-demand bidder demanding exactly i.  ``tied``
-        holds the sorted item masks of the unit-demand bidders tied between
-        several items; one for whom buying nothing is demanded takes
-        nothing.  ``tables`` holds each table bidder's demand set.  Equal keys give equal tables, so a caller may keep tables by
-        key; the table budget is checked here, on every call.
+        the separable bidders' least argmaxes, read per item as the number
+        of the item's marginals above its price, plus one unit of item i for
+        each unit-demand bidder demanding exactly i.  ``tied`` holds the
+        sorted item masks of the unit-demand bidders tied between several
+        items; one for whom buying nothing is demanded takes nothing.
+        ``tables`` holds each table bidder's demand set.  Equal keys give
+        equal tables, so a caller may keep tables by key; the table budget
+        is checked here, on every call.
         """
         self._check_table_budget()
         inst = self.instance
-        takes = [-c for c in inst.u]
+        if len(self.per_bidder) == inst.m:  # no separable bidder
+            takes = [-q for q in inst.u]
+        else:
+            takes = [len(col) - bisect_right(col, c) - q
+                     for col, c, q in zip(self._columns, p, inst.u)]
         tied = []
         tables = []
-        for b, v in enumerate(inst.valuations):
-            if v.family == SEPARABLE_CONCAVE:
-                for j, ks in enumerate(_per_item_argmax(v, p)):
-                    takes[j] += ks[0]
-            elif v.family == UNIT_DEMAND:
+        valuations = inst.valuations
+        for b in self.per_bidder:
+            if valuations[b].family == UNIT_DEMAND:
                 dm = self.unit_demand_mask(b, p)
                 if dm & 1:
                     continue
@@ -226,8 +255,20 @@ class DemandCache:
 
     # -- indirect utility --------------------------------------------------------
 
+    def item_utility(self, j: int, c: int) -> int:
+        """The separable bidders' total best payoff from item j at price c:
+        the sum of max(0, w - c) over every separable marginal w of item j,
+        read from the item's sorted column and its suffix sums."""
+        col = self._columns[j]
+        i = bisect_right(col, c)
+        return self._tails[j][i] - c * (len(col) - i)
+
     def indirect_utility(self, b: int, p: PriceVector) -> int:
-        """Best payoff max(v(x) - p.x); per-family shortcut where one exists."""
+        """Best payoff max(v(x) - p.x); per-family shortcut where one exists.
+
+        A separable bidder is read item by item from its own marginals, the
+        per-bidder twin of ``item_utility``.
+        """
         v = self.instance.valuations[b]
         if v.family == SEPARABLE_CONCAVE:
             total = 0

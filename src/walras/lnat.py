@@ -225,11 +225,14 @@ def minimal_minimizer_step(vals: list[int | None]) -> int:
     input is rejected.  0 means nothing descends.
     """
     _width(vals)
-    best = min(val for val in vals if val is not None)
-    meet = -1
-    for mask, val in enumerate(vals):
-        if val == best:
-            meet &= mask
+    if None in vals:
+        best = min(val for val in vals if val is not None)
+    else:
+        best = min(vals)
+    meet = mask = -1
+    for _ in range(vals.count(best)):
+        mask = vals.index(best, mask + 1)
+        meet &= mask
     if vals[meet] != best:
         raise ConvexityError("step function not submodular")
     return meet

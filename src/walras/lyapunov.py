@@ -2,6 +2,10 @@
 
 The Lyapunov value of a price vector is the bidders' total indirect utility
 plus the revenue term; its minimizers are exactly the equilibrium prices.
+Separable bidders are read per item, not per bidder: their total indirect
+utility is a sum over items of one-variable functions of the item's price,
+each read from the item's sorted column of marginals
+(``DemandCache.item_utility``); every other bidder is read on its own.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -22,8 +26,7 @@ from __future__ import annotations
 from operator import add, neg, sub
 
 from .demand import DemandCache, _check_price
-from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT, UNIT_DEMAND,
-                       Instance, PriceVector)
+from .instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, Instance, PriceVector
 from .itemsets import mask_weight, subset_sums
 from .lnat import FunctionOracle
 
@@ -72,7 +75,9 @@ class LyapunovOracle:
         else:
             dc = self.demand
             total = sum(c * q for c, q in zip(t, inst.u))
-            for b in range(inst.m):
+            if len(dc.per_bidder) < inst.m:  # some bidder is separable
+                total += sum(map(dc.item_utility, range(inst.n), t))
+            for b in dc.per_bidder:
                 total += dc.indirect_utility(b, t)
         memo = self._memo
         if len(memo) >= self.budget:
@@ -92,12 +97,13 @@ class LyapunovOracle:
         """``L(p + s * chi_X)`` for every item subset X, indexed by bitmask,
         None where a price would go negative; the batch twin of ``value``.
 
-        Built from each bidder's own indirect utility in whole-list passes:
-        the revenue term and every separable bidder change item by item, so
-        their per-item differences go through one subset-sum pass; a
-        unit-demand bidder's best payoff is a running max over items,
-        doubled one item at a time; a table bidder is read per point
-        through ``DemandCache.indirect_utility``.
+        Built from indirect utilities in whole-list passes: the revenue term
+        and the separable bidders, read together per item through
+        ``DemandCache.item_utility``, change item by item, so their per-item
+        differences go through one subset-sum pass; a unit-demand bidder's
+        best payoff is a running max over items, doubled one item at a time;
+        a table bidder is read per point through
+        ``DemandCache.indirect_utility``.
         """
         t = _check_price(self.instance, p)
         kept = self._shifted.get(s)
@@ -111,18 +117,16 @@ class LyapunovOracle:
                 blocked |= 1 << k
         base = sum(c * q for c, q in zip(t, inst.u))
         steps = [s * q for q in inst.u]
+        for j, c in enumerate(t):
+            here = dc.item_utility(j, c)
+            base += here
+            if not blocked >> j & 1:
+                steps[j] += dc.item_utility(j, c + s) - here
         units = []
         tables = []
-        for b, v in enumerate(inst.valuations):
-            if v.family == SEPARABLE_CONCAVE:
-                for j, row in enumerate(v._prefix):
-                    c = t[j]
-                    here = max(w - k * c for k, w in enumerate(row))
-                    base += here
-                    if not blocked >> j & 1:
-                        c += s
-                        steps[j] += max(w - k * c for k, w in enumerate(row)) - here
-            elif v.family == UNIT_DEMAND:
+        for b in dc.per_bidder:
+            v = inst.valuations[b]
+            if v.family == UNIT_DEMAND:
                 units.append(v.values)
             else:
                 tables.append(b)

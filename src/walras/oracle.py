@@ -9,6 +9,8 @@ shares no search logic with the auction layer:
   demand sets with the no-purchase item 0, the bidders demanding only or
   some items of a set, and overdemanded and excess-demand sets, with their
   multi-unit counterparts from minimum takes;
+* the Lyapunov value read bidder by bidder (``lyapunov``), the twin of the
+  per-item reads of separable bidders;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
   ``deficiency``, ``lyapunov_step``), the flags of every locally-minimal set
   of a table at once (``gp_minimal_table``), and the equilibrium conditions
@@ -501,17 +503,24 @@ def excess_demand_table(instance: Instance, p: PriceVector, *,
 
 
 def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Lyapunov value at p: total indirect utility plus revenue at full supply."""
-    return LyapunovOracle(instance, budget=budget).value(p)
+    """Lyapunov value at p: total indirect utility plus revenue at full supply.
+
+    Read bidder by bidder through ``DemandCache.indirect_utility``, never
+    through the per-item columns that ``LyapunovOracle.value`` reads.
+    """
+    p = _check_price(instance, p)
+    dc = DemandCache(instance, budget=budget)
+    revenue = sum(c * q for c, q in zip(p, instance.u))
+    return revenue + sum(dc.indirect_utility(b, p) for b in range(instance.m))
 
 
 def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,
                   budget: int = DEFAULT_BUDGET) -> int:
     """lyapunov(p + chi_X) - lyapunov(p); equals -deficiency(X, p) for valid inputs."""
     mask = mask_from_items(X, instance.n)
-    ly = LyapunovOracle(instance, budget=budget)
     p = tuple(p)
-    return ly.value(chi_add(p, mask)) - ly.value(p)
+    return (lyapunov(chi_add(p, mask), instance, budget=budget)
+            - lyapunov(p, instance, budget=budget))
 
 
 def deficiency(X: ItemSet, p: PriceVector, instance: Instance, *,

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
-from walras import Instance, Valuation, evaluate
-from walras.instance import iter_box
+from walras import Instance, Valuation, evaluate, max_total_value
+from walras.instance import SEPARABLE_CONCAVE, iter_box
 
 settings.register_profile(
     "walras", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -102,3 +102,44 @@ def random_multi_instance(rng: random.Random, *, n_max: int = 3, u_max: int = 3,
 def tabulate(v: Valuation) -> Valuation:
     """Re-express any valuation as an explicit table over its own box."""
     return Valuation.from_table({x: evaluate(v, x) for x in iter_box(v.box())})
+
+
+@st.composite
+def column_markets(draw) -> Instance:
+    """Multi markets for the per-item column reads: separable only, mixed
+    families, or no bidders at all.  Mixed markets with one unit of each
+    item may also hold unit-demand bidders; tabulated bidders join either."""
+    kind = draw(st.sampled_from(("separable", "mixed", "empty")))
+    n = draw(st.integers(1, 3))
+    ones = kind == "mixed" and draw(st.booleans())
+    u = (1,) * n if ones else tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    if kind == "empty":
+        return Instance(model="multi", n=n, u=u, valuations=())
+    marginal_rows = st.tuples(*(
+        st.lists(st.integers(0, 8), min_size=cap, max_size=cap).map(
+            lambda r: sorted(r, reverse=True)) for cap in u))
+    separable = marginal_rows.map(Valuation.separable)
+    families = [separable]
+    if kind == "mixed":
+        families.append(separable.map(tabulate))
+        if ones:
+            unit = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(Valuation.unit_demand)
+            families += [unit, unit.map(tabulate)]
+    vals = draw(st.lists(st.one_of(*families), min_size=1, max_size=4))
+    return Instance(model="multi", n=n, u=u, valuations=tuple(vals))
+
+
+@st.composite
+def column_prices(draw, inst: Instance) -> tuple[int, ...]:
+    """A price per item at one of the column reads' edges: a separable
+    marginal of the item, one above or below it, 0, or above every worth."""
+    top = max_total_value(inst) + 1
+    p = []
+    for j in range(inst.n):
+        edges = {0, top}
+        for v in inst.valuations:
+            if v.family == SEPARABLE_CONCAVE:
+                for w in v.marginals[j]:
+                    edges.update(c for c in (w - 1, w, w + 1) if c >= 0)
+        p.append(draw(st.sampled_from(sorted(edges))))
+    return tuple(p)

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 from itertools import product
 
-from conftest import random_multi_instance, random_unit_instance, tabulate
+from conftest import (column_markets, column_prices, random_multi_instance,
+                      random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     Valuation, ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
-from walras.demand import DemandCache
+from walras.demand import DemandCache, _per_item_argmax
 from walras.itemsets import subset_sums
 from walras.oracle import (only_demanders_mask, only_demanders_table,
                            some_demanders_mask, some_demanders_table)
@@ -96,9 +97,10 @@ class TestMultiDemandSets:
                         assert dc.unit_demand_mask(b, p) == fresh.unit_demand_mask(b, p)
 
     def test_long_descent_keeps_no_per_step_state(self):
-        """After a descent of hundreds of steps the cache holds the bundle
-        box, at most one worth list per bidder and the latest price's bundle
-        costs: nothing per step."""
+        """After a descent of hundreds of steps the cache holds the
+        per-item columns exactly as built, the bundle box, at most one worth
+        list per bidder and the latest price's bundle costs: nothing per
+        step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -106,10 +108,14 @@ class TestMultiDemandSets:
             tabulate(Valuation.unit_demand([200, 290]))))
         for inst in (unit, mixed):
             ly = LyapunovOracle(inst)
+            dc = ly.demand
+            built = (dc._columns, dc._tails, dc.per_bidder)  # immutable, so a copy
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
-            dc = ly.demand
-            assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs"}
+            assert ly.demand is dc
+            assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs",
+                                     "_columns", "_tails", "per_bidder"}
+            assert (dc._columns, dc._tails, dc.per_bidder) == built
             assert len(dc._values) <= inst.m
             price, costs = dc._costs
             assert len(costs) == (0 if price is None else 4)
@@ -237,6 +243,36 @@ class TestFastPaths:
         dc = DemandCache(inst)
         for b in range(inst.m):
             assert dc.indirect_utility(b, p) == dc.indirect_utility_enum(b, p)
+
+    @given(st.data())
+    def test_demand_key_takes_match_per_bidder_least_argmaxes(self, data):
+        """``demand_key`` reads separable bidders per item from sorted
+        columns; its takes equal minus the supply plus each bidder's own
+        least argmaxes, and a unit for each unit-demand bidder demanding
+        exactly one item.  Only the other bidders reach the tied masks and
+        the table bidders' demand sets."""
+        inst = data.draw(column_markets())
+        p = data.draw(column_prices(inst))
+        dc = DemandCache(inst)
+        takes = [-q for q in inst.u]
+        tied = []
+        tables = []
+        for b, v in enumerate(inst.valuations):
+            if v.family == "separable_concave":
+                for j, ks in enumerate(_per_item_argmax(v, p)):
+                    takes[j] += ks[0]
+            elif v.family == "unit_demand":
+                dm = dc.unit_demand_mask(b, p)
+                d = dm >> 1
+                if dm & 1:
+                    continue
+                if d & (d - 1):
+                    tied.append(d)
+                else:
+                    takes[d.bit_length() - 1] += 1
+            else:
+                tables.append(dc.demand_set_enum(b, p))
+        assert dc.demand_key(p) == (tuple(takes), tuple(sorted(tied)), tuple(tables)), (inst, p)
 
     def test_unit_demand_family_inside_multi_model(self):
         inst = Instance(model="multi", n=2, u=(1, 1),

@@ -1,8 +1,10 @@
 """Generic lattice descent engine: verifier, selection rules, minimization."""
 
 import random
+from functools import reduce
 from itertools import combinations, product
 from math import prod
+from operator import and_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,21 @@ class TestMinimalMinimizerStep:
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
         with pytest.raises(ConvexityError, match="not submodular"):
             minimal_minimizer_step(neighborhood_values(g, (0, 0)))
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.one_of(st.none(), st.integers(-2, 1)), min_size=1 << n, max_size=1 << n)),
+        st.integers(-2, 1))
+    def test_matches_the_comprehension_twin(self, rest, first):
+        """Random tables with ties and None entries: the meet of every
+        least finite entry's mask, or ConvexityError when it is not least."""
+        vals = [first] + rest[1:]
+        best = min(val for val in vals if val is not None)
+        meet = reduce(and_, [mask for mask, val in enumerate(vals) if val == best])
+        if vals[meet] == best:
+            assert minimal_minimizer_step(vals) == meet, vals
+        else:
+            with pytest.raises(ConvexityError, match="not submodular"):
+                minimal_minimizer_step(vals)
 
 
 class TestFirstGpMinimal:

@@ -5,12 +5,12 @@ from itertools import product
 
 from hypothesis import given, strategies as st
 
-from conftest import (random_multi_instance, random_separable_valuation,
-                      random_unit_instance, tabulate)
+from conftest import (column_markets, column_prices, random_multi_instance,
+                      random_separable_valuation, random_unit_instance, tabulate)
 from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind, Valuation,
                     ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
-from walras.itemsets import chi_add
+from walras.itemsets import chi_add, chi_sub
 
 
 class TestValues:
@@ -351,3 +351,22 @@ class TestShiftedValues:
             [ly.value(q) if min(q) >= 0 else None
              for q in ((1, 0, 1), (0, 0, 1), (1, -1, 1), (0, -1, 1),
                        (1, 0, 0), (0, 0, 0), (1, -1, 0), (0, -1, 0))]
+
+
+class TestPerItemColumns:
+    """``LyapunovOracle.value`` and ``shifted_values`` read separable bidders
+    per item from sorted columns; ``oracle.lyapunov`` reads every bidder on
+    its own through ``DemandCache.indirect_utility``."""
+
+    @given(st.data())
+    def test_value_and_shifted_values_match_the_per_bidder_twin(self, data):
+        inst = data.draw(column_markets())
+        p = data.draw(column_prices(inst))
+        ly = LyapunovOracle(inst)
+        assert ly.value(p) == lyapunov(p, inst)
+        for s, shift in ((1, chi_add), (-1, chi_sub)):
+            expected = []
+            for mask in range(1 << inst.n):
+                q = shift(p, mask)
+                expected.append(None if min(q) < 0 else lyapunov(q, inst))
+            assert ly.shifted_values(p, s) == expected, (inst, p, s)
