@@ -7,6 +7,7 @@ identical inputs and seeds.  Exit codes: 0 success, 1 domain error, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -248,7 +249,11 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call and keeps nothing between
+    them."""
     parser = argparse.ArgumentParser(
         prog="walras",
         description="Compute minimal market-clearing prices for auctions "

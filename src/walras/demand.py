@@ -12,7 +12,10 @@ unit-demand and the supply is one of each item.  The table depends on the
 price only through the bidders' demand state, each bidder's minimum take,
 so it is built in two parts: ``DemandCache.demand_key`` reads that state as
 a hashable key, and ``DemandCache.deficiency_from_key`` builds the table
-from the key alone, which lets a caller keep one table per state.
+from the key alone, which lets a caller keep one table per state.  The
+cache sorts the bidders by family once, when it is built, into separable,
+unit-demand and box-scanned groups, so the Lyapunov oracle reads them group
+by group and never tests a model or a family itself.
 
 Separable bidders are read per item, not per bidder: item j's total least
 take and total indirect utility over all of them depend only on the
@@ -54,16 +57,19 @@ class DemandCache:
 
     Instances are immutable, so kept answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
-    Built once: every separable bidder's marginals of each item in one
-    ascending column per item, with its suffix sums, which ``demand_key``
-    and ``item_utility`` read per item; and ``per_bidder``, the indices of
-    the other bidders, which those reads still visit one by one.  It keeps
-    the bundle box and each box-scanned bidder's worth of every bundle; the
-    only per-price state is the box scans' bundle costs p.x, kept for the
-    latest price only, which every scan at that price re-reads.  Unit-demand
-    masks, demand sets, minimum-take vectors and demand keys are computed
-    afresh at each call; keeping deficiency tables by demand key is left to
-    the caller (``LyapunovOracle.neighborhood`` does).
+    It is the one place that sorts bidders by valuation family, once, in
+    ``__init__``: every separable bidder's marginals of each item go into
+    one ascending column per item, with its suffix sums, which
+    ``demand_key`` and ``item_utility`` read per item (``separable`` says
+    whether there are any); ``units`` and ``tables`` hold the indices of
+    the unit-demand and the box-scanned bidders, which those reads visit
+    one by one.  It keeps the bundle box and each box-scanned bidder's worth
+    of every bundle; the only per-price state is the box scans' bundle
+    costs p.x, kept for the latest price only, which every scan at that
+    price re-reads.  Unit-demand masks, demand sets, minimum-take vectors
+    and demand keys are computed afresh at each call; keeping deficiency
+    tables by demand key is left to the caller
+    (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -74,17 +80,21 @@ class DemandCache:
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
         columns = [[] for _ in range(self._n)]
-        per_bidder = []
+        units, tables = [], []
         for b, v in enumerate(instance.valuations):
             if v.family == SEPARABLE_CONCAVE:
                 for col, row in zip(columns, v.marginals):
                     col.extend(row)
+            elif v.family == UNIT_DEMAND:
+                units.append(b)
             else:
-                per_bidder.append(b)
+                tables.append(b)
         self._columns = tuple(tuple(sorted(col)) for col in columns)
         self._tails = tuple(tuple(accumulate(reversed(col), initial=0))[::-1]
                             for col in self._columns)
-        self.per_bidder = tuple(per_bidder)
+        self.separable = len(units) + len(tables) < instance.m
+        self.units = tuple(units)
+        self.tables = tuple(tables)
 
     # -- shared ------------------------------------------------------------
 
@@ -194,28 +204,24 @@ class DemandCache:
         is checked here, on every call.
         """
         self._check_table_budget()
-        inst = self.instance
-        if len(self.per_bidder) == inst.m:  # no separable bidder
-            takes = [-q for q in inst.u]
-        else:
+        u = self.instance.u
+        if self.separable:
             takes = [len(col) - bisect_right(col, c) - q
-                     for col, c, q in zip(self._columns, p, inst.u)]
+                     for col, c, q in zip(self._columns, p, u)]
+        else:
+            takes = [-q for q in u]
         tied = []
-        tables = []
-        valuations = inst.valuations
-        for b in self.per_bidder:
-            if valuations[b].family == UNIT_DEMAND:
-                dm = self.unit_demand_mask(b, p)
-                if dm & 1:
-                    continue
-                d = dm >> 1
-                if d & (d - 1):
-                    tied.append(d)
-                else:
-                    takes[d.bit_length() - 1] += 1
+        for b in self.units:
+            dm = self.unit_demand_mask(b, p)
+            if dm & 1:
+                continue
+            d = dm >> 1
+            if d & (d - 1):
+                tied.append(d)
             else:
-                tables.append(self.demand_set_enum(b, p))
-        return tuple(takes), tuple(sorted(tied)), tuple(tables)
+                takes[d.bit_length() - 1] += 1
+        tables = tuple(self.demand_set_enum(b, p) for b in self.tables)
+        return tuple(takes), tuple(sorted(tied)), tables
 
     def deficiency_from_key(self, key: tuple) -> list[int]:
         """Demanded minus supplied units of every item subset, indexed by
@@ -242,16 +248,6 @@ class DemandCache:
         for demand in tables:
             out = list(map(add, out, _least_takes(demand, n)))
         return out
-
-    def deficiency_table(self, p: PriceVector) -> list[int]:
-        """Demanded minus supplied units of every item subset, indexed by
-        subset bitmask: ``deficiency_from_key(demand_key(p))``.
-
-        Starts from minus the supply and adds each bidder's minimum take by
-        family.  ``LyapunovOracle.deficiency_mask`` is the per-set twin;
-        equality is test-enforced.
-        """
-        return self.deficiency_from_key(self.demand_key(p))
 
     # -- indirect utility --------------------------------------------------------
 

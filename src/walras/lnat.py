@@ -342,12 +342,11 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     checkable here and is validated externally against brute force.  Each
     iteration builds one change table, which the termination test reads
     and, while something descends, the strategy.  Without ``neighborhood``
-    the changes are read from ``g``, which is queried unmemoized (the
-    Lyapunov oracle keeps its own memo).  With it, ``neighborhood(p)`` gives
-    them by a faster route, and ``g`` certifies them: the change for the
-    empty set must be 0, each step's g(p + chi_X) - g(p) must equal its
-    entry, and a stop is confirmed by one scan of g's own neighborhood; a
-    mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
+    the changes are read from ``g``, which is queried unmemoized.  With it,
+    ``neighborhood(p)`` gives them by a faster route, and ``g`` certifies
+    them: the change for the empty set must be 0, each step's
+    g(p + chi_X) - g(p) must equal its entry, and a stop is confirmed by
+    one scan of g's own neighborhood; a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
     BudgetExceededError.  The oracle must declare a ``value_floor``: every
     step lowers the value by at least one, so a run still descending after
     g(p0) - value_floor + 1 steps raises IterationCapError.  A ``budget``

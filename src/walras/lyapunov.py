@@ -1,11 +1,15 @@
 """The Lyapunov function of a market, one oracle for both auction models.
 
 The Lyapunov value of a price vector is the bidders' total indirect utility
-plus the revenue term; its minimizers are exactly the equilibrium prices.
-Separable bidders are read per item, not per bidder: their total indirect
-utility is a sum over items of one-variable functions of the item's price,
-each read from the item's sorted column of marginals
-(``DemandCache.item_utility``); every other bidder is read on its own.
+plus the revenue term, L(p) = sum_b max_x (v_b(x) - p.x) + p.u; its
+minimizers are exactly the equilibrium prices.  The unit model is the case
+where every bidder is unit-demand and u = 1, so one formula serves both
+models: the oracle reads the bidders by the groups ``DemandCache`` sorted
+them into and tests no model or family itself.  Separable bidders are read
+per item, not per bidder: their total indirect utility is a sum over items
+of one-variable functions of the item's price, each read from the item's
+sorted column of marginals (``DemandCache.item_utility``); every other
+bidder is read on its own.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -23,28 +27,27 @@ check the change table against values.
 
 from __future__ import annotations
 
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .demand import DemandCache, _check_price
-from .instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, Instance, PriceVector
+from .instance import DEFAULT_BUDGET, Instance, PriceVector
 from .itemsets import mask_weight, subset_sums
 from .lnat import FunctionOracle
 
 
 class LyapunovOracle:
-    """Memoized Lyapunov function of one instance.
+    """Lyapunov function of one instance, for both auction models.
 
-    The memo is keyed by exact price vector; values never change across
-    calls.  It holds at most ``budget`` entries: an insert that finds it
-    full clears it first, so memory stays bounded and only repeat reads
-    pay again.  Reads and inserts are safe under CPython's GIL.
+    ``value`` reads the bidders by the groups ``DemandCache`` sorted them
+    into, so one formula serves the unit model (every bidder unit-demand,
+    one of each item) and the multi model, and keeps no value once read.
     ``admitted_budget`` is the budget within which ``ascending_auction``
     found every explicit table to pass the exchange check, None until then.
     ``shifted_values`` keeps its latest table for each shift, which
     ``compare``'s strategies, stopping at the same price, read again.
     ``neighborhood`` keeps its change tables by demand key, at most
-    ``budget`` entries in all (2^n per table), cleared when full like the
-    value memo; runs sharing the oracle share them.
+    ``budget`` entries in all (2^n per table), cleared when full; runs
+    sharing the oracle share them.
     """
 
     def __init__(self, instance: Instance, *, demand: DemandCache | None = None,
@@ -52,37 +55,28 @@ class LyapunovOracle:
         self.instance = instance
         self.demand = demand if demand is not None else DemandCache(instance, budget=budget)
         self.budget = budget
-        self._memo: dict[PriceVector, int] = {}
         self._shifted: dict[int, tuple[PriceVector, tuple[int | None, ...]]] = {}
         self._tables: dict[tuple, tuple[int, ...]] = {}
         self.admitted_budget: int | None = None
 
     def value(self, p: PriceVector) -> int:
-        t = tuple(p)
-        hit = self._memo.get(t)
-        if hit is not None:
-            return hit
-        t = _check_price(self.instance, t)
-        inst = self.instance
-        if inst.model == UNIT:
-            total = sum(t)
-            for v in inst.valuations:
-                best = 0
-                for w, c in zip(v.values, t):
-                    if w - c > best:
-                        best = w - c
-                total += best
-        else:
-            dc = self.demand
-            total = sum(c * q for c, q in zip(t, inst.u))
-            if len(dc.per_bidder) < inst.m:  # some bidder is separable
-                total += sum(map(dc.item_utility, range(inst.n), t))
-            for b in dc.per_bidder:
-                total += dc.indirect_utility(b, t)
-        memo = self._memo
-        if len(memo) >= self.budget:
-            memo.clear()
-        memo[t] = total
+        """L(p): the revenue term p.u, then the separable bidders per item,
+        each unit-demand bidder's best payoff (0 for buying nothing), and
+        each box-scanned bidder's indirect utility."""
+        t = _check_price(self.instance, p)
+        dc = self.demand
+        total = sum(map(mul, t, self.instance.u))
+        if dc.separable:
+            total += sum(map(dc.item_utility, range(len(t)), t))
+        valuations = self.instance.valuations
+        for b in dc.units:
+            best = 0
+            for w, c in zip(valuations[b].values, t):
+                if w - c > best:
+                    best = w - c
+            total += best
+        for b in dc.tables:
+            total += dc.indirect_utility(b, t)
         return total
 
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
@@ -122,29 +116,21 @@ class LyapunovOracle:
             base += here
             if not blocked >> j & 1:
                 steps[j] += dc.item_utility(j, c + s) - here
-        units = []
-        tables = []
-        for b in dc.per_bidder:
-            v = inst.valuations[b]
-            if v.family == UNIT_DEMAND:
-                units.append(v.values)
-            else:
-                tables.append(b)
         total = [x + base for x in subset_sums(steps, inst.n)]
-        for values in units:
+        for b in dc.units:
             best = [0]
-            for a in map(sub, values, t):
+            for a in map(sub, inst.valuations[b].values, t):
                 moved = a - s
                 best = ([x if x > a else a for x in best]
                         + [x if x > moved else moved for x in best])
             total = list(map(add, total, best))
         if blocked:
             total = [None if mask & blocked else x for mask, x in enumerate(total)]
-        if tables:
+        if dc.tables:
             for mask, x in enumerate(total):
                 if x is not None:
                     q = tuple(c + s * (mask >> k & 1) for k, c in enumerate(t))
-                    total[mask] = x + sum(dc.indirect_utility(b, q) for b in tables)
+                    total[mask] = x + sum(dc.indirect_utility(b, q) for b in dc.tables)
         self._shifted[s] = (t, tuple(total))
         return total
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from walras import Instance, Valuation, evaluate, max_total_value
-from walras.instance import SEPARABLE_CONCAVE, iter_box
+from walras.instance import SEPARABLE_CONCAVE, UNIT_DEMAND, iter_box
 
 settings.register_profile(
     "walras", deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -106,11 +106,16 @@ def tabulate(v: Valuation) -> Valuation:
 
 @st.composite
 def column_markets(draw) -> Instance:
-    """Multi markets for the per-item column reads: separable only, mixed
-    families, or no bidders at all.  Mixed markets with one unit of each
-    item may also hold unit-demand bidders; tabulated bidders join either."""
-    kind = draw(st.sampled_from(("separable", "mixed", "empty")))
+    """Markets for the per-item column reads: multi markets that are
+    separable only, of mixed families, or without bidders, and unit-model
+    markets.  Mixed markets with one unit of each item may also hold
+    unit-demand bidders; tabulated bidders join either."""
+    kind = draw(st.sampled_from(("separable", "mixed", "empty", "unit")))
     n = draw(st.integers(1, 3))
+    unit = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(Valuation.unit_demand)
+    if kind == "unit":
+        vals = draw(st.lists(unit, max_size=4))
+        return Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(vals))
     ones = kind == "mixed" and draw(st.booleans())
     u = (1,) * n if ones else tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
     if kind == "empty":
@@ -123,7 +128,6 @@ def column_markets(draw) -> Instance:
     if kind == "mixed":
         families.append(separable.map(tabulate))
         if ones:
-            unit = st.lists(st.integers(0, 8), min_size=n, max_size=n).map(Valuation.unit_demand)
             families += [unit, unit.map(tabulate)]
     vals = draw(st.lists(st.one_of(*families), min_size=1, max_size=4))
     return Instance(model="multi", n=n, u=u, valuations=tuple(vals))
@@ -131,15 +135,21 @@ def column_markets(draw) -> Instance:
 
 @st.composite
 def column_prices(draw, inst: Instance) -> tuple[int, ...]:
-    """A price per item at one of the column reads' edges: a separable
-    marginal of the item, one above or below it, 0, or above every worth."""
+    """A price per item at one of the value reads' edges: a separable
+    marginal or a unit-demand worth of the item, one above or below it, 0,
+    or above every worth."""
     top = max_total_value(inst) + 1
     p = []
     for j in range(inst.n):
         edges = {0, top}
         for v in inst.valuations:
             if v.family == SEPARABLE_CONCAVE:
-                for w in v.marginals[j]:
-                    edges.update(c for c in (w - 1, w, w + 1) if c >= 0)
+                worths = v.marginals[j]
+            elif v.family == UNIT_DEMAND:
+                worths = (v.values[j],)
+            else:
+                continue
+            for w in worths:
+                edges.update(c for c in (w - 1, w, w + 1) if c >= 0)
         p.append(draw(st.sampled_from(sorted(edges))))
     return tuple(p)

@@ -59,7 +59,7 @@ def _box_checks(inst: Instance, ly: LyapunovOracle, cap: int, rec: Record) -> No
     for p in product(range(cap + 1), repeat=n):
         vals = [ly.value(chi_add(p, mask)) for mask in range(size)]
         base = vals[0]
-        delta = dc.deficiency_table(p)
+        delta = dc.deficiency_from_key(dc.demand_key(p))
         if rec.identity is None:
             for mask in range(size):
                 if vals[mask] - base != -delta[mask]:

@@ -126,6 +126,26 @@ class TestAscendingAuction:
         assert res.p_min == (steps,) and len(res.trajectory) == steps
         assert held < 320 * steps, held / steps
 
+    def test_shared_oracle_holds_few_bytes_per_step(self):
+        """A Lyapunov oracle shared with a run keeps no value per price it
+        read: after 20,000 steps it holds under 16 bytes per step."""
+        steps = 20_000
+        inst = Instance(model="unit", n=1, u=(1,), valuations=(
+            Valuation.unit_demand([steps]), Valuation.unit_demand([steps])))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ly = LyapunovOracle(inst)
+            res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
+            del res
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ly.value((steps,)) == steps
+        assert held < 16 * steps, held / steps
+
     def test_custom_start(self, ex21):
         res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (1, 0, 0))
         assert res.p_min == (1, 1, 1)

@@ -203,6 +203,25 @@ class TestSolve:
         assert run_command([]) == 2
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_command_in_a_process(self, ex21_path, capsys):
+        """The parser is built once per process; a command's options and
+        errors leave nothing behind for the next command to read."""
+        from walras.cli import build_parser
+        assert build_parser() is build_parser()
+        solve = ["solve", "--instance", ex21_path, "--strategy", "steepest"]
+        assert run_command(solve + ["--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+        bad = ["solve", "--instance", ex21_path, "--strategy", "mystery"]
+        assert run_command(bad) == 2
+        err = capsys.readouterr().err
+        fresh = subprocess.run([sys.executable, "-m", "walras", *bad],
+                               capture_output=True, text=True)
+        assert fresh.returncode == 2 and err == fresh.stderr
+        assert run_command(solve) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 class TestStartFuzz:
     """``solve`` from random starts in [0, ceiling + 4]^n: it succeeds exactly
     when the start lies at or below the minimal equilibrium price, and every

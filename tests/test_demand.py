@@ -69,10 +69,10 @@ class TestMultiDemandSets:
                         valuations=tuple(Valuation.separable([[3]] * 12) for _ in range(3)))
         p = (1,) * 12
         dc = DemandCache(inst, budget=4 << 12)
-        assert len(dc.deficiency_table(p)) == 1 << 12
+        assert len(dc.deficiency_from_key(dc.demand_key(p))) == 1 << 12
         tight = DemandCache(inst, budget=(4 << 12) - 1)
         with pytest.raises(BudgetExceededError, match="deficiency tables"):
-            tight.deficiency_table(p)
+            tight.deficiency_from_key(tight.demand_key(p))
         with pytest.raises(BudgetExceededError, match="deficiency tables"):
             tight.mu_vector(0, p)
 
@@ -87,7 +87,8 @@ class TestMultiDemandSets:
             dc = DemandCache(inst)
             for p in prices + prices[::-1]:
                 fresh = DemandCache(inst)
-                assert dc.deficiency_table(p) == fresh.deficiency_table(p)
+                assert dc.deficiency_from_key(dc.demand_key(p)) == \
+                    fresh.deficiency_from_key(fresh.demand_key(p))
                 for b, v in enumerate(inst.valuations):
                     assert dc.mu_vector(b, p) == fresh.mu_vector(b, p)
                     assert dc.demand_set(b, p) == fresh.demand_set(b, p)
@@ -109,13 +110,14 @@ class TestMultiDemandSets:
         for inst in (unit, mixed):
             ly = LyapunovOracle(inst)
             dc = ly.demand
-            built = (dc._columns, dc._tails, dc.per_bidder)  # immutable, so a copy
+            # immutable, so a copy
+            built = (dc._columns, dc._tails, dc.separable, dc.units, dc.tables)
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs",
-                                     "_columns", "_tails", "per_bidder"}
-            assert (dc._columns, dc._tails, dc.per_bidder) == built
+                                     "_columns", "_tails", "separable", "units", "tables"}
+            assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
             assert len(dc._values) <= inst.m
             price, costs = dc._costs
             assert len(costs) == (0 if price is None else 4)
@@ -207,7 +209,7 @@ class TestSetIdentities:
         dc = DemandCache(inst)
         only = only_demanders_table(dc, p)
         some = some_demanders_table(dc, p)
-        deficiency = dc.deficiency_table(p)
+        deficiency = dc.deficiency_from_key(dc.demand_key(p))
         for mask in range(1 << inst.n):
             assert only[mask] == only_demanders_mask(dc, mask, p)
             assert some[mask] == some_demanders_mask(dc, mask, p)

@@ -33,6 +33,19 @@ def test_solver_module_never_imports_the_oracle(module):
             assert "oracle" not in name.split("."), f"{module}.py:{node.lineno} imports {name}"
 
 
+def test_lyapunov_tests_no_model_or_family():
+    """The Lyapunov oracle reads bidders by the groups ``DemandCache``
+    sorted them into: it names no model or family constant and reads no
+    ``.model`` or ``.family`` attribute."""
+    path = ROOT / "src" / "walras" / "lyapunov.py"
+    names = _referenced_names(path)
+    names.update(alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) for alias in node.names)
+    banned = {"UNIT", "MULTI", "UNIT_DEMAND", "SEPARABLE_CONCAVE", "EXPLICIT_TABLE",
+              "model", "family"}
+    assert not names & banned, sorted(names & banned)
+
+
 def _referenced_names(path):
     """Every name the module reads, bare or as an attribute."""
     names = set()

@@ -69,9 +69,10 @@ class TestStep:
 
 def _assert_identity_on_box(inst, cap):
     ly = LyapunovOracle(inst)
+    dc = ly.demand
     size = 1 << inst.n
     for p in product(range(cap + 1), repeat=inst.n):
-        table = ly.demand.deficiency_table(p)
+        table = dc.deficiency_from_key(dc.demand_key(p))
         for mask in range(size):
             assert ly.value(chi_add(p, mask)) - ly.value(p) == -table[mask], (p, mask)
 
@@ -128,30 +129,6 @@ class TestMemo:
         assert g((-1, 0, 0)) is None
         past = (max_total_value(ex21) + 3, 0, 0)
         assert g(past) == ly.value(past)
-
-
-class TestMemoBound:
-    def test_memo_stays_within_the_budget(self):
-        """Under a small budget the memo never holds more than ``budget``
-        prices, and every value equals an unbounded oracle's."""
-        rng = random.Random(17)
-        for _ in range(20):
-            inst = (random_unit_instance(rng, n_max=3, m_max=4) if rng.random() < 0.5
-                    else random_multi_instance(rng, n_max=2, u_max=2, m_max=3))
-            budget = rng.randint(1, 12)
-            # The demand side keeps the default budget; only the memo is small.
-            small = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
-            full = LyapunovOracle(inst)
-            cap = max_total_value(inst) + 1
-            prices = list(product(range(cap + 1), repeat=inst.n))
-            for p in prices + prices[::-1]:
-                assert small.value(p) == full.value(p)
-                assert len(small._memo) <= budget
-            assert len(full._memo) == len(prices)
-            bounded = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
-            assert ascending_auction(inst, oracle=bounded).p_min == \
-                ascending_auction(inst).p_min
-            assert len(bounded._memo) <= budget
 
 
 def _neighborhood_markets(rng):
