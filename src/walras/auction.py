@@ -17,9 +17,8 @@ from typing import Iterator
 from .demand import DemandCache, _check_price, _per_item_argmax
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      WalrasError)
-from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, SEPARABLE_CONCAVE,
-                       UNIT, Bundle, Instance, ItemSet, PriceVector,
-                       verify_mnat_exc)
+from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
+                       PriceVector, verify_mnat_exc)
 from .itemsets import items_from_mask
 from .lnat import StrategyKind, Trajectory, minimize
 from .lyapunov import LyapunovOracle
@@ -66,8 +65,8 @@ def ascending_auction(instance: Instance,
     The start must lie at or below the minimal equilibrium price; zero always
     does.  A final scan of unit price cuts within the support certifies that
     the result is minimal; a start above the minimal equilibrium price fails
-    it and raises WalrasError.  Explicit-table valuations are admitted only
-    after passing the substitutes exchange check, since nothing below is
+    it and raises WalrasError.  The demand cache's table bidders are admitted
+    only after passing the substitutes exchange check, since nothing below is
     guaranteed otherwise.  The check runs once per Lyapunov oracle (``oracle``
     must belong to ``instance``): runs sharing one oracle, as ``compare``'s
     strategies do, repeat it only under a smaller budget than the one it
@@ -80,13 +79,12 @@ def ascending_auction(instance: Instance,
     ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
     # A check that passed within some budget passes within any larger one.
     if ly.admitted_budget is None or budget < ly.admitted_budget:
-        for b, v in enumerate(instance.valuations):
-            if v.family == EXPLICIT_TABLE:
-                bad = verify_mnat_exc(v, instance.u, budget=budget)
-                if bad is not None:
-                    raise ConvexityError(
-                        f"valuations[{b}] violates the substitutes exchange property: "
-                        f"x={bad.x} y={bad.y} i={bad.i}")
+        for b in ly.demand.tables:
+            bad = verify_mnat_exc(instance.valuations[b], budget=budget)
+            if bad is not None:
+                raise ConvexityError(
+                    f"valuations[{b}] violates the substitutes exchange property: "
+                    f"x={bad.x} y={bad.y} i={bad.i}")
         ly.admitted_budget = budget
     if p0 is None:
         p0 = (0,) * instance.n
@@ -196,8 +194,8 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
     # A separable bidder's demand set is the product of its per-item argmax
     # ranges, which ties make exponentially large, so it is kept as the
     # ranges; any other bidder's demand set is listed.
-    ranges = [_per_item_argmax(v, p) if v.family == SEPARABLE_CONCAVE else None
-              for v in instance.valuations]
+    ranges = [_per_item_argmax(v, p) if b in dc.separable else None
+              for b, v in enumerate(instance.valuations)]
     sets = [dc.demand_set(b, p) if ranges[b] is None else None for b in range(m)]
     maxs, mins = [], []
     for r, ds in zip(ranges, sets):

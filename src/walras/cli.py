@@ -175,7 +175,7 @@ def _cmd_verify(args) -> int:
     failed = False
     if "monotone" in checks:
         for b, v in enumerate(instance.valuations):
-            bad = verify_monotone_normalized(v, instance.u, budget=budget)
+            bad = verify_monotone_normalized(v, budget=budget)
             if bad is None:
                 lines.append(f"monotone: bidder {b}: ok")
             else:
@@ -183,7 +183,7 @@ def _cmd_verify(args) -> int:
                 lines.append(f"monotone: bidder {b}: counterexample {bad.message}")
     if "mnat" in checks:
         for b, v in enumerate(instance.valuations):
-            bad = verify_mnat_exc(v, instance.u, budget=budget)
+            bad = verify_mnat_exc(v, budget=budget)
             if bad is None:
                 lines.append(f"mnat: bidder {b}: ok")
             else:

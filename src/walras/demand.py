@@ -1,32 +1,32 @@
 """Demand oracles, one path for both auction models.
 
-A bidder's demand set and its minimum take from each item set dispatch on
-its valuation family, not on the model: a separable bidder's demand set is
-the product of its per-item argmax sets and its minimum take the sum of
-per-item least argmaxes; a unit-demand bidder demands single items, read as
-a bitmask with the artificial no-purchase item 0 at bit 0; explicit tables
-scan the bundle box.  The deficiency table, demanded minus supplied units
-for every item set, adds each bidder's minimum take to minus the supply
-family by family; the unit model is the case where every bidder is
-unit-demand and the supply is one of each item.  The table depends on the
-price only through the bidders' demand state, each bidder's minimum take,
-so it is built in two parts: ``DemandCache.demand_key`` reads that state as
-a hashable key, and ``DemandCache.deficiency_from_key`` builds the table
-from the key alone, which lets a caller keep one table per state.  The
-cache sorts the bidders by family once, when it is built, into separable,
-unit-demand and box-scanned groups, so the Lyapunov oracle reads them group
-by group and never tests a model or a family itself.
+``DemandCache.__init__`` is the one place a valuation family decides how a
+bidder is read: it sorts the bidders, once, into a separable group, a
+unit-demand group and a box-scanned group, and every other reader, here,
+in the Lyapunov oracle and in the auction layer, branches on those groups.
+A separable bidder's demand set is the product of its per-item argmax sets
+and its minimum take the sum of per-item least argmaxes; a unit-demand
+bidder demands single items, read as a bitmask with the artificial
+no-purchase item 0 at bit 0; a box-scanned (table) bidder scans the bundle
+box.  The deficiency table, demanded minus supplied units for every item
+set, adds each bidder's minimum take to minus the supply group by group;
+the unit model is the case where every bidder is unit-demand and the
+supply is one of each item.  The table depends on the price only through
+the bidders' demand state, so it is built in two parts:
+``DemandCache.demand_key`` reads that state as a hashable key, and
+``DemandCache.deficiency_from_key`` builds the table from the key alone,
+which lets a caller keep one table per state.
 
 Separable bidders are read per item, not per bidder: item j's total least
 take and total indirect utility over all of them depend only on the
 multiset of their marginals for j (the count of marginals above the price,
 and the sum of each marginal's excess over it), so the cache sorts that
 multiset once into one column per item and reads both with one bisection.
-The per-bidder forms (``_per_item_argmax``, ``indirect_utility``) serve
-demand sets, minimum takes and allocation extraction, and are the twins.
-The bundle box is built, and checked against the budget, only when a scan
-first needs it; deficiency tables ((m + 1) * 2^n entries) are checked
-against the same budget.
+``indirect_utility`` is the definition, a bidder's best payoff over its
+bundle box whatever its family, and ``oracle.lyapunov`` reads every bidder
+through it.  The bundle box is built, and checked against the budget, only
+when a scan first needs it; deficiency tables ((m + 1) * 2^n entries) are
+checked against the same budget.
 """
 
 from __future__ import annotations
@@ -57,19 +57,18 @@ class DemandCache:
 
     Instances are immutable, so kept answers never go stale.  One cache may
     be shared freely by the Lyapunov oracle, the auction layer and sweeps.
-    It is the one place that sorts bidders by valuation family, once, in
-    ``__init__``: every separable bidder's marginals of each item go into
-    one ascending column per item, with its suffix sums, which
-    ``demand_key`` and ``item_utility`` read per item (``separable`` says
-    whether there are any); ``units`` and ``tables`` hold the indices of
-    the unit-demand and the box-scanned bidders, which those reads visit
-    one by one.  It keeps the bundle box and each box-scanned bidder's worth
-    of every bundle; the only per-price state is the box scans' bundle
-    costs p.x, kept for the latest price only, which every scan at that
-    price re-reads.  Unit-demand masks, demand sets, minimum-take vectors
-    and demand keys are computed afresh at each call; keeping deficiency
-    tables by demand key is left to the caller
-    (``LyapunovOracle.neighborhood`` does).
+    ``__init__`` alone reads the bidders' valuation families, once: it
+    records the groups ``separable`` (a frozenset, for constant-time
+    membership), ``units`` and ``tables`` (indices in order), which every
+    other read branches on, and puts every separable bidder's marginals of
+    each item into one ascending column per item, with its suffix sums,
+    which ``demand_key`` and ``item_utility`` read per item.  It keeps the
+    bundle box and each box-scanned bidder's worth of every bundle; the
+    only per-price state is the box scans' bundle costs p.x, kept for the
+    latest price only, which every scan at that price re-reads.
+    Unit-demand masks, demand sets, minimum-take vectors and demand keys are
+    computed afresh at each call; keeping deficiency tables by demand key is
+    left to the caller (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -80,9 +79,10 @@ class DemandCache:
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
         columns = [[] for _ in range(self._n)]
-        units, tables = [], []
+        separable, units, tables = [], [], []
         for b, v in enumerate(instance.valuations):
             if v.family == SEPARABLE_CONCAVE:
+                separable.append(b)
                 for col, row in zip(columns, v.marginals):
                     col.extend(row)
             elif v.family == UNIT_DEMAND:
@@ -92,7 +92,7 @@ class DemandCache:
         self._columns = tuple(tuple(sorted(col)) for col in columns)
         self._tails = tuple(tuple(accumulate(reversed(col), initial=0))[::-1]
                             for col in self._columns)
-        self.separable = len(units) + len(tables) < instance.m
+        self.separable = frozenset(separable)
         self.units = tuple(units)
         self.tables = tuple(tables)
 
@@ -135,7 +135,7 @@ class DemandCache:
         vals = self._values.get(b)
         if vals is None:
             self._bundle_box()
-            vals = _box_worths(self.instance.valuations[b], self.instance.u)
+            vals = _box_worths(self.instance.valuations[b])
             self._values[b] = vals
         return vals
 
@@ -158,12 +158,12 @@ class DemandCache:
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """All payoff-maximizing bundles, in lexicographic order.
 
-        Separable bidders' demand sets are products of per-item argmax sets;
-        every other family scans the bundle box.
+        A separable bidder's demand set is the product of its per-item
+        argmax sets, never limited by the box budget; every other bidder's
+        is a scan of the bundle box.
         """
-        v = self.instance.valuations[b]
-        if v.family == SEPARABLE_CONCAVE:
-            return tuple(product(*_per_item_argmax(v, p)))
+        if b in self.separable:
+            return tuple(product(*_per_item_argmax(self.instance.valuations[b], p)))
         return self.demand_set_enum(b, p)
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
@@ -180,12 +180,11 @@ class DemandCache:
         A separable bidder's demand set is a product over items, so its
         minimum take from X is the sum of each item's least argmax; that
         avoids building the product, which ties make exponentially large.
-        Every other family takes the least subset sum over its box scan.
+        Every other bidder takes the least subset sum over its box scan.
         """
         self._check_table_budget()
-        v = self.instance.valuations[b]
-        if v.family == SEPARABLE_CONCAVE:
-            least = tuple(ks[0] for ks in _per_item_argmax(v, p))
+        if b in self.separable:
+            least = tuple(ks[0] for ks in _per_item_argmax(self.instance.valuations[b], p))
             return tuple(subset_sums(least, self._n))
         return tuple(_least_takes(self.demand_set_enum(b, p), self._n))
 
@@ -260,28 +259,9 @@ class DemandCache:
         return self._tails[j][i] - c * (len(col) - i)
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
-        """Best payoff max(v(x) - p.x); per-family shortcut where one exists.
-
-        A separable bidder is read item by item from its own marginals, the
-        per-bidder twin of ``item_utility``.
-        """
-        v = self.instance.valuations[b]
-        if v.family == SEPARABLE_CONCAVE:
-            total = 0
-            for j, row in enumerate(v._prefix):
-                c = p[j]
-                total += max(w - k * c for k, w in enumerate(row))
-            return total
-        if v.family == UNIT_DEMAND:
-            best = 0
-            for w, c in zip(v.values, p):
-                if w - c > best:
-                    best = w - c
-            return best
-        return self.indirect_utility_enum(b, p)
-
-    def indirect_utility_enum(self, b: int, p: PriceVector) -> int:
-        """Best payoff by full enumeration of the bundle box (canonical path)."""
+        """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
+        bidder of any family: the Lyapunov oracle reads table bidders so, and
+        ``oracle.lyapunov`` every bidder."""
         return max(map(sub, self._bidder_values(b), self._box_costs(p)))
 
 

@@ -176,12 +176,12 @@ def evaluate(v: Valuation, x: Bundle) -> int:
     return v._lookup[tuple(x)]
 
 
-def _box_worths(v: Valuation, u: Bundle) -> list[int]:
-    """Worth of every bundle in [0, u], in lexicographic order; a table over
-    exactly that box already stores them so."""
-    if v.family == EXPLICIT_TABLE and u == v.box():
+def _box_worths(v: Valuation) -> list[int]:
+    """Worth of every bundle in v's box, in lexicographic order; a table
+    already stores them so."""
+    if v.family == EXPLICIT_TABLE:
         return [w for _, w in v.table]
-    return [evaluate(v, x) for x in iter_box(u)]
+    return [evaluate(v, x) for x in iter_box(v.box())]
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,9 @@ class MnatCounterexample:
     i: int
 
 
-def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
+def verify_mnat_exc(v: Valuation, *,
                     budget: int = DEFAULT_BUDGET) -> MnatCounterexample | None:
-    """Exhaustively test the gross-substitutes exchange axiom on the box [0, u].
+    """Exhaustively test the gross-substitutes exchange axiom on v's own box.
 
     Returns None when the axiom holds, else the first violating triple in
     lexicographic (x, y, ascending i) order.  The box is evaluated once into
@@ -215,19 +215,14 @@ def verify_mnat_exc(v: Valuation, u: Bundle | None = None, *,
     and before a witness is returned gives the same witness, None or budget
     error as comparing it at every attempt.
     """
-    if u is None:
-        u = v.box()
-    else:
-        u = tuple(u)
-        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
-            raise ValueError("u: verification box must lie inside the valuation's box")
+    u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
             f"verification box volume {volume} exceeds budget {budget}")
     spent = volume
     bundles = list(iter_box(u))
-    worth = _box_worths(v, u)
+    worth = _box_worths(v)
     n = len(u)
     # x sits at index sum_c stride_c * x_c; d = x - y has the class key
     # key[x] - key[y] + zero.
@@ -287,26 +282,21 @@ class MonotonicityCounterexample:
     message: str
 
 
-def verify_monotone_normalized(v: Valuation, u: Bundle | None = None, *,
+def verify_monotone_normalized(v: Valuation, *,
                                budget: int = DEFAULT_BUDGET) -> MonotonicityCounterexample | None:
-    """Check v(0) = 0 and componentwise monotonicity over the box [0, u].
+    """Check v(0) = 0 and componentwise monotonicity over v's own box.
 
     The budget is charged volume * (n + 1) evaluations up front.  The box is
     evaluated once into a flat list in lexicographic order, and each x + chi_j
     is read at a stride offset; witnesses come in (x, ascending j) order.
     """
-    if u is None:
-        u = v.box()
-    else:
-        u = tuple(u)
-        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
-            raise ValueError("u: verification box must lie inside the valuation's box")
+    u = v.box()
     volume = box_volume(u)
     n = len(u)
     if volume * (n + 1) > budget:
         raise BudgetExceededError(
             f"monotonicity scan of volume {volume} exceeds budget {budget}")
-    worth = _box_worths(v, u)
+    worth = _box_worths(v)
     if worth[0] != 0:
         return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
     stride = strides([c + 1 for c in u])
@@ -356,7 +346,7 @@ class Instance:
                 raise InstanceFormatError(
                     f"valuations[{b}]: domain box {v.box()} does not match supply {u}")
             if v.family == EXPLICIT_TABLE:
-                bad = verify_monotone_normalized(v, u)
+                bad = verify_monotone_normalized(v)
                 if bad is not None:
                     raise InstanceFormatError(f"valuations[{b}]: {bad.message}")
 

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
@@ -334,7 +334,7 @@ def _check_seed(seed: int) -> None:
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, budget: int | None = None,
-             neighborhood: Callable[[PriceVector], list[int]] | None = None,
+             neighborhood: Callable[[PriceVector], Sequence[int]] | None = None,
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
 
@@ -379,7 +379,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             if len(deltas) != size or deltas[0] != 0:
                 raise ConvexityError("neighborhood table disagrees with the oracle at p")
         if not any(d is not None and d < 0 for d in deltas):
-            if neighborhood is not None and _changes(neighborhood_values(g, p), base) != deltas:
+            if neighborhood is not None and _changes(neighborhood_values(g, p), base) != list(deltas):
                 raise ConvexityError(
                     "neighborhood table disagrees with the oracle at the stop")
             break

@@ -134,14 +134,14 @@ class LyapunovOracle:
         self._shifted[s] = (t, tuple(total))
         return total
 
-    def neighborhood(self, p: PriceVector) -> list[int]:
+    def neighborhood(self, p: PriceVector) -> tuple[int, ...]:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
 
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
         Lyapunov evaluation; ``minimize`` hands it to the selection rule as
         it is and checks only the chosen step and the stop against values.
-        The table is built once per demand key and kept; each call returns
-        a fresh list.
+        The table is built once per demand key and kept, and handed out
+        as the kept tuple itself.
         """
         dc = self.demand
         key = dc.demand_key(_check_price(self.instance, p))
@@ -154,7 +154,7 @@ class LyapunovOracle:
                 if len(tables) >= room:
                     tables.clear()
                 tables[key] = table
-        return list(table)
+        return table
 
     def function_oracle(self) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.

@@ -9,8 +9,8 @@ shares no search logic with the auction layer:
   demand sets with the no-purchase item 0, the bidders demanding only or
   some items of a set, and overdemanded and excess-demand sets, with their
   multi-unit counterparts from minimum takes;
-* the Lyapunov value read bidder by bidder (``lyapunov``), the twin of the
-  per-item reads of separable bidders;
+* the Lyapunov value by its definition, a box scan per bidder
+  (``lyapunov``), the twin of the oracle's per-item and inline reads;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
   ``deficiency``, ``lyapunov_step``), the flags of every locally-minimal set
   of a table at once (``gp_minimal_table``), and the equilibrium conditions
@@ -503,11 +503,11 @@ def excess_demand_table(instance: Instance, p: PriceVector, *,
 
 
 def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
-    """Lyapunov value at p: total indirect utility plus revenue at full supply.
-
-    Read bidder by bidder through ``DemandCache.indirect_utility``, never
-    through the per-item columns that ``LyapunovOracle.value`` reads.
-    """
+    """Lyapunov value at p by the definition: each bidder's best payoff
+    max_x (v(x) - p.x) over its bundle box, read through
+    ``DemandCache.indirect_utility``, plus the revenue at full supply; the
+    twin of ``LyapunovOracle.value``'s per-item and inline reads, and bounded
+    by the bundle-box budget like every box scan."""
     p = _check_price(instance, p)
     dc = DemandCache(instance, budget=budget)
     revenue = sum(c * q for c, q in zip(p, instance.u))

@@ -63,9 +63,9 @@ def mnat_calls(monkeypatch) -> list[int]:
     calls = []
     check = auction.verify_mnat_exc
 
-    def counted(v, u=None, *, budget):
+    def counted(v, *, budget):
         calls.append(budget)
-        return check(v, u, budget=budget)
+        return check(v, budget=budget)
 
     monkeypatch.setattr(auction, "verify_mnat_exc", counted)
     return calls

@@ -190,7 +190,7 @@ def _build_record(inst: Instance, label: str, seed: int) -> Record:
 
     _box_checks(inst, ly, cap, rec)
 
-    rec.mnat_ok = all(verify_mnat_exc(v, inst.u) is None for v in inst.valuations)
+    rec.mnat_ok = all(verify_mnat_exc(v) is None for v in inst.valuations)
     side = _lnat_side(cap, inst.n)
     box = ((0,) * inst.n, (side,) * inst.n)
     rec.lnat_ok = is_lnat_convex_on_box(g, box, budget=LNAT_WORK) is None

@@ -4,7 +4,6 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
-from itertools import product
 
 from conftest import (column_markets, column_prices, random_multi_instance,
                       random_unit_instance, tabulate)
@@ -60,7 +59,7 @@ class TestMultiDemandSets:
         with pytest.raises(BudgetExceededError):
             DemandCache(inst, budget=10_000).demand_set_enum(0, p)
         with pytest.raises(BudgetExceededError):
-            DemandCache(inst, budget=10_000).indirect_utility_enum(0, p)
+            DemandCache(inst, budget=10_000).indirect_utility(0, p)
 
     def test_deficiency_tables_within_budget(self):
         """Minimum-take tables hold (m + 1) * 2^n entries; past the budget
@@ -93,23 +92,24 @@ class TestMultiDemandSets:
                     assert dc.mu_vector(b, p) == fresh.mu_vector(b, p)
                     assert dc.demand_set(b, p) == fresh.demand_set(b, p)
                     assert dc.indirect_utility(b, p) == fresh.indirect_utility(b, p)
-                    assert dc.indirect_utility_enum(b, p) == fresh.indirect_utility_enum(b, p)
                     if v.family == "unit_demand":
                         assert dc.unit_demand_mask(b, p) == fresh.unit_demand_mask(b, p)
 
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
-        per-item columns exactly as built, the bundle box, at most one worth
-        list per bidder and the latest price's bundle costs: nothing per
-        step."""
+        per-item columns and the bidder groups exactly as built, the bundle
+        box, at most one worth list per bidder and the latest price's bundle
+        costs: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([300, 250]), Valuation.separable([[280], [260]]),
             tabulate(Valuation.unit_demand([200, 290]))))
+        groups = {unit: (frozenset(), (0, 1, 2), ()), mixed: (frozenset({1}), (0,), (2,))}
         for inst in (unit, mixed):
             ly = LyapunovOracle(inst)
             dc = ly.demand
+            assert (dc.separable, dc.units, dc.tables) == groups[inst]
             # immutable, so a copy
             built = (dc._columns, dc._tails, dc.separable, dc.units, dc.tables)
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
@@ -237,15 +237,6 @@ class TestSetIdentities:
 
 
 class TestFastPaths:
-    @given(st.integers(0, 2**32 - 1))
-    def test_indirect_utility_shortcut_matches_enumeration(self, seed):
-        rng = random.Random(seed)
-        inst = random_multi_instance(rng, n_max=3, u_max=3, m_max=3)
-        p = tuple(rng.randint(0, 6) for _ in range(inst.n))
-        dc = DemandCache(inst)
-        for b in range(inst.m):
-            assert dc.indirect_utility(b, p) == dc.indirect_utility_enum(b, p)
-
     @given(st.data())
     def test_demand_key_takes_match_per_bidder_least_argmaxes(self, data):
         """``demand_key`` reads separable bidders per item from sorted
@@ -275,13 +266,6 @@ class TestFastPaths:
             else:
                 tables.append(dc.demand_set_enum(b, p))
         assert dc.demand_key(p) == (tuple(takes), tuple(sorted(tied)), tuple(tables)), (inst, p)
-
-    def test_unit_demand_family_inside_multi_model(self):
-        inst = Instance(model="multi", n=2, u=(1, 1),
-                        valuations=(Valuation.unit_demand([3, 1]),))
-        dc = DemandCache(inst)
-        for p in product(range(4), repeat=2):
-            assert dc.indirect_utility(0, p) == dc.indirect_utility_enum(0, p)
 
     def test_separable_demand_sets_match_box_scan(self):
         """Per-item products equal the box scan, tuples and order included.

@@ -26,16 +26,11 @@ COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def exchange_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+def exchange_twin(v, *, budget=DEFAULT_BUDGET):
     """Definitional twin of ``verify_mnat_exc``: every exchange is built as a
     bundle tuple and looked up by key, in the same order and at the same
     budget charge."""
-    if u is None:
-        u = v.box()
-    else:
-        u = tuple(u)
-        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
-            raise ValueError("u: verification box must lie inside the valuation's box")
+    u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
@@ -75,16 +70,11 @@ def exchange_twin(v, u=None, *, budget=DEFAULT_BUDGET):
     return None
 
 
-def index_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+def index_twin(v, *, budget=DEFAULT_BUDGET):
     """The flat-list scan ``verify_mnat_exc`` ran before difference classes:
     it lists the moving items for every (x, y) pair and compares the charge
     with the budget at every attempt."""
-    if u is None:
-        u = v.box()
-    else:
-        u = tuple(u)
-        if len(u) != v.n or any(c < 0 or c > cap for c, cap in zip(u, v.box())):
-            raise ValueError("u: verification box must lie inside the valuation's box")
+    u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
@@ -124,13 +114,10 @@ def index_twin(v, u=None, *, budget=DEFAULT_BUDGET):
     return None
 
 
-def monotone_twin(v, u=None, *, budget=DEFAULT_BUDGET):
+def monotone_twin(v, *, budget=DEFAULT_BUDGET):
     """The bundle-by-bundle scan ``verify_monotone_normalized`` ran before it
     read a flat list of worths."""
-    if u is None:
-        u = v.box()
-    else:
-        u = tuple(u)
+    u = v.box()
     volume = box_volume(u)
     n = len(u)
     if volume * (n + 1) > budget:
@@ -151,9 +138,9 @@ def monotone_twin(v, u=None, *, budget=DEFAULT_BUDGET):
     return None
 
 
-def _outcome(check, v, u, budget):
+def _outcome(check, v, budget):
     try:
-        return check(v, u, budget=budget)
+        return check(v, budget=budget)
     except BudgetExceededError as exc:
         return ("budget", str(exc))
 
@@ -166,7 +153,7 @@ def bumped_table(rng):
     worth = {x: evaluate(base, x) for x in iter_box(u)}
     for x in rng.sample(sorted(worth), min(len(worth), rng.randint(0, 3))):
         worth[x] += rng.randint(1, 4)
-    return Valuation.from_table(worth), u
+    return Valuation.from_table(worth)
 
 
 class TestParsing:
@@ -292,25 +279,23 @@ class TestExchangeVerifier:
 class TestExchangeTwin:
     def test_index_scan_matches_the_twin(self):
         """Same witness, None or budget message as the tuple-by-tuple twin,
-        on the valuation's box or a random sub-box, at random budgets and on
-        both sides of the least budget the twin completes within."""
+        at random budgets and on both sides of the least budget the twin
+        completes within."""
         rng = random.Random(57)
         seen = set()
         for _ in range(300):
-            v, u = bumped_table(rng)
-            if rng.random() < 0.3:
-                u = tuple(rng.randint(0, c) for c in u)
+            v = bumped_table(rng)
             lo, hi = 1, 10**6
             while lo < hi:
                 mid = (lo + hi) // 2
-                if isinstance(_outcome(exchange_twin, v, u, mid), tuple):
+                if isinstance(_outcome(exchange_twin, v, mid), tuple):
                     lo = mid + 1
                 else:
                     hi = mid
             budgets = {lo - 1, lo, lo + 1, 10**6} | {rng.randint(1, 3000) for _ in range(3)}
             for budget in sorted(budgets - {0}):
-                want = _outcome(exchange_twin, v, u, budget)
-                assert _outcome(verify_mnat_exc, v, u, budget) == want, (v, u, budget)
+                want = _outcome(exchange_twin, v, budget)
+                assert _outcome(verify_mnat_exc, v, budget) == want, (v, budget)
                 seen.add(type(want))
         assert seen == {tuple, MnatCounterexample, type(None)}
 
@@ -335,9 +320,9 @@ class TestExchangeTwin:
             budgets = {volume, classes - 1, DEFAULT_BUDGET}
             budgets |= {rng.randint(volume, classes - 1) for _ in range(3)}
             for budget in sorted(budgets):
-                want = _outcome(exchange_twin, v, u, budget)
-                assert _outcome(index_twin, v, u, budget) == want, (worth, budget)
-                assert _outcome(verify_mnat_exc, v, u, budget) == want, (worth, budget)
+                want = _outcome(exchange_twin, v, budget)
+                assert _outcome(index_twin, v, budget) == want, (worth, budget)
+                assert _outcome(verify_mnat_exc, v, budget) == want, (worth, budget)
                 seen.add((budget < classes, type(want)))
         assert {(True, tuple), (True, MnatCounterexample), (False, type(None))} <= seen
 
@@ -407,8 +392,8 @@ class TestMonotoneVerifier:
 class TestMonotoneTwin:
     def test_flat_scan_matches_the_twin(self):
         """Same witness, None or budget message as the bundle-by-bundle
-        twin, on tables with planted decreases or v(0) != 0, on the box or a
-        sub-box, at exactly the charged budget volume * (n + 1) and one less."""
+        twin, on tables with planted decreases or v(0) != 0, at exactly the
+        charged budget volume * (n + 1) and one less."""
         rng = random.Random(61)
         seen = set()
         for _ in range(300):
@@ -423,12 +408,10 @@ class TestMonotoneTwin:
                 for x in rng.sample(rest, min(len(rest), rng.randint(1, 2))):
                     worth[x] -= rng.randint(1, 5)
             v = Valuation.from_table(worth)
-            box = u if rng.random() < 0.6 else tuple(rng.randint(0, c) for c in u)
-            need = box_volume(box) * (len(box) + 1)
+            need = box_volume(u) * (len(u) + 1)
             for budget in (need, need - 1):
-                want = _outcome(monotone_twin, v, box, budget)
-                assert _outcome(verify_monotone_normalized, v, box, budget) == want, \
-                    (worth, box, budget)
+                want = _outcome(monotone_twin, v, budget)
+                assert _outcome(verify_monotone_normalized, v, budget) == want, (worth, budget)
                 seen.add("origin" if getattr(want, "x", 0) is None else type(want))
         assert seen == {tuple, MonotonicityCounterexample, "origin", type(None)}
 

@@ -1,6 +1,7 @@
-"""Module layering: the solver modules never import the oracle, each of
-their public functions has a caller, and every name the benchmark's span
-tracer patches stays where the tracer looks."""
+"""Module layering: the solver modules never import the oracle, only the
+demand cache's constructor reads a valuation family, each public solver
+function and cache or oracle method has a caller, and every name the
+benchmark's span tracer patches stays where the tracer looks."""
 
 import ast
 import importlib.util
@@ -46,15 +47,66 @@ def test_lyapunov_tests_no_model_or_family():
     assert not names & banned, sorted(names & banned)
 
 
+FAMILY_CONSTANTS = {"UNIT_DEMAND", "SEPARABLE_CONCAVE", "EXPLICIT_TABLE"}
+
+
+@pytest.mark.parametrize("module, allowed", [("auction", ()), ("lyapunov", ()),
+                                             ("demand", ("DemandCache.__init__",))])
+def test_only_the_demand_cache_constructor_reads_a_family(module, allowed):
+    """``DemandCache.__init__`` is the one place a valuation family decides
+    how a bidder is read: everywhere else in the solver layers, a family
+    constant or a ``.family`` read is a second place.  Only a module with an
+    allowed scope may import a family constant."""
+    tree = ast.parse((ROOT / "src" / "walras" / f"{module}.py").read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif isinstance(child, ast.ImportFrom) and not allowed:
+                found.extend(f"{module}.py:{child.lineno} imports {alias.name}"
+                             for alias in child.names if alias.name in FAMILY_CONSTANTS)
+            elif ((isinstance(child, ast.Name) and child.id in FAMILY_CONSTANTS
+                   or isinstance(child, ast.Attribute) and child.attr == "family")
+                  and scope not in allowed):
+                found.append(f"{module}.py:{child.lineno} in {scope or 'module scope'}")
+            visit(child, inner)
+
+    visit(tree, "")
+    assert not found, found
+
+
 def _referenced_names(path):
     """Every name the module reads, bare or as an attribute."""
+    return _names(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _names(node, skip=None):
+    """Every name read under ``node``, bare or as an attribute, outside the
+    subtree ``skip``."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        todo.extend(ast.iter_child_nodes(node))
     return names
+
+
+def _span_tracer():
+    """``perfbench/spans.py``'s tracer, loaded from the file without installing it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.Tracer()
 
 
 @pytest.mark.parametrize("module", ["auction", "demand", "lyapunov", "lnat"])
@@ -73,17 +125,34 @@ def test_every_public_solver_function_has_a_caller(module):
     assert not orphans, f"{module}.py: no caller in src/ or the README: {orphans}"
 
 
+@pytest.mark.parametrize("cls", [DemandCache, LyapunovOracle], ids=lambda cls: cls.__name__)
+def test_every_public_cache_and_oracle_method_has_a_caller(cls):
+    """The same rule for the public methods of the demand cache and the
+    Lyapunov oracle: each needs a reference in the library outside its own
+    body, or must be a name the benchmark's span tracer patches."""
+    src = ROOT / "src" / "walras"
+    home = src / f"{cls.__module__.rsplit('.', 1)[1]}.py"
+    tree = ast.parse(home.read_text(encoding="utf-8"))
+    body = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == cls.__name__).body
+    elsewhere = set().union(*(_referenced_names(path) for path in src.glob("*.py")
+                              if path != home))
+    tracer = _span_tracer()
+    tracer._build_patches()
+    patched = {attr for owner, attr, _, _ in tracer._patches if owner is cls}
+    orphans = [node.name for node in body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+               and node.name not in elsewhere | patched | _names(tree, skip=node)]
+    assert not orphans, f"{cls.__name__}: no caller in src/ and no span: {orphans}"
+
+
 def test_span_tracer_patches_and_restores_every_name():
     """``perfbench/spans.py`` patches names by attribute; a moved name makes
     ``install`` fail, and ``uninstall`` must put every original back."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     owners = (walras.auction, walras.cli, walras.instance, walras.lnat,
               DemandCache, LyapunovOracle)
     before = [dict(vars(owner)) for owner in owners]
-    tracer = spans.Tracer()
+    tracer = _span_tracer()
     tracer.install()
     try:
         assert tracer._patches

@@ -518,7 +518,7 @@ class TestNeighborhoodTable:
         ly = LyapunovOracle(ex21)
 
         def neighborhood(p):
-            return [1] + ly.neighborhood(p)[1:]
+            return [1, *ly.neighborhood(p)[1:]]
 
         with pytest.raises(ConvexityError, match="at p"):
             minimize(ly.function_oracle(), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (column_markets, column_prices, random_multi_instance,
@@ -191,7 +192,7 @@ class TestNeighborhoodTable:
             top = max_total_value(inst)
             for _ in range(6):
                 p = tuple(rng.randint(0, top + 1) for _ in range(inst.n))
-                assert ly.neighborhood(p) == \
+                assert list(ly.neighborhood(p)) == \
                     [-ly.deficiency_mask(mask, p) for mask in range(1 << inst.n)], (inst, p)
 
     def test_reads_no_lyapunov_value(self, monkeypatch):
@@ -210,7 +211,7 @@ class TestNeighborhoodTable:
             raise AssertionError("Lyapunov value read")
 
         monkeypatch.setattr(LyapunovOracle, "value", refuse)
-        assert [LyapunovOracle(inst).neighborhood((1,) * inst.n) for inst in markets] == \
+        assert [list(LyapunovOracle(inst).neighborhood((1,) * inst.n)) for inst in markets] == \
             expected
 
     def test_separable_table_skips_the_demand_set_product(self, monkeypatch):
@@ -257,18 +258,22 @@ class TestKeptTables:
             for p in prices:
                 want = LyapunovOracle(inst).neighborhood(p)
                 assert ly.neighborhood(p) == want, (inst, p)
-                assert want == [-ly.deficiency_mask(mask, p) for mask in range(1 << inst.n)]
+                assert list(want) == [-ly.deficiency_mask(mask, p)
+                                      for mask in range(1 << inst.n)]
         assert served > 0
 
-    def test_returned_tables_are_copies(self, ex21, two_bidder_multi):
+    def test_returned_tables_cannot_be_mutated(self, ex21, two_bidder_multi):
+        """The kept table itself is handed out, so a caller cannot change
+        what later calls read."""
         for inst, p in ((ex21, (0, 0, 0)), (two_bidder_multi, (1,))):
             ly = LyapunovOracle(inst)
             want = LyapunovOracle(inst).neighborhood(p)
             first = ly.neighborhood(p)
-            first[1] += 5
-            first.append(0)
-            assert ly.neighborhood(p) == want
-            ly.neighborhood(p)[-1] = 9
+            assert ly.neighborhood(p) is first
+            with pytest.raises(TypeError):
+                first[1] += 5
+            with pytest.raises(AttributeError):
+                first.append(0)
             assert ly.neighborhood(p) == want
 
     def test_kept_entries_stay_within_the_budget(self):
@@ -332,8 +337,9 @@ class TestShiftedValues:
 
 class TestPerItemColumns:
     """``LyapunovOracle.value`` and ``shifted_values`` read separable bidders
-    per item from sorted columns; ``oracle.lyapunov`` reads every bidder on
-    its own through ``DemandCache.indirect_utility``."""
+    per item from sorted columns and unit-demand bidders inline;
+    ``oracle.lyapunov`` reads every bidder by the definition, a scan of its
+    bundle box through ``DemandCache.indirect_utility``."""
 
     @given(st.data())
     def test_value_and_shifted_values_match_the_per_bidder_twin(self, data):
