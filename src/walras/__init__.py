@@ -24,8 +24,8 @@ from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
 from .lyapunov import LyapunovOracle
 from .oracle import (all_lyapunov_minimizers, allocation_certifies,
                      bidders_demanding_some, bidders_only_demanding,
-                     brute_force_min_equilibrium, deficiency, demand_set,
-                     equilibrium_prices_by_enumeration, gp_minimal_table,
+                     brute_force_min_equilibrium, certified_meet, deficiency,
+                     demand_set, equilibrium_prices_by_enumeration, gp_minimal_table,
                      is_excess_demand, is_gp_minimal, is_overdemanded,
                      lyapunov, lyapunov_step, mu, price_cap, unit_demand_set)
 

@@ -67,25 +67,25 @@ def ascending_auction(instance: Instance,
     the result is minimal; a start above the minimal equilibrium price fails
     it and raises WalrasError.  The demand cache's table bidders are admitted
     only after passing the substitutes exchange check, since nothing below is
-    guaranteed otherwise.  The check runs once per Lyapunov oracle (``oracle``
-    must belong to ``instance``): runs sharing one oracle, as ``compare``'s
-    strategies do, repeat it only under a smaller budget than the one it
-    passed within.
+    guaranteed otherwise.  ``oracle``, the only state a run may share, must be
+    built for this ``instance`` and ``budget`` (else ValueError); runs sharing
+    one, as ``compare``'s strategies do, share its tables and one check.
     The budget also caps the descent's iterations: a run that needs more
-    raises BudgetExceededError.  Allocation extraction is best-effort: on
-    budget exhaustion the result is still returned, with
-    ``allocation_error`` set.
+    raises BudgetExceededError.  Allocation extraction, from demand state of
+    its own, is best-effort: on budget exhaustion the result is still
+    returned, with ``allocation_error`` set.
     """
     ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
-    # A check that passed within some budget passes within any larger one.
-    if ly.admitted_budget is None or budget < ly.admitted_budget:
+    if ly.instance != instance or ly.demand.budget != budget:
+        raise ValueError("oracle was built for another instance or budget")
+    if not ly.admitted:
         for b in ly.demand.tables:
             bad = verify_mnat_exc(instance.valuations[b], budget=budget)
             if bad is not None:
                 raise ConvexityError(
                     f"valuations[{b}] violates the substitutes exchange property: "
                     f"x={bad.x} y={bad.y} i={bad.i}")
-        ly.admitted_budget = budget
+        ly.admitted = True
     if p0 is None:
         p0 = (0,) * instance.n
     p0 = _check_price(instance, p0)
@@ -104,8 +104,7 @@ def ascending_auction(instance: Instance,
     allocation = None
     allocation_error = None
     try:
-        allocation = extract_allocation(instance, p_final,
-                                        budget=budget, demand=ly.demand)
+        allocation = extract_allocation(instance, p_final, budget=budget)
     except BudgetExceededError:
         allocation_error = "allocation search budget exceeded"
     return AuctionResult(p_min=p_final, trajectory=trajectory,
@@ -256,17 +255,17 @@ def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
 
 
 def extract_allocation(instance: Instance, p: PriceVector, *,
-                       budget: int = DEFAULT_BUDGET,
-                       demand: DemandCache | None = None) -> Allocation | None:
+                       budget: int = DEFAULT_BUDGET) -> Allocation | None:
     """Find an allocation certifying p as an equilibrium price, or None.
 
     Unit model: augmenting-path matching where every positively priced item
     must be sold and unmatched bidders fall back to item 0.  Multi model:
     depth-first search over the product of demand sets with remaining-supply
-    pruning.  Budget exhaustion raises, distinct from a proven None.
+    pruning.  Demand is read from a ``DemandCache`` of its own, shared with no
+    run.  Budget exhaustion raises, distinct from a proven None.
     """
     p = _check_price(instance, p)
-    dc = demand if demand is not None else DemandCache(instance, budget=budget)
+    dc = DemandCache(instance, budget=budget)
     if instance.model == UNIT:
         return _extract_unit(instance, p, dc)
     return _extract_multi(instance, p, dc, budget)
@@ -298,19 +297,19 @@ class EquilibriumVerdict:
 
 
 def verify_equilibrium(instance: Instance, p: PriceVector, *,
-                       budget: int = DEFAULT_BUDGET,
-                       oracle: LyapunovOracle | None = None) -> EquilibriumVerdict:
+                       budget: int = DEFAULT_BUDGET) -> EquilibriumVerdict:
     """Decide whether p is an equilibrium price, with a certificate either way.
 
     Success carries an allocation; failure carries a unit price move that
     lowers the Lyapunov value (none exists only in the degenerate bidderless
     multi-unit case, where no allocation can clear a positive supply).
+    Builds its own Lyapunov oracle, so no run's state enters the verdict.
     """
     p = _check_price(instance, p)
-    ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
-    allocation = extract_allocation(instance, p, budget=budget, demand=ly.demand)
+    allocation = extract_allocation(instance, p, budget=budget)
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
+    ly = LyapunovOracle(instance, budget=budget)
     vals = ly.shifted_values(p, 1)
     base = vals[0]
     for mask in range(1, len(vals)):

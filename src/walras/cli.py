@@ -21,7 +21,7 @@ from .instance import (DEFAULT_BUDGET, Instance, load_instance,
 from .itemsets import mask_weight
 from .lnat import StrategyKind, is_lnat_convex_on_box
 from .lyapunov import LyapunovOracle
-from .oracle import all_lyapunov_minimizers, brute_force_min_equilibrium, price_cap
+from .oracle import all_lyapunov_minimizers, certified_meet, price_cap
 
 STRATEGY_FLAGS = {
     "minimal-overdemanded": StrategyKind.MINIMAL_DESCENT,
@@ -239,7 +239,7 @@ def _cmd_oracle(args) -> int:
     budget = _budget()
     instance = load_instance(args.instance)
     minimizers = all_lyapunov_minimizers(instance, budget=budget)
-    p_min = brute_force_min_equilibrium(instance, budget=budget)
+    p_min = certified_meet(instance, minimizers, budget=budget)
     doc = {
         "price_cap": list(price_cap(instance)),
         "lyapunov_minimizers": [list(p) for p in sorted(minimizers)],

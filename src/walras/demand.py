@@ -55,8 +55,8 @@ def _check_price(instance: Instance, p) -> PriceVector:
 class DemandCache:
     """Per-instance demand computations.
 
-    Instances are immutable, so kept answers never go stale.  One cache may
-    be shared freely by the Lyapunov oracle, the auction layer and sweeps.
+    Instances are immutable, so kept answers never go stale.  Each Lyapunov
+    oracle owns one, and every other reader builds its own.
     ``__init__`` alone reads the bidders' valuation families, once: it
     records the groups ``separable`` (a frozenset, for constant-time
     membership), ``units`` and ``tables`` (indices in order), which every

@@ -38,11 +38,13 @@ from .lnat import FunctionOracle
 class LyapunovOracle:
     """Lyapunov function of one instance, for both auction models.
 
+    The one handle the library shares between calls: built from
+    ``(instance, budget)`` alone, it owns its ``DemandCache``, which holds
+    the budget; only runs of that instance under that budget may share it.
     ``value`` reads the bidders by the groups ``DemandCache`` sorted them
     into, so one formula serves the unit model (every bidder unit-demand,
     one of each item) and the multi model, and keeps no value once read.
-    ``admitted_budget`` is the budget within which ``ascending_auction``
-    found every explicit table to pass the exchange check, None until then.
+    ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
     ``shifted_values`` keeps its latest table for each shift, which
     ``compare``'s strategies, stopping at the same price, read again.
     ``neighborhood`` keeps its change tables by demand key, at most
@@ -50,14 +52,12 @@ class LyapunovOracle:
     sharing the oracle share them.
     """
 
-    def __init__(self, instance: Instance, *, demand: DemandCache | None = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
         self.instance = instance
-        self.demand = demand if demand is not None else DemandCache(instance, budget=budget)
-        self.budget = budget
+        self.demand = DemandCache(instance, budget=budget)
         self._shifted: dict[int, tuple[PriceVector, tuple[int | None, ...]]] = {}
         self._tables: dict[tuple, tuple[int, ...]] = {}
-        self.admitted_budget: int | None = None
+        self.admitted = False
 
     def value(self, p: PriceVector) -> int:
         """L(p): the revenue term p.u, then the separable bidders per item,
@@ -140,8 +140,9 @@ class LyapunovOracle:
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
         Lyapunov evaluation; ``minimize`` hands it to the selection rule as
         it is and checks only the chosen step and the stop against values.
-        The table is built once per demand key and kept, and handed out
-        as the kept tuple itself.
+        The table is built once per demand key, kept (``demand_key`` took
+        (m + 1) * 2^n entries within the budget, so one always fits) and
+        handed out as the kept tuple itself.
         """
         dc = self.demand
         key = dc.demand_key(_check_price(self.instance, p))
@@ -149,11 +150,9 @@ class LyapunovOracle:
         table = tables.get(key)
         if table is None:
             table = tuple(map(neg, dc.deficiency_from_key(key)))
-            room = self.budget >> self.instance.n  # tables of 2^n entries
-            if room:
-                if len(tables) >= room:
-                    tables.clear()
-                tables[key] = table
+            if len(tables) >= self.demand.budget >> self.instance.n:
+                tables.clear()
+            tables[key] = table
         return table
 
     def function_oracle(self) -> FunctionOracle:

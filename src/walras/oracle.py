@@ -1,7 +1,8 @@
 """Brute-force ground truth and the definitional twins of the fast paths.
 
 Everything here exists to check the production paths, so it deliberately
-shares no search logic with the auction layer:
+shares neither search logic nor state with the auction layer (a function
+given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
 
 * exhaustive Lyapunov minimization and definitional equilibrium enumeration
   over a bounded price box;
@@ -53,14 +54,14 @@ def _scan_box(instance: Instance) -> tuple[int, tuple[range, ...]]:
     return volume, tuple(range(cap + 1) for _ in range(instance.n))
 
 
-def all_lyapunov_minimizers(instance: Instance, *, budget: int = DEFAULT_BUDGET,
-                            oracle: LyapunovOracle | None = None) -> frozenset[PriceVector]:
+def all_lyapunov_minimizers(instance: Instance, *,
+                            budget: int = DEFAULT_BUDGET) -> frozenset[PriceVector]:
     """All global minimizers of the Lyapunov function, by exhaustive scan."""
     volume, ranges = _scan_box(instance)
     if volume > budget:
         raise BudgetExceededError(
             f"price box volume {volume} exceeds budget {budget}")
-    ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
+    ly = LyapunovOracle(instance, budget=budget)
     best = None
     arg: list[PriceVector] = []
     for p in product(*ranges):
@@ -73,9 +74,16 @@ def all_lyapunov_minimizers(instance: Instance, *, budget: int = DEFAULT_BUDGET,
     return frozenset(arg)
 
 
-def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUDGET,
-                                oracle: LyapunovOracle | None = None) -> PriceVector:
-    """Componentwise meet of all Lyapunov minimizers.
+def brute_force_min_equilibrium(instance: Instance, *,
+                                budget: int = DEFAULT_BUDGET) -> PriceVector:
+    """The meet of all Lyapunov minimizers, checked by ``certified_meet``."""
+    minimizers = all_lyapunov_minimizers(instance, budget=budget)
+    return certified_meet(instance, minimizers, budget=budget)
+
+
+def certified_meet(instance: Instance, minimizers: frozenset[PriceVector], *,
+                   budget: int = DEFAULT_BUDGET) -> PriceVector:
+    """Componentwise meet of the Lyapunov minimizer set ``minimizers``.
 
     The meet must itself be a minimizer; if not, the valuations are outside
     the substitutes class.  On small price boxes the minimizer set is also
@@ -83,15 +91,12 @@ def brute_force_min_equilibrium(instance: Instance, *, budget: int = DEFAULT_BUD
     definitions (skipped for the degenerate bidderless multi model, whose
     positive supply can never clear exactly).
     """
-    minimizers = all_lyapunov_minimizers(instance, budget=budget, oracle=oracle)
-    n = instance.n
-    meet = tuple(min(p[j] for p in minimizers) for j in range(n))
+    meet = tuple(map(min, zip(*minimizers)))
     if meet not in minimizers:
         raise ConvexityError("minimizer set not meet-closed")
     volume, _ = _scan_box(instance)
     if volume <= CROSS_CHECK_VOLUME:
-        degenerate = instance.model == MULTI and instance.m == 0
-        if not degenerate:
+        if instance.model == UNIT or instance.m > 0:
             exact = equilibrium_prices_by_enumeration(instance, budget=budget)
             if exact != minimizers:
                 raise ConvexityError(
@@ -421,23 +426,20 @@ def mu(b: int, X: ItemSet, p: PriceVector, instance: Instance, *,
 # --- overdemand and excess demand, set by set --------------------------------
 
 
-def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance, *,
-                    demand: DemandCache | None = None) -> bool:
+def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance) -> bool:
     """True when the minimal aggregate demand from X exceeds its supply."""
-    ly = LyapunovOracle(instance, demand=demand)
     p = _check_price(instance, p)
     mask = mask_from_items(X, instance.n)
-    return ly.deficiency_mask(mask, p) > 0
+    return LyapunovOracle(instance).deficiency_mask(mask, p) > 0
 
 
-def is_excess_demand(X: ItemSet, p: PriceVector, instance: Instance, *,
-                     demand: DemandCache | None = None) -> bool:
+def is_excess_demand(X: ItemSet, p: PriceVector, instance: Instance) -> bool:
     """True when every nonempty part of X is strictly overdemanded.
 
     Unit model: bidders confined to X who demand inside Z outnumber Z.
     Multi model: the extra units bidders must take from Z exceed Z's supply.
     """
-    dc = demand if demand is not None else DemandCache(instance)
+    dc = DemandCache(instance)
     p = _check_price(instance, p)
     mask = mask_from_items(X, instance.n)
     if mask == 0:
@@ -463,14 +465,13 @@ def _nonempty_submasks(mask: int):
             yield sub
 
 
-def excess_demand_table(instance: Instance, p: PriceVector, *,
-                        demand: DemandCache | None = None) -> list[bool]:
+def excess_demand_table(instance: Instance, p: PriceVector) -> list[bool]:
     """``is_excess_demand`` for every item subset at once, indexed by bitmask.
 
     Index 0 is False by convention (excess-demand sets are nonempty).
     Agrees with the per-set predicate; equality is test-enforced.
     """
-    dc = demand if demand is not None else DemandCache(instance)
+    dc = DemandCache(instance)
     p = _check_price(instance, p)
     size = 1 << instance.n
     out = [False] * size

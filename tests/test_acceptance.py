@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from conftest import (make_ex21, random_multi_instance, random_unit_instance)
-from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind,
+from walras import (Instance, LyapunovOracle, StrategyKind,
                     ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, brute_force_min_equilibrium,
                     is_excess_demand, is_lnat_convex_on_box, is_overdemanded,
@@ -78,7 +78,7 @@ def _box_checks(inst: Instance, ly: LyapunovOracle, cap: int, rec: Record) -> No
                     break
                 sub = (sub - 1) & mask
             gp[mask] = ok
-        exc = excess_demand_table(inst, p, demand=dc)
+        exc = excess_demand_table(inst, p)
         if rec.equivalence is None:
             bad = next((m for m in range(1, size) if exc[m] != gp[m]), None)
             if bad is None:
@@ -167,13 +167,12 @@ def _lnat_side(cap: int, n: int) -> int:
 
 def _build_record(inst: Instance, label: str, seed: int) -> Record:
     rec = Record(label=label, model=inst.model)
-    dc = DemandCache(inst)
-    ly = LyapunovOracle(inst, demand=dc)
+    ly = LyapunovOracle(inst)
     g = ly.function_oracle()
     cap = max_total_value(inst)
 
     started = time.perf_counter()
-    rec.p_min = brute_force_min_equilibrium(inst, oracle=ly)
+    rec.p_min = brute_force_min_equilibrium(inst)
     for kind in _STRATEGIES:
         res = ascending_auction(inst, kind, seed=seed, oracle=ly)
         rec.finals[kind.value] = res.p_min

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
-from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracle,
-                    MultiAllocation, StrategyKind, UnitAllocation, Valuation,
-                    allocation_certifies, ascending_auction,
+from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instance,
+                    LyapunovOracle, MultiAllocation, StrategyKind, UnitAllocation,
+                    Valuation, allocation_certifies, ascending_auction,
                     equilibrium_prices_by_enumeration, extract_allocation,
                     WalrasError, is_excess_demand, is_overdemanded,
                     verify_equilibrium)
@@ -62,11 +62,9 @@ class TestExcessDemand:
             inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3, value_max=4)
             cap = 4
         p = tuple(rng.randint(0, cap) for _ in range(inst.n))
-        dc = DemandCache(inst)
-        table = excess_demand_table(inst, p, demand=dc)
+        table = excess_demand_table(inst, p)
         for mask in range(1, 1 << inst.n):
-            assert table[mask] == is_excess_demand(items_from_mask(mask), p,
-                                                   inst, demand=dc)
+            assert table[mask] == is_excess_demand(items_from_mask(mask), p, inst)
 
 
 class TestAscendingAuction:
@@ -175,17 +173,18 @@ class TestAdmission:
             Valuation.from_table({(0, 0): 0, (1, 0): 2, (0, 1): 1, (1, 1): 3}),
             Valuation.separable([[2], [1]]),
             Valuation.from_table({(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 2})))
-        ly = LyapunovOracle(inst)
+        ly = LyapunovOracle(inst, budget=1000)
+        assert not ly.admitted
         for kind in StrategyKind:
             ascending_auction(inst, kind, oracle=ly, budget=1000)
         assert calls == [1000, 1000]
-        assert ly.admitted_budget == 1000
-        ascending_auction(inst, oracle=ly, budget=10**6)
-        assert len(calls) == 2
-        # A smaller budget than the one admitted under is checked again.
+        assert ly.admitted
+        # Another oracle checks again, within its own budget.
+        small = LyapunovOracle(inst, budget=3)
         with pytest.raises(BudgetExceededError, match="exceeds budget 3"):
-            ascending_auction(inst, oracle=ly, budget=3)
-        assert ly.admitted_budget == 1000
+            ascending_auction(inst, oracle=small, budget=3)
+        assert calls == [1000, 1000, 3]
+        assert not small.admitted
 
     def test_rejected_oracle_is_not_admitted(self, mnat_calls):
         from walras.errors import ConvexityError
@@ -196,8 +195,36 @@ class TestAdmission:
         for kind in StrategyKind:
             with pytest.raises(ConvexityError, match="exchange property"):
                 ascending_auction(inst, kind, oracle=ly)
-            assert ly.admitted_budget is None
+            assert not ly.admitted
         assert len(calls) == 4
+
+
+class TestSharedOracle:
+    """The oracle ``ascending_auction`` takes must be built for the run's
+    instance and budget: a foreign one would read another market."""
+
+    @staticmethod
+    def _market(worths):
+        return Instance(model="multi", n=1, u=(2,), valuations=(
+            Valuation.separable([worths]), Valuation.separable([worths])))
+
+    def test_oracle_of_another_instance_is_refused(self):
+        a, b = self._market([3, 2]), self._market([9, 8])
+        with pytest.raises(ValueError, match="another instance or budget"):
+            ascending_auction(a, oracle=LyapunovOracle(b))
+        # An equal instance built apart is the same market.
+        twin = LyapunovOracle(self._market([3, 2]))
+        assert ascending_auction(a, oracle=twin).p_min == (2,)
+        assert ascending_auction(b, oracle=LyapunovOracle(b)).p_min == (8,)
+
+    def test_oracle_under_another_budget_is_refused(self):
+        a = self._market([3, 2])
+        ly = LyapunovOracle(a, budget=1000)
+        for budget in (999, 1001, DEFAULT_BUDGET):
+            with pytest.raises(ValueError, match="another instance or budget"):
+                ascending_auction(a, oracle=ly, budget=budget)
+        assert not ly.admitted and not ly._tables
+        assert ascending_auction(a, oracle=ly, budget=1000).p_min == (2,)
 
 
 class TestExtractAllocation:
@@ -326,9 +353,9 @@ class TestExtractionAgainstEnumeration:
         inst = random_unit_instance(rng, n_max=3, m_max=4, value_max=2)
         ly = LyapunovOracle(inst)
         from walras import all_lyapunov_minimizers
-        minimizers = all_lyapunov_minimizers(inst, oracle=ly)
+        minimizers = all_lyapunov_minimizers(inst)
         for p in product(range(3), repeat=inst.n):
-            verdict = verify_equilibrium(inst, p, oracle=ly)
+            verdict = verify_equilibrium(inst, p)
             assert verdict.equilibrium == (p in minimizers)
             if not verdict.equilibrium:
                 w = verdict.witness

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (EX21_JSON, random_multi_instance, random_unit_instance,
                       tabulate)
-from walras import (Instance, Valuation, brute_force_min_equilibrium,
-                    deficiency, max_total_value, parse_instance,
-                    serialize_instance, verify_equilibrium)
+from walras import (Instance, LyapunovOracle, Valuation,
+                    brute_force_min_equilibrium, deficiency, max_total_value,
+                    parse_instance, serialize_instance, verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import STRATEGY_FLAGS, _row_json, run_command
 
@@ -357,6 +357,25 @@ class TestOracleCommand:
         assert doc["price_cap"] == [5]
         assert doc["lyapunov_minimizers"] == [[2], [3]]
         assert doc["min_equilibrium_price"] == [2]
+
+    def test_price_box_is_scanned_once(self, tmp_path, monkeypatch):
+        """The minimizer scan reads each price of the box once; the meet and
+        its cross-checks work from the scanned set instead of a second scan."""
+        reads = []
+        value = LyapunovOracle.value
+
+        def counted(self, p):
+            reads.append(tuple(p))
+            return value(self, p)
+
+        monkeypatch.setattr(LyapunovOracle, "value", counted)
+        for label, text in (("multi", MULTI_JSON), ("ex21", EX21_JSON)):
+            path = tmp_path / f"{label}.json"
+            path.write_text(text)
+            reads.clear()
+            assert run_command(["oracle", "--instance", str(path)]) == 0
+            inst = parse_instance(text)
+            assert len(reads) == (max_total_value(inst) + 1) ** inst.n == len(set(reads))
 
     @pytest.mark.parametrize("record", [
         {"family": "unit_demand", "values": [3]},

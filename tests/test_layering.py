@@ -1,15 +1,18 @@
 """Module layering: the solver modules never import the oracle, only the
 demand cache's constructor reads a valuation family, each public solver
-function and cache or oracle method has a caller, and every name the
-benchmark's span tracer patches stays where the tracer looks."""
+function and cache or oracle method has a caller, only ``ascending_auction``
+takes shared state from its caller, and every name the benchmark's span
+tracer patches stays where the tracer looks."""
 
 import ast
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
+import walras
 import walras.auction
 import walras.cli
 import walras.instance
@@ -75,6 +78,40 @@ def test_only_the_demand_cache_constructor_reads_a_family(module, allowed):
             visit(child, inner)
 
     visit(tree, "")
+    assert not found, found
+
+
+def _exported_callables():
+    """``(name, callable)`` for every public function ``walras`` exports and
+    for the constructor and public methods of every class it exports."""
+    def ours(fn):
+        return (getattr(fn, "__module__", None) or "").startswith("walras.")
+
+    for name, obj in vars(walras).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(obj) and ours(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and ours(obj):
+            for attr, member in inspect.getmembers(obj, inspect.isroutine):
+                if (attr == "__init__" or not attr.startswith("_")) and ours(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_only_the_auction_takes_shared_state():
+    """A ``LyapunovOracle`` built from ``(instance, budget)`` is the only state
+    the library shares between calls, and only ``ascending_auction`` takes
+    one: no exported function, constructor or method takes a ``demand``
+    cache, and none but ``ascending_auction`` an ``oracle``."""
+    checked = dict(_exported_callables())
+    assert {"ascending_auction", "LyapunovOracle.__init__", "verify_equilibrium",
+            "extract_allocation", "brute_force_min_equilibrium",
+            "DemandCache.demand_set"} <= checked.keys()
+    found = []
+    for name, fn in checked.items():
+        params = inspect.signature(fn).parameters
+        if "demand" in params or "oracle" in params and name != "ascending_auction":
+            found.append(name)
     assert not found, found
 
 

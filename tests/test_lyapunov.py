@@ -279,15 +279,17 @@ class TestKeptTables:
     def test_kept_entries_stay_within_the_budget(self):
         """Under a small budget the kept tables never hold more than
         ``budget`` entries, 2^n per table, and every table equals an
-        unbounded oracle's; a budget below 2^n keeps none."""
+        unbounded oracle's.  The budget is one for the oracle and its demand
+        side, so it is drawn no smaller than the (m + 1) * 2^n entries every
+        table build is checked against."""
         rng = random.Random(43)
         held = cleared = 0
         for _ in range(20):
             inst = (random_unit_instance(rng, n_max=3, m_max=4) if rng.random() < 0.5
                     else random_multi_instance(rng, n_max=2, u_max=2, m_max=3))
-            budget = rng.randint(1, 40)
-            # The demand side keeps the default budget; only the memo is small.
-            small = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
+            least = (inst.m + 1) << inst.n
+            budget = rng.randint(least, 2 * least)
+            small = LyapunovOracle(inst, budget=budget)
             full = LyapunovOracle(inst)
             prices = list(product(range(max_total_value(inst) + 2), repeat=inst.n))
             for p in prices + prices[::-1]:
@@ -296,8 +298,8 @@ class TestKeptTables:
                 assert len(small._tables) << inst.n <= budget
                 held = max(held, len(small._tables))
                 cleared += len(small._tables) < before
-            bounded = LyapunovOracle(inst, demand=DemandCache(inst), budget=budget)
-            assert ascending_auction(inst, oracle=bounded).p_min == \
+            bounded = LyapunovOracle(inst, budget=budget)
+            assert ascending_auction(inst, oracle=bounded, budget=budget).p_min == \
                 ascending_auction(inst).p_min
             assert len(bounded._tables) << inst.n <= budget
         assert held > 1 and cleared > 0

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_multi_instance, random_unit_instance
-from walras import (BudgetExceededError, Instance, LyapunovOracle,
-                    StrategyKind, Valuation, all_lyapunov_minimizers,
-                    ascending_auction, brute_force_min_equilibrium,
+from walras import (BudgetExceededError, Instance, StrategyKind, Valuation,
+                    all_lyapunov_minimizers, ascending_auction,
+                    brute_force_min_equilibrium,
                     equilibrium_prices_by_enumeration, price_cap)
 from walras.demand import DemandCache
 from walras.oracle import _multi_clearing, _unit_clearing, _unit_options
@@ -78,9 +78,8 @@ class TestMinimalEquilibrium:
     def test_agrees_with_the_auction(self, seed):
         rng = random.Random(seed)
         inst = random_unit_instance(rng, n_max=3, m_max=4, value_max=3)
-        oracle = LyapunovOracle(inst)
-        target = brute_force_min_equilibrium(inst, oracle=oracle)
-        run = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=oracle)
+        target = brute_force_min_equilibrium(inst)
+        run = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL)
         assert run.p_min == target
 
 
