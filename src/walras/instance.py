@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, product
+from functools import lru_cache
+from itertools import (accumulate, chain, combinations,
+                       combinations_with_replacement, product)
 from math import prod
+from operator import add, ge, itemgetter
 from typing import Iterator, Mapping
 
 from .errors import BudgetExceededError, InstanceFormatError
@@ -199,30 +202,128 @@ class MnatCounterexample:
 
 def verify_mnat_exc(v: Valuation, *,
                     budget: int = DEFAULT_BUDGET) -> MnatCounterexample | None:
-    """Exhaustively test the gross-substitutes exchange axiom on v's own box.
+    """Test the gross-substitutes exchange axiom on v's own box.
 
     Returns None when the axiom holds, else the first violating triple in
-    lexicographic (x, y, ascending i) order.  The box is evaluated once into
-    a flat list in lexicographic order, and each exchange
-    x - chi_j + chi_k, y + chi_j - chi_k is read at mixed-radix index
-    offsets.  Which items j may move and which k may come back depend only
-    on the difference d = x - y, so those offsets are listed once per
-    difference class, the first time a pair needs it: a check refused after
-    a few rows of x lists only the classes those rows met.  The budget
-    counts valuation evaluations, including two per exchange attempt
-    (items k before the drop option k=0), charged before the attempt is
-    read.  The charge only grows, so comparing it with the budget once per x
-    and before a witness is returned gives the same witness, None or budget
-    error as comparing it at every attempt.
+    lexicographic (x, y, ascending i) order.  The budget counts valuation
+    evaluations of the pair-by-pair definition: the box volume, then two per
+    exchange attempt (see ``_pair_scan``).  A pair (x, y) makes at most
+    |up|·(|down| + 1) attempts, where up and down are the items with
+    x_j > y_j and x_k < y_k, so no scan charges more than ``_scan_bound(u)``
+    = V + 2·Σ_{x,y} |up|·(|down| + 1), summed per item and per item pair in
+    closed form.
+
+    When that bound fits the budget the scan cannot be refused, and the
+    axiom is first checked locally.  Lifted by x~ = (-Σx, x), a valuation
+    on the box is M♮-concave iff its lift is M-concave on the lifted box,
+    an M-convex set, and there M-concavity is decided by the exchange
+    condition on pairs with ‖x~ - y~‖₁ = 4 alone (Murota, *Discrete Convex
+    Analysis*, SIAM 2003, ch. 6: the local exchange theorem).  A local
+    pass is therefore the scan's None; a local failure runs the scan, which
+    finds the first witness.  When the bound exceeds the budget only the
+    scan runs.  Every outcome -- None, witness or budget error -- is thus the
+    definition's at every budget.
     """
     u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
             f"verification box volume {volume} exceeds budget {budget}")
-    spent = volume
-    bundles = list(iter_box(u))
     worth = _box_worths(v)
+    if _scan_bound(u) <= budget and _locally_exchangeable(u, worth):
+        return None
+    return _pair_scan(u, worth, budget)
+
+
+def _scan_bound(u: Bundle) -> int:
+    """Most that ``_pair_scan`` can charge on the box [0, u].
+
+    With r_j = u_j + 1 and V = Π r_j, a_j = (V/r_j)²·C(r_j, 2) pairs have
+    x_j > y_j, and (V/(r_j·r_k))²·C(r_j, 2)·C(r_k, 2) = a_j·a_k / V² have
+    also x_k < y_k (j ≠ k).
+    """
+    volume = box_volume(u)
+    a = [(volume // (c + 1)) ** 2 * (c + 1) * c // 2 for c in u]
+    pairs = sum(a) + (sum(a) ** 2 - sum(t * t for t in a)) // volume ** 2
+    return volume + 2 * pairs
+
+
+@lru_cache(maxsize=8)
+def _local_plan(u: Bundle) -> tuple:
+    """Flat-index reads of the local exchange check on the box [0, u].
+
+    Each unordered lifted difference x~ - y~ = e_P - e_Q, with P and Q
+    disjoint 2-multisets of {0..n} (0 the lifted coordinate), is listed
+    once.  Its x form a sub-box, and y = x - P + Q and the exchanges
+    x~ - e_i + e_j, y~ + e_i - e_j (i in P, j in Q) sit at fixed offsets
+    from x, inside the box because it is M♮-convex.  Exchanges that read
+    the same two bundles are kept once, which leaves one or two per pair.
+    Pairs are grouped by that number; a group is
+    (get x, get y, ((get x', get y') per exchange)).  The plan holds no
+    more indices than ``_scan_bound(u)``.
+    """
+    n = len(u)
+    stride = strides([c + 1 for c in u])
+    lift = [0] + stride
+    halves = combinations_with_replacement(range(n + 1), 2)
+    groups: dict[int, list[list[int]]] = {}
+    for P, Q in combinations(halves, 2):
+        step = [0] * (n + 1)
+        for i in P:
+            step[i] -= 1
+        for j in Q:
+            step[j] += 1
+        sides = [range(max(0, -step[k + 1]), c + 1 - max(0, step[k + 1]))
+                 for k, c in enumerate(u)]
+        if set(P) & set(Q) or not all(sides):
+            continue
+        dy = sum(s * t for s, t in zip(step, lift))
+        moves = {tuple(sorted((lift[j] - lift[i], dy + lift[i] - lift[j])))
+                 for i in P for j in Q}
+        offsets = [0, dy, *chain.from_iterable(sorted(moves))]
+        cols = groups.setdefault(len(moves), [[] for _ in offsets])
+        for x in product(*sides):
+            ix = sum(s * t for s, t in zip(stride, x))
+            for col, off in zip(cols, offsets):
+                col.append(ix + off)
+    plan = []
+    for cols in groups.values():
+        if len(cols[0]) == 1:  # itemgetter of one index returns no tuple
+            cols = [col * 2 for col in cols]
+        get = [itemgetter(*col) for col in cols]
+        plan.append((get[0], get[1], tuple(zip(get[2::2], get[3::2]))))
+    return tuple(plan)
+
+
+def _locally_exchangeable(u: Bundle, worth: list[int]) -> bool:
+    """Whether every pair of the box at lifted distance 4 has some exchange
+    worth at least the pair itself."""
+    for get_x, get_y, moves in _local_plan(u):
+        need = map(add, get_x(worth), get_y(worth))
+        sums = [map(add, gx(worth), gy(worth)) for gx, gy in moves]
+        best = map(max, *sums) if len(sums) > 1 else sums[0]
+        if not all(map(ge, best, need)):
+            return False
+    return True
+
+
+def _pair_scan(u: Bundle, worth: list[int], budget: int) -> MnatCounterexample | None:
+    """The exhaustive pair-by-pair exchange check of ``verify_mnat_exc``.
+
+    ``worth`` lists v over the box [0, u] in lexicographic order, and each
+    exchange x - chi_j + chi_k, y + chi_j - chi_k is read at mixed-radix
+    index offsets.  Which items j may move and which k may come back depend
+    only on the difference d = x - y, so those offsets are listed once per
+    difference class, the first time a pair needs it: a check refused after
+    a few rows of x lists only the classes those rows met.  The charge
+    starts at the box volume and adds two per exchange attempt (items k
+    before the drop option k=0), charged before the attempt is read.  It
+    only grows, so comparing it with the budget once per x and before a
+    witness is returned gives the same witness, None or budget error as
+    comparing it at every attempt.
+    """
+    spent = len(worth)
+    bundles = list(iter_box(u))
     n = len(u)
     # x sits at index sum_c stride_c * x_c; d = x - y has the class key
     # key[x] - key[y] + zero.

@@ -18,7 +18,8 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
-from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
+from walras.instance import (DEFAULT_BUDGET, _local_plan, _locally_exchangeable,
+                             _scan_bound, box_volume, iter_box)
 from walras.itemsets import difference_keys
 
 
@@ -325,6 +326,126 @@ class TestExchangeTwin:
                 assert _outcome(verify_mnat_exc, v, budget) == want, (worth, budget)
                 seen.add((budget < classes, type(want)))
         assert {(True, tuple), (True, MnatCounterexample), (False, type(None))} <= seen
+
+
+TABLE_KINDS = ("separable", "unit", "two-row", "two-row-bumped", "random")
+
+
+def _two_row_worth(rows, x):
+    """Worth of bundle x to two unit-demand rows that each take at most one
+    unit of x (an assignment, or OXS, valuation)."""
+    best = 0
+    for a, b in product(range(-1, len(x)), repeat=2):
+        take = [0] * len(x)
+        for item in (a, b):
+            if item >= 0:
+                take[item] += 1
+        if all(t <= c for t, c in zip(take, x)):
+            best = max(best, (rows[0][a] if a >= 0 else 0) + (rows[1][b] if b >= 0 else 0))
+    return best
+
+
+def kind_table(kind, rng, u):
+    """A table over the box [0, u] of one of ``TABLE_KINDS``; unit-demand
+    tables take the box with one unit of each item."""
+    n = len(u)
+    if kind == "separable":
+        return tabulate(random_separable_valuation(rng, u))
+    if kind == "unit":
+        return tabulate(Valuation.unit_demand([rng.randint(0, 8) for _ in range(n)]))
+    if kind == "random":
+        return Valuation.from_table({x: rng.randint(0, 12) for x in iter_box(u)})
+    rows = [[rng.randint(0, 8) for _ in range(n)] for _ in range(2)]
+    worth = {x: _two_row_worth(rows, x) for x in iter_box(u)}
+    if kind == "two-row-bumped":
+        for x in rng.sample(sorted(worth), min(len(worth), rng.randint(1, 3))):
+            worth[x] += rng.randint(1, 3)
+    return Valuation.from_table(worth)
+
+
+def worst_charge(u):
+    """The pair scan's largest possible charge, pair by pair: the volume,
+    then two per attempt, each moving item j trying every returning item k
+    and the drop."""
+    bundles = list(iter_box(u))
+    attempts = 0
+    for x in bundles:
+        for y in bundles:
+            up = sum(a > b for a, b in zip(x, y))
+            down = sum(a < b for a, b in zip(x, y))
+            attempts += up * (down + 1)
+    return len(bundles) + 2 * attempts
+
+
+class TestLocalExchange:
+    """``verify_mnat_exc`` certifies a pass by the local exchange condition
+    when the pair scan's largest charge fits the budget, and otherwise runs
+    the scan; every outcome is the definitional twin's."""
+
+    @staticmethod
+    def _outcomes(v):
+        """(budget, twin outcome, checker outcome) at the budgets around the
+        scan's largest charge and at the default budget.  The twin is never
+        refused at that charge, and the local condition holds exactly when
+        the twin finds no witness."""
+        bound = _scan_bound(v.box())
+        full = _outcome(exchange_twin, v, bound)
+        assert not isinstance(full, tuple)
+        assert _locally_exchangeable(v.box(), [w for _, w in v.table]) == (full is None)
+        return [(b, _outcome(exchange_twin, v, b), _outcome(verify_mnat_exc, v, b))
+                for b in sorted({bound - 1, bound, bound + 1, DEFAULT_BUDGET})]
+
+    @given(st.sampled_from(TABLE_KINDS), st.lists(st.integers(1, 2), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_same_outcome_as_the_twin(self, kind, u, seed):
+        v = kind_table(kind, random.Random(seed), tuple(u))
+        for budget, want, got in self._outcomes(v):
+            assert got == want, (kind, v.table, budget)
+
+    def test_sweep_meets_every_outcome(self):
+        rng = random.Random(2003)
+        seen = set()
+        for t in range(600):
+            kind = TABLE_KINDS[t % len(TABLE_KINDS)]
+            u = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
+            v = kind_table(kind, rng, u)
+            for budget, want, got in self._outcomes(v):
+                assert got == want, (kind, v.table, budget)
+                seen.add(type(want))
+        assert seen == {tuple, MnatCounterexample, type(None)}
+
+    def test_bound_is_the_worst_charge(self):
+        """The closed form equals the pair-by-pair worst charge on every box
+        with n <= 3 and u <= 3, and the local plan holds fewer indices."""
+        for n in (1, 2, 3):
+            for u in product((1, 2, 3), repeat=n):
+                bound = _scan_bound(u)
+                assert bound == worst_charge(u), u
+                volume = box_volume(u)
+                held = sum(len(get_x(range(volume))) * (2 + 2 * len(moves))
+                           for get_x, _, moves in _local_plan(u))
+                assert held <= bound, u
+        assert _scan_bound((2, 2, 2, 2)) == 35_073
+        assert _scan_bound((1,) * 5) == 5_152
+
+    def test_pass_within_the_bound_skips_the_scan(self, monkeypatch):
+        import walras.instance as instance
+        calls = []
+        scan = instance._pair_scan
+
+        def counted(u, worth, budget):
+            calls.append(budget)
+            return scan(u, worth, budget)
+
+        monkeypatch.setattr(instance, "_pair_scan", counted)
+        v = tabulate(random_separable_valuation(random.Random(4), (2, 2, 2, 2)))
+        assert verify_mnat_exc(v) is None
+        assert calls == []
+        bad = verify_mnat_exc(Valuation.from_table(COMPLEMENTS_TABLE))
+        assert bad == MnatCounterexample(x=(1, 1), y=(0, 0), i=1)
+        assert calls == [DEFAULT_BUDGET]
+        assert verify_mnat_exc(v, budget=35_072) is None
+        assert calls == [DEFAULT_BUDGET, 35_072]
 
 
 class TestDifferenceKeys:
