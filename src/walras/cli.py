@@ -192,7 +192,8 @@ def _cmd_verify(args) -> int:
                              f"x={tuple(bad.x)} y={tuple(bad.y)} i={bad.i}")
     if "lnat" in checks:
         ly = LyapunovOracle(instance, budget=budget)
-        # The largest side s whose (s + 1)^(2n + 1) midpoint tests fit the budget.
+        # The largest side s whose scan charge, volume^2 * (diameter + 1) =
+        # (s + 1)^(2n + 1) on the cube [0, s]^n, fits the check's budget.
         root = 1
         while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
             root += 1

@@ -265,6 +265,15 @@ class TestVerify:
         assert "mnat: bidder 0: counterexample" in err
         assert "x=(1, 1) y=(0, 0) i=1" in err
 
+    def test_complements_midpoint_witness_is_pinned(self, complements_path, capsys):
+        """The first lexicographic witness of the exhaustive scan, whichever
+        path certifies a pass."""
+        assert run_command(["verify", "--instance", complements_path,
+                            "--check", "all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("lnat: counterexample p=(0, 2) q=(2, 0) shift=0\n")
+
     def test_clean_instance_passes(self, ex21_path, capsys):
         assert run_command(["verify", "--instance", ex21_path]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Module layering: the solver modules never import the oracle, only the
+"""Module layering: the package imports only itself and the standard
+library, the solver modules never import the oracle, only the
 demand cache's constructor reads a valuation family, each public solver
 function and cache or oracle method has a caller, only ``ascending_auction``
 takes shared state from its caller, and every name the benchmark's span
@@ -8,6 +9,7 @@ import ast
 import importlib.util
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,25 @@ def test_solver_module_never_imports_the_oracle(module):
             continue
         for name in names:
             assert "oracle" not in name.split("."), f"{module}.py:{node.lineno} imports {name}"
+
+
+def test_imports_are_package_relative_or_stdlib():
+    """The package declares no dependencies: every import in ``src/walras``
+    is package-relative or names a standard-library module."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+    found = []
+    for path in sorted((ROOT / "src" / "walras").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} imports {name}" for name in names
+                         if name.split(".")[0] not in sys.stdlib_module_names)
+    assert not found, found
 
 
 def test_lyapunov_tests_no_model_or_family():

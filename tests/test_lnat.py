@@ -106,6 +106,100 @@ class TestMidpointTwin:
             assert is_lnat_convex_on_box(g, (lo, hi)) == want, (inst, lo, hi)
 
 
+class TestLocalMidpointCheck:
+    """The pass path of ``is_lnat_convex_on_box``: midpoint convexity on the
+    pairs at infinity-distance at most 2 certifies a box of finite values,
+    and every other outcome comes from the exhaustive scan."""
+
+    @staticmethod
+    def _traced(g, box):
+        """The check's outcome and, in order, its local results and scans."""
+        calls = []
+        local, scan = lnat._locally_midpoint_convex, lnat._midpoint_scan
+
+        def counted_local(widths, vals):
+            calls.append(local(widths, vals))
+            return calls[-1]
+
+        def counted_scan(points, vals, widths):
+            calls.append("scan")
+            return scan(points, vals, widths)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lnat, "_locally_midpoint_convex", counted_local)
+            mp.setattr(lnat, "_midpoint_scan", counted_scan)
+            return is_lnat_convex_on_box(g, box), calls
+
+    def _check(self, g, box):
+        """Assert the twin's outcome and the path taken; return the outcome
+        and whether the box held a None."""
+        got, calls = self._traced(g, box)
+        want = midpoint_twin(g, box)
+        assert got == want, box
+        holes = any(g.fn(p) is None for p in product(*(range(a, b + 1) for a, b in zip(*box))))
+        if holes:
+            assert calls == ["scan"], box
+        elif want is None:
+            assert calls == [True], box
+        else:
+            assert calls == [False, "scan"], box
+        return want, holes
+
+    @given(st.sampled_from(("convex", "perturbed", "random", "cut")),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_same_outcome_as_the_twin(self, kind, seed):
+        rng = random.Random(seed)
+        box = small_box(rng)
+        self._check(box_function(rng, kind, box), box)
+
+    def test_sweep_meets_every_path(self):
+        """Both outcomes on finite boxes, and boxes with a None, over n <= 5
+        with widths up to 5, so pairs farther apart than 2 exist."""
+        rng = random.Random(2016)
+        seen = set()
+        for t in range(400):
+            box = small_box(rng)
+            kind = ("convex", "perturbed", "random", "cut")[t % 4]
+            want, holes = self._check(box_function(rng, kind, box), box)
+            seen.add((want is None, holes))
+        assert {(True, False), (False, False), (False, True)} <= seen
+
+    def test_lyapunov_box_below_zero_only_scans(self, ex21):
+        _, holes = self._check(lyap_oracle(ex21), ((-1, 0, 0), (1, 1, 1)))
+        assert holes
+
+    def test_planted_distance_two_fault(self):
+        """(0, 1, 0) on [0, 2]: only the pair (0, 2) sees the bump."""
+        assert not lnat._locally_midpoint_convex([2], [0, 1, 0])
+        assert lnat._locally_midpoint_convex([2], [0, 1, 2])
+        g = FunctionOracle(n=1, fn=lambda p: (0, 1, 0)[p[0]], box=((0,), (2,)))
+        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0,), q=(2,), lam=1)
+
+    def test_planted_incomparable_fault(self):
+        """g = p_0 p_1 on [0, 1]^2 is convex in each coordinate, but
+        g(1, 0) + g(0, 1) < g(0, 0) + g(1, 1): only the incomparable pair
+        at distance 1 sees it."""
+        assert not lnat._locally_midpoint_convex([1, 1], [0, 0, 0, 1])
+        assert lnat._locally_midpoint_convex([1, 1], [0, 0, 0, -1])
+
+    def test_refusal_reads_nothing(self, ex21):
+        """At one test under the charge the check refuses before any value
+        is read; at the charge it reads each box point once."""
+        box = ((0, 0, 0), (3, 3, 3))
+        work = 64 * 64 * 4
+        reads = []
+        g = lyap_oracle(ex21)
+        counted = FunctionOracle(n=3, fn=lambda p: reads.append(p) or g.fn(p))
+        with pytest.raises(BudgetExceededError) as refusal:
+            is_lnat_convex_on_box(counted, box, budget=work - 1)
+        assert str(refusal.value) == \
+            f"convexity check needs {work} inequality tests, budget is {work - 1}"
+        assert reads == []
+        assert is_lnat_convex_on_box(counted, box, budget=work) is None
+        assert reads == list(product(range(4), repeat=3))
+
+
 class TestLocalMinimality:
     def test_worked_example_memberships(self, ex21):
         g = lyap_oracle(ex21)
@@ -436,6 +530,36 @@ def perturbed_convex(rng, lo, hi):
         return val
 
     return FunctionOracle(n=n, fn=fn)
+
+
+def small_box(rng):
+    """A box with n <= 5 and widths up to 5, at most 64 points, placed
+    inside [0, 9]^n."""
+    n = rng.randint(1, 5)
+    widths = [rng.randint(0, 5) for _ in range(n)]
+    while prod(w + 1 for w in widths) > 64:
+        widths[rng.randrange(n)] //= 2
+    lo = tuple(rng.randint(0, 9 - w) for w in widths)
+    return lo, tuple(a + w for a, w in zip(lo, widths))
+
+
+def box_function(rng, kind, box):
+    """A function on ``box``: midpoint convex, the same with one or two
+    entries moved, uniformly random, or ``perturbed_convex`` (which may hold
+    None)."""
+    lo, hi = box
+    n = len(lo)
+    if kind == "cut":
+        return perturbed_convex(rng, lo, hi)
+    if kind == "random":
+        table = {p: rng.randint(0, 6) for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))}
+        return FunctionOracle(n=n, fn=table.get)
+    g = random_lattice_convex(rng, n)
+    if kind == "convex":
+        return g
+    edits = {tuple(rng.randint(a, b) for a, b in zip(lo, hi)): rng.choice((-3, -1, 1, 3))
+             for _ in range(rng.randint(1, 2))}
+    return FunctionOracle(n=n, fn=lambda p: g.fn(p) + edits.get(p, 0))
 
 
 def cube_oracle(vals, n):
