@@ -91,7 +91,7 @@ def ascending_auction(instance: Instance,
     p0 = _check_price(instance, p0)
     g = ly.function_oracle()
     p_final, trajectory = minimize(g, p0, strategy, seed=seed, budget=budget,
-                                   neighborhood=ly.neighborhood)
+                                   neighborhood=ly._change_table)
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
     base = g.fn(p_final)

@@ -24,9 +24,11 @@ and the sum of each marginal's excess over it), so the cache sorts that
 multiset once into one column per item and reads both with one bisection.
 ``indirect_utility`` is the definition, a bidder's best payoff over its
 bundle box whatever its family, and ``oracle.lyapunov`` reads every bidder
-through it.  The bundle box is built, and checked against the budget, only
-when a scan first needs it; deficiency tables ((m + 1) * 2^n entries) are
-checked against the same budget.
+through it.  ``utility_grid`` reads a bidder's indirect utility at every
+point of a price grid at once, as its discrete Legendre-Fenchel conjugate
+taken one coordinate at a time.  The bundle box is built, and checked
+against the budget, only when a scan first needs it; deficiency tables
+((m + 1) * 2^n entries) are checked against the same budget.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT_DEMAND, Bundle,
                        Instance, PriceVector, Valuation, _box_worths,
                        box_volume, iter_box)
-from .itemsets import subset_sums
+from .itemsets import strides, subset_sums
 
 
 def _check_price(instance: Instance, p) -> PriceVector:
@@ -263,6 +265,64 @@ class DemandCache:
         bidder of any family: the Lyapunov oracle reads table bidders so, and
         ``oracle.lyapunov`` every bidder."""
         return max(map(sub, self._bidder_values(b), self._box_costs(p)))
+
+    def utility_grid(self, b: int, axes) -> list[int]:
+        """Bidder b's best payoff ``max_x (v(x) - p.x)`` at every point p of
+        the product of the per-item price lists ``axes``, in lexicographic
+        order (item 1's price slowest); the grid twin of ``indirect_utility``.
+
+        The payoff is the discrete Legendre-Fenchel conjugate of the box
+        worths, which separates by coordinate (Murota, *Discrete Convex
+        Analysis*, SIAM 2003, ch. 8): pass j replaces the bundle axis x_j
+        by the price axis ``axes[j]``, taking for each price c the
+        elementwise max over x_j of the worths' slice minus c * x_j.  The
+        passes whose price axis is no longer than u_j + 1 run first, so no
+        list is longer than the larger of the box and the grid.
+        """
+        u = self.instance.u
+        sizes = [len(axis) for axis in axes]
+        order = sorted(range(self._n), key=lambda j: sizes[j] > u[j] + 1)
+        moved = order != list(range(self._n))
+        vals = self._bidder_values(b)
+        if moved:
+            vals = _permute_axes(vals, [q + 1 for q in u], order)
+        # Each pass consumes the leading axis and appends its price axis
+        # last, so after all n the axes are back in the order they started.
+        for j in order:
+            vals = _conjugate_pass(vals, u[j], axes[j])
+        if moved:
+            vals = _permute_axes(vals, [sizes[j] for j in order],
+                                 [order.index(j) for j in range(self._n)])
+        return vals
+
+
+def _conjugate_pass(vals: list[int], cap: int, prices) -> list[int]:
+    """One coordinate's conjugate: ``vals`` holds a grid whose leading axis
+    is a bundle axis 0..cap; the result drops it and appends the price axis
+    ``prices`` as the trailing one, holding max_k (vals[k, r] - c * k) at
+    (r, c)."""
+    rest = len(vals) // (cap + 1)
+    rows = [vals[k * rest:(k + 1) * rest] for k in range(cap + 1)]
+    width = len(prices)
+    out = [0] * (rest * width)
+    for i, c in enumerate(prices):
+        best = rows[0]
+        for k in range(1, cap + 1):
+            ck = c * k
+            best = [a if a >= x - ck else x - ck for a, x in zip(best, rows[k])]
+        out[i::width] = best
+    return out
+
+
+def _permute_axes(vals: list[int], radices: list[int], order: list[int]) -> list[int]:
+    """The grid ``vals``, of ``radices[a]`` entries along axis a, with its
+    axes reordered so that axis ``order[i]`` is the i-th slowest."""
+    stride = strides(radices)
+    index = [0]
+    for a in order:
+        s = stride[a]
+        index = [i + s * k for i in index for k in range(radices[a])]
+    return [vals[i] for i in index]
 
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:

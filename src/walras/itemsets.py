@@ -6,6 +6,7 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -83,6 +84,15 @@ def strides(radices: Sequence[int]) -> list[int]:
     for c in range(len(radices) - 1, 0, -1):
         out[c - 1] = out[c] * radices[c]
     return out
+
+
+@lru_cache(maxsize=1)
+def corner_indices(n: int) -> tuple[int, ...]:
+    """For every mask over n coordinates, the lexicographic index of the
+    corner that raises the masked coordinates in a product of n two-entry
+    axes: coordinate k, bit k of the mask, has place value 2^(n - 1 - k).
+    Kept for the latest n."""
+    return tuple(subset_sums(strides([2] * n), n))
 
 
 def difference_keys(points: Sequence[Sequence[int]],

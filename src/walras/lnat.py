@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import PriceVector
-from .itemsets import chi_add, difference_keys, strides
+from .itemsets import chi_add, corner_indices, difference_keys, strides
 
 _SEED_LIMIT = 1 << 64
 
@@ -43,17 +43,19 @@ class FunctionOracle:
     ``fn`` returns None outside the function's domain (read as +infinity).
     ``box``, when given, declares per-coordinate bounds containing every
     finite query; ``value_floor`` is any known lower bound on the minimum,
-    used to derive a default iteration cap for the descent loop.  ``scan``,
-    when given, is a faster route to ``neighborhood_values``: ``scan(p)``
-    must return ``fn(p + chi_X)`` for every X, indexed by bitmask, at any
-    p in the domain.
+    used to derive a default iteration cap for the descent loop.  ``grid``,
+    when given, is a faster route to many values at once: ``grid(axes)``
+    must return ``fn`` at every point of the product of the n integer lists
+    ``axes``, in lexicographic order (coordinate 0 slowest), None outside
+    the domain.  ``neighborhood_values`` and ``is_lnat_convex_on_box`` read
+    it when it is declared.
     """
 
     n: int
     fn: Callable[[PriceVector], int | None]
     box: tuple[PriceVector, PriceVector] | None = None
     value_floor: int | None = None
-    scan: Callable[[PriceVector], list[int | None]] | None = None
+    grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -116,8 +118,10 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     Returns the first violation of g(p) + g(q) >= g(min(p + lam, q)) +
     g(max(p, q - lam)) in lexicographic (p, q, shift) order over every
     in-box pair and every shift 0..diameter, or None.  The budget is charged
-    volume^2 * (diameter + 1) tests before any value is read; each box point
-    is then queried once, in lexicographic order.
+    volume^2 * (diameter + 1) tests before any value is read; the box's
+    values are then read in one ``g.grid`` call when the oracle declares
+    one, and otherwise by querying each box point once, in lexicographic
+    order.
 
     When every box value is finite, a pass is first certified locally.  A
     function whose effective domain is L♮-convex, as a box is, is L♮-convex
@@ -142,11 +146,14 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     if work > budget:
         raise BudgetExceededError(
             f"convexity check needs {work} inequality tests, budget is {budget}")
-    points = list(product(*(range(a, b + 1) for a, b in zip(lo, hi))))
-    vals = [g.fn(p) for p in points]
+    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
+    if g.grid is not None:
+        vals = g.grid(axes)
+    else:
+        vals = [g.fn(p) for p in product(*axes)]
     if None not in vals and _locally_midpoint_convex(widths, vals):
         return None
-    return _midpoint_scan(points, vals, widths)
+    return _midpoint_scan(list(product(*axes)), vals, widths)
 
 
 def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
@@ -256,12 +263,13 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
 
     Entry 0 is ``g(p)``; None marks raises outside the oracle's domain.
-    Read from the oracle's ``scan`` when it declares one, for p in the
-    domain; otherwise one query per set.
+    Read from the oracle's ``grid`` on the axes (p_k, p_k + 1) when it
+    declares one; otherwise one query per set.
     """
     p = tuple(p)
-    if g.scan is not None:
-        return g.scan(p)
+    if g.grid is not None:
+        vals = g.grid([(c, c + 1) for c in p])
+        return [vals[i] for i in corner_indices(len(p))]
     return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
 
 

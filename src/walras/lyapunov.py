@@ -18,20 +18,26 @@ ascending run keeps returning to, so the oracle builds it once per
 ``DemandCache.demand_key`` and keeps it.  Deficiencies come from minimum
 takes, never from Lyapunov values, so the identity
 ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
-routes instead of holding by construction.  The two certificate scans, of
-L(p + chi_X) at the stop and of L(p - chi_X) for minimality, read
-``LyapunovOracle.shifted_values``: every item set's value in a few
-whole-list passes built from each bidder's indirect utility, so they still
-check the change table against values.
+routes instead of holding by construction.
+
+Values over a whole price grid, the product of one price list per item,
+come from ``LyapunovOracle.grid_values`` in whole-list passes: the revenue
+term and the separable bidders as an outer sum of per-item columns, each
+unit-demand bidder as a running max, and each table bidder as its discrete
+Legendre-Fenchel conjugate taken one coordinate at a time
+(``DemandCache.utility_grid``).  The two certificate scans, of L(p + chi_X)
+at the stop and of L(p - chi_X) for minimality, read the grid on the axes
+(p_j, p_j +- 1), so they still check the change table against values, and
+``walras verify``'s L♮ check reads its whole box in one call.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 
 from .demand import DemandCache, _check_price
 from .instance import DEFAULT_BUDGET, Instance, PriceVector
-from .itemsets import mask_weight, subset_sums
+from .itemsets import corner_indices, mask_weight
 from .lnat import FunctionOracle
 
 
@@ -45,11 +51,11 @@ class LyapunovOracle:
     into, so one formula serves the unit model (every bidder unit-demand,
     one of each item) and the multi model, and keeps no value once read.
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
-    ``shifted_values`` keeps its latest table for each shift, which
-    ``compare``'s strategies, stopping at the same price, read again.
-    ``neighborhood`` keeps its change tables by demand key, at most
-    ``budget`` entries in all (2^n per table), cleared when full; runs
-    sharing the oracle share them.
+    ``grid_values`` reads L over a whole price grid and keeps nothing;
+    ``shifted_values`` reads it over the corners p + s * chi_X and keeps
+    its latest table for each shift.  ``neighborhood`` keeps its change
+    tables by demand key, at most ``budget`` entries in all (2^n per
+    table), cleared when full; runs sharing the oracle share them.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -87,50 +93,69 @@ class LyapunovOracle:
         demanded = sum(dc.mu_vector(b, p)[X_mask] for b in range(self.instance.m))
         return demanded - mask_weight(X_mask, self.instance.u)
 
+    def grid_values(self, axes) -> list[int | None]:
+        """L at every point of the product of the per-item price lists
+        ``axes``, in lexicographic order (item 1's price slowest), None where
+        a price is negative; the grid twin of ``value``, which reads no
+        bidder when no point is in the domain.
+
+        Built in whole-list passes: the revenue term and the separable
+        bidders, read per item through ``DemandCache.item_utility``, are an
+        outer sum of one column per item; a unit-demand bidder's best payoff
+        is a running max over items; a table bidder's is its conjugate grid,
+        ``DemandCache.utility_grid``, whose first pass reads the bundle box
+        within the budget as ``value`` does.
+        """
+        inst = self.instance
+        if len(axes) != inst.n:
+            raise ValueError(f"price grid must have {inst.n} axes")
+        for j, axis in enumerate(axes):
+            for c in axis:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise ValueError(f"price axis {j} must hold integers")
+        if any(c < 0 for axis in axes for c in axis):
+            # The nonnegative points, in the same order, are the grid of the
+            # nonnegative prices; the rest are None.
+            vals = iter(self.grid_values([[c for c in axis if c >= 0] for axis in axes]))
+            priced = [True]
+            for axis in reversed(axes):
+                priced = [c >= 0 and x for c in axis for x in priced]
+            return [next(vals) if ok else None for ok in priced]
+        if not all(axes):
+            return []
+        # The per-item terms are built from the last item to the first, each
+        # new axis the slowest, which is lexicographic order.
+        dc = self.demand
+        total = [0]
+        for j in reversed(range(inst.n)):
+            q = inst.u[j]
+            if dc.separable:
+                col = [c * q + dc.item_utility(j, c) for c in axes[j]]
+            else:
+                col = [c * q for c in axes[j]]
+            total = [t + y for y in col for t in total]
+        valuations = inst.valuations
+        for b in dc.units:
+            best = [0]
+            for w, axis in zip(reversed(valuations[b].values), reversed(axes)):
+                best = [x if x > y else y for y in [w - c for c in axis] for x in best]
+            total = list(map(add, total, best))
+        for b in dc.tables:
+            total = list(map(add, total, dc.utility_grid(b, axes)))
+        return total
+
     def shifted_values(self, p: PriceVector, s: int) -> list[int | None]:
         """``L(p + s * chi_X)`` for every item subset X, indexed by bitmask,
-        None where a price would go negative; the batch twin of ``value``.
-
-        Built from indirect utilities in whole-list passes: the revenue term
-        and the separable bidders, read together per item through
-        ``DemandCache.item_utility``, change item by item, so their per-item
-        differences go through one subset-sum pass; a unit-demand bidder's
-        best payoff is a running max over items, doubled one item at a time;
-        a table bidder is read per point through
-        ``DemandCache.indirect_utility``.
-        """
+        None where a price would go negative: the grid on the axes
+        (p_j, p_j + s), read in mask order.  The latest table for each
+        shift is kept, since ``compare``'s strategies, stopping at the same
+        price, each read the downward one."""
         t = _check_price(self.instance, p)
         kept = self._shifted.get(s)
         if kept is not None and kept[0] == t:
             return list(kept[1])
-        inst = self.instance
-        dc = self.demand
-        blocked = 0
-        for k, c in enumerate(t):
-            if c + s < 0:
-                blocked |= 1 << k
-        base = sum(c * q for c, q in zip(t, inst.u))
-        steps = [s * q for q in inst.u]
-        for j, c in enumerate(t):
-            here = dc.item_utility(j, c)
-            base += here
-            if not blocked >> j & 1:
-                steps[j] += dc.item_utility(j, c + s) - here
-        total = [x + base for x in subset_sums(steps, inst.n)]
-        for b in dc.units:
-            best = [0]
-            for a in map(sub, inst.valuations[b].values, t):
-                moved = a - s
-                best = ([x if x > a else a for x in best]
-                        + [x if x > moved else moved for x in best])
-            total = list(map(add, total, best))
-        if blocked:
-            total = [None if mask & blocked else x for mask, x in enumerate(total)]
-        if dc.tables:
-            for mask, x in enumerate(total):
-                if x is not None:
-                    q = tuple(c + s * (mask >> k & 1) for k, c in enumerate(t))
-                    total[mask] = x + sum(dc.indirect_utility(b, q) for b in dc.tables)
+        grid = self.grid_values([(c, c + s) for c in t])
+        total = [grid[i] for i in corner_indices(len(t))]
         self._shifted[s] = (t, tuple(total))
         return total
 
@@ -144,8 +169,14 @@ class LyapunovOracle:
         (m + 1) * 2^n entries within the budget, so one always fits) and
         handed out as the kept tuple itself.
         """
+        return self._change_table(_check_price(self.instance, p))
+
+    def _change_table(self, p: PriceVector) -> tuple[int, ...]:
+        """``neighborhood`` at a price already checked.  ``ascending_auction``
+        hands it to the descent, which reads it at the checked start and at
+        each step's price, just checked by the step's ``value`` read."""
         dc = self.demand
-        key = dc.demand_key(_check_price(self.instance, p))
+        key = dc.demand_key(p)
         tables = self._tables
         table = tables.get(key)
         if table is None:
@@ -160,8 +191,8 @@ class LyapunovOracle:
 
         Defined on every nonnegative price vector, so it declares no box;
         queries with a negative price read as +infinity.  Zero is a valid
-        floor since the value dominates p.u >= 0.  Its ``scan`` is
-        ``shifted_values`` with s = 1.
+        floor since the value dominates p.u >= 0.  Its ``grid`` is
+        ``grid_values``.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):
@@ -169,4 +200,4 @@ class LyapunovOracle:
             return self.value(q)
 
         return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0,
-                              scan=lambda q: self.shifted_values(q, 1))
+                              grid=self.grid_values)

@@ -594,7 +594,7 @@ class TestDescentWork:
     def test_every_lyapunov_value_goes_through_the_oracle_adapter(self, monkeypatch):
         """The run reads L per point only through ``function_oracle()``: the
         change table needs no value of its own, and an adapter rebuilt
-        without its ``scan`` makes the stop scan query it point by point,
+        without its ``grid`` makes the stop scan query it point by point,
         so adapter queries and Lyapunov evaluations agree."""
         rng = random.Random(12)
         markets = [random_unit_instance(rng, n_max=4, m_max=5, value_max=6)
@@ -636,3 +636,44 @@ class TestMinimalityCertificate:
     def test_start_at_the_minimal_price_is_accepted(self, ex21):
         res = ascending_auction(ex21, StrategyKind.STEEPEST_MINIMAL, (1, 1, 1))
         assert res.p_min == (1, 1, 1) and len(res.trajectory) == 0
+
+
+class TestPriceChecks:
+    """The public reads validate every price; the descent ``ascending_auction``
+    runs checks each price once, through the step's value read."""
+
+    def test_public_reads_refuse_bad_prices(self, ex21):
+        ly = LyapunovOracle(ex21)
+        for bad, message in (((0, 0), "3 components"), ((0, -1, 0), r"p\[1\]"),
+                             ((0, True, 0), r"p\[1\]"), ((1.0, 0, 0), r"p\[0\]")):
+            for read in (ly.value, ly.neighborhood):
+                with pytest.raises(ValueError, match=message):
+                    read(bad)
+
+    def test_descent_checks_each_price_once(self, monkeypatch):
+        import walras.auction as auction
+        lyapunov = sys.modules["walras.lyapunov"]  # the package's ``lyapunov`` is the twin
+        rng = random.Random(29)
+        markets = [random_unit_instance(rng, n_max=4, m_max=5, value_max=6) for _ in range(4)]
+        markets += [random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=6)
+                    for _ in range(4)]
+        checks = [0]
+        check, run = lyapunov._check_price, auction.minimize
+
+        def counted(instance, p):
+            checks[0] += 1
+            return check(instance, p)
+
+        def descent(*args, **kwargs):
+            before = checks[0]
+            p, trajectory = run(*args, **kwargs)
+            assert checks[0] - before == len(trajectory) + 1
+            return p, trajectory
+
+        monkeypatch.setattr(lyapunov, "_check_price", counted)
+        monkeypatch.setattr(auction, "minimize", descent)
+        steps = 0
+        for inst in markets:
+            for kind in StrategyKind:
+                steps += len(ascending_auction(inst, kind, seed=3).trajectory)
+        assert steps > 20

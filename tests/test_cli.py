@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (EX21_JSON, random_multi_instance, random_unit_instance,
-                      tabulate)
-from walras import (Instance, LyapunovOracle, Valuation,
+from conftest import (EX21_JSON, random_multi_instance, random_separable_valuation,
+                      random_unit_instance, tabulate)
+from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
                     brute_force_min_equilibrium, deficiency, max_total_value,
                     parse_instance, serialize_instance, verify_equilibrium)
 from walras.auction import UnitAllocation
@@ -299,6 +299,81 @@ class TestVerify:
                 capture_output=True, text=True, timeout=10)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == "lnat: holds on [0, 78]^1\n"
+
+
+    def test_family_bidders_pass_the_exchange_check_by_theorem(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """Unit-demand and separable bidders print ok without the exchange
+        scan, which would exceed the budget on these boxes (2^9 and 4^6
+        bundles); only tables are scanned, as the auction admits them."""
+        import walras.cli as cli
+        rng = random.Random(19)
+        unit = Instance(model="unit", n=9, u=(1,) * 9, valuations=tuple(
+            Valuation.unit_demand([rng.randint(0, 100) for _ in range(9)]) for _ in range(12)))
+        multi = Instance(model="multi", n=6, u=(3,) * 6, valuations=tuple(
+            random_separable_valuation(rng, (3,) * 6, value_max=30) for _ in range(8)))
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([3, 1]), parse_instance(COMPLEMENTS_JSON).valuations[0],
+            Valuation.separable([[2], [2]]),
+            tabulate(Valuation.separable([[1], [4]]))))
+        scanned = []
+        check = cli.verify_mnat_exc
+
+        def counted(v, *, budget):
+            scanned.append(v)
+            return check(v, budget=budget)
+
+        monkeypatch.setattr(cli, "verify_mnat_exc", counted)
+        for inst in (unit, multi):
+            path = tmp_path / f"family{inst.n}.json"
+            path.write_text(serialize_instance(inst))
+            assert run_command(["verify", "--instance", str(path), "--check", "mnat"]) == 0
+            assert capsys.readouterr().out == "".join(
+                f"mnat: bidder {b}: ok\n" for b in range(inst.m))
+        assert scanned == []
+        path = tmp_path / "mixed.json"
+        path.write_text(serialize_instance(mixed))
+        assert run_command(["verify", "--instance", str(path), "--check", "mnat"]) == 1
+        assert capsys.readouterr().err == (
+            "mnat: bidder 0: ok\n"
+            "mnat: bidder 1: counterexample x=(1, 1) y=(0, 0) i=1\n"
+            "mnat: bidder 2: ok\nmnat: bidder 3: ok\n")
+        assert scanned == [mixed.valuations[1], mixed.valuations[3]]
+
+    @pytest.mark.parametrize("n, cap", [(5, 1), (4, 2)])
+    def test_lnat_refusals_match_the_per_point_route(self, n, cap, tmp_path, monkeypatch,
+                                                     capsys):
+        """Budgets straddling the bundle box of a table market (2^5 = 32 and
+        3^4 = 81 bundles) give the same exit code and streams whether the
+        price box, one price wider than the bundle box, is read as one grid
+        or point by point."""
+        rng = random.Random(n)
+        u = (cap,) * n
+        inst = Instance(model="multi", n=n, u=u, valuations=tuple(
+            tabulate(random_separable_valuation(rng, u, value_max=12)) for _ in range(6)))
+        path = tmp_path / "tables.json"
+        path.write_text(serialize_instance(inst))
+        volume = (cap + 1) ** n
+
+        def run(budget):
+            monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            code = run_command(["verify", "--instance", str(path), "--check", "lnat"])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        budgets = (volume - 1, volume, volume + 1)
+        grid = [run(budget) for budget in budgets]
+        adapter = LyapunovOracle.function_oracle
+
+        def per_point(self):
+            g = adapter(self)
+            return FunctionOracle(n=g.n, fn=g.fn, value_floor=g.value_floor)
+
+        monkeypatch.setattr(LyapunovOracle, "function_oracle", per_point)
+        assert [run(budget) for budget in budgets] == grid
+        assert grid[0] == (1, "", f"error: bundle box volume {volume} exceeds budget "
+                                  f"{volume - 1}\n")
+        assert grid[1] == grid[2] == (0, f"lnat: holds on [0, {cap + 1}]^{n}\n", "")
 
 
 class TestCompare:

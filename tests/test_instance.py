@@ -572,3 +572,22 @@ class TestRandomized:
                     step = list(x)
                     step[j] += 1
                     assert evaluate(v, tuple(step)) >= evaluate(v, x)
+
+
+class TestFamilyValuationsAreSubstitutes:
+    """Unit-demand and separable-concave valuations are M♮-concave by
+    theorem (Murota 2003, ch. 6), which is why ``walras verify`` checks only
+    explicit tables; the exhaustive pair scan agrees on small boxes."""
+
+    @given(st.data())
+    def test_exhaustive_scan_passes(self, data):
+        n = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            v = Valuation.unit_demand(data.draw(st.lists(st.integers(0, 9), min_size=n,
+                                                         max_size=n)))
+        else:
+            rows = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=3),
+                                      min_size=n, max_size=n))
+            v = Valuation.separable([sorted(row, reverse=True) for row in rows])
+        assert exchange_twin(v) is None
+        assert verify_mnat_exc(tabulate(v)) is None

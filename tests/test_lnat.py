@@ -9,7 +9,7 @@ from operator import and_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multi_instance, tabulate
+from conftest import random_multi_instance, random_unit_instance, tabulate
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
@@ -198,6 +198,74 @@ class TestLocalMidpointCheck:
         assert reads == []
         assert is_lnat_convex_on_box(counted, box, budget=work) is None
         assert reads == list(product(range(4), repeat=3))
+
+
+def complements_market(rng):
+    """A negative control: a table bidder for whom items 1 and 2 are
+    complements, beside a separable bidder.  Its Lyapunov function breaks
+    midpoint convexity at p = (2, 0, ...), q = (0, 2, ...)."""
+    n = rng.randint(2, 3)
+    u = (1,) * n
+    table = Valuation.from_table({x: sum(x) + (x[0] & x[1]) for x in product((0, 1), repeat=n)})
+    return Instance(model="multi", n=n, u=u,
+                    valuations=(table, Valuation.separable([[rng.randint(0, 4)]] * n)))
+
+
+class TestGridRoute:
+    """``is_lnat_convex_on_box`` reads a declared ``grid`` in one call, with
+    the outcome of the per-point route: the same None, witness or refusal."""
+
+    @staticmethod
+    def _outcome(g, box, budget):
+        try:
+            return is_lnat_convex_on_box(g, box, budget=budget)
+        except BudgetExceededError as exc:
+            return ("budget", str(exc))
+
+    def test_same_outcome_with_and_without_grid(self):
+        rng = random.Random(71)
+        seen = set()
+        for t in range(240):
+            kind = t % 4
+            if kind == 0:
+                inst = random_unit_instance(rng, n_max=3, m_max=4)
+            elif kind == 1:
+                inst = random_multi_instance(rng, n_max=3, u_max=2, m_max=3)
+            elif kind == 2:
+                sep = random_multi_instance(rng, n_max=3, u_max=2, m_max=3)
+                inst = Instance(model="multi", n=sep.n, u=sep.u, valuations=tuple(
+                    tabulate(v) if rng.random() < 0.7 else v for v in sep.valuations))
+            else:
+                inst = complements_market(rng)
+            volume = prod(q + 1 for q in inst.u)
+            ly = LyapunovOracle(inst, budget=rng.choice((10**6, volume, volume - 1)))
+            g = ly.function_oracle()
+
+            def unread(p):
+                raise AssertionError("fn read although the oracle declares a grid")
+
+            plain = FunctionOracle(n=g.n, fn=g.fn, value_floor=0)
+            gridded = FunctionOracle(n=g.n, fn=unread, value_floor=0, grid=g.grid)
+            if kind == 3:
+                lo = tuple(rng.randint(-1, 0) for _ in range(inst.n))
+                hi = (2,) * inst.n
+            else:
+                lo = tuple(rng.randint(-2, 2) for _ in range(inst.n))
+                hi = tuple(a + rng.randint(0, 2) for a in lo)
+            work = prod(b - a + 1 for a, b in zip(lo, hi)) ** 2 * (max(
+                b - a for a, b in zip(lo, hi)) + 1)
+            budget = rng.choice((10**6, work, work - 1))
+            want = self._outcome(plain, (lo, hi), budget)
+            assert self._outcome(gridded, (lo, hi), budget) == want, (inst, lo, hi, budget)
+            seen.add(want[1].split()[0] if isinstance(want, tuple) else type(want).__name__)
+        assert seen == {"NoneType", "LnatCounterexample", "convexity", "bundle"}, seen
+
+    def test_the_box_is_one_grid_read(self, ex21):
+        axes = []
+        g = lyap_oracle(ex21)
+        read = FunctionOracle(n=3, fn=g.fn, grid=lambda ax: axes.append(ax) or g.grid(ax))
+        assert is_lnat_convex_on_box(read, ((0, 1, 0), (2, 2, 1))) is None
+        assert [list(map(list, ax)) for ax in axes] == [[[0, 1, 2], [1, 2], [0, 1]]]
 
 
 class TestLocalMinimality:

@@ -11,6 +11,9 @@ from conftest import (column_markets, column_prices, random_multi_instance,
 from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind, Valuation,
                     ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
+from walras import demand
+from walras.errors import BudgetExceededError
+from walras.instance import box_volume, iter_box
 from walras.itemsets import chi_add, chi_sub
 
 
@@ -355,3 +358,111 @@ class TestPerItemColumns:
                 q = shift(p, mask)
                 expected.append(None if min(q) < 0 else lyapunov(q, inst))
             assert ly.shifted_values(p, s) == expected, (inst, p, s)
+
+
+@st.composite
+def grid_markets(draw) -> Instance:
+    """The column markets (unit, separable, mixed and bidderless), and
+    markets of arbitrary explicit tables, substitutes or not."""
+    if draw(st.booleans()):
+        return draw(column_markets())
+    n = draw(st.integers(1, 3))
+    u = tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    volume = box_volume(u)
+    table = st.lists(st.integers(0, 9), min_size=volume, max_size=volume).map(
+        lambda raises: _monotone_table(u, raises))
+    return Instance(model="multi", n=n, u=u,
+                    valuations=tuple(draw(st.lists(table, min_size=1, max_size=3))))
+
+
+def _monotone_table(u, raises) -> Valuation:
+    """A normalized monotone table over [0, u]: each bundle's worth is the
+    best of its one-unit-smaller bundles' plus its entry of ``raises``."""
+    worth = {}
+    for x, up in zip(iter_box(u), raises):
+        below = [worth[x[:j] + (c - 1,) + x[j + 1:]] for j, c in enumerate(x) if c]
+        worth[x] = max(below) + up if below else 0
+    return Valuation.from_table(worth)
+
+
+@st.composite
+def price_axes(draw, inst: Instance) -> list[list[int]]:
+    """One price list per item: any prices from -2 to past the value
+    ceiling, repeats allowed, from empty to u_j + 3 long; or the corner
+    pairs (c, c + 1) and (c, c - 1) the certificate scans read."""
+    price = st.integers(-2, max_total_value(inst) + 1)
+    axes = []
+    for q in inst.u:
+        kind = draw(st.sampled_from(("list", "list", "up", "down", "repeat")))
+        if kind == "list":
+            axes.append(draw(st.lists(price, max_size=q + 3)))
+        else:
+            c = draw(price)
+            axes.append({"up": [c, c + 1], "down": [c, c - 1], "repeat": [c, c, c]}[kind])
+    return axes
+
+
+def _per_point(ly, axes):
+    return [None if min(p) < 0 else ly.value(p) for p in product(*axes)]
+
+
+class TestGridValues:
+    """``LyapunovOracle.grid_values``, the batch route over a price grid,
+    against per-point ``LyapunovOracle.value``."""
+
+    @given(st.data())
+    def test_matches_per_point_values(self, data):
+        inst = data.draw(grid_markets())
+        axes = data.draw(price_axes(inst))
+        ly = LyapunovOracle(inst)
+        assert ly.grid_values(axes) == _per_point(LyapunovOracle(inst), axes), (inst, axes)
+
+    def test_long_axes_run_after_short_ones(self, monkeypatch):
+        """Item 1's axis outgrows its bundle axis and the others do not, so
+        the passes run in the order 2, 3, 1; no list they build is longer
+        than the larger of the box and the grid, and the grid still comes
+        out in item order."""
+        rng = random.Random(3)
+        u = (1, 2, 1)
+        vals = tuple(_monotone_table(u, [rng.randint(0, 9) for _ in range(12)])
+                     for _ in range(2))
+        inst = Instance(model="multi", n=3, u=u, valuations=vals)
+        axes = [[0, 3, 1, 7], [2], [5, 0]]
+        lengths = []
+        conjugate = demand._conjugate_pass
+
+        def counted(vals, cap, prices):
+            out = conjugate(vals, cap, prices)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(demand, "_conjugate_pass", counted)
+        assert LyapunovOracle(inst).grid_values(axes) == \
+            _per_point(LyapunovOracle(inst), axes)
+        # In item order, the first pass alone would build 12 / 2 * 4 = 24.
+        assert lengths == [4, 4, 8] * 2
+
+    def test_over_budget_box_is_refused_as_value_refuses_it(self):
+        u = (1, 1, 1)
+        inst = Instance(model="multi", n=3, u=u, valuations=(
+            Valuation.separable([[2], [1], [3]]),
+            Valuation.from_table({x: sum(x) for x in iter_box(u)})))
+        with pytest.raises(BudgetExceededError) as per_point:
+            LyapunovOracle(inst, budget=7).value((0, 1, 0))
+        with pytest.raises(BudgetExceededError) as grid:
+            LyapunovOracle(inst, budget=7).grid_values([[0, 1], [1], [0]])
+        assert str(grid.value) == str(per_point.value) == \
+            "bundle box volume 8 exceeds budget 7"
+        ly = LyapunovOracle(inst, budget=7)
+        assert ly.grid_values([[0, 1], [-1], [0]]) == [None, None]
+        assert ly.grid_values([[0, 1], [], [0]]) == []
+        assert LyapunovOracle(inst, budget=8).grid_values([[0, 1], [1], [0]]) == \
+            [LyapunovOracle(inst).value(p) for p in ((0, 1, 0), (1, 1, 0))]
+
+    def test_rejects_malformed_axes(self, ex21):
+        ly = LyapunovOracle(ex21)
+        with pytest.raises(ValueError, match="3 axes"):
+            ly.grid_values([[0], [0]])
+        for bad in (True, 1.0, "1"):
+            with pytest.raises(ValueError, match="axis 1 must hold integers"):
+                ly.grid_values([[0], [0, bad], [0]])

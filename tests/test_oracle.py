@@ -60,6 +60,38 @@ class TestMinimizerScan:
                 assert tuple(map(max, p, q)) in minimizers
 
 
+class TestTwinsReadNoGrid:
+    """The brute-force twins read the Lyapunov function point by point, so
+    they do not depend on the batch grid route they cross-check."""
+
+    def test_twins_run_with_the_grid_route_broken(self, tmp_path, monkeypatch, capsys):
+        from walras import LyapunovOracle, lyapunov
+        from walras.cli import run_command
+        from walras.instance import serialize_instance
+
+        rng = random.Random(83)
+        inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3, value_max=4)
+        inst = Instance(model="multi", n=inst.n, u=inst.u, valuations=inst.valuations + (
+            Valuation.from_table({x: 2 * sum(x) for x in product(*(range(q + 1) for q in inst.u))}),))
+        path = tmp_path / "market.json"
+        path.write_text(serialize_instance(inst))
+        prices = list(product(range(3), repeat=inst.n))
+        values = [lyapunov(p, inst) for p in prices]
+        minimizers = all_lyapunov_minimizers(inst)
+        assert run_command(["oracle", "--instance", str(path)]) == 0
+        printed = capsys.readouterr()
+
+        def broken(*args):
+            raise AssertionError("grid route read")
+
+        monkeypatch.setattr(LyapunovOracle, "grid_values", broken)
+        monkeypatch.setattr(DemandCache, "utility_grid", broken)
+        assert [lyapunov(p, inst) for p in prices] == values
+        assert all_lyapunov_minimizers(inst) == minimizers
+        assert run_command(["oracle", "--instance", str(path)]) == 0
+        assert capsys.readouterr() == printed
+
+
 class TestMinimalEquilibrium:
     def test_worked_example(self, ex21):
         assert brute_force_min_equilibrium(ex21) == (1, 1, 1)
