@@ -129,7 +129,6 @@ class Valuation:
                 if pairs[k][0] == pairs[k + 1][0]:
                     raise ValueError(f"entries: duplicate bundle {pairs[k][0]}")
             object.__setattr__(self, "table", tuple(pairs))
-            object.__setattr__(self, "_lookup", dict(pairs))
         else:
             raise ValueError(f"family: unknown family tag {self.family!r}")
         object.__setattr__(self, "_box", box)
@@ -176,7 +175,10 @@ def evaluate(v: Valuation, x: Bundle) -> int:
     if v.family == SEPARABLE_CONCAVE:
         prefix = v._prefix
         return sum(prefix[j][c] for j, c in enumerate(x))
-    return v._lookup[tuple(x)]
+    index = 0  # the table lists the box in lexicographic order
+    for c, cap in zip(x, box):
+        index = index * (cap + 1) + c
+    return v.table[index][1]
 
 
 def _box_worths(v: Valuation) -> list[int]:

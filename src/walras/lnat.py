@@ -43,12 +43,13 @@ class FunctionOracle:
     ``fn`` returns None outside the function's domain (read as +infinity).
     ``box``, when given, declares per-coordinate bounds containing every
     finite query; ``value_floor`` is any known lower bound on the minimum,
-    used to derive a default iteration cap for the descent loop.  ``grid``,
-    when given, is a faster route to many values at once: ``grid(axes)``
-    must return ``fn`` at every point of the product of the n integer lists
-    ``axes``, in lexicographic order (coordinate 0 slowest), None outside
-    the domain.  ``neighborhood_values`` and ``is_lnat_convex_on_box`` read
-    it when it is declared.
+    used to derive a default iteration cap for the descent loop.
+    ``grid(axes)`` returns ``fn`` at every point of the product of the n
+    integer lists ``axes``, in lexicographic order (coordinate 0 slowest),
+    None outside the domain; ``neighborhood_values`` and
+    ``is_lnat_convex_on_box`` read many values through it.  An oracle may
+    declare a faster route; without one, ``grid`` queries ``fn`` once per
+    point, in that order.
     """
 
     n: int
@@ -56,6 +57,11 @@ class FunctionOracle:
     box: tuple[PriceVector, PriceVector] | None = None
     value_floor: int | None = None
     grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None
+
+    def __post_init__(self):
+        if self.grid is None:
+            fn = self.fn
+            object.__setattr__(self, "grid", lambda axes: list(map(fn, product(*axes))))
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -119,9 +125,7 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     g(max(p, q - lam)) in lexicographic (p, q, shift) order over every
     in-box pair and every shift 0..diameter, or None.  The budget is charged
     volume^2 * (diameter + 1) tests before any value is read; the box's
-    values are then read in one ``g.grid`` call when the oracle declares
-    one, and otherwise by querying each box point once, in lexicographic
-    order.
+    values are then read in one ``g.grid`` call.
 
     When every box value is finite, a pass is first certified locally.  A
     function whose effective domain is L♮-convex, as a box is, is L♮-convex
@@ -147,10 +151,7 @@ def is_lnat_convex_on_box(g: FunctionOracle,
         raise BudgetExceededError(
             f"convexity check needs {work} inequality tests, budget is {budget}")
     axes = [range(a, b + 1) for a, b in zip(lo, hi)]
-    if g.grid is not None:
-        vals = g.grid(axes)
-    else:
-        vals = [g.fn(p) for p in product(*axes)]
+    vals = g.grid(axes)
     if None not in vals and _locally_midpoint_convex(widths, vals):
         return None
     return _midpoint_scan(list(product(*axes)), vals, widths)
@@ -263,14 +264,10 @@ def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
     """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
 
     Entry 0 is ``g(p)``; None marks raises outside the oracle's domain.
-    Read from the oracle's ``grid`` on the axes (p_k, p_k + 1) when it
-    declares one; otherwise one query per set.
+    Read from the oracle's ``grid`` on the axes (p_k, p_k + 1).
     """
-    p = tuple(p)
-    if g.grid is not None:
-        vals = g.grid([(c, c + 1) for c in p])
-        return [vals[i] for i in corner_indices(len(p))]
-    return [g.fn(chi_add(p, mask)) for mask in range(1 << g.n)]
+    vals = g.grid([(c, c + 1) for c in p])
+    return [vals[i] for i in corner_indices(len(p))]
 
 
 def _width(vals: list[int | None]) -> int:

@@ -13,9 +13,12 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
 * the Lyapunov value by its definition, a box scan per bidder
   (``lyapunov``), the twin of the oracle's per-item and inline reads;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
-  ``deficiency``, ``lyapunov_step``), the flags of every locally-minimal set
-  of a table at once (``gp_minimal_table``), and the equilibrium conditions
-  checked against an allocation (``allocation_certifies``).
+  ``deficiency``, ``lyapunov_step``) and the equilibrium conditions checked
+  against an allocation (``allocation_certifies``).
+
+Each definition is written once, over masks.  Where a whole table is also
+wanted (``excess_demand_table``, ``gp_minimal_table``), it applies the same
+definition set by set, after reading the bidders' demand once.
 
 The solver modules never import this one.
 """
@@ -29,8 +32,7 @@ from .demand import DemandCache, _check_price
 from .errors import BudgetExceededError, ConvexityError
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, max_total_value)
-from .itemsets import (chi_add, mask_from_items, mask_weight, proper_submasks,
-                       subset_sums)
+from .itemsets import chi_add, mask_from_items, proper_submasks, subset_sums
 from .lnat import FunctionOracle
 from .lyapunov import LyapunovOracle
 
@@ -271,55 +273,40 @@ def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = Fals
 # --- local minimality, set by set ------------------------------------------
 
 
+def _locally_minimal(value, mask: int) -> bool:
+    """Whether the set ``mask`` is locally minimal for the entries
+    ``value(sub)``: its entry is finite and below the entry of every proper
+    subset (None, outside the domain, is never below)."""
+    target = value(mask)
+    return target is not None and all(
+        val is None or val > target for val in map(value, proper_submasks(mask)))
+
+
 def is_gp_minimal(g: FunctionOracle, p: PriceVector, X: ItemSet) -> bool:
     """True iff every proper subset raise lands strictly above the raise by X.
 
     With Y = {} this forces a strict descent, so such sets are always valid
     choices for the loop's raise step.  The definitional twin of
-    ``gp_minimal_table``, which flags every set of a table at once, and of
     ``lnat.first_gp_minimal``, which the descent reads.
     """
     p = tuple(p)
     mask = mask_from_items(X, g.n)
     if mask == 0:
         raise ValueError("X must be nonempty")
-    target = g.fn(chi_add(p, mask))
-    if target is None:
-        return False
-    for sub in proper_submasks(mask):
-        val = g.fn(chi_add(p, sub))
-        if val is not None and val <= target:
-            return False
-    return True
+    return _locally_minimal(lambda sub: g.fn(chi_add(p, sub)), mask)
 
 
 def gp_minimal_table(vals: list[int | None]) -> list[bool]:
-    """``is_gp_minimal`` for every mask of a neighborhood table at once.
+    """``is_gp_minimal`` for every mask of a neighborhood table, set by set.
 
     The whole-table twin of ``lnat.first_gp_minimal``, which stops at the
     first locally-minimal set of its seeded order: that rule's choice is
-    the first flagged mask of the same order.  One pass in increasing mask
-    order keeps, per mask, the least finite value over all its submasks, so
-    the least value over a mask's proper submasks costs one lookup per
-    member: O(2^n * n) instead of 3^n.
+    the first flagged mask of the same order.  Each set is compared with
+    every proper subset, 3^n comparisons in all, so the twin shares no
+    least-over-subsets bookkeeping with the rule it checks.
     """
-    low = list(vals)
-    flags = [False] * len(vals)
-    for mask in range(1, len(vals)):
-        below = None
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = low[mask ^ bit]
-            if v is not None and (below is None or v < below):
-                below = v
-        val = vals[mask]
-        if val is not None and (below is None or val < below):
-            flags[mask] = True
-        elif below is not None:
-            low[mask] = below
-    return flags
+    return [mask > 0 and _locally_minimal(vals.__getitem__, mask)
+            for mask in range(len(vals))]
 
 
 # --- unit-model definitions (Andersson, Andersson and Talman, 2013) ---------
@@ -336,38 +323,25 @@ def _unit_options(dc: DemandCache, b: int, p: PriceVector) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def only_demanders_mask(dc: DemandCache, items_mask: int, p: PriceVector) -> int:
-    """Bitmask of bidders whose whole demand set lies inside the item set."""
+def _demand_masks(instance: Instance, p: PriceVector) -> list[int]:
+    """Every unit-demand bidder's demand set at p as a bitmask, bit 0 being
+    the no-purchase item: the one read of demand the definitions below take."""
+    dc = DemandCache(instance)
+    return [dc.unit_demand_mask(b, p) for b in range(instance.m)]
+
+
+def only_demanders_mask(masks: list[int], items_mask: int) -> int:
+    """O(Y): bitmask of the bidders, given by their demand ``masks``, whose
+    whole demand set lies inside the item set (item 0 never does)."""
     blocked = ~(items_mask << 1)
-    out = 0
-    for b in range(dc.instance.m):
-        if dc.unit_demand_mask(b, p) & blocked == 0:
-            out |= 1 << b
-    return out
+    return sum(1 << b for b, d in enumerate(masks) if not d & blocked)
 
 
-def some_demanders_mask(dc: DemandCache, items_mask: int, p: PriceVector) -> int:
-    """Bitmask of bidders demanding at least one item of the item set."""
+def some_demanders_mask(masks: list[int], items_mask: int) -> int:
+    """U(Y): bitmask of the bidders, given by their demand ``masks``, who
+    demand at least one item of the item set."""
     probe = items_mask << 1
-    out = 0
-    for b in range(dc.instance.m):
-        if dc.unit_demand_mask(b, p) & probe:
-            out |= 1 << b
-    return out
-
-
-def only_demanders_table(dc: DemandCache, p: PriceVector) -> list[int]:
-    """``only_demanders_mask`` for every item subset, set by set."""
-    masks = [dc.unit_demand_mask(b, p) for b in range(dc.instance.m)]
-    return [sum(1 << b for b, d in enumerate(masks) if not d & ~(s << 1))
-            for s in range(1 << dc.instance.n)]
-
-
-def some_demanders_table(dc: DemandCache, p: PriceVector) -> list[int]:
-    """``some_demanders_mask`` for every item subset, set by set."""
-    masks = [dc.unit_demand_mask(b, p) for b in range(dc.instance.m)]
-    return [sum(1 << b for b, d in enumerate(masks) if d & s << 1)
-            for s in range(1 << dc.instance.n)]
+    return sum(1 << b for b, d in enumerate(masks) if d & probe)
 
 
 def unit_demand_set(b: int, p: PriceVector, instance: Instance) -> frozenset[int]:
@@ -385,7 +359,7 @@ def bidders_only_demanding(Y: ItemSet, p: PriceVector, instance: Instance) -> fr
         raise ValueError("bidders_only_demanding requires model 'unit'")
     p = _check_price(instance, p)
     mask = mask_from_items(Y, instance.n)
-    out = only_demanders_mask(DemandCache(instance), mask, p)
+    out = only_demanders_mask(_demand_masks(instance, p), mask)
     return frozenset(b for b in range(instance.m) if out >> b & 1)
 
 
@@ -395,7 +369,7 @@ def bidders_demanding_some(Y: ItemSet, p: PriceVector, instance: Instance) -> fr
         raise ValueError("bidders_demanding_some requires model 'unit'")
     p = _check_price(instance, p)
     mask = mask_from_items(Y, instance.n)
-    out = some_demanders_mask(DemandCache(instance), mask, p)
+    out = some_demanders_mask(_demand_masks(instance, p), mask)
     return frozenset(b for b in range(instance.m) if out >> b & 1)
 
 
@@ -423,7 +397,7 @@ def mu(b: int, X: ItemSet, p: PriceVector, instance: Instance, *,
     return DemandCache(instance, budget=budget).mu_vector(b, p)[mask]
 
 
-# --- overdemand and excess demand, set by set --------------------------------
+# --- overdemand and excess demand -------------------------------------------
 
 
 def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance) -> bool:
@@ -434,70 +408,56 @@ def is_overdemanded(X: ItemSet, p: PriceVector, instance: Instance) -> bool:
 
 
 def is_excess_demand(X: ItemSet, p: PriceVector, instance: Instance) -> bool:
-    """True when every nonempty part of X is strictly overdemanded.
-
-    Unit model: bidders confined to X who demand inside Z outnumber Z.
-    Multi model: the extra units bidders must take from Z exceed Z's supply.
-    """
-    dc = DemandCache(instance)
+    """True when every nonempty part Z of X is strictly overdemanded: in the
+    unit model |U(Z) & O(X)| > |Z|, in the multi model the extra units the
+    bidders must take from Z exceed Z's supply."""
     p = _check_price(instance, p)
     mask = mask_from_items(X, instance.n)
     if mask == 0:
         raise ValueError("X must be nonempty")
-    if instance.model == UNIT:
-        only_in_x = only_demanders_mask(dc, mask, p)
-        for z in _nonempty_submasks(mask):
-            if (some_demanders_mask(dc, z, p) & only_in_x).bit_count() <= z.bit_count():
-                return False
-        return True
-    vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
-    for z in _nonempty_submasks(mask):
-        gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
-        if gap <= mask_weight(z, instance.u):
-            return False
-    return True
-
-
-def _nonempty_submasks(mask: int):
-    yield mask
-    for sub in proper_submasks(mask):
-        if sub:
-            yield sub
+    return _excess_demand(instance, p, [mask])[0]
 
 
 def excess_demand_table(instance: Instance, p: PriceVector) -> list[bool]:
-    """``is_excess_demand`` for every item subset at once, indexed by bitmask.
-
-    Index 0 is False by convention (excess-demand sets are nonempty).
-    Agrees with the per-set predicate; equality is test-enforced.
-    """
-    dc = DemandCache(instance)
+    """``is_excess_demand`` for every item subset, indexed by bitmask, from
+    one read of the bidders' demand; the acceptance sweep reads it at every
+    price of its boxes.  Index 0 is False by convention (excess-demand sets
+    are nonempty)."""
     p = _check_price(instance, p)
-    size = 1 << instance.n
-    out = [False] * size
+    return [False] + _excess_demand(instance, p, range(1, 1 << instance.n))
+
+
+def _excess_demand(instance: Instance, p: PriceVector, xs) -> list[bool]:
+    """Whether each item set X of ``xs``, nonempty bitmasks, is an
+    excess-demand set at p: the test holds for every nonempty Z in X.
+
+    Unit model: |U(Z) & O(X)| > |Z|, the bidders who demand only inside X
+    and some item of Z outnumber Z.  Multi model: the extra units the
+    bidders must take from Z, the sum over b of mu_b(X) - mu_b(X - Z),
+    exceed Z's supply.  The bidders' demand is read once for all of ``xs``.
+    """
     if instance.model == UNIT:
-        only = only_demanders_table(dc, p)
-        some = some_demanders_table(dc, p)
-        for mask in range(1, size):
-            ox = only[mask]
-            ok = True
-            for z in _nonempty_submasks(mask):
-                if (some[z] & ox).bit_count() <= z.bit_count():
-                    ok = False
-                    break
-            out[mask] = ok
+        masks = _demand_masks(instance, p)
+        some = [some_demanders_mask(masks, z) for z in range(1 << instance.n)]
+        out = []
+        for x in xs:
+            only = only_demanders_mask(masks, x)
+            out.append(all((some[z] & only).bit_count() > z.bit_count()
+                           for z in _nonempty_submasks(x)))
         return out
+    dc = DemandCache(instance)
     vectors = [dc.mu_vector(b, p) for b in range(instance.m)]
     supply = subset_sums(instance.u, instance.n)
-    for mask in range(1, size):
-        ok = True
-        for z in _nonempty_submasks(mask):
-            gap = sum(vec[mask] - vec[mask ^ z] for vec in vectors)
-            if gap <= supply[z]:
-                ok = False
-                break
-        out[mask] = ok
-    return out
+    return [all(sum(vec[x] - vec[x ^ z] for vec in vectors) > supply[z]
+                for z in _nonempty_submasks(x)) for x in xs]
+
+
+def _nonempty_submasks(mask: int):
+    """Every nonempty submask of ``mask``, itself first."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
 
 
 # --- Lyapunov values and deficiency, set by set ------------------------------

@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +16,8 @@ from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instanc
                     LyapunovOracle, MultiAllocation, StrategyKind, UnitAllocation,
                     Valuation, allocation_certifies, ascending_auction,
                     equilibrium_prices_by_enumeration, extract_allocation,
-                    WalrasError, is_excess_demand, is_overdemanded,
-                    verify_equilibrium)
+                    WalrasError, is_excess_demand, is_overdemanded, mu,
+                    price_cap, unit_demand_set, verify_equilibrium)
 from walras.oracle import excess_demand_table
 from walras.auction import _extract_multi
 from walras.demand import DemandCache
@@ -65,6 +65,42 @@ class TestExcessDemand:
         table = excess_demand_table(inst, p)
         for mask in range(1, 1 << inst.n):
             assert table[mask] == is_excess_demand(items_from_mask(mask), p, inst)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_both_forms_match_the_definitions(self, seed):
+        """``is_excess_demand`` and ``excess_demand_table`` against the
+        definitions restated over item sets, for every nonempty Z in X:
+        unit, the bidders whose ``unit_demand_set`` lies inside X and meets
+        Z outnumber Z; multi, the sum over bidders of mu(X) - mu(X - Z)
+        exceeds Z's supply.  Markets may hold table bidders; prices reach
+        the value cap."""
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            inst = random_unit_instance(rng, n_max=4, m_max=5, value_max=3)
+        else:
+            sep = random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=4)
+            inst = Instance(model="multi", n=sep.n, u=sep.u, valuations=tuple(
+                tabulate(v) if rng.random() < 0.3 else v for v in sep.valuations))
+        p = tuple(rng.randint(0, cap) for cap in price_cap(inst))
+        sets = [frozenset(c) for k in range(1, inst.n + 1)
+                for c in combinations(range(1, inst.n + 1), k)]
+        if inst.model == "unit":
+            demand = [unit_demand_set(b, p, inst) for b in range(inst.m)]
+
+            def overdemanded(X, Z):
+                return len([d for d in demand if d <= X and d & Z]) > len(Z)
+        else:
+            def overdemanded(X, Z):
+                extra = sum(mu(b, X, p, inst) - mu(b, X - Z, p, inst)
+                            for b in range(inst.m))
+                return extra > sum(inst.u[j - 1] for j in Z)
+
+        table = excess_demand_table(inst, p)
+        assert len(table) == 1 << inst.n and not table[0]
+        for X in sets:
+            want = all(overdemanded(X, Z) for Z in sets if Z <= X)
+            assert is_excess_demand(X, p, inst) == want, (inst, p, X)
+            assert table[sum(1 << (j - 1) for j in X)] == want, (inst, p, X)
 
 
 class TestAscendingAuction:

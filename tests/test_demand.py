@@ -11,9 +11,8 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     Valuation, ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.demand import DemandCache, _per_item_argmax
-from walras.itemsets import subset_sums
-from walras.oracle import (only_demanders_mask, only_demanders_table,
-                           some_demanders_mask, some_demanders_table)
+from walras.itemsets import items_from_mask, subset_sums
+from walras.oracle import only_demanders_mask, some_demanders_mask
 
 
 class TestUnitDemandSets:
@@ -171,6 +170,20 @@ def _unit_prices(rng, inst, cap):
     return tuple(rng.randint(0, cap) for _ in range(inst.n))
 
 
+def _bidder_sets(inst, p):
+    """O(X) and U(X) for every item set X, as bidder bitmasks, by the
+    per-mask forms over one read of the bidders' demand masks."""
+    dc = DemandCache(inst)
+    masks = [dc.unit_demand_mask(b, p) for b in range(inst.m)]
+    size = 1 << inst.n
+    return ([only_demanders_mask(masks, x) for x in range(size)],
+            [some_demanders_mask(masks, x) for x in range(size)])
+
+
+def _bits(bidders):
+    return sum(1 << b for b in bidders)
+
+
 class TestSetIdentities:
     def test_identity_on_worked_example(self, ex21):
         self._check_identity(ex21, (0, 0, 0))
@@ -185,10 +198,8 @@ class TestSetIdentities:
 
     @staticmethod
     def _check_identity(inst, p):
-        dc = DemandCache(inst)
         size = 1 << inst.n
-        only = only_demanders_table(dc, p)
-        some = some_demanders_table(dc, p)
+        only, some = _bidder_sets(inst, p)
         for x in range(size):
             assert only[x] & some[x] == only[x]  # O(Y,p) is contained in U(Y,p)
             z = x
@@ -201,18 +212,20 @@ class TestSetIdentities:
 
     @given(st.integers(0, 2**32 - 1))
     def test_tables_agree_with_single_set_ops(self, seed):
-        """The deficiency table's superset walk counts the bidders who demand
-        only inside X, less |X|, as the unit model defines deficiency."""
+        """The per-mask O(X) and U(X) are the bidders whose demand set lies
+        inside X and meets X, and the deficiency table's superset walk counts
+        O(X), less |X|, as the unit model defines deficiency."""
         rng = random.Random(seed)
         inst = random_unit_instance(rng, n_max=4, m_max=5, value_max=3)
         p = _unit_prices(rng, inst, 3)
         dc = DemandCache(inst)
-        only = only_demanders_table(dc, p)
-        some = some_demanders_table(dc, p)
+        only, some = _bidder_sets(inst, p)
+        demand = [unit_demand_set(b, p, inst) for b in range(inst.m)]
         deficiency = dc.deficiency_from_key(dc.demand_key(p))
         for mask in range(1 << inst.n):
-            assert only[mask] == only_demanders_mask(dc, mask, p)
-            assert some[mask] == some_demanders_mask(dc, mask, p)
+            items = items_from_mask(mask)
+            assert only[mask] == _bits(b for b, d in enumerate(demand) if d <= items)
+            assert some[mask] == _bits(b for b, d in enumerate(demand) if d & items)
             assert deficiency[mask] == only[mask].bit_count() - mask.bit_count()
 
     @given(st.integers(0, 2**32 - 1))

@@ -258,6 +258,24 @@ class TestEvaluate:
         assert evaluate(g, (1, 1, 0)) == 1
         assert evaluate(g, (1, 1, 1)) == 1
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_table_returns_every_entry(self, seed):
+        """A table listed in any order reads back each entry at its bundle,
+        on boxes of uneven sides, and refuses bundles outside the box."""
+        rng = random.Random(seed)
+        box = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        bundles = list(iter_box(box))
+        rng.shuffle(bundles)
+        entries = {x: rng.randint(-9, 9) for x in bundles}
+        v = Valuation.from_table(entries)
+        for x, worth in entries.items():
+            assert evaluate(v, x) == worth
+            assert evaluate(v, list(x)) == worth
+        with pytest.raises(ValueError, match="out of box: component 1 is"):
+            evaluate(v, (box[0] + 1,) + box[1:])
+        with pytest.raises(ValueError, match="out of box: expected"):
+            evaluate(v, box + (0,))
+
 
 class TestExchangeVerifier:
     def test_separable_holds(self):

@@ -167,16 +167,20 @@ def _span_tracer():
     return spans.Tracer()
 
 
-@pytest.mark.parametrize("module", ["auction", "demand", "lyapunov", "lnat"])
+@pytest.mark.parametrize("module", ["auction", "demand", "lyapunov", "lnat", "oracle"])
 def test_every_public_solver_function_has_a_caller(module):
     """A public solver function that no library code calls and the README
     does not offer is a second path kept for its own test: it belongs in
-    ``oracle`` or nowhere.  Re-exports in ``__init__`` are not calls."""
+    ``oracle`` or nowhere.  Re-exports in ``__init__`` are not calls.  The
+    same rule keeps test-only second forms out of ``oracle``, whose twins
+    may also be offered by export from ``walras``."""
     src = ROOT / "src" / "walras"
     tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
     public = [node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     used = set().union(*(_referenced_names(path) for path in src.glob("*.py")))
+    if module == "oracle":
+        used |= set(vars(walras))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     orphans = [name for name in public
                if name not in used and not re.search(rf"\b{name}\b", readme)]

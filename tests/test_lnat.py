@@ -17,7 +17,7 @@ from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     minimal_minimizer_step, minimize, neighborhood_values)
 from walras import lnat
 from walras.errors import BudgetExceededError, ContractError
-from walras.itemsets import items_from_mask, proper_submasks
+from walras.itemsets import chi_add, items_from_mask, proper_submasks
 from walras.lnat import Step
 from walras.oracle import gp_minimal_table, is_gp_minimal
 
@@ -259,6 +259,32 @@ class TestGridRoute:
             assert self._outcome(gridded, (lo, hi), budget) == want, (inst, lo, hi, budget)
             seen.add(want[1].split()[0] if isinstance(want, tuple) else type(want).__name__)
         assert seen == {"NoneType", "LnatCounterexample", "convexity", "bundle"}, seen
+
+    def test_default_grid_reads_fn_point_by_point(self):
+        """Without a declared grid, ``grid`` queries ``fn`` once per point of
+        the axes' product, in lexicographic order, and keeps its None."""
+        reads = []
+
+        def fn(p):
+            reads.append(p)
+            return None if p[0] > p[1] else 3 * p[0] - p[1]
+
+        g = FunctionOracle(n=2, fn=fn)
+        axes = [range(-1, 2), (0, 4, 1)]
+        points = list(product(*axes))
+        assert g.grid(axes) == [None if a > b else 3 * a - b for a, b in points]
+        assert reads == points
+
+    def test_neighborhood_is_the_same_with_and_without_grid(self):
+        rng = random.Random(73)
+        for t in range(60):
+            inst = (random_unit_instance(rng, n_max=3, m_max=4) if t % 2
+                    else random_multi_instance(rng, n_max=3, u_max=2, m_max=3))
+            g = lyap_oracle(inst)
+            plain = FunctionOracle(n=g.n, fn=g.fn)
+            p = tuple(rng.randint(-1, 4) for _ in range(inst.n))
+            want = [g.fn(chi_add(p, mask)) for mask in range(1 << inst.n)]
+            assert neighborhood_values(g, p) == neighborhood_values(plain, p) == want
 
     def test_the_box_is_one_grid_read(self, ex21):
         axes = []
