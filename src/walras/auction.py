@@ -9,7 +9,8 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from operator import sub
 from typing import Iterator
@@ -48,10 +49,34 @@ Allocation = UnitAllocation | MultiAllocation
 
 @dataclass(frozen=True)
 class AuctionResult:
+    """A finished run: its final price and trajectory.
+
+    ``allocation`` and ``allocation_error`` come from one extraction at
+    ``p_min`` under the run's budget, made when either is first read and
+    kept, so a caller that prints no allocation extracts none.  Extraction
+    is best-effort: on budget exhaustion ``allocation`` is None and
+    ``allocation_error`` says so.
+    """
+
     p_min: PriceVector
     trajectory: Trajectory
-    allocation: Allocation | None
-    allocation_error: str | None = None
+    _instance: Instance = field(repr=False)
+    _budget: int = field(repr=False)
+
+    @cached_property
+    def _extracted(self) -> tuple[Allocation | None, str | None]:
+        try:
+            return extract_allocation(self._instance, self.p_min, budget=self._budget), None
+        except BudgetExceededError:
+            return None, "allocation search budget exceeded"
+
+    @property
+    def allocation(self) -> Allocation | None:
+        return self._extracted[0]
+
+    @property
+    def allocation_error(self) -> str | None:
+        return self._extracted[1]
 
 
 def ascending_auction(instance: Instance,
@@ -71,9 +96,8 @@ def ascending_auction(instance: Instance,
     built for this ``instance`` and ``budget`` (else ValueError); runs sharing
     one, as ``compare``'s strategies do, share its tables and one check.
     The budget also caps the descent's iterations: a run that needs more
-    raises BudgetExceededError.  Allocation extraction, from demand state of
-    its own, is best-effort: on budget exhaustion the result is still
-    returned, with ``allocation_error`` set.
+    raises BudgetExceededError.  The result extracts its allocation, from
+    demand state of its own, only when it is read.
     """
     ly = oracle if oracle is not None else LyapunovOracle(instance, budget=budget)
     if ly.instance != instance or ly.demand.budget != budget:
@@ -101,14 +125,7 @@ def ascending_auction(instance: Instance,
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
                 f"lowering items {sorted(items_from_mask(mask))} does not raise the "
                 "Lyapunov value (the start must not exceed the minimal equilibrium price)")
-    allocation = None
-    allocation_error = None
-    try:
-        allocation = extract_allocation(instance, p_final, budget=budget)
-    except BudgetExceededError:
-        allocation_error = "allocation search budget exceeded"
-    return AuctionResult(p_min=p_final, trajectory=trajectory,
-                         allocation=allocation, allocation_error=allocation_error)
+    return AuctionResult(p_final, trajectory, instance, budget)
 
 
 # --- allocation extraction -------------------------------------------------

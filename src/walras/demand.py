@@ -29,6 +29,13 @@ point of a price grid at once, as its discrete Legendre-Fenchel conjugate
 taken one coordinate at a time.  The bundle box is built, and checked
 against the budget, only when a scan first needs it; deficiency tables
 ((m + 1) * 2^n entries) are checked against the same budget.
+
+A box scan reads a bidder's payoff of every bundle, once per price: the
+payoff list and its best are kept for the latest price, and
+``indirect_utility``, ``demand_set_enum`` and ``demand_key`` all read that
+one scan, so a descent step's value read and the next step's demand key
+share it.  A table bidder's least takes depend only on its demand set, so
+they are kept by demand set, within the budget, and cleared when full.
 """
 
 from __future__ import annotations
@@ -65,12 +72,15 @@ class DemandCache:
     other read branches on, and puts every separable bidder's marginals of
     each item into one ascending column per item, with its suffix sums,
     which ``demand_key`` and ``item_utility`` read per item.  It keeps the
-    bundle box and each box-scanned bidder's worth of every bundle; the
-    only per-price state is the box scans' bundle costs p.x, kept for the
-    latest price only, which every scan at that price re-reads.
-    Unit-demand masks, demand sets, minimum-take vectors and demand keys are
-    computed afresh at each call; keeping deficiency tables by demand key is
-    left to the caller (``LyapunovOracle.neighborhood`` does).
+    bundle box and each box-scanned bidder's worth of every bundle.  The
+    only per-price state is kept for the latest price only: the box scans'
+    bundle costs p.x, and each scanned bidder's payoff of every bundle with
+    its best, which every scan at that price re-reads.  Least-take vectors
+    are kept by demand set, charged 2^n plus the set's size each against
+    the budget and cleared when it would be exceeded.  Unit-demand masks
+    and demand keys are computed afresh at each call; keeping deficiency
+    tables by demand key is left to the caller
+    (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -80,6 +90,9 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
+        self._scans: dict[int, tuple[list[int], int]] = {}
+        self._least: dict[tuple[Bundle, ...], list[int]] = {}
+        self._least_size = 0
         columns = [[] for _ in range(self._n)]
         separable, units, tables = [], [], []
         for b, v in enumerate(instance.valuations):
@@ -123,14 +136,26 @@ class DemandCache:
 
     def _box_costs(self, p: PriceVector) -> list[int]:
         """``p.x`` for every bundle of the box, in box order; kept for the
-        latest price only."""
+        latest price only, with the payoff scans read at it."""
         price, costs = self._costs
         if p != price:
             costs = [0]
             for c, cap in zip(p, self.instance.u):
                 costs = [t + k * c for t in costs for k in range(cap + 1)]
             self._costs = (p, costs)
+            self._scans = {}
         return costs
+
+    def _scan(self, b: int, p: PriceVector) -> tuple[list[int], int]:
+        """Bidder b's payoff v(x) - p.x of every bundle, in box order, and
+        the best of them; kept for the latest price only."""
+        vals = self._bidder_values(b)
+        costs = self._box_costs(p)
+        scan = self._scans.get(b)
+        if scan is None:
+            payoffs = list(map(sub, vals, costs))
+            scan = self._scans[b] = (payoffs, max(payoffs))
+        return scan
 
     def _bidder_values(self, b: int) -> list[int]:
         """Bidder b's worth of every bundle in box order, after the box's budget check."""
@@ -170,9 +195,14 @@ class DemandCache:
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """Payoff-maximizing bundles by full enumeration of the bundle box."""
-        payoffs = list(map(sub, self._bidder_values(b), self._box_costs(p)))
-        best = max(payoffs)
-        return tuple(x for x, pay in zip(self._bundle_box(), payoffs) if pay == best)
+        payoffs, best = self._scan(b, p)
+        box = self._bundle_box()
+        out = []
+        i = -1
+        for _ in range(payoffs.count(best)):
+            i = payoffs.index(best, i + 1)
+            out.append(box[i])
+        return tuple(out)
 
     # -- minimum takes -----------------------------------------------------------
 
@@ -188,7 +218,24 @@ class DemandCache:
         if b in self.separable:
             least = tuple(ks[0] for ks in _per_item_argmax(self.instance.valuations[b], p))
             return tuple(subset_sums(least, self._n))
-        return tuple(_least_takes(self.demand_set_enum(b, p), self._n))
+        return tuple(self._least_takes_of(self.demand_set_enum(b, p)))
+
+    def _least_takes_of(self, demand: tuple[Bundle, ...]) -> list[int]:
+        """``_least_takes`` of a box-scanned demand set, kept by the set.
+        An entry is charged its 2^n takes plus the set's size; the memo is
+        cleared when the next entry would take it past the budget, and an
+        entry larger than the budget is not kept."""
+        least = self._least.get(demand)
+        if least is None:
+            least = _least_takes(demand, self._n)
+            charge = len(least) + len(demand)
+            if self._least_size + charge > self.budget:
+                self._least.clear()
+                self._least_size = 0
+            if charge <= self.budget:
+                self._least[demand] = least
+                self._least_size += charge
+        return least
 
     def demand_key(self, p: PriceVector) -> tuple:
         """The bidders' demand state at p, which alone determines the
@@ -233,7 +280,7 @@ class DemandCache:
         a unit-demand bidder demanding exactly item i takes one unit from
         every set holding i.  A tied unit-demand bidder takes one unit from
         every superset of its items, and a table bidder its least subset sum
-        over its demand set.
+        over its demand set, kept by demand set.
         """
         takes, tied, tables = key
         n = self._n
@@ -247,7 +294,7 @@ class DemandCache:
                     break
                 s = (s + 1) | d
         for demand in tables:
-            out = list(map(add, out, _least_takes(demand, n)))
+            out = list(map(add, out, self._least_takes_of(demand)))
         return out
 
     # -- indirect utility --------------------------------------------------------
@@ -264,7 +311,7 @@ class DemandCache:
         """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
         bidder of any family: the Lyapunov oracle reads table bidders so, and
         ``oracle.lyapunov`` every bidder."""
-        return max(map(sub, self._bidder_values(b), self._box_costs(p)))
+        return self._scan(b, p)[1]
 
     def utility_grid(self, b: int, axes) -> list[int]:
         """Bidder b's best payoff ``max_x (v(x) - p.x)`` at every point p of

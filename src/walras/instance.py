@@ -110,19 +110,22 @@ class Valuation:
         elif self.family == EXPLICIT_TABLE:
             if self.table is None or self.values is not None or self.marginals is not None:
                 raise ValueError("entries: explicit_table valuation takes exactly the 'entries' payload")
-            pairs = []
-            n = None
-            for k, (x, v) in enumerate(self.table):
-                xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]") for j, c in enumerate(x))
-                if n is None:
-                    n = len(xs)
-                elif len(xs) != n:
-                    raise ValueError(f"entries[{k}].x: expected {n} components")
-                pairs.append((xs, _as_int(v, f"entries[{k}].v")))
-            if not pairs or n == 0:
+            table = tuple(self.table)
+            pairs = _plain_table(table)
+            if pairs is None:  # the per-entry checks, to name the first bad entry
+                pairs = []
+                n = None
+                for k, (x, v) in enumerate(table):
+                    xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]") for j, c in enumerate(x))
+                    if n is None:
+                        n = len(xs)
+                    elif len(xs) != n:
+                        raise ValueError(f"entries[{k}].x: expected {n} components")
+                    pairs.append((xs, _as_int(v, f"entries[{k}].v")))
+            if not pairs or not pairs[0][0]:
                 raise ValueError("entries: must cover a nonempty box")
             pairs.sort()
-            box = tuple(max(x[j] for x, _ in pairs) for j in range(n))
+            box = tuple(map(max, zip(*(x for x, _ in pairs))))
             if len(pairs) != box_volume(box):
                 raise ValueError("entries: must map every bundle in the box exactly once")
             for k in range(len(pairs) - 1):
@@ -153,6 +156,22 @@ class Valuation:
     def from_table(entries: Mapping[Bundle, int]) -> "Valuation":
         return Valuation(family=EXPLICIT_TABLE,
                          table=tuple((tuple(x), v) for x, v in entries.items()))
+
+
+def _plain_table(table: tuple) -> list[tuple[Bundle, int]] | None:
+    """A table's (bundle, worth) pairs, checked in one pass: every entry a
+    pair, every bundle of one length and of nonnegative ``int``
+    components, every worth an ``int``.  None when any check fails, or an
+    entry holds an int subclass, for the per-entry checks to decide."""
+    try:
+        pairs = [(tuple(x), v) for x, v in table]
+    except (TypeError, ValueError):
+        return None
+    parts = list(chain.from_iterable(x for x, _ in pairs))
+    if (set(map(type, parts)) <= {int} and set(type(v) for _, v in pairs) <= {int}
+            and len(set(len(x) for x, _ in pairs)) <= 1 and min(parts, default=0) >= 0):
+        return pairs
+    return None
 
 
 def evaluate(v: Valuation, x: Bundle) -> int:
@@ -479,6 +498,20 @@ _FAMILY_KEYS = {
 }
 
 
+def _plain_entries(entries: list) -> list[tuple] | None:
+    """The (x, v) of every entry when, checked in one pass, each is a
+    ``dict`` of exactly the keys 'x' and 'v' whose 'x' is a ``list``; None
+    otherwise, subclasses included, for the per-entry check to decide."""
+    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
+        try:
+            pairs = list(map(itemgetter("x", "v"), entries))
+        except KeyError:
+            return None
+        if set(type(x) for x, _ in pairs) <= {list}:
+            return pairs
+    return None
+
+
 def _parse_valuation(raw, where: str) -> Valuation:
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"{where}: must be a JSON object")
@@ -502,11 +535,13 @@ def _parse_valuation(raw, where: str) -> Valuation:
         entries = raw.get("entries")
         if not isinstance(entries, list):
             raise ValueError("entries: must be a list")
-        pairs = []
-        for k, e in enumerate(entries):
-            if not isinstance(e, dict) or set(e) != {"x", "v"} or not isinstance(e["x"], list):
-                raise ValueError(f"entries[{k}]: must be an object with keys 'x' and 'v'")
-            pairs.append((tuple(e["x"]), e["v"]))
+        pairs = _plain_entries(entries)
+        if pairs is None:  # the per-entry check, to name the first bad entry
+            pairs = []
+            for k, e in enumerate(entries):
+                if not isinstance(e, dict) or set(e) != {"x", "v"} or not isinstance(e["x"], list):
+                    raise ValueError(f"entries[{k}]: must be an object with keys 'x' and 'v'")
+                pairs.append((e["x"], e["v"]))
         return Valuation(family=EXPLICIT_TABLE, table=tuple(pairs))
     except ValueError as exc:
         raise InstanceFormatError(f"{where}.{exc}") from None

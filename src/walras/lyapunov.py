@@ -28,7 +28,9 @@ Legendre-Fenchel conjugate taken one coordinate at a time
 (``DemandCache.utility_grid``).  The two certificate scans, of L(p + chi_X)
 at the stop and of L(p - chi_X) for minimality, read the grid on the axes
 (p_j, p_j +- 1), so they still check the change table against values, and
-``walras verify``'s L♮ check reads its whole box in one call.
+``walras verify``'s L♮ check reads its whole box in one call.  The latest
+grid of each scan is kept, so runs sharing an oracle and stopping at one
+price, as ``compare``'s strategies do, build each once.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ class LyapunovOracle:
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
     ``grid_values`` reads L over a whole price grid and keeps nothing;
     ``shifted_values`` reads it over the corners p + s * chi_X and keeps
-    its latest table for each shift.  ``neighborhood`` keeps its change
+    its latest grid for each shift, which ``function_oracle``'s stop scan
+    reads too.  ``neighborhood`` keeps its change
     tables by demand key, at most ``budget`` entries in all (2^n per
     table), cleared when full; runs sharing the oracle share them.
     """
@@ -147,17 +150,21 @@ class LyapunovOracle:
     def shifted_values(self, p: PriceVector, s: int) -> list[int | None]:
         """``L(p + s * chi_X)`` for every item subset X, indexed by bitmask,
         None where a price would go negative: the grid on the axes
-        (p_j, p_j + s), read in mask order.  The latest table for each
+        (p_j, p_j + s), read in mask order.  The latest grid for each
         shift is kept, since ``compare``'s strategies, stopping at the same
-        price, each read the downward one."""
+        price, each read the downward one, and the upward one through
+        ``function_oracle``'s stop scan."""
         t = _check_price(self.instance, p)
+        grid = self._corner_grid(t, s)
+        return [grid[i] for i in corner_indices(len(t))]
+
+    def _corner_grid(self, t: PriceVector, s: int) -> tuple[int | None, ...]:
+        """``grid_values`` on the axes (t_j, t_j + s) for a checked price t;
+        the latest grid for each shift is kept."""
         kept = self._shifted.get(s)
-        if kept is not None and kept[0] == t:
-            return list(kept[1])
-        grid = self.grid_values([(c, c + s) for c in t])
-        total = [grid[i] for i in corner_indices(len(t))]
-        self._shifted[s] = (t, tuple(total))
-        return total
+        if kept is None or kept[0] != t:
+            kept = self._shifted[s] = (t, tuple(self.grid_values([(c, c + s) for c in t])))
+        return kept[1]
 
     def neighborhood(self, p: PriceVector) -> tuple[int, ...]:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
@@ -192,12 +199,21 @@ class LyapunovOracle:
         Defined on every nonnegative price vector, so it declares no box;
         queries with a negative price read as +infinity.  Zero is a valid
         floor since the value dominates p.u >= 0.  Its ``grid`` is
-        ``grid_values``.
+        ``grid_values``, except that the unit cube above a nonnegative
+        integer price p, the axes (p_j, p_j + 1) of the descent's stop scan,
+        is read from the grid ``shifted_values(p, 1)`` keeps, so runs
+        sharing the oracle and stopping at one price read it once.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):
                 return None
             return self.value(q)
 
-        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0,
-                              grid=self.grid_values)
+        def grid(axes) -> list[int | None]:
+            corner = tuple(a[0] for a in axes if len(a) == 2 and type(a[0]) is type(a[1]) is int
+                           and a[0] >= 0 and a[1] == a[0] + 1)
+            if len(corner) == len(axes) == self.instance.n:
+                return list(self._corner_grid(corner, 1))
+            return self.grid_values(axes)
+
+        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=grid)

@@ -394,6 +394,73 @@ class TestCompare:
             assert run_command(["solve", "--instance", str(path), "--strategy", flag]) == 0
             assert len(calls) == 2
 
+    @staticmethod
+    def _table_market(tmp_path) -> str:
+        rng = random.Random(13)
+        u = (2, 2, 2)
+        inst = Instance(model="multi", n=3, u=u, valuations=tuple(
+            tabulate(random_separable_valuation(rng, u, value_max=9)) for _ in range(4)))
+        path = tmp_path / "tables.json"
+        path.write_text(serialize_instance(inst))
+        return str(path)
+
+    def test_least_takes_once_per_demand_set(self, tmp_path, monkeypatch, capsys):
+        """The four strategies share one oracle, which keeps each table
+        bidder's least takes by demand set: none is computed twice."""
+        import walras.demand as demand
+
+        seen = []
+        least_takes = demand._least_takes
+
+        def counted(d, n):
+            seen.append(d)
+            return least_takes(d, n)
+
+        monkeypatch.setattr(demand, "_least_takes", counted)
+        assert run_command(["compare", "--instance", self._table_market(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_equal"] is True
+        assert seen and len(seen) == len(set(seen))
+
+    def test_allocation_is_extracted_only_where_printed(self, tmp_path, monkeypatch, capsys):
+        """``compare`` and CSV output print no allocation, so they extract
+        none; JSON output extracts one."""
+        import walras.auction as auction
+
+        calls = []
+        extract = auction.extract_allocation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(auction, "extract_allocation", counted)
+        path = self._table_market(tmp_path)
+        assert run_command(["compare", "--instance", path]) == 0
+        assert run_command(["solve", "--instance", path, "--strategy", "steepest",
+                            "--format", "csv"]) == 0
+        assert calls == []
+        capsys.readouterr()
+        assert run_command(["solve", "--instance", path, "--strategy", "steepest"]) == 0
+        assert len(calls) == 1
+        assert json.loads(capsys.readouterr().out)["allocation"]["model"] == "multi"
+
+    def test_stop_scan_grid_is_read_once(self, tmp_path, monkeypatch, capsys):
+        """The strategies all stop at one price; its upward scan is read
+        from the grid the oracle keeps, so ``compare`` builds two grids,
+        the upward and the downward scan, in all."""
+        grids = []
+        grid_values = LyapunovOracle.grid_values
+
+        def counted(self, axes):
+            grids.append([tuple(a) for a in axes])
+            return grid_values(self, axes)
+
+        monkeypatch.setattr(LyapunovOracle, "grid_values", counted)
+        assert run_command(["compare", "--instance", self._table_market(tmp_path)]) == 0
+        p_min = json.loads(capsys.readouterr().out)["p_min"]
+        assert sorted(grids) == sorted([[(c, c + 1) for c in p_min],
+                                        [(c, c - 1) for c in p_min]])
+
     def test_complements_table_exits_1(self, complements_path, capsys):
         assert run_command(["compare", "--instance", complements_path]) == 1
         err = capsys.readouterr().err

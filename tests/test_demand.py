@@ -1,16 +1,19 @@
 """Demand oracles: argmax sets, bidder sets, minimum-take statistics."""
 
 import random
+from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import (column_markets, column_prices, random_multi_instance,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
+                    max_total_value,
                     Valuation, ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.demand import DemandCache, _per_item_argmax
+from walras.instance import DEFAULT_BUDGET, box_volume
 from walras.itemsets import items_from_mask, subset_sums
 from walras.oracle import only_demanders_mask, some_demanders_mask
 
@@ -97,8 +100,9 @@ class TestMultiDemandSets:
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
         per-item columns and the bidder groups exactly as built, the bundle
-        box, at most one worth list per bidder and the latest price's bundle
-        costs: nothing per step."""
+        box, at most one worth list per bidder, the latest price's bundle
+        costs and table bidders' payoff scans, and least takes kept by
+        demand set within the budget: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -115,11 +119,17 @@ class TestMultiDemandSets:
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs",
+                                     "_scans", "_least", "_least_size",
                                      "_columns", "_tails", "separable", "units", "tables"}
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
             assert len(dc._values) <= inst.m
             price, costs = dc._costs
             assert len(costs) == (0 if price is None else 4)
+            assert set(dc._scans) <= set(dc.tables)
+            assert all(len(payoffs) == 4 for payoffs, _ in dc._scans.values())
+            assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
+            assert dc._least_size <= dc.budget
+            assert bool(dc._least) == bool(dc.tables)
         assert dc._costs[0] is not None  # the table bidder's scans read it
 
 
@@ -306,6 +316,96 @@ class TestFastPaths:
                     vec = dc.mu_vector(b, p)
                     for mask in range(1 << n):
                         assert vec[mask] == min(subset_sums(x, n)[mask] for x in box)
+
+
+@st.composite
+def table_markets(draw) -> Instance:
+    """Multi markets of at most 4 items and 2 units of each, holding at
+    least one table bidder: tabulated separable ones and, where every item
+    has one unit, tabulated unit-demand ones.  Mixed markets add separable
+    and (with one unit of each item) unit-demand bidders, in any order."""
+    n = draw(st.integers(1, 4))
+    ones = draw(st.booleans())
+    u = (1,) * n if ones else tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    separable = st.tuples(*(
+        st.lists(st.integers(0, 6), min_size=cap, max_size=cap).map(
+            lambda r: sorted(r, reverse=True)) for cap in u)).map(Valuation.separable)
+    tables, others = [separable.map(tabulate)], [separable]
+    if ones:
+        unit = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(Valuation.unit_demand)
+        tables.append(unit.map(tabulate))
+        others.append(unit)
+    vals = draw(st.lists(st.one_of(*tables), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        vals += draw(st.lists(st.one_of(*others), min_size=1, max_size=2))
+    return Instance(model="multi", n=n, u=u, valuations=tuple(draw(st.permutations(vals))))
+
+
+class TestSharedCache:
+    """A cache shared along a price walk, as a descent and ``compare``'s
+    strategies share one, keeps payoff scans for the latest price and least
+    takes by demand set; every answer must equal a fresh cache's."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_answers_match_a_fresh_cache(self, data):
+        inst = data.draw(table_markets())
+        n, m = inst.n, inst.m
+        # The tightest budget the tables and the box admit keeps the least
+        # takes of only a few demand sets, so the walk clears them often.
+        tight = data.draw(st.booleans())
+        budget = max((m + 1) << n, box_volume(inst.u)) if tight else DEFAULT_BUDGET
+        ly = LyapunovOracle(inst, budget=budget)
+        dc = ly.demand
+        top = max_total_value(inst) + 1
+        p = [0] * n
+        moves = st.tuples(st.integers(0, n - 1), st.sampled_from((1, 1, -1)), st.booleans())
+        for j, step, value_first in data.draw(st.lists(moves, min_size=1, max_size=20)):
+            p[j] = min(max(p[j] + step, 0), top)
+            q = tuple(p)
+            if value_first:  # as a step's value read precedes the next demand key
+                ly.value(q)
+            fresh = DemandCache(inst, budget=budget)
+            key = dc.demand_key(q)
+            assert key == fresh.demand_key(q), (inst, q)
+            assert dc.deficiency_from_key(key) == fresh.deficiency_from_key(key), (inst, q)
+            for b in range(m):
+                assert dc.indirect_utility(b, q) == fresh.indirect_utility(b, q), (inst, q, b)
+                assert dc.demand_set_enum(b, q) == fresh.demand_set_enum(b, q), (inst, q, b)
+            assert ly.neighborhood(q) == LyapunovOracle(inst, budget=budget).neighborhood(q)
+            assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
+            assert dc._least_size <= budget
+
+    def test_tight_budget_clears_the_least_takes(self):
+        """At the tightest budget the memo is cleared along the walk, never
+        holds more than the budget, and the answers stay a fresh cache's."""
+        rng = random.Random(41)
+        u = (2, 2)
+        vals = tuple(tabulate(Valuation.separable(
+            [sorted((rng.randint(0, 9) for _ in range(cap)), reverse=True) for cap in u]))
+            for _ in range(3))
+        inst = Instance(model="multi", n=2, u=u, valuations=vals)
+        budget = (inst.m + 1) << inst.n
+        dc = DemandCache(inst, budget=budget)
+        sizes = []
+        for p in product(range(11), repeat=2):
+            key = dc.demand_key(p)
+            assert dc.deficiency_from_key(key) == \
+                DemandCache(inst, budget=budget).deficiency_from_key(key), p
+            sizes.append(dc._least_size)
+        assert max(sizes) <= budget
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+    def test_least_takes_larger_than_the_budget_are_not_kept(self):
+        """A worthless table bidder demands its whole box at price 0; its
+        least takes and the box outweigh the budget, so none is kept."""
+        inst = Instance(model="multi", n=1, u=(3,), valuations=(
+            Valuation.from_table({(k,): 0 for k in range(4)}),))
+        dc = DemandCache(inst, budget=4)
+        key = dc.demand_key((0,))
+        assert key[2] == (((0,), (1,), (2,), (3,)),)
+        assert dc.deficiency_from_key(key) == [0, -3]
+        assert dc._least == {} and dc._least_size == 0
 
 
 class TestDeterminism:

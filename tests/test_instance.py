@@ -1,5 +1,6 @@
 """Instance model, JSON format, and the valuation verifiers."""
 
+import json
 import os
 import random
 import subprocess
@@ -18,7 +19,8 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
-from walras.instance import (DEFAULT_BUDGET, _local_plan, _locally_exchangeable,
+from walras.instance import (DEFAULT_BUDGET, _as_int, _as_nonneg_int, _local_plan,
+                             _locally_exchangeable, _plain_entries, _plain_table,
                              _scan_bound, box_volume, iter_box)
 from walras.itemsets import difference_keys
 
@@ -231,6 +233,127 @@ class TestParsing:
     def test_round_trip_worked_example(self):
         inst = parse_instance(EX21_JSON)
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+class _Int(int):
+    """An int subclass: the per-entry checks accept it, the one-pass
+    check leaves it to them."""
+
+
+_GOOD_TABLE = (((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 2))
+
+
+def _with(k, entry):
+    return _GOOD_TABLE[:k] + (entry,) + _GOOD_TABLE[k + 1:]
+
+
+def _per_entry_table(table):
+    """Explicit-table validation entry by entry, as the definition: the
+    sorted pairs, or the ValueError naming the first bad entry."""
+    pairs = []
+    n = None
+    for k, (x, v) in enumerate(table):
+        xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]") for j, c in enumerate(x))
+        if n is None:
+            n = len(xs)
+        elif len(xs) != n:
+            raise ValueError(f"entries[{k}].x: expected {n} components")
+        pairs.append((xs, _as_int(v, f"entries[{k}].v")))
+    if not pairs or n == 0:
+        raise ValueError("entries: must cover a nonempty box")
+    pairs.sort()
+    box = tuple(max(x[j] for x, _ in pairs) for j in range(n))
+    if len(pairs) != box_volume(box):
+        raise ValueError("entries: must map every bundle in the box exactly once")
+    for k in range(len(pairs) - 1):
+        if pairs[k][0] == pairs[k + 1][0]:
+            raise ValueError(f"entries: duplicate bundle {pairs[k][0]}")
+    return tuple(pairs)
+
+
+def _table_outcome(build, table):
+    try:
+        return build(table)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkTableCheck:
+    """Explicit tables are checked in one pass, and entry by entry only
+    when that pass fails; every table is accepted or refused, with the
+    same message, as the entry-by-entry checks alone would."""
+
+    CASES = {
+        "good": _GOOD_TABLE,
+        "unsorted": _GOOD_TABLE[::-1],
+        "list bundles": tuple((list(x), v) for x, v in _GOOD_TABLE),
+        "bool component": _with(1, ((0, True), 1)),
+        "bool worth": _with(2, ((1, 0), False)),
+        "negative component": _with(3, ((1, -1), 2)),
+        "negative worth": _with(3, ((1, 1), -2)),
+        "float component": _with(1, ((0, 1.0), 1)),
+        "float worth": _with(2, ((1, 0), 1.5)),
+        "string component": _with(1, ((0, "1"), 1)),
+        "wrong length": _with(2, ((1, 0, 0), 1)),
+        "short first bundle": _with(0, ((0,), 0)),
+        "duplicate": _with(3, ((0, 1), 2)),
+        "missing bundle": _GOOD_TABLE[:2] + _GOOD_TABLE[3:],
+        "empty": (),
+        "empty bundle": (((), 0),),
+        "not a pair": _with(1, ((0, 1),)),
+        "int subclass": _with(3, ((_Int(1), 1), _Int(2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_outcome_as_the_per_entry_checks(self, name):
+        table = self.CASES[name]
+        want = _table_outcome(_per_entry_table, table)
+        got = _table_outcome(lambda t: Valuation(family="explicit_table", table=t).table, table)
+        assert got == want
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_one_pass_accepts_what_the_entries_accept(self, name):
+        """The pass takes a table whose entries the per-entry checks take,
+        int subclasses aside, and refuses the rest."""
+        table = self.CASES[name]
+        try:
+            for k, (x, v) in enumerate(table):
+                for j, c in enumerate(x):
+                    _as_nonneg_int(c, "x")
+                _as_int(v, "v")
+            entries_ok = len({len(x) for x, _ in table}) <= 1
+        except (TypeError, ValueError):
+            entries_ok = False
+        plain = _plain_table(table)
+        assert (plain is not None) == (entries_ok and name != "int subclass")
+        if plain is not None:
+            assert plain == [(tuple(x), v) for x, v in table]
+
+    @pytest.mark.parametrize("entries,message", [
+        ([{"x": [0], "v": 0}, [1, 1]], "entries[1]: must be an object with keys 'x' and 'v'"),
+        ([{"x": [0], "v": 0}, {"x": [1]}], "entries[1]: must be an object with keys 'x' and 'v'"),
+        ([{"x": [0], "w": 0}, {"x": [1], "v": 1}],
+         "entries[0]: must be an object with keys 'x' and 'v'"),
+        ([{"x": [0], "v": 0}, {"x": [1], "v": 1, "y": 2}],
+         "entries[1]: must be an object with keys 'x' and 'v'"),
+        ([{"x": [0], "v": 0}, {"x": 1, "v": 1}],
+         "entries[1]: must be an object with keys 'x' and 'v'"),
+        ([{"x": [0], "v": 0}, {"x": [True], "v": 1}], "entries[1].x[0]: must be an integer"),
+        ([{"x": [0], "v": 0}, {"x": [-1], "v": 1}], "entries[1].x[0]: must be nonnegative"),
+        ([{"x": [0], "v": 0}, {"x": [1.5], "v": 1}], "entries[1].x[0]: must be an integer"),
+        ([{"x": [0], "v": 0}, {"x": [1, 0], "v": 1}], "entries[1].x: expected 1 components"),
+        ([{"x": [0], "v": 0}, {"x": [0], "v": 1}, {"x": [2], "v": 1}],
+         "entries: duplicate bundle (0,)"),
+        ([{"x": [0], "v": 0}, {"x": [2], "v": 1}],
+         "entries: must map every bundle in the box exactly once"),
+    ])
+    def test_parse_messages(self, entries, message):
+        text = json.dumps({"model": "multi", "n": 1, "m": 1, "u": [1], "valuations": [
+            {"family": "explicit_table", "entries": entries}]})
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(text)
+        assert str(err.value) == f"valuations[0].{message}"
+        assert (_plain_entries(entries) is None) == ("keys 'x' and 'v'" in message)
 
 
 class TestEvaluate:
