@@ -108,7 +108,7 @@ def ascending_auction(instance: Instance,
             if bad is not None:
                 raise ConvexityError(
                     f"valuations[{b}] violates the substitutes exchange property: "
-                    f"x={bad.x} y={bad.y} i={bad.i}")
+                    f"x={bad.x} y={bad.y}")
         ly.admitted = True
     if p0 is None:
         p0 = (0,) * instance.n

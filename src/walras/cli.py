@@ -194,11 +194,12 @@ def _cmd_verify(args) -> int:
             else:
                 failed = True
                 lines.append(f"mnat: bidder {b}: counterexample "
-                             f"x={tuple(bad.x)} y={tuple(bad.y)} i={bad.i}")
+                             f"x={tuple(bad.x)} y={tuple(bad.y)}")
     if "lnat" in checks:
         ly = LyapunovOracle(instance, budget=budget)
-        # The largest side s whose scan charge, volume^2 * (diameter + 1) =
-        # (s + 1)^(2n + 1) on the cube [0, s]^n, fits the check's budget.
+        # The box verify prints: [0, s]^n for the largest s with (s + 1)^(2n + 1)
+        # <= _LNAT_CHECK_BUDGET, at most the largest worth.  The local check
+        # charges far less; widening the box is a later change, timed on verify.
         root = 1
         while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
             root += 1
@@ -209,8 +210,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"lnat: holds on [0, {side}]^{instance.n}")
         else:
             failed = True
-            lines.append(f"lnat: counterexample p={tuple(bad.p)} q={tuple(bad.q)} "
-                         f"shift={bad.lam}")
+            lines.append(f"lnat: counterexample p={tuple(bad.p)} q={tuple(bad.q)}")
     text = "\n".join(lines) + "\n"
     if failed:
         sys.stderr.write(text)

@@ -10,14 +10,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import (accumulate, chain, combinations,
-                       combinations_with_replacement, product)
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       compress, cycle, permutations, product)
 from math import prod
-from operator import add, ge, itemgetter
+from operator import add, contains, ge, itemgetter, le, mul
 from typing import Iterator, Mapping
 
-from .errors import BudgetExceededError, InstanceFormatError
-from .itemsets import difference_keys, strides
+from .errors import BudgetExceededError, ContractError, InstanceFormatError
+from .itemsets import getter, strides
 
 Bundle = tuple[int, ...]
 PriceVector = tuple[int, ...]
@@ -210,108 +210,110 @@ def _box_worths(v: Valuation) -> list[int]:
 
 @dataclass(frozen=True)
 class MnatCounterexample:
-    """Witness that the single-improvement exchange property fails.
+    """Witness that a valuation is not M♮-concave on its box.
 
-    For bundles ``x, y`` and 1-based item ``i`` with ``x(i) > y(i)``, no item
-    ``k`` (including the "drop it" option k=0) makes the exchange profitable.
+    Lifted by x~ = (-Σx, x), the bundles ``x`` < ``y`` (lexicographically)
+    lie at ‖x~ - y~‖₁ = 4, and no one-unit exchange between them keeps
+    v(x) + v(y): for every lifted coordinate i with x~_i > y~_i and j with
+    x~_j < y~_j, v(x~ - e_i + e_j) + v(y~ + e_i - e_j) < v(x) + v(y).  Index
+    0 is the lifted coordinate, so an exchange through it adds or drops a
+    unit.  This breaks the local exchange condition that decides
+    M♮-concavity (see ``verify_mnat_exc``).
     """
 
     x: Bundle
     y: Bundle
-    i: int
 
 
 def verify_mnat_exc(v: Valuation, *,
                     budget: int = DEFAULT_BUDGET) -> MnatCounterexample | None:
-    """Test the gross-substitutes exchange axiom on v's own box.
+    """Decide whether v is M♮-concave on its own box, by one local check.
 
-    Returns None when the axiom holds, else the first violating triple in
-    lexicographic (x, y, ascending i) order.  The budget counts valuation
-    evaluations of the pair-by-pair definition: the box volume, then two per
-    exchange attempt (see ``_pair_scan``).  A pair (x, y) makes at most
-    |up|·(|down| + 1) attempts, where up and down are the items with
-    x_j > y_j and x_k < y_k, so no scan charges more than ``_scan_bound(u)``
-    = V + 2·Σ_{x,y} |up|·(|down| + 1), summed per item and per item pair in
-    closed form.
+    Lifted by x~ = (-Σx, x), a valuation on the box is M♮-concave iff its
+    lift is M-concave on the lifted box, an M-convex set, and there
+    M-concavity is decided by the exchange condition on the pairs with
+    ‖x~ - y~‖₁ = 4 alone (Murota, *Discrete Convex Analysis*, SIAM 2003,
+    ch. 6: the local exchange theorem).  Those pairs are all the check
+    reads, in blocks by index offsets (``_local_plan``).  It returns None
+    when each has an exchange worth at least the pair, else the first
+    failing pair in lexicographic (x, y) order, x < y, as an
+    ``MnatCounterexample``.  The pairs whose lifted difference moves four
+    distinct items stay in the check although no sampled table needed
+    them: no cited theorem lets a check drop them.
 
-    When that bound fits the budget the scan cannot be refused, and the
-    axiom is first checked locally.  Lifted by x~ = (-Σx, x), a valuation
-    on the box is M♮-concave iff its lift is M-concave on the lifted box,
-    an M-convex set, and there M-concavity is decided by the exchange
-    condition on pairs with ‖x~ - y~‖₁ = 4 alone (Murota, *Discrete Convex
-    Analysis*, SIAM 2003, ch. 6: the local exchange theorem).  A local
-    pass is therefore the scan's None; a local failure runs the scan, which
-    finds the first witness.  When the bound exceeds the budget only the
-    scan runs.  Every outcome -- None, witness or budget error -- is thus the
-    definition's at every budget.
+    Before any value is read the budget is charged the box volume, then the
+    check's reads in closed form (``_local_charge``); either over the
+    budget raises BudgetExceededError.
     """
     u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
             f"verification box volume {volume} exceeds budget {budget}")
+    reads = _local_charge(u)
+    if reads > budget:
+        raise BudgetExceededError(
+            f"exchange check needs {reads} reads, budget is {budget}")
     worth = _box_worths(v)
-    if _scan_bound(u) <= budget and _locally_exchangeable(u, worth):
+    if _locally_exchangeable(u, worth):
         return None
-    return _pair_scan(u, worth, budget)
-
-
-def _scan_bound(u: Bundle) -> int:
-    """Most that ``_pair_scan`` can charge on the box [0, u].
-
-    With r_j = u_j + 1 and V = Π r_j, a_j = (V/r_j)²·C(r_j, 2) pairs have
-    x_j > y_j, and (V/(r_j·r_k))²·C(r_j, 2)·C(r_k, 2) = a_j·a_k / V² have
-    also x_k < y_k (j ≠ k).
-    """
-    volume = box_volume(u)
-    a = [(volume // (c + 1)) ** 2 * (c + 1) * c // 2 for c in u]
-    pairs = sum(a) + (sum(a) ** 2 - sum(t * t for t in a)) // volume ** 2
-    return volume + 2 * pairs
+    return _first_unexchangeable(u, worth)
 
 
 @lru_cache(maxsize=8)
-def _local_plan(u: Bundle) -> tuple:
-    """Flat-index reads of the local exchange check on the box [0, u].
+def _local_steps(u: Bundle) -> tuple:
+    """The differences of the pairs the local exchange check reads on the
+    box [0, u].
 
-    Each unordered lifted difference x~ - y~ = e_P - e_Q, with P and Q
-    disjoint 2-multisets of {0..n} (0 the lifted coordinate), is listed
-    once.  Its x form a sub-box, and y = x - P + Q and the exchanges
-    x~ - e_i + e_j, y~ + e_i - e_j (i in P, j in Q) sit at fixed offsets
-    from x, inside the box because it is M♮-convex.  Exchanges that read
-    the same two bundles are kept once, which leaves one or two per pair.
-    Pairs are grouped by that number; a group is
-    (get x, get y, ((get x', get y') per exchange)).  The plan holds no
-    more indices than ``_scan_bound(u)``.
+    A pair at lifted distance 4 has x~ - y~ = e_P - e_Q for disjoint
+    2-multisets P and Q of {0..n}, 0 the lifted coordinate.  Each unordered
+    pair is listed once, by d = y - x on the items lexicographically
+    positive, in ascending order of d.  A d whose pairs fit the box is
+    listed as (d, the sides of the sub-box of its x, the index offsets from
+    x of x, y and each move's two bundles).  A move is an exchange
+    x~ - e_i + e_j, y~ + e_i - e_j (i in P, j in Q); those reading the same
+    two bundles are kept once, which leaves one or two per d.  All lie in
+    the box, as it is M♮-convex.
     """
     n = len(u)
     stride = strides([c + 1 for c in u])
     lift = [0] + stride
-    halves = combinations_with_replacement(range(n + 1), 2)
-    groups: dict[int, list[list[int]]] = {}
-    for P, Q in combinations(halves, 2):
-        step = [0] * (n + 1)
-        for i in P:
-            step[i] -= 1
-        for j in Q:
-            step[j] += 1
-        sides = [range(max(0, -step[k + 1]), c + 1 - max(0, step[k + 1]))
-                 for k, c in enumerate(u)]
-        if set(P) & set(Q) or not all(sides):
+    steps = []
+    for P, Q in permutations(combinations_with_replacement(range(n + 1), 2), 2):
+        d = tuple(Q.count(k) - P.count(k) for k in range(1, n + 1))
+        if set(P) & set(Q) or d < (0,) * n:
             continue
-        dy = sum(s * t for s, t in zip(step, lift))
-        moves = {tuple(sorted((lift[j] - lift[i], dy + lift[i] - lift[j])))
-                 for i in P for j in Q}
-        offsets = [0, dy, *chain.from_iterable(sorted(moves))]
-        cols = groups.setdefault(len(moves), [[] for _ in offsets])
+        sides = [range(max(0, -t), c + 1 - max(0, t)) for t, c in zip(d, u)]
+        dy = sum(map(mul, stride, d))
+        moves = {tuple(sorted((lift[j] - lift[i], dy + lift[i] - lift[j]))) for i in P for j in Q}
+        if all(sides):
+            steps.append((d, sides, [0, dy, *chain(*sorted(moves))]))
+    return tuple(sorted(steps, key=itemgetter(0)))
+
+
+@lru_cache(maxsize=8)
+def _local_charge(u: Bundle) -> int:
+    """Reads of ``_local_plan(u)``: each x of a difference's sub-box reads
+    one value per offset."""
+    return sum(prod(map(len, sides)) * len(offsets) for _, sides, offsets in _local_steps(u))
+
+
+@lru_cache(maxsize=8)
+def _local_plan(u: Bundle) -> tuple:
+    """Flat-index reads of the local exchange check on the box [0, u]: the
+    pairs of ``_local_steps(u)``, grouped by their number of moves.  A group
+    is (get x, get y, ((get x', get y') per move))."""
+    stride = strides([c + 1 for c in u])
+    groups: dict[int, list[list[int]]] = {}
+    for _, sides, offsets in _local_steps(u):
+        cols = groups.setdefault(len(offsets), [[] for _ in offsets])
         for x in product(*sides):
-            ix = sum(s * t for s, t in zip(stride, x))
+            ix = sum(map(mul, stride, x))
             for col, off in zip(cols, offsets):
                 col.append(ix + off)
     plan = []
     for cols in groups.values():
-        if len(cols[0]) == 1:  # itemgetter of one index returns no tuple
-            cols = [col * 2 for col in cols]
-        get = [itemgetter(*col) for col in cols]
+        get = [getter(col) for col in cols]
         plan.append((get[0], get[1], tuple(zip(get[2::2], get[3::2]))))
     return tuple(plan)
 
@@ -328,71 +330,17 @@ def _locally_exchangeable(u: Bundle, worth: list[int]) -> bool:
     return True
 
 
-def _pair_scan(u: Bundle, worth: list[int], budget: int) -> MnatCounterexample | None:
-    """The exhaustive pair-by-pair exchange check of ``verify_mnat_exc``.
-
-    ``worth`` lists v over the box [0, u] in lexicographic order, and each
-    exchange x - chi_j + chi_k, y + chi_j - chi_k is read at mixed-radix
-    index offsets.  Which items j may move and which k may come back depend
-    only on the difference d = x - y, so those offsets are listed once per
-    difference class, the first time a pair needs it: a check refused after
-    a few rows of x lists only the classes those rows met.  The charge
-    starts at the box volume and adds two per exchange attempt (items k
-    before the drop option k=0), charged before the attempt is read.  It
-    only grows, so comparing it with the budget once per x and before a
-    witness is returned gives the same witness, None or budget error as
-    comparing it at every attempt.
-    """
-    spent = len(worth)
-    bundles = list(iter_box(u))
-    n = len(u)
-    # x sits at index sum_c stride_c * x_c; d = x - y has the class key
-    # key[x] - key[y] + zero.
-    stride = strides([c + 1 for c in u])
-    key, zero = difference_keys(bundles, u)
-    moves = [(j, stride[j]) for j in range(n)]
-    # Class key -> ((j, stride_j) for x_j > y_j, (stride_k for x_k < y_k)),
-    # or () when no item j has x_j > y_j.  Equal item lists are stored once.
-    classes: dict[int, tuple] = {}
-    shared: dict[tuple, tuple] = {}
-    known = classes.get
-    for ix, x in enumerate(bundles):
-        wx = worth[ix]
-        row = zero + key[ix]
-        for iy, ky in enumerate(key):
-            cls = known(row - ky)
-            if cls is None:
-                y = bundles[iy]
-                up = tuple(moves[j] for j in range(n) if x[j] > y[j])
-                if up:
-                    down = tuple(stride[k] for k in range(n) if x[k] < y[k])
-                    cls = (shared.setdefault(up, up), shared.setdefault(down, down))
-                else:
-                    cls = ()
-                classes[row - ky] = cls
-            if not cls:
-                continue
-            up, down = cls
-            need = wx + worth[iy]
-            for j, sj in up:
-                # x - chi_j and y + chi_j; each k then moves a unit back.
-                ax = ix - sj
-                ay = iy + sj
-                for sk in down:
-                    spent += 2
-                    if worth[ax + sk] + worth[ay - sk] >= need:
-                        break
-                else:
-                    spent += 2
-                    if worth[ax] + worth[ay] < need:
-                        if spent > budget:
-                            raise BudgetExceededError(
-                                f"exchange check exceeded budget {budget}")
-                        return MnatCounterexample(x=x, y=bundles[iy], i=j + 1)
-        if spent > budget:
-            raise BudgetExceededError(
-                f"exchange check exceeded budget {budget}")
-    return None
+def _first_unexchangeable(u: Bundle, worth: list[int]) -> MnatCounterexample:
+    """The first pair in lexicographic (x, y) order that fails the local
+    exchange condition; ``_locally_exchangeable`` found that one does."""
+    for ix, x in enumerate(iter_box(u)):
+        for d, sides, (_, dy, *moves) in _local_steps(u):
+            if all(map(contains, sides, x)):
+                need = worth[ix] + worth[ix + dy]
+                if all(worth[ix + a] + worth[ix + b] < need
+                       for a, b in zip(moves[::2], moves[1::2])):
+                    return MnatCounterexample(x=x, y=tuple(map(add, x, d)))
+    raise ContractError("the local exchange check failed at no pair")
 
 
 @dataclass(frozen=True)
@@ -409,8 +357,9 @@ def verify_monotone_normalized(v: Valuation, *,
     """Check v(0) = 0 and componentwise monotonicity over v's own box.
 
     The budget is charged volume * (n + 1) evaluations up front.  The box is
-    evaluated once into a flat list in lexicographic order, and each x + chi_j
-    is read at a stride offset; witnesses come in (x, ascending j) order.
+    evaluated once into a flat list in lexicographic order and checked in
+    one pass by stride offsets (``_nondecreasing``); only a failure runs the
+    loop over x and ascending j that finds the first witness.
     """
     u = v.box()
     volume = box_volume(u)
@@ -422,6 +371,8 @@ def verify_monotone_normalized(v: Valuation, *,
     if worth[0] != 0:
         return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
     stride = strides([c + 1 for c in u])
+    if _nondecreasing(stride, u, worth):
+        return None
     for ix, x in enumerate(iter_box(u)):
         wx = worth[ix]
         for j in range(n):
@@ -429,7 +380,17 @@ def verify_monotone_normalized(v: Valuation, *,
                 return MonotonicityCounterexample(
                     x=x, i=j + 1,
                     message=f"v decreases from {x} when adding item {j + 1}")
-    return None
+    raise ContractError("the monotonicity pass failed at no bundle")
+
+
+def _nondecreasing(stride: list[int], u: Bundle, worth: list[int]) -> bool:
+    """Whether worth[x] <= worth[x + chi_j] wherever x_j < u_j.  Along item
+    j, of stride s, x + chi_j sits s indices after x, and in each block of
+    s * (u_j + 1) indices the first s * u_j have x_j < u_j."""
+    for s, c in zip(stride, u):
+        if not all(compress(map(le, worth, worth[s:]), cycle([True] * (s * c) + [False] * s))):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

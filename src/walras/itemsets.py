@@ -7,7 +7,8 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def mask_from_items(items: Iterable[int], n: int) -> int:
@@ -86,6 +87,13 @@ def strides(radices: Sequence[int]) -> list[int]:
     return out
 
 
+def getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``itemgetter(*indices)``, which returns a tuple also for one index."""
+    if len(indices) == 1:
+        return lambda seq: (seq[indices[0]],)
+    return itemgetter(*indices)
+
+
 @lru_cache(maxsize=1)
 def corner_indices(n: int) -> tuple[int, ...]:
     """For every mask over n coordinates, the lexicographic index of the
@@ -93,13 +101,3 @@ def corner_indices(n: int) -> tuple[int, ...]:
     axes: coordinate k, bit k of the mask, has place value 2^(n - 1 - k).
     Kept for the latest n."""
     return tuple(subset_sums(strides([2] * n), n))
-
-
-def difference_keys(points: Sequence[Sequence[int]],
-                    widths: Sequence[int]) -> tuple[list[int], int]:
-    """``(key, zero)`` for the points of a box with side ``widths[c]`` along
-    coordinate c: ``points[i] - points[j]`` sits at lexicographic index
-    ``key[i] - key[j] + zero`` of the box [-widths, widths]."""
-    dstride = strides([2 * w + 1 for w in widths])
-    key = [sum(t * c for t, c in zip(dstride, x)) for x in points]
-    return key, sum(t * w for t, w in zip(dstride, widths))

@@ -20,15 +20,15 @@ import enum
 import functools
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import prod
-from operator import add, ge, itemgetter
+from operator import add, ge
 from typing import Callable, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import PriceVector
-from .itemsets import chi_add, corner_indices, difference_keys, strides
+from .itemsets import chi_add, corner_indices, getter, strides
 
 _SEED_LIMIT = 1 << 64
 
@@ -109,32 +109,34 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class LnatCounterexample:
-    """Pair of points and a shift violating discrete midpoint convexity."""
+    """Witness that a function is not L♮-convex on a box: points ``p`` <
+    ``q`` (lexicographically) of the box with 1 <= ‖q - p‖∞ <= 2 and
+    g(p) + g(q) < g(ceil((p + q)/2)) + g(floor((p + q)/2)), a failure of
+    discrete midpoint convexity at a pair the local check reads (see
+    ``is_lnat_convex_on_box``)."""
 
     p: PriceVector
     q: PriceVector
-    lam: int
 
 
 def is_lnat_convex_on_box(g: FunctionOracle,
                           box: tuple[PriceVector, PriceVector] | None = None, *,
                           budget: int = 2_000_000) -> LnatCounterexample | None:
-    """Discrete-midpoint-convexity check over a box.
+    """Decide whether g is L♮-convex on a box, by one local check.
 
-    Returns the first violation of g(p) + g(q) >= g(min(p + lam, q)) +
-    g(max(p, q - lam)) in lexicographic (p, q, shift) order over every
-    in-box pair and every shift 0..diameter, or None.  The budget is charged
-    volume^2 * (diameter + 1) tests before any value is read; the box's
-    values are then read in one ``g.grid`` call.
+    A function whose effective domain is L♮-convex, as a box is, is
+    L♮-convex iff g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2))
+    holds on the pairs with ‖p - q‖∞ <= 2 (Murota, *Discrete Convex
+    Analysis*, SIAM 2003, ch. 7).  Those pairs, each once with q - p
+    lexicographically positive, are all the check reads, in blocks by index
+    offsets (``_locally_midpoint_convex``).  It returns None when every one
+    holds, else the first failing (p, q) in lexicographic order as an
+    ``LnatCounterexample``.
 
-    When every box value is finite, a pass is first certified locally.  A
-    function whose effective domain is L♮-convex, as a box is, is L♮-convex
-    iff g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2)) holds on the
-    pairs with ‖p - q‖∞ <= 2 (Murota, *Discrete Convex Analysis*, SIAM 2003,
-    ch. 7), and L♮-convexity of g on the box is what the scan decides.  A local pass is therefore the
-    scan's None.  A local failure, or a None value in the box, runs the
-    exhaustive scan (``_midpoint_scan``), which finds the first witness, so
-    every outcome -- None, witness or budget error -- is the definition's.
+    The budget is charged the number of those pairs in closed form
+    (``_midpoint_charge``) before any value is read; the box's values are
+    then read in one ``g.grid`` call.  The theorem needs the box inside g's
+    domain, so a None value raises ValueError naming the first such point.
     """
     if box is None:
         box = g.box
@@ -144,17 +146,28 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
         raise ValueError("box bounds must be two n-vectors with lo <= hi")
     widths = [b - a for a, b in zip(lo, hi)]
-    volume = prod(w + 1 for w in widths)
-    diameter = max(widths)
-    work = volume * volume * (diameter + 1)
-    if work > budget:
+    pairs = _midpoint_charge(widths)
+    if pairs > budget:
         raise BudgetExceededError(
-            f"convexity check needs {work} inequality tests, budget is {budget}")
+            f"convexity check needs {pairs} inequality tests, budget is {budget}")
     axes = [range(a, b + 1) for a, b in zip(lo, hi)]
     vals = g.grid(axes)
-    if None not in vals and _locally_midpoint_convex(widths, vals):
+    if None in vals:
+        point = next(islice(product(*axes), vals.index(None), None))
+        raise ValueError(f"the box leaves the function's domain at {point}")
+    if _locally_midpoint_convex(widths, vals):
         return None
-    return _midpoint_scan(list(product(*axes)), vals, widths)
+    p, q = _first_midpoint_failure(widths, vals)
+    return LnatCounterexample(p=tuple(map(add, lo, p)), q=tuple(map(add, lo, q)))
+
+
+def _midpoint_charge(widths: list[int]) -> int:
+    """Pairs p < q of the box [0, widths] with ‖q - p‖∞ <= 2.  Along a
+    coordinate of r points, r - |t| of them (none if not positive) step by
+    t, so the (p, q) with ‖q - p‖∞ <= 2 number Π_c Σ_{|t| <= 2} (r_c - |t|);
+    less the volume's p = q, they come in (p, q), (q, p) twins."""
+    steps = prod(sum(max(0, w + 1 - abs(t)) for t in range(-2, 3)) for w in widths)
+    return (steps - prod(w + 1 for w in widths)) // 2
 
 
 def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
@@ -179,11 +192,9 @@ def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
                          (_rising(lead), _columns([every for _, _, every in tail]))):
         if not plan[0]:
             continue
-        if len(plan[0]) == 1:  # itemgetter of one index returns no tuple
-            plan = [col * 2 for col in plan]
-        get = [itemgetter(*col) for col in plan]
+        get = [getter(col) for col in plan]
         for starts in zip(*blocks):
-            gp, gq, gc, gf = (getter(vals[b:b + size]) for getter, b in zip(get, starts))
+            gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
             if not all(map(ge, map(add, gp, gq), map(add, gc, gf))):
                 return False
     return True
@@ -218,46 +229,23 @@ def _rising(moves: list[tuple]) -> list[list[int]]:
     return cols
 
 
-def _midpoint_scan(points: list[PriceVector], vals: list[int | None],
-                   widths: list[int]) -> LnatCounterexample | None:
-    """The exhaustive pair scan of ``is_lnat_convex_on_box`` over the box
-    ``points``, with ``vals`` its values in the same order.
-
-    Shifts at or past max_c(q_c - p_c) are skipped: there the shifted pair
-    is (q, p) itself, so the inequality holds by identity (and a None value
-    at p or q never makes a violation).
-    """
-    volume = len(points)
-    # A point x sits at index sum_c stride_c * (x_c - lo_c).  For d = q - p,
-    # a = min(p + lam, q) sits at index(p) + sum_c stride_c * min(lam, d_c)
-    # and b = max(p, q - lam) at index(p) + index(q) - index(a).  Those
-    # offsets depend on d alone, so they are listed once per difference
-    # vector, for the shifts below max(d); d is found at key[q] - key[p] + zero.
+def _first_midpoint_failure(widths: list[int], vals: list[int]) -> tuple:
+    """The first (p, q) in lexicographic order, over the box [0, widths],
+    that fails the inequality ``_locally_midpoint_convex`` found failing.
+    Along coordinate c, of stride s, the steps t from p_c that stay in the
+    box have index parts s * (t, ceil(t/2), floor(t/2)), so only the pairs
+    of the check are listed, in order of q."""
     stride = strides([w + 1 for w in widths])
-    shifts = []
-    for d in product(*(range(-w, w + 1) for w in widths)):
-        shifts.append([sum(s * min(lam, dc) for s, dc in zip(stride, d))
-                       for lam in range(max(d))])
-    key, zero = difference_keys(points, widths)
-    for ip, p in enumerate(points):
-        gp = vals[ip]
-        if gp is None:
-            continue
-        row = zero - key[ip]
-        for iq in range(volume):
-            offsets = shifts[row + key[iq]]
-            if not offsets:
-                continue
-            gq = vals[iq]
-            if gq is None:
-                continue
-            lhs = gp + gq
-            for lam, off in enumerate(offsets):
-                ga = vals[ip + off]
-                gb = vals[iq - off]
-                if ga is None or gb is None or lhs < ga + gb:
-                    return LnatCounterexample(p=p, q=points[iq], lam=lam)
-    return None
+    parts = [[[(t, s * t, s * -(-t // 2), s * (t // 2))
+               for t in range(max(-2, -a), min(2, w - a) + 1)] for a in range(w + 1)]
+             for s, w in zip(stride, widths)]
+    zero = (0,) * len(widths)
+    for ip, p in enumerate(product(*(range(w + 1) for w in widths))):
+        for choice in product(*(part[a] for part, a in zip(parts, p))):
+            d, q, c, f = zip(*choice)
+            if d > zero and vals[ip] + vals[ip + sum(q)] < vals[ip + sum(c)] + vals[ip + sum(f)]:
+                return p, tuple(map(add, p, d))
+    raise ContractError("the local midpoint check failed at no pair")
 
 
 def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:

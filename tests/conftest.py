@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -153,3 +154,72 @@ def column_prices(draw, inst: Instance) -> tuple[int, ...]:
                 edges.update(c for c in (w - 1, w, w + 1) if c >= 0)
         p.append(draw(st.sampled_from(sorted(edges))))
     return tuple(p)
+
+
+def complements_table_market(rng: random.Random) -> Instance:
+    """A market whose bidder 0 is a table that sees two random items as
+    complements: a separable valuation plus a bonus for holding both, which
+    breaks the exchange axiom but keeps the table monotone.  Beside it bids
+    a separable bidder."""
+    n = rng.randint(2, 3)
+    u = tuple(rng.randint(1, 2) for _ in range(n))
+    i, j = rng.sample(range(n), 2)
+    base = random_separable_valuation(rng, u)
+    bonus = rng.randint(1, 9)
+    table = Valuation.from_table({x: evaluate(base, x) + bonus * (x[i] > 0 and x[j] > 0)
+                                  for x in iter_box(u)})
+    return Instance(model="multi", n=n, u=u,
+                    valuations=(table, random_separable_valuation(rng, u)))
+
+
+def lift(x):
+    """Bundle x as (-Σx, x), in the lifted coordinates 0..n."""
+    return (-sum(x),) + tuple(x)
+
+
+def breaks_local_exchange(v, x, y):
+    """Whether bundles x < y break the local exchange condition as
+    ``MnatCounterexample`` states it: their lifts (-Σx, x) lie at
+    ‖·‖₁ = 4, and no exchange x~ - e_i + e_j, y~ + e_i - e_j with
+    x~_i > y~_i and x~_j < y~_j (index 0 the lifted coordinate) keeps
+    v(x) + v(y)."""
+    lx, ly = lift(x), lift(y)
+    diff = [a - b for a, b in zip(lx, ly)]
+    if not x < y or sum(map(abs, diff)) != 4:
+        return False
+    need = evaluate(v, x) + evaluate(v, y)
+    for i, j in product(range(len(diff)), repeat=2):
+        if diff[i] > 0 and diff[j] < 0:
+            xx, yy = list(lx), list(ly)
+            xx[i] -= 1
+            xx[j] += 1
+            yy[i] += 1
+            yy[j] -= 1
+            if evaluate(v, tuple(xx[1:])) + evaluate(v, tuple(yy[1:])) >= need:
+                return False
+    return True
+
+
+def breaks_midpoint(g, p, q):
+    """Whether points p < q break the local inequality as
+    ``LnatCounterexample`` states it: ‖q - p‖∞ <= 2 and g(p) + g(q) <
+    g(ceil((p + q)/2)) + g(floor((p + q)/2))."""
+    if not p < q or max(abs(b - a) for a, b in zip(p, q)) > 2:
+        return False
+    up = tuple(-(-(a + b) // 2) for a, b in zip(p, q))
+    down = tuple((a + b) // 2 for a, b in zip(p, q))
+    return g.fn(p) + g.fn(q) < g.fn(up) + g.fn(down)
+
+
+class CountingList(list):
+    """A list that counts its item reads, in its slices too."""
+
+    def __init__(self, items, counter=None):
+        super().__init__(items)
+        self.counter = [0] if counter is None else counter
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return CountingList(super().__getitem__(key), self.counter)
+        self.counter[0] += 1
+        return super().__getitem__(key)

@@ -10,14 +10,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (random_multi_instance, random_separable_valuation,
-                      random_unit_instance, tabulate)
+from conftest import (breaks_local_exchange, complements_table_market, random_multi_instance,
+                      random_separable_valuation, random_unit_instance, tabulate)
 from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instance,
                     LyapunovOracle, MultiAllocation, StrategyKind, UnitAllocation,
                     Valuation, allocation_certifies, ascending_auction,
                     equilibrium_prices_by_enumeration, extract_allocation,
                     WalrasError, is_excess_demand, is_overdemanded, mu,
-                    price_cap, unit_demand_set, verify_equilibrium)
+                    price_cap, unit_demand_set, verify_equilibrium, verify_mnat_exc)
 from walras.oracle import excess_demand_table
 from walras.auction import _extract_multi
 from walras.demand import DemandCache
@@ -221,6 +221,21 @@ class TestAdmission:
             ascending_auction(inst, oracle=small, budget=3)
         assert calls == [1000, 1000, 3]
         assert not small.admitted
+
+    def test_admission_error_names_a_local_witness(self):
+        """The refusal names the verifier's witness, a pair that breaks the
+        local exchange condition as printed."""
+        from walras.errors import ConvexityError
+        rng = random.Random(37)
+        for _ in range(20):
+            inst = complements_table_market(rng)
+            with pytest.raises(ConvexityError) as refusal:
+                ascending_auction(inst)
+            bad = verify_mnat_exc(inst.valuations[0])
+            assert str(refusal.value) == (
+                f"valuations[0] violates the substitutes exchange property: "
+                f"x={bad.x} y={bad.y}")
+            assert breaks_local_exchange(inst.valuations[0], bad.x, bad.y)
 
     def test_rejected_oracle_is_not_admitted(self, mnat_calls):
         from walras.errors import ConvexityError

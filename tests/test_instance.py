@@ -11,110 +11,58 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (EX21_JSON, make_ex21, random_multi_instance,
-                      random_separable_valuation, random_unit_instance,
-                      tabulate)
+from conftest import (EX21_JSON, CountingList, breaks_local_exchange, make_ex21,
+                      random_multi_instance, random_separable_valuation,
+                      random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     MnatCounterexample, MonotonicityCounterexample, Valuation,
                     evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
-from walras.instance import (DEFAULT_BUDGET, _as_int, _as_nonneg_int, _local_plan,
+from walras.instance import (DEFAULT_BUDGET, _as_int, _as_nonneg_int, _local_charge,
                              _locally_exchangeable, _plain_entries, _plain_table,
-                             _scan_bound, box_volume, iter_box)
-from walras.itemsets import difference_keys
+                             box_volume, iter_box)
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def exchange_twin(v, *, budget=DEFAULT_BUDGET):
-    """Definitional twin of ``verify_mnat_exc``: every exchange is built as a
-    bundle tuple and looked up by key, in the same order and at the same
-    budget charge."""
-    u = v.box()
-    volume = box_volume(u)
-    if volume > budget:
-        raise BudgetExceededError(
-            f"verification box volume {volume} exceeds budget {budget}")
-    spent = volume
-    bundles = list(iter_box(u))
+def exchange_twin(v):
+    """Definitional twin of ``verify_mnat_exc``: the gross-substitutes
+    exchange axiom pair by pair over the whole box, every exchange built as a
+    bundle tuple and looked up by key.  Returns the first violating (x, y, i)
+    in lexicographic (x, y, ascending i) order: x_i > y_i, and moving a unit
+    of item i from x to y, with or without one unit of an item k with
+    x_k < y_k coming back, never keeps v(x) + v(y).  None when the axiom
+    holds."""
+    bundles = list(iter_box(v.box()))
     worth = {x: evaluate(v, x) for x in bundles}
-    n = len(u)
+    n = len(v.box())
     for x in bundles:
-        wx = worth[x]
         for y in bundles:
-            wy = worth[y]
-            need = wx + wy
-            up = [j for j in range(n) if x[j] > y[j]]
-            if not up:
-                continue
-            down = [j for j in range(n) if x[j] < y[j]]
-            for j in up:
-                ok = False
+            need = worth[x] + worth[y]
+            down = [k for k in range(n) if x[k] < y[k]]
+            for j in (j for j in range(n) if x[j] > y[j]):
                 for k in down + [None]:
-                    xx = list(x)
-                    yy = list(y)
+                    xx, yy = list(x), list(y)
                     xx[j] -= 1
                     yy[j] += 1
                     if k is not None:
                         xx[k] += 1
                         yy[k] -= 1
-                    spent += 2
-                    if spent > budget:
-                        raise BudgetExceededError(
-                            f"exchange check exceeded budget {budget}")
                     if worth[tuple(xx)] + worth[tuple(yy)] >= need:
-                        ok = True
-                        break
-                if not ok:
-                    return MnatCounterexample(x=x, y=y, i=j + 1)
-    return None
-
-
-def index_twin(v, *, budget=DEFAULT_BUDGET):
-    """The flat-list scan ``verify_mnat_exc`` ran before difference classes:
-    it lists the moving items for every (x, y) pair and compares the charge
-    with the budget at every attempt."""
-    u = v.box()
-    volume = box_volume(u)
-    if volume > budget:
-        raise BudgetExceededError(
-            f"verification box volume {volume} exceeds budget {budget}")
-    spent = volume
-    bundles = list(iter_box(u))
-    worth = [evaluate(v, x) for x in bundles]
-    n = len(u)
-    stride = [1] * n
-    for j in range(n - 1, 0, -1):
-        stride[j - 1] = stride[j] * (u[j] + 1)
-    for ix, x in enumerate(bundles):
-        wx = worth[ix]
-        for iy, y in enumerate(bundles):
-            up = [j for j in range(n) if x[j] > y[j]]
-            if not up:
-                continue
-            need = wx + worth[iy]
-            down = [stride[k] for k in range(n) if x[k] < y[k]]
-            for j in up:
-                ax = ix - stride[j]
-                ay = iy + stride[j]
-                for sk in down:
-                    spent += 2
-                    if spent > budget:
-                        raise BudgetExceededError(
-                            f"exchange check exceeded budget {budget}")
-                    if worth[ax + sk] + worth[ay - sk] >= need:
                         break
                 else:
-                    spent += 2
-                    if spent > budget:
-                        raise BudgetExceededError(
-                            f"exchange check exceeded budget {budget}")
-                    if worth[ax] + worth[ay] < need:
-                        return MnatCounterexample(x=x, y=y, i=j + 1)
+                    return x, y, j + 1
     return None
+
+
+def local_exchange_failures(v):
+    """The pairs x < y of v's box that break the local exchange condition,
+    in lexicographic order."""
+    bundles = list(iter_box(v.box()))
+    return ((x, y) for x in bundles for y in bundles if breaks_local_exchange(v, x, y))
 
 
 def monotone_twin(v, *, budget=DEFAULT_BUDGET):
@@ -146,17 +94,6 @@ def _outcome(check, v, budget):
         return check(v, budget=budget)
     except BudgetExceededError as exc:
         return ("budget", str(exc))
-
-
-def bumped_table(rng):
-    """A separable table over a box with n <= 3, u <= 2, some entries raised
-    at random so that the exchange axiom may fail anywhere in the box."""
-    u = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3)))
-    base = random_separable_valuation(rng, u)
-    worth = {x: evaluate(base, x) for x in iter_box(u)}
-    for x in rng.sample(sorted(worth), min(len(worth), rng.randint(0, 3))):
-        worth[x] += rng.randint(1, 4)
-    return Valuation.from_table(worth)
 
 
 class TestParsing:
@@ -406,7 +343,7 @@ class TestExchangeVerifier:
 
     def test_complements_witness(self):
         bad = verify_mnat_exc(Valuation.from_table(COMPLEMENTS_TABLE))
-        assert bad == MnatCounterexample(x=(1, 1), y=(0, 0), i=1)
+        assert bad == MnatCounterexample(x=(0, 0), y=(1, 1))
 
     def test_unit_demand_always_holds(self, ex21):
         for v in ex21.valuations:
@@ -416,57 +353,6 @@ class TestExchangeVerifier:
         v = Valuation.separable([[1] * 30] * 4)
         with pytest.raises(BudgetExceededError):
             verify_mnat_exc(v, budget=10_000)
-
-
-class TestExchangeTwin:
-    def test_index_scan_matches_the_twin(self):
-        """Same witness, None or budget message as the tuple-by-tuple twin,
-        at random budgets and on both sides of the least budget the twin
-        completes within."""
-        rng = random.Random(57)
-        seen = set()
-        for _ in range(300):
-            v = bumped_table(rng)
-            lo, hi = 1, 10**6
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if isinstance(_outcome(exchange_twin, v, mid), tuple):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            budgets = {lo - 1, lo, lo + 1, 10**6} | {rng.randint(1, 3000) for _ in range(3)}
-            for budget in sorted(budgets - {0}):
-                want = _outcome(exchange_twin, v, budget)
-                assert _outcome(verify_mnat_exc, v, budget) == want, (v, budget)
-                seen.add(type(want))
-        assert seen == {tuple, MnatCounterexample, type(None)}
-
-    def test_classes_outnumber_the_budget(self):
-        """Boxes of 4 to 6 items with more difference classes than the
-        budget: both twins and the class scan give the same witness, None or
-        budget message at budgets between the box volume and the class count
-        (where the scan stops after a few rows) and at the default budget."""
-        rng = random.Random(83)
-        seen = set()
-        for _ in range(80):
-            n = rng.randint(4, 6)
-            u = tuple(rng.choice((1, 1, 2)) if n < 6 else 1 for _ in range(n))
-            base = random_separable_valuation(rng, u)
-            worth = {x: evaluate(base, x) for x in iter_box(u)}
-            if rng.random() < 0.5:
-                for x in rng.sample(sorted(worth), rng.randint(1, 3)):
-                    worth[x] += rng.randint(1, 4)
-            v = Valuation.from_table(worth)
-            volume = box_volume(u)
-            classes = box_volume(tuple(2 * c for c in u))
-            budgets = {volume, classes - 1, DEFAULT_BUDGET}
-            budgets |= {rng.randint(volume, classes - 1) for _ in range(3)}
-            for budget in sorted(budgets):
-                want = _outcome(exchange_twin, v, budget)
-                assert _outcome(index_twin, v, budget) == want, (worth, budget)
-                assert _outcome(verify_mnat_exc, v, budget) == want, (worth, budget)
-                seen.add((budget < classes, type(want)))
-        assert {(True, tuple), (True, MnatCounterexample), (False, type(None))} <= seen
 
 
 TABLE_KINDS = ("separable", "unit", "two-row", "two-row-bumped", "random")
@@ -504,44 +390,26 @@ def kind_table(kind, rng, u):
     return Valuation.from_table(worth)
 
 
-def worst_charge(u):
-    """The pair scan's largest possible charge, pair by pair: the volume,
-    then two per attempt, each moving item j trying every returning item k
-    and the drop."""
-    bundles = list(iter_box(u))
-    attempts = 0
-    for x in bundles:
-        for y in bundles:
-            up = sum(a > b for a, b in zip(x, y))
-            down = sum(a < b for a, b in zip(x, y))
-            attempts += up * (down + 1)
-    return len(bundles) + 2 * attempts
-
-
 class TestLocalExchange:
-    """``verify_mnat_exc`` certifies a pass by the local exchange condition
-    when the pair scan's largest charge fits the budget, and otherwise runs
-    the scan; every outcome is the definitional twin's."""
+    """``verify_mnat_exc`` decides the exchange axiom by its local check
+    alone: it passes exactly when the definitional twin does, and its
+    witness is the first pair that breaks the local condition as printed."""
 
     @staticmethod
-    def _outcomes(v):
-        """(budget, twin outcome, checker outcome) at the budgets around the
-        scan's largest charge and at the default budget.  The twin is never
-        refused at that charge, and the local condition holds exactly when
-        the twin finds no witness."""
-        bound = _scan_bound(v.box())
-        full = _outcome(exchange_twin, v, bound)
-        assert not isinstance(full, tuple)
-        assert _locally_exchangeable(v.box(), [w for _, w in v.table]) == (full is None)
-        return [(b, _outcome(exchange_twin, v, b), _outcome(verify_mnat_exc, v, b))
-                for b in sorted({bound - 1, bound, bound + 1, DEFAULT_BUDGET})]
+    def _check(v):
+        """Assert pass/fail agreement with the twin and the witness's form;
+        return the verifier's outcome."""
+        got = verify_mnat_exc(v)
+        assert (got is None) == (exchange_twin(v) is None), v.table
+        if got is not None:
+            assert breaks_local_exchange(v, got.x, got.y), (v.table, got)
+            assert (got.x, got.y) == next(local_exchange_failures(v)), (v.table, got)
+        return got
 
     @given(st.sampled_from(TABLE_KINDS), st.lists(st.integers(1, 2), min_size=1, max_size=4),
            st.integers(0, 2**32 - 1))
     def test_same_outcome_as_the_twin(self, kind, u, seed):
-        v = kind_table(kind, random.Random(seed), tuple(u))
-        for budget, want, got in self._outcomes(v):
-            assert got == want, (kind, v.table, budget)
+        self._check(kind_table(kind, random.Random(seed), tuple(u)))
 
     def test_sweep_meets_every_outcome(self):
         rng = random.Random(2003)
@@ -549,78 +417,78 @@ class TestLocalExchange:
         for t in range(600):
             kind = TABLE_KINDS[t % len(TABLE_KINDS)]
             u = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
-            v = kind_table(kind, rng, u)
-            for budget, want, got in self._outcomes(v):
-                assert got == want, (kind, v.table, budget)
-                seen.add(type(want))
-        assert seen == {tuple, MnatCounterexample, type(None)}
+            seen.add((kind, self._check(kind_table(kind, rng, u)) is None))
+        assert seen == ({(kind, True) for kind in TABLE_KINDS}
+                        | {("two-row-bumped", False), ("random", False)})
 
-    def test_bound_is_the_worst_charge(self):
-        """The closed form equals the pair-by-pair worst charge on every box
-        with n <= 3 and u <= 3, and the local plan holds fewer indices."""
+    def test_fault_seen_only_at_pairs_through_index_0(self):
+        """A table on [0, 2]^2 whose failing local pairs all change the
+        bundle size, so index 0 is in each one's lifted difference; the swap
+        (0, 2), (2, 0) holds.  The witness is the first of them, as it is on
+        one item, where every pair goes through index 0."""
+        worths = [0, 3, 6, 0, 5, 9, 3, 7, 12]
+        v = Valuation.from_table(dict(zip(iter_box((2, 2)), worths)))
+        failures = list(local_exchange_failures(v))
+        assert failures and all(sum(x) != sum(y) for x, y in failures)
+        assert not breaks_local_exchange(v, (0, 2), (2, 0))
+        assert self._check(v) == MnatCounterexample(x=(0, 0), y=(1, 1))
+        one = Valuation.from_table({(0,): 0, (1,): 1, (2,): 3})
+        assert self._check(one) == MnatCounterexample(x=(0,), y=(2,))
+        assert exchange_twin(one) == ((2,), (0,), 1)
+
+    def test_fault_planted_at_a_two_item_swap(self):
+        """Lowering v(1, 1) of a separable table on [0, 2]^2 breaks the
+        swap (0, 2), (2, 0), where no exchange moves index 0.  The
+        conditions at (0, 2), (1, 0) and at (0, 1), (2, 0), through index 0,
+        sum to the swap's, so a fault seen only at the swap cannot be
+        planted: one of them fails too.  The check reports the first failing
+        pair, which also changes the bundle size."""
+        f = (0, 4, 7)
+        worth = {x: f[x[0]] + f[x[1]] for x in iter_box((2, 2))}
+        worth[(1, 1)] -= 2
+        v = Valuation.from_table(worth)
+        assert breaks_local_exchange(v, (0, 2), (2, 0))
+        assert (breaks_local_exchange(v, (0, 2), (1, 0))
+                or breaks_local_exchange(v, (0, 1), (2, 0)))
+        assert self._check(v) == MnatCounterexample(x=(0, 1), y=(1, 2))
+
+    def test_charge_is_the_plans_reads(self):
+        """The closed-form charge equals the worths a passing check reads
+        on every box with n <= 3 and sides up to 3."""
         for n in (1, 2, 3):
-            for u in product((1, 2, 3), repeat=n):
-                bound = _scan_bound(u)
-                assert bound == worst_charge(u), u
-                volume = box_volume(u)
-                held = sum(len(get_x(range(volume))) * (2 + 2 * len(moves))
-                           for get_x, _, moves in _local_plan(u))
-                assert held <= bound, u
-        assert _scan_bound((2, 2, 2, 2)) == 35_073
-        assert _scan_bound((1,) * 5) == 5_152
+            for u in product(range(4), repeat=n):
+                worth = CountingList([0] * box_volume(u))
+                assert _locally_exchangeable(u, worth)
+                assert worth.counter[0] == _local_charge(u), u
+        assert _local_charge((2, 2, 2, 2)) == 4968
+        assert _local_charge((1,) * 5) == 1220
 
-    def test_pass_within_the_bound_skips_the_scan(self, monkeypatch):
-        import walras.instance as instance
-        calls = []
-        scan = instance._pair_scan
-
-        def counted(u, worth, budget):
-            calls.append(budget)
-            return scan(u, worth, budget)
-
-        monkeypatch.setattr(instance, "_pair_scan", counted)
+    def test_charge_refuses_before_any_read(self):
         v = tabulate(random_separable_valuation(random.Random(4), (2, 2, 2, 2)))
-        assert verify_mnat_exc(v) is None
-        assert calls == []
-        bad = verify_mnat_exc(Valuation.from_table(COMPLEMENTS_TABLE))
-        assert bad == MnatCounterexample(x=(1, 1), y=(0, 0), i=1)
-        assert calls == [DEFAULT_BUDGET]
-        assert verify_mnat_exc(v, budget=35_072) is None
-        assert calls == [DEFAULT_BUDGET, 35_072]
-
-
-class TestDifferenceKeys:
-    def test_keys_index_the_difference_box(self):
-        """Both box scans find x - y at key[x] - key[y] + zero, its
-        lexicographic index in [-widths, widths], wherever the box sits."""
-        rng = random.Random(5)
-        for _ in range(30):
-            widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-            lo = [rng.randint(-2, 4) for _ in widths]
-            points = list(product(*(range(a, a + w + 1) for a, w in zip(lo, widths))))
-            diffs = list(product(*(range(-w, w + 1) for w in widths)))
-            key, zero = difference_keys(points, widths)
-            for i, x in enumerate(points):
-                for j, y in enumerate(points):
-                    assert diffs[key[i] - key[j] + zero] == tuple(a - b for a, b in zip(x, y))
+        reads = _local_charge((2, 2, 2, 2))
+        assert verify_mnat_exc(v, budget=reads) is None
+        with pytest.raises(BudgetExceededError) as refusal:
+            verify_mnat_exc(v, budget=reads - 1)
+        assert str(refusal.value) == f"exchange check needs {reads} reads, budget is {reads - 1}"
+        with pytest.raises(BudgetExceededError, match="box volume 81 exceeds budget 80"):
+            verify_mnat_exc(v, budget=80)
 
 
 class TestExchangeMemory:
-    def test_refusing_a_13_item_table_lists_few_classes(self):
-        """A 13-item, u = 1 table runs out of the default budget after a few
-        dozen rows of x, so the classes listed by then stay few.  Listing all
-        3^13 = 1,594,323 classes up front, each with two item tuples of at
-        least 56 bytes, would need more than 170 MB; the traced peak must stay
-        under 48 MB.  The subprocess has a timeout because a scan that
-        compared its charge with the budget only at the end would visit all
-        8192^2 pairs first."""
+    def test_a_13_item_table_is_refused_before_the_plan(self):
+        """A 13-item, u = 1 table is refused by the closed-form charge
+        before ``_local_plan`` lists any index; the traced peak stays under
+        48 MB, and the subprocess has a timeout."""
         script = (
             "import tracemalloc\n"
+            "import walras.instance as instance\n"
             "from walras import BudgetExceededError, Valuation, verify_mnat_exc\n"
-            "from walras.instance import iter_box\n"
+            "def unplanned(u):\n"
+            "    raise AssertionError('the plan was built')\n"
+            "instance._local_plan = unplanned\n"
             "u = (1,) * 13\n"
             "v = Valuation.from_table(\n"
-            "    {x: sum((j + 1) * c for j, c in enumerate(x)) for x in iter_box(u)})\n"
+            "    {x: sum((j + 1) * c for j, c in enumerate(x)) for x in instance.iter_box(u)})\n"
             "tracemalloc.start()\n"
             "try:\n"
             "    verify_mnat_exc(v)\n"
@@ -633,7 +501,9 @@ class TestExchangeMemory:
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         message, peak = proc.stdout.splitlines()
-        assert message == f"exchange check exceeded budget {DEFAULT_BUDGET}"
+        reads = _local_charge((1,) * 13)
+        assert reads > DEFAULT_BUDGET
+        assert message == f"exchange check needs {reads} reads, budget is {DEFAULT_BUDGET}"
         assert int(peak) < 48 * 2**20, int(peak)
 
 
@@ -718,10 +588,10 @@ class TestRandomized:
 class TestFamilyValuationsAreSubstitutes:
     """Unit-demand and separable-concave valuations are M♮-concave by
     theorem (Murota 2003, ch. 6), which is why ``walras verify`` checks only
-    explicit tables; the exhaustive pair scan agrees on small boxes."""
+    explicit tables; the definitional twin agrees on small boxes."""
 
     @given(st.data())
-    def test_exhaustive_scan_passes(self, data):
+    def test_twin_passes(self, data):
         n = data.draw(st.integers(1, 3))
         if data.draw(st.booleans()):
             v = Valuation.unit_demand(data.draw(st.lists(st.integers(0, 9), min_size=n,

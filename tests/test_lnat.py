@@ -9,7 +9,8 @@ from operator import and_
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multi_instance, random_unit_instance, tabulate
+from conftest import (CountingList, breaks_midpoint, make_two_bidder_multi,
+                      random_multi_instance, random_unit_instance, tabulate)
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
@@ -42,10 +43,7 @@ class TestConvexityVerifier:
         assert is_lnat_convex_on_box(g, ((0, 0, 0), (2, 2, 2))) is None
 
     def test_supermodular_counterexample(self):
-        bad = is_lnat_convex_on_box(SUPERMODULAR)
-        assert bad is not None
-        assert bad.lam == 0
-        assert {bad.p, bad.q} == {(0, 1), (1, 0)}
+        assert is_lnat_convex_on_box(SUPERMODULAR) == LnatCounterexample(p=(0, 1), q=(1, 0))
 
     def test_linear_function_holds(self):
         g = FunctionOracle(n=2, fn=lambda p: 3 * p[0] + 5 * p[1],
@@ -63,87 +61,29 @@ class TestConvexityVerifier:
             is_lnat_convex_on_box(g)
 
 
-class TestMidpointTwin:
-    @staticmethod
-    def _outcome(check, g, box, budget):
-        try:
-            return check(g, box, budget=budget)
-        except BudgetExceededError as exc:
-            return ("budget", str(exc))
-
-    def test_index_scan_matches_the_twin(self):
-        """Same counterexample, None or budget message as the twin, on cut
-        and perturbed midpoint-convex functions over boxes with lo > 0."""
-        rng = random.Random(61)
-        seen = set()
-        for _ in range(200):
-            n = rng.randint(1, 3)
-            lo = tuple(rng.randint(1, 3) for _ in range(n))
-            hi = tuple(a + rng.randint(0, 3 if n < 3 else 2) for a in lo)
-            g = perturbed_convex(rng, lo, hi)
-            work = prod(b - a + 1 for a, b in zip(lo, hi)) ** 2 * (max(
-                b - a for a, b in zip(lo, hi)) + 1)
-            budget = rng.choice((10**6, 10**6, work, work - 1))
-            want = self._outcome(midpoint_twin, g, (lo, hi), budget)
-            assert self._outcome(is_lnat_convex_on_box, g, (lo, hi), budget) == want, \
-                (lo, hi, budget)
-            seen.add(type(want))
-        assert seen == {tuple, LnatCounterexample, type(None)}
-
-    def test_index_scan_matches_the_twin_on_lyapunov_adapters(self):
-        """Lyapunov adapters of table markets (None at negative prices),
-        as ``verify`` runs them, and with boxes reaching below zero."""
-        rng = random.Random(67)
-        for _ in range(25):
-            inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3)
-            if rng.random() < 0.5:
-                inst = Instance(model="multi", n=inst.n, u=inst.u,
-                                valuations=tuple(tabulate(v) for v in inst.valuations))
-            g = LyapunovOracle(inst).function_oracle()
-            lo = tuple(rng.randint(-2, 2) for _ in range(inst.n))
-            hi = tuple(a + rng.randint(0, 4) for a in lo)
-            want = midpoint_twin(g, (lo, hi))
-            assert is_lnat_convex_on_box(g, (lo, hi)) == want, (inst, lo, hi)
-
-
 class TestLocalMidpointCheck:
-    """The pass path of ``is_lnat_convex_on_box``: midpoint convexity on the
-    pairs at infinity-distance at most 2 certifies a box of finite values,
-    and every other outcome comes from the exhaustive scan."""
+    """``is_lnat_convex_on_box`` decides L♮-convexity on a box inside the
+    domain by its local check alone: it passes exactly when the definitional
+    twin does, its witness is the first pair that breaks the local
+    inequality as printed, and a box leaving the domain is refused."""
 
     @staticmethod
-    def _traced(g, box):
-        """The check's outcome and, in order, its local results and scans."""
-        calls = []
-        local, scan = lnat._locally_midpoint_convex, lnat._midpoint_scan
-
-        def counted_local(widths, vals):
-            calls.append(local(widths, vals))
-            return calls[-1]
-
-        def counted_scan(points, vals, widths):
-            calls.append("scan")
-            return scan(points, vals, widths)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lnat, "_locally_midpoint_convex", counted_local)
-            mp.setattr(lnat, "_midpoint_scan", counted_scan)
-            return is_lnat_convex_on_box(g, box), calls
-
-    def _check(self, g, box):
-        """Assert the twin's outcome and the path taken; return the outcome
-        and whether the box held a None."""
-        got, calls = self._traced(g, box)
-        want = midpoint_twin(g, box)
-        assert got == want, box
-        holes = any(g.fn(p) is None for p in product(*(range(a, b + 1) for a, b in zip(*box))))
+    def _check(g, box):
+        """Assert the outcome against the twin; return it, or "domain" when
+        the box holds a None."""
+        points = list(product(*(range(a, b + 1) for a, b in zip(*box))))
+        holes = [p for p in points if g.fn(p) is None]
         if holes:
-            assert calls == ["scan"], box
-        elif want is None:
-            assert calls == [True], box
-        else:
-            assert calls == [False, "scan"], box
-        return want, holes
+            with pytest.raises(ValueError) as refusal:
+                is_lnat_convex_on_box(g, box)
+            assert str(refusal.value) == f"the box leaves the function's domain at {holes[0]}"
+            return "domain"
+        got = is_lnat_convex_on_box(g, box)
+        assert (got is None) == (midpoint_twin(g, box) is None), box
+        if got is not None:
+            assert breaks_midpoint(g, got.p, got.q), (box, got)
+            assert (got.p, got.q) == next(midpoint_failures(g, points)), (box, got)
+        return got
 
     @given(st.sampled_from(("convex", "perturbed", "random", "cut")),
            st.integers(0, 2**32 - 1))
@@ -153,28 +93,44 @@ class TestLocalMidpointCheck:
         box = small_box(rng)
         self._check(box_function(rng, kind, box), box)
 
-    def test_sweep_meets_every_path(self):
-        """Both outcomes on finite boxes, and boxes with a None, over n <= 5
-        with widths up to 5, so pairs farther apart than 2 exist."""
+    def test_sweep_meets_every_outcome(self):
+        """Passes, witnesses and refusals over n <= 5 with widths up to 5,
+        so pairs farther apart than 2 exist."""
         rng = random.Random(2016)
         seen = set()
         for t in range(400):
             box = small_box(rng)
             kind = ("convex", "perturbed", "random", "cut")[t % 4]
-            want, holes = self._check(box_function(rng, kind, box), box)
-            seen.add((want is None, holes))
-        assert {(True, False), (False, False), (False, True)} <= seen
+            got = self._check(box_function(rng, kind, box), box)
+            seen.add(got if isinstance(got, str) else type(got))
+        assert seen == {type(None), LnatCounterexample, "domain"}
 
-    def test_lyapunov_box_below_zero_only_scans(self, ex21):
-        _, holes = self._check(lyap_oracle(ex21), ((-1, 0, 0), (1, 1, 1)))
-        assert holes
+    def test_lyapunov_adapters(self):
+        """Lyapunov adapters of table markets, as ``verify`` runs them, on
+        boxes in the nonnegative orthant; a box reaching below zero leaves
+        the domain."""
+        rng = random.Random(67)
+        for _ in range(25):
+            inst = random_multi_instance(rng, n_max=2, u_max=2, m_max=3)
+            if rng.random() < 0.5:
+                inst = Instance(model="multi", n=inst.n, u=inst.u,
+                                valuations=tuple(tabulate(v) for v in inst.valuations))
+            g = LyapunovOracle(inst).function_oracle()
+            lo = tuple(rng.randint(0, 2) for _ in range(inst.n))
+            hi = tuple(a + rng.randint(0, 4) for a in lo)
+            assert self._check(g, (lo, hi)) is None, (inst, lo, hi)
+        assert self._check(lyap_oracle(make_two_bidder_multi()), ((-1,), (1,))) == "domain"
+
+    def test_box_outside_the_domain_is_refused(self, ex21):
+        with pytest.raises(ValueError, match=r"domain at \(-1, 0, 0\)$"):
+            is_lnat_convex_on_box(lyap_oracle(ex21), ((-1, 0, 0), (1, 1, 1)))
 
     def test_planted_distance_two_fault(self):
         """(0, 1, 0) on [0, 2]: only the pair (0, 2) sees the bump."""
         assert not lnat._locally_midpoint_convex([2], [0, 1, 0])
         assert lnat._locally_midpoint_convex([2], [0, 1, 2])
         g = FunctionOracle(n=1, fn=lambda p: (0, 1, 0)[p[0]], box=((0,), (2,)))
-        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0,), q=(2,), lam=1)
+        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0,), q=(2,))
 
     def test_planted_incomparable_fault(self):
         """g = p_0 p_1 on [0, 1]^2 is convex in each coordinate, but
@@ -182,12 +138,26 @@ class TestLocalMidpointCheck:
         at distance 1 sees it."""
         assert not lnat._locally_midpoint_convex([1, 1], [0, 0, 0, 1])
         assert lnat._locally_midpoint_convex([1, 1], [0, 0, 0, -1])
+        g = FunctionOracle(n=2, fn=lambda p: p[0] * p[1], box=((0, 0), (1, 1)))
+        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0, 1), q=(1, 0))
+
+    def test_charge_is_the_plans_pairs(self):
+        """The closed-form charge equals the pairs a passing check compares,
+        a quarter of its reads, on every box with n <= 3 and widths up to 3,
+        and on wider ones that split into leading and trailing coordinates."""
+        boxes = [list(w) for n in (1, 2, 3) for w in product(range(4), repeat=n)]
+        boxes += [[2, 1, 0, 3], [1, 2, 2, 1, 2], [3, 0, 1, 1, 2, 1]]
+        for widths in boxes:
+            vals = CountingList([0] * prod(w + 1 for w in widths))
+            assert lnat._locally_midpoint_convex(widths, vals)
+            assert vals.counter[0] == 4 * lnat._midpoint_charge(widths), widths
+            assert lnat._midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
 
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
         is read; at the charge it reads each box point once."""
         box = ((0, 0, 0), (3, 3, 3))
-        work = 64 * 64 * 4
+        work = (14 ** 3 - 4 ** 3) // 2
         reads = []
         g = lyap_oracle(ex21)
         counted = FunctionOracle(n=3, fn=lambda p: reads.append(p) or g.fn(p))
@@ -219,8 +189,8 @@ class TestGridRoute:
     def _outcome(g, box, budget):
         try:
             return is_lnat_convex_on_box(g, box, budget=budget)
-        except BudgetExceededError as exc:
-            return ("budget", str(exc))
+        except (BudgetExceededError, ValueError) as exc:
+            return (type(exc).__name__, str(exc))
 
     def test_same_outcome_with_and_without_grid(self):
         rng = random.Random(71)
@@ -252,13 +222,15 @@ class TestGridRoute:
             else:
                 lo = tuple(rng.randint(-2, 2) for _ in range(inst.n))
                 hi = tuple(a + rng.randint(0, 2) for a in lo)
-            work = prod(b - a + 1 for a, b in zip(lo, hi)) ** 2 * (max(
-                b - a for a, b in zip(lo, hi)) + 1)
+            work = lnat._midpoint_charge([b - a for a, b in zip(lo, hi)])
             budget = rng.choice((10**6, work, work - 1))
             want = self._outcome(plain, (lo, hi), budget)
             assert self._outcome(gridded, (lo, hi), budget) == want, (inst, lo, hi, budget)
-            seen.add(want[1].split()[0] if isinstance(want, tuple) else type(want).__name__)
-        assert seen == {"NoneType", "LnatCounterexample", "convexity", "bundle"}, seen
+            if isinstance(want, tuple):  # a refusal, by its error type or its first word
+                seen.add(want[0] if want[0] == "ValueError" else want[1].split()[0])
+            else:
+                seen.add(type(want).__name__)
+        assert seen == {"NoneType", "LnatCounterexample", "convexity", "bundle", "ValueError"}, seen
 
     def test_default_grid_reads_fn_point_by_point(self):
         """Without a declared grid, ``grid`` queries ``fn`` once per point of
@@ -566,16 +538,14 @@ class TestGenericOracles:
             assert union == items_from_mask(minimal_minimizer_step(neighborhood_values(g, p)))
 
 
-def midpoint_twin(g, box, *, budget=2_000_000):
-    """Definitional twin of ``is_lnat_convex_on_box``: every shift of every
-    pair, with the shifted points built as tuples and queried through a memo."""
+def midpoint_twin(g, box):
+    """Definitional twin of ``is_lnat_convex_on_box``: discrete midpoint
+    convexity in shift form, g(p) + g(q) >= g(min(p + lam, q)) +
+    g(max(p, q - lam)), over every pair and every shift 0..diameter, with
+    the shifted points built as tuples and queried through a memo.  Returns
+    the first violating (p, q, lam) in lexicographic order, or None."""
     lo, hi = tuple(box[0]), tuple(box[1])
-    volume = prod(b - a + 1 for a, b in zip(lo, hi))
     diameter = max(b - a for a, b in zip(lo, hi))
-    work = volume * volume * (diameter + 1)
-    if work > budget:
-        raise BudgetExceededError(
-            f"convexity check needs {work} inequality tests, budget is {budget}")
     memo = {}
 
     def gm(p):
@@ -596,11 +566,25 @@ def midpoint_twin(g, box, *, budget=2_000_000):
                 gb = gm(b)
                 if ga is None or gb is None:
                     if lhs is not None:
-                        return LnatCounterexample(p=p, q=q, lam=lam)
+                        return p, q, lam
                     continue
                 if lhs is not None and lhs < ga + gb:
-                    return LnatCounterexample(p=p, q=q, lam=lam)
+                    return p, q, lam
     return None
+
+
+def midpoint_failures(g, points):
+    """The pairs p < q of ``points`` that break the local inequality, in
+    lexicographic order."""
+    return ((p, q) for p in points for q in points if p < q and breaks_midpoint(g, p, q))
+
+
+def brute_midpoint_pairs(widths):
+    """Pairs p < q of the box [0, widths] with 1 <= ‖q - p‖∞ <= 2, counted
+    one by one."""
+    points = list(product(*(range(w + 1) for w in widths)))
+    return sum(p < q and max(abs(b - a) for a, b in zip(p, q)) <= 2
+               for p in points for q in points)
 
 
 def perturbed_convex(rng, lo, hi):
