@@ -22,11 +22,27 @@ from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    maximal_gp_minimal, minimal_descent_set,
                    minimal_minimizer_step, minimize, neighborhood_values)
 from .lyapunov import LyapunovOracle
-from .oracle import (all_lyapunov_minimizers, allocation_certifies,
-                     bidders_demanding_some, bidders_only_demanding,
-                     brute_force_min_equilibrium, certified_meet, deficiency,
-                     demand_set, equilibrium_prices_by_enumeration, gp_minimal_table,
-                     is_excess_demand, is_gp_minimal, is_overdemanded,
-                     lyapunov, lyapunov_step, mu, price_cap, unit_demand_set)
+
+del lyapunov  # the package's ``lyapunov`` is the oracle's function, not the module
 
 __version__ = "0.1.0"
+
+# The brute-force twins of ``oracle`` load on first use (PEP 562), so that
+# importing the package or its CLI does not compile them.
+_ORACLE_EXPORTS = frozenset({
+    "all_lyapunov_minimizers", "allocation_certifies", "bidders_demanding_some",
+    "bidders_only_demanding", "brute_force_min_equilibrium", "certified_meet",
+    "deficiency", "demand_set", "equilibrium_prices_by_enumeration",
+    "gp_minimal_table", "is_excess_demand", "is_gp_minimal", "is_overdemanded",
+    "lyapunov", "lyapunov_step", "mu", "price_cap", "unit_demand_set"})
+
+
+def __getattr__(name):
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _ORACLE_EXPORTS)

@@ -9,36 +9,33 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from operator import sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .demand import DemandCache, _check_price, _per_item_argmax
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      WalrasError)
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
-                       PriceVector, verify_mnat_exc)
+                       PriceVector, _Record, verify_mnat_exc)
 from .itemsets import items_from_mask
 from .lnat import StrategyKind, Trajectory, minimize
 from .lyapunov import LyapunovOracle
 
 
-@dataclass(frozen=True)
-class UnitAllocation:
+class UnitAllocation(NamedTuple("UnitAllocation", [("assignment", tuple[int, ...])])):
     """Assignment of bidders to items; 0 means the bidder buys nothing."""
 
-    assignment: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        taken = [a for a in self.assignment if a != 0]
+    def __new__(cls, assignment: tuple[int, ...]):
+        taken = [a for a in assignment if a != 0]
         if len(taken) != len(set(taken)):
             raise ValueError("allocation assigns an item to two bidders")
+        return super().__new__(cls, assignment)
 
 
-@dataclass(frozen=True)
-class MultiAllocation:
+class MultiAllocation(NamedTuple):
     """One bundle per bidder; a valid allocation sums exactly to the supply."""
 
     bundles: tuple[Bundle, ...]
@@ -47,8 +44,7 @@ class MultiAllocation:
 Allocation = UnitAllocation | MultiAllocation
 
 
-@dataclass(frozen=True)
-class AuctionResult:
+class AuctionResult(_Record):
     """A finished run: its final price and trajectory.
 
     ``allocation`` and ``allocation_error`` come from one extraction at
@@ -58,25 +54,29 @@ class AuctionResult:
     ``allocation_error`` says so.
     """
 
-    p_min: PriceVector
-    trajectory: Trajectory
-    _instance: Instance = field(repr=False)
-    _budget: int = field(repr=False)
+    __slots__ = ("p_min", "trajectory", "_instance", "_budget", "_extracted")
+    _fields = __slots__[:4]
 
-    @cached_property
-    def _extracted(self) -> tuple[Allocation | None, str | None]:
-        try:
-            return extract_allocation(self._instance, self.p_min, budget=self._budget), None
-        except BudgetExceededError:
-            return None, "allocation search budget exceeded"
+    def __init__(self, p_min: PriceVector, trajectory: Trajectory,
+                 _instance: Instance, _budget: int):
+        self._assign(p_min, trajectory, _instance, _budget, None)
+
+    def _extract(self) -> tuple[Allocation | None, str | None]:
+        if self._extracted is None:
+            try:
+                found = extract_allocation(self._instance, self.p_min, budget=self._budget), None
+            except BudgetExceededError:
+                found = None, "allocation search budget exceeded"
+            object.__setattr__(self, "_extracted", found)
+        return self._extracted
 
     @property
     def allocation(self) -> Allocation | None:
-        return self._extracted[0]
+        return self._extract()[0]
 
     @property
     def allocation_error(self) -> str | None:
-        return self._extracted[1]
+        return self._extract()[1]
 
 
 def ascending_auction(instance: Instance,
@@ -297,8 +297,7 @@ def _support_cuts(ly: LyapunovOracle, p: PriceVector):
             yield mask, vals[mask]
 
 
-@dataclass(frozen=True)
-class DescentWitness:
+class DescentWitness(NamedTuple):
     """A unit price move (raise for direction +1, cut for -1) that lowers
     the Lyapunov value, disproving equilibrium at the tested price."""
 
@@ -306,8 +305,7 @@ class DescentWitness:
     items: ItemSet
 
 
-@dataclass(frozen=True)
-class EquilibriumVerdict:
+class EquilibriumVerdict(NamedTuple):
     equilibrium: bool
     allocation: Allocation | None
     witness: DescentWitness | None

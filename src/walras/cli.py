@@ -22,7 +22,6 @@ from .instance import (DEFAULT_BUDGET, Instance, load_instance,
 from .itemsets import mask_weight
 from .lnat import StrategyKind, is_lnat_convex_on_box
 from .lyapunov import LyapunovOracle
-from .oracle import all_lyapunov_minimizers, certified_meet, price_cap
 
 STRATEGY_FLAGS = {
     "minimal-overdemanded": StrategyKind.MINIMAL_DESCENT,
@@ -242,6 +241,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # Imported here: no other command needs the brute-force scans.
+    from .oracle import all_lyapunov_minimizers, certified_meet, price_cap
+
     budget = _budget()
     instance = load_instance(args.instance)
     minimizers = all_lyapunov_minimizers(instance, budget=budget)

@@ -8,13 +8,12 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        compress, cycle, permutations, product)
 from math import prod
 from operator import add, contains, ge, itemgetter, le, mul
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, ContractError, InstanceFormatError
 from .itemsets import getter, strides
@@ -59,8 +58,43 @@ def iter_box(u: Bundle) -> Iterator[Bundle]:
     return product(*(range(c + 1) for c in u))
 
 
-@dataclass(frozen=True)
-class Valuation:
+class _Record:
+    """Base of the records that normalize their fields or keep derived
+    state.  ``__init__`` sets each slot once, through ``_assign``; the
+    slots named in ``_fields`` are the record's fields, by which it
+    compares, hashes, pickles and prints (a field named with ``_`` is left
+    out of the repr).  Any later assignment raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class Valuation(_Record):
     """One bidder's valuation, tagged by family.
 
     Exactly one payload field is populated:
@@ -76,25 +110,25 @@ class Valuation:
     below report such defects); assembling an :class:`Instance` enforces them.
     """
 
-    family: str
-    values: tuple[int, ...] | None = None
-    marginals: tuple[tuple[int, ...], ...] | None = None
-    table: tuple[tuple[Bundle, int], ...] | None = None
+    __slots__ = ("family", "values", "marginals", "table", "_prefix", "_box")
+    _fields = __slots__[:4]
 
-    def __post_init__(self):
-        if self.family == UNIT_DEMAND:
-            if self.values is None or self.marginals is not None or self.table is not None:
+    def __init__(self, family: str, values: tuple[int, ...] | None = None,
+                 marginals: tuple[tuple[int, ...], ...] | None = None,
+                 table: tuple[tuple[Bundle, int], ...] | None = None):
+        prefix = None
+        if family == UNIT_DEMAND:
+            if values is None or marginals is not None or table is not None:
                 raise ValueError("values: unit_demand valuation takes exactly the 'values' payload")
-            vals = tuple(_as_nonneg_int(v, f"values[{k}]") for k, v in enumerate(self.values))
-            if not vals:
+            values = tuple(_as_nonneg_int(v, f"values[{k}]") for k, v in enumerate(values))
+            if not values:
                 raise ValueError("values: must not be empty")
-            object.__setattr__(self, "values", vals)
-            box = (1,) * len(vals)
-        elif self.family == SEPARABLE_CONCAVE:
-            if self.marginals is None or self.values is not None or self.table is not None:
+            box = (1,) * len(values)
+        elif family == SEPARABLE_CONCAVE:
+            if marginals is None or values is not None or table is not None:
                 raise ValueError("marginals: separable_concave valuation takes exactly the 'marginals' payload")
             rows = []
-            for i, row in enumerate(self.marginals):
+            for i, row in enumerate(marginals):
                 r = tuple(_as_nonneg_int(v, f"marginals[{i}][{k}]") for k, v in enumerate(row))
                 if not r:
                     raise ValueError(f"marginals[{i}]: must list at least one unit")
@@ -103,14 +137,13 @@ class Valuation:
                 rows.append(r)
             if not rows:
                 raise ValueError("marginals: must not be empty")
-            object.__setattr__(self, "marginals", tuple(rows))
+            marginals = tuple(rows)
             prefix = tuple(tuple(accumulate(row, initial=0)) for row in rows)
-            object.__setattr__(self, "_prefix", prefix)
             box = tuple(len(row) for row in rows)
-        elif self.family == EXPLICIT_TABLE:
-            if self.table is None or self.values is not None or self.marginals is not None:
+        elif family == EXPLICIT_TABLE:
+            if table is None or values is not None or marginals is not None:
                 raise ValueError("entries: explicit_table valuation takes exactly the 'entries' payload")
-            table = tuple(self.table)
+            table = tuple(table)
             pairs = _plain_table(table)
             if pairs is None:  # the per-entry checks, to name the first bad entry
                 pairs = []
@@ -131,10 +164,10 @@ class Valuation:
             for k in range(len(pairs) - 1):
                 if pairs[k][0] == pairs[k + 1][0]:
                     raise ValueError(f"entries: duplicate bundle {pairs[k][0]}")
-            object.__setattr__(self, "table", tuple(pairs))
+            table = tuple(pairs)
         else:
-            raise ValueError(f"family: unknown family tag {self.family!r}")
-        object.__setattr__(self, "_box", box)
+            raise ValueError(f"family: unknown family tag {family!r}")
+        self._assign(family, values, marginals, table, prefix, box)
 
     @property
     def n(self) -> int:
@@ -208,8 +241,7 @@ def _box_worths(v: Valuation) -> list[int]:
     return [evaluate(v, x) for x in iter_box(v.box())]
 
 
-@dataclass(frozen=True)
-class MnatCounterexample:
+class MnatCounterexample(NamedTuple):
     """Witness that a valuation is not M♮-concave on its box.
 
     Lifted by x~ = (-Σx, x), the bundles ``x`` < ``y`` (lexicographically)
@@ -343,8 +375,7 @@ def _first_unexchangeable(u: Bundle, worth: list[int]) -> MnatCounterexample:
     raise ContractError("the local exchange check failed at no pair")
 
 
-@dataclass(frozen=True)
-class MonotonicityCounterexample:
+class MonotonicityCounterexample(NamedTuple):
     """Witness against monotone-nondecreasing, zero-normalized valuations."""
 
     x: Bundle | None
@@ -393,36 +424,29 @@ def _nondecreasing(stride: list[int], u: Bundle, worth: list[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A complete auction problem: model tag, supply, and bidder valuations."""
 
-    model: str
-    n: int
-    u: Bundle
-    valuations: tuple[Valuation, ...]
+    __slots__ = _fields = ("model", "n", "u", "valuations")
 
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise InstanceFormatError(f"model: must be one of {MODELS}, got {self.model!r}")
-        n = _as_int(self.n, "n")
-        if n < 1:
+    def __init__(self, model: str, n: int, u: Bundle, valuations: tuple[Valuation, ...]):
+        if model not in MODELS:
+            raise InstanceFormatError(f"model: must be one of {MODELS}, got {model!r}")
+        if _as_int(n, "n") < 1:
             raise InstanceFormatError("n: must be a positive integer")
-        u = tuple(self.u)
+        u = tuple(u)
         if len(u) != n:
             raise InstanceFormatError(f"u: expected {n} entries, got {len(u)}")
         for i, c in enumerate(u):
             if isinstance(c, bool) or not isinstance(c, int) or c < 1:
                 raise InstanceFormatError(f"u[{i}]: supply must be positive")
-        if self.model == UNIT and any(c != 1 for c in u):
+        if model == UNIT and any(c != 1 for c in u):
             raise InstanceFormatError("u: must be all ones for model 'unit'")
-        object.__setattr__(self, "u", u)
-        vals = tuple(self.valuations)
-        object.__setattr__(self, "valuations", vals)
-        for b, v in enumerate(vals):
+        valuations = tuple(valuations)
+        for b, v in enumerate(valuations):
             if not isinstance(v, Valuation):
                 raise InstanceFormatError(f"valuations[{b}]: not a Valuation")
-            if self.model == UNIT and v.family != UNIT_DEMAND:
+            if model == UNIT and v.family != UNIT_DEMAND:
                 raise InstanceFormatError(
                     f"valuations[{b}].family: model 'unit' requires family 'unit_demand'")
             if v.box() != u:
@@ -432,6 +456,7 @@ class Instance:
                 bad = verify_monotone_normalized(v)
                 if bad is not None:
                     raise InstanceFormatError(f"valuations[{b}]: {bad.message}")
+        self._assign(model, n, u, valuations)
 
     @property
     def m(self) -> int:

@@ -19,15 +19,14 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 from math import prod
 from operator import add, ge
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
-from .instance import PriceVector
+from .instance import PriceVector, _Record
 from .itemsets import chi_add, corner_indices, getter, strides
 
 _SEED_LIMIT = 1 << 64
@@ -36,8 +35,7 @@ _SEED_LIMIT = 1 << 64
 MAX_ITEMS = 24
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionOracle:
+class FunctionOracle(_Record):
     """Deterministic integer function on Z^n.
 
     ``fn`` returns None outside the function's domain (read as +infinity).
@@ -49,19 +47,22 @@ class FunctionOracle:
     None outside the domain; ``neighborhood_values`` and
     ``is_lnat_convex_on_box`` read many values through it.  An oracle may
     declare a faster route; without one, ``grid`` queries ``fn`` once per
-    point, in that order.
+    point, in that order.  Two oracles are equal only when they are one
+    object.
     """
 
-    n: int
-    fn: Callable[[PriceVector], int | None]
-    box: tuple[PriceVector, PriceVector] | None = None
-    value_floor: int | None = None
-    grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None
+    __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        if self.grid is None:
-            fn = self.fn
-            object.__setattr__(self, "grid", lambda axes: list(map(fn, product(*axes))))
+    def __init__(self, n: int, fn: Callable[[PriceVector], int | None],
+                 box: tuple[PriceVector, PriceVector] | None = None,
+                 value_floor: int | None = None,
+                 grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None):
+        if grid is None:
+            def grid(axes):
+                return list(map(fn, product(*axes)))
+        self._assign(n, fn, box, value_floor, grid)
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -76,28 +77,26 @@ class StrategyKind(enum.Enum):
     MAXIMAL_GP_MINIMAL = "maximal_gp_minimal"
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple("Step", [("p_before", PriceVector), ("chosen_mask", int),
+                                ("g_before", int), ("g_after", int)])):
     """One descent iteration: the chosen set's bitmask and the values before
     and after raising it.  The drop g_before - g_after is the set's
     deficiency when g is a Lyapunov function.  A step must raise a nonempty
     set and lower the value (None, outside the domain, does not)."""
 
-    p_before: PriceVector
-    chosen_mask: int
-    g_before: int
-    g_after: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.chosen_mask:
+    def __new__(cls, p_before: PriceVector, chosen_mask: int, g_before: int, g_after: int):
+        if not chosen_mask:
             raise ContractError("descent step chose the empty set")
-        if self.g_after is None or self.g_after >= self.g_before:
+        if g_after is None or g_after >= g_before:
             raise ContractError("descent step failed to decrease the objective")
+        return super().__new__(cls, p_before, chosen_mask, g_before, g_after)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered record of a full descent run."""
+class Trajectory(NamedTuple):
+    """Ordered record of a full descent run; its length is its number of
+    steps."""
 
     start: PriceVector
     steps: tuple[Step, ...]
@@ -107,8 +106,7 @@ class Trajectory:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class LnatCounterexample:
+class LnatCounterexample(NamedTuple):
     """Witness that a function is not L♮-convex on a box: points ``p`` <
     ``q`` (lexicographically) of the box with 1 <= ‖q - p‖∞ <= 2 and
     g(p) + g(q) < g(ceil((p + q)/2)) + g(floor((p + q)/2)), a failure of

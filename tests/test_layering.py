@@ -2,13 +2,16 @@
 library, the solver modules never import the oracle, only the
 demand cache's constructor reads a valuation family, each public solver
 function and cache or oracle method has a caller, only ``ascending_auction``
-takes shared state from its caller, and every name the benchmark's span
-tracer patches stays where the tracer looks."""
+takes shared state from its caller, every name the benchmark's span
+tracer patches stays where the tracer looks, and importing the CLI leaves
+``dataclasses``, ``inspect`` and the oracle unloaded."""
 
 import ast
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,6 +40,31 @@ def test_solver_module_never_imports_the_oracle(module):
             continue
         for name in names:
             assert "oracle" not in name.split("."), f"{module}.py:{node.lineno} imports {name}"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
+    """``import walras.cli`` loads neither ``dataclasses`` (nor ``inspect``,
+    which it pulls in) nor the brute-force ``oracle``; the package's oracle
+    exports load on first use, and ``dir(walras)`` lists them."""
+    code = ("import sys, walras.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'walras.oracle'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout == "[]\n", out.stdout
+    from walras import (all_lyapunov_minimizers, allocation_certifies,  # noqa: F401
+                        bidders_demanding_some, bidders_only_demanding,
+                        brute_force_min_equilibrium, certified_meet, deficiency,
+                        demand_set, equilibrium_prices_by_enumeration, gp_minimal_table,
+                        is_excess_demand, is_gp_minimal, is_overdemanded, lyapunov,
+                        lyapunov_step, mu, price_cap, unit_demand_set)
+    imported = {name: value for name, value in locals().items()
+                if name in walras._ORACLE_EXPORTS}
+    assert imported.keys() == walras._ORACLE_EXPORTS <= set(dir(walras))
+    oracle = vars(sys.modules["walras.oracle"])
+    for name, value in imported.items():
+        assert value is oracle[name], name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_export'"):
+        walras.no_such_export
 
 
 def test_imports_are_package_relative_or_stdlib():
@@ -108,9 +136,10 @@ def _exported_callables():
     def ours(fn):
         return (getattr(fn, "__module__", None) or "").startswith("walras.")
 
-    for name, obj in vars(walras).items():
+    for name in dir(walras):
         if name.startswith("_"):
             continue
+        obj = getattr(walras, name)
         if inspect.isfunction(obj) and ours(obj):
             yield name, obj
         elif inspect.isclass(obj) and ours(obj):
@@ -173,14 +202,14 @@ def test_every_public_solver_function_has_a_caller(module):
     does not offer is a second path kept for its own test: it belongs in
     ``oracle`` or nowhere.  Re-exports in ``__init__`` are not calls.  The
     same rule keeps test-only second forms out of ``oracle``, whose twins
-    may also be offered by export from ``walras``."""
+    may also be offered by export from ``walras`` (its lazy export table)."""
     src = ROOT / "src" / "walras"
     tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
     public = [node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
     used = set().union(*(_referenced_names(path) for path in src.glob("*.py")))
     if module == "oracle":
-        used |= set(vars(walras))
+        used |= walras._ORACLE_EXPORTS
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     orphans = [name for name in public
                if name not in used and not re.search(rf"\b{name}\b", readme)]
