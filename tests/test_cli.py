@@ -738,12 +738,13 @@ class TestIterationBudget:
 
 
 class TestGoldenOutput:
-    """``solve`` stdout on the sample instances, byte for byte.
+    """``solve`` and ``compare`` stdout on the sample instances, byte for byte.
 
     ``tests/golden/<instance>.<strategy>.<format>`` holds the exact stdout of
     ``walras solve --instance sample_instances/<instance>.json --strategy
-    <strategy> --format <format>``; any difference is a change to the CLI's
-    output.
+    <strategy> --format <format>``, and ``tests/golden/<instance>.compare.json``
+    that of ``walras compare --instance sample_instances/<instance>.json``;
+    any difference is a change to the CLI's output.
     """
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -753,4 +754,10 @@ class TestGoldenOutput:
         assert run_command(["solve", "--instance", str(sample),
                             "--strategy", strategy, "--format", fmt]) == 0
         expected = (GOLDEN / f"{sample.stem}.{strategy}.{fmt}").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == expected
+
+    @pytest.mark.parametrize("sample", SAMPLES, ids=lambda path: path.stem)
+    def test_compare_matches_golden(self, sample, capsys):
+        assert run_command(["compare", "--instance", str(sample)]) == 0
+        expected = (GOLDEN / f"{sample.stem}.compare.json").read_bytes()
         assert capsys.readouterr().out.encode("utf-8") == expected
