@@ -19,7 +19,8 @@ from .errors import (BudgetExceededError, ContractError, ConvexityError,
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, _Record, verify_mnat_exc)
 from .itemsets import items_from_mask
-from .lnat import StrategyKind, Trajectory, minimize
+from .lnat import (FunctionOracle, StrategyKind, Trajectory, minimize,
+                   neighborhood_values)
 from .lyapunov import LyapunovOracle
 
 
@@ -119,7 +120,7 @@ def ascending_auction(instance: Instance,
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
     base = g.fn(p_final)
-    for mask, val in _support_cuts(ly, p_final):
+    for mask, val in _support_cuts(g, p_final):
         if val <= base:
             raise WalrasError(
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
@@ -288,10 +289,10 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     return _extract_multi(instance, p, dc, budget)
 
 
-def _support_cuts(ly: LyapunovOracle, p: PriceVector):
-    """``(mask, L(p - chi_X))`` for every nonempty X within the support of
+def _support_cuts(g: FunctionOracle, p: PriceVector):
+    """``(mask, g(p - chi_X))`` for every nonempty X within the support of
     p, in increasing mask order: the finite entries of the downward scan."""
-    vals = ly.shifted_values(p, -1)
+    vals = neighborhood_values(g, p, -1)
     for mask in range(1, len(vals)):
         if vals[mask] is not None:
             yield mask, vals[mask]
@@ -324,14 +325,14 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     allocation = extract_allocation(instance, p, budget=budget)
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
-    ly = LyapunovOracle(instance, budget=budget)
-    vals = ly.shifted_values(p, 1)
+    g = LyapunovOracle(instance, budget=budget).function_oracle()
+    vals = neighborhood_values(g, p)
     base = vals[0]
     for mask in range(1, len(vals)):
         if vals[mask] < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(+1, items_from_mask(mask)))
-    for mask, val in _support_cuts(ly, p):
+    for mask, val in _support_cuts(g, p):
         if val < base:
             return EquilibriumVerdict(False, None,
                                       DescentWitness(-1, items_from_mask(mask)))

@@ -224,9 +224,12 @@ def _cmd_compare(args) -> int:
     oracle = LyapunovOracle(instance, budget=budget)
     report = {}
     finals = []
-    for flag in STRATEGY_FLAGS:  # fixed order, independent of runtimes
-        result = ascending_auction(instance, STRATEGY_FLAGS[flag], seed=args.seed,
-                                   budget=budget, oracle=oracle)
+    runs = {}  # one run per distinct rule: excess-maximal is steepest's
+    for flag, kind in STRATEGY_FLAGS.items():  # fixed order, independent of runtimes
+        if kind not in runs:
+            runs[kind] = ascending_auction(instance, kind, seed=args.seed,
+                                           budget=budget, oracle=oracle)
+        result = runs[kind]
         report[flag] = {"p_final": list(result.p_min),
                         "iterations": len(result.trajectory)}
         finals.append(result.p_min)

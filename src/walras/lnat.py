@@ -69,12 +69,16 @@ class FunctionOracle(_Record):
 
 
 class StrategyKind(enum.Enum):
-    """Which set-selection rule the descent loop uses each iteration."""
+    """Which set-selection rule the descent loop uses each iteration.
+
+    ``MAXIMAL_GP_MINIMAL``, the maximal locally-minimal descent set, is an
+    alias of ``STEEPEST_MINIMAL``: the two rules choose one set (see
+    ``maximal_gp_minimal``)."""
 
     MINIMAL_DESCENT = "minimal_descent"
     STEEPEST_MINIMAL = "steepest_minimal"
     FIRST_GP_MINIMAL = "first_gp_minimal"
-    MAXIMAL_GP_MINIMAL = "maximal_gp_minimal"
+    MAXIMAL_GP_MINIMAL = "steepest_minimal"
 
 
 class Step(NamedTuple("Step", [("p_before", PriceVector), ("chosen_mask", int),
@@ -246,13 +250,14 @@ def _first_midpoint_failure(widths: list[int], vals: list[int]) -> tuple:
     raise ContractError("the local midpoint check failed at no pair")
 
 
-def neighborhood_values(g: FunctionOracle, p: PriceVector) -> list[int | None]:
-    """``g(p + chi_X)`` for every item subset X, indexed by bitmask.
+def neighborhood_values(g: FunctionOracle, p: PriceVector, s: int = 1) -> list[int | None]:
+    """``g(p + s * chi_X)`` for every item subset X, indexed by bitmask.
 
-    Entry 0 is ``g(p)``; None marks raises outside the oracle's domain.
-    Read from the oracle's ``grid`` on the axes (p_k, p_k + 1).
+    Entry 0 is ``g(p)``; None marks corners outside the oracle's domain.
+    Read from the oracle's ``grid`` on the axes (p_k, p_k + s): the descent
+    and its stop read s = 1, the minimality certificate s = -1.
     """
-    vals = g.grid([(c, c + 1) for c in p])
+    vals = g.grid([(c, c + s) for c in p])
     return [vals[i] for i in corner_indices(len(p))]
 
 
@@ -390,16 +395,13 @@ def _shuffled_masks(seed: int, size: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def maximal_gp_minimal(vals: list[int | None]) -> int:
-    """Mask of the unique maximal locally-minimal descent set.
-
-    The locally-minimal descent sets are closed under union, and their union
-    is the minimal minimizer of the one-step change (Murota, Shioura and
-    Yang, 2016), so this is ``minimal_minimizer_step``; the tests hold the
-    identity against the union of ``oracle.gp_minimal_table`` flags.
-    Degenerates to 0, the empty set, when nothing descends.
-    """
-    return minimal_minimizer_step(vals)
+# The unique maximal locally-minimal descent set.  The locally-minimal
+# descent sets are closed under union, and their union is the minimal
+# minimizer of the one-step change (Murota, Shioura and Yang, 2016), so the
+# rule is ``minimal_minimizer_step``; the tests hold the identity against the
+# union of ``oracle.gp_minimal_table`` flags.  0, the empty set, when nothing
+# descends.
+maximal_gp_minimal = minimal_minimizer_step
 
 
 def _check_seed(seed: int) -> None:
@@ -468,10 +470,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             mask = minimal_descent_set(deltas)
         elif strategy is StrategyKind.STEEPEST_MINIMAL:
             mask = minimal_minimizer_step(deltas)
-        elif strategy is StrategyKind.FIRST_GP_MINIMAL:
-            mask = first_gp_minimal(deltas, seed)
         else:
-            mask = maximal_gp_minimal(deltas)
+            mask = first_gp_minimal(deltas, seed)
         mask = mask or 0  # nothing found: the Step below refuses the empty set
         q = chi_add(p, mask)
         after = g.fn(q)

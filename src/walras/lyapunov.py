@@ -27,10 +27,9 @@ unit-demand bidder as a running max, and each table bidder as its discrete
 Legendre-Fenchel conjugate taken one coordinate at a time
 (``DemandCache.utility_grid``).  The two certificate scans, of L(p + chi_X)
 at the stop and of L(p - chi_X) for minimality, read the grid on the axes
-(p_j, p_j +- 1), so they still check the change table against values, and
-``walras verify``'s L♮ check reads its whole box in one call.  The latest
-grid of each scan is kept, so runs sharing an oracle and stopping at one
-price, as ``compare``'s strategies do, build each once.
+(p_j, p_j +- 1) through ``lnat.neighborhood_values``, so they still check
+the change table against values, and ``walras verify``'s L♮ check reads its
+whole box in one call.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from operator import add, mul, neg
 
 from .demand import DemandCache, _check_price
 from .instance import DEFAULT_BUDGET, Instance, PriceVector
-from .itemsets import corner_indices, mask_weight
+from .itemsets import mask_weight
 from .lnat import FunctionOracle
 
 
@@ -53,18 +52,15 @@ class LyapunovOracle:
     into, so one formula serves the unit model (every bidder unit-demand,
     one of each item) and the multi model, and keeps no value once read.
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
-    ``grid_values`` reads L over a whole price grid and keeps nothing;
-    ``shifted_values`` reads it over the corners p + s * chi_X and keeps
-    its latest grid for each shift, which ``function_oracle``'s stop scan
-    reads too.  ``neighborhood`` keeps its change
-    tables by demand key, at most ``budget`` entries in all (2^n per
-    table), cleared when full; runs sharing the oracle share them.
+    ``grid_values`` reads L over a whole price grid and keeps nothing.
+    ``neighborhood`` keeps its change tables by demand key, at most
+    ``budget`` entries in all (2^n per table), cleared when full; runs
+    sharing the oracle share them.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
         self.instance = instance
         self.demand = DemandCache(instance, budget=budget)
-        self._shifted: dict[int, tuple[PriceVector, tuple[int | None, ...]]] = {}
         self._tables: dict[tuple, tuple[int, ...]] = {}
         self.admitted = False
 
@@ -147,25 +143,6 @@ class LyapunovOracle:
             total = list(map(add, total, dc.utility_grid(b, axes)))
         return total
 
-    def shifted_values(self, p: PriceVector, s: int) -> list[int | None]:
-        """``L(p + s * chi_X)`` for every item subset X, indexed by bitmask,
-        None where a price would go negative: the grid on the axes
-        (p_j, p_j + s), read in mask order.  The latest grid for each
-        shift is kept, since ``compare``'s strategies, stopping at the same
-        price, each read the downward one, and the upward one through
-        ``function_oracle``'s stop scan."""
-        t = _check_price(self.instance, p)
-        grid = self._corner_grid(t, s)
-        return [grid[i] for i in corner_indices(len(t))]
-
-    def _corner_grid(self, t: PriceVector, s: int) -> tuple[int | None, ...]:
-        """``grid_values`` on the axes (t_j, t_j + s) for a checked price t;
-        the latest grid for each shift is kept."""
-        kept = self._shifted.get(s)
-        if kept is None or kept[0] != t:
-            kept = self._shifted[s] = (t, tuple(self.grid_values([(c, c + s) for c in t])))
-        return kept[1]
-
     def neighborhood(self, p: PriceVector) -> tuple[int, ...]:
         """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
 
@@ -199,21 +176,11 @@ class LyapunovOracle:
         Defined on every nonnegative price vector, so it declares no box;
         queries with a negative price read as +infinity.  Zero is a valid
         floor since the value dominates p.u >= 0.  Its ``grid`` is
-        ``grid_values``, except that the unit cube above a nonnegative
-        integer price p, the axes (p_j, p_j + 1) of the descent's stop scan,
-        is read from the grid ``shifted_values(p, 1)`` keeps, so runs
-        sharing the oracle and stopping at one price read it once.
+        ``grid_values``.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):
                 return None
             return self.value(q)
 
-        def grid(axes) -> list[int | None]:
-            corner = tuple(a[0] for a in axes if len(a) == 2 and type(a[0]) is type(a[1]) is int
-                           and a[0] >= 0 and a[1] == a[0] + 1)
-            if len(corner) == len(axes) == self.instance.n:
-                return list(self._corner_grid(corner, 1))
-            return self.grid_values(axes)
-
-        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=grid)
+        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=self.grid_values)

@@ -31,8 +31,6 @@ SWEEP_SEED = 20260810
 MULTI_BOX_LIMIT = 15_000
 LNAT_WORK = 250_000
 
-_STRATEGIES = (StrategyKind.MINIMAL_DESCENT, StrategyKind.STEEPEST_MINIMAL,
-               StrategyKind.FIRST_GP_MINIMAL, StrategyKind.MAXIMAL_GP_MINIMAL)
 
 
 @dataclass
@@ -173,7 +171,7 @@ def _build_record(inst: Instance, label: str, seed: int) -> Record:
 
     started = time.perf_counter()
     rec.p_min = brute_force_min_equilibrium(inst)
-    for kind in _STRATEGIES:
+    for kind in StrategyKind:
         res = ascending_auction(inst, kind, seed=seed, oracle=ly)
         rec.finals[kind.value] = res.p_min
         rec.lengths[kind.value] = len(res.trajectory)

@@ -475,10 +475,11 @@ class TestCompare:
         assert len(calls) == 1
         assert json.loads(capsys.readouterr().out)["allocation"]["model"] == "multi"
 
-    def test_stop_scan_grid_is_read_once(self, tmp_path, monkeypatch, capsys):
-        """The strategies all stop at one price; its upward scan is read
-        from the grid the oracle keeps, so ``compare`` builds two grids,
-        the upward and the downward scan, in all."""
+    def test_each_run_builds_its_two_scan_grids(self, tmp_path, monkeypatch, capsys):
+        """The strategies all stop at one price; each distinct rule's run
+        builds the grid of its upward stop scan and of its downward
+        minimality scan there, so ``compare`` builds six grids for its
+        three runs."""
         grids = []
         grid_values = LyapunovOracle.grid_values
 
@@ -489,8 +490,29 @@ class TestCompare:
         monkeypatch.setattr(LyapunovOracle, "grid_values", counted)
         assert run_command(["compare", "--instance", self._table_market(tmp_path)]) == 0
         p_min = json.loads(capsys.readouterr().out)["p_min"]
-        assert sorted(grids) == sorted([[(c, c + 1) for c in p_min],
-                                        [(c, c - 1) for c in p_min]])
+        assert grids == 3 * [[(c, c + 1) for c in p_min], [(c, c - 1) for c in p_min]]
+
+    @pytest.mark.parametrize("market", ["ex21", "tables"])
+    def test_one_descent_per_distinct_rule(self, market, ex21_path, tmp_path, monkeypatch,
+                                           capsys):
+        """``excess-maximal`` is computed by the ``steepest`` rule, so
+        ``compare`` runs three descents and reports the steepest run for
+        both."""
+        import walras.cli as cli
+
+        kinds = []
+        auction = cli.ascending_auction
+
+        def counted(instance, kind, *args, **kwargs):
+            kinds.append(kind)
+            return auction(instance, kind, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "ascending_auction", counted)
+        path = ex21_path if market == "ex21" else self._table_market(tmp_path)
+        assert run_command(["compare", "--instance", path]) == 0
+        strategies = json.loads(capsys.readouterr().out)["strategies"]
+        assert len(kinds) == 3 and len(set(kinds)) == 3
+        assert strategies["excess-maximal"] == strategies["steepest"]
 
     def test_complements_table_exits_1(self, complements_path, capsys):
         assert run_command(["compare", "--instance", complements_path]) == 1

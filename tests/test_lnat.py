@@ -781,7 +781,6 @@ RULE_OF = {
     StrategyKind.MINIMAL_DESCENT: "minimal_descent_set",
     StrategyKind.STEEPEST_MINIMAL: "minimal_minimizer_step",
     StrategyKind.FIRST_GP_MINIMAL: "first_gp_minimal",
-    StrategyKind.MAXIMAL_GP_MINIMAL: "maximal_gp_minimal",
 }
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from conftest import (column_markets, column_prices, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
-from walras import (DemandCache, Instance, LyapunovOracle, StrategyKind, Valuation,
+from walras import (DemandCache, FunctionOracle, Instance, LyapunovOracle, StrategyKind,
+                    Valuation,
                     ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
                     neighborhood_values)
 from walras import demand
@@ -308,16 +309,26 @@ class TestKeptTables:
         assert held > 1 and cleared > 0
 
 
-class TestShiftedValues:
-    """``LyapunovOracle.shifted_values``, the certificate scans' batch route,
+def _corner_oracles(inst: Instance, value) -> tuple[FunctionOracle, FunctionOracle]:
+    """The oracle's adapter, which reads corners from ``grid_values``, and
+    a plain ``FunctionOracle`` of ``value``, None below zero, which reads
+    them point by point."""
+    def fn(q):
+        return None if any(c < 0 for c in q) else value(q)
+
+    return LyapunovOracle(inst).function_oracle(), FunctionOracle(n=inst.n, fn=fn)
+
+
+class TestNeighborhoodValues:
+    """``neighborhood_values(g, p, s)``, the certificate scans' batch route,
     against per-point ``LyapunovOracle.value``."""
 
     def test_matches_per_point_values_in_both_directions(self):
         rng = random.Random(37)
         blocked = 0
         for inst in _neighborhood_markets(rng):
-            ly = LyapunovOracle(inst)
             point = LyapunovOracle(inst)
+            oracles = _corner_oracles(inst, point.value)
             top = max_total_value(inst)
             for _ in range(6):
                 p = tuple(rng.choice((0, 0, 1, 2, top, top + 1)) for _ in range(inst.n))
@@ -326,38 +337,32 @@ class TestShiftedValues:
                     for mask in range(1 << inst.n):
                         q = tuple(c + s * (mask >> k & 1) for k, c in enumerate(p))
                         expected.append(None if min(q) < 0 else point.value(q))
-                    assert ly.shifted_values(p, s) == expected, (inst, p, s)
+                    for g in oracles:
+                        assert neighborhood_values(g, p, s) == expected, (inst, p, s)
                     blocked += expected.count(None)
         assert blocked > 0
 
-    def test_kept_table_is_not_shared_with_callers(self, ex21):
-        ly = LyapunovOracle(ex21)
-        first = ly.shifted_values((1, 0, 1), -1)
-        first[1] = -7
-        assert ly.shifted_values((1, 0, 1), -1) == \
-            [ly.value(q) if min(q) >= 0 else None
-             for q in ((1, 0, 1), (0, 0, 1), (1, -1, 1), (0, -1, 1),
-                       (1, 0, 0), (0, 0, 0), (1, -1, 0), (0, -1, 0))]
-
 
 class TestPerItemColumns:
-    """``LyapunovOracle.value`` and ``shifted_values`` read separable bidders
+    """``LyapunovOracle.value`` and ``grid_values`` read separable bidders
     per item from sorted columns and unit-demand bidders inline;
     ``oracle.lyapunov`` reads every bidder by the definition, a scan of its
     bundle box through ``DemandCache.indirect_utility``."""
 
     @given(st.data())
-    def test_value_and_shifted_values_match_the_per_bidder_twin(self, data):
+    def test_value_and_neighborhood_values_match_the_per_bidder_twin(self, data):
         inst = data.draw(column_markets())
         p = data.draw(column_prices(inst))
         ly = LyapunovOracle(inst)
         assert ly.value(p) == lyapunov(p, inst)
+        oracles = _corner_oracles(inst, lambda q: lyapunov(q, inst))
         for s, shift in ((1, chi_add), (-1, chi_sub)):
             expected = []
             for mask in range(1 << inst.n):
                 q = shift(p, mask)
                 expected.append(None if min(q) < 0 else lyapunov(q, inst))
-            assert ly.shifted_values(p, s) == expected, (inst, p, s)
+            for g in oracles:
+                assert neighborhood_values(g, p, s) == expected, (inst, p, s)
 
 
 @st.composite
