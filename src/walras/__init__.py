@@ -23,8 +23,6 @@ from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    minimal_minimizer_step, minimize, neighborhood_values)
 from .lyapunov import LyapunovOracle
 
-del lyapunov  # the package's ``lyapunov`` is the oracle's function, not the module
-
 __version__ = "0.1.0"
 
 # The brute-force twins of ``oracle`` load on first use (PEP 562), so that
@@ -34,7 +32,7 @@ _ORACLE_EXPORTS = frozenset({
     "bidders_only_demanding", "brute_force_min_equilibrium", "certified_meet",
     "deficiency", "demand_set", "equilibrium_prices_by_enumeration",
     "gp_minimal_table", "is_excess_demand", "is_gp_minimal", "is_overdemanded",
-    "lyapunov", "lyapunov_step", "mu", "price_cap", "unit_demand_set"})
+    "lyapunov_step", "lyapunov_value", "mu", "price_cap", "unit_demand_set"})
 
 
 def __getattr__(name):

@@ -23,7 +23,7 @@ multiset of their marginals for j (the count of marginals above the price,
 and the sum of each marginal's excess over it), so the cache sorts that
 multiset once into one column per item and reads both with one bisection.
 ``indirect_utility`` is the definition, a bidder's best payoff over its
-bundle box whatever its family, and ``oracle.lyapunov`` reads every bidder
+bundle box whatever its family, and ``oracle.lyapunov_value`` reads every bidder
 through it.  ``utility_grid`` reads a bidder's indirect utility at every
 point of a price grid at once, as its discrete Legendre-Fenchel conjugate
 taken one coordinate at a time.  The bundle box is built, and checked
@@ -310,7 +310,7 @@ class DemandCache:
     def indirect_utility(self, b: int, p: PriceVector) -> int:
         """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
         bidder of any family: the Lyapunov oracle reads table bidders so, and
-        ``oracle.lyapunov`` every bidder."""
+        ``oracle.lyapunov_value`` every bidder."""
         return self._scan(b, p)[1]
 
     def utility_grid(self, b: int, axes) -> list[int]:

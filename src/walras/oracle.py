@@ -11,7 +11,7 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
   some items of a set, and overdemanded and excess-demand sets, with their
   multi-unit counterparts from minimum takes;
 * the Lyapunov value by its definition, a box scan per bidder
-  (``lyapunov``), the twin of the oracle's per-item and inline reads;
+  (``lyapunov_value``), the twin of the oracle's per-item and inline reads;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
   ``deficiency``, ``lyapunov_step``) and the equilibrium conditions checked
   against an allocation (``allocation_certifies``).
@@ -463,7 +463,7 @@ def _nonempty_submasks(mask: int):
 # --- Lyapunov values and deficiency, set by set ------------------------------
 
 
-def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
+def lyapunov_value(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     """Lyapunov value at p by the definition: each bidder's best payoff
     max_x (v(x) - p.x) over its bundle box, read through
     ``DemandCache.indirect_utility``, plus the revenue at full supply; the
@@ -477,11 +477,12 @@ def lyapunov(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET
 
 def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,
                   budget: int = DEFAULT_BUDGET) -> int:
-    """lyapunov(p + chi_X) - lyapunov(p); equals -deficiency(X, p) for valid inputs."""
+    """lyapunov_value(p + chi_X) - lyapunov_value(p); equals -deficiency(X, p)
+    for valid inputs."""
     mask = mask_from_items(X, instance.n)
     p = tuple(p)
-    return (lyapunov(chi_add(p, mask), instance, budget=budget)
-            - lyapunov(p, instance, budget=budget))
+    return (lyapunov_value(chi_add(p, mask), instance, budget=budget)
+            - lyapunov_value(p, instance, budget=budget))
 
 
 def deficiency(X: ItemSet, p: PriceVector, instance: Instance, *,

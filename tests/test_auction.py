@@ -705,7 +705,7 @@ class TestPriceChecks:
 
     def test_descent_checks_each_price_once(self, monkeypatch):
         import walras.auction as auction
-        lyapunov = sys.modules["walras.lyapunov"]  # the package's ``lyapunov`` is the twin
+        import walras.lyapunov as lyapunov
         rng = random.Random(29)
         markets = [random_unit_instance(rng, n_max=4, m_max=5, value_max=6) for _ in range(4)]
         markets += [random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=6)

@@ -55,8 +55,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
                         bidders_demanding_some, bidders_only_demanding,
                         brute_force_min_equilibrium, certified_meet, deficiency,
                         demand_set, equilibrium_prices_by_enumeration, gp_minimal_table,
-                        is_excess_demand, is_gp_minimal, is_overdemanded, lyapunov,
-                        lyapunov_step, mu, price_cap, unit_demand_set)
+                        is_excess_demand, is_gp_minimal, is_overdemanded, lyapunov_step,
+                        lyapunov_value, mu, price_cap, unit_demand_set)
     imported = {name: value for name, value in locals().items()
                 if name in walras._ORACLE_EXPORTS}
     assert imported.keys() == walras._ORACLE_EXPORTS <= set(dir(walras))
@@ -65,6 +65,17 @@ def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
         assert value is oracle[name], name
     with pytest.raises(AttributeError, match="has no attribute 'no_such_export'"):
         walras.no_such_export
+
+
+def test_lyapunov_names_the_module_and_lyapunov_value_the_twin():
+    """``walras.lyapunov`` is the submodule, not the oracle's twin, which
+    the package exports as ``lyapunov_value``."""
+    code = ("import walras.lyapunov as m; m.LyapunovOracle; "
+            "from walras import lyapunov_value; import walras.oracle as o; "
+            "print(lyapunov_value is o.lyapunov_value)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout == "True\n", out.stdout
 
 
 def test_imports_are_package_relative_or_stdlib():

@@ -9,9 +9,8 @@ from hypothesis import given, strategies as st
 from conftest import (column_markets, column_prices, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
 from walras import (DemandCache, FunctionOracle, Instance, LyapunovOracle, StrategyKind,
-                    Valuation,
-                    ascending_auction, deficiency, lyapunov, lyapunov_step, max_total_value,
-                    neighborhood_values)
+                    Valuation, ascending_auction, deficiency, lyapunov_step,
+                    lyapunov_value, max_total_value, neighborhood_values)
 from walras import demand
 from walras.errors import BudgetExceededError
 from walras.instance import box_volume, iter_box
@@ -20,25 +19,25 @@ from walras.itemsets import chi_add, chi_sub
 
 class TestValues:
     def test_worked_example(self, ex21):
-        assert lyapunov((0, 0, 0), ex21) == 6
-        assert lyapunov((1, 1, 1), ex21) == 3
+        assert lyapunov_value((0, 0, 0), ex21) == 6
+        assert lyapunov_value((1, 1, 1), ex21) == 3
 
     def test_no_bidders_leaves_revenue_only(self):
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=())
         multi = Instance(model="multi", n=2, u=(2, 3), valuations=())
         for p in product(range(3), repeat=2):
-            assert lyapunov(p, unit) == sum(p)
-            assert lyapunov(p, multi) == 2 * p[0] + 3 * p[1]
+            assert lyapunov_value(p, unit) == sum(p)
+            assert lyapunov_value(p, multi) == 2 * p[0] + 3 * p[1]
 
     def test_two_bidder_multi_values(self, two_bidder_multi):
-        assert [lyapunov((k,), two_bidder_multi) for k in range(5)] == \
+        assert [lyapunov_value((k,), two_bidder_multi) for k in range(5)] == \
             [10, 8, 6, 6, 8]
 
     def test_dominates_revenue(self, ex21, two_bidder_multi):
         for p in product(range(2), repeat=3):
-            assert lyapunov(p, ex21) >= sum(p)
+            assert lyapunov_value(p, ex21) >= sum(p)
         for k in range(6):
-            assert lyapunov((k,), two_bidder_multi) >= 2 * k
+            assert lyapunov_value((k,), two_bidder_multi) >= 2 * k
 
     def test_increasing_beyond_the_value_ceiling(self, ex21, two_bidder_multi):
         for inst in (ex21, two_bidder_multi):
@@ -346,7 +345,7 @@ class TestNeighborhoodValues:
 class TestPerItemColumns:
     """``LyapunovOracle.value`` and ``grid_values`` read separable bidders
     per item from sorted columns and unit-demand bidders inline;
-    ``oracle.lyapunov`` reads every bidder by the definition, a scan of its
+    ``oracle.lyapunov_value`` reads every bidder by the definition, a scan of its
     bundle box through ``DemandCache.indirect_utility``."""
 
     @given(st.data())
@@ -354,13 +353,13 @@ class TestPerItemColumns:
         inst = data.draw(column_markets())
         p = data.draw(column_prices(inst))
         ly = LyapunovOracle(inst)
-        assert ly.value(p) == lyapunov(p, inst)
-        oracles = _corner_oracles(inst, lambda q: lyapunov(q, inst))
+        assert ly.value(p) == lyapunov_value(p, inst)
+        oracles = _corner_oracles(inst, lambda q: lyapunov_value(q, inst))
         for s, shift in ((1, chi_add), (-1, chi_sub)):
             expected = []
             for mask in range(1 << inst.n):
                 q = shift(p, mask)
-                expected.append(None if min(q) < 0 else lyapunov(q, inst))
+                expected.append(None if min(q) < 0 else lyapunov_value(q, inst))
             for g in oracles:
                 assert neighborhood_values(g, p, s) == expected, (inst, p, s)
 

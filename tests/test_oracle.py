@@ -65,7 +65,7 @@ class TestTwinsReadNoGrid:
     they do not depend on the batch grid route they cross-check."""
 
     def test_twins_run_with_the_grid_route_broken(self, tmp_path, monkeypatch, capsys):
-        from walras import LyapunovOracle, lyapunov
+        from walras import LyapunovOracle, lyapunov_value
         from walras.cli import run_command
         from walras.instance import serialize_instance
 
@@ -76,7 +76,7 @@ class TestTwinsReadNoGrid:
         path = tmp_path / "market.json"
         path.write_text(serialize_instance(inst))
         prices = list(product(range(3), repeat=inst.n))
-        values = [lyapunov(p, inst) for p in prices]
+        values = [lyapunov_value(p, inst) for p in prices]
         minimizers = all_lyapunov_minimizers(inst)
         assert run_command(["oracle", "--instance", str(path)]) == 0
         printed = capsys.readouterr()
@@ -86,7 +86,7 @@ class TestTwinsReadNoGrid:
 
         monkeypatch.setattr(LyapunovOracle, "grid_values", broken)
         monkeypatch.setattr(DemandCache, "utility_grid", broken)
-        assert [lyapunov(p, inst) for p in prices] == values
+        assert [lyapunov_value(p, inst) for p in prices] == values
         assert all_lyapunov_minimizers(inst) == minimizers
         assert run_command(["oracle", "--instance", str(path)]) == 0
         assert capsys.readouterr() == printed
