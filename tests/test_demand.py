@@ -12,10 +12,11 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     max_total_value,
                     Valuation, ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
+from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
-from walras.instance import DEFAULT_BUDGET, box_volume
+from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume
 from walras.itemsets import items_from_mask, subset_sums
-from walras.oracle import only_demanders_mask, some_demanders_mask
+from walras.oracle import lyapunov_value, only_demanders_mask, some_demanders_mask
 
 
 class TestUnitDemandSets:
@@ -131,6 +132,43 @@ class TestMultiDemandSets:
             assert dc._least_size <= dc.budget
             assert bool(dc._least) == bool(dc.tables)
         assert dc._costs[0] is not None  # the table bidder's scans read it
+
+
+def _has_unit_bidder(inst):
+    return any(v.family == UNIT_DEMAND for v in inst.valuations)
+
+
+def _extracted(inst, p, dc):
+    """The allocation extracted at p from the demand cache ``dc``."""
+    if inst.model == UNIT:
+        return _extract_unit(inst, p, dc)
+    return _extract_multi(inst, p, dc, DEFAULT_BUDGET)
+
+
+class TestUnitScan:
+    @given(st.data())
+    def test_interleaved_reads_match_a_fresh_cache(self, data):
+        """Lyapunov values, demand keys and allocations read through one
+        oracle at prices p, q, p, in a drawn order, equal a fresh cache's
+        answers; the unit-demand masks the cache reads equal the per-bidder
+        twin's."""
+        inst = data.draw(column_markets().filter(_has_unit_bidder))
+        p, q = data.draw(column_prices(inst)), data.draw(column_prices(inst))
+        reads = data.draw(st.permutations(("value", "key", "extract")))
+        ly = LyapunovOracle(inst)
+        dc = ly.demand
+        for price in (p, q, p):
+            for read in reads:
+                fresh = LyapunovOracle(inst)
+                if read == "value":
+                    assert ly.value(price) == fresh.value(price) == lyapunov_value(price, inst)
+                elif read == "key":
+                    assert dc.demand_key(price) == fresh.demand.demand_key(price)
+                else:
+                    assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
+                for b in dc.units:
+                    assert dc.unit_demand_mask(b, price) == \
+                        DemandCache(inst).unit_demand_mask(b, price)
 
 
 class TestMu:
