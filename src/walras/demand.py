@@ -6,9 +6,9 @@ unit-demand group and a box-scanned group, and every other reader, here,
 in the Lyapunov oracle and in the auction layer, branches on those groups.
 A separable bidder's demand set is the product of its per-item argmax sets
 and its minimum take the sum of per-item least argmaxes; a unit-demand
-bidder demands single items, read as a bitmask with the artificial
-no-purchase item 0 at bit 0; a box-scanned (table) bidder scans the bundle
-box.  The deficiency table, demanded minus supplied units for every item
+bidder demands single items, read, with its best payoff, as a bitmask with
+the artificial no-purchase item 0 at bit 0; a box-scanned (table) bidder
+scans the bundle box.  The deficiency table, demanded minus supplied units for every item
 set, adds each bidder's minimum take to minus the supply group by group;
 the unit model is the case where every bidder is unit-demand and the
 supply is one of each item.  The table depends on the price only through
@@ -34,8 +34,12 @@ A box scan reads a bidder's payoff of every bundle, once per price: the
 payoff list and its best are kept for the latest price, and
 ``indirect_utility``, ``demand_set_enum`` and ``demand_key`` all read that
 one scan, so a descent step's value read and the next step's demand key
-share it.  A table bidder's least takes depend only on its demand set, so
-they are kept by demand set, within the budget, and cleared when full.
+share it.  The unit-demand bidders are scanned together, also once per
+price: ``unit_scan`` keeps each one's best payoff and demand mask for the
+latest price, and the Lyapunov value, ``demand_key`` and the unit
+allocation all read them.  A table bidder's least takes depend only on its
+demand set, so they are kept by demand set, within the budget, and cleared
+when full.
 """
 
 from __future__ import annotations
@@ -74,13 +78,14 @@ class DemandCache:
     which ``demand_key`` and ``item_utility`` read per item.  It keeps the
     bundle box and each box-scanned bidder's worth of every bundle.  The
     only per-price state is kept for the latest price only: the box scans'
-    bundle costs p.x, and each scanned bidder's payoff of every bundle with
-    its best, which every scan at that price re-reads.  Least-take vectors
-    are kept by demand set, charged 2^n plus the set's size each against
-    the budget and cleared when it would be exceeded.  Unit-demand masks
-    and demand keys are computed afresh at each call; keeping deficiency
-    tables by demand key is left to the caller
-    (``LyapunovOracle.neighborhood`` does).
+    bundle costs p.x, each scanned bidder's payoff of every bundle with its
+    best, which every scan at that price re-reads, and every unit-demand
+    bidder's best payoff and demand mask (``unit_scan``), which the value,
+    demand-key and allocation reads at that price share.  Least-take
+    vectors are kept by demand set, charged 2^n plus the set's size each
+    against the budget and cleared when it would be exceeded.  Demand keys
+    are built afresh at each call; keeping deficiency tables by demand key
+    is left to the caller (``LyapunovOracle.neighborhood`` does).
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -91,6 +96,7 @@ class DemandCache:
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
         self._scans: dict[int, tuple[list[int], int]] = {}
+        self._unit_scan: tuple[PriceVector | None, list[int], list[int]] = (None, [], [])
         self._least: dict[tuple[Bundle, ...], list[int]] = {}
         self._least_size = 0
         columns = [[] for _ in range(self._n)]
@@ -168,19 +174,17 @@ class DemandCache:
 
     # -- demand sets -----------------------------------------------------------
 
-    def unit_demand_mask(self, b: int, p: PriceVector) -> int:
-        """A unit-demand bidder's demand set as a bitmask: bit 0 is the
-        artificial no-purchase item, bit i item i."""
-        payoffs = list(map(sub, self.instance.valuations[b].values, p))
-        best = max(payoffs)
-        if best < 0:
-            return 1
-        mask = 1 if best == 0 else 0
-        i = -1
-        for _ in range(payoffs.count(best)):
-            i = payoffs.index(best, i + 1)
-            mask |= 2 << i
-        return mask
+    def unit_scan(self, p: PriceVector) -> tuple[list[int], list[int]]:
+        """The unit-demand bidders' best payoffs at p (0 for buying nothing)
+        and demand sets as bitmasks (bit 0 the artificial no-purchase item,
+        bit i item i), in ``units`` order; one payoff scan per price, kept
+        for the latest price only."""
+        price, bests, masks = self._unit_scan
+        if p != price:
+            valuations = self.instance.valuations
+            bests, masks = _scan_units([valuations[b].values for b in self.units], p)
+            self._unit_scan = (p, bests, masks)
+        return bests, masks
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """All payoff-maximizing bundles, in lexicographic order.
@@ -259,15 +263,15 @@ class DemandCache:
         else:
             takes = [-q for q in u]
         tied = []
-        for b in self.units:
-            dm = self.unit_demand_mask(b, p)
-            if dm & 1:
-                continue
-            d = dm >> 1
-            if d & (d - 1):
-                tied.append(d)
-            else:
-                takes[d.bit_length() - 1] += 1
+        if self.units:
+            for dm in self.unit_scan(p)[1]:
+                if dm & 1:
+                    continue
+                d = dm >> 1
+                if d & (d - 1):
+                    tied.append(d)
+                else:
+                    takes[d.bit_length() - 1] += 1
         tables = tuple(self.demand_set_enum(b, p) for b in self.tables)
         return tuple(takes), tuple(sorted(tied)), tables
 
@@ -370,6 +374,28 @@ def _permute_axes(vals: list[int], radices: list[int], order: list[int]) -> list
         s = stride[a]
         index = [i + s * k for i in index for k in range(radices[a])]
     return [vals[i] for i in index]
+
+
+def _scan_units(rows: list[tuple[int, ...]], p: PriceVector) -> tuple[list[int], list[int]]:
+    """For each unit-demand worth row, its best payoff at p, 0 when buying
+    nothing is best, and its demand set as a bitmask: bit 0 is the
+    artificial no-purchase item, bit i item i."""
+    bests, masks = [], []
+    for row in rows:
+        payoffs = list(map(sub, row, p))
+        best = max(payoffs)
+        if best < 0:
+            bests.append(0)
+            masks.append(1)
+            continue
+        mask = 1 if best == 0 else 0
+        i = -1
+        for _ in range(payoffs.count(best)):
+            i = payoffs.index(best, i + 1)
+            mask |= 2 << i
+        bests.append(best)
+        masks.append(mask)
+    return bests, masks
 
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:

@@ -302,13 +302,15 @@ def minimal_minimizer_step(vals: list[int | None]) -> int:
 
     Only which entries are least matters.  The meet must itself attain the
     minimum; if it does not, the step function is not submodular and the
-    input is rejected.  0 means nothing descends.
+    input is rejected.  0 means nothing descends.  The least entry is read
+    by one ``min`` over the table; only a table holding None, on which that
+    ``min`` raises TypeError, is read again without its None entries.
     """
     _width(vals)
-    if None in vals:
-        best = min(val for val in vals if val is not None)
-    else:
+    try:
         best = min(vals)
+    except TypeError:
+        best = min(val for val in vals if val is not None)
     meet = mask = -1
     for _ in range(vals.count(best)):
         mask = vals.index(best, mask + 1)
@@ -329,15 +331,18 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     stay the same.  The walk stops at the first hit and rejects a set in
     three steps, cheapest first: its entry is not below entry 0; some set
     one item smaller has an entry at or below it; some proper subset does,
-    read from least-entry-over-subsets values kept for this call only.
+    found by walking the set's proper submasks downward to the first entry
+    at or below the set's.  The walk keeps nothing and reads at most
+    2^|X| - 1 entries for a set X, so one call may read up to 3^n entries,
+    where least-over-subsets values shared between sets would bound it by
+    about n * 2^n; on descent tables most sets fail an earlier step or meet
+    a lower subset early, and the walk is the faster.
     ``oracle.gp_minimal_table`` flags every set at once and is its twin.
     Returns None when no raise descends.
     """
     _check_seed(seed)
     _width(vals)
     base = vals[0]
-    low = [None] * len(vals)
-    low[0] = base
     for mask in _shuffled_masks(seed, len(vals)):
         val = vals[mask]
         if val is None or val >= base:
@@ -350,37 +355,15 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
             if sub is not None and sub <= val:
                 break
         else:
-            rest = mask
-            while rest:  # every proper subset, through the sets one smaller
-                bit = rest & -rest
-                rest ^= bit
-                if _least_over_subsets(vals, low, mask ^ bit) <= val:
+            sub = (mask - 1) & mask
+            while sub:  # every nonempty proper subset, downward
+                low = vals[sub]
+                if low is not None and low <= val:
                     break
+                sub = (sub - 1) & mask
             else:
                 return mask
     return None
-
-
-def _least_over_subsets(vals: list[int | None], low: list[int | None], mask: int) -> int:
-    """Least finite entry of ``vals`` over the subsets of ``mask``, itself
-    included, kept in ``low`` (None where not yet known).  Every such
-    subset holds the empty set, whose entry ``low[0]`` is finite.
-
-    A module function, not a closure, so a call leaves no reference cycle
-    that would keep the table alive until the cyclic collector runs.
-    """
-    least = low[mask]
-    if least is None:
-        least = vals[mask]
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            sub = _least_over_subsets(vals, low, mask ^ bit)
-            if least is None or sub < least:
-                least = sub
-        low[mask] = least
-    return least
 
 
 @functools.lru_cache(maxsize=1)

@@ -8,8 +8,10 @@ models: the oracle reads the bidders by the groups ``DemandCache`` sorted
 them into and tests no model or family itself.  Separable bidders are read
 per item, not per bidder: their total indirect utility is a sum over items
 of one-variable functions of the item's price, each read from the item's
-sorted column of marginals (``DemandCache.item_utility``); every other
-bidder is read on its own.
+sorted column of marginals (``DemandCache.item_utility``).  The unit-demand
+bidders' best payoffs come from the one scan per price the cache keeps
+(``DemandCache.unit_scan``), which the next change table's demand key at
+that price reads too; every table bidder is read on its own.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -66,20 +68,16 @@ class LyapunovOracle:
 
     def value(self, p: PriceVector) -> int:
         """L(p): the revenue term p.u, then the separable bidders per item,
-        each unit-demand bidder's best payoff (0 for buying nothing), and
-        each box-scanned bidder's indirect utility."""
+        the unit-demand bidders' best payoffs (0 for buying nothing) from
+        the cache's kept scan at p, and each box-scanned bidder's indirect
+        utility."""
         t = _check_price(self.instance, p)
         dc = self.demand
         total = sum(map(mul, t, self.instance.u))
         if dc.separable:
             total += sum(map(dc.item_utility, range(len(t)), t))
-        valuations = self.instance.valuations
-        for b in dc.units:
-            best = 0
-            for w, c in zip(valuations[b].values, t):
-                if w - c > best:
-                    best = w - c
-            total += best
+        if dc.units:
+            total += sum(dc.unit_scan(t)[0])
         for b in dc.tables:
             total += dc.indirect_utility(b, t)
         return total

@@ -7,11 +7,14 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
 * exhaustive Lyapunov minimization and definitional equilibrium enumeration
   over a bounded price box;
 * the unit model's definitions from Andersson, Andersson and Talman (2013):
-  demand sets with the no-purchase item 0, the bidders demanding only or
-  some items of a set, and overdemanded and excess-demand sets, with their
-  multi-unit counterparts from minimum takes;
+  demand sets with the no-purchase item 0, one bidder at a time
+  (``unit_demand_mask``, the twin of the masks ``DemandCache.unit_scan``
+  keeps), the bidders demanding only or some items of a set, and
+  overdemanded and excess-demand sets, with their multi-unit counterparts
+  from minimum takes;
 * the Lyapunov value by its definition, a box scan per bidder
-  (``lyapunov_value``), the twin of the oracle's per-item and inline reads;
+  (``lyapunov_value``), the twin of the oracle's per-item reads and kept
+  unit-demand scans;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
   ``deficiency``, ``lyapunov_step``) and the equilibrium conditions checked
   against an allocation (``allocation_certifies``).
@@ -116,13 +119,12 @@ def allocation_certifies(instance: Instance, p: PriceVector,
                          allocation: Allocation) -> bool:
     """Check an allocation against the equilibrium conditions at p."""
     p = _check_price(instance, p)
-    dc = DemandCache(instance)
     if instance.model == UNIT:
         if not isinstance(allocation, UnitAllocation) or len(allocation.assignment) != instance.m:
             return False
         sold = set()
         for b, a in enumerate(allocation.assignment):
-            mask = dc.unit_demand_mask(b, p)
+            mask = unit_demand_mask(b, p, instance)
             if not mask >> a & 1:
                 return False
             if a != 0:
@@ -130,6 +132,7 @@ def allocation_certifies(instance: Instance, p: PriceVector,
         return all(p[i - 1] == 0 for i in range(1, instance.n + 1) if i not in sold)
     if not isinstance(allocation, MultiAllocation) or len(allocation.bundles) != instance.m:
         return False
+    dc = DemandCache(instance)
     for b, x in enumerate(allocation.bundles):
         if x not in dc.demand_set(b, p):
             return False
@@ -140,14 +143,13 @@ def allocation_certifies(instance: Instance, p: PriceVector,
 # --- definitional equilibrium enumeration ---------------------------------
 
 
-def _unit_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
-                   charge) -> bool:
+def _unit_clearing(instance: Instance, p: PriceVector, charge) -> bool:
     """Does some assignment give every bidder a demanded option and sell every
     positively priced item?  Straight depth-first enumeration, bidder by
     bidder, with an explicit stack so the depth is not bounded by Python's
     recursion limit; ``charge`` is called once per node."""
     m, n = instance.m, instance.n
-    options = [sorted(_unit_options(dc, b, p)) for b in range(m)]
+    options = [sorted(_unit_options(instance, b, p)) for b in range(m)]
     priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
 
     def settled(b: int, used: frozenset[int]) -> bool | None:
@@ -262,7 +264,7 @@ def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = Fals
     for p in product(*ranges):
         p = tuple(p)
         if instance.model == UNIT:
-            good = _unit_clearing(instance, dc, p, charge)
+            good = _unit_clearing(instance, p, charge)
         else:
             good = _multi_clearing(instance, dc, p, charge, unsold)
         if good:
@@ -317,17 +319,27 @@ def _check_bidder(instance: Instance, b: int) -> None:
         raise IndexError(f"bidder index out of range: {b!r} (m={instance.m})")
 
 
-def _unit_options(dc: DemandCache, b: int, p: PriceVector) -> frozenset[int]:
+def unit_demand_mask(b: int, p: PriceVector, instance: Instance) -> int:
+    """A unit-demand bidder's demand set at a checked price p as a bitmask,
+    bit 0 being the no-purchase item and bit i item i: the items of largest
+    payoff, with item 0 (payoff 0) among them when that payoff is not
+    positive.  The per-bidder twin of the masks ``DemandCache.unit_scan``
+    keeps for its latest price."""
+    payoffs = [0] + [w - c for w, c in zip(instance.valuations[b].values, p)]
+    best = max(payoffs)
+    return sum(1 << i for i, pay in enumerate(payoffs) if pay == best)
+
+
+def _unit_options(instance: Instance, b: int, p: PriceVector) -> frozenset[int]:
     """A unit-demand bidder's demanded options, 0 meaning "buy nothing"."""
-    mask = dc.unit_demand_mask(b, p)
+    mask = unit_demand_mask(b, p, instance)
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _demand_masks(instance: Instance, p: PriceVector) -> list[int]:
     """Every unit-demand bidder's demand set at p as a bitmask, bit 0 being
     the no-purchase item: the one read of demand the definitions below take."""
-    dc = DemandCache(instance)
-    return [dc.unit_demand_mask(b, p) for b in range(instance.m)]
+    return [unit_demand_mask(b, p, instance) for b in range(instance.m)]
 
 
 def only_demanders_mask(masks: list[int], items_mask: int) -> int:
@@ -350,7 +362,7 @@ def unit_demand_set(b: int, p: PriceVector, instance: Instance) -> frozenset[int
         raise ValueError("unit_demand_set requires model 'unit'")
     _check_bidder(instance, b)
     p = _check_price(instance, p)
-    return _unit_options(DemandCache(instance), b, p)
+    return _unit_options(instance, b, p)
 
 
 def bidders_only_demanding(Y: ItemSet, p: PriceVector, instance: Instance) -> frozenset[int]:
@@ -467,7 +479,8 @@ def lyapunov_value(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_
     """Lyapunov value at p by the definition: each bidder's best payoff
     max_x (v(x) - p.x) over its bundle box, read through
     ``DemandCache.indirect_utility``, plus the revenue at full supply; the
-    twin of ``LyapunovOracle.value``'s per-item and inline reads, and bounded
+    twin of ``LyapunovOracle.value``'s per-item reads and kept unit-demand
+    scans, and bounded
     by the bundle-box budget like every box scan."""
     p = _check_price(instance, p)
     dc = DemandCache(instance, budget=budget)

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (column_markets, column_prices, random_multi_instance,
+from conftest import (column_markets, column_prices, make_ex21, random_multi_instance,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     max_total_value,
@@ -16,7 +16,9 @@ from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
 from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume
 from walras.itemsets import items_from_mask, subset_sums
-from walras.oracle import lyapunov_value, only_demanders_mask, some_demanders_mask
+from walras import demand
+from walras.oracle import (lyapunov_value, only_demanders_mask, some_demanders_mask,
+                           unit_demand_mask)
 
 
 class TestUnitDemandSets:
@@ -91,19 +93,20 @@ class TestMultiDemandSets:
                 fresh = DemandCache(inst)
                 assert dc.deficiency_from_key(dc.demand_key(p)) == \
                     fresh.deficiency_from_key(fresh.demand_key(p))
-                for b, v in enumerate(inst.valuations):
+                for b in range(inst.m):
                     assert dc.mu_vector(b, p) == fresh.mu_vector(b, p)
                     assert dc.demand_set(b, p) == fresh.demand_set(b, p)
                     assert dc.indirect_utility(b, p) == fresh.indirect_utility(b, p)
-                    if v.family == "unit_demand":
-                        assert dc.unit_demand_mask(b, p) == fresh.unit_demand_mask(b, p)
+                assert dc.unit_scan(p) == fresh.unit_scan(p)
+                assert dc.unit_scan(p)[1] == [unit_demand_mask(b, p, inst) for b in dc.units]
 
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
         per-item columns and the bidder groups exactly as built, the bundle
         box, at most one worth list per bidder, the latest price's bundle
-        costs and table bidders' payoff scans, and least takes kept by
-        demand set within the budget: nothing per step."""
+        costs, table bidders' payoff scans and unit-demand bidders' best
+        payoffs and masks, and least takes kept by demand set within the
+        budget: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -120,8 +123,14 @@ class TestMultiDemandSets:
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs",
-                                     "_scans", "_least", "_least_size",
+                                     "_scans", "_unit_scan", "_least", "_least_size",
                                      "_columns", "_tails", "separable", "units", "tables"}
+            # one price, the final one the stop read, and one entry per
+            # unit-demand bidder
+            price, bests, masks = dc._unit_scan
+            assert price == res.p_min
+            assert len(bests) == len(masks) == len(dc.units)
+            assert masks == [unit_demand_mask(b, price, inst) for b in dc.units]
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
             assert len(dc._values) <= inst.m
             price, costs = dc._costs
@@ -150,8 +159,8 @@ class TestUnitScan:
     def test_interleaved_reads_match_a_fresh_cache(self, data):
         """Lyapunov values, demand keys and allocations read through one
         oracle at prices p, q, p, in a drawn order, equal a fresh cache's
-        answers; the unit-demand masks the cache reads equal the per-bidder
-        twin's."""
+        answers; the unit-demand scan the cache keeps, of one of those
+        prices, holds the per-bidder twin's masks and best payoffs."""
         inst = data.draw(column_markets().filter(_has_unit_bidder))
         p, q = data.draw(column_prices(inst)), data.draw(column_prices(inst))
         reads = data.draw(st.permutations(("value", "key", "extract")))
@@ -166,9 +175,42 @@ class TestUnitScan:
                     assert dc.demand_key(price) == fresh.demand.demand_key(price)
                 else:
                     assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
-                for b in dc.units:
-                    assert dc.unit_demand_mask(b, price) == \
-                        DemandCache(inst).unit_demand_mask(b, price)
+                kept, bests, masks = dc._unit_scan
+                if kept is not None:
+                    assert kept in (p, q)
+                    assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
+                    assert bests == [max(0, *(w - c for w, c in zip(
+                        inst.valuations[b].values, kept))) for b in dc.units]
+
+    def test_one_payoff_scan_per_price_read(self, monkeypatch):
+        """A descent and its allocation scan the unit-demand payoffs once
+        each time the price read changes: a step's value read and the next
+        step's demand key share one scan, and so do the stop's reads."""
+        reads, scans = [], []
+        read, scan = DemandCache.unit_scan, demand._scan_units
+
+        def counted_read(self, p):
+            reads.append((id(self), p))
+            return read(self, p)
+
+        def counted_scan(rows, p):
+            scans.append(p)
+            return scan(rows, p)
+
+        monkeypatch.setattr(DemandCache, "unit_scan", counted_read)
+        monkeypatch.setattr(demand, "_scan_units", counted_scan)
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
+            Valuation.unit_demand([20, 29])))
+        for inst in (make_ex21(), mixed, random_unit_instance(random.Random(5), n_max=4)):
+            for kind in StrategyKind:
+                reads.clear()
+                scans.clear()
+                res = ascending_auction(inst, kind)
+                assert res.allocation is not None
+                changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
+                assert scans == [p for _, p in changes]
+                assert len(reads) > len(changes) > len(res.trajectory)
 
 
 class TestMu:
@@ -221,8 +263,7 @@ def _unit_prices(rng, inst, cap):
 def _bidder_sets(inst, p):
     """O(X) and U(X) for every item set X, as bidder bitmasks, by the
     per-mask forms over one read of the bidders' demand masks."""
-    dc = DemandCache(inst)
-    masks = [dc.unit_demand_mask(b, p) for b in range(inst.m)]
+    masks = [unit_demand_mask(b, p, inst) for b in range(inst.m)]
     size = 1 << inst.n
     return ([only_demanders_mask(masks, x) for x in range(size)],
             [some_demanders_mask(masks, x) for x in range(size)])
@@ -316,7 +357,7 @@ class TestFastPaths:
                 for j, ks in enumerate(_per_item_argmax(v, p)):
                     takes[j] += ks[0]
             elif v.family == "unit_demand":
-                dm = dc.unit_demand_mask(b, p)
+                dm = unit_demand_mask(b, p, inst)
                 d = dm >> 1
                 if dm & 1:
                     continue
@@ -453,6 +494,6 @@ class TestDeterminism:
 
     def test_caches_are_stable(self, ex21):
         dc = DemandCache(ex21)
-        a = dc.unit_demand_mask(0, (0, 0, 0))
-        b = dc.unit_demand_mask(0, (0, 0, 0))
-        assert a == b
+        a = dc.unit_scan((0, 0, 0))
+        b = dc.unit_scan((0, 0, 0))
+        assert a == b and a[1][0] == unit_demand_mask(0, (0, 0, 0), ex21)

@@ -336,7 +336,7 @@ class TestMinimalMinimizerStep:
         with pytest.raises(ConvexityError, match="not submodular"):
             minimal_minimizer_step(neighborhood_values(g, (0, 0)))
 
-    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(
         st.one_of(st.none(), st.integers(-2, 1)), min_size=1 << n, max_size=1 << n)),
         st.integers(-2, 1))
     def test_matches_the_comprehension_twin(self, rest, first):
@@ -377,12 +377,13 @@ class TestFirstGpMinimal:
         ``random.Random(seed).shuffle``, on change tables and value tables
         (entry 0 not 0) with ties and None entries, while seeds and table
         sizes change and repeat; only the latest order is kept.  A set that
-        ties one of its proper subsets is never chosen; such sets, past the
-        one-item-smaller check, come up in the walk."""
+        ties one of its proper subsets is never chosen, nor one above a
+        proper subset; such sets, past the one-item-smaller check, come up
+        in the walk, so its submask walk decides them."""
         rng = random.Random(29)
-        deep_ties = 0
+        deep_ties = deep_lows = 0
         for trial in range(600):
-            n = rng.randint(1, 7)
+            n = rng.randint(1, 10)
             top = rng.randint(1, 8)
             vals = [rng.choice((None, rng.randint(-top, top))) if rng.random() < 0.2
                     else rng.randint(-top, top) for _ in range(1 << n)]
@@ -403,10 +404,13 @@ class TestFirstGpMinimal:
                 smaller = [mask ^ (1 << k) for k in range(n) if mask >> k & 1]
                 if all(vals[sub] is None or vals[sub] > val for sub in smaller):
                     deep_ties += any(vals[sub] == val for sub in proper_submasks(mask))
+                    deep_lows += any(vals[sub] is not None and vals[sub] < val
+                                     for sub in proper_submasks(mask))
             if got is not None:
                 assert all(vals[sub] is None or vals[sub] > vals[got]
                            for sub in proper_submasks(got)), (vals, got)
         assert deep_ties > 20
+        assert deep_lows > 100
 
 
 class TestMaximalGpMinimal:

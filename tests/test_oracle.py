@@ -140,10 +140,10 @@ class TestDefinitionalEnumeration:
             equilibrium_prices_by_enumeration(two_bidder_multi, budget=3)
 
 
-def recursive_unit_walk(instance, dc, p, charge):
+def recursive_unit_walk(instance, p, charge):
     """The recursive depth-first enumeration ``_unit_clearing`` replaced."""
     m, n = instance.m, instance.n
-    demands = [_unit_options(dc, b, p) for b in range(m)]
+    demands = [_unit_options(instance, b, p) for b in range(m)]
     priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
 
     def walk(b, used):
@@ -201,11 +201,10 @@ class TestClearingWalks:
         rng = random.Random(41)
         for _ in range(60):
             inst = random_unit_instance(rng, n_max=4, m_max=6, value_max=3)
-            dc = DemandCache(inst)
             for p in product(range(4), repeat=inst.n):
                 fast, slow = [], []
-                got = _unit_clearing(inst, dc, p, lambda: fast.append(None))
-                want = recursive_unit_walk(inst, dc, p, lambda: slow.append(None))
+                got = _unit_clearing(inst, p, lambda: fast.append(None))
+                want = recursive_unit_walk(inst, p, lambda: slow.append(None))
                 assert (got, len(fast)) == (want, len(slow)), (inst, p)
 
     def test_multi_walk_matches_the_recursion(self):
