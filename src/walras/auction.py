@@ -176,7 +176,7 @@ def _combine_matchings(match_b: dict[int, int], m2: dict[int, int]) -> dict[int,
 
 def _extract_unit(instance: Instance, p: PriceVector, dc: DemandCache) -> UnitAllocation | None:
     n, m = instance.n, instance.m
-    dmasks = dc.unit_scan(p)[1]  # the unit model's bidders are all unit-demand, in order
+    dmasks = dc.unit_masks(p)  # the unit model's bidders are all unit-demand, in order
     priced = [i for i in range(1, n + 1) if p[i - 1] > 0]
     must_buy = [b for b in range(m) if not dmasks[b] & 1]
     # First matching covers every positively priced item.

@@ -35,9 +35,11 @@ payoff list and its best are kept for the latest price, and
 ``indirect_utility``, ``demand_set_enum`` and ``demand_key`` all read that
 one scan, so a descent step's value read and the next step's demand key
 share it.  The unit-demand bidders are scanned together, also once per
-price: ``unit_scan`` keeps each one's best payoff and demand mask for the
-latest price, and the Lyapunov value, ``demand_key`` and the unit
-allocation all read them.  A table bidder's least takes depend only on its
+price: ``unit_scan`` keeps each one's item payoffs and best payoff for the
+latest price; the Lyapunov value reads the bests, and ``demand_key`` and
+the unit allocation read the demand masks ``unit_masks`` derives from the
+kept payoffs, so a value read at a price that no demand read follows pays
+for no mask.  A table bidder's least takes depend only on its
 demand set, so they are kept by demand set, within the budget, and cleared
 when full.
 """
@@ -80,7 +82,7 @@ class DemandCache:
     only per-price state is kept for the latest price only: the box scans'
     bundle costs p.x, each scanned bidder's payoff of every bundle with its
     best, which every scan at that price re-reads, and every unit-demand
-    bidder's best payoff and demand mask (``unit_scan``), which the value,
+    bidder's item payoffs and best payoff (``unit_scan``), which the value,
     demand-key and allocation reads at that price share.  Least-take
     vectors are kept by demand set, charged 2^n plus the set's size each
     against the budget and cleared when it would be exceeded.  Demand keys
@@ -96,7 +98,7 @@ class DemandCache:
         self._values: dict[int, list[int]] = {}
         self._costs: tuple[PriceVector | None, list[int]] = (None, [])
         self._scans: dict[int, tuple[list[int], int]] = {}
-        self._unit_scan: tuple[PriceVector | None, list[int], list[int]] = (None, [], [])
+        self._unit_scan: tuple[PriceVector | None, list[list[int]], list[int]] = (None, [], [])
         self._least: dict[tuple[Bundle, ...], list[int]] = {}
         self._least_size = 0
         columns = [[] for _ in range(self._n)]
@@ -174,17 +176,23 @@ class DemandCache:
 
     # -- demand sets -----------------------------------------------------------
 
-    def unit_scan(self, p: PriceVector) -> tuple[list[int], list[int]]:
-        """The unit-demand bidders' best payoffs at p (0 for buying nothing)
-        and demand sets as bitmasks (bit 0 the artificial no-purchase item,
-        bit i item i), in ``units`` order; one payoff scan per price, kept
-        for the latest price only."""
-        price, bests, masks = self._unit_scan
+    def unit_scan(self, p: PriceVector) -> tuple[list[list[int]], list[int]]:
+        """The unit-demand bidders' payoffs w_i - p_i of every item and
+        their best payoffs, 0 when buying nothing is best, in ``units``
+        order; one scan per price, kept for the latest price only."""
+        price, payoffs, bests = self._unit_scan
         if p != price:
             valuations = self.instance.valuations
-            bests, masks = _scan_units([valuations[b].values for b in self.units], p)
-            self._unit_scan = (p, bests, masks)
-        return bests, masks
+            payoffs = [list(map(sub, valuations[b].values, p)) for b in self.units]
+            bests = [best if best > 0 else 0 for best in map(max, payoffs)]
+            self._unit_scan = (p, payoffs, bests)
+        return payoffs, bests
+
+    def unit_masks(self, p: PriceVector) -> list[int]:
+        """The unit-demand bidders' demand sets at p as bitmasks, bit 0 the
+        artificial no-purchase item and bit i item i, in ``units`` order,
+        read from the kept scan at p."""
+        return list(map(_demand_mask, *self.unit_scan(p)))
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """All payoff-maximizing bundles, in lexicographic order.
@@ -264,7 +272,7 @@ class DemandCache:
             takes = [-q for q in u]
         tied = []
         if self.units:
-            for dm in self.unit_scan(p)[1]:
+            for dm in self.unit_masks(p):
                 if dm & 1:
                     continue
                 d = dm >> 1
@@ -376,26 +384,16 @@ def _permute_axes(vals: list[int], radices: list[int], order: list[int]) -> list
     return [vals[i] for i in index]
 
 
-def _scan_units(rows: list[tuple[int, ...]], p: PriceVector) -> tuple[list[int], list[int]]:
-    """For each unit-demand worth row, its best payoff at p, 0 when buying
-    nothing is best, and its demand set as a bitmask: bit 0 is the
-    artificial no-purchase item, bit i item i."""
-    bests, masks = [], []
-    for row in rows:
-        payoffs = list(map(sub, row, p))
-        best = max(payoffs)
-        if best < 0:
-            bests.append(0)
-            masks.append(1)
-            continue
-        mask = 1 if best == 0 else 0
-        i = -1
-        for _ in range(payoffs.count(best)):
-            i = payoffs.index(best, i + 1)
-            mask |= 2 << i
-        bests.append(best)
-        masks.append(mask)
-    return bests, masks
+def _demand_mask(payoffs: list[int], best: int) -> int:
+    """A unit-demand bidder's demand set as a bitmask, from its item payoffs
+    and its best payoff ``best`` >= 0: the items paying ``best``, and the
+    artificial no-purchase item at bit 0 when ``best`` is 0."""
+    mask = 0 if best else 1
+    i = -1
+    for _ in range(payoffs.count(best)):
+        i = payoffs.index(best, i + 1)
+        mask |= 2 << i
+    return mask
 
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:

@@ -77,7 +77,7 @@ class LyapunovOracle:
         if dc.separable:
             total += sum(map(dc.item_utility, range(len(t)), t))
         if dc.units:
-            total += sum(dc.unit_scan(t)[0])
+            total += sum(dc.unit_scan(t)[1])
         for b in dc.tables:
             total += dc.indirect_utility(b, t)
         return total

@@ -8,8 +8,8 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
   over a bounded price box;
 * the unit model's definitions from Andersson, Andersson and Talman (2013):
   demand sets with the no-purchase item 0, one bidder at a time
-  (``unit_demand_mask``, the twin of the masks ``DemandCache.unit_scan``
-  keeps), the bidders demanding only or some items of a set, and
+  (``unit_demand_mask``, the twin of ``DemandCache.unit_masks``), the
+  bidders demanding only or some items of a set, and
   overdemanded and excess-demand sets, with their multi-unit counterparts
   from minimum takes;
 * the Lyapunov value by its definition, a box scan per bidder
@@ -323,8 +323,8 @@ def unit_demand_mask(b: int, p: PriceVector, instance: Instance) -> int:
     """A unit-demand bidder's demand set at a checked price p as a bitmask,
     bit 0 being the no-purchase item and bit i item i: the items of largest
     payoff, with item 0 (payoff 0) among them when that payoff is not
-    positive.  The per-bidder twin of the masks ``DemandCache.unit_scan``
-    keeps for its latest price."""
+    positive.  The per-bidder twin of ``DemandCache.unit_masks``, which
+    reads every unit-demand bidder's mask from the cache's kept scan."""
     payoffs = [0] + [w - c for w, c in zip(instance.valuations[b].values, p)]
     best = max(payoffs)
     return sum(1 << i for i, pay in enumerate(payoffs) if pay == best)

@@ -16,7 +16,6 @@ from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
 from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume
 from walras.itemsets import items_from_mask, subset_sums
-from walras import demand
 from walras.oracle import (lyapunov_value, only_demanders_mask, some_demanders_mask,
                            unit_demand_mask)
 
@@ -98,14 +97,14 @@ class TestMultiDemandSets:
                     assert dc.demand_set(b, p) == fresh.demand_set(b, p)
                     assert dc.indirect_utility(b, p) == fresh.indirect_utility(b, p)
                 assert dc.unit_scan(p) == fresh.unit_scan(p)
-                assert dc.unit_scan(p)[1] == [unit_demand_mask(b, p, inst) for b in dc.units]
+                assert dc.unit_masks(p) == [unit_demand_mask(b, p, inst) for b in dc.units]
 
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
         per-item columns and the bidder groups exactly as built, the bundle
         box, at most one worth list per bidder, the latest price's bundle
-        costs, table bidders' payoff scans and unit-demand bidders' best
-        payoffs and masks, and least takes kept by demand set within the
+        costs, table bidders' payoff scans and unit-demand bidders' payoffs
+        and best payoffs, and least takes kept by demand set within the
         budget: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
@@ -127,10 +126,12 @@ class TestMultiDemandSets:
                                      "_columns", "_tails", "separable", "units", "tables"}
             # one price, the final one the stop read, and one entry per
             # unit-demand bidder
-            price, bests, masks = dc._unit_scan
+            kept = price, payoffs, bests = dc._unit_scan
             assert price == res.p_min
-            assert len(bests) == len(masks) == len(dc.units)
-            assert masks == [unit_demand_mask(b, price, inst) for b in dc.units]
+            assert len(payoffs) == len(bests) == len(dc.units)
+            assert all(len(row) == inst.n for row in payoffs)
+            assert dc.unit_masks(price) == [unit_demand_mask(b, price, inst) for b in dc.units]
+            assert dc._unit_scan is kept
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
             assert len(dc._values) <= inst.m
             price, costs = dc._costs
@@ -160,7 +161,8 @@ class TestUnitScan:
         """Lyapunov values, demand keys and allocations read through one
         oracle at prices p, q, p, in a drawn order, equal a fresh cache's
         answers; the unit-demand scan the cache keeps, of one of those
-        prices, holds the per-bidder twin's masks and best payoffs."""
+        prices, gives the per-bidder twin's masks and best payoffs without
+        a new scan."""
         inst = data.draw(column_markets().filter(_has_unit_bidder))
         p, q = data.draw(column_prices(inst)), data.draw(column_prices(inst))
         reads = data.draw(st.permutations(("value", "key", "extract")))
@@ -175,30 +177,31 @@ class TestUnitScan:
                     assert dc.demand_key(price) == fresh.demand.demand_key(price)
                 else:
                     assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
-                kept, bests, masks = dc._unit_scan
+                scan = kept, _, bests = dc._unit_scan
                 if kept is not None:
                     assert kept in (p, q)
-                    assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
+                    assert dc.unit_masks(kept) == [unit_demand_mask(b, kept, inst)
+                                                   for b in dc.units]
                     assert bests == [max(0, *(w - c for w, c in zip(
                         inst.valuations[b].values, kept))) for b in dc.units]
+                    assert dc._unit_scan is scan
 
     def test_one_payoff_scan_per_price_read(self, monkeypatch):
         """A descent and its allocation scan the unit-demand payoffs once
         each time the price read changes: a step's value read and the next
         step's demand key share one scan, and so do the stop's reads."""
         reads, scans = [], []
-        read, scan = DemandCache.unit_scan, demand._scan_units
+        read = DemandCache.unit_scan
 
         def counted_read(self, p):
-            reads.append((id(self), p))
-            return read(self, p)
-
-        def counted_scan(rows, p):
-            scans.append(p)
-            return scan(rows, p)
+            kept = self._unit_scan
+            reads.append((self, p))  # the cache itself, so no id is reused
+            out = read(self, p)
+            if self._unit_scan is not kept:
+                scans.append(p)
+            return out
 
         monkeypatch.setattr(DemandCache, "unit_scan", counted_read)
-        monkeypatch.setattr(demand, "_scan_units", counted_scan)
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
             Valuation.unit_demand([20, 29])))
@@ -494,6 +497,6 @@ class TestDeterminism:
 
     def test_caches_are_stable(self, ex21):
         dc = DemandCache(ex21)
-        a = dc.unit_scan((0, 0, 0))
-        b = dc.unit_scan((0, 0, 0))
-        assert a == b and a[1][0] == unit_demand_mask(0, (0, 0, 0), ex21)
+        a = dc.unit_masks((0, 0, 0))
+        b = dc.unit_masks((0, 0, 0))
+        assert a == b and a[0] == unit_demand_mask(0, (0, 0, 0), ex21)
