@@ -6,9 +6,9 @@ unit-demand group and a box-scanned group, and every other reader, here,
 in the Lyapunov oracle and in the auction layer, branches on those groups.
 A separable bidder's demand set is the product of its per-item argmax sets
 and its minimum take the sum of per-item least argmaxes; a unit-demand
-bidder demands single items, read, with its best payoff, as a bitmask with
-the artificial no-purchase item 0 at bit 0; a box-scanned (table) bidder
-scans the bundle box.  The deficiency table, demanded minus supplied units for every item
+bidder demands single items, read as a bitmask with the artificial
+no-purchase item 0 at bit 0; a box-scanned (table) bidder scans the bundle
+box.  The deficiency table, demanded minus supplied units for every item
 set, adds each bidder's minimum take to minus the supply group by group;
 the unit model is the case where every bidder is unit-demand and the
 supply is one of each item.  The table depends on the price only through
@@ -39,9 +39,8 @@ price: ``unit_scan`` keeps each one's item payoffs and best payoff for the
 latest price; the Lyapunov value reads the bests, and ``demand_key`` and
 the unit allocation read the demand masks ``unit_masks`` derives from the
 kept payoffs, so a value read at a price that no demand read follows pays
-for no mask.  A table bidder's least takes depend only on its
-demand set, so they are kept by demand set, within the budget, and cleared
-when full.
+for no mask.  A table bidder's least takes depend only on its demand set,
+so they are kept by demand set, within the budget, and cleared when full.
 """
 
 from __future__ import annotations
