@@ -30,17 +30,22 @@ taken one coordinate at a time.  The bundle box is built, and checked
 against the budget, only when a scan first needs it; deficiency tables
 ((m + 1) * 2^n entries) are checked against the same budget.
 
-A box scan reads a bidder's payoff of every bundle, once per price: the
-payoff list and its best are kept for the latest price, and
-``indirect_utility``, ``demand_set_enum`` and ``demand_key`` all read that
-one scan, so a descent step's value read and the next step's demand key
-share it.  The unit-demand bidders are scanned together, also once per
-price: ``unit_scan`` keeps each one's item payoffs and best payoff for the
-latest price; the Lyapunov value reads the bests, and ``demand_key`` and
-the unit allocation read the demand masks ``unit_masks`` derives from the
-kept payoffs, so a value read at a price that no demand read follows pays
-for no mask.  A table bidder's least takes depend only on its demand set,
-so they are kept by demand set, within the budget, and cleared when full.
+The table bidders are scanned together, once per price: ``table_scan``
+keeps each one's payoff of every bundle and its best payoff for the latest
+price; the Lyapunov value reads the bests, and ``indirect_utility``,
+``demand_set_enum`` and ``demand_key`` read the same scan, so a descent
+step's value read and the next step's demand key share it.  A table bidder
+demanding one bundle x takes x(X) from X, which is modular, so
+``demand_key`` adds x to the per-item takes; only a tied one is keyed by
+its demand set.  The unit-demand bidders are scanned together too:
+``unit_scan`` keeps each one's item payoffs and best payoff for the latest
+price; the Lyapunov value reads the bests, and ``demand_key`` and the unit
+allocation read the demand masks ``unit_masks`` derives from the kept
+payoffs, so a value read at a price that no demand read follows pays for no
+mask.  A tied table bidder's least takes depend only on its demand set, so
+they are kept by demand set, within the budget, and cleared when full.
+Any other bidder read through the box, as the definitional twins read
+every bidder, is scanned afresh at each read.
 """
 
 from __future__ import annotations
@@ -78,12 +83,12 @@ class DemandCache:
     each item into one ascending column per item, with its suffix sums,
     which ``demand_key`` and ``item_utility`` read per item.  It keeps the
     bundle box and each box-scanned bidder's worth of every bundle.  The
-    only per-price state is kept for the latest price only: the box scans'
-    bundle costs p.x, each scanned bidder's payoff of every bundle with its
-    best, which every scan at that price re-reads, and every unit-demand
-    bidder's item payoffs and best payoff (``unit_scan``), which the value,
-    demand-key and allocation reads at that price share.  Least-take
-    vectors are kept by demand set, charged 2^n plus the set's size each
+    only per-price state is kept for the latest price only: every table
+    bidder's payoff of every bundle with its best (``table_scan``), and
+    every unit-demand bidder's item payoffs and best payoff
+    (``unit_scan``), which the value, demand-key, demand-set and allocation
+    reads at that price share.  Least-take vectors are kept by demand set,
+    as the bundles' box indices, charged 2^n plus the set's size each
     against the budget and cleared when it would be exceeded.  Demand keys
     are built afresh at each call; keeping deficiency tables by demand key
     is left to the caller (``LyapunovOracle.neighborhood`` does).
@@ -95,10 +100,9 @@ class DemandCache:
         self._n = instance.n
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
-        self._costs: tuple[PriceVector | None, list[int]] = (None, [])
-        self._scans: dict[int, tuple[list[int], int]] = {}
+        self._table_scan: tuple[PriceVector | None, list[list[int]], list[int]] = (None, [], [])
         self._unit_scan: tuple[PriceVector | None, list[list[int]], list[int]] = (None, [], [])
-        self._least: dict[tuple[Bundle, ...], list[int]] = {}
+        self._least: dict[tuple[int, ...], list[int]] = {}
         self._least_size = 0
         columns = [[] for _ in range(self._n)]
         separable, units, tables = [], [], []
@@ -117,6 +121,7 @@ class DemandCache:
         self.separable = frozenset(separable)
         self.units = tuple(units)
         self.tables = tuple(tables)
+        self._table_at = {b: i for i, b in enumerate(tables)}
 
     # -- shared ------------------------------------------------------------
 
@@ -141,28 +146,16 @@ class DemandCache:
                 f"{self.instance.m} bidders need {entries} entries, "
                 f"budget is {self.budget}")
 
-    def _box_costs(self, p: PriceVector) -> list[int]:
-        """``p.x`` for every bundle of the box, in box order; kept for the
-        latest price only, with the payoff scans read at it."""
-        price, costs = self._costs
-        if p != price:
-            costs = [0]
-            for c, cap in zip(p, self.instance.u):
-                costs = [t + k * c for t in costs for k in range(cap + 1)]
-            self._costs = (p, costs)
-            self._scans = {}
-        return costs
-
     def _scan(self, b: int, p: PriceVector) -> tuple[list[int], int]:
         """Bidder b's payoff v(x) - p.x of every bundle, in box order, and
-        the best of them; kept for the latest price only."""
-        vals = self._bidder_values(b)
-        costs = self._box_costs(p)
-        scan = self._scans.get(b)
-        if scan is None:
-            payoffs = list(map(sub, vals, costs))
-            scan = self._scans[b] = (payoffs, max(payoffs))
-        return scan
+        the best of them: a table bidder's from the kept ``table_scan``,
+        any other's scanned afresh."""
+        i = self._table_at.get(b)
+        if i is not None:
+            payoffs, bests = self.table_scan(p)
+            return payoffs[i], bests[i]
+        payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))
+        return payoffs, max(payoffs)
 
     def _bidder_values(self, b: int) -> list[int]:
         """Bidder b's worth of every bundle in box order, after the box's budget check."""
@@ -187,6 +180,19 @@ class DemandCache:
             self._unit_scan = (p, payoffs, bests)
         return payoffs, bests
 
+    def table_scan(self, p: PriceVector) -> tuple[list[list[int]], list[int]]:
+        """The table bidders' payoffs v(x) - p.x of every bundle, in box
+        order, and their best payoffs, in ``tables`` order; one scan per
+        price, kept for the latest price only."""
+        price, payoffs, bests = self._table_scan
+        if p != price:
+            worths = [self._bidder_values(b) for b in self.tables]
+            costs = _box_costs(p, self.instance.u) if worths else []
+            payoffs = [list(map(sub, vals, costs)) for vals in worths]
+            bests = list(map(max, payoffs))
+            self._table_scan = (p, payoffs, bests)
+        return payoffs, bests
+
     def unit_masks(self, p: PriceVector) -> list[int]:
         """The unit-demand bidders' demand sets at p as bitmasks, bit 0 the
         artificial no-purchase item and bit i item i, in ``units`` order,
@@ -206,14 +212,8 @@ class DemandCache:
 
     def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """Payoff-maximizing bundles by full enumeration of the bundle box."""
-        payoffs, best = self._scan(b, p)
         box = self._bundle_box()
-        out = []
-        i = -1
-        for _ in range(payoffs.count(best)):
-            i = payoffs.index(best, i + 1)
-            out.append(box[i])
-        return tuple(out)
+        return tuple(box[i] for i in _argmaxes(*self._scan(b, p)))
 
     # -- minimum takes -----------------------------------------------------------
 
@@ -229,16 +229,18 @@ class DemandCache:
         if b in self.separable:
             least = tuple(ks[0] for ks in _per_item_argmax(self.instance.valuations[b], p))
             return tuple(subset_sums(least, self._n))
-        return tuple(self._least_takes_of(self.demand_set_enum(b, p)))
+        return tuple(self._least_takes_of(_argmaxes(*self._scan(b, p))))
 
-    def _least_takes_of(self, demand: tuple[Bundle, ...]) -> list[int]:
-        """``_least_takes`` of a box-scanned demand set, kept by the set.
-        An entry is charged its 2^n takes plus the set's size; the memo is
-        cleared when the next entry would take it past the budget, and an
-        entry larger than the budget is not kept."""
+    def _least_takes_of(self, demand: tuple[int, ...]) -> list[int]:
+        """``_least_takes`` of a box-scanned demand set, given by its
+        bundles' box indices and kept by them.  An entry is charged its 2^n
+        takes plus the set's size; the memo is cleared when the next entry
+        would take it past the budget, and an entry larger than the budget
+        is not kept."""
         least = self._least.get(demand)
         if least is None:
-            least = _least_takes(demand, self._n)
+            box = self._bundle_box()
+            least = _least_takes(tuple(box[i] for i in demand), self._n)
             charge = len(least) + len(demand)
             if self._least_size + charge > self.budget:
                 self._least.clear()
@@ -255,12 +257,16 @@ class DemandCache:
         ``takes`` holds the modular per-item takes: minus the supply, plus
         the separable bidders' least argmaxes, read per item as the number
         of the item's marginals above its price, plus one unit of item i for
-        each unit-demand bidder demanding exactly i.  ``tied`` holds the
-        sorted item masks of the unit-demand bidders tied between several
-        items; one for whom buying nothing is demanded takes nothing.
-        ``tables`` holds each table bidder's demand set.  Equal keys give
-        equal tables, so a caller may keep tables by key; the table budget
-        is checked here, on every call.
+        each unit-demand bidder demanding exactly i, plus the bundle x of
+        each table bidder demanding x alone, whose least take x(X) is
+        modular too.  ``tied`` holds the sorted item masks of the
+        unit-demand bidders tied between several items; one for whom buying
+        nothing is demanded takes nothing.  ``tables`` holds the demand set
+        of each table bidder tied between several bundles, as the bundles'
+        box indices, in ``tables`` order.  Both table kinds are read from
+        the kept ``table_scan`` at p.  Equal keys give equal tables, so a
+        caller may keep tables by key; the table budget is checked here, on
+        every call.
         """
         self._check_table_budget()
         u = self.instance.u
@@ -279,8 +285,15 @@ class DemandCache:
                     tied.append(d)
                 else:
                     takes[d.bit_length() - 1] += 1
-        tables = tuple(self.demand_set_enum(b, p) for b in self.tables)
-        return tuple(takes), tuple(sorted(tied)), tables
+        tables = []
+        if self.tables:
+            box = self._bundle_box()
+            for payoffs, best in zip(*self.table_scan(p)):
+                if payoffs.count(best) == 1:
+                    takes = list(map(add, takes, box[payoffs.index(best)]))
+                else:
+                    tables.append(_argmaxes(payoffs, best))
+        return tuple(takes), tuple(sorted(tied)), tuple(tables)
 
     def deficiency_from_key(self, key: tuple) -> list[int]:
         """Demanded minus supplied units of every item subset, indexed by
@@ -290,8 +303,8 @@ class DemandCache:
         bidder's minimum take is the sum of its per-item least argmaxes, and
         a unit-demand bidder demanding exactly item i takes one unit from
         every set holding i.  A tied unit-demand bidder takes one unit from
-        every superset of its items, and a table bidder its least subset sum
-        over its demand set, kept by demand set.
+        every superset of its items, and a tied table bidder its least
+        subset sum over its demand set, kept by demand set.
         """
         takes, tied, tables = key
         n = self._n
@@ -397,12 +410,28 @@ def _demand_mask(payoffs: list[int], best: int) -> int:
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:
     """Least subset sum over the bundles of a demand set, for every item
-    subset, indexed by subset bitmask."""
-    mins = None
-    for x in demand:
-        sums = subset_sums(x, n)
-        mins = sums if mins is None else list(map(min, mins, sums))
-    return mins
+    subset, indexed by subset bitmask, in one elementwise ``min`` pass."""
+    sums = [subset_sums(x, n) for x in demand]
+    return list(map(min, *sums)) if len(sums) > 1 else sums[0]
+
+
+def _argmaxes(payoffs: list[int], best: int) -> tuple[int, ...]:
+    """The indices of the entries of ``payoffs`` equal to ``best``, ascending."""
+    out = []
+    i = -1
+    for _ in range(payoffs.count(best)):
+        i = payoffs.index(best, i + 1)
+        out.append(i)
+    return tuple(out)
+
+
+def _box_costs(p: PriceVector, u) -> list[int]:
+    """``p.x`` for every bundle x of the box [0, u], in box order."""
+    costs = [0]
+    for c, cap in zip(p, u):
+        steps = [k * c for k in range(cap + 1)]
+        costs = [t + x for t in costs for x in steps]
+    return costs
 
 
 def _per_item_argmax(v: Valuation, p: PriceVector) -> list[list[int]]:

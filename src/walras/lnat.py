@@ -19,9 +19,9 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, repeat
 from math import prod
-from operator import add, ge
+from operator import add, ge, lt
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
@@ -401,7 +401,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
     iteration builds one change table, which the termination test reads
-    and, while something descends, the strategy.  Without ``neighborhood``
+    up to its first negative entry (scanning past None entries only when
+    it meets one) and, while something descends, the strategy.  Without ``neighborhood``
     the changes are read from ``g``, which is queried unmemoized.  With it,
     ``neighborhood(p)`` gives them by a faster route, and ``g`` certifies
     them: the change for the empty set must be 0, each step's
@@ -438,7 +439,11 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             deltas = neighborhood(p)
             if len(deltas) != size or deltas[0] != 0:
                 raise ConvexityError("neighborhood table disagrees with the oracle at p")
-        if not any(d is not None and d < 0 for d in deltas):
+        try:  # stops at the first negative entry, in C
+            descends = any(map(lt, deltas, repeat(0)))
+        except TypeError:  # a corner outside the domain: None entries
+            descends = any(d is not None and d < 0 for d in deltas)
+        if not descends:
             if neighborhood is not None and _changes(neighborhood_values(g, p), base) != list(deltas):
                 raise ConvexityError(
                     "neighborhood table disagrees with the oracle at the stop")

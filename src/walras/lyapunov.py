@@ -10,8 +10,9 @@ per item, not per bidder: their total indirect utility is a sum over items
 of one-variable functions of the item's price, each read from the item's
 sorted column of marginals (``DemandCache.item_utility``).  The unit-demand
 bidders' best payoffs come from the one scan per price the cache keeps
-(``DemandCache.unit_scan``), which the next change table's demand key at
-that price reads too; every table bidder is read on its own.
+(``DemandCache.unit_scan``), and the table bidders' from the one box scan
+per price it keeps for them (``DemandCache.table_scan``); the next change
+table's demand key at that price reads both scans too.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -31,7 +32,10 @@ Legendre-Fenchel conjugate taken one coordinate at a time
 at the stop and of L(p - chi_X) for minimality, read the grid on the axes
 (p_j, p_j +- 1) through ``lnat.neighborhood_values``, so they still check
 the change table against values, and ``walras verify``'s L♮ check reads its
-whole box in one call.
+whole box in one call.  The oracle keeps its latest two grids by their
+axes: runs that share it and stop at one price, as ``walras compare``'s do,
+build the two certificate grids there once.  Kept grids hold values only,
+never change tables, so each run still checks its own table against them.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class LyapunovOracle:
     into, so one formula serves the unit model (every bidder unit-demand,
     one of each item) and the multi model, and keeps no value once read.
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
-    ``grid_values`` reads L over a whole price grid and keeps nothing.
+    ``grid_values`` reads L over a whole price grid and keeps the latest
+    two grids it built, by their axes, at most two lists of values.
     ``neighborhood`` keeps its change tables by demand key, at most
     ``budget`` entries in all (2^n per table), cleared when full; runs
     sharing the oracle share them.
@@ -64,13 +69,14 @@ class LyapunovOracle:
         self.instance = instance
         self.demand = DemandCache(instance, budget=budget)
         self._tables: dict[tuple, tuple[int, ...]] = {}
+        self._grids: dict[tuple, list[int | None]] = {}
         self.admitted = False
 
     def value(self, p: PriceVector) -> int:
         """L(p): the revenue term p.u, then the separable bidders per item,
-        the unit-demand bidders' best payoffs (0 for buying nothing) from
-        the cache's kept scan at p, and each box-scanned bidder's indirect
-        utility."""
+        and the unit-demand bidders' best payoffs (0 for buying nothing)
+        and the table bidders' best payoffs from the cache's kept scans at
+        p."""
         t = _check_price(self.instance, p)
         dc = self.demand
         total = sum(map(mul, t, self.instance.u))
@@ -78,8 +84,8 @@ class LyapunovOracle:
             total += sum(map(dc.item_utility, range(len(t)), t))
         if dc.units:
             total += sum(dc.unit_scan(t)[1])
-        for b in dc.tables:
-            total += dc.indirect_utility(b, t)
+        if dc.tables:
+            total += sum(dc.table_scan(t)[1])
         return total
 
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
@@ -94,30 +100,44 @@ class LyapunovOracle:
         """L at every point of the product of the per-item price lists
         ``axes``, in lexicographic order (item 1's price slowest), None where
         a price is negative; the grid twin of ``value``, which reads no
-        bidder when no point is in the domain.
-
-        Built in whole-list passes: the revenue term and the separable
-        bidders, read per item through ``DemandCache.item_utility``, are an
-        outer sum of one column per item; a unit-demand bidder's best payoff
-        is a running max over items; a table bidder's is its conjugate grid,
-        ``DemandCache.utility_grid``, whose first pass reads the bundle box
-        within the budget as ``value`` does.
+        bidder when no point is in the domain.  The latest two grids built
+        are kept by their axes, and a kept grid is handed out as a copy.
         """
         inst = self.instance
         if len(axes) != inst.n:
             raise ValueError(f"price grid must have {inst.n} axes")
-        for j, axis in enumerate(axes):
+        key = tuple(map(tuple, axes))
+        for j, axis in enumerate(key):
             for c in axis:
                 if isinstance(c, bool) or not isinstance(c, int):
                     raise ValueError(f"price axis {j} must hold integers")
-        if any(c < 0 for axis in axes for c in axis):
-            # The nonnegative points, in the same order, are the grid of the
-            # nonnegative prices; the rest are None.
-            vals = iter(self.grid_values([[c for c in axis if c >= 0] for axis in axes]))
-            priced = [True]
-            for axis in reversed(axes):
-                priced = [c >= 0 and x for c in axis for x in priced]
-            return [next(vals) if ok else None for ok in priced]
+        grids = self._grids
+        vals = grids.get(key)
+        if vals is None:
+            vals = self._grid([[c for c in axis if c >= 0] for axis in key])
+            if any(c < 0 for axis in key for c in axis):
+                # The nonnegative points, in the same order, are the grid of
+                # the nonnegative prices; the rest are None.
+                priced = [True]
+                for axis in reversed(key):
+                    priced = [c >= 0 and x for c in axis for x in priced]
+                it = iter(vals)
+                vals = [next(it) if ok else None for ok in priced]
+            if len(grids) >= 2:
+                del grids[next(iter(grids))]
+            grids[key] = vals
+        return list(vals)
+
+    def _grid(self, axes) -> list[int]:
+        """L at every point of the product of the nonnegative price lists
+        ``axes``, built in whole-list passes: the revenue term and the
+        separable bidders, read per item through
+        ``DemandCache.item_utility``, are an outer sum of one column per
+        item; a unit-demand bidder's best payoff is a running max over
+        items; a table bidder's is its conjugate grid,
+        ``DemandCache.utility_grid``, whose first pass reads the bundle box
+        within the budget as ``value`` does."""
+        inst = self.instance
         if not all(axes):
             return []
         # The per-item terms are built from the last item to the first, each

@@ -477,20 +477,27 @@ class TestCompare:
 
     def test_each_run_builds_its_two_scan_grids(self, tmp_path, monkeypatch, capsys):
         """The strategies all stop at one price; each distinct rule's run
-        builds the grid of its upward stop scan and of its downward
-        minimality scan there, so ``compare`` builds six grids for its
-        three runs."""
-        grids = []
-        grid_values = LyapunovOracle.grid_values
+        reads the grid of its upward stop scan and of its downward
+        minimality scan there, and the shared oracle keeps both, so
+        ``compare`` builds two grids for its three runs (six reads)."""
+        reads, builds = [], []
+        grid_values, grid = LyapunovOracle.grid_values, LyapunovOracle._grid
 
-        def counted(self, axes):
-            grids.append([tuple(a) for a in axes])
+        def counted_read(self, axes):
+            reads.append([tuple(a) for a in axes])
             return grid_values(self, axes)
 
-        monkeypatch.setattr(LyapunovOracle, "grid_values", counted)
+        def counted_build(self, axes):
+            builds.append([tuple(a) for a in axes])
+            return grid(self, axes)
+
+        monkeypatch.setattr(LyapunovOracle, "grid_values", counted_read)
+        monkeypatch.setattr(LyapunovOracle, "_grid", counted_build)
         assert run_command(["compare", "--instance", self._table_market(tmp_path)]) == 0
         p_min = json.loads(capsys.readouterr().out)["p_min"]
-        assert grids == 3 * [[(c, c + 1) for c in p_min], [(c, c - 1) for c in p_min]]
+        up, down = [(c, c + 1) for c in p_min], [(c, c - 1) for c in p_min]
+        assert reads == 3 * [up, down]
+        assert builds == [up, [tuple(c for c in axis if c >= 0) for axis in down]]
 
     @pytest.mark.parametrize("market", ["ex21", "tables"])
     def test_one_descent_per_distinct_rule(self, market, ex21_path, tmp_path, monkeypatch,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (column_markets, column_prices, make_ex21, random_multi_instance,
-                      random_unit_instance, tabulate)
+                      random_separable_valuation, random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     max_total_value,
                     Valuation, ascending_auction, bidders_demanding_some,
@@ -16,8 +16,8 @@ from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
 from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume
 from walras.itemsets import items_from_mask, subset_sums
-from walras.oracle import (lyapunov_value, only_demanders_mask, some_demanders_mask,
-                           unit_demand_mask)
+from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
+                           some_demanders_mask, unit_demand_mask)
 
 
 class TestUnitDemandSets:
@@ -102,10 +102,10 @@ class TestMultiDemandSets:
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
         per-item columns and the bidder groups exactly as built, the bundle
-        box, at most one worth list per bidder, the latest price's bundle
-        costs, table bidders' payoff scans and unit-demand bidders' payoffs
-        and best payoffs, and least takes kept by demand set within the
-        budget: nothing per step."""
+        box, at most one worth list per bidder, the table bidders' payoffs
+        and best payoffs and the unit-demand bidders' payoffs and best
+        payoffs, each at one price, and least takes kept by demand set
+        within the budget: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -121,9 +121,11 @@ class TestMultiDemandSets:
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
-            assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values", "_costs",
-                                     "_scans", "_unit_scan", "_least", "_least_size",
-                                     "_columns", "_tails", "separable", "units", "tables"}
+            assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values",
+                                     "_table_scan", "_unit_scan", "_least", "_least_size",
+                                     "_columns", "_tails", "separable", "units", "tables",
+                                     "_table_at"}
+            assert dc._table_at == {b: i for i, b in enumerate(dc.tables)}
             # one price, the final one the stop read, and one entry per
             # unit-demand bidder
             kept = price, payoffs, bests = dc._unit_scan
@@ -134,14 +136,17 @@ class TestMultiDemandSets:
             assert dc._unit_scan is kept
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
             assert len(dc._values) <= inst.m
-            price, costs = dc._costs
-            assert len(costs) == (0 if price is None else 4)
-            assert set(dc._scans) <= set(dc.tables)
-            assert all(len(payoffs) == 4 for payoffs, _ in dc._scans.values())
+            # one price, the final one the allocation read, and one payoff
+            # list of the 4 bundles per table bidder; none read without one
+            price, payoffs, bests = dc._table_scan
+            assert price == (res.p_min if dc.tables else None)
+            assert len(payoffs) == len(bests) == len(dc.tables)
+            assert all(len(row) == 4 for row in payoffs)
+            assert bests == list(map(max, payoffs))
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= dc.budget
             assert bool(dc._least) == bool(dc.tables)
-        assert dc._costs[0] is not None  # the table bidder's scans read it
+        assert dc._table_scan[0] is not None  # the table bidder's reads kept it
 
 
 def _has_unit_bidder(inst):
@@ -347,11 +352,13 @@ class TestFastPaths:
         """``demand_key`` reads separable bidders per item from sorted
         columns; its takes equal minus the supply plus each bidder's own
         least argmaxes, and a unit for each unit-demand bidder demanding
-        exactly one item.  Only the other bidders reach the tied masks and
-        the table bidders' demand sets."""
+        exactly one item, and the bundle of each table bidder demanding
+        exactly one bundle.  Only the other bidders reach the tied masks and
+        the tied table bidders' demand sets, as box indices."""
         inst = data.draw(column_markets())
         p = data.draw(column_prices(inst))
         dc = DemandCache(inst)
+        box = list(product(*(range(q + 1) for q in inst.u)))
         takes = [-q for q in inst.u]
         tied = []
         tables = []
@@ -369,7 +376,12 @@ class TestFastPaths:
                 else:
                     takes[d.bit_length() - 1] += 1
             else:
-                tables.append(dc.demand_set_enum(b, p))
+                demand = DemandCache(inst).demand_set_enum(b, p)
+                if len(demand) == 1:
+                    for j, k in enumerate(demand[0]):
+                        takes[j] += k
+                else:
+                    tables.append(tuple(map(box.index, demand)))
         assert dc.demand_key(p) == (tuple(takes), tuple(sorted(tied)), tuple(tables)), (inst, p)
 
     def test_separable_demand_sets_match_box_scan(self):
@@ -485,9 +497,99 @@ class TestSharedCache:
             Valuation.from_table({(k,): 0 for k in range(4)}),))
         dc = DemandCache(inst, budget=4)
         key = dc.demand_key((0,))
-        assert key[2] == (((0,), (1,), (2,), (3,)),)
+        assert key[2] == ((0, 1, 2, 3),)
         assert dc.deficiency_from_key(key) == [0, -3]
         assert dc._least == {} and dc._least_size == 0
+
+
+class TestTableScan:
+    def test_interleaved_reads_match_a_fresh_cache(self):
+        """Lyapunov values, demand sets, demand keys and deficiency tables
+        read through one oracle at prices p, q, p, in a drawn order, equal a
+        fresh cache's answers, and each deficiency equals the oracle twin's,
+        set by set; the table scan the cache keeps is of the latest price
+        read.  Prices near the tables' worths make ties common: table
+        bidders demanding one bundle, which fold into the takes, and tied
+        ones, which the key holds, must both be seen."""
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def check(data):
+            inst = data.draw(table_markets())
+            prices = st.tuples(*[st.integers(0, 7)] * inst.n)
+            p, q = data.draw(prices), data.draw(prices)
+            reads = data.draw(st.permutations(("value", "sets", "key")))
+            ly = LyapunovOracle(inst)
+            dc = ly.demand
+            for price in (p, q, p):
+                for read in reads:
+                    fresh = LyapunovOracle(inst)
+                    if read == "value":
+                        assert ly.value(price) == fresh.value(price) == \
+                            lyapunov_value(price, inst)
+                    elif read == "sets":
+                        sets = [dc.demand_set(b, price) for b in range(inst.m)]
+                        assert sets == [fresh.demand.demand_set(b, price)
+                                        for b in range(inst.m)]
+                        seen.update(len(sets[b]) > 1 for b in dc.tables)
+                    else:
+                        key = dc.demand_key(price)
+                        assert key == fresh.demand.demand_key(price)
+                        assert dc.deficiency_from_key(key) == \
+                            [deficiency(items_from_mask(x), price, inst)
+                             for x in range(1 << inst.n)]
+                    kept, payoffs, bests = dc._table_scan
+                    assert kept == price
+                    assert bests == list(map(max, payoffs))
+
+        check()
+        assert seen == {False, True}
+
+    def test_one_table_scan_per_price_read(self, monkeypatch):
+        """A descent and its allocation scan the table bidders' payoffs once
+        each time the price read changes, all table bidders together, and
+        scan no table bidder on its own: every bundle-cost list the cache
+        builds is a table scan's, but for one per unit-demand bidder of a
+        multi market, whose demand set the allocation reads from the box."""
+        import walras.demand as demand
+
+        reads, scans, costs = [], [], []
+        read, box_costs = DemandCache.table_scan, demand._box_costs
+
+        def counted_read(self, p):
+            kept = self._table_scan
+            reads.append((self, p))  # the cache itself, so no id is reused
+            out = read(self, p)
+            if self._table_scan is not kept:
+                scans.append(p)
+            return out
+
+        def counted_costs(p, u):
+            costs.append(p)
+            return box_costs(p, u)
+
+        monkeypatch.setattr(DemandCache, "table_scan", counted_read)
+        monkeypatch.setattr(demand, "_box_costs", counted_costs)
+        rng = random.Random(13)
+        tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
+            tabulate(random_separable_valuation(rng, (2, 2, 2), value_max=9))
+            for _ in range(4)))
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
+            tabulate(Valuation.unit_demand([20, 29]))))
+        for inst in (tables, mixed):
+            for kind in StrategyKind:
+                reads.clear()
+                scans.clear()
+                costs.clear()
+                res = ascending_auction(inst, kind)
+                assert res.allocation is not None
+                changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
+                assert scans == [p for _, p in changes]
+                units = sum(v.family == UNIT_DEMAND for v in inst.valuations)
+                assert costs == scans + [res.p_min] * units
+                assert len(reads) > len(changes) > len(res.trajectory)
 
 
 class TestDeterminism:

@@ -459,6 +459,21 @@ class TestMinimize:
         p, _ = minimize(floored, (0,), StrategyKind.STEEPEST_MINIMAL)
         assert p == (2,)
 
+    @pytest.mark.parametrize("free", [0, 1])
+    def test_stop_test_reads_past_corners_outside_the_domain(self, free):
+        """Raising the fixed item leaves the domain, so every change table
+        holds None entries, before the first negative entry when item 2 is
+        the free one and after it when item 1 is; the descent walks the free
+        item up to its minimizer 3 either way, and stops there."""
+        def fn(p):
+            return None if p[1 - free] else (p[free] - 3) ** 2
+
+        g = FunctionOracle(n=2, fn=fn, value_floor=0)
+        for kind in StrategyKind:
+            p, traj = minimize(g, (0, 0), kind, seed=1)
+            assert p == tuple(3 if j == free else 0 for j in range(2))
+            assert [s.chosen_mask for s in traj.steps] == [1 << free] * 3
+
     def test_dimension_guard(self):
         g = FunctionOracle(n=25, fn=lambda p: sum(p), value_floor=0)
         with pytest.raises(BudgetExceededError, match="cap"):
