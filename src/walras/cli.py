@@ -197,8 +197,9 @@ def _cmd_verify(args) -> int:
     if "lnat" in checks:
         ly = LyapunovOracle(instance, budget=budget)
         # The box verify prints: [0, s]^n for the largest s with (s + 1)^(2n + 1)
-        # <= _LNAT_CHECK_BUDGET, at most the largest worth.  The local check
-        # charges far less; widening the box is a later change, timed on verify.
+        # <= _LNAT_CHECK_BUDGET, at most the largest worth.  The check is
+        # charged its theorem's pairs (29,403 on [0, 2]^5), below that bound,
+        # and tests about a fifth of them; a wider box would change the output.
         root = 1
         while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
             root += 1

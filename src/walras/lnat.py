@@ -114,7 +114,7 @@ class LnatCounterexample(NamedTuple):
     """Witness that a function is not L♮-convex on a box: points ``p`` <
     ``q`` (lexicographically) of the box with 1 <= ‖q - p‖∞ <= 2 and
     g(p) + g(q) < g(ceil((p + q)/2)) + g(floor((p + q)/2)), a failure of
-    discrete midpoint convexity at a pair the local check reads (see
+    discrete midpoint convexity at a pair of the local theorem (see
     ``is_lnat_convex_on_box``)."""
 
     p: PriceVector
@@ -129,13 +129,13 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     A function whose effective domain is L♮-convex, as a box is, is
     L♮-convex iff g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2))
     holds on the pairs with ‖p - q‖∞ <= 2 (Murota, *Discrete Convex
-    Analysis*, SIAM 2003, ch. 7).  Those pairs, each once with q - p
-    lexicographically positive, are all the check reads, in blocks by index
-    offsets (``_locally_midpoint_convex``).  It returns None when every one
-    holds, else the first failing (p, q) in lexicographic order as an
+    Analysis*, SIAM 2003, ch. 7); its unit squares and comparable pairs
+    with a step of 2 imply the rest (``_locally_midpoint_convex``).  It
+    returns None when they hold, else the theorem's first failing pair in
+    lexicographic order, q - p lexicographically positive, as an
     ``LnatCounterexample``.
 
-    The budget is charged the number of those pairs in closed form
+    The budget is charged the number of the theorem's pairs in closed form
     (``_midpoint_charge``) before any value is read; the box's values are
     then read in one ``g.grid`` call.  The theorem needs the box inside g's
     domain, so a None value raises ValueError naming the first such point.
@@ -164,79 +164,79 @@ def is_lnat_convex_on_box(g: FunctionOracle,
 
 
 def _midpoint_charge(widths: list[int]) -> int:
-    """Pairs p < q of the box [0, widths] with ‖q - p‖∞ <= 2.  Along a
-    coordinate of r points, r - |t| of them (none if not positive) step by
-    t, so the (p, q) with ‖q - p‖∞ <= 2 number Π_c Σ_{|t| <= 2} (r_c - |t|);
-    less the volume's p = q, they come in (p, q), (q, p) twins."""
+    """Pairs p < q of the box [0, widths] with ‖q - p‖∞ <= 2, the most the
+    witness scan tests.  Along a coordinate of r points, r - |t| of them
+    (none if not positive) step by t, so the (p, q) with ‖q - p‖∞ <= 2
+    number Π_c Σ_{|t| <= 2} (r_c - |t|); less p = q, they come in twins."""
     steps = prod(sum(max(0, w + 1 - abs(t)) for t in range(-2, 3)) for w in widths)
     return (steps - prod(w + 1 for w in widths)) // 2
 
 
 def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
     """Whether g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2)) on
-    every pair of the box [0, widths] with 1 <= ‖q - p‖∞ <= 2, each
-    listed once with q - p lexicographically positive.  ``vals`` lists the
-    finite values of g over the box in lexicographic order.
-
-    A point's index is its block's start, set by the leading coordinates,
-    plus its place in the block of the trailing (at most three) ones.  Two
-    plans list the four points' places for the trailing differences: every
-    one, under a lexicographically positive leading difference, and the
-    positive ones, under a zero one.  Each leading pair then compares four
-    blocks, so the pairs are never all listed at once.
-    """
-    k = max(len(widths) - 3, 0)
+    every pair of the box [0, widths] with ‖q - p‖∞ <= 2, given g's values
+    ``vals`` over the box in lexicographic order.  It tests (a) the unit
+    squares g(p + χ_i) + g(p + χ_j) >= g(p) + g(p + χ_i + χ_j), i < j, and
+    (b) the pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a)
+    gives g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978);
+    if ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and
+    are them or a pair of (b).  A point's index is its block's start, set
+    by the leading coordinates, plus its place in the block of the trailing
+    (at most three) ones.  Each product of (a) or (b), a word of ``_parts``
+    letters, splits in two: the trailing words shared by leading words list
+    the four points' places, read in each of those leading words' blocks."""
+    n, k = len(widths), max(len(widths) - 3, 0)
     stride = strides([w + 1 for w in widths])
-    moves = [_moves(s, w) for s, w in zip(stride, widths)]
+    parts = [_parts(s, w) for s, w in zip(stride, widths)]
     size = stride[k - 1] if k else len(vals)
-    lead, tail = moves[:k], moves[k:]
-    for blocks, plan in ((_columns([still for still, _, _ in lead]), _rising(tail)),
-                         (_rising(lead), _columns([every for _, _, every in tail]))):
+    words = ["s" * i + "u" + "s" * (j - i - 1) + "d" + "s" * (n - 1 - j)
+             for i, j in combinations(range(n), 2)]
+    tails, leads = {}, {}
+    for word in words + ["b" * j + "t" + "e" * (n - 1 - j) for j in range(n)]:
+        tails.setdefault(word[:k], []).append(word[k:])
+    for lead, rest in tails.items():
+        leads.setdefault(tuple(rest), []).append(lead)
+    for rest, first in leads.items():
+        plan = _columns(parts[k:], rest)
         if not plan[0]:
             continue
         get = [getter(col) for col in plan]
-        for starts in zip(*blocks):
+        for starts in zip(*_columns(parts[:k], first)):
             gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
             if not all(map(ge, map(add, gp, gq), map(add, gc, gf))):
                 return False
     return True
 
 
-def _moves(s: int, w: int) -> tuple[list, list, list]:
-    """Index parts s * (p, p + d, p + ceil(d/2), p + floor(d/2)) along a
-    coordinate of stride s, for p and p + d in [0, w] and |d| <= 2: those
-    with d = 0, those with d > 0, and all of them."""
-    parts = {d: [(s * p, s * (p + d), s * (p - (-d // 2)), s * (p + d // 2))
-                 for p in range(max(0, -d), w + 1 - max(0, d))] for d in range(-2, 3)}
-    return parts[0], parts[1] + parts[2], [t for d in parts for t in parts[d]]
+def _parts(s: int, w: int) -> dict[str, list[tuple]]:
+    """Index parts s * (p, q, ceil((p + q)/2), floor((p + q)/2)) along a
+    coordinate of stride s, for p and q in [0, w]: "s" has q = p, "u"
+    q = p + 1, "d" q = p - 1, "t" q = p + 2, "b" is "s" or "u", "e" not "d"."""
+    still = [(s * x,) * 4 for x in range(w + 1)]
+    up = [(s * x, s * x + s, s * x + s, s * x) for x in range(w)]
+    two = [(s * x, s * x + 2 * s, s * x + s, s * x + s) for x in range(w - 1)]
+    return {"s": still, "u": up, "d": [(q, p, c, f) for p, q, c, f in up], "t": two,
+            "b": still + up, "e": still + up + two}
 
 
-def _columns(factors: list[list[tuple]]) -> list[list[int]]:
-    """The four index columns of every choice of one part per coordinate."""
-    cols = [[0]] * 4
-    for parts in factors:
-        cols = [[a + part[i] for a in col for part in parts] for i, col in enumerate(cols)]
-    return cols
-
-
-def _rising(moves: list[tuple]) -> list[list[int]]:
-    """``_columns`` over the choices whose difference is lexicographically
-    positive: zero before some coordinate j, positive at j, any after."""
-    cols = [[] for _ in range(4)]
-    for j, (_, up, _) in enumerate(moves):
-        factors = ([still for still, _, _ in moves[:j]] + [up]
-                   + [every for _, _, every in moves[j + 1:]])
-        for col, part in zip(cols, _columns(factors)):
-            col.extend(part)
-    return cols
+def _columns(parts: list[dict], words: Sequence[str]) -> list[list[int]]:
+    """The four index columns of every choice of one part per coordinate,
+    from ``parts[c][word[c]]`` at coordinate c, for each word in turn."""
+    out = [[] for _ in range(4)]
+    for word in words:
+        cols = [[0]] * 4
+        for factor in map(dict.get, parts, word):
+            cols = [[a + part[i] for a in col for part in factor] for i, col in enumerate(cols)]
+        for joined, col in zip(out, cols):
+            joined.extend(col)
+    return out
 
 
 def _first_midpoint_failure(widths: list[int], vals: list[int]) -> tuple:
-    """The first (p, q) in lexicographic order, over the box [0, widths],
-    that fails the inequality ``_locally_midpoint_convex`` found failing.
-    Along coordinate c, of stride s, the steps t from p_c that stay in the
-    box have index parts s * (t, ceil(t/2), floor(t/2)), so only the pairs
-    of the check are listed, in order of q."""
+    """The first (p, q) in lexicographic order over the box [0, widths] that
+    fails the local inequality.  Along coordinate c, of stride s, the steps t
+    from p_c that stay in the box have index parts s * (t, ceil(t/2),
+    floor(t/2)), so only the theorem's pairs are listed, in order of q."""
     stride = strides([w + 1 for w in widths])
     parts = [[[(t, s * t, s * -(-t // 2), s * (t // 2))
                for t in range(max(-2, -a), min(2, w - a) + 1)] for a in range(w + 1)]

@@ -1,8 +1,10 @@
-"""The benchmark's ``table-compare`` pool, replayed in-process: every pool
-market's ``compare`` must exit with the code and print the stdout bytes that
-``perfbench/manifest.json`` records, so a byte change in ``compare`` fails
-the tests and not only a benchmark run.  The markets are the ones
-``perfbench/gen.py`` writes; nothing under ``perfbench/`` is changed."""
+"""The benchmark's ``table-compare`` and ``verify`` pools, replayed
+in-process: every pool market's ``compare`` must exit with the code and
+print the stdout bytes that ``perfbench/manifest.json`` records, and every
+``verify`` must exit with its code and print its per-check verdicts, so a
+change in either fails the tests and not only a benchmark run.  The markets
+are the ones ``perfbench/gen.py`` writes; nothing under ``perfbench/`` is
+changed."""
 
 import hashlib
 import importlib.util
@@ -17,22 +19,23 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
 
 
-def _bench_gen():
-    """``perfbench/gen.py``, loaded from the file under its own name."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", BENCH / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+def _bench_module(name):
+    """``perfbench/<name>.py``, loaded from the file under its own name."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
+def _replay(workload, tmp_path, monkeypatch):
+    """Run every pool command of ``workload`` once, as a 25-s run draws
+    them, and yield each with its manifest entry, exit code, stdout and
+    stderr."""
     monkeypatch.delenv("WALRAS_BUDGET", raising=False)
-    gen = _bench_gen()
+    gen = _bench_module("gen")
     entries = json.loads((BENCH / "manifest.json").read_text(encoding="utf-8"))["entries"]
-    # A 25-s run draws each pool market exactly once.
-    commands = gen.write_plan("table-compare", 1, gen.rounds_for("table-compare", 25),
-                              str(tmp_path))
-    pool = {key for key in entries if key.startswith("table-compare/")}
+    commands = gen.write_plan(workload, 1, gen.rounds_for(workload, 25), str(tmp_path))
+    pool = {key for key in entries if key.startswith(f"{workload}/")}
     assert {cmd["key"] for cmd in commands} == pool and len(commands) == len(pool)
     for cmd in commands:
         want = entries[cmd["key"]]
@@ -40,6 +43,23 @@ def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = run_command(cmd["argv"])
-        assert (code, err.getvalue()) == (want["exit"], ""), cmd["key"]
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
-            want["stdout_sha256"], cmd["key"]
+        yield cmd, want, code, out.getvalue(), err.getvalue()
+
+
+def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
+    for cmd, want, code, out, err in _replay("table-compare", tmp_path, monkeypatch):
+        assert (code, err) == (want["exit"], ""), cmd["key"]
+        assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"], cmd["key"]
+
+
+def test_verify_pool_matches_the_manifest(tmp_path, monkeypatch):
+    """Each ``verify --check all`` exits with the recorded code and prints
+    the recorded verdicts, read from its output as the benchmark reads
+    them (``perfbench/worker.py``); the five negative controls exit 1."""
+    summarize = _bench_module("worker").summarize_output
+    exits = []
+    for cmd, want, code, out, err in _replay("verify", tmp_path, monkeypatch):
+        assert code == want["exit"], cmd["key"]
+        assert summarize(cmd["argv"], out, err) == want["verdicts"], cmd["key"]
+        exits.append(code)
+    assert sorted(exits) == [0] * 10 + [1] * 5

@@ -142,16 +142,79 @@ class TestLocalMidpointCheck:
         assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0, 1), q=(1, 0))
 
     def test_charge_is_the_plans_pairs(self):
-        """The closed-form charge equals the pairs a passing check compares,
-        a quarter of its reads, on every box with n <= 3 and widths up to 3,
-        and on wider ones that split into leading and trailing coordinates."""
+        """A passing check reads each inequality of its family, unit squares
+        and comparable pairs with a step of 2, four times: ``family_size``
+        of them, which a brute count confirms; the budget is charged the
+        theorem's pairs, ``_midpoint_charge``, counted the same way.  On
+        every box with n <= 3 and widths up to 3, on wider ones that split
+        into leading and trailing coordinates, and on verify's boxes."""
         boxes = [list(w) for n in (1, 2, 3) for w in product(range(4), repeat=n)]
-        boxes += [[2, 1, 0, 3], [1, 2, 2, 1, 2], [3, 0, 1, 1, 2, 1]]
+        boxes += [[2, 1, 0, 3], [1, 2, 2, 1, 2], [3, 0, 1, 1, 2, 1], [2] * 5, [3] * 4]
         for widths in boxes:
             vals = CountingList([0] * prod(w + 1 for w in widths))
             assert lnat._locally_midpoint_convex(widths, vals)
-            assert vals.counter[0] == 4 * lnat._midpoint_charge(widths), widths
+            assert vals.counter[0] == 4 * family_size(widths), widths
+            assert family_size(widths) == brute_midpoint_pairs(widths, in_family), widths
             assert lnat._midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
+        assert (family_size([2] * 5), lnat._midpoint_charge([2] * 5)) == (5731, 29403)
+        assert (family_size([3] * 4), lnat._midpoint_charge([3] * 4)) == (5024, 19080)
+
+    @staticmethod
+    def _agrees_with_every_pair(rng, kind):
+        """Draw a box with n <= 5 and widths <= 3 and a function of ``kind``
+        on it, holes (a cut function's None) read as 40; assert that the
+        check passes exactly when no pair with ‖p - q‖∞ <= 2 fails, and that
+        a failure is reported at the first failing pair.  Return that pair,
+        or None."""
+        n = rng.randint(1, 5)
+        widths = [rng.randint(0, 3) for _ in range(n)]
+        while prod(w + 1 for w in widths) > 81:
+            widths[widths.index(max(widths))] -= 1
+        box = ((0,) * n, tuple(widths))
+        points = list(product(*(range(w + 1) for w in widths)))
+        g = box_function(rng, kind, box)
+        table = {p: 40 if g.fn(p) is None else g.fn(p) for p in points}
+        filled = FunctionOracle(n=n, fn=table.get, box=box)
+        first = next(midpoint_failures(filled, points), None)
+        assert lnat._locally_midpoint_convex(widths, list(map(table.get, points))) == \
+            (first is None), (widths, table)
+        assert is_lnat_convex_on_box(filled) == \
+            (first and LnatCounterexample(*first)), (widths, table)
+        return first
+
+    @given(st.sampled_from(("convex", "perturbed", "random", "cut")),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_family_agrees_with_every_pair(self, kind, seed):
+        self._agrees_with_every_pair(random.Random(seed), kind)
+
+    def test_family_sweep_meets_outside_witnesses(self):
+        """Over a seeded sweep both outcomes occur, and some first failing
+        pairs lie outside the check's family, so the family tripped on a
+        different inequality and the witness still came from the full
+        scan."""
+        rng = random.Random(1978)
+        firsts = [self._agrees_with_every_pair(rng, ("convex", "perturbed", "random", "cut")[t % 4])
+                  for t in range(160)]
+        assert None in firsts
+        assert any(first and not in_family(*first) for first in firsts)
+
+    def test_planted_witness_outside_the_family(self):
+        """g = p_0 p_1 p_2 on [0, 1]^3.  The first failing pair, (0, 0, 1) and
+        (1, 1, 0), moves three coordinates, so it is not in the check's
+        family, which trips on unit squares instead, the first being (0, 1,
+        1) and (1, 0, 1); the counterexample is still the full scan's first
+        pair.  (A linear program over small boxes, up to [0, 2]^3 x [0, 1],
+        found no function whose first failing pair is mixed-sign at distance
+        2: the earlier inequalities imply it.)"""
+        g = FunctionOracle(n=3, fn=lambda p: p[0] * p[1] * p[2], box=((0,) * 3, (1,) * 3))
+        points = list(product((0, 1), repeat=3))
+        vals = [g.fn(p) for p in points]
+        assert not lnat._locally_midpoint_convex([1, 1, 1], vals)
+        trips = [pq for pq in midpoint_failures(g, points) if in_family(*pq)]
+        assert trips[0] == ((0, 1, 1), (1, 0, 1)), trips
+        assert lnat._first_midpoint_failure([1, 1, 1], vals) == ((0, 0, 1), (1, 1, 0))
+        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0, 0, 1), q=(1, 1, 0))
 
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
@@ -598,12 +661,31 @@ def midpoint_failures(g, points):
     return ((p, q) for p in points for q in points if p < q and breaks_midpoint(g, p, q))
 
 
-def brute_midpoint_pairs(widths):
-    """Pairs p < q of the box [0, widths] with 1 <= ‖q - p‖∞ <= 2, counted
-    one by one."""
+def brute_midpoint_pairs(widths, keep=lambda p, q: True):
+    """Pairs p < q of the box [0, widths] with 1 <= ‖q - p‖∞ <= 2 that
+    ``keep`` keeps, counted one by one."""
     points = list(product(*(range(w + 1) for w in widths)))
-    return sum(p < q and max(abs(b - a) for a, b in zip(p, q)) <= 2
+    return sum(p < q and max(abs(b - a) for a, b in zip(p, q)) <= 2 and keep(p, q)
                for p in points for q in points)
+
+
+def in_family(p, q):
+    """Whether the pair p < q is in the check's family: a unit square, whose
+    q - p is χ_i - χ_j, or a comparable pair whose q - p has a 2."""
+    d = sorted(b - a for a, b in zip(p, q))
+    return d[0] == -1 and d[-1] == 1 and sum(map(abs, d)) == 2 or d[0] >= 0 and d[-1] == 2
+
+
+def family_size(widths):
+    """The check's family on the box [0, widths] in closed form.  Unit
+    squares: w_i w_j times the other coordinates' points, for i < j.
+    Comparable pairs (a, a + d), d in {0, 1, 2}^n: along a coordinate of
+    width w there are w + 1, w and max(w - 1, 0) choices of a_c + d_c, less
+    the products without a 2."""
+    squares = sum(widths[i] * widths[j] * prod(w + 1 for c, w in enumerate(widths)
+                                               if c not in (i, j))
+                  for i, j in combinations(range(len(widths)), 2))
+    return squares + prod(max(3 * w, 1) for w in widths) - prod(2 * w + 1 for w in widths)
 
 
 def perturbed_convex(rng, lo, hi):
