@@ -32,7 +32,8 @@ _ORACLE_EXPORTS = frozenset({
     "bidders_only_demanding", "brute_force_min_equilibrium", "certified_meet",
     "deficiency", "demand_set", "equilibrium_prices_by_enumeration",
     "gp_minimal_table", "is_excess_demand", "is_gp_minimal", "is_overdemanded",
-    "lyapunov_step", "lyapunov_value", "mu", "price_cap", "unit_demand_set"})
+    "lyapunov_step", "lyapunov_value", "mu", "price_cap", "separable_p_min",
+    "unit_demand_set"})
 
 
 def __getattr__(name):

@@ -19,8 +19,8 @@ from .errors import (BudgetExceededError, ContractError, ConvexityError,
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, _Record, verify_mnat_exc)
 from .itemsets import items_from_mask
-from .lnat import (FunctionOracle, StrategyKind, Trajectory, minimize,
-                   neighborhood_values)
+from .lnat import (FunctionOracle, StrategyKind, Trajectory, _term_changes,
+                   minimize, neighborhood_values)
 from .lyapunov import LyapunovOracle
 
 
@@ -120,7 +120,7 @@ def ascending_auction(instance: Instance,
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
     base = g.fn(p_final)
-    for mask, val in _support_cuts(g, p_final):
+    for mask, val in _corners(g, p_final, base, -1):
         if val <= base:
             raise WalrasError(
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
@@ -289,10 +289,20 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     return _extract_multi(instance, p, dc, budget)
 
 
-def _support_cuts(g: FunctionOracle, p: PriceVector):
-    """``(mask, g(p - chi_X))`` for every nonempty X within the support of
-    p, in increasing mask order: the finite entries of the downward scan."""
-    vals = neighborhood_values(g, p, -1)
+def _corners(g: FunctionOracle, p: PriceVector, base: int, s: int):
+    """``(mask, g(p + s * chi_X))`` for every nonempty X whose corner is in
+    g's domain, in increasing mask order, given ``base`` = g(p): for s = -1
+    the minimality cuts within the support of p.  A separable g's corners
+    are read for the single items alone, from its terms: g(p + s * chi_X) -
+    g(p) is then the sum of X's items' changes, so an X at or below
+    ``base`` (or below it) holds an item that is too, whose mask is not
+    larger, and the first such X is an item."""
+    if g.terms is not None:
+        for j, d in enumerate(_term_changes(g.terms, p, s)):
+            if d is not None:
+                yield 1 << j, base + d
+        return
+    vals = neighborhood_values(g, p, s)
     for mask in range(1, len(vals)):
         if vals[mask] is not None:
             yield mask, vals[mask]
@@ -326,16 +336,12 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     if allocation is not None:
         return EquilibriumVerdict(equilibrium=True, allocation=allocation, witness=None)
     g = LyapunovOracle(instance, budget=budget).function_oracle()
-    vals = neighborhood_values(g, p)
-    base = vals[0]
-    for mask in range(1, len(vals)):
-        if vals[mask] < base:
-            return EquilibriumVerdict(False, None,
-                                      DescentWitness(+1, items_from_mask(mask)))
-    for mask, val in _support_cuts(g, p):
-        if val < base:
-            return EquilibriumVerdict(False, None,
-                                      DescentWitness(-1, items_from_mask(mask)))
+    base = g.fn(p)
+    for direction in (+1, -1):
+        for mask, val in _corners(g, p, base, direction):
+            if val < base:
+                return EquilibriumVerdict(False, None,
+                                          DescentWitness(direction, items_from_mask(mask)))
     if instance.model == MULTI and instance.m == 0:
         return EquilibriumVerdict(False, None, None)
     raise ConvexityError(

@@ -254,27 +254,21 @@ class DemandCache:
         """The bidders' demand state at p, which alone determines the
         deficiency table: ``(takes, tied, tables)``.
 
-        ``takes`` holds the modular per-item takes: minus the supply, plus
-        the separable bidders' least argmaxes, read per item as the number
-        of the item's marginals above its price, plus one unit of item i for
-        each unit-demand bidder demanding exactly i, plus the bundle x of
-        each table bidder demanding x alone, whose least take x(X) is
-        modular too.  ``tied`` holds the sorted item masks of the
-        unit-demand bidders tied between several items; one for whom buying
-        nothing is demanded takes nothing.  ``tables`` holds the demand set
-        of each table bidder tied between several bundles, as the bundles'
-        box indices, in ``tables`` order.  Both table kinds are read from
-        the kept ``table_scan`` at p.  Equal keys give equal tables, so a
-        caller may keep tables by key; the table budget is checked here, on
-        every call.
+        ``takes`` holds the modular per-item takes: ``item_takes`` (minus
+        the supply plus the separable bidders' least argmaxes), plus one
+        unit of item i for each unit-demand bidder demanding exactly i,
+        plus the bundle x of each table bidder demanding x alone, whose
+        least take x(X) is modular too.  ``tied`` holds the sorted item
+        masks of the unit-demand bidders tied between several items; one
+        for whom buying nothing is demanded takes nothing.  ``tables``
+        holds the demand set of each table bidder tied between several
+        bundles, as the bundles' box indices, in ``tables`` order.  Both
+        table kinds are read from the kept ``table_scan`` at p.  Equal keys
+        give equal tables, so a caller may keep tables by key; the table
+        budget is checked here, on every call.
         """
         self._check_table_budget()
-        u = self.instance.u
-        if self.separable:
-            takes = [len(col) - bisect_right(col, c) - q
-                     for col, c, q in zip(self._columns, p, u)]
-        else:
-            takes = [-q for q in u]
+        takes = self.item_takes(p)
         tied = []
         if self.units:
             for dm in self.unit_masks(p):
@@ -294,6 +288,18 @@ class DemandCache:
                 else:
                     tables.append(_argmaxes(payoffs, best))
         return tuple(takes), tuple(sorted(tied)), tuple(tables)
+
+    def item_takes(self, p: PriceVector) -> list[int]:
+        """Minus each item's supply plus the separable bidders' least takes
+        of it at p: the count of the item's marginals above its price, one
+        bisection of its sorted column.  In a market of separable bidders
+        alone these are the deficiencies of the single items, and every
+        item set's is their sum; no table is built or charged here."""
+        u = self.instance.u
+        if self.separable:
+            return [len(col) - bisect_right(col, c) - q
+                    for col, c, q in zip(self._columns, p, u)]
+        return [-q for q in u]
 
     def deficiency_from_key(self, key: tuple) -> list[int]:
         """Demanded minus supplied units of every item subset, indexed by

@@ -120,21 +120,26 @@ class Valuation(_Record):
         if family == UNIT_DEMAND:
             if values is None or marginals is not None or table is not None:
                 raise ValueError("values: unit_demand valuation takes exactly the 'values' payload")
-            values = tuple(_as_nonneg_int(v, f"values[{k}]") for k, v in enumerate(values))
+            values = tuple(values)
+            if not _plain_naturals(values):  # the per-entry checks, to name the first bad entry
+                for k, v in enumerate(values):
+                    _as_nonneg_int(v, f"values[{k}]")
             if not values:
                 raise ValueError("values: must not be empty")
             box = (1,) * len(values)
         elif family == SEPARABLE_CONCAVE:
             if marginals is None or values is not None or table is not None:
                 raise ValueError("marginals: separable_concave valuation takes exactly the 'marginals' payload")
-            rows = []
-            for i, row in enumerate(marginals):
-                r = tuple(_as_nonneg_int(v, f"marginals[{i}][{k}]") for k, v in enumerate(row))
-                if not r:
-                    raise ValueError(f"marginals[{i}]: must list at least one unit")
-                if any(r[k] < r[k + 1] for k in range(len(r) - 1)):
-                    raise ValueError(f"marginals[{i}]: must be nonincreasing")
-                rows.append(r)
+            rows = list(map(tuple, marginals))
+            if not (_plain_naturals(list(chain.from_iterable(rows)))
+                    and all(r and all(map(ge, r, r[1:])) for r in rows)):
+                for i, r in enumerate(rows):  # the per-entry checks, to name the first bad entry
+                    for k, v in enumerate(r):
+                        _as_nonneg_int(v, f"marginals[{i}][{k}]")
+                    if not r:
+                        raise ValueError(f"marginals[{i}]: must list at least one unit")
+                    if any(r[k] < r[k + 1] for k in range(len(r) - 1)):
+                        raise ValueError(f"marginals[{i}]: must be nonincreasing")
             if not rows:
                 raise ValueError("marginals: must not be empty")
             marginals = tuple(rows)
@@ -189,6 +194,12 @@ class Valuation(_Record):
     def from_table(entries: Mapping[Bundle, int]) -> "Valuation":
         return Valuation(family=EXPLICIT_TABLE,
                          table=tuple((tuple(x), v) for x, v in entries.items()))
+
+
+def _plain_naturals(values: list | tuple) -> bool:
+    """Whether every entry is a nonnegative ``int``, checked in one pass;
+    False also for an int subclass, for the per-entry checks to decide."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
 
 
 def _plain_table(table: tuple) -> list[tuple[Bundle, int]] | None:

@@ -12,6 +12,8 @@ selection rule are functions of that table alone, and the rules compare its
 entries only with each other and entry 0, so a value table such as
 ``neighborhood_values`` gets the same answers.  A caller may supply a faster
 route to the changes; the oracle's own values then certify each step and the stop.
+An oracle that is a sum of one-variable functions may declare it, and then
+every rule but the seeded one reads n per-item changes instead of a table.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .itemsets import chi_add, corner_indices, getter, strides
 
 _SEED_LIMIT = 1 << 64
 
-#: Largest item count the descent accepts; each step enumerates 2^n sets.
+#: Largest item count a descent on change tables accepts; each of its steps
+#: enumerates 2^n sets.  The per-item route of a separable oracle has no cap.
 MAX_ITEMS = 24
 
 
@@ -47,22 +50,31 @@ class FunctionOracle(_Record):
     None outside the domain; ``neighborhood_values`` and
     ``is_lnat_convex_on_box`` read many values through it.  An oracle may
     declare a faster route; without one, ``grid`` queries ``fn`` once per
-    point, in that order.  Two oracles are equal only when they are one
-    object.
+    point, in that order.  ``terms`` and ``items`` declare a separable g,
+    g(p) = sum_j g_j(p_j): ``terms(j, c)`` is g_j(c), None outside the
+    domain, and ``items(p)`` gives the n changes g(p + chi_j) - g(p) by a
+    route of the oracle's own, as ``neighborhood`` gives tables to
+    ``minimize``; without it they are read from ``terms``.  Two oracles are
+    equal only when they are one object.
     """
 
-    __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid")
+    __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, n: int, fn: Callable[[PriceVector], int | None],
                  box: tuple[PriceVector, PriceVector] | None = None,
                  value_floor: int | None = None,
-                 grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None):
+                 grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None,
+                 terms: Callable[[int, int], int | None] | None = None,
+                 items: Callable[[PriceVector], Sequence[int | None]] | None = None):
         if grid is None:
             def grid(axes):
                 return list(map(fn, product(*axes)))
-        self._assign(n, fn, box, value_floor, grid)
+        if items is None and terms is not None:
+            def items(p):
+                return _term_changes(terms, p, 1)
+        self._assign(n, fn, box, value_floor, grid, terms, items)
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -407,8 +419,19 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     ``neighborhood(p)`` gives them by a faster route, and ``g`` certifies
     them: the change for the empty set must be 0, each step's
     g(p + chi_X) - g(p) must equal its entry, and a stop is confirmed by
-    one scan of g's own neighborhood; a mismatch raises ConvexityError.  More than ``MAX_ITEMS`` items raise
-    BudgetExceededError.  The oracle must declare a ``value_floor``: every
+    one scan of g's own neighborhood; a mismatch raises ConvexityError.
+
+    A separable g, one that declares ``terms``, is read per item by every
+    rule but the seeded one, whose order spans all item sets: each
+    iteration reads the n changes ``g.items(p)``, and the table they
+    define, entry X the sum of X's changes, is never built.  On it the
+    steepest rule's set is D, the items whose change is negative, and the
+    minimal descent set is D's lowest item.  Each step is certified as
+    above, a stop by the n changes read from ``terms``, and ``neighborhood``
+    serves the seeded rule alone.
+
+    More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
+    route.  The oracle must declare a ``value_floor``: every
     step lowers the value by at least one, so a run still descending after
     g(p0) - value_floor + 1 steps raises IterationCapError.  A ``budget``
     caps the steps too, for values too large to wait for: a run still
@@ -420,7 +443,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
     _check_seed(seed)
-    if g.n > MAX_ITEMS:
+    per_item = g.terms is not None and strategy is not StrategyKind.FIRST_GP_MINIMAL
+    if g.n > MAX_ITEMS and not per_item:
         raise BudgetExceededError(
             f"n={g.n} exceeds the subset-enumeration cap {MAX_ITEMS}")
     p = tuple(p0)
@@ -430,23 +454,35 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     if g.value_floor is None:
         raise ValueError("the descent needs an oracle that declares a value_floor")
     cap = base - g.value_floor + 1
-    size = 1 << g.n
+    size = g.n if per_item else 1 << g.n
+    route = "item changes disagree" if per_item else "neighborhood table disagrees"
     steps: list[Step] = []
     while True:
-        if neighborhood is None:
-            deltas = _changes(neighborhood_values(g, p), base)
+        if per_item:
+            deltas = g.items(p)
+            if len(deltas) != size:
+                raise ConvexityError(f"{route} with the oracle at p")
+            down = sum(1 << j for j, d in enumerate(deltas) if d is not None and d < 0)
+            descends = down != 0
         else:
-            deltas = neighborhood(p)
-            if len(deltas) != size or deltas[0] != 0:
-                raise ConvexityError("neighborhood table disagrees with the oracle at p")
-        try:  # stops at the first negative entry, in C
-            descends = any(map(lt, deltas, repeat(0)))
-        except TypeError:  # a corner outside the domain: None entries
-            descends = any(d is not None and d < 0 for d in deltas)
+            if neighborhood is None:
+                deltas = _changes(neighborhood_values(g, p), base)
+            else:
+                deltas = neighborhood(p)
+                if len(deltas) != size or deltas[0] != 0:
+                    raise ConvexityError(f"{route} with the oracle at p")
+            try:  # stops at the first negative entry, in C
+                descends = any(map(lt, deltas, repeat(0)))
+            except TypeError:  # a corner outside the domain: None entries
+                descends = any(d is not None and d < 0 for d in deltas)
         if not descends:
-            if neighborhood is not None and _changes(neighborhood_values(g, p), base) != list(deltas):
-                raise ConvexityError(
-                    "neighborhood table disagrees with the oracle at the stop")
+            if per_item:
+                certified = _term_changes(g.terms, p, 1) == list(deltas)
+            else:
+                certified = neighborhood is None or \
+                    _changes(neighborhood_values(g, p), base) == list(deltas)
+            if not certified:
+                raise ConvexityError(f"{route} with the oracle at the stop")
             break
         if len(steps) >= cap:
             raise IterationCapError(f"no minimizer reached within {cap} iterations")
@@ -454,17 +490,22 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             raise BudgetExceededError(
                 f"descent exceeded budget {budget}: no minimizer within "
                 f"{budget} iterations")
-        if strategy is StrategyKind.MINIMAL_DESCENT:
-            mask = minimal_descent_set(deltas)
-        elif strategy is StrategyKind.STEEPEST_MINIMAL:
-            mask = minimal_minimizer_step(deltas)
+        if per_item:
+            mask = down if strategy is StrategyKind.STEEPEST_MINIMAL else down & -down
+            change = sum(d for j, d in enumerate(deltas) if mask >> j & 1)
         else:
-            mask = first_gp_minimal(deltas, seed)
-        mask = mask or 0  # nothing found: the Step below refuses the empty set
+            if strategy is StrategyKind.MINIMAL_DESCENT:
+                mask = minimal_descent_set(deltas)
+            elif strategy is StrategyKind.STEEPEST_MINIMAL:
+                mask = minimal_minimizer_step(deltas)
+            else:
+                mask = first_gp_minimal(deltas, seed)
+            mask = mask or 0  # nothing found: the Step below refuses the empty set
+            change = deltas[mask]
         q = chi_add(p, mask)
         after = g.fn(q)
-        if (None if after is None else after - base) != deltas[mask]:
-            raise ConvexityError("neighborhood table disagrees with the oracle at a step")
+        if (None if after is None else after - base) != change:
+            raise ConvexityError(f"{route} with the oracle at a step")
         steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
         p = q
         base = after
@@ -475,3 +516,14 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
 def _changes(vals: list[int | None], base: int) -> list[int | None]:
     """Values less ``base``, None kept as None."""
     return [None if val is None else val - base for val in vals]
+
+
+def _term_changes(terms: Callable[[int, int], int | None], p: PriceVector,
+                  s: int) -> list[int | None]:
+    """g_j(p_j + s) - g_j(p_j) for every coordinate j of a separable g
+    given by its ``terms``, None where either is outside the domain."""
+    out = []
+    for j, c in enumerate(p):
+        a, b = terms(j, c), terms(j, c + s)
+        out.append(None if a is None or b is None else b - a)
+    return out

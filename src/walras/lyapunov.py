@@ -21,7 +21,11 @@ ascending run keeps returning to, so the oracle builds it once per
 ``DemandCache.demand_key`` and keeps it.  Deficiencies come from minimum
 takes, never from Lyapunov values, so the identity
 ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
-routes instead of holding by construction.
+routes instead of holding by construction.  In a market of separable
+bidders alone L is a sum of one-variable functions, one per item, and the
+oracle's adapter declares it: every rule but the seeded one then reads the
+n per-item changes, minus ``DemandCache.item_takes``, and the certificates
+read the per-item terms, never a 2^n table.
 
 Values over a whole price grid, the product of one price list per item,
 come from ``LyapunovOracle.grid_values`` in whole-list passes: the revenue
@@ -188,17 +192,37 @@ class LyapunovOracle:
             tables[key] = table
         return table
 
+    def _item_changes(self, p: PriceVector) -> list[int]:
+        """``L(p + chi_j) - L(p)`` for every item j of a market of separable
+        bidders alone: minus the item's take, ``DemandCache.item_takes``,
+        read at a price the descent has checked by its value read."""
+        return [-t for t in self.demand.item_takes(p)]
+
+    def _term(self, j: int, c: int) -> int | None:
+        """Item j's term of L in a market of separable bidders alone, c * u_j
+        plus the bidders' best payoff from the item at price c; None below 0."""
+        if c < 0:
+            return None
+        return c * self.instance.u[j] + self.demand.item_utility(j, c)
+
     def function_oracle(self) -> FunctionOracle:
         """Adapter for the generic lattice-minimization engine.
 
         Defined on every nonnegative price vector, so it declares no box;
         queries with a negative price read as +infinity.  Zero is a valid
         floor since the value dominates p.u >= 0.  Its ``grid`` is
-        ``grid_values``.
+        ``grid_values``.  When no bidder is unit-demand or a table, L is the
+        sum of its per-item terms, and the adapter declares them: ``terms``
+        reads them as ``value`` does, and ``items`` reads the per-item
+        changes from the demand side.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):
                 return None
             return self.value(q)
 
-        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=self.grid_values)
+        dc = self.demand
+        separable = not (dc.units or dc.tables)
+        return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=self.grid_values,
+                              terms=self._term if separable else None,
+                              items=self._item_changes if separable else None)

@@ -5,7 +5,8 @@ shares neither search logic nor state with the auction layer (a function
 given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
 
 * exhaustive Lyapunov minimization and definitional equilibrium enumeration
-  over a bounded price box;
+  over a bounded price box, and the closed-form minimal price of a market
+  of separable bidders (``separable_p_min``), which needs no box;
 * the unit model's definitions from Andersson, Andersson and Talman (2013):
   demand sets with the no-purchase item 0, one bidder at a time
   (``unit_demand_mask``, the twin of ``DemandCache.unit_masks``), the
@@ -33,8 +34,8 @@ from itertools import product
 from .auction import Allocation, MultiAllocation, UnitAllocation
 from .demand import DemandCache, _check_price
 from .errors import BudgetExceededError, ConvexityError
-from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
-                       PriceVector, max_total_value)
+from .instance import (DEFAULT_BUDGET, MULTI, SEPARABLE_CONCAVE, UNIT, Bundle,
+                       Instance, ItemSet, PriceVector, max_total_value)
 from .itemsets import chi_add, mask_from_items, proper_submasks, subset_sums
 from .lnat import FunctionOracle
 from .lyapunov import LyapunovOracle
@@ -84,6 +85,25 @@ def brute_force_min_equilibrium(instance: Instance, *,
     """The meet of all Lyapunov minimizers, checked by ``certified_meet``."""
     minimizers = all_lyapunov_minimizers(instance, budget=budget)
     return certified_meet(instance, minimizers, budget=budget)
+
+
+def separable_p_min(instance: Instance) -> PriceVector:
+    """The minimal equilibrium price of a market of separable bidders alone,
+    in closed form, with no descent and no box.
+
+    L(p) = sum_j (u_j * p_j + sum_w max(0, w - p_j)) over item j's marginals
+    w of every bidder, so L is minimized item by item, and the least
+    minimizer of item j's term is the least price c with at most u_j
+    marginals above it: the (u_j + 1)-th largest of them, or 0 when there
+    are at most u_j.  Any other bidder raises ValueError.
+    """
+    if any(v.family != SEPARABLE_CONCAVE for v in instance.valuations):
+        raise ValueError("separable_p_min reads markets of separable bidders alone")
+    out = []
+    for j, q in enumerate(instance.u):
+        col = sorted((w for v in instance.valuations for w in v.marginals[j]), reverse=True)
+        out.append(col[q] if len(col) > q else 0)
+    return tuple(out)
 
 
 def certified_meet(instance: Instance, minimizers: frozenset[PriceVector], *,

@@ -100,6 +100,14 @@ def random_multi_instance(rng: random.Random, *, n_max: int = 3, u_max: int = 3,
     return Instance(model="multi", n=n, u=u, valuations=vals)
 
 
+def wide_separable_market(rng: random.Random, n: int, *, m: int = 8, u: int = 3,
+                          value_max: int = 30) -> Instance:
+    """A multi market of m separable bidders over n items, u units each."""
+    supply = (u,) * n
+    return Instance(model="multi", n=n, u=supply, valuations=tuple(
+        random_separable_valuation(rng, supply, value_max=value_max) for _ in range(m)))
+
+
 def tabulate(v: Valuation) -> Valuation:
     """Re-express any valuation as an explicit table over its own box."""
     return Valuation.from_table({x: evaluate(v, x) for x in iter_box(v.box())})

@@ -22,7 +22,10 @@ from walras.oracle import excess_demand_table
 from walras.auction import _extract_multi
 from walras.demand import DemandCache
 from walras import lnat
+from walras.cli import STRATEGY_FLAGS
+from walras.instance import box_volume
 from walras.itemsets import chi_add, items_from_mask
+from walras.oracle import separable_p_min
 
 
 class TestOverdemanded:
@@ -570,11 +573,107 @@ class TestIterationBudget:
         with pytest.raises(BudgetExceededError, match="descent exceeded budget 1000"):
             ascending_auction(_one_item_market(10**9), budget=1000)
 
+    def test_budget_caps_the_per_item_iterations(self):
+        """The separable twin: two bidders each worth 10 for one unit of one
+        item take 10 unit raises on the per-item route as on the table
+        route, so a budget of 10 solves and a budget of 9 refuses with the
+        same message."""
+        inst = Instance(model="multi", n=1, u=(1,), valuations=(
+            Valuation.separable([[10]]), Valuation.separable([[10]])))
+        assert LyapunovOracle(inst).function_oracle().terms is not None
+        for kind in StrategyKind:
+            res = ascending_auction(inst, kind, budget=10)
+            assert (res.p_min, len(res.trajectory)) == ((10,), 10)
+            with pytest.raises(BudgetExceededError,
+                               match="descent exceeded budget 9: no minimizer within 9"):
+                ascending_auction(inst, kind, budget=9)
+
+
+@st.composite
+def separable_markets(draw) -> Instance:
+    """Separable markets of n <= 8 items and u_j <= 4 units, with ties and
+    zero marginals, whose bundle box (at most 64 bundles) keeps their
+    tabulated twins small enough to admit."""
+    n = draw(st.integers(1, 8))
+    u = []
+    for _ in range(n):
+        room = 64 // box_volume(u)
+        u.append(draw(st.integers(1, max(1, min(4, room - 1)))))
+    rows = st.tuples(*(st.lists(st.sampled_from((0, 0, 1, 2, 3, 5, 5, 8)), min_size=c,
+                                max_size=c).map(lambda r: sorted(r, reverse=True)) for c in u))
+    vals = draw(st.lists(rows.map(Valuation.separable), min_size=1, max_size=4))
+    return Instance(model="multi", n=n, u=tuple(u), valuations=tuple(vals))
+
+
+def _run_outcome(inst, kind, p0=None):
+    """The run's steps and final price, or the text of the WalrasError it raised."""
+    try:
+        res = ascending_auction(inst, kind, p0, seed=3)
+    except WalrasError as exc:
+        return str(exc)
+    return res.trajectory.steps, res.p_min
+
+
+class TestSeparableRoute:
+    """A market of separable bidders alone descends on n per-item changes;
+    its tabulated twin, of table bidders, takes the table route."""
+
+    @given(separable_markets(), st.data())
+    @settings(max_examples=60)
+    def test_same_steps_and_certificates_as_the_table_route(self, inst, data):
+        twin = Instance(model="multi", n=inst.n, u=inst.u,
+                        valuations=tuple(map(tabulate, inst.valuations)))
+        assert LyapunovOracle(twin).function_oracle().terms is None
+        for flag, kind in STRATEGY_FLAGS.items():
+            got = _run_outcome(inst, kind)
+            assert got == _run_outcome(twin, kind), flag
+            p_min = got[1]
+        assert p_min == separable_p_min(inst)
+        # A start above p_min: the minimality cut names the same items,
+        # the lowest item whose cut does not raise L.
+        raised = tuple(c + data.draw(st.integers(0, 2)) for c in p_min)
+        ly = LyapunovOracle(inst)
+        base = ly.value(raised)
+        low = [j for j, c in enumerate(raised)
+               if c and ly.value(raised[:j] + (c - 1,) + raised[j + 1:]) <= base]
+        for kind in set(STRATEGY_FLAGS.values()):
+            got = _run_outcome(inst, kind, raised)
+            assert got == _run_outcome(twin, kind, raised), kind
+            if low and isinstance(got, str):
+                assert f"lowering items [{low[0] + 1}] does not raise" in got
+        assert bool(low) == (raised != p_min)
+        # Both scans of verify_equilibrium find the same witness, or none.
+        near = tuple(max(0, c + data.draw(st.integers(-1, 1))) for c in p_min)
+        assert verify_equilibrium(inst, near) == verify_equilibrium(twin, near)
+
+    def test_per_item_rules_build_no_table(self, monkeypatch):
+        """Steepest and minimal descent never ask for a change table or a
+        2^n rule on a separable market; the seeded rule still does."""
+        rng = random.Random(17)
+        inst = random_multi_instance(rng, n_max=5, u_max=3, m_min=3, m_max=5, value_max=9)
+        ly = LyapunovOracle(inst)
+        ascending_auction(inst, StrategyKind.FIRST_GP_MINIMAL, oracle=ly)
+        assert ly._tables
+        asked = []
+
+        def refuse(*args):
+            asked.append(args)
+            return []
+
+        for name in ("neighborhood_values", "minimal_descent_set", "minimal_minimizer_step"):
+            monkeypatch.setattr(lnat, name, refuse)
+        monkeypatch.setattr("walras.auction.neighborhood_values", refuse)
+        for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
+            ly = LyapunovOracle(inst)
+            res = ascending_auction(inst, kind, oracle=ly)
+            assert len(res.trajectory) > 0 and not ly._tables and not asked
+
 
 class TestDescentWork:
     def test_lyapunov_values_per_run_stay_linear_in_iterations(self, monkeypatch):
         """One neighborhood table per step, and both 2^n certificate scans
-        (the stop and the downward minimality check) read the batch route:
+        (the stop and the downward minimality check) read the batch route,
+        or on the separable market the per-item terms:
         a run evaluates L per point once at the start, once per iteration
         and once at the stop."""
         rng = random.Random(9)

@@ -1,8 +1,9 @@
-"""The benchmark's ``table-compare`` and ``verify`` pools, replayed
-in-process: every pool market's ``compare`` must exit with the code and
-print the stdout bytes that ``perfbench/manifest.json`` records, and every
-``verify`` must exit with its code and print its per-check verdicts, so a
-change in either fails the tests and not only a benchmark run.  The markets
+"""The benchmark's ``table-compare``, ``multi-solve`` and ``verify`` pools,
+replayed in-process: every pool market's ``compare`` and ``solve`` must exit
+with the code and print the stdout bytes that ``perfbench/manifest.json``
+records, and every ``verify`` must exit with its code and print its
+per-check verdicts, so a change in either fails the tests and not only a
+benchmark run.  The markets
 are the ones ``perfbench/gen.py`` writes; nothing under ``perfbench/`` is
 changed."""
 
@@ -50,6 +51,29 @@ def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
     for cmd, want, code, out, err in _replay("table-compare", tmp_path, monkeypatch):
         assert (code, err) == (want["exit"], ""), cmd["key"]
         assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"], cmd["key"]
+
+
+def test_multi_solve_pool_matches_the_manifest(tmp_path, monkeypatch):
+    """Every command the manifest records for the separable pool, both
+    rules in both formats, a run's draw or not."""
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    gen = _bench_module("gen")
+    entries = json.loads((BENCH / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    keys = sorted(key for key in entries if key.startswith("multi-solve/"))
+    assert len(keys) == 2 * 2 * len(gen.pool_ids("multi-solve"))
+    for key in keys:
+        market, *args = key.split(" ")
+        _, rung, k = market.split("/")
+        text = gen.instance_text(gen.pool_market("multi-solve", int(rung), int(k)))
+        want = entries[key]
+        assert hashlib.sha256(text.encode()).hexdigest() == want["instance_sha256"], key
+        path = tmp_path / f"{rung}_{k}.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run_command([args[0], "--instance", str(path), *args[1:]])
+        assert (code, err.getvalue()) == (want["exit"], ""), key
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want["stdout_sha256"], key
 
 
 def test_verify_pool_matches_the_manifest(tmp_path, monkeypatch):

@@ -21,7 +21,8 @@ from conftest import (EX21_JSON, breaks_local_exchange, breaks_midpoint,
                       random_separable_valuation, random_unit_instance, tabulate)
 from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
                     brute_force_min_equilibrium, deficiency, max_total_value,
-                    parse_instance, serialize_instance, verify_equilibrium)
+                    parse_instance, separable_p_min, serialize_instance,
+                    verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import STRATEGY_FLAGS, _row_json, run_command
 
@@ -159,18 +160,28 @@ class TestSolve:
         assert doc["p_final"] == expected
         assert doc["allocation"] is not None
 
-    def test_wide_separable_market_hits_the_table_budget(self, tmp_path, capsys):
-        """21 single-unit items and two bidders: each step's deficiency
-        tables would hold 3 * 2^21 entries, over the default budget, so the
-        solve stops with a budget error instead of running unbounded."""
-        inst = Instance(model="multi", n=21, u=(1,) * 21,
-                        valuations=tuple(Valuation.separable([[2]] * 21) for _ in range(2)))
-        path = tmp_path / "wider.json"
+    def test_wide_separable_market_solves_past_the_table_budget(self, tmp_path, capsys):
+        """21 single-unit items and two separable bidders: the per-item rules
+        read 21 changes a step, not deficiency tables of 3 * 2^21 entries,
+        and solve to the closed form.  The routes that still build those
+        tables stop with a budget error instead of running unbounded: the
+        seeded rule on the same market, and ``steepest`` once one
+        unit-demand bidder joins it."""
+        seps = tuple(Valuation.separable([[2]] * 21) for _ in range(2))
+        inst = Instance(model="multi", n=21, u=(1,) * 21, valuations=seps)
+        mixed = Instance(model="multi", n=21, u=(1,) * 21,
+                         valuations=seps + (Valuation.unit_demand([1] * 21),))
+        path, mixed_path = tmp_path / "wider.json", tmp_path / "wider_mixed.json"
         path.write_text(serialize_instance(inst))
-        assert run_command(["solve", "--instance", str(path), "--strategy", "steepest"]) == 1
+        mixed_path.write_text(serialize_instance(mixed))
+        assert run_command(["solve", "--instance", str(path), "--strategy", "steepest"]) == 0
         out, err = capsys.readouterr()
-        assert out == ""
-        assert "budget" in err and "deficiency tables" in err
+        assert err == "" and json.loads(out)["p_final"] == list(separable_p_min(inst)) == [2] * 21
+        for target, strategy in ((path, "excess-random"), (mixed_path, "steepest")):
+            assert run_command(["solve", "--instance", str(target), "--strategy", strategy]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "budget" in err and "deficiency tables" in err, strategy
 
     def test_unit_market_tables_obey_the_budget(self, ex21_path, monkeypatch, capsys):
         """ex21's tables hold (6 + 1) * 2^3 = 56 entries."""

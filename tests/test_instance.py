@@ -293,6 +293,63 @@ class TestBulkTableCheck:
         assert (_plain_entries(entries) is None) == ("keys 'x' and 'v'" in message)
 
 
+def _per_entry_payload(family, payload):
+    """Unit-demand and separable validation entry by entry, as the
+    definition: the checked payload, or the ValueError naming the first bad
+    entry."""
+    if family == "unit_demand":
+        values = tuple(_as_nonneg_int(v, f"values[{k}]") for k, v in enumerate(payload))
+        if not values:
+            raise ValueError("values: must not be empty")
+        return values
+    rows = []
+    for i, row in enumerate(payload):
+        r = tuple(_as_nonneg_int(v, f"marginals[{i}][{k}]") for k, v in enumerate(row))
+        if not r:
+            raise ValueError(f"marginals[{i}]: must list at least one unit")
+        if any(r[k] < r[k + 1] for k in range(len(r) - 1)):
+            raise ValueError(f"marginals[{i}]: must be nonincreasing")
+        rows.append(r)
+    if not rows:
+        raise ValueError("marginals: must not be empty")
+    return tuple(rows)
+
+
+class TestBulkPayloadCheck:
+    """Unit-demand values and separable marginals are checked in one pass,
+    and entry by entry only when it fails, with the messages the entry
+    checks give."""
+
+    CASES = {
+        ("unit_demand", "good"): ((3, 0, 2), None),
+        ("unit_demand", "bool"): ((3, True), "values[1]: must be an integer"),
+        ("unit_demand", "negative"): ((3, -1, True), "values[1]: must be nonnegative"),
+        ("unit_demand", "float"): ((1.5,), "values[0]: must be an integer"),
+        ("unit_demand", "string"): ((0, "2"), "values[1]: must be an integer"),
+        ("unit_demand", "empty"): ((), "values: must not be empty"),
+        ("unit_demand", "int subclass"): ((_Int(2), 0), None),
+        ("separable_concave", "good"): (((3, 3, 0), (0,)), None),
+        ("separable_concave", "bool"): (((3,), (1, False)), "marginals[1][1]: must be an integer"),
+        ("separable_concave", "negative"): (((3, -1),), "marginals[0][1]: must be nonnegative"),
+        ("separable_concave", "float"): (((2.0,), (1,)), "marginals[0][0]: must be an integer"),
+        ("separable_concave", "empty row"): (((1,), ()), "marginals[1]: must list at least one unit"),
+        ("separable_concave", "increasing row"): (((2, 1), (1, 2), (True,)),
+                                                  "marginals[1]: must be nonincreasing"),
+        ("separable_concave", "empty"): ((), "marginals: must not be empty"),
+        ("separable_concave", "int subclass"): (((_Int(2), 1),), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_outcome_as_the_per_entry_checks(self, case):
+        family, _ = case
+        payload, message = self.CASES[case]
+        key = "values" if family == "unit_demand" else "marginals"
+        got = _table_outcome(lambda t: getattr(Valuation(family, **{key: t}), key), payload)
+        assert got == _table_outcome(lambda t: _per_entry_payload(family, t), payload)
+        if message is not None:
+            assert got == (ValueError, message)
+
+
 class TestEvaluate:
     def test_zero_bundle_is_worth_nothing(self, ex21):
         for v in ex21.valuations:

@@ -56,7 +56,8 @@ def test_cli_import_loads_no_dataclasses_inspect_or_oracle():
                         brute_force_min_equilibrium, certified_meet, deficiency,
                         demand_set, equilibrium_prices_by_enumeration, gp_minimal_table,
                         is_excess_demand, is_gp_minimal, is_overdemanded, lyapunov_step,
-                        lyapunov_value, mu, price_cap, unit_demand_set)
+                        lyapunov_value, mu, price_cap, separable_p_min,
+                        unit_demand_set)
     imported = {name: value for name, value in locals().items()
                 if name in walras._ORACLE_EXPORTS}
     assert imported.keys() == walras._ORACLE_EXPORTS <= set(dir(walras))

@@ -37,6 +37,11 @@ def lyap_oracle(inst):
     return LyapunovOracle(inst).function_oracle()
 
 
+def tables_only(g):
+    """``g`` without its separable declaration, so every rule reads tables."""
+    return FunctionOracle(n=g.n, fn=g.fn, box=g.box, value_floor=g.value_floor, grid=g.grid)
+
+
 class TestConvexityVerifier:
     def test_worked_example_lyapunov_holds(self, ex21):
         g = lyap_oracle(ex21)
@@ -527,20 +532,61 @@ class TestMinimize:
         """Raising the fixed item leaves the domain, so every change table
         holds None entries, before the first negative entry when item 2 is
         the free one and after it when item 1 is; the descent walks the free
-        item up to its minimizer 3 either way, and stops there."""
+        item up to its minimizer 3 either way, and stops there.  Declared
+        as per-item terms, the fixed item's change is None, and the
+        per-item rules step as the tables do."""
         def fn(p):
             return None if p[1 - free] else (p[free] - 3) ** 2
 
-        g = FunctionOracle(n=2, fn=fn, value_floor=0)
-        for kind in StrategyKind:
-            p, traj = minimize(g, (0, 0), kind, seed=1)
-            assert p == tuple(3 if j == free else 0 for j in range(2))
-            assert [s.chosen_mask for s in traj.steps] == [1 << free] * 3
+        def term(j, c):  # the same function as a sum of per-item terms
+            return (c - 3) ** 2 if j == free else None if c else 0
+
+        plain = FunctionOracle(n=2, fn=fn, value_floor=0)
+        declared = FunctionOracle(n=2, fn=fn, value_floor=0, terms=term)
+        for g in (plain, declared):
+            for kind in StrategyKind:
+                p, traj = minimize(g, (0, 0), kind, seed=1)
+                assert p == tuple(3 if j == free else 0 for j in range(2))
+                assert [s.chosen_mask for s in traj.steps] == [1 << free] * 3
 
     def test_dimension_guard(self):
         g = FunctionOracle(n=25, fn=lambda p: sum(p), value_floor=0)
         with pytest.raises(BudgetExceededError, match="cap"):
             minimize(g, (0,) * 25, StrategyKind.STEEPEST_MINIMAL)
+
+    @staticmethod
+    def _separable(targets, *, declared=True):
+        """sum_j (p_j - t_j)^2, with its terms declared or not."""
+        def term(j, c):
+            return (c - targets[j]) ** 2
+
+        def fn(p):
+            return sum(map(term, range(len(p)), p))
+
+        return FunctionOracle(n=len(targets), fn=fn, value_floor=0,
+                              terms=term if declared else None)
+
+    def test_separable_oracle_steps_as_its_tables_do(self):
+        """Every rule on the per-item changes, read from the declared terms,
+        takes the steps it takes on the undeclared twin's tables."""
+        rng = random.Random(71)
+        for _ in range(30):
+            targets = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+            start = tuple(rng.randint(0, t) for t in targets)
+            for kind in StrategyKind:
+                got = minimize(self._separable(targets), start, kind, seed=5)
+                assert got == minimize(self._separable(targets, declared=False), start,
+                                       kind, seed=5), (targets, kind)
+
+    def test_separable_oracle_passes_the_cap_on_the_per_item_route(self):
+        """Only the seeded rule reads tables, so only it meets the cap."""
+        g = self._separable([2] * 30)
+        for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
+            p, traj = minimize(g, (0,) * 30, kind)
+            assert p == (2,) * 30
+            assert len(traj) == (2 if kind is StrategyKind.STEEPEST_MINIMAL else 60)
+        with pytest.raises(BudgetExceededError, match="cap"):
+            minimize(g, (0,) * 30, StrategyKind.FIRST_GP_MINIMAL)
 
     def test_step_contract(self):
         with pytest.raises(ContractError):
@@ -806,7 +852,7 @@ class TestNeighborhoodTable:
             ly = LyapunovOracle(inst)
             for kind in StrategyKind:
                 with pytest.raises(ConvexityError, match="at a step"):
-                    minimize(ly.function_oracle(), (0,) * inst.n, kind,
+                    minimize(tables_only(ly.function_oracle()), (0,) * inst.n, kind,
                              neighborhood=self._shifted(ly, -1))
 
     def test_off_by_one_table_fails_at_the_stop(self, ex21, two_bidder_multi):
@@ -814,8 +860,20 @@ class TestNeighborhoodTable:
             ly = LyapunovOracle(inst)
             for kind in StrategyKind:
                 with pytest.raises(ConvexityError, match="at the stop"):
-                    minimize(ly.function_oracle(), p_min, kind,
+                    minimize(tables_only(ly.function_oracle()), p_min, kind,
                              neighborhood=self._shifted(ly, +1))
+
+    def test_off_by_one_item_changes_fail_at_a_step_and_the_stop(self, two_bidder_multi):
+        """The per-item route's twin of the two tests above: item changes
+        one too low fail the first step's value read, and one too high the
+        stop's per-item terms."""
+        g = LyapunovOracle(two_bidder_multi).function_oracle()
+        for shift, start, where in ((-1, (0,), "at a step"), (+1, (2,), "at the stop")):
+            shifted = FunctionOracle(n=1, fn=g.fn, value_floor=0, terms=g.terms,
+                                     items=lambda p: [d + shift for d in g.items(p)])
+            for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
+                with pytest.raises(ConvexityError, match=f"item changes disagree .* {where}"):
+                    minimize(shifted, start, kind)
 
     def test_empty_raise_must_change_nothing(self, ex21):
         ly = LyapunovOracle(ex21)
@@ -937,8 +995,8 @@ class TestChangeTable:
             for route in (None, ly.neighborhood):
                 for start in ((0,) * inst.n, p_min):
                     tables.clear()
-                    p, traj = minimize(ly.function_oracle(), start, kind, seed=7,
-                                       neighborhood=route)
+                    p, traj = minimize(tables_only(ly.function_oracle()), start, kind,
+                                       seed=7, neighborhood=route)
                     assert p == p_min
                     assert len(tables) == len(traj)
                     assert all(vals[0] == 0 for vals in tables)

@@ -1,18 +1,24 @@
 """Brute-force ground truth: caps, minimizer scans, definitional enumeration."""
 
+import importlib.util
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_multi_instance, random_unit_instance
-from walras import (BudgetExceededError, Instance, StrategyKind, Valuation,
+from conftest import (make_two_bidder_multi, random_multi_instance, random_unit_instance,
+                      wide_separable_market)
+from walras import (BudgetExceededError, DescentWitness, Instance, StrategyKind, Valuation,
                     all_lyapunov_minimizers, ascending_auction,
                     brute_force_min_equilibrium,
-                    equilibrium_prices_by_enumeration, price_cap)
+                    equilibrium_prices_by_enumeration, parse_instance, price_cap,
+                    separable_p_min, verify_equilibrium)
 from walras.demand import DemandCache
 from walras.oracle import _multi_clearing, _unit_clearing, _unit_options
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPriceCap:
@@ -113,6 +119,83 @@ class TestMinimalEquilibrium:
         target = brute_force_min_equilibrium(inst)
         run = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL)
         assert run.p_min == target
+
+
+def _planted_p_min(instance):
+    """``separable_p_min`` off by one: the u_j-th largest marginal."""
+    out = []
+    for j, q in enumerate(instance.u):
+        col = sorted((w for v in instance.valuations for w in v.marginals[j]), reverse=True)
+        out.append(col[q - 1] if len(col) >= q else 0)
+    return tuple(out)
+
+
+def _multi_solve_pool():
+    """Every market of the benchmark's multi-solve pool, from ``perfbench/gen.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [parse_instance(gen.instance_text(gen.pool_market("multi-solve", rung, k)))
+            for rung, k in gen.pool_ids("multi-solve")]
+
+
+def _separable_markets():
+    """The separable markets of the tests and the benchmark: the two-bidder
+    market, random small ones with ties and zero marginals, the wide market
+    the table budget once refused, the multi-solve pool, and n = 18, 40 and
+    200 (m = 8, u = 3)."""
+    rng = random.Random(61)
+    markets = [make_two_bidder_multi(), Instance(model="multi", n=2, u=(2, 1), valuations=())]
+    markets += [random_multi_instance(rng, n_max=4, u_max=3, m_min=0, m_max=4, value_max=3)
+                for _ in range(40)]
+    markets.append(Instance(model="multi", n=21, u=(1,) * 21, valuations=tuple(
+        Valuation.separable([[2]] * 21) for _ in range(2))))
+    markets += _multi_solve_pool()
+    markets += [wide_separable_market(rng, n) for n in (18, 40, 200)]
+    return markets
+
+
+class TestSeparableClosedForm:
+    """``separable_p_min``, the order-statistic twin of the per-item descent."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_agrees_with_brute_force(self, seed):
+        rng = random.Random(seed)
+        inst = random_multi_instance(rng, n_max=2, u_max=2, m_min=0, m_max=3, value_max=4)
+        assert separable_p_min(inst) == brute_force_min_equilibrium(inst)
+
+    def test_agrees_with_the_auction_past_the_table_wall(self):
+        """Against ``ascending_auction`` under both per-item rules on every
+        separable market; the planted off-by-one disagrees on some."""
+        planted = 0
+        for inst in _separable_markets():
+            want = separable_p_min(inst)
+            for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
+                assert ascending_auction(inst, kind).p_min == want, (inst.n, kind)
+            planted += _planted_p_min(inst) != want
+        assert planted > 0
+
+    def test_planted_off_by_one_fails_against_brute_force(self):
+        rng = random.Random(62)
+        markets = [random_multi_instance(rng, n_max=2, u_max=2, m_max=3, value_max=4)
+                   for _ in range(20)]
+        assert any(_planted_p_min(inst) != brute_force_min_equilibrium(inst)
+                   for inst in markets)
+
+    def test_verify_equilibrium_past_the_table_wall(self):
+        """At n = 200 the closed form is an equilibrium, and one unit below
+        it on an item the verdict's witness raises that item alone."""
+        inst = wide_separable_market(random.Random(3), 200)
+        p = separable_p_min(inst)
+        assert verify_equilibrium(inst, p).equilibrium
+        j = next(j for j, c in enumerate(p) if c)
+        low = p[:j] + (p[j] - 1,) + p[j + 1:]
+        assert verify_equilibrium(inst, low).witness == DescentWitness(+1, frozenset({j + 1}))
+
+    def test_refuses_other_bidders(self, ex21):
+        with pytest.raises(ValueError, match="separable bidders alone"):
+            separable_p_min(ex21)
 
 
 class TestDefinitionalEnumeration:
