@@ -93,12 +93,30 @@ def _row_json(row: dict) -> str:
     """``json.dumps(row, indent=2)`` indented four more spaces, to its place
     in the trajectory list, for a row of int and int-list values under
     plain keys.  Formatted here because CPython's encoder drops to pure
-    Python whenever it indents."""
-    fields = []
-    for key, val in row.items():
+    Python whenever it indents: the row's ints, list entries included, fill
+    one template kept for its keys and list lengths."""
+    ints, shape = [], []
+    for val in row.values():
         if isinstance(val, list):
-            val = "[\n        " + ",\n        ".join(map(str, val)) + "\n      ]" if val else "[]"
-        fields.append(f'      "{key}": {val}')
+            ints += val
+            shape.append(len(val))
+        else:
+            ints.append(val)
+            shape.append(-1)
+    return _row_template(tuple(row), tuple(shape)) % tuple(ints)
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(keys: tuple[str, ...], shape: tuple[int, ...]) -> str:
+    """The ``%`` template of a JSON row: under each key a ``%d``, or, where
+    ``shape`` gives a list's length instead of -1, a list of that many."""
+    fields = []
+    for key, size in zip(keys, shape):
+        if size < 0:
+            val = "%d"
+        else:
+            val = "[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]" if size else "[]"
+        fields.append('      "%s": %s' % (key.replace("%", "%%"), val))
     return "    {\n" + ",\n".join(fields) + "\n    }"
 
 

@@ -39,9 +39,10 @@ demanding one bundle x takes x(X) from X, which is modular, so
 ``demand_key`` adds x to the per-item takes; only a tied one is keyed by
 its demand set.  The unit-demand bidders are scanned together too:
 ``unit_scan`` keeps each one's item payoffs and best payoff for the latest
-price; the Lyapunov value reads the bests, and ``demand_key`` and the unit
-allocation read the demand masks ``unit_masks`` derives from the kept
-payoffs, so a value read at a price that no demand read follows pays for no
+price; the Lyapunov value reads the bests, ``demand_key`` reads the kept
+payoffs themselves, building a demand mask only for a bidder tied between
+items, and the unit allocation reads the masks ``unit_masks`` derives from
+them, so a value read at a price that no demand read follows pays for no
 mask.  A tied table bidder's least takes depend only on its demand set, so
 they are kept by demand set, within the budget, and cleared when full.
 Any other bidder read through the box, as the definitional twins read
@@ -62,9 +63,17 @@ from .itemsets import strides, subset_sums
 
 
 def _check_price(instance: Instance, p) -> PriceVector:
+    """``p`` as a tuple of n nonnegative ints.  A price of exact ints, the
+    common case, passes one test per entry; any other is read again, to
+    name its first bad entry."""
     t = tuple(p)
     if len(t) != instance.n:
         raise ValueError(f"price vector must have {instance.n} components")
+    for c in t:
+        if type(c) is not int or c < 0:
+            break
+    else:
+        return t
     for i, c in enumerate(t):
         if isinstance(c, bool) or not isinstance(c, int) or c < 0:
             raise ValueError(f"price p[{i}] must be a nonnegative integer")
@@ -263,7 +272,10 @@ class DemandCache:
         for whom buying nothing is demanded takes nothing.  ``tables``
         holds the demand set of each table bidder tied between several
         bundles, as the bundles' box indices, in ``tables`` order.  Both
-        table kinds are read from the kept ``table_scan`` at p.  Equal keys
+        table kinds are read from the kept ``table_scan`` at p, and the
+        unit-demand bidders from the kept ``unit_scan``: one whose best
+        payoff is 0 is skipped, one with a single best item adds it to
+        ``takes``, and only a tied one's item mask is built.  Equal keys
         give equal tables, so a caller may keep tables by key; the table
         budget is checked here, on every call.
         """
@@ -271,14 +283,19 @@ class DemandCache:
         takes = self.item_takes(p)
         tied = []
         if self.units:
-            for dm in self.unit_masks(p):
-                if dm & 1:
+            for pay, best in zip(*self.unit_scan(p)):
+                if not best:
                     continue
-                d = dm >> 1
-                if d & (d - 1):
-                    tied.append(d)
-                else:
-                    takes[d.bit_length() - 1] += 1
+                i = pay.index(best)
+                k = pay.count(best)
+                if k == 1:
+                    takes[i] += 1
+                    continue
+                d = 1 << i  # tied: its items, as ``_demand_mask`` reads them, less bit 0
+                for _ in range(k - 1):
+                    i = pay.index(best, i + 1)
+                    d |= 1 << i
+                tied.append(d)
         tables = []
         if self.tables:
             box = self._bundle_box()

@@ -741,6 +741,43 @@ class TestDescentWork:
         assert counts["built"] <= len(keys) < iterations, (counts, len(keys), iterations)
         assert counts["rule"] == iterations
 
+    def test_each_step_calls_its_table_rule_once(self, monkeypatch):
+        """Every strategy's table rule, looked up on ``lnat``, is called once
+        per iteration of a run on unit markets and on explicit-table markets,
+        however often the run meets a kept table again: the rules keep their
+        answers inside themselves, and ``minimize`` still asks every step."""
+        rng = random.Random(28)
+        unit = [random_unit_instance(rng, n_max=5, m_max=7, value_max=40) for _ in range(4)]
+        tables = [Instance(model="multi", n=n, u=u, valuations=tuple(
+            tabulate(random_separable_valuation(rng, u, value_max=20)) for _ in range(3)))
+            for n, u in ((2, (2, 1)), (3, (1, 2, 1)), (3, (1, 1, 1)))]
+        calls = {name: 0 for name in ("minimal_descent_set", "minimal_minimizer_step",
+                                      "first_gp_minimal")}
+        read = []
+        for name in calls:
+            rule = getattr(lnat, name)
+
+            def counted(vals, *seed, rule=rule, name=name):
+                calls[name] += 1
+                read.append(vals)
+                return rule(vals, *seed)
+
+            monkeypatch.setattr(lnat, name, counted)
+        rule_of = {StrategyKind.MINIMAL_DESCENT: "minimal_descent_set",
+                   StrategyKind.STEEPEST_MINIMAL: "minimal_minimizer_step",
+                   StrategyKind.FIRST_GP_MINIMAL: "first_gp_minimal"}
+        steps = 0
+        for inst in unit + tables:
+            ly = LyapunovOracle(inst)
+            for flag, kind in STRATEGY_FLAGS.items():
+                before = dict(calls)
+                res = ascending_auction(inst, kind, seed=3, oracle=ly)
+                name = rule_of[kind]
+                assert calls[name] - before[name] == len(res.trajectory), (inst, flag)
+                assert all(calls[k] == before[k] for k in calls if k != name)
+                steps += len(res.trajectory)
+        assert steps == len(read) > 2 * len(set(map(id, read))) > 0
+
     def test_every_lyapunov_value_goes_through_the_oracle_adapter(self, monkeypatch):
         """The run reads L per point only through ``function_oracle()``: the
         change table needs no value of its own, and an adapter rebuilt

@@ -14,7 +14,7 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
-from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume
+from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume, iter_box
 from walras.itemsets import items_from_mask, subset_sums
 from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
                            some_demanders_mask, unit_demand_mask)
@@ -602,3 +602,68 @@ class TestDeterminism:
         a = dc.unit_masks((0, 0, 0))
         b = dc.unit_masks((0, 0, 0))
         assert a == b and a[0] == unit_demand_mask(0, (0, 0, 0), ex21)
+
+
+def _key_twin(inst, dc, p):
+    """``demand_key`` rebuilt bidder by bidder, the unit-demand ones from
+    ``oracle.unit_demand_mask``: one for whom buying nothing is demanded
+    takes nothing, one demanding one item takes it, and a tied one is kept
+    by its items.  A table bidder demanding one bundle takes it, and a tied
+    one is kept by its demand set's box indices."""
+    takes, tied, tables = dc.item_takes(p), [], []
+    for b in dc.units:
+        mask = unit_demand_mask(b, p, inst)
+        if mask & 1:
+            continue
+        d = mask >> 1
+        if d & (d - 1):
+            tied.append(d)
+        else:
+            takes[d.bit_length() - 1] += 1
+    box = list(iter_box(inst.u))
+    for b in dc.tables:
+        demand = dc.demand_set_enum(b, p)
+        if len(demand) == 1:
+            takes = [t + x for t, x in zip(takes, demand[0])]
+        else:
+            tables.append(tuple(map(box.index, demand)))
+    return tuple(takes), tuple(sorted(tied)), tuple(tables)
+
+
+class TestUnitDemandKey:
+    def test_key_matches_the_per_bidder_masks(self):
+        """On random unit markets and mixed markets (unit-demand, separable
+        and tabulated bidders, one unit of each item) at prices near the
+        unit worths, ``demand_key`` reads the unit-demand bidders as their
+        per-bidder masks say, at a fresh price and at the kept one.  The
+        prices meet bidders whose best payoff 0 ties with an item and
+        bidders tied between items."""
+        rng = random.Random(28)
+        seen = {"zero tied with an item": 0, "tied items": 0, "one item": 0, "nothing": 0}
+        for trial in range(300):
+            n = rng.randint(1, 4)
+            units = [Valuation.unit_demand([rng.randint(0, 5) for _ in range(n)])
+                     for _ in range(rng.randint(1, 5))]
+            if trial % 2:
+                others = [random_separable_valuation(rng, (1,) * n, value_max=5)
+                          for _ in range(rng.randint(0, 2))]
+                others.append(tabulate(Valuation.unit_demand(
+                    [rng.randint(0, 5) for _ in range(n)])))
+                vals = units + others
+                rng.shuffle(vals)
+                inst = Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(vals))
+            else:
+                inst = Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(units))
+            dc = DemandCache(inst)
+            for _ in range(4):
+                p = tuple(rng.randint(0, 6) for _ in range(n))
+                for read in range(2):
+                    key = dc.demand_key(p)
+                    assert key == _key_twin(inst, DemandCache(inst), p), (inst, p, read)
+                for b in dc.units:
+                    mask = unit_demand_mask(b, p, inst)
+                    kind = ("zero tied with an item" if mask & 1 and mask > 1 else
+                            "nothing" if mask & 1 else
+                            "tied items" if mask & (mask - 2) else "one item")
+                    seen[kind] += 1
+        assert min(seen.values()) > 50, seen

@@ -1019,3 +1019,77 @@ class TestChangeTable:
             monkeypatch.setattr(lnat, "minimal_descent_set", lambda vals: mask)
             with pytest.raises(ContractError, match="failed to decrease"):
                 minimize(g, (0, 0), StrategyKind.MINIMAL_DESCENT)
+
+
+class TestKeptAnswers:
+    """Each table rule keeps its answers for the latest four tuple tables it
+    read, with their other arguments, and gives the rule's own answers."""
+
+    CALLS = ((minimal_descent_set, ()), (minimal_minimizer_step, ()),
+             (first_gp_minimal, (0,)), (first_gp_minimal, (5,)),
+             (first_gp_minimal, (2**64 - 1,)))
+
+    @staticmethod
+    def answer(rule, vals, args):
+        try:
+            return rule(vals, *args)
+        except ConvexityError:
+            return ConvexityError
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_interleaved_tables_get_the_rules_answers(self, data):
+        """Every table is read once, then the tables and rules are read in a
+        drawn order with repeats: each call equals the undecorated rule, and
+        no rule keeps more than four (table, arguments) pairs."""
+        n = data.draw(st.integers(0, 3), label="n")
+        entry = st.one_of(st.none(), st.integers(-3, 3))
+        tables = data.draw(st.lists(st.tuples(st.integers(-3, 3), *[entry] * ((1 << n) - 1)),
+                                    min_size=5, max_size=8), label="tables")
+        order = list(range(len(tables))) + data.draw(
+            st.lists(st.integers(0, len(tables) - 1), min_size=10, max_size=40), label="order")
+        for i in order:
+            call = data.draw(st.sampled_from(self.CALLS), label="rule")
+            rule, args = call
+            vals = tables[i]
+            assert self.answer(rule, vals, args) == self.answer(rule.__wrapped__, vals, args)
+            assert len(rule._kept) <= 4
+
+    def test_a_fifth_table_evicts_the_least_recently_read(self):
+        tables = [(0,) + tuple(range(-k, 3 - k)) for k in range(6)]
+        for rule, args in self.CALLS[:3]:
+            for vals in tables[:4] + [tables[0], tables[4], tables[5]]:
+                rule(vals, *args)
+            kept = [vals for vals, _ in rule._kept.values()]
+            assert len(kept) == 4
+            assert list(map(id, kept)) == [id(tables[k]) for k in (3, 0, 4, 5)]
+
+    def test_a_mutated_list_gets_a_fresh_answer(self):
+        vals = [0, -1, -2, 3]
+        assert minimal_descent_set(vals) == 0b01
+        assert minimal_minimizer_step(vals) == 0b10
+        vals[1:3] = [-2, 1]
+        assert minimal_descent_set(vals) == 0b01
+        assert minimal_minimizer_step(vals) == 0b01
+        vals[1] = 2
+        assert minimal_descent_set(vals) is None
+        assert first_gp_minimal(vals, 3) is None
+        vals[2] = -1
+        assert minimal_descent_set(vals) == 0b10
+        assert first_gp_minimal(vals, 3) == 0b10
+        assert all(kept is not vals for rule, _ in self.CALLS for kept, _ in rule._kept.values())
+
+    def test_a_table_that_raised_raises_again(self):
+        """Two least sets whose meet is not least: the step is not submodular."""
+        vals = (0, -1, -1, 0)
+        for _ in range(2):
+            with pytest.raises(ConvexityError, match="not submodular"):
+                minimal_minimizer_step(vals)
+        assert all(kept is not vals for kept, _ in minimal_minimizer_step._kept.values())
+
+    def test_a_bad_seed_is_refused_on_a_kept_table(self):
+        vals = (0, -1)
+        assert first_gp_minimal(vals, 1) == 1
+        for seed in (True, -1, 2**64, 1.0):
+            with pytest.raises(ValueError, match="seed"):
+                first_gp_minimal(vals, seed)
