@@ -1049,8 +1049,7 @@ class TestKeptAnswers:
         order = list(range(len(tables))) + data.draw(
             st.lists(st.integers(0, len(tables) - 1), min_size=10, max_size=40), label="order")
         for i in order:
-            call = data.draw(st.sampled_from(self.CALLS), label="rule")
-            rule, args = call
+            rule, args = data.draw(st.sampled_from(self.CALLS), label="rule")
             vals = tables[i]
             assert self.answer(rule, vals, args) == self.answer(rule.__wrapped__, vals, args)
             assert len(rule._kept) <= 4
