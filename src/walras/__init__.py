@@ -19,8 +19,8 @@ from .instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI,
                        verify_mnat_exc, verify_monotone_normalized)
 from .lnat import (FunctionOracle, LnatCounterexample, Step, StrategyKind,
                    Trajectory, first_gp_minimal, is_lnat_convex_on_box,
-                   maximal_gp_minimal, minimal_descent_set,
-                   minimal_minimizer_step, minimize, neighborhood_values)
+                   minimal_descent_set, minimal_minimizer_step, minimize,
+                   neighborhood_values)
 from .lyapunov import LyapunovOracle
 
 __version__ = "0.1.0"

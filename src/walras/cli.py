@@ -27,7 +27,7 @@ STRATEGY_FLAGS = {
     "minimal-overdemanded": StrategyKind.MINIMAL_DESCENT,
     "steepest": StrategyKind.STEEPEST_MINIMAL,
     "excess-random": StrategyKind.FIRST_GP_MINIMAL,
-    "excess-maximal": StrategyKind.MAXIMAL_GP_MINIMAL,
+    "excess-maximal": StrategyKind.STEEPEST_MINIMAL,
 }
 
 _LNAT_CHECK_BUDGET = 500_000

@@ -22,18 +22,17 @@ take and total indirect utility over all of them depend only on the
 multiset of their marginals for j (the count of marginals above the price,
 and the sum of each marginal's excess over it), so the cache sorts that
 multiset once into one column per item and reads both with one bisection.
-``indirect_utility`` is the definition, a bidder's best payoff over its
-bundle box whatever its family, and ``oracle.lyapunov_value`` reads every bidder
-through it.  ``utility_grid`` reads a bidder's indirect utility at every
-point of a price grid at once, as its discrete Legendre-Fenchel conjugate
-taken one coordinate at a time.  The bundle box is built, and checked
+``indirect_utility`` reads a bidder's best payoff over its bundle box
+whatever its family, and ``utility_grid`` reads it at every point of a
+price grid at once, as its discrete Legendre-Fenchel conjugate taken one
+coordinate at a time.  The bundle box is built, and checked
 against the budget, only when a scan first needs it; deficiency tables
 ((m + 1) * 2^n entries) are checked against the same budget.
 
 The table bidders are scanned together, once per price: ``table_scan``
 keeps each one's payoff of every bundle and its best payoff for the latest
 price; the Lyapunov value reads the bests, and ``indirect_utility``,
-``demand_set_enum`` and ``demand_key`` read the same scan, so a descent
+``demand_set`` and ``demand_key`` read the same scan, so a descent
 step's value read and the next step's demand key share it.  A table bidder
 demanding one bundle x takes x(X) from X, which is modular, so
 ``demand_key`` adds x to the per-item takes; only a tied one is keyed by
@@ -45,8 +44,7 @@ items, and the unit allocation reads the masks ``unit_masks`` derives from
 them, so a value read at a price that no demand read follows pays for no
 mask.  A tied table bidder's least takes depend only on its demand set, so
 they are kept by demand set, within the budget, and cleared when full.
-Any other bidder read through the box, as the definitional twins read
-every bidder, is scanned afresh at each read.
+Any other bidder read through the box is scanned afresh at each read.
 """
 
 from __future__ import annotations
@@ -213,14 +211,10 @@ class DemandCache:
 
         A separable bidder's demand set is the product of its per-item
         argmax sets, never limited by the box budget; every other bidder's
-        is a scan of the bundle box.
+        is read from a scan of the bundle box (``_scan``).
         """
         if b in self.separable:
             return tuple(product(*_per_item_argmax(self.instance.valuations[b], p)))
-        return self.demand_set_enum(b, p)
-
-    def demand_set_enum(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
-        """Payoff-maximizing bundles by full enumeration of the bundle box."""
         box = self._bundle_box()
         return tuple(box[i] for i in _argmaxes(*self._scan(b, p)))
 
@@ -356,8 +350,9 @@ class DemandCache:
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
         """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
-        bidder of any family: the Lyapunov oracle reads table bidders so, and
-        ``oracle.lyapunov_value`` every bidder."""
+        bidder of any family, read from the kept ``table_scan`` for a table
+        bidder.  No library code calls it; it stays because the benchmark's
+        span tracer patches it."""
         return self._scan(b, p)[1]
 
     def utility_grid(self, b: int, axes) -> list[int]:

@@ -7,11 +7,12 @@ selection rule whose sets satisfy the local-minimality condition below, the
 loop lands on the unique componentwise-minimal minimizer.
 
 Each iteration reads one change table ``deltas[mask] = g(p + chi_mask) - g(p)``
-(entry 0 is 0, None outside the domain).  The termination test and every
+(entry 0 is 0, None outside the domain) from the route its caller passes,
+such as the Lyapunov oracle's demand-side ``neighborhood``; g's own
+values certify each step and the stop.  The termination test and every
 selection rule are functions of that table alone, and the rules compare its
 entries only with each other and entry 0, so a value table such as
-``neighborhood_values`` gets the same answers.  A caller may supply a faster
-route to the changes; the oracle's own values then certify each step and the stop.
+``neighborhood_values`` gets the same answers.
 A route that hands out one kept tuple per table, as the Lyapunov oracle's
 does, meets the same tables again, so each rule keeps its answers for the
 latest four tuple tables it read; ``minimize`` still asks its rule every step.
@@ -46,8 +47,10 @@ class FunctionOracle(_Record):
 
     ``fn`` returns None outside the function's domain (read as +infinity).
     ``box``, when given, declares per-coordinate bounds containing every
-    finite query; ``value_floor`` is any known lower bound on the minimum,
-    used to derive a default iteration cap for the descent loop.
+    finite query; no library function reads it, and it stays because the
+    benchmark's span tracer rebuilds adapters with it.  ``value_floor`` is
+    any known lower bound on the minimum, used to derive the descent loop's
+    iteration cap.
     ``grid(axes)`` returns ``fn`` at every point of the product of the n
     integer lists ``axes``, in lexicographic order (coordinate 0 slowest),
     None outside the domain; ``neighborhood_values`` and
@@ -86,14 +89,13 @@ class FunctionOracle(_Record):
 class StrategyKind(enum.Enum):
     """Which set-selection rule the descent loop uses each iteration.
 
-    ``MAXIMAL_GP_MINIMAL``, the maximal locally-minimal descent set, is an
-    alias of ``STEEPEST_MINIMAL``: the two rules choose one set (see
-    ``maximal_gp_minimal``)."""
+    ``STEEPEST_MINIMAL`` also chooses the maximal locally-minimal descent
+    set, which is the steepest rule's minimal minimizer (Murota, Shioura and
+    Yang, 2016), so that rule has no member of its own."""
 
     MINIMAL_DESCENT = "minimal_descent"
     STEEPEST_MINIMAL = "steepest_minimal"
     FIRST_GP_MINIMAL = "first_gp_minimal"
-    MAXIMAL_GP_MINIMAL = "steepest_minimal"
 
 
 class Step(NamedTuple("Step", [("p_before", PriceVector), ("chosen_mask", int),
@@ -136,8 +138,7 @@ class LnatCounterexample(NamedTuple):
     q: PriceVector
 
 
-def is_lnat_convex_on_box(g: FunctionOracle,
-                          box: tuple[PriceVector, PriceVector] | None = None, *,
+def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector], *,
                           budget: int = 2_000_000) -> LnatCounterexample | None:
     """Decide whether g is L♮-convex on a box, by one local check.
 
@@ -155,10 +156,6 @@ def is_lnat_convex_on_box(g: FunctionOracle,
     then read in one ``g.grid`` call.  The theorem needs the box inside g's
     domain, so a None value raises ValueError naming the first such point.
     """
-    if box is None:
-        box = g.box
-    if box is None:
-        raise ValueError("no box given and the oracle declares none")
     lo, hi = tuple(box[0]), tuple(box[1])
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
         raise ValueError("box bounds must be two n-vectors with lo <= hi")
@@ -437,8 +434,8 @@ def _shuffled_masks(seed: int, size: int) -> tuple[int, ...]:
 # descent sets are closed under union, and their union is the minimal
 # minimizer of the one-step change (Murota, Shioura and Yang, 2016), so the
 # rule is ``minimal_minimizer_step``; the tests hold the identity against the
-# union of ``oracle.gp_minimal_table`` flags.  0, the empty set, when nothing
-# descends.
+# union of ``oracle.gp_minimal_table`` flags.  No library code reads this
+# name: it stays only because the benchmark's span tracer patches it.
 maximal_gp_minimal = minimal_minimizer_step
 
 
@@ -449,20 +446,19 @@ def _check_seed(seed: int) -> None:
 
 def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
              seed: int = 0, budget: int | None = None,
-             neighborhood: Callable[[PriceVector], Sequence[int]] | None = None,
+             neighborhood: Callable[[PriceVector], Sequence[int | None]],
              ) -> tuple[PriceVector, Trajectory]:
     """Run the ascending descent loop from p0 with the given selection rule.
 
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
-    iteration builds one change table, which the termination test reads
-    up to its first negative entry (scanning past None entries only when
-    it meets one) and, while something descends, the strategy.  Without ``neighborhood``
-    the changes are read from ``g``, which is queried unmemoized.  With it,
-    ``neighborhood(p)`` gives them by a faster route, and ``g`` certifies
-    them: the change for the empty set must be 0, each step's
-    g(p + chi_X) - g(p) must equal its entry, and a stop is confirmed by
-    one scan of g's own neighborhood; a mismatch raises ConvexityError.
+    iteration reads one change table, ``neighborhood(p)``, which the
+    termination test reads up to its first negative entry (scanning past
+    None entries only when it meets one) and, while something descends, the
+    strategy.  ``g`` certifies the table: the change for the empty set must
+    be 0, each step's g(p + chi_X) - g(p) must equal its entry, and a stop
+    is confirmed by one scan of g's own neighborhood (``neighborhood_values``);
+    a mismatch raises ConvexityError.
 
     A separable g, one that declares ``terms``, is read per item by every
     rule but the seeded one, whose order spans all item sets: each
@@ -508,12 +504,9 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             down = sum(1 << j for j, d in enumerate(deltas) if d is not None and d < 0)
             descends = down != 0
         else:
-            if neighborhood is None:
-                deltas = _changes(neighborhood_values(g, p), base)
-            else:
-                deltas = neighborhood(p)
-                if len(deltas) != size or deltas[0] != 0:
-                    raise ConvexityError(f"{route} with the oracle at p")
+            deltas = neighborhood(p)
+            if len(deltas) != size or deltas[0] != 0:
+                raise ConvexityError(f"{route} with the oracle at p")
             try:  # stops at the first negative entry, in C
                 descends = any(map(lt, deltas, repeat(0)))
             except TypeError:  # a corner outside the domain: None entries
@@ -522,8 +515,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             if per_item:
                 certified = _term_changes(g.terms, p, 1) == list(deltas)
             else:
-                certified = neighborhood is None or \
-                    _changes(neighborhood_values(g, p), base) == list(deltas)
+                certified = _changes(neighborhood_values(g, p), base) == list(deltas)
             if not certified:
                 raise ConvexityError(f"{route} with the oracle at the stop")
             break

@@ -13,9 +13,9 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
   bidders demanding only or some items of a set, and
   overdemanded and excess-demand sets, with their multi-unit counterparts
   from minimum takes;
-* the Lyapunov value by its definition, a box scan per bidder
-  (``lyapunov_value``), the twin of the oracle's per-item reads and kept
-  unit-demand scans;
+* the Lyapunov value by its definition, a box scan per bidder through
+  ``evaluate`` (``lyapunov_value``), the twin of the oracle's per-item
+  reads and kept scans;
 * set-by-set forms of what the descent reads as tables (``is_gp_minimal``,
   ``deficiency``, ``lyapunov_step``) and the equilibrium conditions checked
   against an allocation (``allocation_certifies``).
@@ -30,12 +30,14 @@ The solver modules never import this one.
 from __future__ import annotations
 
 from itertools import product
+from operator import mul
 
 from .auction import Allocation, MultiAllocation, UnitAllocation
 from .demand import DemandCache, _check_price
 from .errors import BudgetExceededError, ConvexityError
 from .instance import (DEFAULT_BUDGET, MULTI, SEPARABLE_CONCAVE, UNIT, Bundle,
-                       Instance, ItemSet, PriceVector, max_total_value)
+                       Instance, ItemSet, PriceVector, box_volume, evaluate,
+                       iter_box, max_total_value)
 from .itemsets import chi_add, mask_from_items, proper_submasks, subset_sums
 from .lnat import FunctionOracle
 from .lyapunov import LyapunovOracle
@@ -497,15 +499,22 @@ def _nonempty_submasks(mask: int):
 
 def lyapunov_value(p: PriceVector, instance: Instance, *, budget: int = DEFAULT_BUDGET) -> int:
     """Lyapunov value at p by the definition: each bidder's best payoff
-    max_x (v(x) - p.x) over its bundle box, read through
-    ``DemandCache.indirect_utility``, plus the revenue at full supply; the
-    twin of ``LyapunovOracle.value``'s per-item reads and kept unit-demand
-    scans, and bounded
-    by the bundle-box budget like every box scan."""
+    max_x (v(x) - p.x) over the bundle box, every worth read by
+    ``evaluate``, plus the revenue at full supply.  It is the twin of
+    ``LyapunovOracle.value``'s per-item reads and kept scans and shares
+    none of them.  A market with bidders is bounded by the bundle-box
+    budget like every box scan."""
     p = _check_price(instance, p)
-    dc = DemandCache(instance, budget=budget)
-    revenue = sum(c * q for c, q in zip(p, instance.u))
-    return revenue + sum(dc.indirect_utility(b, p) for b in range(instance.m))
+    revenue = sum(map(mul, p, instance.u))
+    if not instance.valuations:
+        return revenue
+    volume = box_volume(instance.u)
+    if volume > budget:
+        raise BudgetExceededError(f"bundle box volume {volume} exceeds budget {budget}")
+    box = list(iter_box(instance.u))
+    costs = [sum(map(mul, p, x)) for x in box]
+    return revenue + sum(max(evaluate(v, x) - c for x, c in zip(box, costs))
+                         for v in instance.valuations)
 
 
 def lyapunov_step(X: ItemSet, p: PriceVector, instance: Instance, *,

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from walras import Instance, Valuation, evaluate, max_total_value
+from walras import (Instance, Valuation, evaluate, max_total_value,
+                    neighborhood_values)
 from walras.instance import SEPARABLE_CONCAVE, UNIT_DEMAND, iter_box
 
 settings.register_profile(
@@ -106,6 +108,28 @@ def wide_separable_market(rng: random.Random, n: int, *, m: int = 8, u: int = 3,
     supply = (u,) * n
     return Instance(model="multi", n=n, u=supply, valuations=tuple(
         random_separable_valuation(rng, supply, value_max=value_max) for _ in range(m)))
+
+
+def value_route(g):
+    """The descent's change tables read from g's own values: g(p + chi_X)
+    - g(p) for every item set X, from one ``neighborhood_values`` read at p,
+    None where a corner leaves the domain.  The value-read twin of a
+    caller's faster route, such as ``LyapunovOracle.neighborhood``, for
+    ``minimize(..., neighborhood=value_route(g))``."""
+    def changes(p):
+        vals = neighborhood_values(g, p)
+        return [None if val is None else val - vals[0] for val in vals]
+
+    return changes
+
+
+def box_demand_set(inst: Instance, b: int, p) -> tuple:
+    """Bidder b's payoff-maximizing bundles at p by the definition: a scan
+    of the bundle box [0, u] with ``evaluate``, in box order."""
+    v = inst.valuations[b]
+    payoffs = [(evaluate(v, x) - sum(map(mul, p, x)), x) for x in iter_box(inst.u)]
+    best = max(pay for pay, _ in payoffs)
+    return tuple(x for pay, x in payoffs if pay == best)
 
 
 def tabulate(v: Valuation) -> Valuation:

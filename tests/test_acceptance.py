@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from conftest import (make_ex21, random_multi_instance, random_unit_instance)
 from walras import (Instance, LyapunovOracle, StrategyKind,
@@ -22,7 +23,7 @@ from walras import (Instance, LyapunovOracle, StrategyKind,
                     max_total_value, minimal_minimizer_step, verify_mnat_exc)
 from walras.oracle import excess_demand_table
 from walras.instance import UNIT, Valuation
-from walras.itemsets import chi_add, items_from_mask
+from walras.itemsets import items_from_mask, strides, subset_sums
 from walras.lnat import FunctionOracle
 
 UNIT_COUNT = 150
@@ -51,11 +52,17 @@ class Record:
 
 
 def _box_checks(inst: Instance, ly: LyapunovOracle, cap: int, rec: Record) -> None:
+    """Every check at every point p of [0, cap]^n, each corner's value
+    p + chi_X read from one grid of L over [0, cap + 1]^n."""
     n = inst.n
     size = 1 << n
     dc = ly.demand
+    grid = ly.grid_values([range(cap + 2)] * n)
+    stride = strides([cap + 2] * n)
+    corners = subset_sums(stride, n)
     for p in product(range(cap + 1), repeat=n):
-        vals = [ly.value(chi_add(p, mask)) for mask in range(size)]
+        at = sum(map(mul, p, stride))
+        vals = [grid[at + corner] for corner in corners]
         base = vals[0]
         delta = dc.deficiency_from_key(dc.demand_key(p))
         if rec.identity is None:
@@ -323,7 +330,7 @@ def test_criterion_8_convexity_verifiers():
     supermodular = FunctionOracle(
         n=2, fn={(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}.get,
         box=((0, 0), (1, 1)))
-    witness = is_lnat_convex_on_box(supermodular)
+    witness = is_lnat_convex_on_box(supermodular, supermodular.box)
     if witness is None or (witness.p, witness.q) != ((0, 1), (1, 0)):
         failures.append(f"supermodular witness {witness}")
     complements = Valuation.from_table(

@@ -314,6 +314,21 @@ class TestExtractAllocation:
         with pytest.raises(ValueError, match="two bidders"):
             UnitAllocation(assignment=(1, 1))
 
+    def test_zero_worth_unit_bidder_takes_every_item(self):
+        """A u = 1 multi market whose one unit-demand bidder values both
+        items at 0: at p_min = (0, 0) it demands every bundle of the box,
+        not only the single items its demand mask names, and the supply
+        clears only if it takes (1, 1)."""
+        inst = Instance(model="multi", n=2, u=(1, 1),
+                        valuations=(Valuation.unit_demand([0, 0]),))
+        assert DemandCache(inst).demand_set(0, (0, 0)) == ((0, 0), (0, 1), (1, 0), (1, 1))
+        want = MultiAllocation(((1, 1),))
+        for kind in StrategyKind:
+            res = ascending_auction(inst, kind)
+            assert (res.p_min, res.allocation) == ((0, 0), want), kind
+        verdict = verify_equilibrium(inst, (0, 0))
+        assert verdict.equilibrium and verdict.allocation == want
+
 
 class TestVerifyEquilibrium:
     def test_worked_example(self, ex21):

@@ -6,8 +6,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (column_markets, column_prices, make_ex21, random_multi_instance,
-                      random_separable_valuation, random_unit_instance, tabulate)
+from conftest import (box_demand_set, column_markets, column_prices, make_ex21,
+                      random_multi_instance, random_separable_valuation,
+                      random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     max_total_value,
                     Valuation, ascending_auction, bidders_demanding_some,
@@ -60,8 +61,6 @@ class TestMultiDemandSets:
                         valuations=(Valuation.separable([[1] * 40] * 4),))
         p = (0, 0, 0, 0)
         assert demand_set(0, p, inst, budget=10_000) == {(40, 40, 40, 40)}
-        with pytest.raises(BudgetExceededError):
-            DemandCache(inst, budget=10_000).demand_set_enum(0, p)
         with pytest.raises(BudgetExceededError):
             DemandCache(inst, budget=10_000).indirect_utility(0, p)
 
@@ -376,7 +375,7 @@ class TestFastPaths:
                 else:
                     takes[d.bit_length() - 1] += 1
             else:
-                demand = DemandCache(inst).demand_set_enum(b, p)
+                demand = box_demand_set(inst, b, p)
                 if len(demand) == 1:
                     for j, k in enumerate(demand[0]):
                         takes[j] += k
@@ -405,7 +404,7 @@ class TestFastPaths:
                 levels = sorted({w for row in v.marginals for w in row} | {0, 7})
                 for _ in range(4):
                     p = tuple(rng.choice(levels) for _ in range(n))
-                    box = dc.demand_set_enum(b, p)
+                    box = box_demand_set(inst, b, p)
                     assert dc.demand_set(b, p) == box
                     vec = dc.mu_vector(b, p)
                     for mask in range(1 << n):
@@ -465,7 +464,8 @@ class TestSharedCache:
             assert dc.deficiency_from_key(key) == fresh.deficiency_from_key(key), (inst, q)
             for b in range(m):
                 assert dc.indirect_utility(b, q) == fresh.indirect_utility(b, q), (inst, q, b)
-                assert dc.demand_set_enum(b, q) == fresh.demand_set_enum(b, q), (inst, q, b)
+                assert dc.demand_set(b, q) == fresh.demand_set(b, q) == \
+                    box_demand_set(inst, b, q), (inst, q, b)
             assert ly.neighborhood(q) == LyapunovOracle(inst, budget=budget).neighborhood(q)
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= budget
@@ -622,7 +622,7 @@ def _key_twin(inst, dc, p):
             takes[d.bit_length() - 1] += 1
     box = list(iter_box(inst.u))
     for b in dc.tables:
-        demand = dc.demand_set_enum(b, p)
+        demand = box_demand_set(inst, b, p)
         if len(demand) == 1:
             takes = [t + x for t, x in zip(takes, demand[0])]
         else:

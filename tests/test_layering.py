@@ -79,6 +79,15 @@ def test_lyapunov_names_the_module_and_lyapunov_value_the_twin():
     assert out.stdout == "True\n", out.stdout
 
 
+def test_strategy_kinds_have_no_aliases():
+    """Each ``StrategyKind`` member names a rule of its own: the enum has no
+    alias, and every CLI strategy flag maps to one of its members, so
+    ``excess-maximal`` names ``STEEPEST_MINIMAL`` itself."""
+    assert len(walras.StrategyKind.__members__) == len(walras.StrategyKind) == 3
+    assert set(walras.cli.STRATEGY_FLAGS.values()) <= set(walras.StrategyKind.__members__.values())
+    assert walras.cli.STRATEGY_FLAGS["excess-maximal"] is walras.StrategyKind.STEEPEST_MINIMAL
+
+
 def test_imports_are_package_relative_or_stdlib():
     """The package declares no dependencies: every import in ``src/walras``
     is package-relative or names a standard-library module."""

@@ -4,18 +4,19 @@ import random
 from functools import reduce
 from itertools import combinations, product
 from math import prod
-from operator import and_
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (CountingList, breaks_midpoint, make_two_bidder_multi,
-                      random_multi_instance, random_unit_instance, tabulate)
+from conftest import (CountingList, breaks_midpoint, column_markets,
+                      make_two_bidder_multi, random_multi_instance,
+                      random_unit_instance, tabulate, value_route)
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
-                    maximal_gp_minimal, minimal_descent_set,
-                    minimal_minimizer_step, minimize, neighborhood_values)
+                    minimal_descent_set, minimal_minimizer_step, minimize,
+                    neighborhood_values)
 from walras import lnat
 from walras.errors import BudgetExceededError, ContractError
 from walras.itemsets import chi_add, items_from_mask, proper_submasks
@@ -48,12 +49,13 @@ class TestConvexityVerifier:
         assert is_lnat_convex_on_box(g, ((0, 0, 0), (2, 2, 2))) is None
 
     def test_supermodular_counterexample(self):
-        assert is_lnat_convex_on_box(SUPERMODULAR) == LnatCounterexample(p=(0, 1), q=(1, 0))
+        assert is_lnat_convex_on_box(SUPERMODULAR, SUPERMODULAR.box) == \
+            LnatCounterexample(p=(0, 1), q=(1, 0))
 
     def test_linear_function_holds(self):
         g = FunctionOracle(n=2, fn=lambda p: 3 * p[0] + 5 * p[1],
                            box=((0, 0), (4, 4)), value_floor=0)
-        assert is_lnat_convex_on_box(g) is None
+        assert is_lnat_convex_on_box(g, g.box) is None
 
     def test_budget_guard(self, ex21):
         g = lyap_oracle(ex21)
@@ -61,8 +63,9 @@ class TestConvexityVerifier:
             is_lnat_convex_on_box(g, ((0, 0, 0), (2, 2, 2)), budget=10)
 
     def test_requires_a_box(self):
-        g = FunctionOracle(n=1, fn=lambda p: p[0] * p[0])
-        with pytest.raises(ValueError, match="box"):
+        """The box is an argument: a declared ``box`` is not read for it."""
+        g = FunctionOracle(n=1, fn=lambda p: p[0] * p[0], box=((0,), (3,)))
+        with pytest.raises(TypeError, match="'box'"):
             is_lnat_convex_on_box(g)
 
 
@@ -135,7 +138,7 @@ class TestLocalMidpointCheck:
         assert not lnat._locally_midpoint_convex([2], [0, 1, 0])
         assert lnat._locally_midpoint_convex([2], [0, 1, 2])
         g = FunctionOracle(n=1, fn=lambda p: (0, 1, 0)[p[0]], box=((0,), (2,)))
-        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0,), q=(2,))
+        assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0,), q=(2,))
 
     def test_planted_incomparable_fault(self):
         """g = p_0 p_1 on [0, 1]^2 is convex in each coordinate, but
@@ -144,7 +147,7 @@ class TestLocalMidpointCheck:
         assert not lnat._locally_midpoint_convex([1, 1], [0, 0, 0, 1])
         assert lnat._locally_midpoint_convex([1, 1], [0, 0, 0, -1])
         g = FunctionOracle(n=2, fn=lambda p: p[0] * p[1], box=((0, 0), (1, 1)))
-        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0, 1), q=(1, 0))
+        assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 1), q=(1, 0))
 
     def test_charge_is_the_plans_pairs(self):
         """A passing check reads each inequality of its family, unit squares
@@ -183,7 +186,7 @@ class TestLocalMidpointCheck:
         first = next(midpoint_failures(filled, points), None)
         assert lnat._locally_midpoint_convex(widths, list(map(table.get, points))) == \
             (first is None), (widths, table)
-        assert is_lnat_convex_on_box(filled) == \
+        assert is_lnat_convex_on_box(filled, box) == \
             (first and LnatCounterexample(*first)), (widths, table)
         return first
 
@@ -219,7 +222,7 @@ class TestLocalMidpointCheck:
         trips = [pq for pq in midpoint_failures(g, points) if in_family(*pq)]
         assert trips[0] == ((0, 1, 1), (1, 0, 1)), trips
         assert lnat._first_midpoint_failure([1, 1, 1], vals) == ((0, 0, 1), (1, 1, 0))
-        assert is_lnat_convex_on_box(g) == LnatCounterexample(p=(0, 0, 1), q=(1, 1, 0))
+        assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 0, 1), q=(1, 1, 0))
 
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
@@ -481,34 +484,53 @@ class TestFirstGpMinimal:
         assert deep_lows > 100
 
 
+def maximal_gp_set(vals):
+    """The union of every locally-minimal descent set, by the definition
+    (``oracle.gp_minimal_table``); 0 when nothing descends."""
+    return reduce(or_, [mask for mask, flag in enumerate(gp_minimal_table(vals)) if flag], 0)
+
+
 class TestMaximalGpMinimal:
+    """The maximal locally-minimal descent set is the steepest rule's set,
+    so ``excess-maximal`` runs ``minimal_minimizer_step``."""
+
     def test_worked_example(self, ex21):
         g = lyap_oracle(ex21)
-        assert maximal_gp_minimal(neighborhood_values(g, (0, 0, 0))) == 0b111
-        assert maximal_gp_minimal(neighborhood_values(g, (1, 0, 0))) == 0b110
-        assert maximal_gp_minimal(neighborhood_values(g, (1, 1, 1))) == 0
+        for p, want in (((0, 0, 0), 0b111), ((1, 0, 0), 0b110), ((1, 1, 1), 0)):
+            vals = neighborhood_values(g, p)
+            assert maximal_gp_set(vals) == minimal_minimizer_step(vals) == want, p
 
     def test_non_convex_input_rejected(self):
+        """Items 1 and 2 each descend alone but not together: the union of
+        the locally-minimal sets does not descend, and the rule refuses."""
         g = table_oracle({(0, 0): 5, (1, 0): 4, (0, 1): 4, (1, 1): 5}, 2)
+        vals = neighborhood_values(g, (0, 0))
+        assert maximal_gp_set(vals) == 0b11 and vals[0b11] == vals[0]
         with pytest.raises(ConvexityError):
-            maximal_gp_minimal(neighborhood_values(g, (0, 0)))
+            minimal_minimizer_step(vals)
 
 
 class TestMinimize:
     def test_steepest_single_step(self, ex21):
-        p, traj = minimize(lyap_oracle(ex21), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL)
+        g = lyap_oracle(ex21)
+        p, traj = minimize(g, (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,
+                           neighborhood=value_route(g))
         assert p == (1, 1, 1)
         assert len(traj) == 1
         assert traj.steps[0].chosen_mask == 0b111
 
     def test_minimal_descent_trajectory(self, ex21):
-        p, traj = minimize(lyap_oracle(ex21), (0, 0, 0), StrategyKind.MINIMAL_DESCENT)
+        g = lyap_oracle(ex21)
+        p, traj = minimize(g, (0, 0, 0), StrategyKind.MINIMAL_DESCENT,
+                           neighborhood=value_route(g))
         assert p == (1, 1, 1)
         assert [s.chosen_mask for s in traj.steps] == [0b001, 0b110]
         assert [(s.g_before, s.g_after) for s in traj.steps] == [(6, 5), (5, 3)]
 
     def test_start_at_the_minimizer(self, ex21):
-        p, traj = minimize(lyap_oracle(ex21), (1, 1, 1), StrategyKind.MINIMAL_DESCENT)
+        g = lyap_oracle(ex21)
+        p, traj = minimize(g, (1, 1, 1), StrategyKind.MINIMAL_DESCENT,
+                           neighborhood=value_route(g))
         assert p == (1, 1, 1) and len(traj) == 0
 
     def test_iteration_cap(self):
@@ -517,14 +539,15 @@ class TestMinimize:
         needs two."""
         g = FunctionOracle(n=1, fn=lambda p: (p[0] - 2) ** 2, value_floor=4)
         with pytest.raises(IterationCapError, match="within 1 iterations"):
-            minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL)
+            minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL, neighborhood=value_route(g))
 
     def test_cap_needs_a_floor(self):
         g = FunctionOracle(n=1, fn=lambda p: (p[0] - 2) ** 2, box=((0,), (9,)))
         with pytest.raises(ValueError, match="value_floor"):
-            minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL)
+            minimize(g, (0,), StrategyKind.STEEPEST_MINIMAL, neighborhood=value_route(g))
         floored = FunctionOracle(n=1, fn=g.fn, box=g.box, value_floor=0)
-        p, _ = minimize(floored, (0,), StrategyKind.STEEPEST_MINIMAL)
+        p, _ = minimize(floored, (0,), StrategyKind.STEEPEST_MINIMAL,
+                        neighborhood=value_route(floored))
         assert p == (2,)
 
     @pytest.mark.parametrize("free", [0, 1])
@@ -545,14 +568,14 @@ class TestMinimize:
         declared = FunctionOracle(n=2, fn=fn, value_floor=0, terms=term)
         for g in (plain, declared):
             for kind in StrategyKind:
-                p, traj = minimize(g, (0, 0), kind, seed=1)
+                p, traj = minimize(g, (0, 0), kind, seed=1, neighborhood=value_route(g))
                 assert p == tuple(3 if j == free else 0 for j in range(2))
                 assert [s.chosen_mask for s in traj.steps] == [1 << free] * 3
 
     def test_dimension_guard(self):
         g = FunctionOracle(n=25, fn=lambda p: sum(p), value_floor=0)
         with pytest.raises(BudgetExceededError, match="cap"):
-            minimize(g, (0,) * 25, StrategyKind.STEEPEST_MINIMAL)
+            minimize(g, (0,) * 25, StrategyKind.STEEPEST_MINIMAL, neighborhood=value_route(g))
 
     @staticmethod
     def _separable(targets, *, declared=True):
@@ -573,20 +596,21 @@ class TestMinimize:
         for _ in range(30):
             targets = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
             start = tuple(rng.randint(0, t) for t in targets)
+            declared, plain = self._separable(targets), self._separable(targets, declared=False)
             for kind in StrategyKind:
-                got = minimize(self._separable(targets), start, kind, seed=5)
-                assert got == minimize(self._separable(targets, declared=False), start,
-                                       kind, seed=5), (targets, kind)
+                got = minimize(declared, start, kind, seed=5, neighborhood=value_route(declared))
+                assert got == minimize(plain, start, kind, seed=5,
+                                       neighborhood=value_route(plain)), (targets, kind)
 
     def test_separable_oracle_passes_the_cap_on_the_per_item_route(self):
         """Only the seeded rule reads tables, so only it meets the cap."""
         g = self._separable([2] * 30)
         for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
-            p, traj = minimize(g, (0,) * 30, kind)
+            p, traj = minimize(g, (0,) * 30, kind, neighborhood=value_route(g))
             assert p == (2,) * 30
             assert len(traj) == (2 if kind is StrategyKind.STEEPEST_MINIMAL else 60)
         with pytest.raises(BudgetExceededError, match="cap"):
-            minimize(g, (0,) * 30, StrategyKind.FIRST_GP_MINIMAL)
+            minimize(g, (0,) * 30, StrategyKind.FIRST_GP_MINIMAL, neighborhood=value_route(g))
 
     def test_step_contract(self):
         with pytest.raises(ContractError):
@@ -639,7 +663,8 @@ class TestGenericOracles:
         target = brute_minimal_minimizer(g)
         lengths = {}
         for kind in StrategyKind:
-            p, traj = minimize(g, (0,) * n, kind, seed=seed % (1 << 64))
+            p, traj = minimize(g, (0,) * n, kind, seed=seed % (1 << 64),
+                               neighborhood=value_route(g))
             assert p == target, (kind, p, target)
             assert len(traj) <= g((0,) * n) - g(p)
             points = [traj.start] + [s.p_before for s in traj.steps] + [p]
@@ -828,10 +853,10 @@ class TestNeighborhoodTable:
                 assert flags[mask] == is_gp_minimal(g, p, items_from_mask(mask))
                 if flags[mask]:
                     union |= mask
-            assert maximal_gp_minimal(vals) == union
+            assert minimal_minimizer_step(vals) == union
 
     def test_malformed_table_rejected(self):
-        for rule in (minimal_descent_set, minimal_minimizer_step, maximal_gp_minimal,
+        for rule in (minimal_descent_set, minimal_minimizer_step,
                      lambda vals: first_gp_minimal(vals, 0)):
             with pytest.raises(ValueError, match="entries"):
                 rule([6, 5, 4])
@@ -873,7 +898,7 @@ class TestNeighborhoodTable:
                                      items=lambda p: [d + shift for d in g.items(p)])
             for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
                 with pytest.raises(ConvexityError, match=f"item changes disagree .* {where}"):
-                    minimize(shifted, start, kind)
+                    minimize(shifted, start, kind, neighborhood=value_route(shifted))
 
     def test_empty_raise_must_change_nothing(self, ex21):
         ly = LyapunovOracle(ex21)
@@ -895,7 +920,7 @@ class TestNeighborhoodTable:
             for start in (0, 1, top, top + 1, top + 3):
                 p0 = (start,) * inst.n
                 for kind in StrategyKind:
-                    plain = minimize(g, p0, kind, seed=3)
+                    plain = minimize(g, p0, kind, seed=3, neighborhood=value_route(g))
                     fast = minimize(g, p0, kind, seed=3, neighborhood=ly.neighborhood)
                     assert fast == plain
 
@@ -928,12 +953,34 @@ class TestKeptTables:
             ly = LyapunovOracle(inst)
             g = ly.function_oracle()
             for kind in StrategyKind:
-                plain = minimize(g, (0,) * inst.n, kind, seed=trial)
+                plain = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=value_route(g))
                 fast = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=ly.neighborhood)
                 assert fast == plain, (inst, kind)
                 asked += len(fast[1]) + 1
             built += len(ly._tables)
         assert asked > 3 * built
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_table_markets_give_the_value_route_trajectory(self, data):
+        """On the column markets with some bidders passed through
+        ``tabulate``, read as multi markets, the demand-side route and the
+        value route give every rule the same trajectory, under a few seeds,
+        with every rule reading tables."""
+        inst = data.draw(column_markets(), label="market")
+        flags = data.draw(st.lists(st.booleans(), min_size=inst.m, max_size=inst.m),
+                          label="tabulated")
+        if any(flags):
+            inst = Instance(model="multi", n=inst.n, u=inst.u, valuations=tuple(
+                tabulate(v) if flag else v for v, flag in zip(inst.valuations, flags)))
+        ly = LyapunovOracle(inst)
+        g = tables_only(ly.function_oracle())
+        start = (0,) * inst.n
+        for kind in StrategyKind:
+            for seed in (0, 7, 2**64 - 1):
+                fast = minimize(g, start, kind, seed=seed, neighborhood=ly.neighborhood)
+                plain = minimize(g, start, kind, seed=seed, neighborhood=value_route(g))
+                assert fast == plain, (inst, kind, seed)
 
 
 RULE_OF = {
@@ -952,7 +999,7 @@ def outcome(rule, vals):
 
 
 class TestChangeTable:
-    RULES = (minimal_descent_set, minimal_minimizer_step, maximal_gp_minimal,
+    RULES = (minimal_descent_set, minimal_minimizer_step,
              lambda vals: first_gp_minimal(vals, 5))
 
     def test_rules_ignore_a_constant_shift(self):
@@ -992,11 +1039,11 @@ class TestChangeTable:
         monkeypatch.setattr(lnat, RULE_OF[kind], counted)
         for inst, p_min in ((ex21, (1, 1, 1)), (two_bidder_multi, (2,))):
             ly = LyapunovOracle(inst)
-            for route in (None, ly.neighborhood):
+            g = tables_only(ly.function_oracle())
+            for route in (value_route(g), ly.neighborhood):
                 for start in ((0,) * inst.n, p_min):
                     tables.clear()
-                    p, traj = minimize(tables_only(ly.function_oracle()), start, kind,
-                                       seed=7, neighborhood=route)
+                    p, traj = minimize(g, start, kind, seed=7, neighborhood=route)
                     assert p == p_min
                     assert len(tables) == len(traj)
                     assert all(vals[0] == 0 for vals in tables)
@@ -1004,11 +1051,12 @@ class TestChangeTable:
     @pytest.mark.parametrize("kind", list(StrategyKind))
     def test_a_rule_that_finds_nothing_breaks_the_step_contract(self, kind, ex21, monkeypatch):
         ly = LyapunovOracle(ex21)
+        g = ly.function_oracle()
         for nothing in (None, 0):
             monkeypatch.setattr(lnat, RULE_OF[kind], lambda vals, *seed: nothing)
-            for route in (None, ly.neighborhood):
+            for route in (value_route(g), ly.neighborhood):
                 with pytest.raises(ContractError, match="empty set"):
-                    minimize(ly.function_oracle(), (0, 0, 0), kind, neighborhood=route)
+                    minimize(g, (0, 0, 0), kind, neighborhood=route)
 
     def test_a_non_descent_choice_breaks_the_step_contract(self, monkeypatch):
         """At (0, 0) raising item 1 descends; raising item 2 does not, and
@@ -1018,7 +1066,7 @@ class TestChangeTable:
         for mask in (0b10, 0b11):
             monkeypatch.setattr(lnat, "minimal_descent_set", lambda vals: mask)
             with pytest.raises(ContractError, match="failed to decrease"):
-                minimize(g, (0, 0), StrategyKind.MINIMAL_DESCENT)
+                minimize(g, (0, 0), StrategyKind.MINIMAL_DESCENT, neighborhood=value_route(g))
 
 
 class TestKeptAnswers:

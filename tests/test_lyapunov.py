@@ -345,8 +345,8 @@ class TestNeighborhoodValues:
 class TestPerItemColumns:
     """``LyapunovOracle.value`` and ``grid_values`` read separable bidders
     per item from sorted columns and unit-demand bidders inline;
-    ``oracle.lyapunov_value`` reads every bidder by the definition, a scan of its
-    bundle box through ``DemandCache.indirect_utility``."""
+    ``oracle.lyapunov_value`` reads every bidder by the definition, a scan of
+    the bundle box through ``evaluate``, and shares no scan with them."""
 
     @given(st.data())
     def test_value_and_neighborhood_values_match_the_per_bidder_twin(self, data):
@@ -362,6 +362,25 @@ class TestPerItemColumns:
                 expected.append(None if min(q) < 0 else lyapunov_value(q, inst))
             for g in oracles:
                 assert neighborhood_values(g, p, s) == expected, (inst, p, s)
+
+    def test_the_twin_sees_a_planted_table_scan_fault(self, monkeypatch):
+        """With the table scan's cost of the full bundle one too low, a
+        table bidder's best payoff reads one more through ``value``, and
+        the twin, which reads no cache scan, keeps the true value."""
+        inst = Instance(model="multi", n=2, u=(1, 1),
+                        valuations=(tabulate(Valuation.separable([[3], [2]])),))
+        p = (1, 1)
+        assert LyapunovOracle(inst).value(p) == lyapunov_value(p, inst) == 5
+        costs = demand._box_costs
+
+        def one_off(p, u):
+            out = costs(p, u)
+            out[-1] -= 1
+            return out
+
+        monkeypatch.setattr(demand, "_box_costs", one_off)
+        assert LyapunovOracle(inst).value(p) == 6
+        assert lyapunov_value(p, inst) == 5
 
 
 @st.composite
