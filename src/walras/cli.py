@@ -68,56 +68,42 @@ def _allocation_json(allocation) -> dict | None:
     return {"model": "multi", "bundles": [list(x) for x in allocation.bundles]}
 
 
+# The columns of a trajectory row, in the order ``_step_rows`` yields them.
+_ROW_KEYS = ("iteration", "p_before", "chosen_items", "chosen_mask", "lyapunov_before",
+             "lyapunov_after", "deficiency", "demanded_units", "supply_units")
+
+
 def _step_rows(instance: Instance, result):
-    """Per-step columns of both formats; the descent certified each step's
-    value drop as its chosen set's deficiency."""
+    """Per-step columns of both formats, one tuple in ``_ROW_KEYS`` order;
+    the descent certified each step's value drop as its chosen set's
+    deficiency."""
     items = range(instance.n)
     for k, step in enumerate(result.trajectory.steps):
         mask = step.chosen_mask
         deficiency = step.g_before - step.g_after
         supply = mask_weight(mask, instance.u)
-        yield {
-            "iteration": k + 1,
-            "p_before": list(step.p_before),
-            "chosen_items": [i + 1 for i in items if mask >> i & 1],
-            "chosen_mask": mask,
-            "lyapunov_before": step.g_before,
-            "lyapunov_after": step.g_after,
-            "deficiency": deficiency,
-            "demanded_units": deficiency + supply,
-            "supply_units": supply,
-        }
+        yield (k + 1, step.p_before, [i + 1 for i in items if mask >> i & 1], mask,
+               step.g_before, step.g_after, deficiency, deficiency + supply, supply)
 
 
-def _row_json(row: dict) -> str:
-    """``json.dumps(row, indent=2)`` indented four more spaces, to its place
-    in the trajectory list, for a row of int and int-list values under
-    plain keys.  Formatted here because CPython's encoder drops to pure
-    Python whenever it indents: the row's ints, list entries included, fill
-    one template kept for its keys and list lengths."""
-    ints, shape = [], []
-    for val in row.values():
-        if isinstance(val, list):
-            ints += val
-            shape.append(len(val))
-        else:
-            ints.append(val)
-            shape.append(-1)
-    return _row_template(tuple(row), tuple(shape)) % tuple(ints)
+def _row_json(row: tuple) -> str:
+    """``json.dumps(dict(zip(_ROW_KEYS, row)), indent=2)`` indented four
+    more spaces, to its place in the trajectory list.  Formatted here
+    because CPython's encoder drops to pure Python whenever it indents: the
+    row's ints, list entries included, fill one template kept for its two
+    list lengths."""
+    iteration, prices, chosen, *rest = row
+    return _row_template(len(prices), len(chosen)) % (iteration, *prices, *chosen, *rest)
 
 
 @functools.lru_cache(maxsize=64)
-def _row_template(keys: tuple[str, ...], shape: tuple[int, ...]) -> str:
-    """The ``%`` template of a JSON row: under each key a ``%d``, or, where
-    ``shape`` gives a list's length instead of -1, a list of that many."""
-    fields = []
-    for key, size in zip(keys, shape):
-        if size < 0:
-            val = "%d"
-        else:
-            val = "[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]" if size else "[]"
-        fields.append('      "%s": %s' % (key.replace("%", "%%"), val))
-    return "    {\n" + ",\n".join(fields) + "\n    }"
+def _row_template(n: int, k: int) -> str:
+    """The ``%`` template of a JSON row of n prices and k chosen items."""
+    lists = ["[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]" if size else "[]"
+             for size in (n, k)]
+    vals = ["%d", *lists] + ["%d"] * 6
+    return "    {\n" + ",\n".join(f'      "{key}": {val}'
+                                  for key, val in zip(_ROW_KEYS, vals)) + "\n    }"
 
 
 def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) -> Iterator[str]:
@@ -150,10 +136,8 @@ def _result_csv(instance: Instance, result) -> Iterator[str]:
     a line break, so none is quoted."""
     header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
     yield ",".join(header + ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]) + "\n"
-    for row in _step_rows(instance, result):
-        fields = [row["iteration"], *row["p_before"], row["chosen_mask"],
-                  ";".join(str(i) for i in row["chosen_items"]),
-                  row["lyapunov_before"], row["deficiency"]]
+    for k, prices, chosen, mask, g_before, _, deficiency, *_ in _step_rows(instance, result):
+        fields = [k, *prices, mask, ";".join(map(str, chosen)), g_before, deficiency]
         yield ",".join(map(str, fields)) + "\n"
 
 
@@ -191,19 +175,20 @@ def _cmd_verify(args) -> int:
     checks = ("monotone", "mnat", "lnat") if args.check == "all" else (args.check,)
     lines = []
     failed = False
+    # Unit-demand and separable-concave bidders are monotone and normalized
+    # by construction (``Valuation`` takes nonnegative values and nonnegative,
+    # nonincreasing marginals) and M♮-concave by theorem (Murota 2003, ch. 6);
+    # only the tables are checked, as the loader and the auction check them.
+    tables = set(DemandCache(instance, budget=budget).tables)
     if "monotone" in checks:
         for b, v in enumerate(instance.valuations):
-            bad = verify_monotone_normalized(v, budget=budget)
+            bad = verify_monotone_normalized(v, budget=budget) if b in tables else None
             if bad is None:
                 lines.append(f"monotone: bidder {b}: ok")
             else:
                 failed = True
                 lines.append(f"monotone: bidder {b}: counterexample {bad.message}")
     if "mnat" in checks:
-        # Unit-demand and separable-concave valuations are M♮-concave by
-        # theorem (Murota 2003, ch. 6); only the tables are checked, as the
-        # auction admits them.
-        tables = set(DemandCache(instance, budget=budget).tables)
         for b, v in enumerate(instance.valuations):
             bad = verify_mnat_exc(v, budget=budget) if b in tables else None
             if bad is None:

@@ -418,12 +418,7 @@ def _demand_mask(payoffs: list[int], best: int) -> int:
     """A unit-demand bidder's demand set as a bitmask, from its item payoffs
     and its best payoff ``best`` >= 0: the items paying ``best``, and the
     artificial no-purchase item at bit 0 when ``best`` is 0."""
-    mask = 0 if best else 1
-    i = -1
-    for _ in range(payoffs.count(best)):
-        i = payoffs.index(best, i + 1)
-        mask |= 2 << i
-    return mask
+    return sum([2 << i for i in _argmaxes(payoffs, best)], 0 if best else 1)
 
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:

@@ -443,7 +443,7 @@ class Instance(_Record):
     def __init__(self, model: str, n: int, u: Bundle, valuations: tuple[Valuation, ...]):
         if model not in MODELS:
             raise InstanceFormatError(f"model: must be one of {MODELS}, got {model!r}")
-        if _as_int(n, "n") < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise InstanceFormatError("n: must be a positive integer")
         u = tuple(u)
         if len(u) != n:

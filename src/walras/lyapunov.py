@@ -135,12 +135,11 @@ class LyapunovOracle:
     def _grid(self, axes) -> list[int]:
         """L at every point of the product of the nonnegative price lists
         ``axes``, built in whole-list passes: the revenue term and the
-        separable bidders, read per item through
-        ``DemandCache.item_utility``, are an outer sum of one column per
-        item; a unit-demand bidder's best payoff is a running max over
-        items; a table bidder's is its conjugate grid,
-        ``DemandCache.utility_grid``, whose first pass reads the bundle box
-        within the budget as ``value`` does."""
+        separable bidders are an outer sum of one column per item, the
+        item's ``_term`` at each price of its axis; a unit-demand bidder's
+        best payoff is a running max over items; a table bidder's is its
+        conjugate grid, ``DemandCache.utility_grid``, whose first pass reads
+        the bundle box within the budget as ``value`` does."""
         inst = self.instance
         if not all(axes):
             return []
@@ -149,11 +148,7 @@ class LyapunovOracle:
         dc = self.demand
         total = [0]
         for j in reversed(range(inst.n)):
-            q = inst.u[j]
-            if dc.separable:
-                col = [c * q + dc.item_utility(j, c) for c in axes[j]]
-            else:
-                col = [c * q for c in axes[j]]
+            col = [self._term(j, c) for c in axes[j]]
             total = [t + y for y in col for t in total]
         valuations = inst.valuations
         for b in dc.units:
@@ -199,8 +194,9 @@ class LyapunovOracle:
         return [-t for t in self.demand.item_takes(p)]
 
     def _term(self, j: int, c: int) -> int | None:
-        """Item j's term of L in a market of separable bidders alone, c * u_j
-        plus the bidders' best payoff from the item at price c; None below 0."""
+        """Item j's revenue term c * u_j plus the separable bidders' best
+        payoff from the item at price c (0 in a market without them); None
+        below 0.  In a market of separable bidders alone L is their sum."""
         if c < 0:
             return None
         return c * self.instance.u[j] + self.demand.item_utility(j, c)

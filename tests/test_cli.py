@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (EX21_JSON, breaks_local_exchange, breaks_midpoint,
-                      complements_table_market, random_multi_instance,
+                      column_markets, complements_table_market, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
 from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
                     brute_force_min_equilibrium, deficiency, max_total_value,
                     parse_instance, separable_p_min, serialize_instance,
                     verify_equilibrium)
 from walras.auction import UnitAllocation
-from walras.cli import STRATEGY_FLAGS, _row_json, run_command
+from walras.cli import _ROW_KEYS, STRATEGY_FLAGS, _row_json, run_command
 
 COMPLEMENTS_JSON = (
     '{"model": "multi", "n": 2, "m": 1, "u": [1, 1], "valuations": '
@@ -106,6 +106,32 @@ class TestSolve:
         assert len(lines) == 3
         assert lines[1] == "1,0,0,0,1,1,6,1"
         assert lines[2] == "2,1,0,0,6,2;3,5,2"
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_csv_lines_match_the_json_rows(self, tmp_path_factory, data):
+        """On random markets, some bidders tabulated, under every strategy:
+        the CSV header names the market's items, and each CSV data line
+        holds the same run's JSON row, column by column."""
+        inst = data.draw(column_markets(), label="market")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        path = tmp_path_factory.mktemp("csv") / "market.json"
+        path.write_text(serialize_instance(inst))
+        header = ",".join(["iteration", *(f"p{i}" for i in range(1, inst.n + 1)),
+                           "chosen_mask", "chosen_items", "lyapunov", "deficiency"])
+        for flag in sorted(STRATEGY_FLAGS):
+            texts = []
+            for fmt in ("json", "csv"):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert run_command(["solve", "--instance", str(path), "--strategy", flag,
+                                        "--seed", str(seed), "--format", fmt]) == 0
+                texts.append(out.getvalue())
+            lines = [header] + [",".join(map(str, [
+                row["iteration"], *row["p_before"], row["chosen_mask"],
+                ";".join(map(str, row["chosen_items"])), row["lyapunov_before"],
+                row["deficiency"]])) for row in json.loads(texts[0])["trajectory"]]
+            assert texts[1] == "".join(line + "\n" for line in lines), flag
 
     def test_solution_passes_verification(self, ex21_path, capsys):
         run_command(["solve", "--instance", ex21_path, "--strategy", "steepest"])
@@ -380,6 +406,42 @@ class TestVerify:
             "mnat: bidder 0: ok\n"
             "mnat: bidder 1: counterexample x=(0, 0) y=(1, 1)\n"
             "mnat: bidder 2: ok\nmnat: bidder 3: ok\n")
+        assert scanned == [mixed.valuations[1], mixed.valuations[3]]
+
+    def test_family_bidders_are_monotone_by_construction(self, tmp_path, monkeypatch,
+                                                         capsys):
+        """Unit-demand and separable bidders are monotone and normalized by
+        construction, so ``monotone`` prints them ok without a box scan,
+        which the budget would refuse on a separable market's 4^9 box and on
+        a unit-demand market's 2^18; only tables are scanned, once each."""
+        import walras.cli as cli
+        rng = random.Random(30)
+        multi = Instance(model="multi", n=9, u=(3,) * 9, valuations=tuple(
+            random_separable_valuation(rng, (3,) * 9, value_max=30) for _ in range(4)))
+        unit = Instance(model="unit", n=18, u=(1,) * 18, valuations=tuple(
+            Valuation.unit_demand([rng.randint(0, 100) for _ in range(18)]) for _ in range(4)))
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([3, 1]), tabulate(Valuation.separable([[1], [4]])),
+            Valuation.separable([[2], [2]]), tabulate(Valuation.unit_demand([2, 5]))))
+        scanned = []
+        check = cli.verify_monotone_normalized
+
+        def counted(v, *, budget):
+            scanned.append(v)
+            return check(v, budget=budget)
+
+        monkeypatch.setattr(cli, "verify_monotone_normalized", counted)
+        for inst in (multi, unit, mixed):
+            path = tmp_path / f"market{inst.n}.json"
+            path.write_text(serialize_instance(inst))
+            for flag in ("monotone", "all"):
+                scanned.clear()
+                assert run_command(["verify", "--instance", str(path), "--check", flag]) == 0
+                captured = capsys.readouterr()
+                assert captured.err == ""
+                assert captured.out.startswith("".join(
+                    f"monotone: bidder {b}: ok\n" for b in range(inst.m)))
+                assert scanned == [v for v in inst.valuations if v.family == "explicit_table"]
         assert scanned == [mixed.valuations[1], mixed.valuations[3]]
 
     @pytest.mark.parametrize("n, cap", [(5, 1), (4, 2)])
@@ -739,22 +801,24 @@ class TestStreamedOutput:
             assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_row_matches_the_indenting_encoder(self):
-        """Each hand-formatted row is the bytes of ``json.dumps(row,
-        indent=2)`` moved four spaces in, on random rows with empty lists
-        and ints far beyond 64 bits."""
+        """Each hand-formatted row is the bytes of ``json.dumps`` of the row
+        under its column names, ``indent=2``, moved four spaces in, on
+        random rows with empty lists and ints far beyond 64 bits."""
         rng = random.Random(41)
-        keys = ["iteration", "p_before", "chosen_items", "chosen_mask",
-                "lyapunov_before", "lyapunov_after", "deficiency",
-                "demanded_units", "supply_units"]
+        assert _ROW_KEYS == ("iteration", "p_before", "chosen_items", "chosen_mask",
+                             "lyapunov_before", "lyapunov_after", "deficiency",
+                             "demanded_units", "supply_units")
 
         def number():
             return rng.choice((0, 1, -1, rng.randint(-10**6, 10**6),
                                rng.randint(-10**80, 10**80)))
 
         for _ in range(300):
-            row = {key: [number() for _ in range(rng.choice((0, 0, 1, 3)))]
-                   if key in ("p_before", "chosen_items") else number() for key in keys}
-            expected = "    " + json.dumps(row, indent=2).replace("\n", "\n    ")
+            row = tuple([number() for _ in range(rng.choice((0, 0, 1, 3)))]
+                        if key in ("p_before", "chosen_items") else number()
+                        for key in _ROW_KEYS)
+            expected = "    " + json.dumps(dict(zip(_ROW_KEYS, row)),
+                                           indent=2).replace("\n", "\n    ")
             assert _row_json(row) == expected, row
 
 

@@ -217,7 +217,8 @@ def _span_tracer():
     return spans.Tracer()
 
 
-@pytest.mark.parametrize("module", ["auction", "demand", "lyapunov", "lnat", "oracle"])
+@pytest.mark.parametrize("module", ["auction", "demand", "instance", "itemsets", "lyapunov",
+                                    "lnat", "oracle"])
 def test_every_public_solver_function_has_a_caller(module):
     """A public solver function that no library code calls and the README
     does not offer is a second path kept for its own test: it belongs in

@@ -130,6 +130,8 @@ def test_derived_valuation_state():
      "model: must be one of ('unit', 'multi'), got 'both'"),
     (lambda: Instance("unit", 0, (), ()), InstanceFormatError,
      "n: must be a positive integer"),
+    (lambda: Instance("unit", "3", (1, 1, 1), ()), InstanceFormatError,
+     "n: must be a positive integer"),
     (lambda: Instance("unit", 2, (1,), ()), InstanceFormatError, "u: expected 2 entries, got 1"),
     (lambda: Instance("multi", 1, (0,), ()), InstanceFormatError,
      "u[0]: supply must be positive"),
