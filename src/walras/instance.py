@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
-                       compress, cycle, permutations, product)
+                       compress, count, permutations, product)
 from math import prod
-from operator import add, contains, ge, itemgetter, le, mul
+from operator import add, ge, gt, itemgetter, lt, mul
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import BudgetExceededError, ContractError, InstanceFormatError
-from .itemsets import getter, strides
+from .errors import BudgetExceededError, InstanceFormatError
+from .itemsets import box_point, getter, strides
 
 Bundle = tuple[int, ...]
 PriceVector = tuple[int, ...]
@@ -286,7 +286,9 @@ def verify_mnat_exc(v: Valuation, *,
 
     Before any value is read the budget is charged the box volume, then the
     check's reads in closed form (``_local_charge``); either over the
-    budget raises BudgetExceededError.
+    budget raises BudgetExceededError.  The check reads every pair once and
+    the witness is the least failing pair by flat index, which is
+    lexicographic order.
     """
     u = v.box()
     volume = box_volume(u)
@@ -297,10 +299,11 @@ def verify_mnat_exc(v: Valuation, *,
     if reads > budget:
         raise BudgetExceededError(
             f"exchange check needs {reads} reads, budget is {budget}")
-    worth = _box_worths(v)
-    if _locally_exchangeable(u, worth):
+    first = min(_locally_exchangeable(u, _box_worths(v)), default=None)
+    if first is None:
         return None
-    return _first_unexchangeable(u, worth)
+    x, y = (box_point(i, u) for i in first)
+    return MnatCounterexample(x=x, y=y)
 
 
 @lru_cache(maxsize=8)
@@ -345,7 +348,7 @@ def _local_charge(u: Bundle) -> int:
 def _local_plan(u: Bundle) -> tuple:
     """Flat-index reads of the local exchange check on the box [0, u]: the
     pairs of ``_local_steps(u)``, grouped by their number of moves.  A group
-    is (get x, get y, ((get x', get y') per move))."""
+    is (x indices, y indices, get x, get y, ((get x', get y') per move))."""
     stride = strides([c + 1 for c in u])
     groups: dict[int, list[list[int]]] = {}
     for _, sides, offsets in _local_steps(u):
@@ -357,33 +360,18 @@ def _local_plan(u: Bundle) -> tuple:
     plan = []
     for cols in groups.values():
         get = [getter(col) for col in cols]
-        plan.append((get[0], get[1], tuple(zip(get[2::2], get[3::2]))))
+        plan.append((cols[0], cols[1], get[0], get[1], tuple(zip(get[2::2], get[3::2]))))
     return tuple(plan)
 
 
-def _locally_exchangeable(u: Bundle, worth: list[int]) -> bool:
-    """Whether every pair of the box at lifted distance 4 has some exchange
-    worth at least the pair itself."""
-    for get_x, get_y, moves in _local_plan(u):
+def _locally_exchangeable(u: Bundle, worth: list[int]) -> Iterator[tuple[int, int]]:
+    """Yield the flat indices (ix, iy) of every pair of the box at lifted
+    distance 4 that has no exchange worth at least the pair itself."""
+    for xs, ys, get_x, get_y, moves in _local_plan(u):
         need = map(add, get_x(worth), get_y(worth))
         sums = [map(add, gx(worth), gy(worth)) for gx, gy in moves]
         best = map(max, *sums) if len(sums) > 1 else sums[0]
-        if not all(map(ge, best, need)):
-            return False
-    return True
-
-
-def _first_unexchangeable(u: Bundle, worth: list[int]) -> MnatCounterexample:
-    """The first pair in lexicographic (x, y) order that fails the local
-    exchange condition; ``_locally_exchangeable`` found that one does."""
-    for ix, x in enumerate(iter_box(u)):
-        for d, sides, (_, dy, *moves) in _local_steps(u):
-            if all(map(contains, sides, x)):
-                need = worth[ix] + worth[ix + dy]
-                if all(worth[ix + a] + worth[ix + b] < need
-                       for a, b in zip(moves[::2], moves[1::2])):
-                    return MnatCounterexample(x=x, y=tuple(map(add, x, d)))
-    raise ContractError("the local exchange check failed at no pair")
+        yield from compress(zip(xs, ys), map(lt, best, need))
 
 
 class MonotonicityCounterexample(NamedTuple):
@@ -400,39 +388,34 @@ def verify_monotone_normalized(v: Valuation, *,
 
     The budget is charged volume * (n + 1) evaluations up front.  The box is
     evaluated once into a flat list in lexicographic order and checked in
-    one pass by stride offsets (``_nondecreasing``); only a failure runs the
-    loop over x and ascending j that finds the first witness.
+    one pass by stride offsets (``_nondecreasing``); the witness is the
+    least failing (x, j), x first, which is the first decrease by x and
+    then ascending j.
     """
     u = v.box()
     volume = box_volume(u)
-    n = len(u)
-    if volume * (n + 1) > budget:
+    if volume * (len(u) + 1) > budget:
         raise BudgetExceededError(
             f"monotonicity scan of volume {volume} exceeds budget {budget}")
     worth = _box_worths(v)
     if worth[0] != 0:
         return MonotonicityCounterexample(x=None, i=None, message="v(0)≠0")
-    stride = strides([c + 1 for c in u])
-    if _nondecreasing(stride, u, worth):
+    first = min(_nondecreasing(u, worth), default=None)
+    if first is None:
         return None
-    for ix, x in enumerate(iter_box(u)):
-        wx = worth[ix]
-        for j in range(n):
-            if x[j] < u[j] and worth[ix + stride[j]] < wx:
-                return MonotonicityCounterexample(
-                    x=x, i=j + 1,
-                    message=f"v decreases from {x} when adding item {j + 1}")
-    raise ContractError("the monotonicity pass failed at no bundle")
+    x, i = box_point(first[0], u), first[1] + 1
+    return MonotonicityCounterexample(
+        x=x, i=i, message=f"v decreases from {x} when adding item {i}")
 
 
-def _nondecreasing(stride: list[int], u: Bundle, worth: list[int]) -> bool:
-    """Whether worth[x] <= worth[x + chi_j] wherever x_j < u_j.  Along item
-    j, of stride s, x + chi_j sits s indices after x, and in each block of
-    s * (u_j + 1) indices the first s * u_j have x_j < u_j."""
-    for s, c in zip(stride, u):
-        if not all(compress(map(le, worth, worth[s:]), cycle([True] * (s * c) + [False] * s))):
-            return False
-    return True
+def _nondecreasing(u: Bundle, worth: list[int]) -> Iterator[tuple[int, int]]:
+    """Yield (ix, j) for every bundle x, at flat index ix, and item j with
+    x_j < u_j and worth[x + chi_j] < worth[x].  Along item j, of stride s,
+    x + chi_j sits s indices after x, and x_j is ix // s % (u_j + 1)."""
+    for j, (s, c) in enumerate(zip(strides([c + 1 for c in u]), u)):
+        for ix in compress(count(), map(gt, worth, worth[s:])):
+            if ix // s % (c + 1) < c:
+                yield ix, j
 
 
 class Instance(_Record):

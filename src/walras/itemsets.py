@@ -87,6 +87,12 @@ def strides(radices: Sequence[int]) -> list[int]:
     return out
 
 
+def box_point(index: int, widths: Sequence[int]) -> tuple[int, ...]:
+    """The point of lexicographic index ``index`` in the box [0, widths]."""
+    radices = [w + 1 for w in widths]
+    return tuple(index // s % r for s, r in zip(strides(radices), radices))
+
+
 def getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     """``itemgetter(*indices)``, which returns a tuple also for one index."""
     if len(indices) == 1:

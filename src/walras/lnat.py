@@ -25,15 +25,15 @@ from __future__ import annotations
 import enum
 import functools
 import random
-from itertools import combinations, islice, product, repeat
+from itertools import combinations, compress, product, repeat
 from math import prod
 from operator import add, ge, lt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import PriceVector, _Record
-from .itemsets import chi_add, corner_indices, getter, strides
+from .itemsets import box_point, chi_add, corner_indices, getter, strides
 
 _SEED_LIMIT = 1 << 64
 
@@ -155,6 +155,10 @@ def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector
     (``_midpoint_charge``) before any value is read; the box's values are
     then read in one ``g.grid`` call.  The theorem needs the box inside g's
     domain, so a None value raises ValueError naming the first such point.
+    Coordinates of width 0 are left out of the check: no pair moves one,
+    and its radix of 1 leaves every flat index as it is.  The smaller family
+    is read up to its first failure; only then is the theorem's read, and
+    the witness is its least failing pair by flat index, lexicographic order.
     """
     lo, hi = tuple(box[0]), tuple(box[1])
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
@@ -164,47 +168,59 @@ def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector
     if pairs > budget:
         raise BudgetExceededError(
             f"convexity check needs {pairs} inequality tests, budget is {budget}")
-    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
-    vals = g.grid(axes)
+    vals = g.grid([range(a, b + 1) for a, b in zip(lo, hi)])
     if None in vals:
-        point = next(islice(product(*axes), vals.index(None), None))
+        point = tuple(map(add, lo, box_point(vals.index(None), widths)))
         raise ValueError(f"the box leaves the function's domain at {point}")
-    if _locally_midpoint_convex(widths, vals):
+    live = [w for w in widths if w]
+    check, theorem = _words(len(live))
+    if next(_locally_midpoint_convex(live, vals, check), None) is None:
         return None
-    p, q = _first_midpoint_failure(widths, vals)
-    return LnatCounterexample(p=tuple(map(add, lo, p)), q=tuple(map(add, lo, q)))
+    ip, iq = min(_locally_midpoint_convex(live, vals, theorem))
+    return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),
+                              q=tuple(map(add, lo, box_point(iq, widths))))
 
 
 def _midpoint_charge(widths: list[int]) -> int:
-    """Pairs p < q of the box [0, widths] with ‖q - p‖∞ <= 2, the most the
-    witness scan tests.  Along a coordinate of r points, r - |t| of them
-    (none if not positive) step by t, so the (p, q) with ‖q - p‖∞ <= 2
-    number Π_c Σ_{|t| <= 2} (r_c - |t|); less p = q, they come in twins."""
+    """The theorem's pairs p < q of the box [0, widths], ‖q - p‖∞ <= 2, which
+    the witness is read from.  Along a coordinate of r points, r - |t| (none
+    if not positive) step by t, so the ordered pairs number Π_c Σ_{|t| <= 2}
+    (r_c - |t|); less p = q, they come in twins."""
     steps = prod(sum(max(0, w + 1 - abs(t)) for t in range(-2, 3)) for w in widths)
     return (steps - prod(w + 1 for w in widths)) // 2
 
 
-def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
-    """Whether g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2)) on
-    every pair of the box [0, widths] with ‖q - p‖∞ <= 2, given g's values
-    ``vals`` over the box in lexicographic order.  It tests (a) the unit
-    squares g(p + χ_i) + g(p + χ_j) >= g(p) + g(p + χ_i + χ_j), i < j, and
-    (b) the pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a)
-    gives g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978);
-    if ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and
-    are them or a pair of (b).  A point's index is its block's start, set
-    by the leading coordinates, plus its place in the block of the trailing
-    (at most three) ones.  Each product of (a) or (b), a word of ``_parts``
-    letters, splits in two: the trailing words shared by leading words list
-    the four points' places, read in each of those leading words' blocks."""
-    n, k = len(widths), max(len(widths) - 3, 0)
+def _words(n: int) -> tuple[list[str], list[str]]:
+    """The ``_parts`` words, a letter per coordinate, of the check's family,
+    (a) "u" at i and "d" at j > i, (b) "t" at the first 2, and of the
+    theorem's: q - p is 0 before some c, 1 or 2 at c, and -2..2 after it."""
+    check = ["s" * i + "u" + "s" * (j - i - 1) + "d" + "s" * (n - 1 - j)
+             for i, j in combinations(range(n), 2)]
+    check += ["b" * j + "t" + "e" * (n - 1 - j) for j in range(n)]
+    return check, ["s" * c + step + "a" * (n - 1 - c) for c in range(n) for step in "ut"]
+
+
+def _locally_midpoint_convex(widths: list[int], vals: list[int],
+                             words: Sequence[str]) -> Iterator[tuple[int, int]]:
+    """Yield the flat indices (ip, iq) of every pair of ``words`` (see
+    ``_words``) on the box [0, widths] with g(p) + g(q) < g(ceil((p + q)/2))
+    + g(floor((p + q)/2)), given g's values ``vals`` over the box in
+    lexicographic order.  The check's words are (a) the unit squares
+    g(p + χ_i) + g(p + χ_j) >= g(p) + g(p + χ_i + χ_j), i < j, and (b) the
+    pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a) gives
+    g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978); if
+    ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and are
+    them or a pair of (b), so (a) and (b) hold iff the theorem's pairs do.
+    A point's index is its block's start, set by the leading coordinates,
+    plus its place in the block of the trailing (at most three) ones.  Each
+    word splits in two: the trailing words shared by leading words list the
+    four points' places, read in each of those leading words' blocks."""
+    k = max(len(widths) - 3, 0)
     stride = strides([w + 1 for w in widths])
     parts = [_parts(s, w) for s, w in zip(stride, widths)]
     size = stride[k - 1] if k else len(vals)
-    words = ["s" * i + "u" + "s" * (j - i - 1) + "d" + "s" * (n - 1 - j)
-             for i, j in combinations(range(n), 2)]
     tails, leads = {}, {}
-    for word in words + ["b" * j + "t" + "e" * (n - 1 - j) for j in range(n)]:
+    for word in words:
         tails.setdefault(word[:k], []).append(word[k:])
     for lead, rest in tails.items():
         leads.setdefault(tuple(rest), []).append(lead)
@@ -215,20 +231,25 @@ def _locally_midpoint_convex(widths: list[int], vals: list[int]) -> bool:
         get = [getter(col) for col in plan]
         for starts in zip(*_columns(parts[:k], first)):
             gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
-            if not all(map(ge, map(add, gp, gq), map(add, gc, gf))):
-                return False
-    return True
+            if all(map(ge, map(add, gp, gq), map(add, gc, gf))):
+                continue  # the cheaper pass where the block holds, as most do
+            low = map(lt, map(add, gp, gq), map(add, gc, gf))
+            for ip, iq in compress(zip(plan[0], plan[1]), low):
+                yield starts[0] + ip, starts[1] + iq
 
 
 def _parts(s: int, w: int) -> dict[str, list[tuple]]:
     """Index parts s * (p, q, ceil((p + q)/2), floor((p + q)/2)) along a
     coordinate of stride s, for p and q in [0, w]: "s" has q = p, "u"
-    q = p + 1, "d" q = p - 1, "t" q = p + 2, "b" is "s" or "u", "e" not "d"."""
+    q = p + 1, "d" q = p - 1, "t" q = p + 2, "D" q = p - 2; "b" is "s" or
+    "u", "e" not "d" or "D", and "a" any of them."""
     still = [(s * x,) * 4 for x in range(w + 1)]
     up = [(s * x, s * x + s, s * x + s, s * x) for x in range(w)]
     two = [(s * x, s * x + 2 * s, s * x + s, s * x + s) for x in range(w - 1)]
-    return {"s": still, "u": up, "d": [(q, p, c, f) for p, q, c, f in up], "t": two,
-            "b": still + up, "e": still + up + two}
+    down = [(q, p, c, f) for p, q, c, f in up]
+    back = [(q, p, c, f) for p, q, c, f in two]
+    return {"s": still, "u": up, "d": down, "t": two, "b": still + up,
+            "e": still + up + two, "a": still + up + down + two + back}
 
 
 def _columns(parts: list[dict], words: Sequence[str]) -> list[list[int]]:
@@ -242,24 +263,6 @@ def _columns(parts: list[dict], words: Sequence[str]) -> list[list[int]]:
         for joined, col in zip(out, cols):
             joined.extend(col)
     return out
-
-
-def _first_midpoint_failure(widths: list[int], vals: list[int]) -> tuple:
-    """The first (p, q) in lexicographic order over the box [0, widths] that
-    fails the local inequality.  Along coordinate c, of stride s, the steps t
-    from p_c that stay in the box have index parts s * (t, ceil(t/2),
-    floor(t/2)), so only the theorem's pairs are listed, in order of q."""
-    stride = strides([w + 1 for w in widths])
-    parts = [[[(t, s * t, s * -(-t // 2), s * (t // 2))
-               for t in range(max(-2, -a), min(2, w - a) + 1)] for a in range(w + 1)]
-             for s, w in zip(stride, widths)]
-    zero = (0,) * len(widths)
-    for ip, p in enumerate(product(*(range(w + 1) for w in widths))):
-        for choice in product(*(part[a] for part, a in zip(parts, p))):
-            d, q, c, f = zip(*choice)
-            if d > zero and vals[ip] + vals[ip + sum(q)] < vals[ip + sum(c)] + vals[ip + sum(f)]:
-                return p, tuple(map(add, p, d))
-    raise ContractError("the local midpoint check failed at no pair")
 
 
 def neighborhood_values(g: FunctionOracle, p: PriceVector, s: int = 1) -> list[int | None]:

@@ -1,0 +1,177 @@
+"""Fault injection: plant one known fault at a time in a copy of ``src/``
+and run the tests that are expected to catch it (DeMillo, Lipton and
+Sayward, IEEE Computer, 1978).
+
+Each entry names a file under ``src/walras``, an exact snippet that must
+occur there once, its faulty replacement, and the test ids expected to kill
+it.  An entry is killed when those tests fail.  Run from anywhere:
+
+    python tests/mutants.py                  # every entry
+    python tests/mutants.py lnat-witness-max # the named entries only
+
+The script exits 1 when an entry survives, when its tests cannot run (an
+unknown test id, say), or when its snippet no longer occurs exactly once,
+so a refactor of the code under test must update the list.  The tests run
+against the copy through ``PYTHONPATH``; a test that starts a subprocess on
+the repository's own ``src/`` does not see the fault, so name none here.
+Standard library only; not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    fault: str
+    tests: tuple[str, ...]
+
+
+LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
+INSTANCE_TESTS = "tests/test_instance.py::"
+
+MUTANTS = (
+    Mutant("lnat-witness-max", "lnat.py",
+           "ip, iq = min(_locally_midpoint_convex(live, vals, theorem))",
+           "ip, iq = max(_locally_midpoint_convex(live, vals, theorem))",
+           (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
+    Mutant("lnat-witness-from-check", "lnat.py",
+           "ip, iq = min(_locally_midpoint_convex(live, vals, theorem))",
+           "ip, iq = min(_locally_midpoint_convex(live, vals, check))",
+           (LNAT_TESTS + "test_planted_witness_outside_the_family",)),
+    Mutant("lnat-lt-le", "lnat.py",
+           "low = map(lt, map(add, gp, gq), map(add, gc, gf))",
+           "low = map(lambda a, b: a <= b, map(add, gp, gq), map(add, gc, gf))",
+           (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
+    Mutant("lnat-no-back-step", "lnat.py",
+           '"a": still + up + down + two + back}',
+           '"a": still + up + down + two}',
+           (LNAT_TESTS + "test_charge_is_the_plans_pairs",)),
+    Mutant("lnat-hi-for-lo", "lnat.py",
+           "return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),",
+           "return LnatCounterexample(p=tuple(map(add, hi, box_point(ip, widths))),",
+           (LNAT_TESTS + "test_width_zero_coordinates_change_nothing",)),
+    Mutant("box-point-radix", "itemsets.py",
+           "radices = [w + 1 for w in widths]",
+           "radices = [w + 2 for w in widths]",
+           (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
+    Mutant("mnat-witness-max", "instance.py",
+           "first = min(_locally_exchangeable(u, _box_worths(v)), default=None)",
+           "first = max(_locally_exchangeable(u, _box_worths(v)), default=None)",
+           (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",)),
+    Mutant("mnat-lt-le", "instance.py",
+           "yield from compress(zip(xs, ys), map(lt, best, need))",
+           "yield from compress(zip(xs, ys), map(lambda a, b: a <= b, best, need))",
+           (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",)),
+    Mutant("monotone-witness-max", "instance.py",
+           "first = min(_nondecreasing(u, worth), default=None)",
+           "first = max(_nondecreasing(u, worth), default=None)",
+           (INSTANCE_TESTS + "TestLateWitnesses::test_monotone_decrease_at_the_last_bundles",)),
+    Mutant("monotone-lt-le", "instance.py",
+           "map(gt, worth, worth[s:])",
+           "map(lambda a, b: a >= b, worth, worth[s:])",
+           (INSTANCE_TESTS + "TestMonotoneVerifier::test_zero_valuation_holds",)),
+    Mutant("monotone-j-order-reversed", "instance.py",
+           "first = min(_nondecreasing(u, worth), default=None)",
+           "first = min(_nondecreasing(u, worth), default=None, key=lambda f: (f[0], -f[1]))",
+           (INSTANCE_TESTS
+            + "TestMonotoneVerifier::test_first_item_among_decreases_from_one_bundle",)),
+    Mutant("stride-off-by-one", "itemsets.py",
+           "out[c - 1] = out[c] * radices[c]",
+           "out[c - 1] = out[c] * radices[c - 1]",
+           (LNAT_TESTS + "test_sweep_meets_every_outcome",)),
+    Mutant("gp-submask-lt", "lnat.py",
+           "if low is not None and low <= val:",
+           "if low is not None and low < val:",
+           ("tests/test_lnat.py::TestFirstGpMinimal::test_kept_order_matches_a_fresh_shuffle",)),
+    Mutant("meet-as-join", "lnat.py",
+           "meet &= mask",
+           "meet |= mask",
+           ("tests/test_lnat.py::TestMinimalMinimizerStep::test_worked_example",)),
+    Mutant("minimal-descent-le", "lnat.py",
+           "if val is not None and val < base:",
+           "if val is not None and val <= base:",
+           ("tests/test_lnat.py::TestMinimalDescentSet::test_worked_example",)),
+    Mutant("table-stop-scan-skipped", "lnat.py",
+           "certified = _changes(neighborhood_values(g, p), base) == list(deltas)",
+           "certified = True",
+           ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_the_stop",)),
+    Mutant("item-stop-scan-skipped", "lnat.py",
+           "certified = _term_changes(g.terms, p, 1) == list(deltas)",
+           "certified = True",
+           ("tests/test_lnat.py::TestNeighborhoodTable::"
+            "test_off_by_one_item_changes_fail_at_a_step_and_the_stop",)),
+    Mutant("kept-tables-overflow", "lnat.py",
+           "if hit is None and len(kept) >= _KEPT_TABLES:",
+           "if hit is None and len(kept) > _KEPT_TABLES:",
+           ("tests/test_lnat.py::TestKeptAnswers::test_interleaved_tables_get_the_rules_answers",)),
+)
+
+
+def stale(mutants=MUTANTS) -> list[str]:
+    """The names of the entries whose snippet does not occur exactly once
+    in its file."""
+    src = ROOT / "src" / "walras"
+    return [m.name for m in mutants
+            if (src / m.path).read_text(encoding="utf-8").count(m.snippet) != 1]
+
+
+def run(mutant: Mutant, work: Path) -> str:
+    """Plant ``mutant`` in the copy of ``src/`` under ``work``, run its
+    tests, put the file back, and return "killed", "survived" or "error"."""
+    target = work / "src" / "walras" / mutant.path
+    original = target.read_text(encoding="utf-8")
+    target.write_text(original.replace(mutant.snippet, mutant.fault), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *(str(ROOT / test) for test in mutant.tests)],
+            cwd=work, env=env, capture_output=True, text=True, timeout=600)
+    finally:
+        target.write_text(original, encoding="utf-8")
+    if proc.returncode not in (0, 1):
+        print(proc.stdout[-2000:] + proc.stderr[-2000:], file=sys.stderr)
+    return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main(argv: list[str]) -> int:
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown entries: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in argv] if argv else list(MUTANTS)
+    bad = stale(chosen)
+    for name in bad:
+        print(f"{name}: snippet does not occur exactly once")
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        for mutant in chosen:
+            if mutant.name in bad:
+                continue
+            start = time.perf_counter()
+            outcome = run(mutant, work)
+            outcomes.append(outcome)
+            print(f"{mutant.name}: {outcome} ({time.perf_counter() - start:.1f} s)")
+    print(f"{outcomes.count('killed')} of {len(chosen)} killed")
+    return 0 if not bad and outcomes.count("killed") == len(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -367,6 +367,26 @@ class TestVerify:
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout == "lnat: holds on [0, 78]^1\n"
 
+    @pytest.mark.parametrize("model, n", [("multi", 300), ("unit", 30)])
+    def test_lnat_on_a_one_point_box_is_quick(self, model, n, tmp_path):
+        """From n = 9 on verify's box is the one point [0, 0]^n, which no pair
+        of the theorem moves; a separable n = 300 market and a unit n = 30
+        one print that it holds well within the timeout."""
+        rng = random.Random(n)
+        if model == "multi":
+            valuations = [Valuation.separable([[rng.randint(0, 30)] for _ in range(n)])
+                          for _ in range(2)]
+        else:
+            valuations = [Valuation.unit_demand([rng.randint(0, 30) for _ in range(n)])
+                          for _ in range(2)]
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_instance(Instance(model, n, (1,) * n, tuple(valuations))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "verify", "--instance", str(path),
+             "--check", "lnat"],
+            capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, f"lnat: holds on [0, 0]^{n}\n", "")
 
     def test_family_bidders_pass_the_exchange_check_by_theorem(self, tmp_path, monkeypatch,
                                                               capsys):

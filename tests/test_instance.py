@@ -515,7 +515,7 @@ class TestLocalExchange:
         for n in (1, 2, 3):
             for u in product(range(4), repeat=n):
                 worth = CountingList([0] * box_volume(u))
-                assert _locally_exchangeable(u, worth)
+                assert list(_locally_exchangeable(u, worth)) == []
                 assert worth.counter[0] == _local_charge(u), u
         assert _local_charge((2, 2, 2, 2)) == 4968
         assert _local_charge((1,) * 5) == 1220
@@ -577,6 +577,11 @@ class TestMonotoneVerifier:
         bad = verify_monotone_normalized(Valuation.from_table(table))
         assert bad is not None and (bad.x, bad.i) == ((1, 0), 2)
 
+    def test_first_item_among_decreases_from_one_bundle(self):
+        table = {(0, 0): 0, (0, 1): -1, (1, 0): -1, (1, 1): 0}
+        bad = verify_monotone_normalized(Valuation.from_table(table))
+        assert (bad.x, bad.i) == ((0, 0), 1)
+
 
 class TestMonotoneTwin:
     def test_flat_scan_matches_the_twin(self):
@@ -603,6 +608,30 @@ class TestMonotoneTwin:
                 assert _outcome(verify_monotone_normalized, v, budget) == want, (worth, budget)
                 seen.add("origin" if getattr(want, "x", 0) is None else type(want))
         assert seen == {tuple, MonotonicityCounterexample, "origin", type(None)}
+
+
+class TestLateWitnesses:
+    """Witnesses whose failures sit at the end of box order, where a scan
+    that stopped at the first failing block would meet them last."""
+
+    def test_monotone_decrease_at_the_last_bundles(self):
+        worth = {x: sum(x) for x in iter_box((2, 2, 2))}
+        worth[(2, 2, 2)] = worth[(2, 2, 1)] - 1
+        v = Valuation.from_table(worth)
+        got = verify_monotone_normalized(v)
+        assert got == monotone_twin(v)
+        assert (got.x, got.i) == ((1, 2, 2), 1)
+
+    def test_exchange_failures_at_the_last_bundle(self):
+        """u = (1,)^5, v = 2|x| with v(1, 1, 1, 1, 0) lowered by 2: every
+        failing pair ends at the last bundle."""
+        worth = {x: 2 * sum(x) for x in iter_box((1,) * 5)}
+        worth[(1, 1, 1, 1, 0)] -= 2
+        v = Valuation.from_table(worth)
+        failures = list(local_exchange_failures(v))
+        assert len(failures) == 4 and all(y == (1,) * 5 for _, y in failures)
+        got = verify_mnat_exc(v)
+        assert (got.x, got.y) == failures[0] == ((0, 1, 1, 1, 0), (1, 1, 1, 1, 1))
 
 
 class TestRandomized:

@@ -135,8 +135,8 @@ class TestLocalMidpointCheck:
 
     def test_planted_distance_two_fault(self):
         """(0, 1, 0) on [0, 2]: only the pair (0, 2) sees the bump."""
-        assert not lnat._locally_midpoint_convex([2], [0, 1, 0])
-        assert lnat._locally_midpoint_convex([2], [0, 1, 2])
+        assert not check_holds([2], [0, 1, 0])
+        assert check_holds([2], [0, 1, 2])
         g = FunctionOracle(n=1, fn=lambda p: (0, 1, 0)[p[0]], box=((0,), (2,)))
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0,), q=(2,))
 
@@ -144,8 +144,8 @@ class TestLocalMidpointCheck:
         """g = p_0 p_1 on [0, 1]^2 is convex in each coordinate, but
         g(1, 0) + g(0, 1) < g(0, 0) + g(1, 1): only the incomparable pair
         at distance 1 sees it."""
-        assert not lnat._locally_midpoint_convex([1, 1], [0, 0, 0, 1])
-        assert lnat._locally_midpoint_convex([1, 1], [0, 0, 0, -1])
+        assert not check_holds([1, 1], [0, 0, 0, 1])
+        assert check_holds([1, 1], [0, 0, 0, -1])
         g = FunctionOracle(n=2, fn=lambda p: p[0] * p[1], box=((0, 0), (1, 1)))
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 1), q=(1, 0))
 
@@ -153,17 +153,22 @@ class TestLocalMidpointCheck:
         """A passing check reads each inequality of its family, unit squares
         and comparable pairs with a step of 2, four times: ``family_size``
         of them, which a brute count confirms; the budget is charged the
-        theorem's pairs, ``_midpoint_charge``, counted the same way.  On
-        every box with n <= 3 and widths up to 3, on wider ones that split
-        into leading and trailing coordinates, and on verify's boxes."""
+        theorem's pairs, ``_midpoint_charge``, counted the same way, and
+        the witness's words read each of them four times.  On every box
+        with n <= 3 and widths up to 3, on wider ones that split into
+        leading and trailing coordinates, and on verify's boxes."""
         boxes = [list(w) for n in (1, 2, 3) for w in product(range(4), repeat=n)]
         boxes += [[2, 1, 0, 3], [1, 2, 2, 1, 2], [3, 0, 1, 1, 2, 1], [2] * 5, [3] * 4]
         for widths in boxes:
+            check, theorem = lnat._words(len(widths))
             vals = CountingList([0] * prod(w + 1 for w in widths))
-            assert lnat._locally_midpoint_convex(widths, vals)
+            assert list(lnat._locally_midpoint_convex(widths, vals, check)) == []
             assert vals.counter[0] == 4 * family_size(widths), widths
             assert family_size(widths) == brute_midpoint_pairs(widths, in_family), widths
             assert lnat._midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
+            vals.counter[0] = 0
+            assert list(lnat._locally_midpoint_convex(widths, vals, theorem)) == []
+            assert vals.counter[0] == 4 * lnat._midpoint_charge(widths), widths
         assert (family_size([2] * 5), lnat._midpoint_charge([2] * 5)) == (5731, 29403)
         assert (family_size([3] * 4), lnat._midpoint_charge([3] * 4)) == (5024, 19080)
 
@@ -184,8 +189,8 @@ class TestLocalMidpointCheck:
         table = {p: 40 if g.fn(p) is None else g.fn(p) for p in points}
         filled = FunctionOracle(n=n, fn=table.get, box=box)
         first = next(midpoint_failures(filled, points), None)
-        assert lnat._locally_midpoint_convex(widths, list(map(table.get, points))) == \
-            (first is None), (widths, table)
+        assert check_holds(widths, list(map(table.get, points))) == (first is None), \
+            (widths, table)
         assert is_lnat_convex_on_box(filled, box) == \
             (first and LnatCounterexample(*first)), (widths, table)
         return first
@@ -218,11 +223,46 @@ class TestLocalMidpointCheck:
         g = FunctionOracle(n=3, fn=lambda p: p[0] * p[1] * p[2], box=((0,) * 3, (1,) * 3))
         points = list(product((0, 1), repeat=3))
         vals = [g.fn(p) for p in points]
-        assert not lnat._locally_midpoint_convex([1, 1, 1], vals)
+        check, theorem = lnat._words(3)
         trips = [pq for pq in midpoint_failures(g, points) if in_family(*pq)]
         assert trips[0] == ((0, 1, 1), (1, 0, 1)), trips
-        assert lnat._first_midpoint_failure([1, 1, 1], vals) == ((0, 0, 1), (1, 1, 0))
+        assert min(lnat._locally_midpoint_convex([1, 1, 1], vals, check)) == (3, 5)
+        assert min(lnat._locally_midpoint_convex([1, 1, 1], vals, theorem)) == (1, 6)
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 0, 1), q=(1, 1, 0))
+
+    @pytest.mark.parametrize("width, n", [(2, 5), (3, 4)])
+    def test_late_witness_at_verify_sizes(self, width, n):
+        """On verify's [0, 2]^5 and [0, 3]^4, a linear function with its last
+        corner raised fails only at pairs that reach that corner, late in
+        box order; the witness is still the first failing pair."""
+        corner = (width,) * n
+        g = FunctionOracle(n=n, fn=lambda p: sum(p) + 5 * (p == corner))
+        points = list(product(range(width + 1), repeat=n))
+        got = is_lnat_convex_on_box(g, ((0,) * n, corner))
+        assert (got.p, got.q) == next(midpoint_failures(g, points))
+        assert got.q[0] == width
+
+    def test_width_zero_coordinates_change_nothing(self):
+        """A box with coordinates of width 0 gives the outcome of the same
+        box with them removed, the witness with their bound put back."""
+        rng = random.Random(300)
+        seen = set()
+        for t in range(120):
+            box = small_box(rng)
+            g = box_function(rng, ("convex", "perturbed", "random")[t % 3], box)
+            n = len(box[0]) + rng.randint(1, 3)
+            live = sorted(rng.sample(range(n), len(box[0])))
+            flat = [rng.randint(0, 9) for _ in range(n)]
+
+            def wide(p, live=live, flat=flat):
+                return tuple(p[live.index(c)] if c in live else flat[c] for c in range(n))
+
+            lo, hi = (wide(side) for side in box)
+            padded = FunctionOracle(n=n, fn=lambda p, g=g, live=live: g.fn(tuple(p[c] for c in live)))
+            got, want = is_lnat_convex_on_box(padded, (lo, hi)), self._check(g, box)
+            assert got == (want and LnatCounterexample(p=wide(want.p), q=wide(want.q))), (box, lo)
+            seen.add(want is None)
+        assert seen == {True, False}
 
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
@@ -724,6 +764,13 @@ def midpoint_twin(g, box):
                 if lhs is not None and lhs < ga + gb:
                     return p, q, lam
     return None
+
+
+def check_holds(widths, vals):
+    """Whether the check's family yields no failure on the box [0, widths]
+    with values ``vals``."""
+    check, _ = lnat._words(len(widths))
+    return next(lnat._locally_midpoint_convex(widths, vals, check), None) is None
 
 
 def midpoint_failures(g, points):
