@@ -50,7 +50,7 @@ Any other bidder read through the box is scanned afresh at each read.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from operator import add, sub
 
 from .errors import BudgetExceededError
@@ -99,6 +99,8 @@ class DemandCache:
     against the budget and cleared when it would be exceeded.  Demand keys
     are built afresh at each call; keeping deficiency tables by demand key
     is left to the caller (``LyapunovOracle.neighborhood`` does).
+    ``run_length`` bounds how many raises of one item set keep the key of a
+    market without table bidders, from the kept unit scan and the columns.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -311,6 +313,41 @@ class DemandCache:
             return [len(col) - bisect_right(col, c) - q
                     for col, c, q in zip(self._columns, p, u)]
         return [-q for q in u]
+
+    def run_length(self, p: PriceVector, mask: int) -> int | None:
+        """A lower bound t >= 1 on the raises of the item set ``mask`` from
+        p that keep ``demand_key`` in a market without table bidders: every
+        p + s * chi_X, 0 <= s < t, has the key of p.  None when every raise
+        keeps it.
+
+        The key holds each unit-demand bidder's demand set while its best
+        payoff is above 0, and each item's take, the count of the separable
+        marginals above its price.  A unit-demand bidder's payoffs of the
+        items in X fall by one per raise and the rest stay.  With a_in its
+        best payoff over X and a_out its best outside X, 0 for buying
+        nothing, it bounds t by a_in - a_out when a_in > a_out (its demand
+        set lies in X until the tie), by 1 on a tie above 0, and not at all
+        otherwise (it demands no item of X, or its best payoff stays 0).
+        Item j of X bounds t by its next marginal above p_j, minus p_j.
+        The payoffs are read from the kept ``unit_scan``, so right after a
+        demand key at p this reads no scan; p must be a checked price.
+        """
+        inside = [mask >> j & 1 for j in range(self._n)]
+        bounds = []
+        if self.units:
+            outside = [not x for x in inside]
+            for pay in self.unit_scan(p)[0]:
+                a_in = max(compress(pay, inside))
+                a_out = max(0, max(compress(pay, outside), default=0))
+                if a_in > a_out:
+                    bounds.append(a_in - a_out)
+                elif a_in == a_out > 0:
+                    return 1
+        for col, c in compress(zip(self._columns, p), inside):
+            i = bisect_right(col, c)
+            if i < len(col):
+                bounds.append(col[i] - c)
+        return min(bounds, default=None)
 
     def deficiency_from_key(self, key: tuple) -> list[int]:
         """Demanded minus supplied units of every item subset, indexed by

@@ -15,9 +15,14 @@ entries only with each other and entry 0, so a value table such as
 ``neighborhood_values`` gets the same answers.
 A route that hands out one kept tuple per table, as the Lyapunov oracle's
 does, meets the same tables again, so each rule keeps its answers for the
-latest four tuple tables it read; ``minimize`` still asks its rule every step.
-An oracle that is a sum of one-variable functions may declare it, and then
-every rule but the seeded one reads n per-item changes instead of a table.
+latest four tuple tables it read.  An oracle that knows how long a raise
+keeps its table may declare ``runs``: when an iteration's table and set are
+the last one's, ``minimize`` then raises the set for the whole run in that
+one iteration, certified by two value reads, since g is convex along the
+run's line.  An oracle that is a sum of one-variable functions may declare
+it, and then every rule but the seeded one reads n per-item changes instead
+of a table; that route, like a table route without ``runs``, steps one
+raise per iteration.
 """
 
 from __future__ import annotations
@@ -60,11 +65,17 @@ class FunctionOracle(_Record):
     g(p) = sum_j g_j(p_j): ``terms(j, c)`` is g_j(c), None outside the
     domain, and ``items(p)`` gives the n changes g(p + chi_j) - g(p) by a
     route of the oracle's own, as ``neighborhood`` gives tables to
-    ``minimize``; without it they are read from ``terms``.  Two oracles are
-    equal only when they are one object.
+    ``minimize``; without it they are read from ``terms``.  ``runs(p, X)``,
+    when given, is a lower bound t >= 1 on the raises of the item set X,
+    as a bitmask, from p that keep the change table: every point
+    p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
+    keeps it.  An oracle that declares it must be convex along each such
+    line, as an L♮-convex g is; ``minimize`` reads it on the table route
+    only.  Two oracles are equal only when they are one object.
     """
 
-    __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items")
+    __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
+                           "runs")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -73,14 +84,15 @@ class FunctionOracle(_Record):
                  value_floor: int | None = None,
                  grid: Callable[[Sequence[Sequence[int]]], list[int | None]] | None = None,
                  terms: Callable[[int, int], int | None] | None = None,
-                 items: Callable[[PriceVector], Sequence[int | None]] | None = None):
+                 items: Callable[[PriceVector], Sequence[int | None]] | None = None,
+                 runs: Callable[[PriceVector, int], int | None] | None = None):
         if grid is None:
             def grid(axes):
                 return list(map(fn, product(*axes)))
         if items is None and terms is not None:
             def items(p):
                 return _term_changes(terms, p, 1)
-        self._assign(n, fn, box, value_floor, grid, terms, items)
+        self._assign(n, fn, box, value_floor, grid, terms, items, runs)
 
     def __call__(self, p: PriceVector) -> int | None:
         return self.fn(p)
@@ -472,15 +484,31 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     above, a stop by the n changes read from ``terms``, and ``neighborhood``
     serves the seeded rule alone.
 
+    An oracle that declares ``runs`` has a run of steps taken in one
+    iteration on the table route.  It is asked for only when the
+    iteration's table is the same object as the last step's and the rule
+    picks the last step's set X, so rules that change set every step pay
+    nothing; ``runs(p, X)`` is read before the value read at p + chi_X,
+    while the oracle's state for p is current, and its bound t is cut to
+    the steps left under the iteration cap and the budget below, so both
+    raise at the step and with the message the one-step route would.  g
+    is read at p + chi_X, as for any step, and at p + t * chi_X, which
+    must be g(p) + t * c for the step's change c.  That certifies every
+    step of the run: g is convex along p + s * chi_X (for the Lyapunov
+    function each bidder's term is a max of functions affine in s, and the
+    revenue term is affine), so the t changes never decrease, and a first
+    change c with a sum of t * c makes them all c.  The run's t Steps hold
+    the values g(p) + s * c.  The stop scan is as above.
+
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
     route.  The oracle must declare a ``value_floor``: every
-    step lowers the value by at least one, so a run still descending after
-    g(p0) - value_floor + 1 steps raises IterationCapError.  A ``budget``
-    caps the steps too, for values too large to wait for: a run still
-    descending after ``budget`` steps, below that cap, raises
+    step lowers the value by at least one, so a descent still descending
+    after g(p0) - value_floor + 1 steps raises IterationCapError.  A
+    ``budget`` caps the steps too, for values too large to wait for: a
+    descent still descending after ``budget`` steps, below that cap, raises
     BudgetExceededError.  Returns the final point and the full trajectory,
-    one Step per iteration holding the chosen rule's mask as it came; a
-    rule that finds no set, or a non-descent one, fails the Step's contract.
+    one Step per raise holding the chosen rule's mask as it came; a rule
+    that finds no set, or a non-descent one, fails the Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -498,6 +526,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     cap = base - g.value_floor + 1
     size = g.n if per_item else 1 << g.n
     route = "item changes disagree" if per_item else "neighborhood table disagrees"
+    runs = None if per_item else g.runs
+    last_table = last_mask = None
     steps: list[Step] = []
     while True:
         if per_item:
@@ -540,13 +570,27 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = first_gp_minimal(deltas, seed)
             mask = mask or 0  # nothing found: the Step below refuses the empty set
             change = deltas[mask]
+        run = 1
+        if runs is not None and deltas is last_table and mask == last_mask:
+            # Read while the oracle's state for p is current, and cut to the
+            # steps left under the cap and the budget.
+            left = (cap if budget is None else min(cap, budget)) - len(steps)
+            bound = runs(p, mask)
+            run = left if bound is None else min(bound, left)
         q = chi_add(p, mask)
         after = g.fn(q)
         if (None if after is None else after - base) != change:
             raise ConvexityError(f"{route} with the oracle at a step")
         steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
+        for _ in range(run - 1):
+            p, base = q, after
+            q, after = chi_add(p, mask), after + change
+            steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
+        if run > 1 and g.fn(q) != after:  # the run's end: its start's value + run * change
+            raise ConvexityError(f"{route} with the oracle at a run's end")
         p = q
         base = after
+        last_table, last_mask = deltas, mask
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
     return p, trajectory
 

@@ -18,7 +18,10 @@ deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
 depends on the price only through the bidders' demand state, which an
 ascending run keeps returning to, so the oracle builds it once per
-``DemandCache.demand_key`` and keeps it.  Deficiencies come from minimum
+``DemandCache.demand_key`` and keeps it; on a market with unit-demand
+bidders and no table bidders it also bounds how many raises of one set keep
+that key (``DemandCache.run_length``), so the descent can take a whole run
+of such raises at once.  Deficiencies come from minimum
 takes, never from Lyapunov values, so the identity
 ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
 routes instead of holding by construction.  In a market of separable
@@ -210,7 +213,14 @@ class LyapunovOracle:
         ``grid_values``.  When no bidder is unit-demand or a table, L is the
         sum of its per-item terms, and the adapter declares them: ``terms``
         reads them as ``value`` does, and ``items`` reads the per-item
-        changes from the demand side.
+        changes from the demand side.  When some bidder is unit-demand and
+        none is a table, it declares ``runs``, ``DemandCache.run_length``:
+        the change table is a function of the demand key, and the cache
+        bounds how many raises of a set keep the key in closed form from
+        the unit scan it kept for the step's key read and the separable
+        columns.  Table bidders have no such bound here, so a table market
+        steps one raise at a time; a market of separable bidders alone
+        takes the per-item route, which has no runs.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):
@@ -221,4 +231,5 @@ class LyapunovOracle:
         separable = not (dc.units or dc.tables)
         return FunctionOracle(n=self.instance.n, fn=fn, value_floor=0, grid=self.grid_values,
                               terms=self._term if separable else None,
-                              items=self._item_changes if separable else None)
+                              items=self._item_changes if separable else None,
+                              runs=dc.run_length if dc.units and not dc.tables else None)

@@ -41,6 +41,8 @@ class Mutant(NamedTuple):
 
 LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
 INSTANCE_TESTS = "tests/test_instance.py::"
+RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_answers"
+RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 
 MUTANTS = (
     Mutant("lnat-witness-max", "lnat.py",
@@ -117,6 +119,19 @@ MUTANTS = (
            "if hit is None and len(kept) >= _KEPT_TABLES:",
            "if hit is None and len(kept) > _KEPT_TABLES:",
            ("tests/test_lnat.py::TestKeptAnswers::test_interleaved_tables_get_the_rules_answers",)),
+    Mutant("run-one-too-long", "demand.py",
+           "bounds.append(a_in - a_out)",
+           "bounds.append(a_in - a_out + 1)",
+           (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN)),
+    Mutant("run-end-t-minus-one", "lnat.py",
+           "if run > 1 and g.fn(q) != after:",
+           "if run > 1 and g.fn(q) != after - change:",
+           ("tests/test_auction.py::TestDescentWork::"
+            "test_change_tables_are_built_once_per_demand_state", RUN_TWIN)),
+    Mutant("run-tie-no-limit", "demand.py",
+           "elif a_in == a_out > 0:",
+           "elif a_in == a_out < 0:",
+           (RUN_KEYS + "test_keys_hold_along_a_run", RUN_KEYS + "test_unit_and_separable_bounds")),
 )
 
 

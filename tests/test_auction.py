@@ -684,6 +684,82 @@ class TestSeparableRoute:
             assert len(res.trajectory) > 0 and not ly._tables and not asked
 
 
+@st.composite
+def run_markets(draw) -> Instance:
+    """Unit markets, and multi markets of one unit per item mixing
+    unit-demand and separable bidders, with values up to 10^3: the markets
+    whose oracles declare ``runs``."""
+    n = draw(st.integers(1, 3))
+    worths = st.lists(st.integers(0, 1000), min_size=n, max_size=n)
+    unit = worths.map(Valuation.unit_demand)
+    if draw(st.booleans()):
+        vals = draw(st.lists(unit, min_size=1, max_size=5))
+        return Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(vals))
+    separable = worths.map(lambda row: Valuation.separable([[w] for w in row]))
+    vals = draw(st.lists(st.one_of(unit, separable), min_size=1, max_size=5)
+                .filter(lambda vs: any(v.family == "unit_demand" for v in vs)))
+    return Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(vals))
+
+
+_adapter = LyapunovOracle.function_oracle
+
+
+def _one_step_adapter(self):
+    """The Lyapunov adapter rebuilt without ``runs``, as the benchmark's
+    tracer rebuilds it: the descent then steps one raise at a time."""
+    g = _adapter(self)
+    return FunctionOracle(n=g.n, fn=g.fn, box=g.box, value_floor=g.value_floor,
+                          grid=g.grid, terms=g.terms, items=g.items)
+
+
+def _run_answer(inst, kind, p0, seed, budget):
+    """The run's final price and whole trajectory, or the type and text of
+    the WalrasError it raised."""
+    try:
+        res = ascending_auction(inst, kind, p0, seed=seed, budget=budget)
+    except WalrasError as exc:
+        return type(exc), str(exc)
+    return res.p_min, res.trajectory
+
+
+class TestRunRoute:
+    """A run of raises of one set, taken in one iteration, gives the
+    one-step route's answers."""
+
+    @given(run_markets(), st.sampled_from(StrategyKind), st.integers(0, 2**64 - 1),
+           st.sampled_from((5, 17, 40, DEFAULT_BUDGET)), st.data())
+    @settings(max_examples=150)
+    def test_runs_give_the_one_step_answers(self, inst, kind, seed, budget, data):
+        """With ``runs`` declared and with it dropped, ``ascending_auction``
+        returns the same final price and trajectory, or raises the same
+        error with the same message, from 0 or from a drawn start at or
+        below the minimal price; budgets of 5, 17 and 40 cut runs partway
+        (and may refuse a market's tables)."""
+        assert LyapunovOracle(inst).function_oracle().runs is not None
+        p_min = ascending_auction(inst).p_min
+        p0 = data.draw(st.one_of(st.just((0,) * inst.n),
+                                 st.tuples(*(st.integers(0, c) for c in p_min))))
+        declared = _run_answer(inst, kind, p0, seed, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LyapunovOracle, "function_oracle", _one_step_adapter)
+            assert LyapunovOracle(inst).function_oracle().runs is None
+            assert _run_answer(inst, kind, p0, seed, budget) == declared
+
+    def test_only_unit_markets_without_tables_declare_runs(self):
+        """Separable-only markets take the per-item route and table markets
+        step one raise at a time, so neither declares ``runs``."""
+        unit = Valuation.unit_demand([3, 1])
+        separable = Valuation.separable([[2], [2]])
+        declared = {}
+        for name, vals in (("unit", (unit,)), ("mixed", (unit, separable)),
+                           ("separable", (separable,)), ("tables", (unit, tabulate(separable))),
+                           ("empty", ())):
+            inst = Instance(model="multi", n=2, u=(1, 1), valuations=vals)
+            declared[name] = LyapunovOracle(inst).function_oracle().runs is not None
+        assert declared == {"unit": True, "mixed": True, "separable": False,
+                            "tables": False, "empty": False}
+
+
 class TestDescentWork:
     def test_lyapunov_values_per_run_stay_linear_in_iterations(self, monkeypatch):
         """One neighborhood table per step, and both 2^n certificate scans
@@ -721,23 +797,24 @@ class TestDescentWork:
             assert len(finals) == 1
 
     def test_change_tables_are_built_once_per_demand_state(self, monkeypatch):
-        """On the n=9 unit market, a steepest run asks for a table at every
-        iteration and at the stop, but builds one only for a demand state it
-        has not met: tables built <= distinct demand keys < iterations.  The
-        rule still runs once per iteration."""
+        """On the n=9 unit market, a steepest descent reads one demand key
+        and asks its rule once per run of steps, plus one key at the stop,
+        and builds a table only for a demand state it has not met: tables
+        built <= distinct demand keys <= keys read == rule calls + 1, and
+        fewer than half as many keys as steps."""
         rng = random.Random(9)
         n, m = 9, 12
         inst = Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(
             Valuation.unit_demand([rng.randint(0, 100) for _ in range(n)])
             for _ in range(m)))
-        keys, counts = set(), {"built": 0, "rule": 0}
+        keys, counts = [], {"built": 0, "rule": 0}
         demand_key = DemandCache.demand_key
         build = DemandCache.deficiency_from_key
         rule = lnat.minimal_minimizer_step
 
         def keyed(self, p):
             key = demand_key(self, p)
-            keys.add(key)
+            keys.append(key)
             return key
 
         def built(self, key):
@@ -752,23 +829,29 @@ class TestDescentWork:
         monkeypatch.setattr(DemandCache, "deficiency_from_key", built)
         monkeypatch.setattr(lnat, "minimal_minimizer_step", ruled)
         res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL)
-        iterations = len(res.trajectory)
-        assert counts["built"] <= len(keys) < iterations, (counts, len(keys), iterations)
-        assert counts["rule"] == iterations
+        steps = len(res.trajectory)
+        assert counts["built"] <= len(set(keys)) <= len(keys) == counts["rule"] + 1
+        assert 2 * len(keys) < steps, (counts, len(keys), steps)
 
-    def test_each_step_calls_its_table_rule_once(self, monkeypatch):
+    def test_each_run_calls_its_table_rule_once(self, monkeypatch):
         """Every strategy's table rule, looked up on ``lnat``, is called once
-        per iteration of a run on unit markets and on explicit-table markets,
-        however often the run meets a kept table again: the rules keep their
-        answers inside themselves, and ``minimize`` still asks every step."""
+        per demand key a descent reads before its stop: once per run of steps
+        on unit and mixed unit and separable markets, whose oracles declare
+        ``runs``, fewer times than there are steps over all of them, and
+        once per step on explicit-table markets, which declare none.  The
+        rules keep their answers inside themselves, and ``minimize`` still
+        asks at every run."""
         rng = random.Random(28)
         unit = [random_unit_instance(rng, n_max=5, m_max=7, value_max=40) for _ in range(4)]
+        unit.append(Instance(model="multi", n=3, u=(1, 1, 1), valuations=(
+            Valuation.unit_demand([30, 25, 12]), Valuation.separable([[28], [26], [9]]),
+            Valuation.unit_demand([20, 29, 31]), Valuation.separable([[17], [3], [30]]))))
         tables = [Instance(model="multi", n=n, u=u, valuations=tuple(
             tabulate(random_separable_valuation(rng, u, value_max=20)) for _ in range(3)))
             for n, u in ((2, (2, 1)), (3, (1, 2, 1)), (3, (1, 1, 1)))]
         calls = {name: 0 for name in ("minimal_descent_set", "minimal_minimizer_step",
                                       "first_gp_minimal")}
-        read = []
+        read, keys = [], [0]
         for name in calls:
             rule = getattr(lnat, name)
 
@@ -778,20 +861,33 @@ class TestDescentWork:
                 return rule(vals, *seed)
 
             monkeypatch.setattr(lnat, name, counted)
+        demand_key = DemandCache.demand_key
+
+        def keyed(self, p):
+            keys[0] += 1
+            return demand_key(self, p)
+
+        monkeypatch.setattr(DemandCache, "demand_key", keyed)
         rule_of = {StrategyKind.MINIMAL_DESCENT: "minimal_descent_set",
                    StrategyKind.STEEPEST_MINIMAL: "minimal_minimizer_step",
                    StrategyKind.FIRST_GP_MINIMAL: "first_gp_minimal"}
-        steps = 0
+        unit_asked = unit_steps = 0
         for inst in unit + tables:
             ly = LyapunovOracle(inst)
             for flag, kind in STRATEGY_FLAGS.items():
-                before = dict(calls)
+                before, keys_before = dict(calls), keys[0]
                 res = ascending_auction(inst, kind, seed=3, oracle=ly)
                 name = rule_of[kind]
-                assert calls[name] - before[name] == len(res.trajectory), (inst, flag)
+                asked = calls[name] - before[name]
+                assert asked == keys[0] - keys_before - 1, (inst, flag)
                 assert all(calls[k] == before[k] for k in calls if k != name)
-                steps += len(res.trajectory)
-        assert steps == len(read) > 2 * len(set(map(id, read))) > 0
+                if ly.demand.tables:
+                    assert asked == len(res.trajectory), (inst, flag)
+                else:
+                    unit_asked += asked
+                    unit_steps += len(res.trajectory)
+        assert 2 * unit_asked < unit_steps, (unit_asked, unit_steps)
+        assert len(read) > 2 * len(set(map(id, read))) > 0
 
     def test_every_lyapunov_value_goes_through_the_oracle_adapter(self, monkeypatch):
         """The run reads L per point only through ``function_oracle()``: the
@@ -855,29 +951,56 @@ class TestPriceChecks:
                     read(bad)
 
     def test_descent_checks_each_price_once(self, monkeypatch):
+        """The descent checks p0 and then each price it reads a value at,
+        once each and in order: the end of each run's first step and, for a
+        longer run, the run's end, so at most two per demand key read
+        before the stop.  On the unit markets, whose oracles declare
+        ``runs``, that is fewer checks than steps."""
         import walras.auction as auction
         import walras.lyapunov as lyapunov
         rng = random.Random(29)
         markets = [random_unit_instance(rng, n_max=4, m_max=5, value_max=6) for _ in range(4)]
         markets += [random_multi_instance(rng, n_max=3, u_max=2, m_max=3, value_max=6)
                     for _ in range(4)]
-        checks = [0]
-        check, run = lyapunov._check_price, auction.minimize
+        unit = Valuation.unit_demand
+        markets.append(Instance(model="unit", n=3, u=(1, 1, 1), valuations=(
+            unit([80, 45, 60]), unit([70, 72, 20]), unit([50, 66, 81]), unit([90, 10, 40]))))
+        markets.append(Instance(model="multi", n=2, u=(1, 1), valuations=(
+            unit([90, 75]), Valuation.separable([[48], [26]]), unit([60, 89]))))
+        checked, keys = [], [0]
+        check, run, demand_key = lyapunov._check_price, auction.minimize, DemandCache.demand_key
 
         def counted(instance, p):
-            checks[0] += 1
+            checked.append(tuple(p))
             return check(instance, p)
 
+        def keyed(self, p):
+            keys[0] += 1
+            return demand_key(self, p)
+
         def descent(*args, **kwargs):
-            before = checks[0]
+            checked.clear()
+            keys[0] = 0
             p, trajectory = run(*args, **kwargs)
-            assert checks[0] - before == len(trajectory) + 1
+            ends = iter([chi_add(s.p_before, s.chosen_mask) for s in trajectory.steps])
+            assert checked[0] == trajectory.start and checked[-1] == p
+            assert all(q in ends for q in checked[1:])  # in order, so once each
+            if keys[0]:  # the table route: one key per run and one at the stop
+                assert len(checked) <= 2 * keys[0] - 1
+            else:  # the per-item route, one step at a time
+                assert len(checked) == len(trajectory) + 1
+            tally = totals["table" if keys[0] else "item"]
+            tally[0] += len(checked)
+            tally[1] += len(trajectory)
             return p, trajectory
 
         monkeypatch.setattr(lyapunov, "_check_price", counted)
         monkeypatch.setattr(auction, "minimize", descent)
-        steps = 0
+        monkeypatch.setattr(DemandCache, "demand_key", keyed)
+        totals = {"table": [0, 0], "item": [0, 0]}  # checks, steps
         for inst in markets:
             for kind in StrategyKind:
-                steps += len(ascending_auction(inst, kind, seed=3).trajectory)
-        assert steps > 20
+                ascending_auction(inst, kind, seed=3)
+        checks, steps = totals["table"]
+        assert checks < steps, totals
+        assert totals["item"][1] > 20, totals

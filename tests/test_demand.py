@@ -192,10 +192,13 @@ class TestUnitScan:
 
     def test_one_payoff_scan_per_price_read(self, monkeypatch):
         """A descent and its allocation scan the unit-demand payoffs once
-        each time the price read changes: a step's value read and the next
-        step's demand key share one scan, and so do the stop's reads."""
-        reads, scans = [], []
-        read = DemandCache.unit_scan
+        each time the price read changes: a value read and the next demand
+        key share one scan, a run's length reads the scan its key read, and
+        the stop's reads share one.  A run of steps reads at most two
+        prices, so a descent scans at most twice per demand key it reads,
+        the allocation's scan included, and fewer times than it steps."""
+        reads, scans, keys = [], [], [0]
+        read, demand_key = DemandCache.unit_scan, DemandCache.demand_key
 
         def counted_read(self, p):
             kept = self._unit_scan
@@ -205,19 +208,71 @@ class TestUnitScan:
                 scans.append(p)
             return out
 
+        def keyed(self, p):
+            keys[0] += 1
+            return demand_key(self, p)
+
         monkeypatch.setattr(DemandCache, "unit_scan", counted_read)
+        monkeypatch.setattr(DemandCache, "demand_key", keyed)
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
             Valuation.unit_demand([20, 29])))
+        total = {"scans": 0, "steps": 0}
         for inst in (make_ex21(), mixed, random_unit_instance(random.Random(5), n_max=4)):
             for kind in StrategyKind:
                 reads.clear()
                 scans.clear()
+                keys[0] = 0
                 res = ascending_auction(inst, kind)
                 assert res.allocation is not None
                 changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
                 assert scans == [p for _, p in changes]
-                assert len(reads) > len(changes) > len(res.trajectory)
+                assert len(reads) > len(changes) <= 2 * keys[0]
+                total["scans"] += len(scans)
+                total["steps"] += len(res.trajectory)
+        assert total["scans"] < total["steps"], total
+
+
+class TestRunLength:
+    @given(st.data())
+    def test_keys_hold_along_a_run(self, data):
+        """``run_length(p, X)`` is a lower bound on the raises of X that keep
+        the demand key: every p + s * chi_X with 0 <= s < t has p's key, on
+        markets without table bidders (unit, separable, mixed, bidderless),
+        at prices on the value reads' edges.  None means no raise changes
+        the key, checked up to prices past every worth."""
+        inst = data.draw(column_markets().filter(lambda i: not DemandCache(i).tables))
+        p = data.draw(column_prices(inst))
+        mask = data.draw(st.integers(1, (1 << inst.n) - 1))
+        dc = DemandCache(inst)
+        t = dc.run_length(p, mask)
+        key = dc.demand_key(p)
+        last = max_total_value(inst) + 2 if t is None else t - 1
+        assert last >= 0
+        for s in range(1, last + 1):
+            q = tuple(c + s if mask >> j & 1 else c for j, c in enumerate(p))
+            assert dc.demand_key(q) == key, (s, t)
+
+    def test_unit_and_separable_bounds(self):
+        """The closed forms on one item set X = {1, 2} at p = (0, 0, 0): a
+        unit-demand bidder bounds t by a_in - a_out, by 1 on a tie above 0,
+        and not at all when its best item is outside X or its best payoff
+        is 0; a separable marginal bounds t by its distance above p_j."""
+        X = 0b011
+
+        def bound(*vals):
+            inst = Instance(model="multi", n=3, u=(1, 1, 1), valuations=vals)
+            return DemandCache(inst).run_length((0, 0, 0), X)
+
+        unit, separable = Valuation.unit_demand, Valuation.separable
+        assert bound(unit([9, 4, 2])) == 7
+        assert bound(unit([0, 9, 0])) == 9
+        assert bound(unit([5, 4, 5])) == 1
+        assert bound(unit([3, 1, 8])) is None
+        assert bound(unit([0, 0, 0])) is None
+        assert bound(unit([0, 0, 0]), separable([[6], [3], [1]])) == 3
+        assert bound(separable([[0], [0], [1]])) is None
+        assert bound(unit([9, 4, 2]), separable([[12], [8], [1]]), unit([5, 4, 5])) == 1
 
 
 class TestMu:
