@@ -333,16 +333,15 @@ class DemandCache:
         demand key at p this reads no scan; p must be a checked price.
         """
         inside = [mask >> j & 1 for j in range(self._n)]
+        outside = [not x for x in inside]
         bounds = []
-        if self.units:
-            outside = [not x for x in inside]
-            for pay in self.unit_scan(p)[0]:
-                a_in = max(compress(pay, inside))
-                a_out = max(0, max(compress(pay, outside), default=0))
-                if a_in > a_out:
-                    bounds.append(a_in - a_out)
-                elif a_in == a_out > 0:
-                    return 1
+        for pay in self.unit_scan(p)[0]:
+            a_in = max(compress(pay, inside))
+            a_out = max(0, max(compress(pay, outside), default=0))
+            if a_in > a_out:
+                bounds.append(a_in - a_out)
+            elif a_in == a_out > 0:
+                return 1
         for col, c in compress(zip(self._columns, p), inside):
             i = bisect_right(col, c)
             if i < len(col):
