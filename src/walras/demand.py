@@ -337,7 +337,7 @@ class DemandCache:
         bounds = []
         for pay in self.unit_scan(p)[0]:
             a_in = max(compress(pay, inside))
-            a_out = max(0, max(compress(pay, outside), default=0))
+            a_out = max([0, *compress(pay, outside)])
             if a_in > a_out:
                 bounds.append(a_in - a_out)
             elif a_in == a_out > 0:

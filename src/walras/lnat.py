@@ -18,8 +18,9 @@ does, meets the same tables again, so each rule keeps its answers for the
 latest four tuple tables it read.  An oracle that knows how long a raise
 keeps its table may declare ``runs``: when an iteration's table and set are
 the last one's, ``minimize`` then raises the set for the whole run in that
-one iteration, certified by two value reads, since g is convex along the
-run's line.  An oracle that is a sum of one-variable functions may declare
+one iteration.  Two value reads certify the run's values, since g is convex
+along the run's line; that the set stays the rule's choice rests on the
+declared bound.  An oracle that is a sum of one-variable functions may declare
 it, and then every rule but the seeded one reads n per-item changes instead
 of a table; that route, like a table route without ``runs``, steps one
 raise per iteration.
@@ -71,7 +72,8 @@ class FunctionOracle(_Record):
     p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
     keeps it.  An oracle that declares it must be convex along each such
     line, as an L♮-convex g is; ``minimize`` reads it on the table route
-    only.  Two oracles are equal only when they are one object.
+    only, and does not read the table again inside a run, so a bound that
+    is too long goes unseen when the run's values still fit the line.  Two oracles are equal only when they are one object.
     """
 
     __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
@@ -493,12 +495,14 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     the steps left under the iteration cap and the budget below, so both
     raise at the step and with the message the one-step route would.  g
     is read at p + chi_X, as for any step, and at p + t * chi_X, which
-    must be g(p) + t * c for the step's change c.  That certifies every
-    step of the run: g is convex along p + s * chi_X (for the Lyapunov
+    must be g(p) + t * c for the step's change c.  That certifies the
+    run's values: g is convex along p + s * chi_X (for the Lyapunov
     function each bidder's term is a max of functions affine in s, and the
     revenue term is affine), so the t changes never decrease, and a first
     change c with a sum of t * c makes them all c.  The run's t Steps hold
-    the values g(p) + s * c.  The stop scan is as above.
+    the values g(p) + s * c.  That the rule would pick X again at each of
+    them is not read: it rests on the oracle's ``runs`` bound, which says
+    the table does not change along the run.  The stop scan is as above.
 
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
     route.  The oracle must declare a ``value_floor``: every

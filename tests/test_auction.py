@@ -952,10 +952,11 @@ class TestPriceChecks:
 
     def test_descent_checks_each_price_once(self, monkeypatch):
         """The descent checks p0 and then each price it reads a value at,
-        once each and in order: the end of each run's first step and, for a
-        longer run, the run's end, so at most two per demand key read
-        before the stop.  On the unit markets, whose oracles declare
-        ``runs``, that is fewer checks than steps."""
+        once each and in order.  An oracle without ``runs`` steps one raise
+        at a time, so it checks one price per step.  One that declares
+        ``runs``, as on the unit markets, checks the end of each run's first
+        step and, for a longer run, the run's end, so at most two per demand
+        key read before the stop, and fewer checks than steps."""
         import walras.auction as auction
         import walras.lyapunov as lyapunov
         rng = random.Random(29)
@@ -985,11 +986,13 @@ class TestPriceChecks:
             ends = iter([chi_add(s.p_before, s.chosen_mask) for s in trajectory.steps])
             assert checked[0] == trajectory.start and checked[-1] == p
             assert all(q in ends for q in checked[1:])  # in order, so once each
-            if keys[0]:  # the table route: one key per run and one at the stop
-                assert len(checked) <= 2 * keys[0] - 1
-            else:  # the per-item route, one step at a time
+            if args[0].runs is None:  # one step at a time: one check per step
                 assert len(checked) == len(trajectory) + 1
-            tally = totals["table" if keys[0] else "item"]
+                route = "table" if keys[0] else "item"
+            else:  # one key per run and one at the stop
+                assert len(checked) <= 2 * keys[0] - 1
+                route = "run"
+            tally = totals[route]
             tally[0] += len(checked)
             tally[1] += len(trajectory)
             return p, trajectory
@@ -997,10 +1000,10 @@ class TestPriceChecks:
         monkeypatch.setattr(lyapunov, "_check_price", counted)
         monkeypatch.setattr(auction, "minimize", descent)
         monkeypatch.setattr(DemandCache, "demand_key", keyed)
-        totals = {"table": [0, 0], "item": [0, 0]}  # checks, steps
+        totals = {"run": [0, 0], "table": [0, 0], "item": [0, 0]}  # checks, steps
         for inst in markets:
             for kind in StrategyKind:
                 ascending_auction(inst, kind, seed=3)
-        checks, steps = totals["table"]
+        checks, steps = totals["run"]
         assert checks < steps, totals
-        assert totals["item"][1] > 20, totals
+        assert totals["table"][1] > 0 and totals["item"][1] > 20, totals
