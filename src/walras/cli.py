@@ -14,7 +14,6 @@ import sys
 from typing import Iterable, Iterator
 
 from .auction import UnitAllocation, ascending_auction
-from .demand import DemandCache
 from .errors import WalrasError
 from .instance import (DEFAULT_BUDGET, Instance, load_instance,
                        max_total_value, verify_mnat_exc,
@@ -179,7 +178,8 @@ def _cmd_verify(args) -> int:
     # by construction (``Valuation`` takes nonnegative values and nonnegative,
     # nonincreasing marginals) and M♮-concave by theorem (Murota 2003, ch. 6);
     # only the tables are checked, as the loader and the auction check them.
-    tables = set(DemandCache(instance, budget=budget).tables)
+    ly = LyapunovOracle(instance, budget=budget)
+    tables = set(ly.demand.tables)
     if "monotone" in checks:
         for b, v in enumerate(instance.valuations):
             bad = verify_monotone_normalized(v, budget=budget) if b in tables else None
@@ -198,17 +198,18 @@ def _cmd_verify(args) -> int:
                 lines.append(f"mnat: bidder {b}: counterexample "
                              f"x={tuple(bad.x)} y={tuple(bad.y)}")
     if "lnat" in checks:
-        ly = LyapunovOracle(instance, budget=budget)
         # The box verify prints: [0, s]^n for the largest s with (s + 1)^(2n + 1)
-        # <= _LNAT_CHECK_BUDGET, at most the largest worth.  The check is
-        # charged its theorem's pairs (29,403 on [0, 2]^5), below that bound,
-        # and tests about a fifth of them; a wider box would change the output.
+        # <= _LNAT_CHECK_BUDGET, at most the largest worth; a wider box would
+        # change the output.  The check is charged its theorem's pairs (29,403
+        # on [0, 2]^5) against the run's budget, as monotone and mnat are, and
+        # tests about a fifth of them.  The rule's largest charge is 32,640
+        # (n = 8, s = 1), so only a budget below the default can refuse it.
         root = 1
         while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
             root += 1
         side = min(root - 1, max_total_value(instance))
         box = ((0,) * instance.n, (side,) * instance.n)
-        bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)
+        bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)
         if bad is None:
             lines.append(f"lnat: holds on [0, {side}]^{instance.n}")
         else:

@@ -29,22 +29,23 @@ coordinate at a time.  The bundle box is built, and checked
 against the budget, only when a scan first needs it; deficiency tables
 ((m + 1) * 2^n entries) are checked against the same budget.
 
-The table bidders are scanned together, once per price: ``table_scan``
-keeps each one's payoff of every bundle and its best payoff for the latest
-price; the Lyapunov value reads the bests, and ``indirect_utility``,
-``demand_set`` and ``demand_key`` read the same scan, so a descent
-step's value read and the next step's demand key share it.  A table bidder
+The unit-demand and table bidders are scanned together, once per price:
+``scan`` keeps one record for the latest price, each unit-demand bidder's
+payoff of every option 0..n, where option 0 is buying nothing at payoff 0
+(Andersson, Andersson and Talman, 2013), and each table bidder's payoff of
+every bundle, with their best payoffs.  The Lyapunov value reads the bests;
+``indirect_utility``, ``demand_set``, ``demand_key``, ``run_length`` and the
+unit allocation's ``unit_masks`` read the same record, so a descent step's
+value read and the next step's demand key share it, and a value read at a
+price that no demand read follows pays for no mask.  A unit-demand bidder
+whose first best option is 0 takes nothing, one with a single best item
+takes it, and only a tied one is keyed by its items.  A table bidder
 demanding one bundle x takes x(X) from X, which is modular, so
 ``demand_key`` adds x to the per-item takes; only a tied one is keyed by
-its demand set.  The unit-demand bidders are scanned together too:
-``unit_scan`` keeps each one's item payoffs and best payoff for the latest
-price; the Lyapunov value reads the bests, ``demand_key`` reads the kept
-payoffs themselves, building a demand mask only for a bidder tied between
-items, and the unit allocation reads the masks ``unit_masks`` derives from
-them, so a value read at a price that no demand read follows pays for no
-mask.  A tied table bidder's least takes depend only on its demand set, so
-they are kept by demand set, within the budget, and cleared when full.
-Any other bidder read through the box is scanned afresh at each read.
+its demand set.  A tied table bidder's least takes depend only on its
+demand set, so they are kept by demand set, within the budget, and cleared
+when full.  Any other bidder read through the box is scanned afresh at
+each read.
 """
 
 from __future__ import annotations
@@ -88,19 +89,20 @@ class DemandCache:
     membership), ``units`` and ``tables`` (indices in order), which every
     other read branches on, and puts every separable bidder's marginals of
     each item into one ascending column per item, with its suffix sums,
-    which ``demand_key`` and ``item_utility`` read per item.  It keeps the
-    bundle box and each box-scanned bidder's worth of every bundle.  The
-    only per-price state is kept for the latest price only: every table
-    bidder's payoff of every bundle with its best (``table_scan``), and
-    every unit-demand bidder's item payoffs and best payoff
-    (``unit_scan``), which the value, demand-key, demand-set and allocation
-    reads at that price share.  Least-take vectors are kept by demand set,
-    as the bundles' box indices, charged 2^n plus the set's size each
-    against the budget and cleared when it would be exceeded.  Demand keys
+    which ``demand_key`` and ``item_utility`` read per item.  It keeps each
+    unit-demand bidder's worths as the row (0, w_1, ..., w_n), option 0
+    buying nothing, the bundle box and each box-scanned bidder's worth of
+    every bundle.  The only per-price state is one record for the latest
+    price (``scan``): the unit-demand bidders' option payoffs and the table
+    bidders' bundle payoffs, with their bests, which the value, demand-key,
+    demand-set and allocation reads at that price share.  Least-take
+    vectors are kept by demand set, as the bundles' box indices, charged
+    2^n plus the set's size each against the budget and cleared when it
+    would be exceeded.  Demand keys
     are built afresh at each call; keeping deficiency tables by demand key
     is left to the caller (``LyapunovOracle.neighborhood`` does).
     ``run_length`` bounds how many raises of one item set keep the key of a
-    market without table bidders, from the kept unit scan and the columns.
+    market without table bidders, from the kept record and the columns.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -109,8 +111,7 @@ class DemandCache:
         self._n = instance.n
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
-        self._table_scan: tuple[PriceVector | None, list[list[int]], list[int]] = (None, [], [])
-        self._unit_scan: tuple[PriceVector | None, list[list[int]], list[int]] = (None, [], [])
+        self._latest: tuple = (None, [], [], [], [])
         self._least: dict[tuple[int, ...], list[int]] = {}
         self._least_size = 0
         columns = [[] for _ in range(self._n)]
@@ -130,6 +131,7 @@ class DemandCache:
         self.separable = frozenset(separable)
         self.units = tuple(units)
         self.tables = tuple(tables)
+        self._rows = tuple((0, *instance.valuations[b].values) for b in units)
         self._table_at = {b: i for i, b in enumerate(tables)}
 
     # -- shared ------------------------------------------------------------
@@ -157,11 +159,11 @@ class DemandCache:
 
     def _scan(self, b: int, p: PriceVector) -> tuple[list[int], int]:
         """Bidder b's payoff v(x) - p.x of every bundle, in box order, and
-        the best of them: a table bidder's from the kept ``table_scan``,
-        any other's scanned afresh."""
+        the best of them: a table bidder's from the kept ``scan``, any
+        other's scanned afresh."""
         i = self._table_at.get(b)
         if i is not None:
-            payoffs, bests = self.table_scan(p)
+            _, _, _, payoffs, bests = self.scan(p)
             return payoffs[i], bests[i]
         payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))
         return payoffs, max(payoffs)
@@ -177,36 +179,31 @@ class DemandCache:
 
     # -- demand sets -----------------------------------------------------------
 
-    def unit_scan(self, p: PriceVector) -> tuple[list[list[int]], list[int]]:
-        """The unit-demand bidders' payoffs w_i - p_i of every item and
-        their best payoffs, 0 when buying nothing is best, in ``units``
-        order; one scan per price, kept for the latest price only."""
-        price, payoffs, bests = self._unit_scan
-        if p != price:
-            valuations = self.instance.valuations
-            payoffs = [list(map(sub, valuations[b].values, p)) for b in self.units]
-            bests = [best if best > 0 else 0 for best in map(max, payoffs)]
-            self._unit_scan = (p, payoffs, bests)
-        return payoffs, bests
-
-    def table_scan(self, p: PriceVector) -> tuple[list[list[int]], list[int]]:
-        """The table bidders' payoffs v(x) - p.x of every bundle, in box
-        order, and their best payoffs, in ``tables`` order; one scan per
+    def scan(self, p: PriceVector) -> tuple:
+        """The record ``(p, unit payoffs, unit bests, table payoffs, table
+        bests)``: each unit-demand bidder's payoff of every option, 0 for
+        buying nothing and w_i - p_i for item i, in ``units`` order, and
+        each table bidder's payoff v(x) - p.x of every bundle, in box order
+        and ``tables`` order, with the best of each list.  One scan per
         price, kept for the latest price only."""
-        price, payoffs, bests = self._table_scan
-        if p != price:
+        kept = self._latest
+        if p != kept[0]:
+            offset = (0, *p)
+            units = [list(map(sub, row, offset)) for row in self._rows]
             worths = [self._bidder_values(b) for b in self.tables]
             costs = _box_costs(p, self.instance.u) if worths else []
-            payoffs = [list(map(sub, vals, costs)) for vals in worths]
-            bests = list(map(max, payoffs))
-            self._table_scan = (p, payoffs, bests)
-        return payoffs, bests
+            tables = [list(map(sub, vals, costs)) for vals in worths]
+            kept = self._latest = (p, units, list(map(max, units)),
+                                   tables, list(map(max, tables)))
+        return kept
 
     def unit_masks(self, p: PriceVector) -> list[int]:
         """The unit-demand bidders' demand sets at p as bitmasks, bit 0 the
-        artificial no-purchase item and bit i item i, in ``units`` order,
-        read from the kept scan at p."""
-        return list(map(_demand_mask, *self.unit_scan(p)))
+        artificial no-purchase item and bit i item i, in ``units`` order:
+        the argmaxes of the kept ``scan`` at p."""
+        _, payoffs, bests, _, _ = self.scan(p)
+        return [sum([1 << i for i in _argmaxes(pay, best)])
+                for pay, best in zip(payoffs, bests)]
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
         """All payoff-maximizing bundles, in lexicographic order.
@@ -267,35 +264,35 @@ class DemandCache:
         masks of the unit-demand bidders tied between several items; one
         for whom buying nothing is demanded takes nothing.  ``tables``
         holds the demand set of each table bidder tied between several
-        bundles, as the bundles' box indices, in ``tables`` order.  Both
-        table kinds are read from the kept ``table_scan`` at p, and the
-        unit-demand bidders from the kept ``unit_scan``: one whose best
-        payoff is 0 is skipped, one with a single best item adds it to
-        ``takes``, and only a tied one's item mask is built.  Equal keys
+        bundles, as the bundles' box indices, in ``tables`` order.  Every
+        bidder is read from the kept ``scan`` at p: a unit-demand bidder
+        whose first best option is 0, buying nothing, is skipped, one with a
+        single best item adds it to ``takes``, and only a tied one's mask is
+        built, its ``unit_masks`` mask shifted down past bit 0.  Equal keys
         give equal tables, so a caller may keep tables by key; the table
         budget is checked here, on every call.
         """
         self._check_table_budget()
         takes = self.item_takes(p)
+        _, unit_payoffs, unit_bests, table_payoffs, table_bests = self.scan(p)
         tied = []
-        if self.units:
-            for pay, best in zip(*self.unit_scan(p)):
-                if not best:
-                    continue
-                i = pay.index(best)
-                k = pay.count(best)
-                if k == 1:
-                    takes[i] += 1
-                    continue
-                d = 1 << i  # tied: its items, as ``_demand_mask`` reads them, less bit 0
-                for _ in range(k - 1):
-                    i = pay.index(best, i + 1)
-                    d |= 1 << i
-                tied.append(d)
+        for pay, best in zip(unit_payoffs, unit_bests):
+            i = pay.index(best)
+            if not i:
+                continue
+            k = pay.count(best)
+            if k == 1:
+                takes[i - 1] += 1
+                continue
+            d = 1 << i
+            for _ in range(k - 1):
+                i = pay.index(best, i + 1)
+                d |= 1 << i
+            tied.append(d >> 1)
         tables = []
         if self.tables:
             box = self._bundle_box()
-            for payoffs, best in zip(*self.table_scan(p)):
+            for payoffs, best in zip(table_payoffs, table_bests):
                 if payoffs.count(best) == 1:
                     takes = list(map(add, takes, box[payoffs.index(best)]))
                 else:
@@ -324,25 +321,26 @@ class DemandCache:
         payoff is above 0, and each item's take, the count of the separable
         marginals above its price.  A unit-demand bidder's payoffs of the
         items in X fall by one per raise and the rest stay.  With a_in its
-        best payoff over X and a_out its best outside X, 0 for buying
-        nothing, it bounds t by a_in - a_out when a_in > a_out (its demand
-        set lies in X until the tie), by 1 on a tie above 0, and not at all
-        otherwise (it demands no item of X, or its best payoff stays 0).
-        Item j of X bounds t by its next marginal above p_j, minus p_j.
-        The payoffs are read from the kept ``unit_scan``, so right after a
-        demand key at p this reads no scan; p must be a checked price.
+        best payoff over X and a_out its best over the other options, option
+        0 (buying nothing) always among them, it bounds t by a_in - a_out
+        when a_in > a_out (its demand set lies in X until the tie), by 1 on
+        a tie above 0, and not at all otherwise (it demands no item of X, or
+        its best payoff stays 0).  Item j of X bounds t by its next marginal
+        above p_j, minus p_j.  The payoffs are read from the kept ``scan``,
+        so right after a demand key at p this reads no scan; p must be a
+        checked price.
         """
-        inside = [mask >> j & 1 for j in range(self._n)]
+        inside = [0, *(mask >> j & 1 for j in range(self._n))]
         outside = [not x for x in inside]
         bounds = []
-        for pay in self.unit_scan(p)[0]:
+        for pay in self.scan(p)[1]:
             a_in = max(compress(pay, inside))
-            a_out = max([0, *compress(pay, outside)])
+            a_out = max(compress(pay, outside))
             if a_in > a_out:
                 bounds.append(a_in - a_out)
             elif a_in == a_out > 0:
                 return 1
-        for col, c in compress(zip(self._columns, p), inside):
+        for col, c in compress(zip(self._columns, p), inside[1:]):
             i = bisect_right(col, c)
             if i < len(col):
                 bounds.append(col[i] - c)
@@ -386,7 +384,7 @@ class DemandCache:
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
         """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
-        bidder of any family, read from the kept ``table_scan`` for a table
+        bidder of any family, read from the kept ``scan`` for a table
         bidder.  No library code calls it; it stays because the benchmark's
         span tracer patches it."""
         return self._scan(b, p)[1]
@@ -448,13 +446,6 @@ def _permute_axes(vals: list[int], radices: list[int], order: list[int]) -> list
         s = stride[a]
         index = [i + s * k for i in index for k in range(radices[a])]
     return [vals[i] for i in index]
-
-
-def _demand_mask(payoffs: list[int], best: int) -> int:
-    """A unit-demand bidder's demand set as a bitmask, from its item payoffs
-    and its best payoff ``best`` >= 0: the items paying ``best``, and the
-    artificial no-purchase item at bit 0 when ``best`` is 0."""
-    return sum([2 << i for i in _argmaxes(payoffs, best)], 0 if best else 1)
 
 
 def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:

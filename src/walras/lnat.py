@@ -38,7 +38,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
-from .instance import PriceVector, _Record
+from .instance import DEFAULT_BUDGET, PriceVector, _Record
 from .itemsets import box_point, chi_add, corner_indices, getter, strides
 
 _SEED_LIMIT = 1 << 64
@@ -153,7 +153,7 @@ class LnatCounterexample(NamedTuple):
 
 
 def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector], *,
-                          budget: int = 2_000_000) -> LnatCounterexample | None:
+                          budget: int = DEFAULT_BUDGET) -> LnatCounterexample | None:
     """Decide whether g is L♮-convex on a box, by one local check.
 
     A function whose effective domain is L♮-convex, as a box is, is

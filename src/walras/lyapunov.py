@@ -9,10 +9,10 @@ them into and tests no model or family itself.  Separable bidders are read
 per item, not per bidder: their total indirect utility is a sum over items
 of one-variable functions of the item's price, each read from the item's
 sorted column of marginals (``DemandCache.item_utility``).  The unit-demand
-bidders' best payoffs come from the one scan per price the cache keeps
-(``DemandCache.unit_scan``), and the table bidders' from the one box scan
-per price it keeps for them (``DemandCache.table_scan``); the next change
-table's demand key at that price reads both scans too.
+and table bidders' best payoffs come from the one record per price the
+cache keeps (``DemandCache.scan``), a unit-demand bidder's over the options
+0..n with option 0 buying nothing; the next change table's demand key at
+that price reads the same record.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -81,18 +81,17 @@ class LyapunovOracle:
 
     def value(self, p: PriceVector) -> int:
         """L(p): the revenue term p.u, then the separable bidders per item,
-        and the unit-demand bidders' best payoffs (0 for buying nothing)
-        and the table bidders' best payoffs from the cache's kept scans at
-        p."""
+        and the unit-demand bidders' best payoffs (option 0, buying nothing,
+        among their options) and the table bidders' best payoffs from the
+        cache's record at p, ``DemandCache.scan``."""
         t = _check_price(self.instance, p)
         dc = self.demand
         total = sum(map(mul, t, self.instance.u))
         if dc.separable:
             total += sum(map(dc.item_utility, range(len(t)), t))
-        if dc.units:
-            total += sum(dc.unit_scan(t)[1])
-        if dc.tables:
-            total += sum(dc.table_scan(t)[1])
+        if dc.units or dc.tables:
+            _, _, unit_bests, _, table_bests = dc.scan(t)
+            total += sum(unit_bests) + sum(table_bests)
         return total
 
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
@@ -217,7 +216,7 @@ class LyapunovOracle:
         none is a table, it declares ``runs``, ``DemandCache.run_length``:
         the change table is a function of the demand key, and the cache
         bounds how many raises of a set keep the key in closed form from
-        the unit scan it kept for the step's key read and the separable
+        the record it kept for the step's key read and the separable
         columns.  Table bidders have no such bound here, so a table market
         steps one raise at a time; a market of separable bidders alone
         takes the per-item route, which has no runs.

@@ -43,6 +43,8 @@ LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
 INSTANCE_TESTS = "tests/test_instance.py::"
 RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_answers"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
+SCAN_TESTS = "tests/test_demand.py::TestScan::"
+VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
 
 MUTANTS = (
     Mutant("lnat-witness-max", "lnat.py",
@@ -132,6 +134,23 @@ MUTANTS = (
            "elif a_in == a_out > 0:",
            "elif a_in == a_out < 0:",
            (RUN_KEYS + "test_keys_hold_along_a_run", RUN_KEYS + "test_unit_and_separable_bounds")),
+    Mutant("scan-kept-across-prices", "demand.py",
+           "if p != kept[0]:",
+           "if kept[0] is None:",
+           (SCAN_TESTS + "test_interleaved_reads_match_a_fresh_cache",
+            "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers")),
+    Mutant("run-columns-read-with-option-0", "demand.py",
+           "for col, c in compress(zip(self._columns, p), inside[1:]):",
+           "for col, c in compress(zip(self._columns, p), inside):",
+           (RUN_KEYS + "test_keys_hold_along_a_run", RUN_KEYS + "test_unit_and_separable_bounds")),
+    Mutant("key-tied-mask-unshifted", "demand.py",
+           "tied.append(d >> 1)",
+           "tied.append(d)",
+           ("tests/test_demand.py::TestUnitDemandKey::test_key_matches_the_per_bidder_masks",)),
+    Mutant("lnat-charge-fixed-budget", "cli.py",
+           "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)",
+           "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)",
+           (VERIFY_TESTS + "test_lnat_is_charged_the_runs_budget",)),
 )
 
 

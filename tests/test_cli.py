@@ -468,9 +468,11 @@ class TestVerify:
     def test_lnat_refusals_match_the_per_point_route(self, n, cap, tmp_path, monkeypatch,
                                                      capsys):
         """Budgets straddling the bundle box of a table market (2^5 = 32 and
-        3^4 = 81 bundles) give the same exit code and streams whether the
-        price box, one price wider than the bundle box, is read as one grid
-        or point by point."""
+        3^4 = 81 bundles) and the check's charge on its price box, one price
+        wider than the bundle box (29,403 tests on [0, 2]^5 and 19,080 on
+        [0, 3]^4), give the same exit code and streams whether the price box
+        is read as one grid or point by point.  The charge, made before any
+        value is read, is the larger, so every budget below it refuses."""
         rng = random.Random(n)
         u = (cap,) * n
         inst = Instance(model="multi", n=n, u=u, valuations=tuple(
@@ -478,6 +480,7 @@ class TestVerify:
         path = tmp_path / "tables.json"
         path.write_text(serialize_instance(inst))
         volume = (cap + 1) ** n
+        charge = {(5, 1): 29_403, (4, 2): 19_080}[n, cap]
 
         def run(budget):
             monkeypatch.setenv("WALRAS_BUDGET", str(budget))
@@ -485,7 +488,7 @@ class TestVerify:
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 
-        budgets = (volume - 1, volume, volume + 1)
+        budgets = (volume - 1, volume, volume + 1, charge - 1, charge, charge + 1)
         grid = [run(budget) for budget in budgets]
         adapter = LyapunovOracle.function_oracle
 
@@ -495,9 +498,52 @@ class TestVerify:
 
         monkeypatch.setattr(LyapunovOracle, "function_oracle", per_point)
         assert [run(budget) for budget in budgets] == grid
-        assert grid[0] == (1, "", f"error: bundle box volume {volume} exceeds budget "
-                                  f"{volume - 1}\n")
-        assert grid[1] == grid[2] == (0, f"lnat: holds on [0, {cap + 1}]^{n}\n", "")
+        assert grid[:4] == [(1, "", f"error: convexity check needs {charge} inequality "
+                                    f"tests, budget is {budget}\n") for budget in budgets[:4]]
+        assert grid[4] == grid[5] == (0, f"lnat: holds on [0, {cap + 1}]^{n}\n", "")
+
+    def test_lnat_box_refusal_past_the_charge(self, tmp_path, monkeypatch, capsys):
+        """A one-item table of 201 bundles checks the box [0, 78], charged
+        155 tests, so budgets of 200 and 201 pass the charge and straddle
+        the bundle box, which both the grid and the per-point route build
+        within the budget."""
+        inst = Instance(model="multi", n=1, u=(200,), valuations=(
+            tabulate(Valuation.separable([[1] * 200])),))
+        path = tmp_path / "long.json"
+        path.write_text(serialize_instance(inst))
+
+        def run(budget):
+            monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            code = run_command(["verify", "--instance", str(path), "--check", "lnat"])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        adapter = LyapunovOracle.function_oracle
+
+        def per_point(self):
+            g = adapter(self)
+            return FunctionOracle(n=g.n, fn=g.fn, value_floor=g.value_floor)
+
+        expected = [(1, "", "error: bundle box volume 201 exceeds budget 200\n"),
+                    (0, "lnat: holds on [0, 78]^1\n", "")]
+        assert [run(200), run(201)] == expected
+        monkeypatch.setattr(LyapunovOracle, "function_oracle", per_point)
+        assert [run(200), run(201)] == expected
+
+    def test_lnat_is_charged_the_runs_budget(self, monkeypatch, capsys):
+        """``lnat`` is charged its theorem's pairs against ``WALRAS_BUDGET``,
+        as ``monotone`` and ``mnat`` are: the six-bidder sample's box
+        [0, 1]^3 needs 28 inequality tests, so a budget of 27 refuses and
+        one of 28 holds."""
+        path = str(SAMPLES_DIR / "assignment_six_bidders.json")
+        outcomes = []
+        for budget in (27, 28):
+            monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            code = run_command(["verify", "--instance", path, "--check", "lnat"])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes == [
+            (1, "", "error: convexity check needs 28 inequality tests, budget is 27\n"),
+            (0, "lnat: holds on [0, 1]^3\n", "")]
 
 
 class TestCompare:

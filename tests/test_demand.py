@@ -15,7 +15,7 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
-from walras.instance import DEFAULT_BUDGET, UNIT, UNIT_DEMAND, box_volume, iter_box
+from walras.instance import DEFAULT_BUDGET, MULTI, UNIT, UNIT_DEMAND, box_volume, iter_box
 from walras.itemsets import items_from_mask, subset_sums
 from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
                            some_demanders_mask, unit_demand_mask)
@@ -95,16 +95,16 @@ class TestMultiDemandSets:
                     assert dc.mu_vector(b, p) == fresh.mu_vector(b, p)
                     assert dc.demand_set(b, p) == fresh.demand_set(b, p)
                     assert dc.indirect_utility(b, p) == fresh.indirect_utility(b, p)
-                assert dc.unit_scan(p) == fresh.unit_scan(p)
+                assert dc.scan(p) == fresh.scan(p)
                 assert dc.unit_masks(p) == [unit_demand_mask(b, p, inst) for b in dc.units]
 
     def test_long_descent_keeps_no_per_step_state(self):
         """After a descent of hundreds of steps the cache holds the
-        per-item columns and the bidder groups exactly as built, the bundle
-        box, at most one worth list per bidder, the table bidders' payoffs
-        and best payoffs and the unit-demand bidders' payoffs and best
-        payoffs, each at one price, and least takes kept by demand set
-        within the budget: nothing per step."""
+        per-item columns, the bidder groups and the unit-demand rows exactly
+        as built, the bundle box, at most one worth list per bidder, one
+        record of the unit-demand bidders' option payoffs and the table
+        bidders' bundle payoffs with their bests, at one price, and least
+        takes kept by demand set within the budget: nothing per step."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -116,40 +116,36 @@ class TestMultiDemandSets:
             dc = ly.demand
             assert (dc.separable, dc.units, dc.tables) == groups[inst]
             # immutable, so a copy
-            built = (dc._columns, dc._tails, dc.separable, dc.units, dc.tables)
+            built = (dc._columns, dc._tails, dc.separable, dc.units, dc.tables, dc._rows)
             res = ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values",
-                                     "_table_scan", "_unit_scan", "_least", "_least_size",
-                                     "_columns", "_tails", "separable", "units", "tables",
-                                     "_table_at"}
+                                     "_latest", "_least", "_least_size", "_columns",
+                                     "_tails", "separable", "units", "tables", "_table_at",
+                                     "_rows"}
             assert dc._table_at == {b: i for i, b in enumerate(dc.tables)}
-            # one price, the final one the stop read, and one entry per
-            # unit-demand bidder
-            kept = price, payoffs, bests = dc._unit_scan
+            assert dc._rows == tuple((0, *inst.valuations[b].values) for b in dc.units)
+            # one price, the final one the allocation read; one list of the
+            # n + 1 options per unit-demand bidder, option 0 paying 0, and
+            # one of the 4 bundles per table bidder
+            kept = price, unit_payoffs, unit_bests, table_payoffs, table_bests = dc._latest
             assert price == res.p_min
-            assert len(payoffs) == len(bests) == len(dc.units)
-            assert all(len(row) == inst.n for row in payoffs)
+            assert len(unit_payoffs) == len(unit_bests) == len(dc.units)
+            assert all(len(row) == inst.n + 1 and row[0] == 0 for row in unit_payoffs)
+            assert unit_bests == list(map(max, unit_payoffs))
             assert dc.unit_masks(price) == [unit_demand_mask(b, price, inst) for b in dc.units]
-            assert dc._unit_scan is kept
-            assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables) == built
+            assert len(table_payoffs) == len(table_bests) == len(dc.tables)
+            assert all(len(row) == 4 for row in table_payoffs)
+            assert table_bests == list(map(max, table_payoffs))
+            assert dc._latest is kept
+            assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables,
+                    dc._rows) == built
             assert len(dc._values) <= inst.m
-            # one price, the final one the allocation read, and one payoff
-            # list of the 4 bundles per table bidder; none read without one
-            price, payoffs, bests = dc._table_scan
-            assert price == (res.p_min if dc.tables else None)
-            assert len(payoffs) == len(bests) == len(dc.tables)
-            assert all(len(row) == 4 for row in payoffs)
-            assert bests == list(map(max, payoffs))
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= dc.budget
             assert bool(dc._least) == bool(dc.tables)
-        assert dc._table_scan[0] is not None  # the table bidder's reads kept it
-
-
-def _has_unit_bidder(inst):
-    return any(v.family == UNIT_DEMAND for v in inst.valuations)
+        assert dc._latest[3]  # the table bidder's reads kept its payoffs
 
 
 def _extracted(inst, p, dc):
@@ -159,77 +155,151 @@ def _extracted(inst, p, dc):
     return _extract_multi(inst, p, dc, DEFAULT_BUDGET)
 
 
-class TestUnitScan:
-    @given(st.data())
-    def test_interleaved_reads_match_a_fresh_cache(self, data):
-        """Lyapunov values, demand keys and allocations read through one
-        oracle at prices p, q, p, in a drawn order, equal a fresh cache's
-        answers; the unit-demand scan the cache keeps, of one of those
-        prices, gives the per-bidder twin's masks and best payoffs without
-        a new scan."""
-        inst = data.draw(column_markets().filter(_has_unit_bidder))
-        p, q = data.draw(column_prices(inst)), data.draw(column_prices(inst))
-        reads = data.draw(st.permutations(("value", "key", "extract")))
-        ly = LyapunovOracle(inst)
-        dc = ly.demand
-        for price in (p, q, p):
-            for read in reads:
-                fresh = LyapunovOracle(inst)
-                if read == "value":
-                    assert ly.value(price) == fresh.value(price) == lyapunov_value(price, inst)
-                elif read == "key":
-                    assert dc.demand_key(price) == fresh.demand.demand_key(price)
-                else:
-                    assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
-                scan = kept, _, bests = dc._unit_scan
-                if kept is not None:
-                    assert kept in (p, q)
-                    assert dc.unit_masks(kept) == [unit_demand_mask(b, kept, inst)
-                                                   for b in dc.units]
-                    assert bests == [max(0, *(w - c for w, c in zip(
-                        inst.valuations[b].values, kept))) for b in dc.units]
-                    assert dc._unit_scan is scan
+@st.composite
+def scan_markets(draw) -> Instance:
+    """Multi markets of at most 3 items, one unit of each, holding both
+    groups ``DemandCache.scan`` reads: unit-demand bidders and table bidders
+    (tabulated separable or unit-demand ones), at times with a separable
+    bidder, in any order.  Worths of at most 6 tie often at prices up to 7."""
+    n = draw(st.integers(1, 3))
+    worths = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    unit = worths.map(Valuation.unit_demand)
+    separable = worths.map(lambda row: Valuation.separable([[w] for w in row]))
+    vals = draw(st.lists(unit, min_size=1, max_size=3))
+    vals += draw(st.lists(st.one_of(unit.map(tabulate), separable.map(tabulate)),
+                          min_size=1, max_size=2))
+    vals += draw(st.lists(separable, max_size=1))
+    return Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(draw(st.permutations(vals))))
 
-    def test_one_payoff_scan_per_price_read(self, monkeypatch):
-        """A descent and its allocation scan the unit-demand payoffs once
-        each time the price read changes: a value read and the next demand
-        key share one scan, a run's length reads the scan its key read, and
-        the stop's reads share one.  A run of steps reads at most two
-        prices, so a descent scans at most twice per demand key it reads,
-        the allocation's scan included, and fewer times than it steps."""
-        reads, scans, keys = [], [], [0]
-        read, demand_key = DemandCache.unit_scan, DemandCache.demand_key
+
+class TestScan:
+    def test_interleaved_reads_match_a_fresh_cache(self):
+        """Lyapunov values, demand sets, demand keys with their deficiency
+        tables, and allocations read through one oracle at prices p, q, p,
+        in a drawn order, on markets of unit-demand and table bidders, equal
+        a fresh cache's answers and the per-set and per-bidder twins'.  The
+        one record the cache keeps is of the latest price read, its bests
+        are its rows' maxima, option 0 paying 0 in every unit-demand row,
+        and it gives the twin's masks and best payoffs without a new scan.
+        Table bidders demanding one bundle and tied ones, and unit-demand
+        bidders for whom buying nothing is demanded and ones tied between
+        items, must all be seen."""
+        seen = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def check(data):
+            inst = data.draw(scan_markets())
+            prices = st.tuples(*[st.integers(0, 7)] * inst.n)
+            p, q = data.draw(prices), data.draw(prices)
+            reads = data.draw(st.permutations(("value", "sets", "key", "extract")))
+            ly = LyapunovOracle(inst)
+            dc = ly.demand
+            for price in (p, q, p):
+                for read in reads:
+                    fresh = LyapunovOracle(inst)
+                    if read == "value":
+                        assert ly.value(price) == fresh.value(price) == \
+                            lyapunov_value(price, inst)
+                    elif read == "sets":
+                        sets = [dc.demand_set(b, price) for b in range(inst.m)]
+                        assert sets == [fresh.demand.demand_set(b, price)
+                                        for b in range(inst.m)]
+                        seen.update(("table", len(sets[b]) > 1) for b in dc.tables)
+                    elif read == "key":
+                        key = dc.demand_key(price)
+                        assert key == fresh.demand.demand_key(price)
+                        assert dc.deficiency_from_key(key) == \
+                            [deficiency(items_from_mask(x), price, inst)
+                             for x in range(1 << inst.n)]
+                    else:
+                        assert _extracted(inst, price, dc) == \
+                            _extracted(inst, price, fresh.demand)
+                    record = kept, unit_payoffs, unit_bests, table_payoffs, table_bests = \
+                        dc._latest
+                    assert kept == price
+                    assert all(row[0] == 0 for row in unit_payoffs)
+                    assert unit_bests == list(map(max, unit_payoffs))
+                    assert table_bests == list(map(max, table_payoffs))
+                    assert unit_bests == [max(0, *(w - c for w, c in zip(
+                        inst.valuations[b].values, kept))) for b in dc.units]
+                    masks = dc.unit_masks(kept)
+                    assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
+                    seen.update(("unit", mask & 1, mask & (mask - 1) > 1) for mask in masks)
+                    assert dc._latest is record
+
+        check()
+        assert {("table", False), ("table", True), ("unit", 1, False),
+                ("unit", 0, True)} <= seen, seen
+
+    def test_one_scan_per_price_read(self, monkeypatch):
+        """A descent and its allocation scan the unit-demand and table
+        bidders together, once each time the price read changes: a value
+        read and the next demand key share one scan, a run's length reads
+        the scan its key read, and the stop's reads share one.  A run of
+        steps reads at most two prices, so a descent scans at most twice per
+        demand key it reads, the allocation's scan included, and a market
+        without table bidders scans fewer times than it steps; a table
+        market, which steps one raise at a time, scans more.  Every
+        bundle-cost list the cache builds is a table scan's, but for one
+        per unit-demand bidder of a multi market, whose demand set the
+        allocation reads from the box; no table bidder is scanned alone."""
+        import walras.demand as demand
+
+        reads, scans, costs, keys = [], [], [], [0]
+        read, box_costs, demand_key = DemandCache.scan, demand._box_costs, DemandCache.demand_key
 
         def counted_read(self, p):
-            kept = self._unit_scan
+            kept = self._latest
             reads.append((self, p))  # the cache itself, so no id is reused
             out = read(self, p)
-            if self._unit_scan is not kept:
+            if self._latest is not kept:
                 scans.append(p)
             return out
+
+        def counted_costs(p, u):
+            costs.append(p)
+            return box_costs(p, u)
 
         def keyed(self, p):
             keys[0] += 1
             return demand_key(self, p)
 
-        monkeypatch.setattr(DemandCache, "unit_scan", counted_read)
+        monkeypatch.setattr(DemandCache, "scan", counted_read)
+        monkeypatch.setattr(demand, "_box_costs", counted_costs)
         monkeypatch.setattr(DemandCache, "demand_key", keyed)
+        rng = random.Random(13)
+        tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
+            tabulate(random_separable_valuation(rng, (2, 2, 2), value_max=9))
+            for _ in range(4)))
+        both = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
+            tabulate(Valuation.unit_demand([20, 29]))))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
             Valuation.unit_demand([20, 29])))
         total = {"scans": 0, "steps": 0}
-        for inst in (make_ex21(), mixed, random_unit_instance(random.Random(5), n_max=4)):
+        for inst in (tables, both, make_ex21(), mixed,
+                     random_unit_instance(random.Random(5), n_max=4)):
+            has_tables = bool(DemandCache(inst).tables)
+            boxed = sum(v.family == UNIT_DEMAND for v in inst.valuations) \
+                if inst.model == MULTI else 0
             for kind in StrategyKind:
                 reads.clear()
                 scans.clear()
+                costs.clear()
                 keys[0] = 0
                 res = ascending_auction(inst, kind)
                 assert res.allocation is not None
                 changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
                 assert scans == [p for _, p in changes]
                 assert len(reads) > len(changes) <= 2 * keys[0]
-                total["scans"] += len(scans)
-                total["steps"] += len(res.trajectory)
+                assert costs == (scans if has_tables else []) + [res.p_min] * boxed
+                if has_tables:
+                    assert len(changes) > len(res.trajectory)
+                else:
+                    total["scans"] += len(scans)
+                    total["steps"] += len(res.trajectory)
         assert total["scans"] < total["steps"], total
 
 
@@ -555,96 +625,6 @@ class TestSharedCache:
         assert key[2] == ((0, 1, 2, 3),)
         assert dc.deficiency_from_key(key) == [0, -3]
         assert dc._least == {} and dc._least_size == 0
-
-
-class TestTableScan:
-    def test_interleaved_reads_match_a_fresh_cache(self):
-        """Lyapunov values, demand sets, demand keys and deficiency tables
-        read through one oracle at prices p, q, p, in a drawn order, equal a
-        fresh cache's answers, and each deficiency equals the oracle twin's,
-        set by set; the table scan the cache keeps is of the latest price
-        read.  Prices near the tables' worths make ties common: table
-        bidders demanding one bundle, which fold into the takes, and tied
-        ones, which the key holds, must both be seen."""
-        seen = set()
-
-        @settings(max_examples=60, deadline=None)
-        @given(st.data())
-        def check(data):
-            inst = data.draw(table_markets())
-            prices = st.tuples(*[st.integers(0, 7)] * inst.n)
-            p, q = data.draw(prices), data.draw(prices)
-            reads = data.draw(st.permutations(("value", "sets", "key")))
-            ly = LyapunovOracle(inst)
-            dc = ly.demand
-            for price in (p, q, p):
-                for read in reads:
-                    fresh = LyapunovOracle(inst)
-                    if read == "value":
-                        assert ly.value(price) == fresh.value(price) == \
-                            lyapunov_value(price, inst)
-                    elif read == "sets":
-                        sets = [dc.demand_set(b, price) for b in range(inst.m)]
-                        assert sets == [fresh.demand.demand_set(b, price)
-                                        for b in range(inst.m)]
-                        seen.update(len(sets[b]) > 1 for b in dc.tables)
-                    else:
-                        key = dc.demand_key(price)
-                        assert key == fresh.demand.demand_key(price)
-                        assert dc.deficiency_from_key(key) == \
-                            [deficiency(items_from_mask(x), price, inst)
-                             for x in range(1 << inst.n)]
-                    kept, payoffs, bests = dc._table_scan
-                    assert kept == price
-                    assert bests == list(map(max, payoffs))
-
-        check()
-        assert seen == {False, True}
-
-    def test_one_table_scan_per_price_read(self, monkeypatch):
-        """A descent and its allocation scan the table bidders' payoffs once
-        each time the price read changes, all table bidders together, and
-        scan no table bidder on its own: every bundle-cost list the cache
-        builds is a table scan's, but for one per unit-demand bidder of a
-        multi market, whose demand set the allocation reads from the box."""
-        import walras.demand as demand
-
-        reads, scans, costs = [], [], []
-        read, box_costs = DemandCache.table_scan, demand._box_costs
-
-        def counted_read(self, p):
-            kept = self._table_scan
-            reads.append((self, p))  # the cache itself, so no id is reused
-            out = read(self, p)
-            if self._table_scan is not kept:
-                scans.append(p)
-            return out
-
-        def counted_costs(p, u):
-            costs.append(p)
-            return box_costs(p, u)
-
-        monkeypatch.setattr(DemandCache, "table_scan", counted_read)
-        monkeypatch.setattr(demand, "_box_costs", counted_costs)
-        rng = random.Random(13)
-        tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
-            tabulate(random_separable_valuation(rng, (2, 2, 2), value_max=9))
-            for _ in range(4)))
-        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
-            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
-            tabulate(Valuation.unit_demand([20, 29]))))
-        for inst in (tables, mixed):
-            for kind in StrategyKind:
-                reads.clear()
-                scans.clear()
-                costs.clear()
-                res = ascending_auction(inst, kind)
-                assert res.allocation is not None
-                changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
-                assert scans == [p for _, p in changes]
-                units = sum(v.family == UNIT_DEMAND for v in inst.valuations)
-                assert costs == scans + [res.p_min] * units
-                assert len(reads) > len(changes) > len(res.trajectory)
 
 
 class TestDeterminism:
