@@ -43,7 +43,7 @@ LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
 INSTANCE_TESTS = "tests/test_instance.py::"
 RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_answers"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
-SCAN_TESTS = "tests/test_demand.py::TestScan::"
+SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
 
 MUTANTS = (

@@ -172,102 +172,128 @@ def scan_markets(draw) -> Instance:
     return Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(draw(st.permutations(vals))))
 
 
-class TestScan:
+def _has_unit_bidder(inst):
+    return any(v.family == UNIT_DEMAND for v in inst.valuations)
+
+
+def _interleaved_reads(data, markets, seen):
+    """Read Lyapunov values, demand sets (where table bidders make their
+    reads scan), demand keys with their deficiency tables, and allocations
+    through one oracle at prices p, q, p, in a drawn order, on a market
+    drawn from ``markets``; each read equals a fresh cache's answer and the
+    per-set twin's.  After every read the one record the cache keeps is of
+    the latest price read, and the caller's reads of it scan nothing.  Yields the market, the cache and
+    the kept price after each read; whether each table bidder's demand set
+    holds more than one bundle goes into ``seen``."""
+    inst = data.draw(markets)
+    prices = st.tuples(*[st.integers(0, 7)] * inst.n)
+    p, q = data.draw(prices), data.draw(prices)
+    ly = LyapunovOracle(inst)
+    dc = ly.demand
+    kinds = ("value", "sets", "key", "extract") if dc.tables else ("value", "key", "extract")
+    reads = data.draw(st.permutations(kinds))
+    for price in (p, q, p):
+        for read in reads:
+            fresh = LyapunovOracle(inst)
+            if read == "value":
+                assert ly.value(price) == fresh.value(price) == lyapunov_value(price, inst)
+            elif read == "sets":
+                sets = [dc.demand_set(b, price) for b in range(inst.m)]
+                assert sets == [fresh.demand.demand_set(b, price) for b in range(inst.m)]
+                seen.update(("table", len(sets[b]) > 1) for b in dc.tables)
+            elif read == "key":
+                key = dc.demand_key(price)
+                assert key == fresh.demand.demand_key(price)
+                assert dc.deficiency_from_key(key) == \
+                    [deficiency(items_from_mask(x), price, inst) for x in range(1 << inst.n)]
+            else:
+                assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
+            record = dc._latest
+            assert record[0] == price
+            yield inst, dc, price
+            assert dc._latest is record
+
+
+class TestUnitScan:
     def test_interleaved_reads_match_a_fresh_cache(self):
-        """Lyapunov values, demand sets, demand keys with their deficiency
-        tables, and allocations read through one oracle at prices p, q, p,
-        in a drawn order, on markets of unit-demand and table bidders, equal
-        a fresh cache's answers and the per-set and per-bidder twins'.  The
-        one record the cache keeps is of the latest price read, its bests
-        are its rows' maxima, option 0 paying 0 in every unit-demand row,
-        and it gives the twin's masks and best payoffs without a new scan.
-        Table bidders demanding one bundle and tied ones, and unit-demand
-        bidders for whom buying nothing is demanded and ones tied between
-        items, must all be seen."""
+        """Interleaved reads (``_interleaved_reads``) on unit markets and on
+        multi markets of unit-demand and table bidders match a fresh cache.
+        The unit-demand half of the kept record has option 0 paying 0 in
+        every row and bests equal to the rows' maxima, and gives the
+        per-bidder twin's masks and best payoffs without a new scan.
+        Bidders for whom buying nothing is demanded and ones tied between
+        items must both be seen."""
         seen = set()
 
         @settings(max_examples=60, deadline=None)
         @given(st.data())
         def check(data):
-            inst = data.draw(scan_markets())
-            prices = st.tuples(*[st.integers(0, 7)] * inst.n)
-            p, q = data.draw(prices), data.draw(prices)
-            reads = data.draw(st.permutations(("value", "sets", "key", "extract")))
-            ly = LyapunovOracle(inst)
-            dc = ly.demand
-            for price in (p, q, p):
-                for read in reads:
-                    fresh = LyapunovOracle(inst)
-                    if read == "value":
-                        assert ly.value(price) == fresh.value(price) == \
-                            lyapunov_value(price, inst)
-                    elif read == "sets":
-                        sets = [dc.demand_set(b, price) for b in range(inst.m)]
-                        assert sets == [fresh.demand.demand_set(b, price)
-                                        for b in range(inst.m)]
-                        seen.update(("table", len(sets[b]) > 1) for b in dc.tables)
-                    elif read == "key":
-                        key = dc.demand_key(price)
-                        assert key == fresh.demand.demand_key(price)
-                        assert dc.deficiency_from_key(key) == \
-                            [deficiency(items_from_mask(x), price, inst)
-                             for x in range(1 << inst.n)]
-                    else:
-                        assert _extracted(inst, price, dc) == \
-                            _extracted(inst, price, fresh.demand)
-                    record = kept, unit_payoffs, unit_bests, table_payoffs, table_bests = \
-                        dc._latest
-                    assert kept == price
-                    assert all(row[0] == 0 for row in unit_payoffs)
-                    assert unit_bests == list(map(max, unit_payoffs))
-                    assert table_bests == list(map(max, table_payoffs))
-                    assert unit_bests == [max(0, *(w - c for w, c in zip(
-                        inst.valuations[b].values, kept))) for b in dc.units]
-                    masks = dc.unit_masks(kept)
-                    assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
-                    seen.update(("unit", mask & 1, mask & (mask - 1) > 1) for mask in masks)
-                    assert dc._latest is record
+            markets = st.one_of(scan_markets(), column_markets().filter(_has_unit_bidder))
+            for inst, dc, kept in _interleaved_reads(data, markets, seen):
+                _, unit_payoffs, unit_bests, _, _ = dc._latest
+                assert all(row[0] == 0 for row in unit_payoffs)
+                assert unit_bests == list(map(max, unit_payoffs))
+                assert unit_bests == [max(0, *(w - c for w, c in zip(
+                    inst.valuations[b].values, kept))) for b in dc.units]
+                masks = dc.unit_masks(kept)
+                assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
+                seen.update(("unit", mask & 1, mask & (mask - 1) > 1) for mask in masks)
 
         check()
-        assert {("table", False), ("table", True), ("unit", 1, False),
-                ("unit", 0, True)} <= seen, seen
+        assert {("unit", 1, False), ("unit", 0, True)} <= seen, seen
 
-    def test_one_scan_per_price_read(self, monkeypatch):
-        """A descent and its allocation scan the unit-demand and table
-        bidders together, once each time the price read changes: a value
-        read and the next demand key share one scan, a run's length reads
-        the scan its key read, and the stop's reads share one.  A run of
-        steps reads at most two prices, so a descent scans at most twice per
-        demand key it reads, the allocation's scan included, and a market
-        without table bidders scans fewer times than it steps; a table
-        market, which steps one raise at a time, scans more.  Every
-        bundle-cost list the cache builds is a table scan's, but for one
-        per unit-demand bidder of a multi market, whose demand set the
-        allocation reads from the box; no table bidder is scanned alone."""
-        import walras.demand as demand
+    def test_one_payoff_scan_per_price_read(self, monkeypatch):
+        """On markets without table bidders a descent and its allocation
+        scan the unit-demand bidders once each time the price read changes
+        (``_count_scans``), build a bundle-cost list only for each
+        unit-demand bidder of a multi market, whose demand set the
+        allocation reads from the box, and in all scan fewer times than
+        they step."""
+        count = _count_scans(monkeypatch)
+        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
+            Valuation.unit_demand([20, 29])))
+        total = {"scans": 0, "steps": 0}
+        for inst in (make_ex21(), mixed, random_unit_instance(random.Random(5), n_max=4)):
+            assert not DemandCache(inst).tables
+            for kind in StrategyKind:
+                res, scans, costs = count(inst, kind)
+                assert costs == [res.p_min] * _boxed_units(inst)
+                total["scans"] += len(scans)
+                total["steps"] += len(res.trajectory)
+        assert total["scans"] < total["steps"], total
 
-        reads, scans, costs, keys = [], [], [], [0]
-        read, box_costs, demand_key = DemandCache.scan, demand._box_costs, DemandCache.demand_key
 
-        def counted_read(self, p):
-            kept = self._latest
-            reads.append((self, p))  # the cache itself, so no id is reused
-            out = read(self, p)
-            if self._latest is not kept:
-                scans.append(p)
-            return out
+class TestTableScan:
+    def test_interleaved_reads_match_a_fresh_cache(self):
+        """Interleaved reads (``_interleaved_reads``) on multi markets of
+        unit-demand and table bidders match a fresh cache, every deficiency
+        equal to the oracle twin's, set by set.  The table half of the kept
+        record has bests equal to its rows' maxima.  Prices near the
+        tables' worths make ties common: table bidders demanding one
+        bundle, which fold into the takes, and tied ones, which the key
+        holds, must both be seen."""
+        seen = set()
 
-        def counted_costs(p, u):
-            costs.append(p)
-            return box_costs(p, u)
+        @settings(max_examples=60, deadline=None)
+        @given(st.data())
+        def check(data):
+            for _, dc, _ in _interleaved_reads(data, scan_markets(), seen):
+                _, _, _, table_payoffs, table_bests = dc._latest
+                assert table_bests == list(map(max, table_payoffs))
 
-        def keyed(self, p):
-            keys[0] += 1
-            return demand_key(self, p)
+        check()
+        assert {("table", False), ("table", True)} <= seen, seen
 
-        monkeypatch.setattr(DemandCache, "scan", counted_read)
-        monkeypatch.setattr(demand, "_box_costs", counted_costs)
-        monkeypatch.setattr(DemandCache, "demand_key", keyed)
+    def test_one_table_scan_per_price_read(self, monkeypatch):
+        """On markets with table bidders a descent and its allocation scan
+        all bidders together once each time the price read changes
+        (``_count_scans``) and scan no table bidder on its own: every
+        bundle-cost list the cache builds is a scan's, but for one per
+        unit-demand bidder of a multi market, whose demand set the
+        allocation reads from the box.  A table market steps one raise at a
+        time, so it scans more often than it steps."""
+        count = _count_scans(monkeypatch)
         rng = random.Random(13)
         tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
             tabulate(random_separable_valuation(rng, (2, 2, 2), value_max=9))
@@ -275,32 +301,69 @@ class TestScan:
         both = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
             tabulate(Valuation.unit_demand([20, 29]))))
-        mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
-            Valuation.unit_demand([30, 25]), Valuation.separable([[28], [26]]),
-            Valuation.unit_demand([20, 29])))
-        total = {"scans": 0, "steps": 0}
-        for inst in (tables, both, make_ex21(), mixed,
-                     random_unit_instance(random.Random(5), n_max=4)):
-            has_tables = bool(DemandCache(inst).tables)
-            boxed = sum(v.family == UNIT_DEMAND for v in inst.valuations) \
-                if inst.model == MULTI else 0
+        for inst in (tables, both):
+            assert DemandCache(inst).tables
             for kind in StrategyKind:
-                reads.clear()
-                scans.clear()
-                costs.clear()
-                keys[0] = 0
-                res = ascending_auction(inst, kind)
-                assert res.allocation is not None
-                changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
-                assert scans == [p for _, p in changes]
-                assert len(reads) > len(changes) <= 2 * keys[0]
-                assert costs == (scans if has_tables else []) + [res.p_min] * boxed
-                if has_tables:
-                    assert len(changes) > len(res.trajectory)
-                else:
-                    total["scans"] += len(scans)
-                    total["steps"] += len(res.trajectory)
-        assert total["scans"] < total["steps"], total
+                res, scans, costs = count(inst, kind)
+                assert costs == scans + [res.p_min] * _boxed_units(inst)
+                assert len(scans) > len(res.trajectory)
+
+
+def _boxed_units(inst):
+    """The unit-demand bidders whose demand set the allocation reads from
+    the bundle box: those of a multi market."""
+    if inst.model != MULTI:
+        return 0
+    return sum(v.family == UNIT_DEMAND for v in inst.valuations)
+
+
+def _count_scans(monkeypatch):
+    """Count ``DemandCache.scan`` reads, new scans, bundle-cost lists and
+    demand-key reads; return ``count(inst, kind)``, which runs the auction
+    and checks that it scans once each time the price read changes: a
+    value read and the next demand key share one scan, a run's length reads
+    the scan its key read, and the stop's reads share one.  A run of steps
+    reads at most two prices, so a descent scans at most twice per demand
+    key it reads, the allocation's scan included.  ``count`` returns the
+    result, the scanned prices and the bundle-cost lists' prices."""
+    import walras.demand as demand
+
+    reads, scans, costs, keys = [], [], [], [0]
+    read, box_costs, demand_key = DemandCache.scan, demand._box_costs, DemandCache.demand_key
+
+    def counted_read(self, p):
+        kept = self._latest
+        reads.append((self, p))  # the cache itself, so no id is reused
+        out = read(self, p)
+        if self._latest is not kept:
+            scans.append(p)
+        return out
+
+    def counted_costs(p, u):
+        costs.append(p)
+        return box_costs(p, u)
+
+    def keyed(self, p):
+        keys[0] += 1
+        return demand_key(self, p)
+
+    monkeypatch.setattr(DemandCache, "scan", counted_read)
+    monkeypatch.setattr(demand, "_box_costs", counted_costs)
+    monkeypatch.setattr(DemandCache, "demand_key", keyed)
+
+    def count(inst, kind):
+        reads.clear()
+        scans.clear()
+        costs.clear()
+        keys[0] = 0
+        res = ascending_auction(inst, kind)
+        assert res.allocation is not None
+        changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
+        assert scans == [p for _, p in changes]
+        assert len(reads) > len(changes) <= 2 * keys[0]
+        return res, list(scans), list(costs)
+
+    return count
 
 
 class TestRunLength:
