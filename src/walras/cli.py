@@ -174,6 +174,22 @@ def _cmd_verify(args) -> int:
     checks = ("monotone", "mnat", "lnat") if args.check == "all" else (args.check,)
     lines = []
     failed = False
+    try:
+        for line, ok in _verify_lines(instance, checks, budget):
+            lines.append(line)
+            failed = failed or not ok
+    except WalrasError:
+        if lines:  # the lines computed before a check raised go out first
+            (sys.stderr if failed else sys.stdout).write("\n".join(lines) + "\n")
+        raise
+    (sys.stderr if failed else sys.stdout).write("\n".join(lines) + "\n")
+    return 1 if failed else 0
+
+
+def _verify_lines(instance: Instance, checks: tuple[str, ...],
+                  budget: int) -> Iterator[tuple[str, bool]]:
+    """Each line ``verify`` prints for ``checks``, in order, with whether it
+    holds."""
     # Unit-demand and separable-concave bidders are monotone and normalized
     # by construction (``Valuation`` takes nonnegative values and nonnegative,
     # nonincreasing marginals) and M♮-concave by theorem (Murota 2003, ch. 6);
@@ -184,19 +200,17 @@ def _cmd_verify(args) -> int:
         for b, v in enumerate(instance.valuations):
             bad = verify_monotone_normalized(v, budget=budget) if b in tables else None
             if bad is None:
-                lines.append(f"monotone: bidder {b}: ok")
+                yield f"monotone: bidder {b}: ok", True
             else:
-                failed = True
-                lines.append(f"monotone: bidder {b}: counterexample {bad.message}")
+                yield f"monotone: bidder {b}: counterexample {bad.message}", False
     if "mnat" in checks:
         for b, v in enumerate(instance.valuations):
             bad = verify_mnat_exc(v, budget=budget) if b in tables else None
             if bad is None:
-                lines.append(f"mnat: bidder {b}: ok")
+                yield f"mnat: bidder {b}: ok", True
             else:
-                failed = True
-                lines.append(f"mnat: bidder {b}: counterexample "
-                             f"x={tuple(bad.x)} y={tuple(bad.y)}")
+                yield (f"mnat: bidder {b}: counterexample "
+                       f"x={tuple(bad.x)} y={tuple(bad.y)}"), False
     if "lnat" in checks:
         # The box verify prints: [0, s]^n for the largest s with (s + 1)^(2n + 1)
         # <= _LNAT_CHECK_BUDGET, at most the largest worth; a wider box would
@@ -211,16 +225,9 @@ def _cmd_verify(args) -> int:
         box = ((0,) * instance.n, (side,) * instance.n)
         bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)
         if bad is None:
-            lines.append(f"lnat: holds on [0, {side}]^{instance.n}")
+            yield f"lnat: holds on [0, {side}]^{instance.n}", True
         else:
-            failed = True
-            lines.append(f"lnat: counterexample p={tuple(bad.p)} q={tuple(bad.q)}")
-    text = "\n".join(lines) + "\n"
-    if failed:
-        sys.stderr.write(text)
-        return 1
-    sys.stdout.write(text)
-    return 0
+            yield f"lnat: counterexample p={tuple(bad.p)} q={tuple(bad.q)}", False
 
 
 def _cmd_compare(args) -> int:

@@ -16,14 +16,15 @@ entries only with each other and entry 0, so a value table such as
 A route that hands out one kept tuple per table, as the Lyapunov oracle's
 does, meets the same tables again, so each rule keeps its answers for the
 latest four tuple tables it read.  An oracle that knows how long a raise
-keeps its table may declare ``runs``: when an iteration's table and set are
-the last one's, ``minimize`` then raises the set for the whole run in that
-one iteration.  Two value reads certify the run's values, since g is convex
-along the run's line; that the set stays the rule's choice rests on the
-declared bound.  An oracle that is a sum of one-variable functions may declare
-it, and then every rule but the seeded one reads n per-item changes instead
-of a table; that route, like a table route without ``runs``, steps one
-raise per iteration.
+keeps its table may declare ``runs``: when the steps since an iteration's
+table and set last began one raise pairwise disjoint sets, ``minimize``
+repeats that period of k <= n phases for as long as each phase keeps its
+table, in one iteration; k = 1 is a run of one set.  Value reads on each
+phase's line certify the values, since g is convex along it; that each
+phase's set stays the rule's choice rests on the declared bound.  An oracle
+that is a sum of one-variable functions may declare it, and then every rule
+but the seeded one reads n per-item changes instead of a table; that route,
+like a table route without ``runs``, steps one raise per iteration.
 """
 
 from __future__ import annotations
@@ -486,23 +487,17 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     above, a stop by the n changes read from ``terms``, and ``neighborhood``
     serves the seeded rule alone.
 
-    An oracle that declares ``runs`` has a run of steps taken in one
-    iteration on the table route.  It is asked for only when the
-    iteration's table is the same object as the last step's and the rule
-    picks the last step's set X, so rules that change set every step pay
-    nothing; ``runs(p, X)`` is read before the value read at p + chi_X,
-    while the oracle's state for p is current, and its bound t is cut to
-    the steps left under the iteration cap and the budget below, so both
-    raise at the step and with the message the one-step route would.  g
-    is read at p + chi_X, as for any step, and at p + t * chi_X, which
-    must be g(p) + t * c for the step's change c.  That certifies the
-    run's values: g is convex along p + s * chi_X (for the Lyapunov
-    function each bidder's term is a max of functions affine in s, and the
-    revenue term is affine), so the t changes never decrease, and a first
-    change c with a sum of t * c makes them all c.  The run's t Steps hold
-    the values g(p) + s * c.  That the rule would pick X again at each of
-    them is not read: it rests on the oracle's ``runs`` bound, which says
-    the table does not change along the run.  The stop scan is as above.
+    An oracle that declares ``runs`` has period runs taken on the table
+    route.  ``minimize`` keeps its latest n steps; when the steps since the
+    iteration's table, by identity, and set last began one raise pairwise
+    disjoint sets, they are one period of k <= n phases, which ``_period``
+    bounds by ``runs`` and cuts to the whole periods left under the
+    iteration cap and the budget below, so both raise at the step and with
+    the message the one-step route would.  ``_take_periods`` certifies the
+    run's values by two reads on each phase's line and appends its Steps.
+    That each phase's rule would pick its set again is not read: it rests
+    on the ``runs`` bounds.  A descent whose oracle declares no ``runs``
+    keeps no steps for periods.  The stop scan is as above.
 
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
     route.  The oracle must declare a ``value_floor``: every
@@ -531,7 +526,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     size = g.n if per_item else 1 << g.n
     route = "item changes disagree" if per_item else "neighborhood table disagrees"
     runs = None if per_item else g.runs
-    last_table = last_mask = None
+    recent: list[tuple] = []  # the latest steps, at most n: (table, mask, p, g(p))
     steps: list[Step] = []
     while True:
         if per_item:
@@ -574,29 +569,92 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = first_gp_minimal(deltas, seed)
             mask = mask or 0  # nothing found: the Step below refuses the empty set
             change = deltas[mask]
-        run = 1
-        if runs is not None and deltas is last_table and mask == last_mask:
-            # Read while the oracle's state for p is current, and cut to the
-            # steps left under the cap and the budget.
+        if runs is not None:
             left = (cap if budget is None else min(cap, budget)) - len(steps)
-            bound = runs(p, mask)
-            run = left if bound is None else min(bound, left)
+            found = _period(runs, recent, deltas, mask, p, left)
+            if found is not None:
+                p, base, recent = _take_periods(g, steps, *found, p, base, route)
+                continue
         q = chi_add(p, mask)
         after = g.fn(q)
         if (None if after is None else after - base) != change:
             raise ConvexityError(f"{route} with the oracle at a step")
         steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
-        for _ in range(run - 1):
-            p, base = q, after
-            q, after = chi_add(p, mask), after + change
-            steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
-        if run > 1 and g.fn(q) != after:  # the run's end: its start's value + run * change
-            raise ConvexityError(f"{route} with the oracle at a run's end")
+        if runs is not None:
+            recent.append((deltas, mask, p, base))
+            if len(recent) > g.n:
+                del recent[0]
         p = q
         base = after
-        last_table, last_mask = deltas, mask
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
     return p, trajectory
+
+
+def _period(runs: Callable[[PriceVector, int], int | None], recent: list[tuple],
+            table: Sequence[int | None], mask: int, p: PriceVector,
+            most: int) -> tuple[list[tuple], int] | None:
+    """The period run ``minimize`` takes at p, where the rule picked
+    ``mask`` on ``table``, as ``(phases, T)``, or None.
+
+    ``recent`` holds the latest steps as (table, mask, price, value).  The
+    phases are the steps since (``table``, ``mask``) last began one, the
+    table compared by identity; if their masks are pairwise disjoint, with
+    union Y, p is the first phase's price plus chi_Y.  Phase l repeats at
+    its last price p_l plus s * chi_Y while its table holds: s <=
+    ``runs(p_l, Y) - 1``, and s < ``runs(p, Y)`` for the first phase,
+    read at p first, while the oracle's state for p is current.  T is the
+    least bound, cut to the whole periods in ``most`` steps; below 2, no
+    run."""
+    for i in range(len(recent) - 1, -1, -1):
+        if recent[i][0] is table and recent[i][1] == mask:
+            break
+    else:
+        return None
+    phases = recent[i:]
+    union = 0
+    for entry in phases:
+        if entry[1] & union:
+            return None
+        union |= entry[1]
+    periods = most // len(phases)
+    for later, (_, _, start, _) in enumerate(phases):
+        if periods < 2:
+            return None
+        bound = runs(start if later else p, union)
+        if bound is not None:
+            periods = min(periods, bound - (later > 0))
+    return (phases, periods) if periods >= 2 else None
+
+
+def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple], periods: int,
+                  p: PriceVector, base: int, route: str) -> tuple[PriceVector, int, list[tuple]]:
+    """Append T = ``periods`` periods of ``phases`` (see ``_period``) from
+    p, where g(p) is ``base``, to ``steps``, each step with its phase's
+    change in the last period; return the final price, its value and the
+    last period's phases.
+
+    The ends of period s's steps lie on the phase lines e_l + s * chi_Y
+    through the last period's step ends e_l, along which g is convex (for
+    the Lyapunov function each bidder's term is a max of functions affine
+    in s, and the revenue term is affine).  g is read at the ends of the
+    first period's steps, then of the last's, in trajectory order, and each
+    must be its step's value g(e_l) + s * C, for C the period's change:
+    then every change along each line is C, and every step's values hold."""
+    values = [value for _, _, _, value in phases] + [base]
+    first = len(steps)
+    for _ in range(periods):
+        for (_, mask, _, _), before, after in zip(phases, values, values[1:]):
+            q, value = chi_add(p, mask), base + after - before
+            steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=value))
+            p, base = q, value
+    k = len(phases)
+    for at, where in ((first, "a step"), (len(steps) - k, "a run's end")):
+        for step in steps[at:at + k]:
+            if g.fn(chi_add(step.p_before, step.chosen_mask)) != step.g_after:
+                raise ConvexityError(f"{route} with the oracle at {where}")
+    last = [(table, mask, step.p_before, step.g_before)
+            for (table, mask, _, _), step in zip(phases, steps[-k:])]
+    return p, base, last
 
 
 def _changes(vals: list[int | None], base: int) -> list[int | None]:

@@ -21,10 +21,10 @@ ascending run keeps returning to, so the oracle builds it once per
 ``DemandCache.demand_key`` and keeps it; on a market with unit-demand
 bidders and no table bidders it also bounds how many raises of one set keep
 that key (``DemandCache.run_length``), so the descent can take a whole run
-of such raises at once.  Deficiencies come from minimum
-takes, never from Lyapunov values, so the identity
-``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates the two
-routes instead of holding by construction.  In a market of separable
+of such raises, or of a repeating cycle of disjoint sets, at once.
+Deficiencies come from minimum takes, never from Lyapunov values, so the
+identity ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates
+the two routes instead of holding by construction.  In a market of separable
 bidders alone L is a sum of one-variable functions, one per item, and the
 oracle's adapter declares it: every rule but the seeded one then reads the
 n per-item changes, minus ``DemandCache.item_takes``, and the certificates
@@ -216,10 +216,11 @@ class LyapunovOracle:
         none is a table, it declares ``runs``, ``DemandCache.run_length``:
         the change table is a function of the demand key, and the cache
         bounds how many raises of a set keep the key in closed form from
-        the record it kept for the step's key read and the separable
-        columns.  Table bidders have no such bound here, so a table market
-        steps one raise at a time; a market of separable bidders alone
-        takes the per-item route, which has no runs.
+        its record at the price read and the separable columns: at the
+        step's price the record its key read kept, at a period's earlier
+        phase prices a new scan.  Table bidders have no such bound here,
+        so a table market steps one raise at a time; a market of separable
+        bidders alone takes the per-item route, which has no runs.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):

@@ -17,6 +17,17 @@ settings.register_profile(
     "walras", deadline=None, suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("walras")
 
+class Drawn:
+    """Stands in for ``st.data()`` in an ``@example``: hands out the given
+    draws in order, whatever the strategy."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def draw(self, strategy, label=None):
+        return next(self._draws)
+
+
 EX21_VALUES = [
     [1, 0, 0],  # a
     [1, 0, 0],  # b

@@ -42,6 +42,9 @@ class Mutant(NamedTuple):
 LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
 INSTANCE_TESTS = "tests/test_instance.py::"
 RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_answers"
+PERIOD_KEYS = "tests/test_auction.py::TestRunRoute::test_phase_lines_keep_their_demand_keys"
+PERIOD_READS = ("tests/test_auction.py::TestRunRoute::"
+                "test_period_runs_read_every_phase_line_at_both_ends")
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
@@ -126,10 +129,25 @@ MUTANTS = (
            "bounds.append(a_in - a_out + 1)",
            (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN)),
     Mutant("run-end-t-minus-one", "lnat.py",
-           "if run > 1 and g.fn(q) != after:",
-           "if run > 1 and g.fn(q) != after - change:",
-           ("tests/test_auction.py::TestDescentWork::"
-            "test_change_tables_are_built_once_per_demand_state", RUN_TWIN)),
+           """(len(steps) - k, "a run's end")""",
+           """(len(steps) - 2 * k, "a run's end")""",
+           (PERIOD_READS,)),
+    Mutant("period-bound-without-minus-one", "lnat.py",
+           "periods = min(periods, bound - (later > 0))",
+           "periods = min(periods, bound)",
+           (PERIOD_KEYS, RUN_TWIN)),
+    Mutant("period-masks-not-disjoint", "lnat.py",
+           "        if entry[1] & union:\n            return None\n",
+           "",
+           (RUN_TWIN, PERIOD_KEYS)),
+    Mutant("period-line-first-read-skipped", "lnat.py",
+           "for step in steps[at:at + k]:",
+           "for step in steps[at + (at == first):at + k]:",
+           (PERIOD_READS,)),
+    Mutant("period-change-from-first-phase", "lnat.py",
+           "base + after - before",
+           "base + after - values[0]",
+           (RUN_TWIN,)),
     Mutant("run-tie-no-limit", "demand.py",
            "elif a_in == a_out > 0:",
            "elif a_in == a_out < 0:",

@@ -8,9 +8,9 @@ import tracemalloc
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import (breaks_local_exchange, complements_table_market, random_multi_instance,
+from conftest import (Drawn, breaks_local_exchange, complements_table_market, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
 from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instance,
                     LyapunovOracle, MultiAllocation, StrategyKind, UnitAllocation,
@@ -18,6 +18,7 @@ from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instanc
                     equilibrium_prices_by_enumeration, extract_allocation,
                     WalrasError, is_excess_demand, is_overdemanded, mu,
                     price_cap, unit_demand_set, verify_equilibrium, verify_mnat_exc)
+from walras.errors import ConvexityError
 from walras.oracle import excess_demand_table
 from walras.auction import _extract_multi
 from walras.demand import DemandCache
@@ -722,28 +723,155 @@ def _run_answer(inst, kind, p0, seed, budget):
     return res.p_min, res.trajectory
 
 
-class TestRunRoute:
-    """A run of raises of one set, taken in one iteration, gives the
-    one-step route's answers."""
+_unit, _separable = Valuation.unit_demand, Valuation.separable
 
-    @given(run_markets(), st.sampled_from(StrategyKind), st.integers(0, 2**64 - 1),
-           st.sampled_from((5, 17, 40, DEFAULT_BUDGET)), st.data())
-    @settings(max_examples=150)
-    def test_runs_give_the_one_step_answers(self, inst, kind, seed, budget, data):
+#: Markets whose ``minimal-overdemanded`` descent walks a cycle of disjoint
+#: sets: items 1 and 2 in turn, 145 times over, on the unit market, and the
+#: three items in turn, 75 times over, on the mixed one.
+UNIT_CYCLE = Instance(model="unit", n=2, u=(1, 1), valuations=(
+    _unit([148, 214]), _unit([73, 276]), _unit([60, 292]), _unit([157, 286])))
+MIXED_CYCLE = Instance(model="multi", n=3, u=(1, 1, 1), valuations=(
+    _unit([244, 275, 3]), _separable([[192], [223], [238]]), _unit([41, 231, 89]),
+    _separable([[115], [53], [133]])))
+#: A unit market whose ``excess-random`` descent, seeded 6, raises the sets
+#: {1, 4} and {3, 4} in turn: a cycle of sets that meet, so no period run.
+OVERLAP_CYCLE = Instance(model="unit", n=4, u=(1,) * 4, valuations=tuple(map(_unit, (
+    [57, 47, 0, 42], [30, 1, 30, 28], [59, 29, 58, 59], [7, 41, 41, 55], [43, 45, 51, 57],
+    [29, 12, 59, 59]))))
+
+
+def _record_periods(mp, taken):
+    """Wrap ``lnat._period`` so that each period run the descent takes is
+    appended to ``taken`` as (p, the last period's phase prices, their
+    masks, Y, T)."""
+    period = lnat._period
+
+    def recorded(runs, recent, table, mask, p, most):
+        found = period(runs, recent, table, mask, p, most)
+        if found is not None:
+            phases, periods = found
+            masks = [m for _, m, _, _ in phases]
+            union = 0
+            for m in masks:
+                union |= m
+            taken.append((p, [start for _, _, start, _ in phases], masks, union, periods))
+        return found
+
+    mp.setattr(lnat, "_period", recorded)
+
+
+def _along(p, union, s):
+    """p + s * chi_Y for the item set Y given as a bitmask."""
+    return tuple(c + s * (union >> j & 1) for j, c in enumerate(p))
+
+
+class TestRunRoute:
+    """Period runs, of one set or of a cycle of disjoint sets raised in
+    turn, taken in one iteration, give the one-step route's answers."""
+
+    def test_runs_give_the_one_step_answers(self):
         """With ``runs`` declared and with it dropped, ``ascending_auction``
         returns the same final price and trajectory, or raises the same
         error with the same message, from 0 or from a drawn start at or
         below the minimal price; budgets of 5, 17 and 40 cut runs partway
-        (and may refuse a market's tables)."""
-        assert LyapunovOracle(inst).function_oracle().runs is not None
-        p_min = ascending_auction(inst).p_min
-        p0 = data.draw(st.one_of(st.just((0,) * inst.n),
-                                 st.tuples(*(st.integers(0, c) for c in p_min))))
-        declared = _run_answer(inst, kind, p0, seed, budget)
+        (and may refuse a market's tables).  Period runs of one phase and
+        of two or more must both be taken: the pinned markets take runs of
+        two and three phases, and budgets of 151 and 389 cut those partway,
+        one and two steps short of a whole period; a cycle of sets that
+        meet is pinned too."""
+        taken = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(run_markets(), st.sampled_from(StrategyKind), st.integers(0, 2**64 - 1),
+               st.sampled_from((5, 17, 40, DEFAULT_BUDGET)), st.data())
+        @example(UNIT_CYCLE, StrategyKind.MINIMAL_DESCENT, 0, DEFAULT_BUDGET, Drawn((0, 0)))
+        @example(UNIT_CYCLE, StrategyKind.MINIMAL_DESCENT, 0, 151, Drawn((0, 0)))
+        @example(MIXED_CYCLE, StrategyKind.MINIMAL_DESCENT, 0, DEFAULT_BUDGET, Drawn((0, 0, 0)))
+        @example(MIXED_CYCLE, StrategyKind.MINIMAL_DESCENT, 0, 389, Drawn((0, 0, 0)))
+        @example(OVERLAP_CYCLE, StrategyKind.FIRST_GP_MINIMAL, 6, DEFAULT_BUDGET,
+                 Drawn((0,) * 4))
+        def check(inst, kind, seed, budget, data):
+            assert LyapunovOracle(inst).function_oracle().runs is not None
+            p_min = ascending_auction(inst).p_min
+            p0 = data.draw(st.one_of(st.just((0,) * inst.n),
+                                     st.tuples(*(st.integers(0, c) for c in p_min))))
+            with pytest.MonkeyPatch.context() as mp:
+                _record_periods(mp, taken)
+                declared = _run_answer(inst, kind, p0, seed, budget)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(LyapunovOracle, "function_oracle", _one_step_adapter)
+                assert LyapunovOracle(inst).function_oracle().runs is None
+                assert _run_answer(inst, kind, p0, seed, budget) == declared
+
+        check()
+        phases = {len(starts) for _, starts, _, _, _ in taken}
+        assert {1, 2, 3} <= phases, phases
+
+    def test_phase_lines_keep_their_demand_keys(self):
+        """Each phase of a period run keeps its demand key along its line:
+        the last period's price p_l of phase l and every p_l + s * chi_Y, s
+        = 1..T, read one key, so the rule picks phase l's set at each of
+        them; and the phases' sets are pairwise disjoint with union Y, also
+        where the rule walks a cycle of sets that meet.  On the pinned
+        markets and random unit and mixed ones, under every rule; runs of
+        two and three phases must be seen."""
+        rng = random.Random(34)
+        markets = [UNIT_CYCLE, MIXED_CYCLE, OVERLAP_CYCLE]
+        markets += [random_unit_instance(rng, n_max=5, m_max=7, value_max=300)
+                     for _ in range(6)]
+        markets += [Instance(model="multi", n=3, u=(1, 1, 1), valuations=tuple(
+            (_unit if b % 2 else lambda row: _separable([[w] for w in row]))(
+                [rng.randint(0, 300) for _ in range(3)]) for b in range(4)))
+            for _ in range(4)]
+        taken = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(LyapunovOracle, "function_oracle", _one_step_adapter)
-            assert LyapunovOracle(inst).function_oracle().runs is None
-            assert _run_answer(inst, kind, p0, seed, budget) == declared
+            _record_periods(mp, taken)
+            for inst in markets:
+                dc = DemandCache(inst)
+                for kind in StrategyKind:
+                    first = len(taken)
+                    ascending_auction(inst, kind, seed=6)
+                    for _, starts, masks, union, periods in taken[first:]:
+                        assert sum(masks) == union and len(masks) <= inst.n
+                        assert all(a & b == 0 for a, b in combinations(masks, 2))
+                        for start in starts:
+                            key = dc.demand_key(start)
+                            for s in range(1, periods + 1):
+                                assert dc.demand_key(_along(start, union, s)) == key
+        assert {2, 3} <= {len(starts) for _, starts, _, _, _ in taken}
+
+    def test_period_runs_read_every_phase_line_at_both_ends(self):
+        """A period run of T periods reads g on every phase line, through
+        the last period's step end e_l, at e_l + chi_Y and at e_l + T *
+        chi_Y: a value one off at any of those points raises
+        ConvexityError, at a step for the first and at a run's end for the
+        second."""
+        kind = StrategyKind.MINIMAL_DESCENT
+        reads = lines = 0
+        for inst in (UNIT_CYCLE, MIXED_CYCLE):
+            start = (0,) * inst.n
+            ly = LyapunovOracle(inst)
+            taken = []
+            with pytest.MonkeyPatch.context() as mp:
+                _record_periods(mp, taken)
+                lnat.minimize(ly.function_oracle(), start, kind, neighborhood=ly.neighborhood)
+            for p, starts, _, union, periods in taken:
+                lines += len(starts)
+                for end in starts[1:] + [p]:
+                    for s, where in ((1, "at a step"), (periods, "at a run's end")):
+                        point = _along(end, union, s)
+                        ly = LyapunovOracle(inst)
+                        g = ly.function_oracle()
+
+                        def fn(q, point=point, value=g.fn):
+                            return value(q) + (q == point)
+
+                        off = FunctionOracle(n=g.n, fn=fn, value_floor=g.value_floor,
+                                             grid=g.grid, runs=g.runs)
+                        with pytest.raises(ConvexityError, match=where):
+                            lnat.minimize(off, start, kind, neighborhood=ly.neighborhood)
+                        reads += 1
+        assert reads == 2 * lines > 2 * 5
 
     def test_only_unit_markets_without_tables_declare_runs(self):
         """Separable-only markets take the per-item route and table markets
@@ -954,9 +1082,10 @@ class TestPriceChecks:
         """The descent checks p0 and then each price it reads a value at,
         once each and in order.  An oracle without ``runs`` steps one raise
         at a time, so it checks one price per step.  One that declares
-        ``runs``, as on the unit markets, checks the end of each run's first
-        step and, for a longer run, the run's end, so at most two per demand
-        key read before the stop, and fewer checks than steps."""
+        ``runs``, as on the unit markets, checks one price per step it takes
+        alone and, for a period run of k <= n phases, two on each phase's
+        line, so at most one per step and 2n per demand key read before the
+        stop, and fewer checks than steps."""
         import walras.auction as auction
         import walras.lyapunov as lyapunov
         rng = random.Random(29)
@@ -990,7 +1119,8 @@ class TestPriceChecks:
                 assert len(checked) == len(trajectory) + 1
                 route = "table" if keys[0] else "item"
             else:  # one key per run and one at the stop
-                assert len(checked) <= 2 * keys[0] - 1
+                most = 2 * args[0].n * (keys[0] - 1)
+                assert len(checked) <= 1 + min(len(trajectory), most)
                 route = "run"
             tally = totals[route]
             tally[0] += len(checked)

@@ -545,6 +545,32 @@ class TestVerify:
             (1, "", "error: convexity check needs 28 inequality tests, budget is 27\n"),
             (0, "lnat: holds on [0, 1]^3\n", "")]
 
+    def test_all_writes_its_lines_before_a_refused_lnat(self, monkeypatch, capsys,
+                                                        complements_path):
+        """A budget that refuses only the L♮ check still lets ``--check
+        all`` write the ``monotone`` and ``mnat`` lines it computed, then
+        the error line, and exit 1: on stdout when they all hold, as on the
+        six-bidder sample at 27 (28 prints every line, as the default
+        budget does), and on stderr when one fails, as on the complements
+        table at 20."""
+        sample = str(SAMPLES_DIR / "assignment_six_bidders.json")
+        outcomes = []
+        for path, budget in ((sample, 27), (sample, 28), (complements_path, 20)):
+            monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            code = run_command(["verify", "--instance", path, "--check", "all"])
+            outcomes.append((code, *capsys.readouterr()))
+        ok = "".join(f"{check}: bidder {b}: ok\n"
+                     for check in ("monotone", "mnat") for b in range(6))
+        assert outcomes == [
+            (1, ok, "error: convexity check needs 28 inequality tests, budget is 27\n"),
+            (0, ok + "lnat: holds on [0, 1]^3\n", ""),
+            (1, "", "monotone: bidder 0: ok\n"
+                    "mnat: bidder 0: counterexample x=(0, 0) y=(1, 1)\n"
+                    "error: convexity check needs 90 inequality tests, budget is 20\n")]
+        monkeypatch.delenv("WALRAS_BUDGET")
+        assert run_command(["verify", "--instance", sample, "--check", "all"]) == 0
+        assert capsys.readouterr() == (ok + "lnat: holds on [0, 1]^3\n", "")
+
 
 class TestCompare:
     def test_table_bidders_are_admitted_once(self, tmp_path, mnat_calls, capsys):

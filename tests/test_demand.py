@@ -4,9 +4,9 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import (box_demand_set, column_markets, column_prices, make_ex21,
+from conftest import (Drawn, box_demand_set, column_markets, column_prices, make_ex21,
                       random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
@@ -182,9 +182,12 @@ def _interleaved_reads(data, markets, seen):
     through one oracle at prices p, q, p, in a drawn order, on a market
     drawn from ``markets``; each read equals a fresh cache's answer and the
     per-set twin's.  After every read the one record the cache keeps is of
-    the latest price read, and the caller's reads of it scan nothing.  Yields the market, the cache and
-    the kept price after each read; whether each table bidder's demand set
-    holds more than one bundle goes into ``seen``."""
+    the latest price read, but for an allocation read on a multi market
+    without table bidders, which reads its unit-demand bidders from the
+    bundle box and leaves the record as it was; the caller's reads of the
+    record scan nothing.  Yields the market, the cache and the kept price
+    after each read once a price is kept; whether each table bidder's
+    demand set holds more than one bundle goes into ``seen``."""
     inst = data.draw(markets)
     prices = st.tuples(*[st.integers(0, 7)] * inst.n)
     p, q = data.draw(prices), data.draw(prices)
@@ -195,6 +198,7 @@ def _interleaved_reads(data, markets, seen):
     for price in (p, q, p):
         for read in reads:
             fresh = LyapunovOracle(inst)
+            before = dc._latest
             if read == "value":
                 assert ly.value(price) == fresh.value(price) == lyapunov_value(price, inst)
             elif read == "sets":
@@ -209,9 +213,13 @@ def _interleaved_reads(data, markets, seen):
             else:
                 assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
             record = dc._latest
-            assert record[0] == price
-            yield inst, dc, price
-            assert dc._latest is record
+            if read == "extract" and inst.model == MULTI and not dc.tables:
+                assert record is before
+            else:
+                assert record[0] == price
+            if record[0] is not None:
+                yield inst, dc, record[0]
+                assert dc._latest is record
 
 
 class TestUnitScan:
@@ -227,6 +235,9 @@ class TestUnitScan:
 
         @settings(max_examples=60, deadline=None)
         @given(st.data())
+        @example(data=Drawn(  # an allocation read first on a multi market
+            Instance(model="multi", n=1, u=(1,), valuations=(Valuation.unit_demand([0]),)),
+            (0,), (0,), ("extract", "key", "value")))
         def check(data):
             markets = st.one_of(scan_markets(), column_markets().filter(_has_unit_bidder))
             for inst, dc, kept in _interleaved_reads(data, markets, seen):
@@ -322,10 +333,12 @@ def _count_scans(monkeypatch):
     demand-key reads; return ``count(inst, kind)``, which runs the auction
     and checks that it scans once each time the price read changes: a
     value read and the next demand key share one scan, a run's length reads
-    the scan its key read, and the stop's reads share one.  A run of steps
-    reads at most two prices, so a descent scans at most twice per demand
-    key it reads, the allocation's scan included.  ``count`` returns the
-    result, the scanned prices and the bundle-cost lists' prices."""
+    the scan its key read, and the stop's reads share one.  A run of one
+    set reads at most two prices, and a period run of k phases 3k - 1 (run
+    lengths at k - 1 earlier prices, values at 2k) for its one key; the
+    descents counted here still scan at most twice per demand key they
+    read, the allocation's scan included.  ``count`` returns the result,
+    the scanned prices and the bundle-cost lists' prices."""
     import walras.demand as demand
 
     reads, scans, costs, keys = [], [], [], [0]
