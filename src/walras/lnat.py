@@ -73,8 +73,10 @@ class FunctionOracle(_Record):
     p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
     keeps it.  An oracle that declares it must be convex along each such
     line, as an L♮-convex g is; ``minimize`` reads it on the table route
-    only, and does not read the table again inside a run, so a bound that
-    is too long goes unseen when the run's values still fit the line.  Two oracles are equal only when they are one object.
+    only, for the union X of a period's sets at each phase's price, and
+    does not read the table again inside a period run, so a bound that is
+    too long goes unseen when the run's values still fit the lines.  Two
+    oracles are equal only when they are one object.
     """
 
     __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
