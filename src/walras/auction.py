@@ -19,8 +19,7 @@ from .errors import (BudgetExceededError, ContractError, ConvexityError,
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, _Record, verify_mnat_exc)
 from .itemsets import items_from_mask
-from .lnat import (FunctionOracle, StrategyKind, Trajectory, _term_changes,
-                   minimize, neighborhood_values)
+from .lnat import StrategyKind, Trajectory, _corners, minimize
 from .lyapunov import LyapunovOracle
 
 
@@ -287,25 +286,6 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     if instance.model == UNIT:
         return _extract_unit(instance, p, dc)
     return _extract_multi(instance, p, dc, budget)
-
-
-def _corners(g: FunctionOracle, p: PriceVector, base: int, s: int):
-    """``(mask, g(p + s * chi_X))`` for every nonempty X whose corner is in
-    g's domain, in increasing mask order, given ``base`` = g(p): for s = -1
-    the minimality cuts within the support of p.  A separable g's corners
-    are read for the single items alone, from its terms: g(p + s * chi_X) -
-    g(p) is then the sum of X's items' changes, so an X at or below
-    ``base`` (or below it) holds an item that is too, whose mask is not
-    larger, and the first such X is an item."""
-    if g.terms is not None:
-        for j, d in enumerate(_term_changes(g.terms, p, s)):
-            if d is not None:
-                yield 1 << j, base + d
-        return
-    vals = neighborhood_values(g, p, s)
-    for mask in range(1, len(vals)):
-        if vals[mask] is not None:
-            yield mask, vals[mask]
 
 
 class DescentWitness(NamedTuple):

@@ -8,23 +8,25 @@ loop lands on the unique componentwise-minimal minimizer.
 
 Each iteration reads one change table ``deltas[mask] = g(p + chi_mask) - g(p)``
 (entry 0 is 0, None outside the domain) from the route its caller passes,
-such as the Lyapunov oracle's demand-side ``neighborhood``; g's own
-values certify each step and the stop.  The termination test and every
-selection rule are functions of that table alone, and the rules compare its
-entries only with each other and entry 0, so a value table such as
-``neighborhood_values`` gets the same answers.
-A route that hands out one kept tuple per table, as the Lyapunov oracle's
-does, meets the same tables again, so each rule keeps its answers for the
-latest four tuple tables it read.  An oracle that knows how long a raise
-keeps its table may declare ``runs``: when the steps since an iteration's
-table and set last began one raise pairwise disjoint sets, ``minimize``
-repeats that period of k <= n phases for as long as each phase keeps its
-table, in one iteration; k = 1 is a run of one set.  Value reads on each
-phase's line certify the values, since g is convex along it; that each
-phase's set stays the rule's choice rests on the declared bound.  An oracle
-that is a sum of one-variable functions may declare it, and then every rule
-but the seeded one reads n per-item changes instead of a table; that route,
-like a table route without ``runs``, steps one raise per iteration.
+such as the Lyapunov oracle's demand-side ``neighborhood``; g's own values
+certify each step and the stop, the stop through the one corner reader,
+``_corner_changes``.  The termination test and every selection rule are
+functions of that table alone, and the rules compare its entries only with
+each other and entry 0, so a value table such as ``neighborhood_values``
+gets the same answers.  A route that hands out one kept tuple per table, as
+the Lyapunov oracle's does, meets the same tables again, so each rule keeps
+its answers for the latest four tuple tables it read.  Every raise is taken
+one way, ``_take_periods``: T periods of k phases, one step being k = T =
+1.  An oracle that knows how long a raise keeps its table may declare
+``runs``: when the steps since an iteration's table and set last began one
+raise pairwise disjoint sets, ``minimize`` repeats that period, read from
+the trajectory, for as long as each phase keeps its table.  Value reads on
+each phase's line certify the values, since g is convex along it; that
+each phase's set stays the rule's choice rests on the declared bound.  An
+oracle that is a sum of one-variable functions may declare it, and then
+every rule but the seeded one reads n per-item changes instead of a table;
+that route, like a table route without ``runs``, steps one raise per
+iteration.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class FunctionOracle(_Record):
     p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
     keeps it.  An oracle that declares it must be convex along each such
     line, as an L♮-convex g is; ``minimize`` reads it on the table route
-    only, for the union X of a period's sets at each phase's price, and
-    does not read the table again inside a period run, so a bound that is
-    too long goes unseen when the run's values still fit the lines.  Two
-    oracles are equal only when they are one object.
+    only, for the union X of a period's sets at each phase's price, the
+    phases read from the trajectory's tail, and does not read the table
+    again inside a period run, so a bound that is too long goes unseen when
+    the run's values still fit the lines.  Two oracles are equal only when
+    they are one object.
     """
 
     __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
@@ -477,7 +480,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     None entries only when it meets one) and, while something descends, the
     strategy.  ``g`` certifies the table: the change for the empty set must
     be 0, each step's g(p + chi_X) - g(p) must equal its entry, and a stop
-    is confirmed by one scan of g's own neighborhood (``neighborhood_values``);
+    is confirmed by one read of g's own corner changes (``_corner_changes``);
     a mismatch raises ConvexityError.
 
     A separable g, one that declares ``terms``, is read per item by every
@@ -489,27 +492,24 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     above, a stop by the n changes read from ``terms``, and ``neighborhood``
     serves the seeded rule alone.
 
-    An oracle that declares ``runs`` has period runs taken on the table
-    route.  ``minimize`` keeps its latest n steps; when the steps since the
-    iteration's table, by identity, and set last began one raise pairwise
-    disjoint sets, they are one period of k <= n phases, which ``_period``
-    bounds by ``runs`` and cuts to the whole periods left under the
-    iteration cap and the budget below, so both raise at the step and with
-    the message the one-step route would.  ``_take_periods`` certifies the
-    run's values by two reads on each phase's line and appends its Steps.
-    That each phase's rule would pick its set again is not read: it rests
-    on the ``runs`` bounds.  A descent whose oracle declares no ``runs``
-    keeps no steps for periods.  The stop scan is as above.
+    Every iteration raises through ``_take_periods``; one step is one
+    phase taken once.  An oracle that declares ``runs`` has period runs
+    taken on the table route: ``minimize`` keeps the tables of its latest n
+    steps, and when the steps since the iteration's table, by identity, and
+    set last began one raise pairwise disjoint sets, they are one period of
+    k <= n phases, which ``_period`` bounds by ``runs`` and cuts under the
+    step limit; the kept tables are then cut to the period's.  That each
+    phase's rule would pick its set again rests on the ``runs`` bounds.
 
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
-    route.  The oracle must declare a ``value_floor``: every
-    step lowers the value by at least one, so a descent still descending
-    after g(p0) - value_floor + 1 steps raises IterationCapError.  A
-    ``budget`` caps the steps too, for values too large to wait for: a
-    descent still descending after ``budget`` steps, below that cap, raises
-    BudgetExceededError.  Returns the final point and the full trajectory,
-    one Step per raise holding the chosen rule's mask as it came; a rule
-    that finds no set, or a non-descent one, fails the Step's contract.
+    route.  The oracle must declare a ``value_floor``: every step lowers
+    the value by at least one, so a descent still descending after g(p0) -
+    value_floor + 1 steps raises IterationCapError.  A ``budget`` caps the
+    steps too, for values too large to wait for: a descent still descending
+    after ``budget`` steps, below that cap, raises BudgetExceededError.
+    Returns the final point and the full trajectory, one Step per raise
+    holding the chosen rule's mask as it came; a rule that finds no set, or
+    a non-descent one, fails the Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -525,10 +525,11 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     if g.value_floor is None:
         raise ValueError("the descent needs an oracle that declares a value_floor")
     cap = base - g.value_floor + 1
+    most = cap if budget is None else min(cap, budget)
     size = g.n if per_item else 1 << g.n
     route = "item changes disagree" if per_item else "neighborhood table disagrees"
     runs = None if per_item else g.runs
-    recent: list[tuple] = []  # the latest steps, at most n: (table, mask, p, g(p))
+    tables: list[Sequence[int | None]] = []  # with runs: the latest steps' tables
     steps: list[Step] = []
     while True:
         if per_item:
@@ -546,16 +547,12 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             except TypeError:  # a corner outside the domain: None entries
                 descends = any(d is not None and d < 0 for d in deltas)
         if not descends:
-            if per_item:
-                certified = _term_changes(g.terms, p, 1) == list(deltas)
-            else:
-                certified = _changes(neighborhood_values(g, p), base) == list(deltas)
-            if not certified:
+            if _corner_changes(g, p, base, 1, per_item) != list(deltas):
                 raise ConvexityError(f"{route} with the oracle at the stop")
             break
-        if len(steps) >= cap:
-            raise IterationCapError(f"no minimizer reached within {cap} iterations")
-        if budget is not None and len(steps) >= budget:
+        if len(steps) >= most:
+            if len(steps) >= cap:
+                raise IterationCapError(f"no minimizer reached within {cap} iterations")
             raise BudgetExceededError(
                 f"descent exceeded budget {budget}: no minimizer within "
                 f"{budget} iterations")
@@ -569,37 +566,30 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = minimal_minimizer_step(deltas)
             else:
                 mask = first_gp_minimal(deltas, seed)
-            mask = mask or 0  # nothing found: the Step below refuses the empty set
+            mask = mask or 0  # nothing found: its Step refuses the empty set
             change = deltas[mask]
+        found = None if runs is None else _period(runs, steps, tables, deltas, mask, p,
+                                                  most - len(steps))
+        if found is None:
+            phases, periods = [(mask, change)], 1
+        else:
+            k, periods = found
+            phases = [(step.chosen_mask, step.g_after - step.g_before) for step in steps[-k:]]
+        p, base = _take_periods(g, steps, phases, periods, p, base, route)
         if runs is not None:
-            left = (cap if budget is None else min(cap, budget)) - len(steps)
-            found = _period(runs, recent, deltas, mask, p, left)
-            if found is not None:
-                p, base, recent = _take_periods(g, steps, *found, p, base, route)
-                continue
-        q = chi_add(p, mask)
-        after = g.fn(q)
-        if (None if after is None else after - base) != change:
-            raise ConvexityError(f"{route} with the oracle at a step")
-        steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=after))
-        if runs is not None:
-            recent.append((deltas, mask, p, base))
-            if len(recent) > g.n:
-                del recent[0]
-        p = q
-        base = after
+            tables = tables[-len(phases):] if found else (tables + [deltas])[-g.n:]
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
     return p, trajectory
 
 
-def _period(runs: Callable[[PriceVector, int], int | None], recent: list[tuple],
-            table: Sequence[int | None], mask: int, p: PriceVector,
-            most: int) -> tuple[list[tuple], int] | None:
+def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step],
+            tables: list[Sequence[int | None]], table: Sequence[int | None], mask: int,
+            p: PriceVector, most: int) -> tuple[int, int] | None:
     """The period run ``minimize`` takes at p, where the rule picked
-    ``mask`` on ``table``, as ``(phases, T)``, or None.
+    ``mask`` on ``table``, as ``(k, T)``, or None.
 
-    ``recent`` holds the latest steps as (table, mask, price, value).  The
-    phases are the steps since (``table``, ``mask``) last began one, the
+    ``tables`` holds the tables of the latest steps, ``steps``' tail.  The
+    phases are the k steps since (``table``, ``mask``) last began one, the
     table compared by identity; if their masks are pairwise disjoint, with
     union Y, p is the first phase's price plus chi_Y.  Phase l repeats at
     its last price p_l plus s * chi_Y while its table holds: s <=
@@ -607,61 +597,74 @@ def _period(runs: Callable[[PriceVector, int], int | None], recent: list[tuple],
     read at p first, while the oracle's state for p is current.  T is the
     least bound, cut to the whole periods in ``most`` steps; below 2, no
     run."""
-    for i in range(len(recent) - 1, -1, -1):
-        if recent[i][0] is table and recent[i][1] == mask:
+    for k in range(1, len(tables) + 1):
+        if tables[-k] is table and steps[-k].chosen_mask == mask:
             break
     else:
         return None
-    phases = recent[i:]
     union = 0
-    for entry in phases:
-        if entry[1] & union:
+    for step in steps[-k:]:
+        if step.chosen_mask & union:
             return None
-        union |= entry[1]
-    periods = most // len(phases)
-    for later, (_, _, start, _) in enumerate(phases):
+        union |= step.chosen_mask
+    periods = most // k
+    for later, step in enumerate(steps[-k:]):
         if periods < 2:
             return None
-        bound = runs(start if later else p, union)
+        bound = runs(step.p_before if later else p, union)
         if bound is not None:
             periods = min(periods, bound - (later > 0))
-    return (phases, periods) if periods >= 2 else None
+    return (k, periods) if periods >= 2 else None
 
 
-def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple], periods: int,
-                  p: PriceVector, base: int, route: str) -> tuple[PriceVector, int, list[tuple]]:
-    """Append T = ``periods`` periods of ``phases`` (see ``_period``) from
-    p, where g(p) is ``base``, to ``steps``, each step with its phase's
-    change in the last period; return the final price, its value and the
-    last period's phases.
+def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple[int, int | None]],
+                  periods: int, p: PriceVector, base: int, route: str) -> tuple[PriceVector, int]:
+    """Append T = ``periods`` periods of ``phases``, (mask, change) pairs,
+    from p, where g(p) is ``base``, to ``steps``; return the final price
+    and its value.
 
     The ends of period s's steps lie on the phase lines e_l + s * chi_Y
     through the last period's step ends e_l, along which g is convex (for
     the Lyapunov function each bidder's term is a max of functions affine
     in s, and the revenue term is affine).  g is read at the ends of the
-    first period's steps, then of the last's, in trajectory order, and each
-    must be its step's value g(e_l) + s * C, for C the period's change:
-    then every change along each line is C, and every step's values hold."""
-    values = [value for _, _, _, value in phases] + [base]
-    first = len(steps)
-    for _ in range(periods):
-        for (_, mask, _, _), before, after in zip(phases, values, values[1:]):
-            q, value = chi_add(p, mask), base + after - before
-            steps.append(Step(p_before=p, chosen_mask=mask, g_before=base, g_after=value))
-            p, base = q, value
-    k = len(phases)
-    for at, where in ((first, "a step"), (len(steps) - k, "a run's end")):
-        for step in steps[at:at + k]:
-            if g.fn(chi_add(step.p_before, step.chosen_mask)) != step.g_after:
+    first period's steps, then, for T >= 2, of the last's, in trajectory
+    order, and each must be its step's value g(e_l) + s * C, for C the
+    phase's change: then every change along each line is C, and every
+    step's values hold."""
+    for s in range(1, periods + 1):
+        for mask, change in phases:
+            value = None if change is None else base + change
+            steps.append(Step(p, mask, base, value))
+            p, base = chi_add(p, mask), value
+            if (s == 1 or s == periods) and g.fn(p) != value:
+                where = "a step" if s == 1 else "a run's end"
                 raise ConvexityError(f"{route} with the oracle at {where}")
-    last = [(table, mask, step.p_before, step.g_before)
-            for (table, mask, _, _), step in zip(phases, steps[-k:])]
-    return p, base, last
+    return p, base
 
 
-def _changes(vals: list[int | None], base: int) -> list[int | None]:
-    """Values less ``base``, None kept as None."""
-    return [None if val is None else val - base for val in vals]
+def _corner_changes(g: FunctionOracle, p: PriceVector, base: int, s: int,
+                    per_item: bool) -> list[int | None]:
+    """g(p + s * chi_X) - ``base``, None outside the domain: for the n single
+    items, from g's ``terms``, when ``per_item``, else for every item set
+    X, by bitmask, from ``neighborhood_values``."""
+    if per_item:
+        return _term_changes(g.terms, p, s)
+    return [None if val is None else val - base for val in neighborhood_values(g, p, s)]
+
+
+def _corners(g: FunctionOracle, p: PriceVector, base: int, s: int) -> Iterator[tuple[int, int]]:
+    """``(mask, g(p + s * chi_X))`` for every nonempty X whose corner is in
+    g's domain, in increasing mask order, given ``base`` = g(p): for s = -1
+    the minimality cuts within the support of p.  A separable g's corners
+    are read for the single items alone, from its terms: g(p + s * chi_X) -
+    g(p) is then the sum of X's items' changes, so an X at or below
+    ``base`` (or below it) holds an item that is too, whose mask is not
+    larger, and the first such X is an item."""
+    per_item = g.terms is not None
+    for i, change in enumerate(_corner_changes(g, p, base, s, per_item)):
+        mask = 1 << i if per_item else i
+        if mask and change is not None:
+            yield mask, base + change
 
 
 def _term_changes(terms: Callable[[int, int], int | None], p: PriceVector,

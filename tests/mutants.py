@@ -4,14 +4,18 @@ Sayward, IEEE Computer, 1978).
 
 Each entry names a file under ``src/walras``, an exact snippet that must
 occur there once, its faulty replacement, and the test ids expected to kill
-it.  An entry is killed when those tests fail.  Run from anywhere:
+it.  Before planting anything, the script runs the union of the chosen
+entries' tests once on the clean copy and exits 1, naming them, if any
+fail there, so a failure is a kill only when the fault caused it.  An
+entry is then killed when its tests fail.  Run from anywhere:
 
     python tests/mutants.py                  # every entry
     python tests/mutants.py lnat-witness-max # the named entries only
 
 The script exits 1 when an entry survives, when its tests cannot run (an
-unknown test id, say), or when its snippet no longer occurs exactly once,
-so a refactor of the code under test must update the list.  The tests run
+unknown test id, say, or a run past 600 s, reported as ``error (timed
+out)``), or when its snippet no longer occurs exactly once, so a refactor
+of the code under test must update the list.  The tests run
 against the copy through ``PYTHONPATH``; a test that starts a subprocess on
 the repository's own ``src/`` does not see the fault, so name none here.
 Standard library only; not collected by pytest.
@@ -48,6 +52,9 @@ PERIOD_READS = ("tests/test_auction.py::TestRunRoute::"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
+STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
+              "tests/test_lnat.py::TestNeighborhoodTable::"
+              "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
 
 MUTANTS = (
     Mutant("lnat-witness-max", "lnat.py",
@@ -112,12 +119,12 @@ MUTANTS = (
            "if val is not None and val <= base:",
            ("tests/test_lnat.py::TestMinimalDescentSet::test_worked_example",)),
     Mutant("table-stop-scan-skipped", "lnat.py",
-           "certified = _changes(neighborhood_values(g, p), base) == list(deltas)",
-           "certified = True",
+           "if _corner_changes(g, p, base, 1, per_item) != list(deltas):",
+           "if per_item and _corner_changes(g, p, base, 1, per_item) != list(deltas):",
            ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_the_stop",)),
     Mutant("item-stop-scan-skipped", "lnat.py",
-           "certified = _term_changes(g.terms, p, 1) == list(deltas)",
-           "certified = True",
+           "if _corner_changes(g, p, base, 1, per_item) != list(deltas):",
+           "if not per_item and _corner_changes(g, p, base, 1, per_item) != list(deltas):",
            ("tests/test_lnat.py::TestNeighborhoodTable::"
             "test_off_by_one_item_changes_fail_at_a_step_and_the_stop",)),
     Mutant("kept-tables-overflow", "lnat.py",
@@ -129,25 +136,64 @@ MUTANTS = (
            "bounds.append(a_in - a_out + 1)",
            (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN)),
     Mutant("run-end-t-minus-one", "lnat.py",
-           """(len(steps) - k, "a run's end")""",
-           """(len(steps) - 2 * k, "a run's end")""",
+           "if (s == 1 or s == periods) and",
+           "if (s == 1 or s == periods - 1) and",
            (PERIOD_READS,)),
     Mutant("period-bound-without-minus-one", "lnat.py",
            "periods = min(periods, bound - (later > 0))",
            "periods = min(periods, bound)",
            (PERIOD_KEYS, RUN_TWIN)),
     Mutant("period-masks-not-disjoint", "lnat.py",
-           "        if entry[1] & union:\n            return None\n",
+           "        if step.chosen_mask & union:\n            return None\n",
            "",
            (RUN_TWIN, PERIOD_KEYS)),
     Mutant("period-line-first-read-skipped", "lnat.py",
-           "for step in steps[at:at + k]:",
-           "for step in steps[at + (at == first):at + k]:",
+           "if (s == 1 or s == periods) and",
+           "if (s == 1 and (mask != phases[0][0] or periods == 1) or s == periods) and",
            (PERIOD_READS,)),
     Mutant("period-change-from-first-phase", "lnat.py",
-           "base + after - before",
-           "base + after - values[0]",
+           "(step.chosen_mask, step.g_after - step.g_before)",
+           "(step.chosen_mask, step.g_after - steps[-k].g_before)",
            (RUN_TWIN,)),
+    Mutant("one-step-end-read-skipped", "lnat.py",
+           "if (s == 1 or s == periods) and",
+           "if periods > 1 and (s == 1 or s == periods) and",
+           STEP_READS),
+    Mutant("kept-tables-not-cut-after-a-run", "lnat.py",
+           "tables = tables[-len(phases):] if found",
+           "tables = tables if found",
+           (PERIOD_KEYS,)),
+    Mutant("corner-mask-unshifted", "lnat.py",
+           "mask = 1 << i if per_item else i",
+           "mask = i",
+           ("tests/test_lnat.py::TestCorners::test_corners_are_the_point_reads",)),
+    Mutant("minimality-scan-skipped", "auction.py",
+           "for mask, val in _corners(g, p_final, base, -1):",
+           "for mask, val in ():",
+           ("tests/test_auction.py::TestMinimalityCertificate::"
+            "test_start_above_the_minimal_price_is_refused",)),
+    Mutant("admission-not-recorded", "auction.py",
+           "        ly.admitted = True\n",
+           "",
+           ("tests/test_auction.py::TestAdmission::test_shared_oracle_admits_once",)),
+    Mutant("per-item-minimal-descent-highest-item", "lnat.py",
+           "else down & -down",
+           "else 1 << down.bit_length() - 1",
+           ("tests/test_lnat.py::TestMinimize::test_separable_oracle_steps_as_its_tables_do",)),
+    Mutant("kept-tables-never-cleared", "lyapunov.py",
+           "tables.clear()",
+           "pass",
+           ("tests/test_lyapunov.py::TestKeptTables::test_kept_entries_stay_within_the_budget",)),
+    Mutant("conjugate-price-not-times-units", "demand.py",
+           "ck = c * k",
+           "ck = c",
+           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values",)),
+    Mutant("item-takes-bisect-left", "demand.py",
+           "return [len(col) - bisect_right(col, c) - q",
+           "return [len(col) - bisect_right(col, c - 1) - q",
+           ("tests/test_demand.py::TestFastPaths::"
+            "test_demand_key_takes_match_per_bidder_least_argmaxes",
+            "tests/test_lyapunov.py::TestDifferenceIdentity::test_two_bidder_multi_box")),
     Mutant("run-tie-no-limit", "demand.py",
            "elif a_in == a_out > 0:",
            "elif a_in == a_out < 0:",
@@ -180,18 +226,41 @@ def stale(mutants=MUTANTS) -> list[str]:
             if (src / m.path).read_text(encoding="utf-8").count(m.snippet) != 1]
 
 
+def _pytest(work: Path, tests, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``tests`` on the copy of ``src/`` under ``work``."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags,
+         *(str(ROOT / test) for test in tests)],
+        cwd=work, env=env, capture_output=True, text=True, timeout=600)
+
+
+def clean_failures(tests, work: Path) -> list[str]:
+    """Run ``tests`` once on the unmutated copy under ``work`` and return
+    what fails there: the ids pytest names, or the tail of its output when
+    it names none; empty when they all pass."""
+    try:
+        proc = _pytest(work, tests, "-rfE")
+    except subprocess.TimeoutExpired:
+        return ["the clean run timed out"]
+    if proc.returncode == 0:
+        return []
+    named = [line.split()[1] for line in proc.stdout.splitlines()
+             if line.startswith(("FAILED ", "ERROR "))]
+    return named or [(proc.stdout + proc.stderr)[-2000:]]
+
+
 def run(mutant: Mutant, work: Path) -> str:
     """Plant ``mutant`` in the copy of ``src/`` under ``work``, run its
-    tests, put the file back, and return "killed", "survived" or "error"."""
+    tests, put the file back, and return "killed", "survived", "error" or
+    "error (timed out)"."""
     target = work / "src" / "walras" / mutant.path
     original = target.read_text(encoding="utf-8")
     target.write_text(original.replace(mutant.snippet, mutant.fault), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *(str(ROOT / test) for test in mutant.tests)],
-            cwd=work, env=env, capture_output=True, text=True, timeout=600)
+        proc = _pytest(work, mutant.tests, "-x")
+    except subprocess.TimeoutExpired:
+        return "error (timed out)"
     finally:
         target.write_text(original, encoding="utf-8")
     if proc.returncode not in (0, 1):
@@ -214,6 +283,12 @@ def main(argv: list[str]) -> int:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        failing = clean_failures(dict.fromkeys(t for m in chosen for t in m.tests), work)
+        if failing:
+            print("tests fail before any fault is planted:")
+            for test in failing:
+                print(f"  {test}")
+            return 1
         for mutant in chosen:
             if mutant.name in bad:
                 continue

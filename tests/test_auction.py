@@ -678,7 +678,6 @@ class TestSeparableRoute:
 
         for name in ("neighborhood_values", "minimal_descent_set", "minimal_minimizer_step"):
             monkeypatch.setattr(lnat, name, refuse)
-        monkeypatch.setattr("walras.auction.neighborhood_values", refuse)
         for kind in (StrategyKind.STEEPEST_MINIMAL, StrategyKind.MINIMAL_DESCENT):
             ly = LyapunovOracle(inst)
             res = ascending_auction(inst, kind, oracle=ly)
@@ -743,18 +742,23 @@ OVERLAP_CYCLE = Instance(model="unit", n=4, u=(1,) * 4, valuations=tuple(map(_un
 def _record_periods(mp, taken):
     """Wrap ``lnat._period`` so that each period run the descent takes is
     appended to ``taken`` as (p, the last period's phase prices, their
-    masks, Y, T)."""
+    masks, Y, T), read from the trajectory.  Each call also checks that the
+    kept tables are those of the latest steps: at most n of them, each
+    table's entry at its step's set that step's change."""
     period = lnat._period
 
-    def recorded(runs, recent, table, mask, p, most):
-        found = period(runs, recent, table, mask, p, most)
+    def recorded(runs, steps, tables, table, mask, p, most):
+        assert len(tables) <= min(len(p), len(steps))
+        for table_, step in zip(tables, steps[-len(tables):]):
+            assert table_[step.chosen_mask] == step.g_after - step.g_before
+        found = period(runs, steps, tables, table, mask, p, most)
         if found is not None:
-            phases, periods = found
-            masks = [m for _, m, _, _ in phases]
+            k, periods = found
+            masks = [step.chosen_mask for step in steps[-k:]]
             union = 0
             for m in masks:
                 union |= m
-            taken.append((p, [start for _, _, start, _ in phases], masks, union, periods))
+            taken.append((p, [step.p_before for step in steps[-k:]], masks, union, periods))
         return found
 
     mp.setattr(lnat, "_period", recorded)

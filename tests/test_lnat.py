@@ -7,9 +7,9 @@ from math import prod
 from operator import and_, or_
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import (CountingList, breaks_midpoint, column_markets,
+from conftest import (CountingList, Drawn, breaks_midpoint, column_markets, column_prices,
                       make_two_bidder_multi, random_multi_instance,
                       random_unit_instance, tabulate, value_route)
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
@@ -1187,3 +1187,40 @@ class TestKeptAnswers:
         for seed in (True, -1, 2**64, 1.0):
             with pytest.raises(ValueError, match="seed"):
                 first_gp_minimal(vals, seed)
+
+
+class TestCorners:
+    """``lnat._corners``, the corner reader of the minimality scan and
+    ``verify_equilibrium``, against g read point by point: every nonempty
+    corner p + s * chi_X inside the domain, in increasing mask order, for
+    the single items alone on a separable oracle."""
+
+    UNIT = Instance(model="unit", n=2, u=(1, 1), valuations=(
+        Valuation.unit_demand([3, 5]), Valuation.unit_demand([4, 1])))
+    SEPARABLE = Instance(model="multi", n=2, u=(2, 1), valuations=(
+        Valuation.separable([[4, 2], [3]]),))
+    TABLE = Instance(model="multi", n=2, u=(2, 1), valuations=(
+        tabulate(Valuation.separable([[4, 2], [3]])),))
+
+    @given(st.data())
+    @example(Drawn(UNIT, (0, 4), {1}))
+    @example(Drawn(SEPARABLE, (3, 2), {0}))
+    @example(Drawn(TABLE, (1, 3), {1}))
+    def test_corners_are_the_point_reads(self, data):
+        """Prices hold at least one zero, so some s = -1 corners are
+        outside the domain.  The pinned markets take each adapter: unit and
+        table markets read every mask, the separable one its items."""
+        inst = data.draw(column_markets())
+        p = data.draw(column_prices(inst))
+        zeros = data.draw(st.sets(st.integers(0, inst.n - 1), min_size=1))
+        p = tuple(0 if j in zeros else c for j, c in enumerate(p))
+        g = LyapunovOracle(inst).function_oracle()
+        masks = [1 << j for j in range(inst.n)] if g.terms is not None else range(1, 1 << inst.n)
+        for s in (1, -1):
+            expected = []
+            for mask in masks:
+                value = g.fn(tuple(c + s * (mask >> j & 1) for j, c in enumerate(p)))
+                if value is not None:
+                    expected.append((mask, value))
+            assert list(lnat._corners(g, p, g.fn(p), s)) == expected, (inst, p, s)
+        assert len(expected) < len(masks)
