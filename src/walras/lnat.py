@@ -570,11 +570,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             change = deltas[mask]
         found = None if runs is None else _period(runs, steps, tables, deltas, mask, p,
                                                   most - len(steps))
-        if found is None:
-            phases, periods = [(mask, change)], 1
-        else:
-            k, periods = found
-            phases = [(step.chosen_mask, step.g_after - step.g_before) for step in steps[-k:]]
+        phases, periods = found or ([(mask, change)], 1)
         p, base = _take_periods(g, steps, phases, periods, p, base, route)
         if runs is not None:
             tables = tables[-len(phases):] if found else (tables + [deltas])[-g.n:]
@@ -584,9 +580,10 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
 
 def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step],
             tables: list[Sequence[int | None]], table: Sequence[int | None], mask: int,
-            p: PriceVector, most: int) -> tuple[int, int] | None:
+            p: PriceVector, most: int) -> tuple[list[tuple[int, int]], int] | None:
     """The period run ``minimize`` takes at p, where the rule picked
-    ``mask`` on ``table``, as ``(k, T)``, or None.
+    ``mask`` on ``table``, as its k phases, each a step's (mask, g_after -
+    g_before), and T, or None.
 
     ``tables`` holds the tables of the latest steps, ``steps``' tail.  The
     phases are the k steps since (``table``, ``mask``) last began one, the
@@ -602,19 +599,22 @@ def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step],
             break
     else:
         return None
+    last = steps[-k:]
     union = 0
-    for step in steps[-k:]:
+    for step in last:
         if step.chosen_mask & union:
             return None
         union |= step.chosen_mask
     periods = most // k
-    for later, step in enumerate(steps[-k:]):
+    for later, step in enumerate(last):
         if periods < 2:
             return None
         bound = runs(step.p_before if later else p, union)
         if bound is not None:
             periods = min(periods, bound - (later > 0))
-    return (k, periods) if periods >= 2 else None
+    if periods < 2:
+        return None
+    return [(step.chosen_mask, step.g_after - step.g_before) for step in last], periods
 
 
 def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple[int, int | None]],

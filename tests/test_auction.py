@@ -753,7 +753,10 @@ def _record_periods(mp, taken):
             assert table_[step.chosen_mask] == step.g_after - step.g_before
         found = period(runs, steps, tables, table, mask, p, most)
         if found is not None:
-            k, periods = found
+            phases, periods = found
+            k = len(phases)
+            assert phases == [(step.chosen_mask, step.g_after - step.g_before)
+                              for step in steps[-k:]]
             masks = [step.chosen_mask for step in steps[-k:]]
             union = 0
             for m in masks:

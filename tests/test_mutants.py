@@ -13,13 +13,13 @@ def test_every_snippet_occurs_once():
 
 
 def test_two_entries_are_killed():
-    """A witness entry and one of the descent's raise path, after the clean
-    run of their tests."""
-    proc = subprocess.run([sys.executable, mutants.__file__, "lnat-witness-max",
+    """A witness entry, the M-natural exchange fault and one of the
+    descent's raise path, after the clean run of their tests."""
+    proc = subprocess.run([sys.executable, mutants.__file__, "lnat-witness-max", "mnat-lt-le",
                            "one-step-end-read-skipped"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "2 of 2 killed"
+    assert proc.stdout.splitlines()[-1] == "3 of 3 killed"
 
 
 def test_a_test_failing_before_any_fault_stops_the_run(monkeypatch, capsys):
