@@ -132,22 +132,35 @@ def ascending_auction(instance: Instance,
 
 
 def _augment(left_adj: list[list[int]], right_size: int) -> tuple[list[int | None], int]:
-    """Kuhn's augmenting-path maximum matching; returns (owner per right vertex, size)."""
+    """Kuhn's augmenting-path maximum matching; returns (owner per right vertex, size).
+
+    Each search is a depth-first search with an explicit stack, one
+    iterator per left vertex on the path, so the path's length is not
+    bounded by Python's recursion limit.  ``path`` holds the right vertices
+    the path has reached, each owned by the next left vertex on it; a free
+    one ends the search, and each left vertex then takes its right vertex."""
     owner: list[int | None] = [None] * right_size
-
-    def try_assign(left: int, seen: list[bool]) -> bool:
-        for r in left_adj[left]:
-            if not seen[r]:
-                seen[r] = True
-                if owner[r] is None or try_assign(owner[r], seen):
-                    owner[r] = left
-                    return True
-        return False
-
     size = 0
-    for left in range(len(left_adj)):
-        if try_assign(left, [False] * right_size):
-            size += 1
+    for root in range(len(left_adj)):
+        seen = [False] * right_size
+        todo, path = [iter(left_adj[root])], []
+        while todo:
+            for r in todo[-1]:
+                if not seen[r]:
+                    break
+            else:  # no free right vertex past the latest left vertex: back up
+                todo.pop()
+                del path[-1:]
+                continue
+            seen[r] = True
+            path.append(r)
+            if owner[r] is None:
+                left = root
+                for right in path:
+                    owner[right], left = left, owner[right]
+                size += 1
+                break
+            todo.append(iter(left_adj[owner[r]]))
     return owner, size
 
 

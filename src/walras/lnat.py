@@ -13,20 +13,19 @@ certify each step and the stop, the stop through the one corner reader,
 ``_corner_changes``.  The termination test and every selection rule are
 functions of that table alone, and the rules compare its entries only with
 each other and entry 0, so a value table such as ``neighborhood_values``
-gets the same answers.  A route that hands out one kept tuple per table, as
-the Lyapunov oracle's does, meets the same tables again, so each rule keeps
-its answers for the latest four tuple tables it read.  Every raise is taken
-one way, ``_take_periods``: T periods of k phases, one step being k = T =
-1.  An oracle that knows how long a raise keeps its table may declare
-``runs``: when the steps since an iteration's table and set last began one
-raise pairwise disjoint sets, ``minimize`` repeats that period, read from
-the trajectory, for as long as each phase keeps its table.  Value reads on
-each phase's line certify the values, since g is convex along it; that
-each phase's set stays the rule's choice rests on the declared bound.  An
-oracle that is a sum of one-variable functions may declare it, and then
-every rule but the seeded one reads n per-item changes instead of a table;
-that route, like a table route without ``runs``, steps one raise per
-iteration.
+gets the same answers.  Each rule reads its table afresh at every call,
+even a kept tuple that a route such as the Lyapunov oracle's hands out
+again.  Every raise is taken one way, ``_take_periods``: T periods of k
+phases, one step being k = T = 1.  An oracle that knows how long a raise
+keeps its table may declare ``runs``: when the steps since an iteration's
+table and set last began one raise pairwise disjoint sets, ``minimize``
+repeats that period, read from the trajectory, for as long as each phase
+keeps its table.  Value reads on each phase's line certify the values,
+since g is convex along it; that each phase's set stays the rule's choice
+rests on the declared bound.  An oracle that is a sum of one-variable
+functions may declare it, and then every rule but the seeded one reads n
+per-item changes instead of a table; that route, like a table route
+without ``runs``, steps one raise per iteration.
 """
 
 from __future__ import annotations
@@ -307,44 +306,6 @@ def _width(vals: list[int | None]) -> int:
     return n
 
 
-#: Tables whose answers each selection rule keeps.
-_KEPT_TABLES = 4
-
-
-def _kept_by_table(rule):
-    """``rule`` keeping its answers for the latest ``_KEPT_TABLES`` tables
-    it read, as (table, other arguments) pairs.
-
-    A rule reads nothing but its table and its integer arguments, so an
-    answer holds for as long as the table does.  Only tuples are kept:
-    ``LyapunovOracle.neighborhood`` hands out one kept tuple per demand
-    state, which an ascending run keeps returning to, while a list may
-    change between calls.  An answer is found by the table's identity, and
-    the memo holds the table itself, so no other table can take that
-    identity while its answer is kept.  Other arguments must be exact ints
-    to be kept, so a seed such as True, equal to 1 as a key, still meets the
-    rule's own check.  A call that raises keeps nothing.  The memo is
-    ``_kept``, least recently read first.
-    """
-    kept: dict[tuple, tuple] = {}
-
-    @functools.wraps(rule)
-    def kept_rule(vals, *args):
-        if type(vals) is not tuple or not all(type(a) is int for a in args):
-            return rule(vals, *args)
-        key = (id(vals), *args)
-        hit = kept.pop(key, None)
-        answer = rule(vals, *args) if hit is None else hit[1]
-        if hit is None and len(kept) >= _KEPT_TABLES:
-            del kept[next(iter(kept))]
-        kept[key] = (vals, answer)
-        return answer
-
-    kept_rule._kept = kept
-    return kept_rule
-
-
-@_kept_by_table
 def minimal_descent_set(vals: list[int | None]) -> int | None:
     """Mask of the first descent set in (cardinality, lexicographic) scan order.
 
@@ -370,7 +331,6 @@ def _masks_by_size(size: int) -> tuple[int, ...]:
                  for k in range(1, n + 1) for combo in combinations(range(n), k))
 
 
-@_kept_by_table
 def minimal_minimizer_step(vals: list[int | None]) -> int:
     """Mask of the meet of all sets minimizing the one-step change g(p + chi_X) - g(p).
 
@@ -394,7 +354,6 @@ def minimal_minimizer_step(vals: list[int | None]) -> int:
     return meet
 
 
-@_kept_by_table
 def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     """Mask of the first locally-minimal descent set in a seeded subset order.
 

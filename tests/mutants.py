@@ -127,10 +127,6 @@ MUTANTS = (
            "if not per_item and _corner_changes(g, p, base, 1, per_item) != list(deltas):",
            ("tests/test_lnat.py::TestNeighborhoodTable::"
             "test_off_by_one_item_changes_fail_at_a_step_and_the_stop",)),
-    Mutant("kept-tables-overflow", "lnat.py",
-           "if hit is None and len(kept) >= _KEPT_TABLES:",
-           "if hit is None and len(kept) > _KEPT_TABLES:",
-           ("tests/test_lnat.py::TestKeptAnswers::test_interleaved_tables_get_the_rules_answers",)),
     Mutant("run-one-too-long", "demand.py",
            "bounds.append(a_in - a_out)",
            "bounds.append(a_in - a_out + 1)",
@@ -180,6 +176,11 @@ MUTANTS = (
            "else down & -down",
            "else 1 << down.bit_length() - 1",
            ("tests/test_lnat.py::TestMinimize::test_separable_oracle_steps_as_its_tables_do",)),
+    Mutant("per-item-steepest-one-item", "lnat.py",
+           "mask = down if strategy is StrategyKind.STEEPEST_MINIMAL else down & -down",
+           "mask = down & -down",
+           ("tests/test_relations.py::TestSteepestLength::"
+            "test_steepest_takes_the_sup_norm_distance_in_steps",)),
     Mutant("kept-tables-never-cleared", "lyapunov.py",
            "tables.clear()",
            "pass",

@@ -330,6 +330,23 @@ class TestExtractAllocation:
         verdict = verify_equilibrium(inst, (0, 0))
         assert verdict.equilibrium and verdict.allocation == want
 
+    def test_a_matching_path_longer_than_the_recursion_limit(self):
+        """Bidder b is worth 10 on items b + 1 and b + 2, the last bidder on
+        item n alone, and every price is 5.  Item i's search walks back
+        through every earlier item before it finds bidder i - 1 free, a
+        path of i left vertices; at n = 1,500 that is past Python's
+        recursion limit.  ``verify_equilibrium`` reads its allocation from
+        ``extract_allocation``."""
+        n = 1500
+        inst = Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(
+            Valuation.unit_demand([10 if j in (b, b + 1) else 0 for j in range(n)])
+            for b in range(n)))
+        p = (5,) * n
+        verdict = verify_equilibrium(inst, p)
+        assert verdict.equilibrium
+        assert verdict.allocation == UnitAllocation(tuple(range(1, n + 1)))
+        assert allocation_certifies(inst, p, verdict.allocation)
+
 
 class TestVerifyEquilibrium:
     def test_worked_example(self, ex21):
