@@ -62,20 +62,16 @@ from .itemsets import strides, subset_sums
 
 
 def _check_price(instance: Instance, p) -> PriceVector:
-    """``p`` as a tuple of n nonnegative ints.  A price of exact ints, the
-    common case, passes one test per entry; any other is read again, to
-    name its first bad entry."""
+    """``p`` as a tuple of n nonnegative ints, in one walk: a component
+    that fails the exact-type test is checked again on its own, which
+    accepts an int subclass and names any other."""
     t = tuple(p)
     if len(t) != instance.n:
         raise ValueError(f"price vector must have {instance.n} components")
-    for c in t:
-        if type(c) is not int or c < 0:
-            break
-    else:
-        return t
     for i, c in enumerate(t):
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
-            raise ValueError(f"price p[{i}] must be a nonnegative integer")
+        if type(c) is not int or c < 0:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+                raise ValueError(f"price p[{i}] must be a nonnegative integer")
     return t
 
 

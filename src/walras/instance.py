@@ -8,6 +8,7 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        compress, count, permutations, product)
@@ -106,8 +107,12 @@ class Valuation(_Record):
     * ``table`` (explicit_table): a total map from every bundle in its box to
       an integer, stored as sorted (bundle, value) pairs.
 
-    Raw valuations may violate monotonicity or normalization (the verifiers
-    below report such defects); assembling an :class:`Instance` enforces them.
+    Each payload is checked in one walk, entry by entry in order: an entry
+    of exact ``int`` type passes on one test, and only one that fails it is
+    handed to ``_as_nonneg_int`` / ``_as_int``, which accept an int subclass
+    and otherwise name that entry.  Raw valuations may violate monotonicity
+    or normalization (the verifiers below report such defects); assembling
+    an :class:`Instance` enforces them.
     """
 
     __slots__ = ("family", "values", "marginals", "table", "_prefix", "_box")
@@ -121,25 +126,26 @@ class Valuation(_Record):
             if values is None or marginals is not None or table is not None:
                 raise ValueError("values: unit_demand valuation takes exactly the 'values' payload")
             values = tuple(values)
-            if not _plain_naturals(values):  # the per-entry checks, to name the first bad entry
-                for k, v in enumerate(values):
-                    _as_nonneg_int(v, f"values[{k}]")
+            for k, c in enumerate(values):
+                if type(c) is not int or c < 0:
+                    _as_nonneg_int(c, f"values[{k}]")
             if not values:
                 raise ValueError("values: must not be empty")
             box = (1,) * len(values)
         elif family == SEPARABLE_CONCAVE:
             if marginals is None or values is not None or table is not None:
                 raise ValueError("marginals: separable_concave valuation takes exactly the 'marginals' payload")
-            rows = list(map(tuple, marginals))
-            if not (_plain_naturals(list(chain.from_iterable(rows)))
-                    and all(r and all(map(ge, r, r[1:])) for r in rows)):
-                for i, r in enumerate(rows):  # the per-entry checks, to name the first bad entry
-                    for k, v in enumerate(r):
-                        _as_nonneg_int(v, f"marginals[{i}][{k}]")
-                    if not r:
-                        raise ValueError(f"marginals[{i}]: must list at least one unit")
-                    if any(r[k] < r[k + 1] for k in range(len(r) - 1)):
-                        raise ValueError(f"marginals[{i}]: must be nonincreasing")
+            rows = []
+            for i, r in enumerate(marginals):
+                r = tuple(r)
+                for k, c in enumerate(r):
+                    if type(c) is not int or c < 0:
+                        _as_nonneg_int(c, f"marginals[{i}][{k}]")
+                if not r:
+                    raise ValueError(f"marginals[{i}]: must list at least one unit")
+                if not all(map(ge, r, r[1:])):
+                    raise ValueError(f"marginals[{i}]: must be nonincreasing")
+                rows.append(r)
             if not rows:
                 raise ValueError("marginals: must not be empty")
             marginals = tuple(rows)
@@ -148,18 +154,22 @@ class Valuation(_Record):
         elif family == EXPLICIT_TABLE:
             if table is None or values is not None or marginals is not None:
                 raise ValueError("entries: explicit_table valuation takes exactly the 'entries' payload")
-            table = tuple(table)
-            pairs = _plain_table(table)
-            if pairs is None:  # the per-entry checks, to name the first bad entry
-                pairs = []
-                n = None
-                for k, (x, v) in enumerate(table):
-                    xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]") for j, c in enumerate(x))
-                    if n is None:
-                        n = len(xs)
-                    elif len(xs) != n:
-                        raise ValueError(f"entries[{k}].x: expected {n} components")
-                    pairs.append((xs, _as_int(v, f"entries[{k}].v")))
+            pairs = []  # entry k is checked when k entries have passed
+            n = None
+            for x, v in table:
+                x = tuple(x)
+                for c in x:
+                    if type(c) is not int or c < 0:
+                        for j, part in enumerate(x):
+                            _as_nonneg_int(part, f"entries[{len(pairs)}].x[{j}]")
+                        break
+                if len(x) != n:
+                    if pairs:
+                        raise ValueError(f"entries[{len(pairs)}].x: expected {n} components")
+                    n = len(x)
+                if type(v) is not int:
+                    _as_int(v, f"entries[{len(pairs)}].v")
+                pairs.append((x, v))
             if not pairs or not pairs[0][0]:
                 raise ValueError("entries: must cover a nonempty box")
             pairs.sort()
@@ -194,28 +204,6 @@ class Valuation(_Record):
     def from_table(entries: Mapping[Bundle, int]) -> "Valuation":
         return Valuation(family=EXPLICIT_TABLE,
                          table=tuple((tuple(x), v) for x, v in entries.items()))
-
-
-def _plain_naturals(values: list | tuple) -> bool:
-    """Whether every entry is a nonnegative ``int``, checked in one pass;
-    False also for an int subclass, for the per-entry checks to decide."""
-    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
-
-
-def _plain_table(table: tuple) -> list[tuple[Bundle, int]] | None:
-    """A table's (bundle, worth) pairs, checked in one pass: every entry a
-    pair, every bundle of one length and of nonnegative ``int``
-    components, every worth an ``int``.  None when any check fails, or an
-    entry holds an int subclass, for the per-entry checks to decide."""
-    try:
-        pairs = [(tuple(x), v) for x, v in table]
-    except (TypeError, ValueError):
-        return None
-    parts = list(chain.from_iterable(x for x, _ in pairs))
-    if (set(map(type, parts)) <= {int} and set(type(v) for _, v in pairs) <= {int}
-            and len(set(len(x) for x, _ in pairs)) <= 1 and min(parts, default=0) >= 0):
-        return pairs
-    return None
 
 
 def evaluate(v: Valuation, x: Bundle) -> int:
@@ -478,20 +466,6 @@ _FAMILY_KEYS = {
 }
 
 
-def _plain_entries(entries: list) -> list[tuple] | None:
-    """The (x, v) of every entry when, checked in one pass, each is a
-    ``dict`` of exactly the keys 'x' and 'v' whose 'x' is a ``list``; None
-    otherwise, subclasses included, for the per-entry check to decide."""
-    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {2}:
-        try:
-            pairs = list(map(itemgetter("x", "v"), entries))
-        except KeyError:
-            return None
-        if set(type(x) for x, _ in pairs) <= {list}:
-            return pairs
-    return None
-
-
 def _parse_valuation(raw, where: str) -> Valuation:
     if not isinstance(raw, dict):
         raise InstanceFormatError(f"{where}: must be a JSON object")
@@ -515,13 +489,13 @@ def _parse_valuation(raw, where: str) -> Valuation:
         entries = raw.get("entries")
         if not isinstance(entries, list):
             raise ValueError("entries: must be a list")
-        pairs = _plain_entries(entries)
-        if pairs is None:  # the per-entry check, to name the first bad entry
-            pairs = []
-            for k, e in enumerate(entries):
+        pairs = []  # entry k is checked when k entries have passed
+        for e in entries:
+            if type(e) is not dict or len(e) != 2 or type(e.get("x")) is not list or "v" not in e:
                 if not isinstance(e, dict) or set(e) != {"x", "v"} or not isinstance(e["x"], list):
-                    raise ValueError(f"entries[{k}]: must be an object with keys 'x' and 'v'")
-                pairs.append((e["x"], e["v"]))
+                    raise ValueError(
+                        f"entries[{len(pairs)}]: must be an object with keys 'x' and 'v'")
+            pairs.append((e["x"], e["v"]))
         return Valuation(family=EXPLICIT_TABLE, table=tuple(pairs))
     except ValueError as exc:
         raise InstanceFormatError(f"{where}.{exc}") from None
@@ -566,6 +540,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(f"u[{i}]: supply must be positive")
         u = tuple(u)
     elif model == UNIT:
+        if n > sys.maxsize:
+            raise InstanceFormatError(f"n: must be at most {sys.maxsize}")
         u = (1,) * n
     else:
         raise InstanceFormatError("u: missing required field for model 'multi'")

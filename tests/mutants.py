@@ -52,6 +52,14 @@ PERIOD_READS = ("tests/test_auction.py::TestRunRoute::"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
+TWIN_TESTS = INSTANCE_TESTS + "TestValidationTwin::"
+SCALING = "tests/test_relations.py::TestScaling::test_scaling_the_worths_scales_p_min"
+STEEPEST_LENGTH = ("tests/test_relations.py::TestSteepestLength::"
+                   "test_steepest_takes_the_sup_norm_distance_in_steps")
+PERMUTATION = "tests/test_relations.py::TestPermutation::test_permuting_the_items_permutes_p_min"
+ZERO_WORTH = ("tests/test_relations.py::TestZeroWorthBidder::"
+              "test_a_bidder_worth_nothing_changes_no_run")
+RELATIONS = (SCALING, STEEPEST_LENGTH, PERMUTATION, ZERO_WORTH)
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -88,7 +96,8 @@ MUTANTS = (
     Mutant("mnat-lt-le", "instance.py",
            "yield from compress(zip(xs, ys), map(lt, best, need))",
            "yield from compress(zip(xs, ys), map(lambda a, b: a <= b, best, need))",
-           (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",)),
+           (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",
+            *RELATIONS)),
     Mutant("monotone-witness-max", "instance.py",
            "first = min(_nondecreasing(u, worth), default=None)",
            "first = max(_nondecreasing(u, worth), default=None)",
@@ -96,7 +105,7 @@ MUTANTS = (
     Mutant("monotone-lt-le", "instance.py",
            "map(gt, worth, worth[s:])",
            "map(lambda a, b: a >= b, worth, worth[s:])",
-           (INSTANCE_TESTS + "TestMonotoneVerifier::test_zero_valuation_holds",)),
+           (INSTANCE_TESTS + "TestMonotoneVerifier::test_zero_valuation_holds", *RELATIONS)),
     Mutant("monotone-j-order-reversed", "instance.py",
            "first = min(_nondecreasing(u, worth), default=None)",
            "first = min(_nondecreasing(u, worth), default=None, key=lambda f: (f[0], -f[1]))",
@@ -105,7 +114,7 @@ MUTANTS = (
     Mutant("stride-off-by-one", "itemsets.py",
            "out[c - 1] = out[c] * radices[c]",
            "out[c - 1] = out[c] * radices[c - 1]",
-           (LNAT_TESTS + "test_sweep_meets_every_outcome",)),
+           (LNAT_TESTS + "test_sweep_meets_every_outcome", STEEPEST_LENGTH, ZERO_WORTH)),
     Mutant("gp-submask-lt", "lnat.py",
            "if low is not None and low <= val:",
            "if low is not None and low < val:",
@@ -113,11 +122,12 @@ MUTANTS = (
     Mutant("meet-as-join", "lnat.py",
            "meet &= mask",
            "meet |= mask",
-           ("tests/test_lnat.py::TestMinimalMinimizerStep::test_worked_example",)),
+           ("tests/test_lnat.py::TestMinimalMinimizerStep::test_worked_example", *RELATIONS)),
     Mutant("minimal-descent-le", "lnat.py",
            "if val is not None and val < base:",
            "if val is not None and val <= base:",
-           ("tests/test_lnat.py::TestMinimalDescentSet::test_worked_example",)),
+           ("tests/test_lnat.py::TestMinimalDescentSet::test_worked_example", SCALING,
+            ZERO_WORTH)),
     Mutant("table-stop-scan-skipped", "lnat.py",
            "if _corner_changes(g, p, base, 1, per_item) != list(deltas):",
            "if per_item and _corner_changes(g, p, base, 1, per_item) != list(deltas):",
@@ -179,8 +189,7 @@ MUTANTS = (
     Mutant("per-item-steepest-one-item", "lnat.py",
            "mask = down if strategy is StrategyKind.STEEPEST_MINIMAL else down & -down",
            "mask = down & -down",
-           ("tests/test_relations.py::TestSteepestLength::"
-            "test_steepest_takes_the_sup_norm_distance_in_steps",)),
+           (STEEPEST_LENGTH,)),
     Mutant("kept-tables-never-cleared", "lyapunov.py",
            "tables.clear()",
            "pass",
@@ -188,13 +197,14 @@ MUTANTS = (
     Mutant("conjugate-price-not-times-units", "demand.py",
            "ck = c * k",
            "ck = c",
-           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values",)),
+           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values", *RELATIONS)),
     Mutant("item-takes-bisect-left", "demand.py",
            "return [len(col) - bisect_right(col, c) - q",
            "return [len(col) - bisect_right(col, c - 1) - q",
            ("tests/test_demand.py::TestFastPaths::"
             "test_demand_key_takes_match_per_bidder_least_argmaxes",
-            "tests/test_lyapunov.py::TestDifferenceIdentity::test_two_bidder_multi_box")),
+            "tests/test_lyapunov.py::TestDifferenceIdentity::test_two_bidder_multi_box",
+            *RELATIONS)),
     Mutant("run-tie-no-limit", "demand.py",
            "elif a_in == a_out > 0:",
            "elif a_in == a_out < 0:",
@@ -203,7 +213,8 @@ MUTANTS = (
            "if p != kept[0]:",
            "if kept[0] is None:",
            (SCAN_TESTS + "test_interleaved_reads_match_a_fresh_cache",
-            "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers")),
+            "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers",
+            *RELATIONS)),
     Mutant("run-columns-read-with-option-0", "demand.py",
            "for col, c in compress(zip(self._columns, p), inside[1:]):",
            "for col, c in compress(zip(self._columns, p), inside):",
@@ -211,7 +222,33 @@ MUTANTS = (
     Mutant("key-tied-mask-unshifted", "demand.py",
            "tied.append(d >> 1)",
            "tied.append(d)",
-           ("tests/test_demand.py::TestUnitDemandKey::test_key_matches_the_per_bidder_masks",)),
+           ("tests/test_demand.py::TestUnitDemandKey::test_key_matches_the_per_bidder_masks",
+            SCALING, STEEPEST_LENGTH)),
+    Mutant("table-negative-component-accepted", "instance.py",
+           "for c in x:\n                    if type(c) is not int or c < 0:",
+           "for c in x:\n                    if type(c) is not int:",
+           (INSTANCE_TESTS + "TestBulkTableCheck::"
+            "test_same_outcome_as_the_per_entry_checks[negative component]",
+            TWIN_TESTS + "test_tables")),
+    Mutant("table-float-worth-accepted", "instance.py",
+           "if type(v) is not int:",
+           "if type(v) not in (int, float):",
+           (INSTANCE_TESTS + "TestBulkTableCheck::"
+            "test_same_outcome_as_the_per_entry_checks[float worth]",
+            TWIN_TESTS + "test_tables")),
+    Mutant("unit-negative-value-accepted", "instance.py",
+           "for k, c in enumerate(values):\n                if type(c) is not int or c < 0:",
+           "for k, c in enumerate(values):\n                if type(c) is not int:",
+           (TWIN_TESTS + "test_unit_values",)),
+    Mutant("json-entry-subclass-refused", "instance.py",
+           'if not isinstance(e, dict) or set(e) != {"x", "v"} or not isinstance(e["x"], list):',
+           "if True:",
+           (TWIN_TESTS + "test_json_entries",)),
+    Mutant("price-negative-accepted", "demand.py",
+           "if type(c) is not int or c < 0:",
+           "if type(c) is not int:",
+           ("tests/test_auction.py::TestPriceChecks::test_public_reads_refuse_bad_prices",
+            TWIN_TESTS + "test_prices")),
     Mutant("lnat-charge-fixed-budget", "cli.py",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)",

@@ -795,6 +795,21 @@ class TestUndecodableInput:
         assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
 
 
+class TestHugeUnitN:
+    def test_exits_1_naming_n(self, tmp_path):
+        """A unit market's default supply is n ones; an n past the largest
+        tuple is refused as a format error, not an OverflowError."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"model": "unit", "n": 10**30, "m": 0, "valuations": []}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "walras", "solve", "--strategy", "steepest",
+             "--instance", str(path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: n: ")
+
+
 class TestDeterminism:
     def test_identical_runs_produce_identical_bytes(self, ex21_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

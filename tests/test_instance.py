@@ -9,7 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (EX21_JSON, CountingList, breaks_local_exchange, make_ex21,
                       random_multi_instance, random_separable_valuation,
@@ -19,9 +19,10 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     evaluate, parse_instance,
                     serialize_instance, verify_mnat_exc,
                     verify_monotone_normalized)
-from walras.instance import (DEFAULT_BUDGET, _as_int, _as_nonneg_int, _local_charge,
-                             _locally_exchangeable, _plain_entries, _plain_table,
-                             box_volume, iter_box)
+from walras.demand import _check_price
+from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE, UNIT_DEMAND,
+                             _as_int, _as_nonneg_int, _local_charge, _locally_exchangeable,
+                             _parse_valuation, box_volume, iter_box)
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
@@ -173,8 +174,8 @@ class TestParsing:
 
 
 class _Int(int):
-    """An int subclass: the per-entry checks accept it, the one-pass
-    check leaves it to them."""
+    """An int subclass: it fails the walk's exact-type test, and the exact
+    checks it is then handed to accept it."""
 
 
 _GOOD_TABLE = (((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 2))
@@ -216,9 +217,10 @@ def _table_outcome(build, table):
 
 
 class TestBulkTableCheck:
-    """Explicit tables are checked in one pass, and entry by entry only
-    when that pass fails; every table is accepted or refused, with the
-    same message, as the entry-by-entry checks alone would."""
+    """Explicit tables are checked in one walk, entry by entry, and the
+    exact checks run only on an entry that fails the exact-type test;
+    every table is accepted or refused, with the same message, as the
+    entry-by-entry checks alone would."""
 
     CASES = {
         "good": _GOOD_TABLE,
@@ -250,8 +252,10 @@ class TestBulkTableCheck:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_one_pass_accepts_what_the_entries_accept(self, name):
-        """The pass takes a table whose entries the per-entry checks take,
-        int subclasses aside, and refuses the rest."""
+        """The walk refuses a table at an entry exactly when one of its
+        entries fails the per-entry checks; int subclasses pass them, and
+        a table of good entries is refused, if at all, by a check of the
+        whole box."""
         table = self.CASES[name]
         try:
             for k, (x, v) in enumerate(table):
@@ -261,10 +265,11 @@ class TestBulkTableCheck:
             entries_ok = len({len(x) for x, _ in table}) <= 1
         except (TypeError, ValueError):
             entries_ok = False
-        plain = _plain_table(table)
-        assert (plain is not None) == (entries_ok and name != "int subclass")
-        if plain is not None:
-            assert plain == [(tuple(x), v) for x, v in table]
+        got = _table_outcome(lambda t: Valuation(family="explicit_table", table=t).table, table)
+        refused = isinstance(got[0], type)
+        assert (refused and not got[1].startswith("entries: ")) == (not entries_ok)
+        if not refused:
+            assert got == tuple(sorted((tuple(x), v) for x, v in table))
 
     @pytest.mark.parametrize("entries,message", [
         ([{"x": [0], "v": 0}, [1, 1]], "entries[1]: must be an object with keys 'x' and 'v'"),
@@ -290,7 +295,6 @@ class TestBulkTableCheck:
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(text)
         assert str(err.value) == f"valuations[0].{message}"
-        assert (_plain_entries(entries) is None) == ("keys 'x' and 'v'" in message)
 
 
 def _per_entry_payload(family, payload):
@@ -316,9 +320,8 @@ def _per_entry_payload(family, payload):
 
 
 class TestBulkPayloadCheck:
-    """Unit-demand values and separable marginals are checked in one pass,
-    and entry by entry only when it fails, with the messages the entry
-    checks give."""
+    """Unit-demand values and separable marginals are checked in one walk,
+    entry by entry, with the messages the entry checks give."""
 
     CASES = {
         ("unit_demand", "good"): ((3, 0, 2), None),
@@ -348,6 +351,220 @@ class TestBulkPayloadCheck:
         assert got == _table_outcome(lambda t: _per_entry_payload(family, t), payload)
         if message is not None:
             assert got == (ValueError, message)
+
+
+def _per_entry_entries(entries, where):
+    """JSON table entries entry by entry, as the definition: the shape of
+    every entry in order, then the table of their (x, v) pairs, each
+    message under ``where`` as ``parse_instance`` gives it."""
+    try:
+        pairs = []
+        for k, e in enumerate(entries):
+            if not isinstance(e, dict) or set(e) != {"x", "v"} or not isinstance(e["x"], list):
+                raise ValueError(f"entries[{k}]: must be an object with keys 'x' and 'v'")
+            pairs.append((e["x"], e["v"]))
+        return _per_entry_table(pairs)
+    except ValueError as exc:
+        raise InstanceFormatError(f"{where}.{exc}") from None
+
+
+def _per_entry_price(n, p):
+    """A price vector entry by entry, as the definition: the tuple, or the
+    ValueError naming the first bad component."""
+    t = tuple(p)
+    if len(t) != n:
+        raise ValueError(f"price vector must have {n} components")
+    for i, c in enumerate(t):
+        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+            raise ValueError(f"price p[{i}] must be a nonnegative integer")
+    return t
+
+
+class _Dict(dict):
+    """A dict subclass: the exact checks accept it as a JSON object."""
+
+
+class _List(list):
+    """A list subclass: the exact checks accept it as a JSON array."""
+
+
+#: What a mutation makes of a plain int entry; an entry already spoiled is kept.
+_SPOIL = {
+    "bool": lambda c: c % 2 == 1,
+    "negative": lambda c: -1 - c,
+    "float": float,
+    "string": str,
+    "int subclass": _Int,
+}
+_NAT = st.integers(0, 9)
+
+
+def _spoil(draw, row, k):
+    if type(row[k]) is int:
+        row[k] = _SPOIL[draw(st.sampled_from(sorted(_SPOIL)))](row[k])
+
+
+def _spoil_entry(draw, x, entry, worth):
+    """Spoil a component of the bundle ``x``, or the worth ``entry[worth]``."""
+    if x and draw(st.booleans()):
+        _spoil(draw, x, draw(st.integers(0, len(x) - 1)))
+    else:
+        _spoil(draw, entry, worth)
+
+
+def _mutations(draw):
+    return range(draw(st.integers(1, 3)))
+
+
+@st.composite
+def spoiled_values(draw):
+    values = draw(st.lists(_NAT, max_size=4))
+    for _ in _mutations(draw):
+        if values:
+            _spoil(draw, values, draw(st.integers(0, len(values) - 1)))
+    return values
+
+
+@st.composite
+def spoiled_marginals(draw):
+    rows = draw(st.lists(st.lists(_NAT, min_size=1, max_size=3)
+                         .map(lambda r: sorted(r, reverse=True)), max_size=3))
+    for _ in _mutations(draw):
+        if not rows:
+            break
+        r = rows[draw(st.integers(0, len(rows) - 1))]
+        how = draw(st.sampled_from(("entry", "wrong length", "increasing")))
+        if how == "entry" and r:
+            _spoil(draw, r, draw(st.integers(0, len(r) - 1)))
+        elif how == "wrong length":
+            r.clear()
+        elif r and type(r[-1]) is int:
+            r.append(r[-1] + 1)
+    return rows
+
+
+def _good_table(draw):
+    """A total table on a drawn box, its entries as [x, v] in a drawn order,
+    and a way to draw one of its bundles afresh."""
+    u = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    worth = st.integers(-2, 9)
+    bundle = st.sampled_from(list(iter_box(u))).map(list)
+    return draw(st.permutations([[list(x), draw(worth)] for x in iter_box(u)])), bundle
+
+
+@st.composite
+def spoiled_tables(draw):
+    entries, bundle = _good_table(draw)
+    for _ in _mutations(draw):
+        k = draw(st.integers(0, len(entries) - 1))
+        e = entries[k]
+        how = draw(st.sampled_from(("entry", "wrong length", "not a pair", "non-list x",
+                                    "duplicate", "missing")))
+        if how == "not a pair":
+            entries[k] = e[:1] if draw(st.booleans()) else e + e[1:]
+        elif how == "missing" and len(entries) > 1:
+            del entries[k]
+        elif not (len(e) == 2 and isinstance(e[0], list)):
+            continue
+        elif how == "entry":
+            _spoil_entry(draw, e[0], e, 1)
+        elif how == "wrong length":
+            e[0] = e[0] + [0] if draw(st.booleans()) else e[0][:-1]
+        elif how == "non-list x":
+            e[0] = 3
+        elif how == "duplicate":
+            e[0] = draw(bundle)
+    return tuple(map(tuple, entries))
+
+
+@st.composite
+def spoiled_entries(draw):
+    pairs, bundle = _good_table(draw)
+    entries = [{"x": x, "v": v} for x, v in pairs]
+    for _ in _mutations(draw):
+        k = draw(st.integers(0, len(entries) - 1))
+        e = entries[k]
+        how = draw(st.sampled_from(("entry", "wrong length", "duplicate", "not a pair",
+                                    "missing key", "extra key", "non-list x", "tuple x",
+                                    "dict subclass", "list subclass x")))
+        if not (isinstance(e, dict) and isinstance(e.get("x"), list)):
+            continue
+        if how == "entry" and "v" in e:
+            _spoil_entry(draw, e["x"], e, "v")
+        elif how == "wrong length":
+            e["x"] = e["x"] + [0] if draw(st.booleans()) else e["x"][:-1]
+        elif how == "duplicate":
+            e["x"] = draw(bundle)
+        elif how == "not a pair":
+            entries[k] = [e["x"], e.get("v")]
+        elif how == "missing key":
+            del e[draw(st.sampled_from(sorted(e)))]
+        elif how == "extra key":
+            e["y"] = 0
+        elif how == "non-list x":
+            e["x"] = 3
+        elif how == "tuple x":
+            e["x"] = tuple(e["x"])
+        elif how == "dict subclass":
+            entries[k] = _Dict(e)
+        elif how == "list subclass x":
+            e["x"] = _List(e["x"])
+    return entries
+
+
+@st.composite
+def spoiled_prices(draw):
+    p = draw(st.lists(_NAT, min_size=1, max_size=4))
+    n = len(p)
+    for _ in _mutations(draw):
+        if draw(st.booleans()):
+            _spoil(draw, p, draw(st.integers(0, len(p) - 1)))
+        elif draw(st.booleans()):
+            p.append(0)
+        elif len(p) > 1:
+            p.pop()
+    return n, p
+
+
+class TestValidationTwin:
+    """Good inputs with one to three entries spoiled (a bool, a negative, a
+    float, a string or an int subclass entry; a wrong length; a table entry
+    that is not a pair, a JSON entry with a missing or extra key or an
+    ``x`` that is not a list) get from the one-walk validation the value,
+    or the exception type and message, of the entry-by-entry definition."""
+
+    @given(spoiled_values())
+    def test_unit_values(self, values):
+        got = _table_outcome(lambda t: Valuation(UNIT_DEMAND, values=t).values, values)
+        assert got == _table_outcome(lambda t: _per_entry_payload(UNIT_DEMAND, t), values)
+
+    @given(spoiled_marginals())
+    def test_separable_marginals(self, rows):
+        got = _table_outcome(lambda t: Valuation(SEPARABLE_CONCAVE, marginals=t).marginals, rows)
+        assert got == _table_outcome(lambda t: _per_entry_payload(SEPARABLE_CONCAVE, t), rows)
+
+    @given(spoiled_tables())
+    @example((((0, True), 1), ((0, 1),)))  # entry 0 is named before entry 1 is unpacked
+    @example((((0, 1), 1), ((0, 0), 0), ((1, 0), 1.5), ((1, 1, 0), 2)))
+    def test_tables(self, table):
+        got = _table_outcome(lambda t: Valuation(EXPLICIT_TABLE, table=t).table, table)
+        assert got == _table_outcome(_per_entry_table, table)
+
+    @given(spoiled_entries())
+    @example([{"x": [True], "v": 0}, {"x": [1]}])  # shapes are all checked before any bundle
+    @example([{"x": [0], "v": 0}, _Dict({"x": _List([1]), "v": 1})])
+    def test_json_entries(self, entries):
+        raw = {"family": EXPLICIT_TABLE, "entries": entries}
+        got = _table_outcome(lambda e: _parse_valuation(raw, "b").table, entries)
+        assert got == _table_outcome(lambda e: _per_entry_entries(e, "b"), entries)
+
+    @given(spoiled_prices())
+    @example((2, [0, _Int(1)]))
+    def test_prices(self, drawn):
+        n, p = drawn
+        market = Instance(model="multi", n=n, u=(1,) * n, valuations=())
+        got = _table_outcome(lambda q: _check_price(market, q), p)
+        assert got == _table_outcome(lambda q: _per_entry_price(n, q), p)
 
 
 class TestEvaluate:

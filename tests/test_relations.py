@@ -2,16 +2,17 @@
 
 Each test solves a market and a transformed twin and holds the answers to
 an identity of the theory: scaling every worth by k scales ``p_min`` by k,
-permuting the items permutes it, and ``steepest`` reaches it in exactly
-‖p_min - p0‖∞ steps.  They reach values that brute force cannot, and
-pin a trajectory's length, not just its end.
+permuting the items permutes it, ``steepest`` reaches it in exactly
+‖p_min - p0‖∞ steps, and a bidder worth nothing changes no run.  They
+reach values that brute force cannot, and pin a trajectory's length, not
+just its end.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import Drawn, tabulate
 from walras import Instance, StrategyKind, Valuation, ascending_auction
-from walras.instance import SEPARABLE_CONCAVE, UNIT_DEMAND
+from walras.instance import EXPLICIT_TABLE, SEPARABLE_CONCAVE, UNIT_DEMAND
 
 WORTH = st.integers(0, 4)
 
@@ -126,3 +127,32 @@ class TestPermutation:
                         valuations=tuple(_permuted(v, order) for v in inst.valuations))
         p_min = _p_min(inst, kind)
         assert _p_min(twin, kind) == tuple(p_min[i] for i in order)
+
+
+def _worthless(inst: Instance, family: str) -> Valuation:
+    """A bidder of the given family worth 0 on every bundle of the supply."""
+    if family == UNIT_DEMAND:
+        return Valuation.unit_demand([0] * inst.n)
+    zero = Valuation.separable([[0] * c for c in inst.u])
+    return zero if family == SEPARABLE_CONCAVE else tabulate(zero)
+
+
+class TestZeroWorthBidder:
+    @settings(max_examples=30)
+    @given(MARKETS, st.data())
+    def test_a_bidder_worth_nothing_changes_no_run(self, inst, data):
+        """A bidder worth 0 everywhere has indirect utility 0 at every
+        p >= 0 and least take 0 on every item set, so L and every change
+        table are unchanged: so are ``p_min`` and the whole trajectory,
+        under every rule, wherever the bidder is inserted."""
+        families = [UNIT_DEMAND] if inst.model == "unit" else [SEPARABLE_CONCAVE, EXPLICIT_TABLE]
+        if inst.model != "unit" and inst.u == (1,) * inst.n:
+            families.append(UNIT_DEMAND)
+        zero = _worthless(inst, data.draw(st.sampled_from(families), label="family"))
+        vals = list(inst.valuations)
+        vals.insert(data.draw(st.integers(0, len(vals)), label="at"), zero)
+        twin = Instance(model=inst.model, n=inst.n, u=inst.u, valuations=tuple(vals))
+        for kind in StrategyKind:
+            run = ascending_auction(inst, kind, seed=7)
+            again = ascending_auction(twin, kind, seed=7)
+            assert (again.p_min, again.trajectory) == (run.p_min, run.trajectory), kind
