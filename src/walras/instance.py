@@ -49,6 +49,13 @@ def _as_nonneg_int(value, where: str) -> int:
     return v
 
 
+def _items(value, where: str) -> tuple:
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{where}: must be a sequence") from None
+
+
 def box_volume(u: Bundle) -> int:
     """Number of integer bundles in the box [0, u]."""
     return prod(c + 1 for c in u)
@@ -110,7 +117,8 @@ class Valuation(_Record):
     Each payload is checked in one walk, entry by entry in order: an entry
     of exact ``int`` type passes on one test, and only one that fails it is
     handed to ``_as_nonneg_int`` / ``_as_int``, which accept an int subclass
-    and otherwise name that entry.  Raw valuations may violate monotonicity
+    and otherwise name that entry; an entry of the wrong shape is named
+    where it fails to unpack.  Raw valuations may violate monotonicity
     or normalization (the verifiers below report such defects); assembling
     an :class:`Instance` enforces them.
     """
@@ -125,7 +133,7 @@ class Valuation(_Record):
         if family == UNIT_DEMAND:
             if values is None or marginals is not None or table is not None:
                 raise ValueError("values: unit_demand valuation takes exactly the 'values' payload")
-            values = tuple(values)
+            values = _items(values, "values")
             for k, c in enumerate(values):
                 if type(c) is not int or c < 0:
                     _as_nonneg_int(c, f"values[{k}]")
@@ -136,8 +144,11 @@ class Valuation(_Record):
             if marginals is None or values is not None or table is not None:
                 raise ValueError("marginals: separable_concave valuation takes exactly the 'marginals' payload")
             rows = []
-            for i, r in enumerate(marginals):
-                r = tuple(r)
+            for i, r in enumerate(_items(marginals, "marginals")):
+                try:
+                    r = tuple(r)
+                except TypeError:
+                    raise ValueError(f"marginals[{i}]: must be a sequence") from None
                 for k, c in enumerate(r):
                     if type(c) is not int or c < 0:
                         _as_nonneg_int(c, f"marginals[{i}][{k}]")
@@ -156,8 +167,15 @@ class Valuation(_Record):
                 raise ValueError("entries: explicit_table valuation takes exactly the 'entries' payload")
             pairs = []  # entry k is checked when k entries have passed
             n = None
-            for x, v in table:
-                x = tuple(x)
+            for entry in _items(table, "entries"):
+                try:
+                    x, v = entry
+                except (TypeError, ValueError):
+                    raise ValueError(f"entries[{len(pairs)}]: must be a (bundle, worth) pair") from None
+                try:
+                    x = tuple(x)
+                except TypeError:
+                    raise ValueError(f"entries[{len(pairs)}].x: must be a sequence") from None
                 for c in x:
                     if type(c) is not int or c < 0:
                         for j, part in enumerate(x):
@@ -194,16 +212,15 @@ class Valuation(_Record):
 
     @staticmethod
     def unit_demand(values) -> "Valuation":
-        return Valuation(family=UNIT_DEMAND, values=tuple(values))
+        return Valuation(family=UNIT_DEMAND, values=values)
 
     @staticmethod
     def separable(marginals) -> "Valuation":
-        return Valuation(family=SEPARABLE_CONCAVE, marginals=tuple(tuple(r) for r in marginals))
+        return Valuation(family=SEPARABLE_CONCAVE, marginals=marginals)
 
     @staticmethod
     def from_table(entries: Mapping[Bundle, int]) -> "Valuation":
-        return Valuation(family=EXPLICIT_TABLE,
-                         table=tuple((tuple(x), v) for x, v in entries.items()))
+        return Valuation(family=EXPLICIT_TABLE, table=entries.items())
 
 
 def evaluate(v: Valuation, x: Bundle) -> int:

@@ -13,19 +13,16 @@ certify each step and the stop, the stop through the one corner reader,
 ``_corner_changes``.  The termination test and every selection rule are
 functions of that table alone, and the rules compare its entries only with
 each other and entry 0, so a value table such as ``neighborhood_values``
-gets the same answers.  Each rule reads its table afresh at every call,
-even a kept tuple that a route such as the Lyapunov oracle's hands out
-again.  Every raise is taken one way, ``_take_periods``: T periods of k
-phases, one step being k = T = 1.  An oracle that knows how long a raise
-keeps its table may declare ``runs``: when the steps since an iteration's
-table and set last began one raise pairwise disjoint sets, ``minimize``
-repeats that period, read from the trajectory, for as long as each phase
-keeps its table.  Value reads on each phase's line certify the values,
-since g is convex along it; that each phase's set stays the rule's choice
-rests on the declared bound.  An oracle that is a sum of one-variable
-functions may declare it, and then every rule but the seeded one reads n
-per-item changes instead of a table; that route, like a table route
-without ``runs``, steps one raise per iteration.
+gets the same answers.  Every raise is taken one way, ``_take_periods``: T
+periods of k phases, one step being k = T = 1.  An oracle that bounds how
+long a raise keeps its table may declare ``runs``; ``minimize`` then raises
+a cycle of disjoint sets, found in the trajectory, for whole periods: the
+bounds certify that each phase's set stays the rule's choice, and value
+reads at both ends of each phase's line certify the values, since g is
+convex along it.  An oracle that is a sum of one-variable functions may
+declare it, and then every rule but the seeded one reads n per-item changes
+instead of a table; that route, like a table route without ``runs``, steps
+one raise per iteration.
 """
 
 from __future__ import annotations
@@ -74,11 +71,11 @@ class FunctionOracle(_Record):
     p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
     keeps it.  An oracle that declares it must be convex along each such
     line, as an L♮-convex g is; ``minimize`` reads it on the table route
-    only, for the union X of a period's sets at each phase's price, the
-    phases read from the trajectory's tail, and does not read the table
-    again inside a period run, so a bound that is too long goes unseen when
-    the run's values still fit the lines.  Two oracles are equal only when
-    they are one object.
+    only, for the union X of a period's sets at each phase's price, and
+    does not read the table inside a period run: the bound alone certifies
+    the sets and value reads on the phase lines the values, so a bound that
+    is too long goes unseen while the run's values fit the lines.  Two
+    oracles are equal only when they are one object.
     """
 
     __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
@@ -362,15 +359,13 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     entries with each other only.  The order is a Fisher-Yates shuffle of
     all nonempty subset indices, so a fixed seed always yields the same
     choice; it is built once per (seed, table size) and reused while those
-    stay the same.  The walk stops at the first hit and rejects a set in
-    three steps, cheapest first: its entry is not below entry 0; some set
-    one item smaller has an entry at or below it; some proper subset does,
-    found by walking the set's proper submasks downward to the first entry
-    at or below the set's.  The walk keeps nothing and reads at most
-    2^|X| - 1 entries for a set X, so one call may read up to 3^n entries,
+    stay the same.  The walk stops at the first hit; it rejects a set whose
+    entry is not below entry 0, or else at the first of its proper submasks,
+    walked downward, with an entry at or below its own.  It keeps nothing
+    and reads at most 2^|X| - 1 entries for a set X, up to 3^n per call,
     where least-over-subsets values shared between sets would bound it by
-    about n * 2^n; on descent tables most sets fail an earlier step or meet
-    a lower subset early, and the walk is the faster.
+    about n * 2^n; on descent tables most sets are rejected early, and the
+    walk is the faster.
     ``oracle.gp_minimal_table`` flags every set at once and is its twin.
     Returns None when no raise descends.
     """
@@ -381,22 +376,14 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
         val = vals[mask]
         if val is None or val >= base:
             continue
-        rest = mask
-        while rest:  # the sets one item smaller
-            bit = rest & -rest
-            rest ^= bit
-            sub = vals[mask ^ bit]
-            if sub is not None and sub <= val:
+        sub = (mask - 1) & mask
+        while sub:  # every nonempty proper subset, downward
+            low = vals[sub]
+            if low is not None and low <= val:
                 break
+            sub = (sub - 1) & mask
         else:
-            sub = (mask - 1) & mask
-            while sub:  # every nonempty proper subset, downward
-                low = vals[sub]
-                if low is not None and low <= val:
-                    break
-                sub = (sub - 1) & mask
-            else:
-                return mask
+            return mask
     return None
 
 
@@ -453,12 +440,11 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
 
     Every iteration raises through ``_take_periods``; one step is one
     phase taken once.  An oracle that declares ``runs`` has period runs
-    taken on the table route: ``minimize`` keeps the tables of its latest n
-    steps, and when the steps since the iteration's table, by identity, and
-    set last began one raise pairwise disjoint sets, they are one period of
-    k <= n phases, which ``_period`` bounds by ``runs`` and cuts under the
-    step limit; the kept tables are then cut to the period's.  That each
-    phase's rule would pick its set again rests on the ``runs`` bounds.
+    taken on the table route: a cycle of k <= n disjoint sets that the
+    latest steps raised, found by ``_period`` in the trajectory, is raised
+    for whole periods.  The ``runs`` bounds certify that each phase's rule
+    would pick its set again, and g's values at both ends of each phase's
+    line certify the values.
 
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
     route.  The oracle must declare a ``value_floor``: every step lowers
@@ -488,7 +474,6 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     size = g.n if per_item else 1 << g.n
     route = "item changes disagree" if per_item else "neighborhood table disagrees"
     runs = None if per_item else g.runs
-    tables: list[Sequence[int | None]] = []  # with runs: the latest steps' tables
     steps: list[Step] = []
     while True:
         if per_item:
@@ -527,34 +512,30 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = first_gp_minimal(deltas, seed)
             mask = mask or 0  # nothing found: its Step refuses the empty set
             change = deltas[mask]
-        found = None if runs is None else _period(runs, steps, tables, deltas, mask, p,
+        found = None if runs is None else _period(runs, steps, mask, change, p, g.n,
                                                   most - len(steps))
         phases, periods = found or ([(mask, change)], 1)
         p, base = _take_periods(g, steps, phases, periods, p, base, route)
-        if runs is not None:
-            tables = tables[-len(phases):] if found else (tables + [deltas])[-g.n:]
     trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
     return p, trajectory
 
 
-def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step],
-            tables: list[Sequence[int | None]], table: Sequence[int | None], mask: int,
-            p: PriceVector, most: int) -> tuple[list[tuple[int, int]], int] | None:
+def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step], mask: int,
+            change: int | None, p: PriceVector, n: int,
+            most: int) -> tuple[list[tuple[int, int | None]], int] | None:
     """The period run ``minimize`` takes at p, where the rule picked
-    ``mask`` on ``table``, as its k phases, each a step's (mask, g_after -
-    g_before), and T, or None.
+    ``mask``, of table entry ``change``: k (mask, change) phases and T.
 
-    ``tables`` holds the tables of the latest steps, ``steps``' tail.  The
-    phases are the k steps since (``table``, ``mask``) last began one, the
-    table compared by identity; if their masks are pairwise disjoint, with
-    union Y, p is the first phase's price plus chi_Y.  Phase l repeats at
-    its last price p_l plus s * chi_Y while its table holds: s <=
-    ``runs(p_l, Y) - 1``, and s < ``runs(p, Y)`` for the first phase,
-    read at p first, while the oracle's state for p is current.  T is the
-    least bound, cut to the whole periods in ``most`` steps; below 2, no
-    run."""
-    for k in range(1, len(tables) + 1):
-        if tables[-k] is table and steps[-k].chosen_mask == mask:
+    The period is the latest k <= n steps, back to the latest that raised
+    ``mask``; if their masks are pairwise disjoint, with union Y, p is its
+    price plus chi_Y.  The first phase is (``mask``, ``change``), each
+    later one its step's (mask, g_after - g_before).  Phase l keeps its
+    table, and so its set, at its last price p_l plus s * chi_Y for s <=
+    ``runs(p_l, Y) - 1``, and the first phase for s < ``runs(p, Y)``, read
+    at p first, while the oracle's state for p is current.  T is the least
+    bound, cut to the whole periods in ``most`` steps; below 2, None."""
+    for k in range(1, min(n, len(steps)) + 1):
+        if steps[-k].chosen_mask == mask:
             break
     else:
         return None
@@ -573,7 +554,8 @@ def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step],
             periods = min(periods, bound - (later > 0))
     if periods < 2:
         return None
-    return [(step.chosen_mask, step.g_after - step.g_before) for step in last], periods
+    return [(mask, change)] + [(step.chosen_mask, step.g_after - step.g_before)
+                               for step in last[1:]], periods
 
 
 def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple[int, int | None]],

@@ -161,14 +161,14 @@ MUTANTS = (
            "(step.chosen_mask, step.g_after - step.g_before)",
            "(step.chosen_mask, step.g_after - steps[-k].g_before)",
            (RUN_TWIN,)),
+    Mutant("period-first-change-from-last-period", "lnat.py",
+           "return [(mask, change)] +",
+           "return [(mask, last[0].g_after - last[0].g_before)] +",
+           (RUN_TWIN,)),
     Mutant("one-step-end-read-skipped", "lnat.py",
            "if (s == 1 or s == periods) and",
            "if periods > 1 and (s == 1 or s == periods) and",
            STEP_READS),
-    Mutant("kept-tables-not-cut-after-a-run", "lnat.py",
-           "tables = tables[-len(phases):] if found",
-           "tables = tables if found",
-           (PERIOD_KEYS,)),
     Mutant("corner-mask-unshifted", "lnat.py",
            "mask = 1 << i if per_item else i",
            "mask = i",

@@ -759,21 +759,18 @@ OVERLAP_CYCLE = Instance(model="unit", n=4, u=(1,) * 4, valuations=tuple(map(_un
 def _record_periods(mp, taken):
     """Wrap ``lnat._period`` so that each period run the descent takes is
     appended to ``taken`` as (p, the last period's phase prices, their
-    masks, Y, T), read from the trajectory.  Each call also checks that the
-    kept tables are those of the latest steps: at most n of them, each
-    table's entry at its step's set that step's change."""
+    masks, Y, T), read from the trajectory.  Each run's phases must be the
+    iteration's (mask, change), then the later steps' changes."""
     period = lnat._period
 
-    def recorded(runs, steps, tables, table, mask, p, most):
-        assert len(tables) <= min(len(p), len(steps))
-        for table_, step in zip(tables, steps[-len(tables):]):
-            assert table_[step.chosen_mask] == step.g_after - step.g_before
-        found = period(runs, steps, tables, table, mask, p, most)
+    def recorded(runs, steps, mask, change, p, n, most):
+        found = period(runs, steps, mask, change, p, n, most)
         if found is not None:
             phases, periods = found
             k = len(phases)
-            assert phases == [(step.chosen_mask, step.g_after - step.g_before)
-                              for step in steps[-k:]]
+            assert phases == [(mask, change)] + [
+                (step.chosen_mask, step.g_after - step.g_before)
+                for step in steps[len(steps) - k + 1:]]
             masks = [step.chosen_mask for step in steps[-k:]]
             union = 0
             for m in masks:
@@ -832,13 +829,14 @@ class TestRunRoute:
         assert {1, 2, 3} <= phases, phases
 
     def test_phase_lines_keep_their_demand_keys(self):
-        """Each phase of a period run keeps its demand key along its line:
-        the last period's price p_l of phase l and every p_l + s * chi_Y, s
-        = 1..T, read one key, so the rule picks phase l's set at each of
-        them; and the phases' sets are pairwise disjoint with union Y, also
-        where the rule walks a cycle of sets that meet.  On the pinned
-        markets and random unit and mixed ones, under every rule; runs of
-        two and three phases must be seen."""
+        """Each phase of a period run keeps its demand key along the line
+        its bounds cover, so the rule picks the phase's set at each raise:
+        the first phase reads p's key at p + s * chi_Y, s = 0..T-1, and
+        each later phase l the key of its last period's price p_l at p_l +
+        s * chi_Y, s = 0..T; and the phases' sets are pairwise disjoint
+        with union Y, also where the rule walks a cycle of sets that meet.
+        On the pinned markets and random unit and mixed ones, under every
+        rule; runs of two and three phases must be seen."""
         rng = random.Random(34)
         markets = [UNIT_CYCLE, MIXED_CYCLE, OVERLAP_CYCLE]
         markets += [random_unit_instance(rng, n_max=5, m_max=7, value_max=300)
@@ -855,12 +853,13 @@ class TestRunRoute:
                 for kind in StrategyKind:
                     first = len(taken)
                     ascending_auction(inst, kind, seed=6)
-                    for _, starts, masks, union, periods in taken[first:]:
+                    for p, starts, masks, union, periods in taken[first:]:
                         assert sum(masks) == union and len(masks) <= inst.n
                         assert all(a & b == 0 for a, b in combinations(masks, 2))
-                        for start in starts:
+                        lines = [(p, periods)] + [(start, periods + 1) for start in starts[1:]]
+                        for start, raises in lines:
                             key = dc.demand_key(start)
-                            for s in range(1, periods + 1):
+                            for s in range(raises):
                                 assert dc.demand_key(_along(start, union, s)) == key
         assert {2, 3} <= {len(starts) for _, starts, _, _, _ in taken}
 

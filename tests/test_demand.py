@@ -238,6 +238,9 @@ class TestUnitScan:
         @example(data=Drawn(  # an allocation read first on a multi market
             Instance(model="multi", n=1, u=(1,), valuations=(Valuation.unit_demand([0]),)),
             (0,), (0,), ("extract", "key", "value")))
+        @example(data=Drawn(  # tied between items at p, buying nothing alone at q
+            Instance(model="unit", n=2, u=(1, 1), valuations=(Valuation.unit_demand([5, 5]),)),
+            (0, 0), (6, 6), ("value", "key", "extract")))
         def check(data):
             markets = st.one_of(scan_markets(), column_markets().filter(_has_unit_bidder))
             for inst, dc, kept in _interleaved_reads(data, markets, seen):

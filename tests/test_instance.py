@@ -185,13 +185,27 @@ def _with(k, entry):
     return _GOOD_TABLE[:k] + (entry,) + _GOOD_TABLE[k + 1:]
 
 
+def _sequence(value, where):
+    """``value`` as a list, or the ValueError naming ``where`` when it is
+    not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ValueError(f"{where}: must be a sequence") from None
+
+
 def _per_entry_table(table):
     """Explicit-table validation entry by entry, as the definition: the
     sorted pairs, or the ValueError naming the first bad entry."""
     pairs = []
     n = None
-    for k, (x, v) in enumerate(table):
-        xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]") for j, c in enumerate(x))
+    for k, entry in enumerate(_sequence(table, "entries")):
+        try:
+            x, v = list(entry)
+        except (TypeError, ValueError):
+            raise ValueError(f"entries[{k}]: must be a (bundle, worth) pair") from None
+        xs = tuple(_as_nonneg_int(c, f"entries[{k}].x[{j}]")
+                   for j, c in enumerate(_sequence(x, f"entries[{k}].x")))
         if n is None:
             n = len(xs)
         elif len(xs) != n:
@@ -302,13 +316,15 @@ def _per_entry_payload(family, payload):
     definition: the checked payload, or the ValueError naming the first bad
     entry."""
     if family == "unit_demand":
-        values = tuple(_as_nonneg_int(v, f"values[{k}]") for k, v in enumerate(payload))
+        values = tuple(_as_nonneg_int(v, f"values[{k}]")
+                       for k, v in enumerate(_sequence(payload, "values")))
         if not values:
             raise ValueError("values: must not be empty")
         return values
     rows = []
-    for i, row in enumerate(payload):
-        r = tuple(_as_nonneg_int(v, f"marginals[{i}][{k}]") for k, v in enumerate(row))
+    for i, row in enumerate(_sequence(payload, "marginals")):
+        r = tuple(_as_nonneg_int(v, f"marginals[{i}][{k}]")
+                  for k, v in enumerate(_sequence(row, f"marginals[{i}]")))
         if not r:
             raise ValueError(f"marginals[{i}]: must list at least one unit")
         if any(r[k] < r[k + 1] for k in range(len(r) - 1)):
@@ -416,13 +432,18 @@ def _mutations(draw):
     return range(draw(st.integers(1, 3)))
 
 
+def _maybe_not_iterable(draw, payload):
+    """The payload, or now and then an int in its place."""
+    return 5 if draw(st.integers(0, 9)) == 0 else payload
+
+
 @st.composite
 def spoiled_values(draw):
     values = draw(st.lists(_NAT, max_size=4))
     for _ in _mutations(draw):
         if values:
             _spoil(draw, values, draw(st.integers(0, len(values) - 1)))
-    return values
+    return _maybe_not_iterable(draw, values)
 
 
 @st.composite
@@ -432,15 +453,20 @@ def spoiled_marginals(draw):
     for _ in _mutations(draw):
         if not rows:
             break
-        r = rows[draw(st.integers(0, len(rows) - 1))]
-        how = draw(st.sampled_from(("entry", "wrong length", "increasing")))
-        if how == "entry" and r:
+        i = draw(st.integers(0, len(rows) - 1))
+        r = rows[i]
+        how = draw(st.sampled_from(("entry", "wrong length", "increasing", "not a row")))
+        if not isinstance(r, list):
+            continue
+        if how == "not a row":
+            rows[i] = len(r)
+        elif how == "entry" and r:
             _spoil(draw, r, draw(st.integers(0, len(r) - 1)))
         elif how == "wrong length":
             r.clear()
         elif r and type(r[-1]) is int:
             r.append(r[-1] + 1)
-    return rows
+    return _maybe_not_iterable(draw, rows)
 
 
 def _good_table(draw):
@@ -459,8 +485,12 @@ def spoiled_tables(draw):
         k = draw(st.integers(0, len(entries) - 1))
         e = entries[k]
         how = draw(st.sampled_from(("entry", "wrong length", "not a pair", "non-list x",
-                                    "duplicate", "missing")))
-        if how == "not a pair":
+                                    "duplicate", "missing", "not iterable")))
+        if not isinstance(e, list):
+            continue
+        if how == "not iterable":
+            entries[k] = 7
+        elif how == "not a pair":
             entries[k] = e[:1] if draw(st.booleans()) else e + e[1:]
         elif how == "missing" and len(entries) > 1:
             del entries[k]
@@ -474,7 +504,8 @@ def spoiled_tables(draw):
             e[0] = 3
         elif how == "duplicate":
             e[0] = draw(bundle)
-    return tuple(map(tuple, entries))
+    return _maybe_not_iterable(draw, tuple(tuple(e) if isinstance(e, list) else e
+                                           for e in entries))
 
 
 @st.composite
@@ -528,17 +559,40 @@ def spoiled_prices(draw):
 
 class TestValidationTwin:
     """Good inputs with one to three entries spoiled (a bool, a negative, a
-    float, a string or an int subclass entry; a wrong length; a table entry
-    that is not a pair, a JSON entry with a missing or extra key or an
-    ``x`` that is not a list) get from the one-walk validation the value,
-    or the exception type and message, of the entry-by-entry definition."""
+    float, a string or an int subclass entry; a wrong length; a payload,
+    marginal row or bundle that is not iterable; a table entry that is not
+    a pair, a JSON entry with a missing or extra key or an ``x`` that is
+    not a list) get from the one-walk validation the value, or the
+    exception type and message, of the entry-by-entry definition."""
+
+    def test_shape_refusals_name_their_entry(self):
+        """A payload, row, bundle or table entry of the wrong shape is
+        refused with a ValueError naming it, as every other entry is."""
+        cases = [
+            (lambda: Valuation.separable([[1], 5]), "marginals[1]: must be a sequence"),
+            (lambda: Valuation(EXPLICIT_TABLE, table=[((0,), 0), ((1,),)]),
+             "entries[1]: must be a (bundle, worth) pair"),
+            (lambda: Valuation(EXPLICIT_TABLE, table=[((0,), 0), 7]),
+             "entries[1]: must be a (bundle, worth) pair"),
+            (lambda: Valuation(EXPLICIT_TABLE, table=[(5, 0)]), "entries[0].x: must be a sequence"),
+            (lambda: Valuation.from_table({5: 0}), "entries[0].x: must be a sequence"),
+            (lambda: Valuation.unit_demand(5), "values: must be a sequence"),
+            (lambda: Valuation.separable(5), "marginals: must be a sequence"),
+            (lambda: Valuation(EXPLICIT_TABLE, table=5), "entries: must be a sequence"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as err:
+                build()
+            assert str(err.value) == message
 
     @given(spoiled_values())
+    @example(5)
     def test_unit_values(self, values):
         got = _table_outcome(lambda t: Valuation(UNIT_DEMAND, values=t).values, values)
         assert got == _table_outcome(lambda t: _per_entry_payload(UNIT_DEMAND, t), values)
 
     @given(spoiled_marginals())
+    @example([[1], 5])
     def test_separable_marginals(self, rows):
         got = _table_outcome(lambda t: Valuation(SEPARABLE_CONCAVE, marginals=t).marginals, rows)
         assert got == _table_outcome(lambda t: _per_entry_payload(SEPARABLE_CONCAVE, t), rows)
@@ -546,6 +600,9 @@ class TestValidationTwin:
     @given(spoiled_tables())
     @example((((0, True), 1), ((0, 1),)))  # entry 0 is named before entry 1 is unpacked
     @example((((0, 1), 1), ((0, 0), 0), ((1, 0), 1.5), ((1, 1, 0), 2)))
+    @example((((0,), 0), ((1,),)))
+    @example((((0,), 0), 7))
+    @example(((5, 0),))
     def test_tables(self, table):
         got = _table_outcome(lambda t: Valuation(EXPLICIT_TABLE, table=t).table, table)
         assert got == _table_outcome(_per_entry_table, table)
