@@ -597,3 +597,5 @@ def load_instance(path: str) -> Instance:
         raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, InstanceFormatError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from None
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"{path}: {exc}") from None

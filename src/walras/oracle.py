@@ -6,7 +6,9 @@ given an instance builds any ``DemandCache`` or ``LyapunovOracle`` itself):
 
 * exhaustive Lyapunov minimization and definitional equilibrium enumeration
   over a bounded price box, and the closed-form minimal price of a market
-  of separable bidders (``separable_p_min``), which needs no box;
+  of separable bidders (``separable_p_min``), which needs no box.  One
+  clearing search defines equilibrium for both models; the unit model passes
+  its options as bundles, option 0 the zero bundle and option i chi_i;
 * the unit model's definitions from Andersson, Andersson and Talman (2013):
   demand sets with the no-purchase item 0, one bidder at a time
   (``unit_demand_mask``, the twin of ``DemandCache.unit_masks``), the
@@ -165,57 +167,14 @@ def allocation_certifies(instance: Instance, p: PriceVector,
 # --- definitional equilibrium enumeration ---------------------------------
 
 
-def _unit_clearing(instance: Instance, p: PriceVector, charge) -> bool:
-    """Does some assignment give every bidder a demanded option and sell every
-    positively priced item?  Straight depth-first enumeration, bidder by
-    bidder, with an explicit stack so the depth is not bounded by Python's
-    recursion limit; ``charge`` is called once per node."""
-    m, n = instance.m, instance.n
-    options = [sorted(_unit_options(instance, b, p)) for b in range(m)]
-    priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
-
-    def settled(b: int, used: frozenset[int]) -> bool | None:
-        """Charge the node for bidder b; its verdict, or None to branch."""
-        charge()
-        if len(priced - used) > m - b:
-            return False
-        if b == m:
-            return priced <= used
-        return None
-
-    verdict = settled(0, frozenset())
-    if verdict is not None:
-        return verdict
-    # One frame per bidder: the items already taken and the next option.
-    stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
-    while stack:
-        b = len(stack) - 1
-        used, i = stack[b]
-        opts = options[b]
-        while i < len(opts) and opts[i] != 0 and opts[i] in used:
-            i += 1
-        if i == len(opts):
-            stack.pop()
-            continue
-        stack[b] = (used, i + 1)
-        taken = used if opts[i] == 0 else used | {opts[i]}
-        verdict = settled(b + 1, taken)
-        if verdict is None:
-            stack.append((taken, 0))
-        elif verdict:
-            return True
-    return False
-
-
-def _multi_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
-                    charge, unsold: bool) -> bool:
-    """Does some choice of demanded bundles clear the supply?  With ``unsold``
-    the total may fall short wherever the price is zero.  Depth-first over
-    bidders with an explicit stack; ``charge`` is called once per node."""
+def _clearing(instance: Instance, sets, p: PriceVector, charge, unsold: bool) -> bool:
+    """Does some choice of one bundle per bidder, bidder b's from ``sets[b]``,
+    clear the supply at p?  With ``unsold`` the total may fall short
+    wherever the price is zero.  Depth-first over bidders with an explicit
+    stack; ``charge`` is called once per node."""
     m, n, u = instance.m, instance.n, instance.u
     if m == 0:
         return unsold and all(c == 0 for c in p)
-    sets = [dc.demand_set(b, p) for b in range(m)]
     maxs = [tuple(max(x[j] for x in ds) for j in range(n)) for ds in sets]
     suffix_max = [(0,) * n] * (m + 1)
     for k in range(m - 1, -1, -1):
@@ -261,18 +220,33 @@ def _multi_clearing(instance: Instance, dc: DemandCache, p: PriceVector,
 
 def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = False,
                                       budget: int = DEFAULT_BUDGET) -> frozenset[PriceVector]:
-    """Equilibrium prices straight from the definition, scanning [0, price_cap].
+    """Equilibrium prices straight from the definition, scanning [0, price_cap]:
+    the prices at which some choice of one demanded bundle per bidder clears
+    the supply.
 
-    For the unit model the definition already lets zero-priced items go
-    unsold, so ``unsold`` changes nothing there.  For the multi model,
-    ``unsold=False`` demands the bundles sum exactly to the supply, while
-    ``unsold=True`` allows leftovers on zero-priced items only.
+    For the multi model, ``unsold=False`` demands the bundles sum exactly to
+    the supply, while ``unsold=True`` allows leftovers on zero-priced items
+    only.  The unit model reads its demanded options as bundles, and its
+    definition already lets zero-priced items go unsold, so it always
+    clears with ``unsold=True``.
     """
     volume, ranges = _scan_box(instance)
     if volume > budget:
         raise BudgetExceededError(
             f"price box volume {volume} exceeds budget {budget}")
-    dc = DemandCache(instance, budget=budget)
+    m, n = instance.m, instance.n
+    if instance.model == UNIT:
+        # Option 0, buying nothing, is the zero bundle and option i is chi_i.
+        chi = [tuple(int(j == i - 1) for j in range(n)) for i in range(n + 1)]
+
+        def demanded(p: PriceVector) -> list[list[Bundle]]:
+            return [[chi[i] for i in sorted(_unit_options(instance, b, p))] for b in range(m)]
+        unsold = True
+    else:
+        dc = DemandCache(instance, budget=budget)
+
+        def demanded(p: PriceVector) -> list[tuple[Bundle, ...]]:
+            return [dc.demand_set(b, p) for b in range(m)]
     spent = 0
 
     def charge():
@@ -282,16 +256,8 @@ def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = Fals
             raise BudgetExceededError(
                 f"definitional enumeration exceeded budget {budget}")
 
-    out = []
-    for p in product(*ranges):
-        p = tuple(p)
-        if instance.model == UNIT:
-            good = _unit_clearing(instance, p, charge)
-        else:
-            good = _multi_clearing(instance, dc, p, charge, unsold)
-        if good:
-            out.append(p)
-    return frozenset(out)
+    return frozenset(p for p in product(*ranges)
+                     if _clearing(instance, demanded(p), p, charge, unsold))
 
 
 # --- local minimality, set by set ------------------------------------------

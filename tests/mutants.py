@@ -59,6 +59,8 @@ STEEPEST_LENGTH = ("tests/test_relations.py::TestSteepestLength::"
 PERMUTATION = "tests/test_relations.py::TestPermutation::test_permuting_the_items_permutes_p_min"
 ZERO_WORTH = ("tests/test_relations.py::TestZeroWorthBidder::"
               "test_a_bidder_worth_nothing_changes_no_run")
+ADDED_BIDDER = ("tests/test_relations.py::TestAddedBidder::"
+                "test_adding_a_bidder_never_lowers_p_min")
 RELATIONS = (SCALING, STEEPEST_LENGTH, PERMUTATION, ZERO_WORTH)
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
@@ -97,7 +99,7 @@ MUTANTS = (
            "yield from compress(zip(xs, ys), map(lt, best, need))",
            "yield from compress(zip(xs, ys), map(lambda a, b: a <= b, best, need))",
            (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",
-            *RELATIONS)),
+            *RELATIONS, ADDED_BIDDER)),
     Mutant("monotone-witness-max", "instance.py",
            "first = min(_nondecreasing(u, worth), default=None)",
            "first = max(_nondecreasing(u, worth), default=None)",
@@ -105,7 +107,8 @@ MUTANTS = (
     Mutant("monotone-lt-le", "instance.py",
            "map(gt, worth, worth[s:])",
            "map(lambda a, b: a >= b, worth, worth[s:])",
-           (INSTANCE_TESTS + "TestMonotoneVerifier::test_zero_valuation_holds", *RELATIONS)),
+           (INSTANCE_TESTS + "TestMonotoneVerifier::test_zero_valuation_holds", *RELATIONS,
+            ADDED_BIDDER)),
     Mutant("monotone-j-order-reversed", "instance.py",
            "first = min(_nondecreasing(u, worth), default=None)",
            "first = min(_nondecreasing(u, worth), default=None, key=lambda f: (f[0], -f[1]))",
@@ -114,20 +117,23 @@ MUTANTS = (
     Mutant("stride-off-by-one", "itemsets.py",
            "out[c - 1] = out[c] * radices[c]",
            "out[c - 1] = out[c] * radices[c - 1]",
-           (LNAT_TESTS + "test_sweep_meets_every_outcome", STEEPEST_LENGTH, ZERO_WORTH)),
+           (LNAT_TESTS + "test_sweep_meets_every_outcome", STEEPEST_LENGTH, ZERO_WORTH,
+            ADDED_BIDDER)),
     Mutant("gp-submask-lt", "lnat.py",
            "if low is not None and low <= val:",
            "if low is not None and low < val:",
-           ("tests/test_lnat.py::TestFirstGpMinimal::test_kept_order_matches_a_fresh_shuffle",)),
+           ("tests/test_lnat.py::TestFirstGpMinimal::test_kept_order_matches_a_fresh_shuffle",
+            ADDED_BIDDER)),
     Mutant("meet-as-join", "lnat.py",
            "meet &= mask",
            "meet |= mask",
-           ("tests/test_lnat.py::TestMinimalMinimizerStep::test_worked_example", *RELATIONS)),
+           ("tests/test_lnat.py::TestMinimalMinimizerStep::test_worked_example", *RELATIONS,
+            ADDED_BIDDER)),
     Mutant("minimal-descent-le", "lnat.py",
            "if val is not None and val < base:",
            "if val is not None and val <= base:",
            ("tests/test_lnat.py::TestMinimalDescentSet::test_worked_example", SCALING,
-            ZERO_WORTH)),
+            ZERO_WORTH, ADDED_BIDDER)),
     Mutant("table-stop-scan-skipped", "lnat.py",
            "if _corner_changes(g, p, base, 1, per_item) != list(deltas):",
            "if per_item and _corner_changes(g, p, base, 1, per_item) != list(deltas):",
@@ -140,7 +146,7 @@ MUTANTS = (
     Mutant("run-one-too-long", "demand.py",
            "bounds.append(a_in - a_out)",
            "bounds.append(a_in - a_out + 1)",
-           (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN)),
+           (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN, ADDED_BIDDER)),
     Mutant("run-end-t-minus-one", "lnat.py",
            "if (s == 1 or s == periods) and",
            "if (s == 1 or s == periods - 1) and",
@@ -197,14 +203,15 @@ MUTANTS = (
     Mutant("conjugate-price-not-times-units", "demand.py",
            "ck = c * k",
            "ck = c",
-           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values", *RELATIONS)),
+           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values", *RELATIONS,
+            ADDED_BIDDER)),
     Mutant("item-takes-bisect-left", "demand.py",
            "return [len(col) - bisect_right(col, c) - q",
            "return [len(col) - bisect_right(col, c - 1) - q",
            ("tests/test_demand.py::TestFastPaths::"
             "test_demand_key_takes_match_per_bidder_least_argmaxes",
             "tests/test_lyapunov.py::TestDifferenceIdentity::test_two_bidder_multi_box",
-            *RELATIONS)),
+            *RELATIONS, ADDED_BIDDER)),
     Mutant("run-tie-no-limit", "demand.py",
            "elif a_in == a_out > 0:",
            "elif a_in == a_out < 0:",
@@ -214,7 +221,7 @@ MUTANTS = (
            "if kept[0] is None:",
            (SCAN_TESTS + "test_interleaved_reads_match_a_fresh_cache",
             "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers",
-            *RELATIONS)),
+            *RELATIONS, ADDED_BIDDER)),
     Mutant("run-columns-read-with-option-0", "demand.py",
            "for col, c in compress(zip(self._columns, p), inside[1:]):",
            "for col, c in compress(zip(self._columns, p), inside):",
@@ -223,7 +230,7 @@ MUTANTS = (
            "tied.append(d >> 1)",
            "tied.append(d)",
            ("tests/test_demand.py::TestUnitDemandKey::test_key_matches_the_per_bidder_masks",
-            SCALING, STEEPEST_LENGTH)),
+            SCALING, STEEPEST_LENGTH, ADDED_BIDDER)),
     Mutant("table-negative-component-accepted", "instance.py",
            "for c in x:\n                    if type(c) is not int or c < 0:",
            "for c in x:\n                    if type(c) is not int:",
@@ -249,6 +256,20 @@ MUTANTS = (
            "if type(c) is not int:",
            ("tests/test_auction.py::TestPriceChecks::test_public_reads_refuse_bad_prices",
             TWIN_TESTS + "test_prices")),
+    Mutant("gp-minimal-flat-set-taken", "lnat.py",
+           "if val is None or val >= base:",
+           "if val is None or val > base:",
+           (ADDED_BIDDER,)),
+    Mutant("unit-grid-worths-misaligned", "lyapunov.py",
+           "for w, axis in zip(reversed(valuations[b].values), reversed(axes)):",
+           "for w, axis in zip(valuations[b].values, reversed(axes)):",
+           (ADDED_BIDDER, *RELATIONS)),
+    Mutant("unit-enumeration-sells-every-item", "oracle.py",
+           "        unsold = True\n",
+           "        unsold = False\n",
+           ("tests/test_oracle.py::TestDefinitionalEnumeration::"
+            "test_unit_options_clear_as_the_multi_models_bundles",
+            "tests/test_oracle.py::TestClearingWalks::test_unit_walk_matches_the_recursion")),
     Mutant("lnat-charge-fixed-budget", "cli.py",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)",

@@ -19,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (EX21_JSON, breaks_local_exchange, breaks_midpoint,
                       column_markets, complements_table_market, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
-from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
-                    brute_force_min_equilibrium, deficiency, max_total_value,
+import walras.instance
+from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracle, Valuation,
+                    brute_force_min_equilibrium, deficiency, load_instance, max_total_value,
                     parse_instance, separable_p_min, serialize_instance,
                     verify_equilibrium)
 from walras.auction import UnitAllocation
@@ -793,6 +794,26 @@ class TestUndecodableInput:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
+
+
+class TestLoadTimeBudget:
+    def test_refusal_names_the_file(self, tmp_path, monkeypatch, capsys):
+        """A table too large for the load-time monotonicity scan is refused
+        naming its file, as a format error is, and still exits 1.  The scan
+        is replaced by its refusal, so no large file is written."""
+        message = "monotonicity scan of volume 600001 exceeds budget 1000000"
+
+        def refuse(v, **kwargs):
+            raise BudgetExceededError(message)
+
+        monkeypatch.setattr(walras.instance, "verify_monotone_normalized", refuse)
+        monkeypatch.setenv("WALRAS_BUDGET", "100000000")
+        path = tmp_path / "big.json"
+        path.write_text(COMPLEMENTS_JSON)
+        assert run_command(["verify", "--instance", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        with pytest.raises(BudgetExceededError, match=re.escape(f"{path}: {message}")):
+            load_instance(str(path))
 
 
 class TestHugeUnitN:

@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (make_two_bidder_multi, random_multi_instance, random_unit_instance,
                       wide_separable_market)
@@ -16,7 +16,7 @@ from walras import (BudgetExceededError, DescentWitness, Instance, StrategyKind,
                     equilibrium_prices_by_enumeration, parse_instance, price_cap,
                     separable_p_min, verify_equilibrium)
 from walras.demand import DemandCache
-from walras.oracle import _multi_clearing, _unit_clearing, _unit_options
+from walras.oracle import _clearing, _unit_options
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -213,6 +213,31 @@ class TestDefinitionalEnumeration:
         assert exact == relaxed
         assert exact == all_lyapunov_minimizers(inst)
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                             max_size=4))))
+    @example((2, [[0, 0]]))
+    @example((2, []))
+    def test_unit_options_clear_as_the_multi_models_bundles(self, drawn):
+        """The unit model's enumeration reads each bidder's options as the
+        zero bundle and the chi_i, and lets zero-priced items go unsold.
+        Written as a multi market with one unit per item, the same bidders'
+        demand sets come from box scans instead, and may hold bundles of
+        two or more items worth no more than their best single item.  Both
+        enumerations find the Lyapunov minimizers, and so does the multi
+        market's exact one when there is a bidder.  With none, positive
+        supply never clears exactly, and the exact set is empty."""
+        n, rows = drawn
+        vals = tuple(map(Valuation.unit_demand, rows))
+        unit = Instance(model="unit", n=n, u=(1,) * n, valuations=vals)
+        multi = Instance(model="multi", n=n, u=(1,) * n, valuations=vals)
+        got = equilibrium_prices_by_enumeration(unit)
+        assert got == equilibrium_prices_by_enumeration(multi, unsold=True)
+        assert got == all_lyapunov_minimizers(unit)
+        exact = equilibrium_prices_by_enumeration(multi)
+        assert exact == (got if rows else frozenset())
+
     def test_unsold_variant_for_bidderless_multi(self):
         inst = Instance(model="multi", n=1, u=(2,), valuations=())
         assert equilibrium_prices_by_enumeration(inst) == frozenset()
@@ -223,14 +248,16 @@ class TestDefinitionalEnumeration:
             equilibrium_prices_by_enumeration(two_bidder_multi, budget=3)
 
 
-def recursive_unit_walk(instance, p, charge):
-    """The recursive depth-first enumeration ``_unit_clearing`` replaced."""
+def recursive_unit_walk(instance, p):
+    """Does some assignment give every bidder a demanded option, use no item
+    twice and sell every positively priced item?  The literal recursion
+    over Andersson, Andersson and Talman's options, 0 meaning "buy
+    nothing"."""
     m, n = instance.m, instance.n
     demands = [_unit_options(instance, b, p) for b in range(m)]
     priced = frozenset(i for i in range(1, n + 1) if p[i - 1] > 0)
 
     def walk(b, used):
-        charge()
         if len(priced - used) > m - b:
             return False
         if b == m:
@@ -247,12 +274,12 @@ def recursive_unit_walk(instance, p, charge):
     return walk(0, frozenset())
 
 
-def recursive_multi_walk(instance, dc, p, charge, unsold):
-    """The recursive depth-first enumeration ``_multi_clearing`` replaced."""
+def recursive_multi_walk(instance, sets, p, charge, unsold):
+    """The recursive depth-first enumeration ``_clearing`` replaced, over
+    each bidder's demanded bundles ``sets``."""
     m, n, u = instance.m, instance.n, instance.u
     if m == 0:
         return unsold and all(c == 0 for c in p)
-    sets = [dc.demand_set(b, p) for b in range(m)]
     maxs = [tuple(max(x[j] for x in ds) for j in range(n)) for ds in sets]
     suffix_max = [(0,) * n] * (m + 1)
     for k in range(m - 1, -1, -1):
@@ -275,20 +302,36 @@ def recursive_multi_walk(instance, dc, p, charge, unsold):
     return walk(0, u)
 
 
+def option_bundles(instance, p):
+    """Every unit-demand bidder's demanded options at p as bundles: option
+    0 is the zero bundle and option i is chi_i."""
+    n = instance.n
+    chi = [tuple(int(j == i - 1) for j in range(n)) for i in range(n + 1)]
+    return [[chi[i] for i in sorted(_unit_options(instance, b, p))] for b in range(instance.m)]
+
+
 class TestClearingWalks:
-    """The explicit-stack enumerations against the recursive walks they
-    replaced: the same verdict and the same number of charged nodes, so
-    every budget error stays where it was."""
+    """The explicit-stack search against the recursive walk it replaced,
+    on the multi model's demand sets and on the unit model's options read
+    as bundles: the same verdict and the same number of charged nodes, so
+    a budget error comes where the walk's would.  The unit model's verdicts
+    are also held to the literal assignment recursion."""
 
     def test_unit_walk_matches_the_recursion(self):
         rng = random.Random(41)
         for _ in range(60):
             inst = random_unit_instance(rng, n_max=4, m_max=6, value_max=3)
+            cleared = set()
             for p in product(range(4), repeat=inst.n):
+                sets = option_bundles(inst, p)
                 fast, slow = [], []
-                got = _unit_clearing(inst, p, lambda: fast.append(None))
-                want = recursive_unit_walk(inst, p, lambda: slow.append(None))
+                got = _clearing(inst, sets, p, lambda: fast.append(None), True)
+                want = recursive_multi_walk(inst, sets, p, lambda: slow.append(None), True)
                 assert (got, len(fast)) == (want, len(slow)), (inst, p)
+                assert got == recursive_unit_walk(inst, p), (inst, p)
+                if got and max(p) <= price_cap(inst)[0]:
+                    cleared.add(p)
+            assert equilibrium_prices_by_enumeration(inst) == cleared, inst
 
     def test_multi_walk_matches_the_recursion(self):
         rng = random.Random(43)
@@ -297,9 +340,10 @@ class TestClearingWalks:
                                          value_max=4)
             dc = DemandCache(inst)
             for p in product(range(5), repeat=inst.n):
+                sets = [dc.demand_set(b, p) for b in range(inst.m)]
                 for unsold in (False, True):
                     fast, slow = [], []
-                    got = _multi_clearing(inst, dc, p, lambda: fast.append(None), unsold)
-                    want = recursive_multi_walk(inst, dc, p, lambda: slow.append(None),
+                    got = _clearing(inst, sets, p, lambda: fast.append(None), unsold)
+                    want = recursive_multi_walk(inst, sets, p, lambda: slow.append(None),
                                                 unsold)
                     assert (got, len(fast)) == (want, len(slow)), (inst, p, unsold)

@@ -3,10 +3,12 @@
 Each test solves a market and a transformed twin and holds the answers to
 an identity of the theory: scaling every worth by k scales ``p_min`` by k,
 permuting the items permutes it, ``steepest`` reaches it in exactly
-‖p_min - p0‖∞ steps, and a bidder worth nothing changes no run.  They
-reach values that brute force cannot, and pin a trajectory's length, not
-just its end.
+‖p_min - p0‖∞ steps, a bidder worth nothing changes no run, and adding a
+bidder lowers no component of it.  They reach values that brute force
+cannot, and pin a trajectory's length, not just its end.
 """
+
+from operator import le
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -156,3 +158,41 @@ class TestZeroWorthBidder:
             run = ascending_auction(inst, kind, seed=7)
             again = ascending_auction(twin, kind, seed=7)
             assert (again.p_min, again.trajectory) == (run.p_min, run.trajectory), kind
+
+
+def _bidders(inst: Instance):
+    """One more bidder fitting inst: unit-demand in the unit model;
+    separable, tabulated, or unit-demand on one unit per item, in the multi
+    model."""
+    unit = st.lists(WORTH, min_size=inst.n, max_size=inst.n).map(Valuation.unit_demand)
+    if inst.model == "unit":
+        return unit
+    bidder = _rows(inst.u).map(Valuation.separable)
+    if inst.u == (1,) * inst.n:
+        bidder = st.one_of(bidder, unit)
+    return st.one_of(bidder, bidder.map(tabulate))
+
+
+class TestAddedBidder:
+    @settings(max_examples=30)
+    @given(MARKETS, st.data())
+    @example(Instance(model="unit", n=2, u=(1, 1), valuations=()),
+             Drawn(0, Valuation.unit_demand([2, 1])))
+    @example(Instance(model="multi", n=2, u=(1, 1), valuations=(Valuation.separable([[1], [1]]),)),
+             Drawn(0, Valuation.separable([[0], [1]])))
+    def test_adding_a_bidder_never_lowers_p_min(self, inst, data):
+        """Write L_t(p) = L(p) + t * V(p) for t in {0, 1}, where V is the
+        added bidder's indirect utility.  Each L_t is the Lyapunov function
+        of a substitutes market, so it is submodular in p, and V is
+        nonincreasing in p.  So -L_t is supermodular in p and has
+        increasing differences in (p, t), and its set of maximizers is
+        increasing in t in the strong set order (Topkis, Oper. Res. 1978;
+        Milgrom and Shannon, Econometrica 1994).  The least minimizer,
+        ``p_min``, therefore cannot fall, under any rule, wherever the
+        bidder is inserted."""
+        vals = list(inst.valuations)
+        vals.insert(data.draw(st.integers(0, len(vals)), label="at"),
+                    data.draw(_bidders(inst), label="bidder"))
+        twin = Instance(model=inst.model, n=inst.n, u=inst.u, valuations=tuple(vals))
+        for kind in StrategyKind:
+            assert all(map(le, _p_min(inst, kind), _p_min(twin, kind))), kind
