@@ -19,7 +19,7 @@ from .instance import (DEFAULT_BUDGET, Instance, load_instance,
                        max_total_value, verify_mnat_exc,
                        verify_monotone_normalized)
 from .itemsets import mask_weight
-from .lnat import StrategyKind, is_lnat_convex_on_box
+from .lnat import StrategyKind, _midpoint_charge, is_lnat_convex_on_box
 from .lyapunov import LyapunovOracle
 
 STRATEGY_FLAGS = {
@@ -218,10 +218,14 @@ def _verify_lines(instance: Instance, checks: tuple[str, ...],
         # on [0, 2]^5) against the run's budget, as monotone and mnat are, and
         # tests about a fifth of them.  The rule's largest charge is 32,640
         # (n = 8, s = 1), so only a budget below the default can refuse it.
+        # Where it leaves s = 0, [0, 1]^n is checked if its charge fits: n <= 10 by default.
         root = 1
         while (root + 1) ** (2 * instance.n + 1) <= _LNAT_CHECK_BUDGET:
             root += 1
-        side = min(root - 1, max_total_value(instance))
+        worth = max_total_value(instance)
+        side = min(root - 1, worth)
+        if side < 1 <= worth and _midpoint_charge([1] * instance.n) <= budget:
+            side = 1
         box = ((0,) * instance.n, (side,) * instance.n)
         bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)
         if bad is None:

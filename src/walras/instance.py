@@ -8,7 +8,6 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import json
-import sys
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        compress, count, permutations, product)
@@ -32,7 +31,8 @@ SEPARABLE_CONCAVE = "separable_concave"
 EXPLICIT_TABLE = "explicit_table"
 FAMILIES = (UNIT_DEMAND, SEPARABLE_CONCAVE, EXPLICIT_TABLE)
 
-#: Default cap on valuation evaluations per verifier / oracle call.
+#: Default cap on valuation evaluations per verifier / oracle call, and the
+#: most items a unit market's default supply may list.
 DEFAULT_BUDGET = 10**6
 
 
@@ -451,8 +451,8 @@ class Instance(_Record):
             if v.box() != u:
                 raise InstanceFormatError(
                     f"valuations[{b}]: domain box {v.box()} does not match supply {u}")
-            if v.family == EXPLICIT_TABLE:
-                bad = verify_monotone_normalized(v)
+            if v.family == EXPLICIT_TABLE:  # charged its reads: the table bounds them
+                bad = verify_monotone_normalized(v, budget=box_volume(u) * (n + 1))
                 if bad is not None:
                     raise InstanceFormatError(f"valuations[{b}]: {bad.message}")
         self._assign(model, n, u, valuations)
@@ -557,8 +557,8 @@ def parse_instance(text: str) -> Instance:
                 raise InstanceFormatError(f"u[{i}]: supply must be positive")
         u = tuple(u)
     elif model == UNIT:
-        if n > sys.maxsize:
-            raise InstanceFormatError(f"n: must be at most {sys.maxsize}")
+        if n > DEFAULT_BUDGET:
+            raise InstanceFormatError(f"n: must be at most {DEFAULT_BUDGET}")
         u = (1,) * n
     else:
         raise InstanceFormatError("u: missing required field for model 'multi'")
@@ -597,5 +597,3 @@ def load_instance(path: str) -> Instance:
         raise InstanceFormatError(f"{path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, InstanceFormatError) as exc:
         raise InstanceFormatError(f"{path}: {exc}") from None
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(f"{path}: {exc}") from None

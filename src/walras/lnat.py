@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import random
+from collections import Counter
 from itertools import combinations, compress, product, repeat
 from math import prod
 from operator import add, ge, lt
@@ -201,23 +202,26 @@ def _midpoint_charge(widths: list[int]) -> int:
     """The theorem's pairs p < q of the box [0, widths], ‖q - p‖∞ <= 2, which
     the witness is read from.  Along a coordinate of r points, r - |t| (none
     if not positive) step by t, so the ordered pairs number Π_c Σ_{|t| <= 2}
-    (r_c - |t|); less p = q, they come in twins."""
-    steps = prod(sum(max(0, w + 1 - abs(t)) for t in range(-2, 3)) for w in widths)
-    return (steps - prod(w + 1 for w in widths)) // 2
+    (r_c - |t|); less p = q, they come in twins.  Equal widths share a
+    power, so a wide box costs a few big-integer powers, not n products."""
+    counts = Counter(widths).items()
+    steps = prod(sum(max(0, w + 1 - abs(t)) for t in range(-2, 3)) ** k for w, k in counts)
+    return (steps - prod((w + 1) ** k for w, k in counts)) // 2
 
 
-def _words(n: int) -> tuple[list[str], list[str]]:
-    """The ``_parts`` words, a letter per coordinate, of the check's family,
-    (a) "u" at i and "d" at j > i, (b) "t" at the first 2, and of the
-    theorem's: q - p is 0 before some c, 1 or 2 at c, and -2..2 after it."""
-    check = ["s" * i + "u" + "s" * (j - i - 1) + "d" + "s" * (n - 1 - j)
+def _words(n: int) -> tuple[list[tuple], list[tuple]]:
+    """The words of the check's family and of the theorem's, one set of
+    steps q - p per coordinate: the check's (a) +1 at i and -1 at j > i,
+    (b) {0, 1} before the first 2, then 2, then {0, 1, 2}; the theorem's 0
+    before some c, {1, 2} at c, then -2..2."""
+    check = [tuple((1,) if c == i else (-1,) if c == j else (0,) for c in range(n))
              for i, j in combinations(range(n), 2)]
-    check += ["b" * j + "t" + "e" * (n - 1 - j) for j in range(n)]
-    return check, ["s" * c + step + "a" * (n - 1 - c) for c in range(n) for step in "ut"]
+    check += [((0, 1),) * j + ((2,),) + ((0, 1, 2),) * (n - 1 - j) for j in range(n)]
+    return check, [((0,),) * c + ((1, 2),) + ((-2, -1, 0, 1, 2),) * (n - c - 1) for c in range(n)]
 
 
 def _locally_midpoint_convex(widths: list[int], vals: list[int],
-                             words: Sequence[str]) -> Iterator[tuple[int, int]]:
+                             words: Sequence[tuple]) -> Iterator[tuple[int, int]]:
     """Yield the flat indices (ip, iq) of every pair of ``words`` (see
     ``_words``) on the box [0, widths] with g(p) + g(q) < g(ceil((p + q)/2))
     + g(floor((p + q)/2)), given g's values ``vals`` over the box in
@@ -254,28 +258,22 @@ def _locally_midpoint_convex(widths: list[int], vals: list[int],
                 yield starts[0] + ip, starts[1] + iq
 
 
-def _parts(s: int, w: int) -> dict[str, list[tuple]]:
+def _parts(s: int, w: int) -> dict[int, list[tuple]]:
     """Index parts s * (p, q, ceil((p + q)/2), floor((p + q)/2)) along a
-    coordinate of stride s, for p and q in [0, w]: "s" has q = p, "u"
-    q = p + 1, "d" q = p - 1, "t" q = p + 2, "D" q = p - 2; "b" is "s" or
-    "u", "e" not "d" or "D", and "a" any of them."""
-    still = [(s * x,) * 4 for x in range(w + 1)]
-    up = [(s * x, s * x + s, s * x + s, s * x) for x in range(w)]
-    two = [(s * x, s * x + 2 * s, s * x + s, s * x + s) for x in range(w - 1)]
-    down = [(q, p, c, f) for p, q, c, f in up]
-    back = [(q, p, c, f) for p, q, c, f in two]
-    return {"s": still, "u": up, "d": down, "t": two, "b": still + up,
-            "e": still + up + two, "a": still + up + down + two + back}
+    coordinate of stride s, for p and q = p + t in [0, w], by step t."""
+    return {t: [(s * p, s * (p + t), s * ((2 * p + t + 1) // 2), s * ((2 * p + t) // 2))
+                for p in range(max(0, -t), w + 1 - max(0, t))] for t in range(-2, 3)}
 
 
-def _columns(parts: list[dict], words: Sequence[str]) -> list[list[int]]:
+def _columns(parts: list[dict], words: Sequence[tuple]) -> list[list[int]]:
     """The four index columns of every choice of one part per coordinate,
-    from ``parts[c][word[c]]`` at coordinate c, for each word in turn."""
+    ``parts[c][t]`` for a step t of ``word[c]``, for each word in turn."""
     out = [[] for _ in range(4)]
     for word in words:
         cols = [[0]] * 4
-        for factor in map(dict.get, parts, word):
-            cols = [[a + part[i] for a in col for part in factor] for i, col in enumerate(cols)]
+        for part, steps in zip(parts, word):
+            factor = [e for t in steps for e in part[t]]
+            cols = [[a + e[i] for a in col for e in factor] for i, col in enumerate(cols)]
         for joined, col in zip(out, cols):
             joined.extend(col)
     return out

@@ -7,7 +7,9 @@ occur there once, its faulty replacement, and the test ids expected to kill
 it.  Before planting anything, the script runs the union of the chosen
 entries' tests once on the clean copy and exits 1, naming them, if any
 fail there, so a failure is a kill only when the fault caused it.  An
-entry is then killed when its tests fail.  Run from anywhere:
+entry is then killed when its tests fail.  Every run passes pytest one
+``--hypothesis-seed``, so two runs of the script print the same report.
+Run from anywhere:
 
     python tests/mutants.py                  # every entry
     python tests/mutants.py lnat-witness-max # the named entries only
@@ -33,6 +35,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: The seed of every pytest run, the clean one and each entry's, so that a
+#: Hypothesis test kills or spares an entry the same way on every run.
+HYPOTHESIS_SEED = 0
 
 
 class Mutant(NamedTuple):
@@ -80,8 +86,8 @@ MUTANTS = (
            "low = map(lambda a, b: a <= b, map(add, gp, gq), map(add, gc, gf))",
            (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
     Mutant("lnat-no-back-step", "lnat.py",
-           '"a": still + up + down + two + back}',
-           '"a": still + up + down + two}',
+           "((-2, -1, 0, 1, 2),)",
+           "((-1, 0, 1, 2),)",
            (LNAT_TESTS + "test_charge_is_the_plans_pairs",)),
     Mutant("lnat-hi-for-lo", "lnat.py",
            "return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),",
@@ -286,10 +292,12 @@ def stale(mutants=MUTANTS) -> list[str]:
 
 
 def _pytest(work: Path, tests, *flags: str) -> subprocess.CompletedProcess:
-    """Run ``tests`` on the copy of ``src/`` under ``work``."""
+    """Run ``tests`` on the copy of ``src/`` under ``work``, Hypothesis
+    drawing from ``HYPOTHESIS_SEED``."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags,
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--hypothesis-seed={HYPOTHESIS_SEED}", *flags,
          *(str(ROOT / test) for test in tests)],
         cwd=work, env=env, capture_output=True, text=True, timeout=600)
 

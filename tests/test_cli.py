@@ -19,9 +19,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import (EX21_JSON, breaks_local_exchange, breaks_midpoint,
                       column_markets, complements_table_market, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
-import walras.instance
-from walras import (BudgetExceededError, FunctionOracle, Instance, LyapunovOracle, Valuation,
-                    brute_force_min_equilibrium, deficiency, load_instance, max_total_value,
+import walras.cli
+from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
+                    brute_force_min_equilibrium, deficiency, max_total_value,
                     parse_instance, separable_p_min, serialize_instance,
                     verify_equilibrium)
 from walras.auction import UnitAllocation
@@ -370,7 +370,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("model, n", [("multi", 300), ("unit", 30)])
     def test_lnat_on_a_one_point_box_is_quick(self, model, n, tmp_path):
-        """From n = 9 on verify's box is the one point [0, 0]^n, which no pair
+        """From n = 11 on verify's box is the one point [0, 0]^n, which no pair
         of the theorem moves; a separable n = 300 market and a unit n = 30
         one print that it holds well within the timeout."""
         rng = random.Random(n)
@@ -388,6 +388,33 @@ class TestVerify:
             capture_output=True, text=True, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (0, f"lnat: holds on [0, 0]^{n}\n", "")
+
+    def test_lnat_checks_the_unit_box_up_to_ten_items(self, tmp_path, monkeypatch, capsys):
+        """Past n = 8 the (s + 1)^(2n + 1) rule leaves the one point, and
+        verify checks [0, 1]^n instead while that box's charge fits the
+        budget: 130,816 tests at n = 9 and 523,776 at n = 10, both within
+        the default; 2,096,128 at n = 11 is not.  A budget one below n = 9's
+        charge keeps its one point, and a market worth nothing keeps it at
+        any budget."""
+        def verify(n, worth=30, budget=None):
+            rng = random.Random(n)
+            path = tmp_path / f"unit{n}.json"
+            path.write_text(serialize_instance(Instance("unit", n, (1,) * n, tuple(
+                Valuation.unit_demand([rng.randint(0, worth) for _ in range(n)])
+                for _ in range(2)))))
+            if budget is None:
+                monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            code = run_command(["verify", "--instance", str(path), "--check", "lnat"])
+            return (code, *capsys.readouterr())
+
+        assert verify(9) == (0, "lnat: holds on [0, 1]^9\n", "")
+        assert verify(10) == (0, "lnat: holds on [0, 1]^10\n", "")
+        assert verify(11) == (0, "lnat: holds on [0, 0]^11\n", "")
+        assert verify(9, budget=130_816) == (0, "lnat: holds on [0, 1]^9\n", "")
+        assert verify(9, budget=130_815) == (0, "lnat: holds on [0, 0]^9\n", "")
+        assert verify(9, worth=0) == (0, "lnat: holds on [0, 0]^9\n", "")
 
     def test_family_bidders_pass_the_exchange_check_by_theorem(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -796,39 +823,44 @@ class TestUndecodableInput:
         assert proc.stderr.startswith("error: ") and str(bad) in proc.stderr
 
 
-class TestLoadTimeBudget:
-    def test_refusal_names_the_file(self, tmp_path, monkeypatch, capsys):
-        """A table too large for the load-time monotonicity scan is refused
-        naming its file, as a format error is, and still exits 1.  The scan
-        is replaced by its refusal, so no large file is written."""
-        message = "monotonicity scan of volume 600001 exceeds budget 1000000"
-
-        def refuse(v, **kwargs):
-            raise BudgetExceededError(message)
-
-        monkeypatch.setattr(walras.instance, "verify_monotone_normalized", refuse)
-        monkeypatch.setenv("WALRAS_BUDGET", "100000000")
-        path = tmp_path / "big.json"
-        path.write_text(COMPLEMENTS_JSON)
-        assert run_command(["verify", "--instance", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-        with pytest.raises(BudgetExceededError, match=re.escape(f"{path}: {message}")):
-            load_instance(str(path))
+class TestLoadScan:
+    def test_a_large_table_loads_and_verify_charges_its_scan(self, monkeypatch, capsys):
+        """Loading scans each table for monotonicity whatever its size, so a
+        one-item table of 500,001 bundles builds an ``Instance``; only
+        ``verify`` charges the scan, volume * (n + 1) = 1,000,002 reads,
+        against ``WALRAS_BUDGET``: the default refuses it, 2,000,000 passes.
+        The market is handed to the command in process, so no large file is
+        written."""
+        inst = Instance(model="multi", n=1, u=(500_000,), valuations=(
+            Valuation("explicit_table", table=tuple(((x,), x) for x in range(500_001))),))
+        monkeypatch.setattr(walras.cli, "load_instance", lambda path: inst)
+        outcomes = []
+        for budget in (None, "2000000"):
+            if budget is None:
+                monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+            else:
+                monkeypatch.setenv("WALRAS_BUDGET", budget)
+            code = run_command(["verify", "--instance", "big.json", "--check", "monotone"])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes == [
+            (1, "", "error: monotonicity scan of volume 500001 exceeds budget 1000000\n"),
+            (0, "monotone: bidder 0: ok\n", "")]
 
 
 class TestHugeUnitN:
     def test_exits_1_naming_n(self, tmp_path):
-        """A unit market's default supply is n ones; an n past the largest
-        tuple is refused as a format error, not an OverflowError."""
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"model": "unit", "n": 10**30, "m": 0, "valuations": []}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "walras", "solve", "--strategy", "steepest",
-             "--instance", str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith(f"error: {path}: n: ")
+        """A unit market's default supply is n ones; an n past 10^6 items is
+        refused as a format error before the supply is built: 10^30, past
+        the largest tuple, and 10^9, which would take about 8 GB."""
+        for n in (10**30, 10**9):
+            path = tmp_path / f"huge{n}.json"
+            path.write_text(json.dumps({"model": "unit", "n": n, "m": 0, "valuations": []}))
+            proc = subprocess.run(
+                [sys.executable, "-m", "walras", "solve", "--strategy", "steepest",
+                 "--instance", str(path)],
+                capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == \
+                (1, "", f"error: {path}: n: must be at most 1000000\n")
 
 
 class TestDeterminism:

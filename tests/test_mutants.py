@@ -39,6 +39,7 @@ def test_a_test_failing_before_any_fault_stops_the_run(monkeypatch, capsys):
     assert "tests fail before any fault is planted" in out
     assert "tests/test_lnat.py::TestMinimize::test_x" in out
     assert len(calls) == 1 and "-rfE" in calls[0]
+    assert f"--hypothesis-seed={mutants.HYPOTHESIS_SEED}" in calls[0]
 
 
 def test_a_timed_out_entry_is_an_error(monkeypatch, tmp_path):
