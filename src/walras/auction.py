@@ -14,8 +14,7 @@ from operator import sub
 from typing import Iterator, NamedTuple
 
 from .demand import DemandCache, _check_price, _per_item_argmax
-from .errors import (BudgetExceededError, ContractError, ConvexityError,
-                     WalrasError)
+from .errors import BudgetExceededError, ConvexityError, WalrasError
 from .instance import (DEFAULT_BUDGET, MULTI, UNIT, Bundle, Instance, ItemSet,
                        PriceVector, _Record, verify_mnat_exc)
 from .itemsets import items_from_mask
@@ -131,88 +130,63 @@ def ascending_auction(instance: Instance,
 # --- allocation extraction -------------------------------------------------
 
 
-def _augment(left_adj: list[list[int]], right_size: int) -> tuple[list[int | None], int]:
-    """Kuhn's augmenting-path maximum matching; returns (owner per right vertex, size).
+def _augment(adj: list[list[int]], mate: list[int | None], required: list[bool],
+             root: int) -> bool:
+    """Cover the uncovered vertex ``root`` by an alternating path that keeps
+    every required vertex the matching ``mate`` covers covered; False if
+    there is none.
 
-    Each search is a depth-first search with an explicit stack, one
-    iterator per left vertex on the path, so the path's length is not
-    bounded by Python's recursion limit.  ``path`` holds the right vertices
-    the path has reached, each owned by the next left vertex on it; a free
-    one ends the search, and each left vertex then takes its right vertex."""
-    owner: list[int | None] = [None] * right_size
-    size = 0
-    for root in range(len(left_adj)):
-        seen = [False] * right_size
-        todo, path = [iter(left_adj[root])], []
-        while todo:
-            for r in todo[-1]:
-                if not seen[r]:
-                    break
-            else:  # no free right vertex past the latest left vertex: back up
-                todo.pop()
-                del path[-1:]
-                continue
-            seen[r] = True
-            path.append(r)
-            if owner[r] is None:
-                left = root
-                for right in path:
-                    owner[right], left = left, owner[right]
-                size += 1
+    The path ends at a free neighbour, or at a neighbour whose partner is
+    not required, and that partner is dropped.  The search is depth-first
+    with an explicit stack, one iterator per vertex of the root's side on
+    the path, so the path's length is not bounded by Python's recursion
+    limit.  ``path`` holds the neighbours the path has reached, each
+    matched to the next vertex of the root's side on it."""
+    seen = [False] * len(adj)
+    todo, path = [iter(adj[root])], []
+    while todo:
+        for v in todo[-1]:
+            if not seen[v]:
                 break
-            todo.append(iter(left_adj[owner[r]]))
-    return owner, size
-
-
-def _combine_matchings(match_b: dict[int, int], m2: dict[int, int]) -> dict[int, int]:
-    """Merge two matchings so items covered by the first and bidders covered
-    by the second all stay covered (alternating-path exchange)."""
-    item_owner = {i: b for b, i in match_b.items()}
-    for b0 in sorted(m2):
-        if b0 in match_b:
+        else:  # no unseen neighbour past the latest vertex: back up
+            todo.pop()
+            del path[-1:]
             continue
-        b = b0
-        while True:
-            i = m2.get(b)
-            if i is None:
-                break
-            prev = item_owner.get(i)
-            match_b[b] = i
-            item_owner[i] = b
-            if prev is None:
-                break
-            del match_b[prev]
-            b = prev
-    return match_b
+        seen[v] = True
+        path.append(v)
+        w = mate[v]
+        if w is None or not required[w]:
+            # Shift the matching along the path: each neighbour on it takes
+            # the vertex before it, whose old partner moves on to the next.
+            w = root
+            for v in path:
+                mate[v], mate[w], w = w, v, mate[v]
+            if w is not None:
+                mate[w] = None
+            return True
+        todo.append(iter(adj[w]))
+    return False
 
 
 def _extract_unit(instance: Instance, p: PriceVector, dc: DemandCache) -> UnitAllocation | None:
     n, m = instance.n, instance.m
     dmasks = dc.unit_masks(p)  # the unit model's bidders are all unit-demand, in order
-    priced = [i for i in range(1, n + 1) if p[i - 1] > 0]
-    must_buy = [b for b in range(m) if not dmasks[b] & 1]
-    # First matching covers every positively priced item.
-    adj_items = [[b for b in range(m) if dmasks[b] >> i & 1] for i in priced]
-    owner_b, size = _augment(adj_items, m)
-    if size != len(priced):
-        return None
-    match_b = {b: priced[owner_b[b]] for b in range(m) if owner_b[b] is not None}
-    # Second matching covers every bidder that cannot fall back to item 0.
-    adj_bidders = [[i - 1 for i in range(1, n + 1) if dmasks[b] >> i & 1]
-                   for b in must_buy]
-    owner_i, size = _augment(adj_bidders, n)
-    if size != len(must_buy):
-        return None
-    m2 = {}
-    for i in range(n):
-        if owner_i[i] is not None:
-            m2[must_buy[owner_i[i]]] = i + 1
-    match_b = _combine_matchings(match_b, m2)
-    assignment = tuple(match_b.get(b, 0) for b in range(m))
+    # Bidder b is vertex b and item i vertex m + i - 1.  A bidder must buy
+    # when it cannot fall back to item 0, and a positively priced item must
+    # be sold; one matching grown from each of them covers both sides
+    # whenever each side can be covered alone (Mendelsohn and Dulmage, 1958).
+    # The items are grown from first, then the bidders, each in ascending order.
+    adj = [[m + i - 1 for i, bit in enumerate(bin(d)[:1:-1]) if i and bit == "1"]
+           for d in dmasks] + [[] for _ in range(n)]
     for b in range(m):
-        if assignment[b] == 0 and not dmasks[b] & 1:
-            raise ContractError("matching left a bidder without its fallback item")
-    return UnitAllocation(assignment=assignment)
+        for v in adj[b]:
+            adj[v].append(b)
+    required = [not d & 1 for d in dmasks] + [c > 0 for c in p]
+    mate: list[int | None] = [None] * (m + n)
+    for root in [*range(m, m + n), *range(m)]:
+        if required[root] and mate[root] is None and not _augment(adj, mate, required, root):
+            return None
+    return UnitAllocation(tuple(0 if v is None else v - m + 1 for v in mate[:m]))
 
 
 def _extract_multi(instance: Instance, p: PriceVector, dc: DemandCache,
@@ -288,8 +262,9 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
                        budget: int = DEFAULT_BUDGET) -> Allocation | None:
     """Find an allocation certifying p as an equilibrium price, or None.
 
-    Unit model: augmenting-path matching where every positively priced item
-    must be sold and unmatched bidders fall back to item 0.  Multi model:
+    Unit model: one matching grown by alternating paths from its required
+    vertices, every positively priced item and every bidder that cannot
+    fall back to item 0; an unmatched bidder buys nothing.  Multi model:
     depth-first search over the product of demand sets with remaining-supply
     pruning.  Demand is read from a ``DemandCache`` of its own, shared with no
     run.  Budget exhaustion raises, distinct from a proven None.

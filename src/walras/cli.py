@@ -334,4 +334,14 @@ def run_command(argv) -> int:
 
 
 def main(argv=None) -> None:
-    sys.exit(run_command(sys.argv[1:] if argv is None else argv))
+    """Run the command and exit with its code.  A reader that closes stdout
+    early, as ``| head`` does, ends the run with exit 1 and no traceback;
+    stdout then points at the null device, so the exit's flush cannot fail
+    again (the Python docs' note on SIGPIPE)."""
+    try:
+        code = run_command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -31,6 +31,7 @@ The solver modules never import this one.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from operator import mul
 
@@ -236,11 +237,14 @@ def equilibrium_prices_by_enumeration(instance: Instance, *, unsold: bool = Fals
             f"price box volume {volume} exceeds budget {budget}")
     m, n = instance.m, instance.n
     if instance.model == UNIT:
-        # Option 0, buying nothing, is the zero bundle and option i is chi_i.
-        chi = [tuple(int(j == i - 1) for j in range(n)) for i in range(n + 1)]
+        # Option 0, buying nothing, is the zero bundle and option i is chi_i,
+        # built only once some bidder demands it.
+        @cache
+        def chi(i: int) -> Bundle:
+            return tuple(int(j == i - 1) for j in range(n))
 
         def demanded(p: PriceVector) -> list[list[Bundle]]:
-            return [[chi[i] for i in sorted(_unit_options(instance, b, p))] for b in range(m)]
+            return [[chi(i) for i in sorted(_unit_options(instance, b, p))] for b in range(m)]
         unsold = True
     else:
         dc = DemandCache(instance, budget=budget)

@@ -68,6 +68,8 @@ ZERO_WORTH = ("tests/test_relations.py::TestZeroWorthBidder::"
 ADDED_BIDDER = ("tests/test_relations.py::TestAddedBidder::"
                 "test_adding_a_bidder_never_lowers_p_min")
 RELATIONS = (SCALING, STEEPEST_LENGTH, PERMUTATION, ZERO_WORTH)
+UNIT_EXTRACTION = ("tests/test_auction.py::TestExtractionAgainstEnumeration::"
+                   "test_unit_matching_equals_definitional_search")
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -276,6 +278,14 @@ MUTANTS = (
            ("tests/test_oracle.py::TestDefinitionalEnumeration::"
             "test_unit_options_clear_as_the_multi_models_bundles",
             "tests/test_oracle.py::TestClearingWalks::test_unit_walk_matches_the_recursion")),
+    Mutant("unit-path-ends-only-at-free", "auction.py",
+           "if w is None or not required[w]:",
+           "if w is None:",
+           (UNIT_EXTRACTION,)),
+    Mutant("unit-path-drops-a-required-partner", "auction.py",
+           "if w is None or not required[w]:",
+           "if True:",
+           (UNIT_EXTRACTION,)),
     Mutant("lnat-charge-fixed-budget", "cli.py",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)",

@@ -330,6 +330,21 @@ class TestExtractAllocation:
         verdict = verify_equilibrium(inst, (0, 0))
         assert verdict.equilibrium and verdict.allocation == want
 
+    def test_a_path_through_a_required_bidder_drops_one_that_may_buy_nothing(self):
+        """At p = (1, 1) bidder 0 demands {0, 2}, bidder 1 {1, 2} and bidder
+        2 {1}.  Both items are priced, so both must be sold, and bidders 1
+        and 2 must buy.  The items' searches give item 1 to bidder 1 and
+        item 2 to bidder 0; bidder 2's path then runs through bidder 1, who
+        must keep an item, to item 2, and ends by dropping bidder 0, who
+        falls back to buying nothing.  No other allocation exists."""
+        inst = Instance(model="unit", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([0, 1]), Valuation.unit_demand([2, 2]),
+            Valuation.unit_demand([2, 0])))
+        p = (1, 1)
+        alloc = extract_allocation(inst, p)
+        assert alloc == UnitAllocation((0, 2, 1))
+        assert allocation_certifies(inst, p, alloc)
+
     def test_a_matching_path_longer_than_the_recursion_limit(self):
         """Bidder b is worth 10 on items b + 1 and b + 2, the last bidder on
         item n alone, and every price is 5.  Item i's search walks back

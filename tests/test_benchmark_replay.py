@@ -1,11 +1,9 @@
-"""The benchmark's ``table-compare``, ``multi-solve`` and ``verify`` pools,
-replayed in-process: every pool market's ``compare`` and ``solve`` must exit
-with the code and print the stdout bytes that ``perfbench/manifest.json``
-records, and every ``verify`` must exit with its code and print its
-per-check verdicts, so a change in either fails the tests and not only a
-benchmark run.  The markets
-are the ones ``perfbench/gen.py`` writes; nothing under ``perfbench/`` is
-changed."""
+"""The benchmark's four pools, replayed in-process: every pool market's
+``compare`` and ``solve`` must exit with the code and print the stdout
+bytes that ``perfbench/manifest.json`` records, and every ``verify`` must
+exit with its code and print its per-check verdicts, so a change in either
+fails the tests and not only a benchmark run.  The markets are the ones
+``perfbench/gen.py`` writes; nothing under ``perfbench/`` is changed."""
 
 import hashlib
 import importlib.util
@@ -53,18 +51,19 @@ def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"], cmd["key"]
 
 
-def test_multi_solve_pool_matches_the_manifest(tmp_path, monkeypatch):
-    """Every command the manifest records for the separable pool, both
-    rules in both formats, a run's draw or not."""
+def _replay_every_entry(workload, per_market, tmp_path, monkeypatch):
+    """Run every command the manifest records for ``workload``, a run's
+    draw or not, ``per_market`` of them on each pool market, and check its
+    exit code, empty stderr and stdout bytes."""
     monkeypatch.delenv("WALRAS_BUDGET", raising=False)
     gen = _bench_module("gen")
     entries = json.loads((BENCH / "manifest.json").read_text(encoding="utf-8"))["entries"]
-    keys = sorted(key for key in entries if key.startswith("multi-solve/"))
-    assert len(keys) == 2 * 2 * len(gen.pool_ids("multi-solve"))
+    keys = sorted(key for key in entries if key.startswith(f"{workload}/"))
+    assert len(keys) == per_market * len(gen.pool_ids(workload))
     for key in keys:
         market, *args = key.split(" ")
         _, rung, k = market.split("/")
-        text = gen.instance_text(gen.pool_market("multi-solve", int(rung), int(k)))
+        text = gen.instance_text(gen.pool_market(workload, int(rung), int(k)))
         want = entries[key]
         assert hashlib.sha256(text.encode()).hexdigest() == want["instance_sha256"], key
         path = tmp_path / f"{rung}_{k}.json"
@@ -74,6 +73,17 @@ def test_multi_solve_pool_matches_the_manifest(tmp_path, monkeypatch):
             code = run_command([args[0], "--instance", str(path), *args[1:]])
         assert (code, err.getvalue()) == (want["exit"], ""), key
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == want["stdout_sha256"], key
+
+
+def test_multi_solve_pool_matches_the_manifest(tmp_path, monkeypatch):
+    """The separable pool, both rules in both formats."""
+    _replay_every_entry("multi-solve", 2 * 2, tmp_path, monkeypatch)
+
+
+def test_unit_solve_pool_matches_the_manifest(tmp_path, monkeypatch):
+    """The unit-demand pool under all four rules, whose JSON prints each
+    market's unit allocation at p_min."""
+    _replay_every_entry("unit-solve", len(_bench_module("gen").STRATEGIES), tmp_path, monkeypatch)
 
 
 def test_verify_pool_matches_the_manifest(tmp_path, monkeypatch):

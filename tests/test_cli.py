@@ -908,6 +908,29 @@ class TestEntryPoint:
         assert doc["allocation"]["bundles"] == [[0]] * 1098 + [[1], [1]]
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("worth", [5, 20_000], ids=["at-exit", "while-streaming"])
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, worth, tmp_path):
+        """A reader that is gone before ``solve`` writes, as ``| head -c
+        100`` leaves a long run: exit 1 and nothing on stderr, whether the
+        write fails at the exit's flush (a 5-step trajectory) or while the
+        rows stream (a 20,000-step one)."""
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({
+            "model": "unit", "n": 1, "m": 2,
+            "valuations": [{"family": "unit_demand", "values": [worth]}] * 2}))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walras", "solve", "--instance", str(path),
+                 "--strategy", "steepest"],
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
 class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_is_written_row_by_row(self, fmt, tmp_path):
