@@ -45,11 +45,27 @@ def _budget() -> int:
     return value
 
 
+# The longest piece of text handed to stdout at once: PIPE_BUF on Linux, and
+# every character walras prints is ASCII, so one write(2) of a piece to a
+# pipe is whole or fails.  An unbuffered stdout (``python -u``,
+# PYTHONUNBUFFERED) passes each write straight to the pipe and ignores a
+# short count, so a longer write cut short by a reader that closed the pipe
+# would lose its tail and exit 0.
+_PIECE = 4096
+
+
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` in pieces of at most ``_PIECE``
+    characters, so that a closed pipe raises ``BrokenPipeError``."""
+    for i in range(0, len(text), _PIECE):
+        stream.write(text[i:i + _PIECE])
+
+
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the strings of ``chunks`` in order, each as it comes."""
     if out_path is None:
         for text in chunks:
-            sys.stdout.write(text)
+            _write(sys.stdout, text)
     else:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -180,9 +196,9 @@ def _cmd_verify(args) -> int:
             failed = failed or not ok
     except WalrasError:
         if lines:  # the lines computed before a check raised go out first
-            (sys.stderr if failed else sys.stdout).write("\n".join(lines) + "\n")
+            _write(sys.stderr if failed else sys.stdout, "\n".join(lines) + "\n")
         raise
-    (sys.stderr if failed else sys.stdout).write("\n".join(lines) + "\n")
+    _write(sys.stderr if failed else sys.stdout, "\n".join(lines) + "\n")
     return 1 if failed else 0
 
 

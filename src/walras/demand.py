@@ -37,22 +37,25 @@ every bundle, with their best payoffs.  The Lyapunov value reads the bests;
 ``indirect_utility``, ``demand_set``, ``demand_key``, ``run_length`` and the
 unit allocation's ``unit_masks`` read the same record, so a descent step's
 value read and the next step's demand key share it, and a value read at a
-price that no demand read follows pays for no mask.  A unit-demand bidder
-whose first best option is 0 takes nothing, one with a single best item
-takes it, and only a tied one is keyed by its items.  A table bidder
-demanding one bundle x takes x(X) from X, which is modular, so
-``demand_key`` adds x to the per-item takes; only a tied one is keyed by
-its demand set.  A tied table bidder's least takes depend only on its
-demand set, so they are kept by demand set, within the budget, and cleared
-when full.  Any other bidder read through the box is scanned afresh at
-each read.
+price that no demand read follows pays for no mask.  ``demand_key`` reads
+every unit-demand and table bidder by one rule: a bidder whose demand set
+has a least bundle x, below every other demanded bundle componentwise,
+takes x(X) from every item set X, which is modular, so x joins the
+per-item takes; only a bidder without one is keyed by its demand set.  A
+unit-demand bidder whose first best option is 0 has least bundle 0, one
+with a single best item i has chi_i, and one tied between items has none.
+A table bidder's least bundle, when there is one, is its first argmax in
+box order.  The least takes of a table bidder without one depend only on
+its demand set, so they are kept by demand set, within the budget, and
+cleared when full.  Any other bidder read through the box is scanned
+afresh at each read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, compress, product
-from operator import add, sub
+from itertools import accumulate, compress, product, repeat
+from operator import add, le, sub
 
 from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT_DEMAND, Bundle,
@@ -88,15 +91,16 @@ class DemandCache:
     which ``demand_key`` and ``item_utility`` read per item.  It keeps each
     unit-demand bidder's worths as the row (0, w_1, ..., w_n), option 0
     buying nothing, the bundle box and each box-scanned bidder's worth of
-    every bundle.  The only per-price state is one record for the latest
-    price (``scan``): the unit-demand bidders' option payoffs and the table
-    bidders' bundle payoffs, with their bests, which the value, demand-key,
-    demand-set and allocation reads at that price share.  Least-take
-    vectors are kept by demand set, as the bundles' box indices, charged
-    2^n plus the set's size each against the budget and cleared when it
-    would be exceeded.  Demand keys
-    are built afresh at each call; keeping deficiency tables by demand key
-    is left to the caller (``LyapunovOracle.neighborhood`` does).
+    every bundle, the table bidders' worth lists also in one list in
+    ``tables`` order.  The only per-price state is one record for the
+    latest price (``scan``): the unit-demand bidders' option payoffs and the
+    table bidders' bundle payoffs, with their bests, which the value,
+    demand-key, demand-set and allocation reads at that price share.  The
+    least-take vectors of demand sets without a least bundle are kept by
+    demand set, as the bundles' box indices, charged 2^n plus the set's
+    size each against the budget and cleared when it would be exceeded.
+    Demand keys are built afresh at each call; keeping deficiency tables by
+    demand key is left to the caller (``LyapunovOracle.neighborhood`` does).
     ``run_length`` bounds how many raises of one item set keep the key of a
     market without table bidders, from the kept record and the columns.
     """
@@ -107,6 +111,7 @@ class DemandCache:
         self._n = instance.n
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
+        self._worths: list[list[int]] | None = None
         self._latest: tuple = (None, [], [], [], [])
         self._least: dict[tuple[int, ...], list[int]] = {}
         self._least_size = 0
@@ -186,7 +191,9 @@ class DemandCache:
         if p != kept[0]:
             offset = (0, *p)
             units = [list(map(sub, row, offset)) for row in self._rows]
-            worths = [self._bidder_values(b) for b in self.tables]
+            worths = self._worths
+            if worths is None:
+                worths = self._worths = [self._bidder_values(b) for b in self.tables]
             costs = _box_costs(p, self.instance.u) if worths else []
             tables = [list(map(sub, vals, costs)) for vals in worths]
             kept = self._latest = (p, units, list(map(max, units)),
@@ -252,21 +259,26 @@ class DemandCache:
         """The bidders' demand state at p, which alone determines the
         deficiency table: ``(takes, tied, tables)``.
 
-        ``takes`` holds the modular per-item takes: ``item_takes`` (minus
-        the supply plus the separable bidders' least argmaxes), plus one
-        unit of item i for each unit-demand bidder demanding exactly i,
-        plus the bundle x of each table bidder demanding x alone, whose
-        least take x(X) is modular too.  ``tied`` holds the sorted item
-        masks of the unit-demand bidders tied between several items; one
-        for whom buying nothing is demanded takes nothing.  ``tables``
-        holds the demand set of each table bidder tied between several
-        bundles, as the bundles' box indices, in ``tables`` order.  Every
-        bidder is read from the kept ``scan`` at p: a unit-demand bidder
-        whose first best option is 0, buying nothing, is skipped, one with a
-        single best item adds it to ``takes``, and only a tied one's mask is
-        built, its ``unit_masks`` mask shifted down past bit 0.  Equal keys
-        give equal tables, so a caller may keep tables by key; the table
-        budget is checked here, on every call.
+        A bidder whose demand set D has a least bundle x (x <= y
+        componentwise for every y in D) takes min over D of y(X) = x(X)
+        from every item set X, which is modular.  So ``takes`` holds the
+        modular per-item takes: ``item_takes`` (minus the supply plus the
+        separable bidders' least argmaxes), plus the least bundle of every
+        unit-demand and table bidder that has one.  ``tied`` holds the
+        sorted item masks of the unit-demand bidders tied between several
+        items, which have none.  ``tables`` holds the demand set of each
+        table bidder without one, as the bundles' box indices, in
+        ``tables`` order.  Every bidder is read from the kept ``scan`` at
+        p: a unit-demand bidder whose first best option is 0, buying
+        nothing, takes nothing, one with a single best item adds it to
+        ``takes``, and only a tied one's mask is built, its ``unit_masks``
+        mask shifted down past bit 0.  A table bidder's least bundle, if
+        any, is its first argmax in box order, which is lexicographically
+        least; its other argmaxes, counted first, are compared with it up
+        to the first that is not above it.  The least bundles are summed
+        into ``takes`` once.  Equal keys give equal tables, so a caller may
+        keep tables by key; the table budget is checked here, on every
+        call.
         """
         self._check_table_budget()
         takes = self.item_takes(p)
@@ -288,11 +300,19 @@ class DemandCache:
         tables = []
         if self.tables:
             box = self._bundle_box()
+            least = []
             for payoffs, best in zip(table_payoffs, table_bests):
-                if payoffs.count(best) == 1:
-                    takes = list(map(add, takes, box[payoffs.index(best)]))
+                i = payoffs.index(best)
+                x = box[i]
+                for _ in range(payoffs.count(best) - 1):
+                    i = payoffs.index(best, i + 1)
+                    if not all(map(le, x, box[i])):
+                        tables.append(_argmaxes(payoffs, best))
+                        break
                 else:
-                    tables.append(_argmaxes(payoffs, best))
+                    least.append(x)
+            if least:
+                takes = list(map(sum, zip(takes, *least)))
         return tuple(takes), tuple(sorted(tied)), tuple(tables)
 
     def item_takes(self, p: PriceVector) -> list[int]:
@@ -350,8 +370,9 @@ class DemandCache:
         bidder's minimum take is the sum of its per-item least argmaxes, and
         a unit-demand bidder demanding exactly item i takes one unit from
         every set holding i.  A tied unit-demand bidder takes one unit from
-        every superset of its items, and a tied table bidder its least
-        subset sum over its demand set, kept by demand set.
+        every superset of its items, and a table bidder without a least
+        bundle its least subset sum over its demand set, kept by demand
+        set.
         """
         takes, tied, tables = key
         n = self._n
@@ -462,11 +483,15 @@ def _argmaxes(payoffs: list[int], best: int) -> tuple[int, ...]:
 
 
 def _box_costs(p: PriceVector, u) -> list[int]:
-    """``p.x`` for every bundle x of the box [0, u], in box order."""
+    """``p.x`` for every bundle x of the box [0, u], in box order, built
+    from the last item to the first: item j's k-th block is the costs of
+    the later items plus k * p_j."""
     costs = [0]
-    for c, cap in zip(p, u):
-        steps = [k * c for k in range(cap + 1)]
-        costs = [t + x for t in costs for x in steps]
+    for c, cap in zip(reversed(p), reversed(u)):
+        out = costs.copy()
+        for k in range(1, cap + 1):
+            out += map(add, costs, repeat(k * c))
+        costs = out
     return costs
 
 

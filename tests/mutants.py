@@ -70,6 +70,8 @@ ADDED_BIDDER = ("tests/test_relations.py::TestAddedBidder::"
 RELATIONS = (SCALING, STEEPEST_LENGTH, PERMUTATION, ZERO_WORTH)
 UNIT_EXTRACTION = ("tests/test_auction.py::TestExtractionAgainstEnumeration::"
                    "test_unit_matching_equals_definitional_search")
+LEAST_BUNDLE_TWIN = ("tests/test_demand.py::TestLeastBundleKey::"
+                     "test_key_tables_are_the_definitional_minimum_takes")
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -239,6 +241,14 @@ MUTANTS = (
            "tied.append(d)",
            ("tests/test_demand.py::TestUnitDemandKey::test_key_matches_the_per_bidder_masks",
             SCALING, STEEPEST_LENGTH, ADDED_BIDDER)),
+    Mutant("key-least-bundle-test-dropped", "demand.py",
+           "if not all(map(le, x, box[i])):",
+           "if False:",
+           (LEAST_BUNDLE_TWIN,)),
+    Mutant("key-least-bundle-test-inverted", "demand.py",
+           "if not all(map(le, x, box[i])):",
+           "if all(map(le, x, box[i])):",
+           (LEAST_BUNDLE_TWIN,)),
     Mutant("table-negative-component-accepted", "instance.py",
            "for c in x:\n                    if type(c) is not int or c < 0:",
            "for c in x:\n                    if type(c) is not int:",

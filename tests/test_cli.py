@@ -628,9 +628,23 @@ class TestCompare:
         path.write_text(serialize_instance(inst))
         return str(path)
 
+    @staticmethod
+    def _tied_table_market(tmp_path) -> str:
+        """Tabulated unit-demand bidders on three items: a tie between items
+        is a demand set with no least bundle, which the demand key holds,
+        and one ``compare`` meets several such sets more than once."""
+        rng = random.Random(14)
+        inst = Instance(model="multi", n=3, u=(1, 1, 1), valuations=tuple(
+            tabulate(Valuation.unit_demand([rng.randint(0, 9) for _ in range(3)]))
+            for _ in range(4)))
+        path = tmp_path / "tables.json"
+        path.write_text(serialize_instance(inst))
+        return str(path)
+
     def test_least_takes_once_per_demand_set(self, tmp_path, monkeypatch, capsys):
-        """The four strategies share one oracle, which keeps each table
-        bidder's least takes by demand set: none is computed twice."""
+        """The four strategies share one oracle, which keeps each least
+        takes of a table bidder without a least bundle by demand set: none
+        is computed twice."""
         import walras.demand as demand
 
         seen = []
@@ -641,7 +655,7 @@ class TestCompare:
             return least_takes(d, n)
 
         monkeypatch.setattr(demand, "_least_takes", counted)
-        assert run_command(["compare", "--instance", self._table_market(tmp_path)]) == 0
+        assert run_command(["compare", "--instance", self._tied_table_market(tmp_path)]) == 0
         assert json.loads(capsys.readouterr().out)["all_equal"] is True
         assert seen and len(seen) == len(set(seen))
 
@@ -929,6 +943,28 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_a_reader_that_closes_part_way_gets_exit_1(self, unbuffered, tmp_path):
+        """``oracle`` on a bidderless 20,000-item market writes 460,100
+        bytes in one document; a reader that takes 100 of them and closes
+        the pipe, as ``| head -c 100`` does, leaves exit 1 and nothing on
+        stderr.  Unbuffered, a single write of the document was cut short
+        by the closed pipe, and its tail was lost with exit 0."""
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"model": "unit", "n": 20_000, "m": 0, "valuations": []}))
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "walras", "oracle", "--instance", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=120), err) == (1, b"")
+        finally:
+            proc.kill()
+            proc.wait()
 
 
 class TestStreamedOutput:

@@ -10,7 +10,7 @@ from conftest import (Drawn, box_demand_set, column_markets, column_prices, make
                       random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
-                    max_total_value,
+                    evaluate, max_total_value,
                     Valuation, ascending_auction, bidders_demanding_some,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.auction import _extract_multi, _extract_unit
@@ -103,13 +103,16 @@ class TestMultiDemandSets:
         per-item columns, the bidder groups and the unit-demand rows exactly
         as built, the bundle box, at most one worth list per bidder, one
         record of the unit-demand bidders' option payoffs and the table
-        bidders' bundle payoffs with their bests, at one price, and least
-        takes kept by demand set within the budget: nothing per step."""
+        bidders' bundle payoffs with their bests, at one price, the table
+        bidders' worth lists, and least takes kept by demand set within the
+        budget: nothing per step.  The table bidder is tied between its two
+        items on the way, a demand set with no least bundle, so its least
+        takes are kept."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
             Valuation.unit_demand([300, 250]), Valuation.separable([[280], [260]]),
-            tabulate(Valuation.unit_demand([200, 290]))))
+            tabulate(Valuation.unit_demand([290, 270]))))
         groups = {unit: (frozenset(), (0, 1, 2), ()), mixed: (frozenset({1}), (0,), (2,))}
         for inst in (unit, mixed):
             ly = LyapunovOracle(inst)
@@ -121,9 +124,9 @@ class TestMultiDemandSets:
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values",
-                                     "_latest", "_least", "_least_size", "_columns",
-                                     "_tails", "separable", "units", "tables", "_table_at",
-                                     "_rows"}
+                                     "_worths", "_latest", "_least", "_least_size",
+                                     "_columns", "_tails", "separable", "units", "tables",
+                                     "_table_at", "_rows"}
             assert dc._table_at == {b: i for i, b in enumerate(dc.tables)}
             assert dc._rows == tuple((0, *inst.valuations[b].values) for b in dc.units)
             # one price, the final one the allocation read; one list of the
@@ -142,6 +145,7 @@ class TestMultiDemandSets:
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables,
                     dc._rows) == built
             assert len(dc._values) <= inst.m
+            assert dc._worths == [dc._values[b] for b in dc.tables]
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= dc.budget
             assert bool(dc._least) == bool(dc.tables)
@@ -555,9 +559,11 @@ class TestFastPaths:
         """``demand_key`` reads separable bidders per item from sorted
         columns; its takes equal minus the supply plus each bidder's own
         least argmaxes, and a unit for each unit-demand bidder demanding
-        exactly one item, and the bundle of each table bidder demanding
-        exactly one bundle.  Only the other bidders reach the tied masks and
-        the tied table bidders' demand sets, as box indices."""
+        exactly one item, and the least bundle of each table bidder whose
+        demand set has one (the componentwise minimum of the set, when the
+        set holds it).  Only the other bidders reach the tied masks and the
+        demand sets of the table bidders without a least bundle, as box
+        indices."""
         inst = data.draw(column_markets())
         p = data.draw(column_prices(inst))
         dc = DemandCache(inst)
@@ -580,8 +586,9 @@ class TestFastPaths:
                     takes[d.bit_length() - 1] += 1
             else:
                 demand = box_demand_set(inst, b, p)
-                if len(demand) == 1:
-                    for j, k in enumerate(demand[0]):
+                least = _least_bundle(demand)
+                if least is not None:
+                    for j, k in enumerate(least):
                         takes[j] += k
                 else:
                     tables.append(tuple(map(box.index, demand)))
@@ -638,6 +645,82 @@ def table_markets(draw) -> Instance:
     return Instance(model="multi", n=n, u=u, valuations=tuple(draw(st.permutations(vals))))
 
 
+@st.composite
+def priced_table_markets(draw):
+    """A market from ``table_markets``, or one of tabulated unit-demand
+    bidders alone on 2 to 4 items, with one to four prices.  A price is
+    either 0 or drawn in [0, 7] item by item, or, for a drawn bidder and
+    payoff level t, the bidder's worth of one unit of each item less t (0
+    where that is negative), which ties a tabulated unit-demand bidder
+    between every item it values above t and a tabulated separable one
+    between 0 and 1 unit of each."""
+    if draw(st.booleans()):
+        inst = draw(table_markets())
+    else:
+        n = draw(st.integers(2, 4))
+        unit = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(Valuation.unit_demand)
+        inst = Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(
+            draw(st.lists(unit.map(tabulate), min_size=1, max_size=3))))
+    n = inst.n
+    prices = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            v = inst.valuations[draw(st.integers(0, inst.m - 1))]
+            t = draw(st.integers(0, 4))
+            p = tuple(max(evaluate(v, tuple(int(i == j) for i in range(n))) - t, 0)
+                      for j in range(n))
+        else:
+            p = tuple(draw(st.one_of(st.just(0), st.integers(0, 7))) for _ in range(n))
+        prices.append(p)
+    return inst, prices
+
+
+def _definitional_deficiency(inst, p):
+    """Demanded minus supplied units of every item set at p: per bidder,
+    the least subset sum over its box-scanned demand set, minus the
+    supply's."""
+    n = inst.n
+    out = [-s for s in subset_sums(inst.u, n)]
+    for b in range(inst.m):
+        sums = [subset_sums(x, n) for x in box_demand_set(inst, b, p)]
+        out = [d + min(col) for d, col in zip(out, zip(*sums))]
+    return out
+
+
+_LEAST_AT_ZERO = Instance(model="multi", n=2, u=(2, 1), valuations=(
+    tabulate(Valuation.separable([[5, 0], [3]])),))
+_NO_LEAST = Instance(model="multi", n=2, u=(1, 1), valuations=(
+    tabulate(Valuation.unit_demand([5, 4])),))
+
+
+class TestLeastBundleKey:
+    """A table bidder whose demand set has a least bundle x takes x(X) from
+    every item set X, so ``demand_key`` adds x to the modular takes; only
+    one without a least bundle is keyed by its demand set."""
+
+    @settings(max_examples=150)
+    @given(priced_table_markets())
+    @example((_LEAST_AT_ZERO, [(0, 0)]))
+    @example((_NO_LEAST, [(2, 1)]))
+    def test_key_tables_are_the_definitional_minimum_takes(self, market):
+        inst, prices = market
+        dc = DemandCache(inst)
+        for p in prices:
+            assert dc.deficiency_from_key(dc.demand_key(p)) == \
+                _definitional_deficiency(inst, p), (inst, p)
+
+    def test_a_least_bundle_is_taken_and_a_tie_without_one_is_keyed(self):
+        """An extra unit worth nothing, at price 0, ties 1 and 2 units of
+        item 1 with least bundle (1, 1); two items tied at positive prices
+        have none, and the set {(0, 1), (1, 0)} is keyed by box indices."""
+        dc = DemandCache(_LEAST_AT_ZERO)
+        assert box_demand_set(_LEAST_AT_ZERO, 0, (0, 0)) == ((1, 1), (2, 1))
+        assert dc.demand_key((0, 0)) == ((-1, 0), (), ())
+        dc = DemandCache(_NO_LEAST)
+        assert box_demand_set(_NO_LEAST, 0, (2, 1)) == ((0, 1), (1, 0))
+        assert dc.demand_key((2, 1)) == ((-1, -1), (), ((1, 2),))
+
+
 class TestSharedCache:
     """A cache shared along a price walk, as a descent and ``compare``'s
     strategies share one, keeps payoff scans for the latest price and least
@@ -676,17 +759,19 @@ class TestSharedCache:
 
     def test_tight_budget_clears_the_least_takes(self):
         """At the tightest budget the memo is cleared along the walk, never
-        holds more than the budget, and the answers stay a fresh cache's."""
+        holds more than the budget, and the answers stay a fresh cache's.
+        The bidders are tabulated unit-demand ones on three items, so a tie
+        between items is a demand set with no least bundle, whose least
+        takes are kept."""
         rng = random.Random(41)
-        u = (2, 2)
-        vals = tuple(tabulate(Valuation.separable(
-            [sorted((rng.randint(0, 9) for _ in range(cap)), reverse=True) for cap in u]))
-            for _ in range(3))
-        inst = Instance(model="multi", n=2, u=u, valuations=vals)
+        u = (1, 1, 1)
+        vals = tuple(tabulate(Valuation.unit_demand([rng.randint(0, 9) for _ in u]))
+                     for _ in range(3))
+        inst = Instance(model="multi", n=3, u=u, valuations=vals)
         budget = (inst.m + 1) << inst.n
         dc = DemandCache(inst, budget=budget)
         sizes = []
-        for p in product(range(11), repeat=2):
+        for p in product(range(11), repeat=3):
             key = dc.demand_key(p)
             assert dc.deficiency_from_key(key) == \
                 DemandCache(inst, budget=budget).deficiency_from_key(key), p
@@ -695,14 +780,16 @@ class TestSharedCache:
         assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_least_takes_larger_than_the_budget_are_not_kept(self):
-        """A worthless table bidder demands its whole box at price 0; its
-        least takes and the box outweigh the budget, so none is kept."""
-        inst = Instance(model="multi", n=1, u=(3,), valuations=(
-            Valuation.from_table({(k,): 0 for k in range(4)}),))
-        dc = DemandCache(inst, budget=4)
-        key = dc.demand_key((0,))
-        assert key[2] == ((0, 1, 2, 3),)
-        assert dc.deficiency_from_key(key) == [0, -3]
+        """A table bidder worth its bundle's size up to 2 units demands, at
+        price 0, every bundle of 2 or more units, a set with no least
+        bundle; its least takes and the set outweigh the budget, so none is
+        kept."""
+        inst = Instance(model="multi", n=2, u=(2, 2), valuations=(
+            Valuation.from_table({x: min(sum(x), 2) for x in product(range(3), repeat=2)}),))
+        dc = DemandCache(inst, budget=9)
+        key = dc.demand_key((0, 0))
+        assert key[2] == ((2, 4, 5, 6, 7, 8),)
+        assert dc.deficiency_from_key(key) == [0, -2, -2, -2]
         assert dc._least == {} and dc._least_size == 0
 
 
@@ -718,12 +805,19 @@ class TestDeterminism:
         assert a == b and a[0] == unit_demand_mask(0, (0, 0, 0), ex21)
 
 
+def _least_bundle(demand):
+    """The least bundle of a demand set, below every other componentwise:
+    the componentwise minimum of the set when the set holds it, else None."""
+    low = tuple(map(min, *demand)) if len(demand) > 1 else demand[0]
+    return low if low in demand else None
+
+
 def _key_twin(inst, dc, p):
     """``demand_key`` rebuilt bidder by bidder, the unit-demand ones from
     ``oracle.unit_demand_mask``: one for whom buying nothing is demanded
     takes nothing, one demanding one item takes it, and a tied one is kept
-    by its items.  A table bidder demanding one bundle takes it, and a tied
-    one is kept by its demand set's box indices."""
+    by its items.  A table bidder whose demand set has a least bundle takes
+    it, and any other is kept by its demand set's box indices."""
     takes, tied, tables = dc.item_takes(p), [], []
     for b in dc.units:
         mask = unit_demand_mask(b, p, inst)
@@ -737,8 +831,9 @@ def _key_twin(inst, dc, p):
     box = list(iter_box(inst.u))
     for b in dc.tables:
         demand = box_demand_set(inst, b, p)
-        if len(demand) == 1:
-            takes = [t + x for t, x in zip(takes, demand[0])]
+        least = _least_bundle(demand)
+        if least is not None:
+            takes = [t + x for t, x in zip(takes, least)]
         else:
             tables.append(tuple(map(box.index, demand)))
     return tuple(takes), tuple(sorted(tied)), tuple(tables)
