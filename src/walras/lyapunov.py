@@ -32,22 +32,28 @@ read the per-item terms, never a 2^n table.
 
 Values over a whole price grid, the product of one price list per item,
 come from ``LyapunovOracle.grid_values`` in whole-list passes: the revenue
-term and the separable bidders as an outer sum of per-item columns, each
-unit-demand bidder as a running max, and each table bidder as its discrete
-Legendre-Fenchel conjugate taken one coordinate at a time
-(``DemandCache.utility_grid``).  The two certificate scans, of L(p + chi_X)
-at the stop and of L(p - chi_X) for minimality, read the grid on the axes
-(p_j, p_j +- 1) through ``lnat.neighborhood_values``, so they still check
-the change table against values, and ``walras verify``'s L♮ check reads its
-whole box in one call.  The oracle keeps its latest two grids by their
-axes: runs that share it and stop at one price, as ``walras compare``'s do,
-build the two certificate grids there once.  Kept grids hold values only,
-never change tables, so each run still checks its own table against them.
+term and the separable bidders as an outer sum of per-item columns, and each
+table bidder as its discrete Legendre-Fenchel conjugate taken one coordinate
+at a time (``DemandCache.utility_grid``).  A unit-demand bidder is read
+through its floor, a payoff it gets at least at every point of the grid,
+and its lifted items, the only ones whose worth less their lowest price
+beats that floor: with none its floor is a constant, with one it joins that
+item's column, and only a bidder with several runs a max over the grid,
+which repeats its list along every other item's axis.  That is still a max
+over the bidder's options, pruned by a lower bound, and reads no demand
+set.  The two certificate scans, of L(p + chi_X) at the stop and of
+L(p - chi_X) for minimality, read the grid on the axes (p_j, p_j +- 1)
+through ``lnat.neighborhood_values``, so they still check the change table
+against values, and ``walras verify``'s L♮ check reads its whole box in one
+call.  The oracle keeps its latest two grids by their axes: runs that share
+it and stop at one price, as ``walras compare``'s do, build the two
+certificate grids there once.  Kept grids hold values only, never change
+tables, so each run still checks its own table against them.
 """
 
 from __future__ import annotations
 
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 from .demand import DemandCache, _check_price
 from .instance import DEFAULT_BUDGET, Instance, PriceVector
@@ -138,25 +144,51 @@ class LyapunovOracle:
         """L at every point of the product of the nonnegative price lists
         ``axes``, built in whole-list passes: the revenue term and the
         separable bidders are an outer sum of one column per item, the
-        item's ``_term`` at each price of its axis; a unit-demand bidder's
-        best payoff is a running max over items; a table bidder's is its
-        conjugate grid, ``DemandCache.utility_grid``, whose first pass reads
-        the bundle box within the budget as ``value`` does."""
+        item's ``_term`` at each price of its axis; a table bidder's best
+        payoff is its conjugate grid, ``DemandCache.utility_grid``, whose
+        first pass reads the bundle box within the budget as ``value`` does.
+        A unit-demand bidder gets at least its floor, the best of 0 and of
+        w_j - max(axis_j) over items j, at every point, and only a lifted
+        item, one with w_j - min(axis_j) above the floor, can pay it more
+        anywhere, so its best payoff is the larger of the floor and the
+        lifted items' w_j - p_j.  With no item lifted the floor is a
+        constant; with one, the larger of the floor and w_j - c joins item
+        j's column; with more, a running max starts from the floor and
+        repeats the list along every other item's axis."""
         inst = self.instance
         if not all(axes):
             return []
-        # The per-item terms are built from the last item to the first, each
-        # new axis the slowest, which is lexicographic order.
         dc = self.demand
-        total = [0]
-        for j in reversed(range(inst.n)):
-            col = [self._term(j, c) for c in axes[j]]
-            total = [t + y for y in col for t in total]
-        valuations = inst.valuations
+        cols = [[self._term(j, c) for c in axis] for j, axis in enumerate(axes)]
+        highs = list(map(max, axes))
+        lows = list(map(min, axes))
+        floors = 0
+        several = []
         for b in dc.units:
-            best = [0]
-            for w, axis in zip(reversed(valuations[b].values), reversed(axes)):
-                best = [x if x > y else y for y in [w - c for c in axis] for x in best]
+            worths = inst.valuations[b].values
+            floor = max(0, *map(sub, worths, highs))
+            lifted = [w - c > floor for w, c in zip(worths, lows)]
+            if lifted.count(True) > 1:
+                several.append((floor, worths, lifted))
+            elif True in lifted:
+                j = lifted.index(True)
+                w = worths[j]
+                cols[j] = [t + (w - c if w - c > floor else floor)
+                           for t, c in zip(cols[j], axes[j])]
+            else:
+                floors += floor
+        # The columns are summed from the last item to the first, each new
+        # axis the slowest, which is lexicographic order.
+        total = [floors]
+        for col in reversed(cols):
+            total = [t + y for y in col for t in total]
+        for floor, worths, lifted in several:
+            best = [floor]
+            for w, axis, up in zip(reversed(worths), reversed(axes), reversed(lifted)):
+                if up:
+                    best = [x if x > y else y for y in [w - c for c in axis] for x in best]
+                else:
+                    best = best * len(axis)
             total = list(map(add, total, best))
         for b in dc.tables:
             total = list(map(add, total, dc.utility_grid(b, axes)))

@@ -72,6 +72,7 @@ UNIT_EXTRACTION = ("tests/test_auction.py::TestExtractionAgainstEnumeration::"
                    "test_unit_matching_equals_definitional_search")
 LEAST_BUNDLE_TWIN = ("tests/test_demand.py::TestLeastBundleKey::"
                      "test_key_tables_are_the_definitional_minimum_takes")
+GRID_TWIN = "tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values"
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -213,8 +214,7 @@ MUTANTS = (
     Mutant("conjugate-price-not-times-units", "demand.py",
            "ck = c * k",
            "ck = c",
-           ("tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values", *RELATIONS,
-            ADDED_BIDDER)),
+           (GRID_TWIN, *RELATIONS, ADDED_BIDDER)),
     Mutant("item-takes-bisect-left", "demand.py",
            "return [len(col) - bisect_right(col, c) - q",
            "return [len(col) - bisect_right(col, c - 1) - q",
@@ -279,9 +279,21 @@ MUTANTS = (
            "if val is None or val > base:",
            (ADDED_BIDDER,)),
     Mutant("unit-grid-worths-misaligned", "lyapunov.py",
-           "for w, axis in zip(reversed(valuations[b].values), reversed(axes)):",
-           "for w, axis in zip(valuations[b].values, reversed(axes)):",
-           (ADDED_BIDDER, *RELATIONS)),
+           "for w, axis, up in zip(reversed(worths), reversed(axes), reversed(lifted)):",
+           "for w, axis, up in zip(worths, reversed(axes), reversed(lifted)):",
+           (GRID_TWIN, ADDED_BIDDER, *RELATIONS)),
+    Mutant("unit-grid-floor-at-low-ends", "lyapunov.py",
+           "floor = max(0, *map(sub, worths, highs))",
+           "floor = max(0, *map(sub, worths, lows))",
+           (GRID_TWIN,)),
+    Mutant("unit-grid-column-without-floor", "lyapunov.py",
+           "t + (w - c if w - c > floor else floor)",
+           "t + (w - c)",
+           (GRID_TWIN,)),
+    Mutant("unit-grid-skipped-pass-not-repeated", "lyapunov.py",
+           "best = best * len(axis)",
+           "best = best",
+           (GRID_TWIN,)),
     Mutant("unit-enumeration-sells-every-item", "oracle.py",
            "        unsold = True\n",
            "        unsold = False\n",

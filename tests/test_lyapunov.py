@@ -4,9 +4,9 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import (column_markets, column_prices, random_multi_instance,
+from conftest import (Drawn, column_markets, column_prices, random_multi_instance,
                       random_separable_valuation, random_unit_instance, tabulate)
 from walras import (DemandCache, FunctionOracle, Instance, LyapunovOracle, StrategyKind,
                     Valuation, ascending_auction, deficiency, lyapunov_step,
@@ -429,11 +429,39 @@ def _per_point(ly, axes):
     return [None if min(p) < 0 else ly.value(p) for p in product(*axes)]
 
 
+def _unit(n, *worths):
+    return Instance(model="unit", n=n, u=(1,) * n,
+                    valuations=tuple(map(Valuation.unit_demand, worths)))
+
+
 class TestGridValues:
     """``LyapunovOracle.grid_values``, the batch route over a price grid,
-    against per-point ``LyapunovOracle.value``."""
+    against per-point ``LyapunovOracle.value``.  A unit-demand bidder's
+    payoff on a grid is at least its floor, the best of 0 and each item's
+    worth less the item's highest price; its lifted items are those whose
+    worth less the item's lowest price beats the floor, and the examples
+    fold each count of them."""
 
     @given(st.data())
+    # no item lifted: worth below every price, and worth nothing
+    @example(data=Drawn(_unit(2, [3, 1], [0, 0]), [[5, 6], [2, 4]]))
+    # one item lifted, item 1, whose column meets the floor 0
+    @example(data=Drawn(_unit(2, [5, 8], [7, 3]), [[0, 9], [10, 12]]))
+    # one item lifted, item 1, whose column meets the floor 2 item 2 sets
+    @example(data=Drawn(_unit(2, [7, 3]), [[2, 8], [1, 1]]))
+    # several items lifted, items 1 and 3 among them, item 2 not lifted
+    @example(data=Drawn(_unit(3, [9, 0, 8], [1, 9, 9]), [[1, 2], [0, 1], [0, 1]]))
+    # a single-price axis sets a floor of 6 with no item lifted
+    @example(data=Drawn(_unit(2, [9, 2], [4, 6]), [[3], [1, 4]]))
+    # repeated, unsorted prices
+    @example(data=Drawn(_unit(2, [5, 3], [2, 6], [4, 4]), [[4, 1, 4], [2, 0, 2]]))
+    # negative prices: None at the points that hold one
+    @example(data=Drawn(_unit(2, [5, 3], [2, 6]), [[-1, 2], [0, 1, -2]]))
+    # unit-demand bidders beside separable and table bidders
+    @example(data=Drawn(Instance(model="multi", n=2, u=(1, 1), valuations=(
+        Valuation.unit_demand([6, 1]), Valuation.separable([[3], [2]]),
+        tabulate(Valuation.unit_demand([4, 5])), Valuation.unit_demand([5, 6]))),
+        [[1, 2], [0, 3]]))
     def test_matches_per_point_values(self, data):
         inst = data.draw(grid_markets())
         axes = data.draw(price_axes(inst))
