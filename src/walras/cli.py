@@ -62,7 +62,10 @@ def _write(stream, text: str) -> None:
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
-    """Write the strings of ``chunks`` in order, each as it comes."""
+    """Write the strings of ``chunks`` in order, each as it comes: a
+    trajectory's rows come joined in pieces of at most ``_PIECE``
+    characters (``_pieces``), so a long run makes few writes and holds
+    one piece at a time."""
     if out_path is None:
         for text in chunks:
             _write(sys.stdout, text)
@@ -91,14 +94,36 @@ _ROW_KEYS = ("iteration", "p_before", "chosen_items", "chosen_mask", "lyapunov_b
 def _step_rows(instance: Instance, result):
     """Per-step columns of both formats, one tuple in ``_ROW_KEYS`` order;
     the descent certified each step's value drop as its chosen set's
-    deficiency."""
+    deficiency.  Each distinct chosen set's items and supply are computed
+    once, and its rows share the one items list."""
     items = range(instance.n)
+    sets = {}
     for k, step in enumerate(result.trajectory.steps):
         mask = step.chosen_mask
+        kept = sets.get(mask)
+        if kept is None:
+            kept = sets[mask] = ([i + 1 for i in items if mask >> i & 1],
+                                 mask_weight(mask, instance.u))
+        chosen, supply = kept
         deficiency = step.g_before - step.g_after
-        supply = mask_weight(mask, instance.u)
-        yield (k + 1, step.p_before, [i + 1 for i in items if mask >> i & 1], mask,
-               step.g_before, step.g_after, deficiency, deficiency + supply, supply)
+        yield (k + 1, step.p_before, chosen, mask, step.g_before, step.g_after,
+               deficiency, deficiency + supply, supply)
+
+
+def _pieces(texts: Iterable[str], sep: str) -> Iterator[str]:
+    """The strings of ``texts`` joined by ``sep`` in consecutive runs, one
+    ``str.join`` each.  A run's text with one more ``sep`` before it, as a
+    caller joining the runs writes it, is at most ``_PIECE`` characters
+    unless one string alone is longer, so it goes out in one write."""
+    run, size = [], 0
+    for text in texts:
+        size += len(sep) + len(text)
+        if size > _PIECE and run:
+            yield sep.join(run)
+            run, size = [], len(sep) + len(text)
+        run.append(text)
+    if run:
+        yield sep.join(run)
 
 
 def _row_json(row: tuple) -> str:
@@ -122,9 +147,10 @@ def _row_template(n: int, k: int) -> str:
 
 
 def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) -> Iterator[str]:
-    """The text of ``json.dumps(doc, indent=2)``, one trajectory row at a
-    time: the document is dumped with an empty trajectory, and each row is
-    formatted alone at its place inside the list."""
+    """The text of ``json.dumps(doc, indent=2)``, the trajectory in pieces
+    of rows: the document is dumped with an empty trajectory, each row is
+    formatted alone, and the rows go inside the list in ``_pieces``, joined
+    by ``,\\n`` within a piece and between pieces."""
     doc = {
         "model": instance.model,
         "strategy": strategy_flag,
@@ -140,20 +166,22 @@ def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) 
     head, _, tail = json.dumps(doc, indent=2).partition('"trajectory": []')
     yield head + '"trajectory": ['
     sep = "\n"
-    for row in _step_rows(instance, result):
-        yield sep + _row_json(row)
+    for piece in _pieces(map(_row_json, _step_rows(instance, result)), ",\n"):
+        yield sep + piece
         sep = ",\n"
     yield ("\n  ]" if result.trajectory else "]") + tail + "\n"
 
 
 def _result_csv(instance: Instance, result) -> Iterator[str]:
-    """The CSV text, one line at a time; no field holds a comma, a quote or
-    a line break, so none is quoted."""
+    """The CSV text, the header line and then the step lines in
+    ``_pieces``; no field holds a comma, a quote or a line break, so none
+    is quoted."""
     header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
     yield ",".join(header + ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]) + "\n"
-    for k, prices, chosen, mask, g_before, _, deficiency, *_ in _step_rows(instance, result):
-        fields = [k, *prices, mask, ";".join(map(str, chosen)), g_before, deficiency]
-        yield ",".join(map(str, fields)) + "\n"
+    rows = _step_rows(instance, result)
+    yield from _pieces((",".join(map(str, [k, *prices, mask, ";".join(map(str, chosen)),
+                                           g_before, deficiency])) + "\n"
+                        for k, prices, chosen, mask, g_before, _, deficiency, *_ in rows), "")
 
 
 def _load_start(instance: Instance, source: str):

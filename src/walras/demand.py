@@ -15,7 +15,10 @@ supply is one of each item.  The table depends on the price only through
 the bidders' demand state, so it is built in two parts:
 ``DemandCache.demand_key`` reads that state as a hashable key, and
 ``DemandCache.deficiency_from_key`` builds the table from the key alone,
-which lets a caller keep one table per state.
+which lets a caller keep one table per state.  It builds it in one
+doubling pass over the items, and adds a unit-demand bidder tied between
+items during its top item's doubling, on the item sets below that item
+alone; the later doublings copy the unit onto the rest.
 
 Separable bidders are read per item, not per bidder: item j's total least
 take and total indirect utility over all of them depend only on the
@@ -366,25 +369,39 @@ class DemandCache:
         """Demanded minus supplied units of every item subset, indexed by
         subset bitmask, built from a ``demand_key``.
 
-        The modular takes go through one subset-sum pass: a separable
-        bidder's minimum take is the sum of its per-item least argmaxes, and
-        a unit-demand bidder demanding exactly item i takes one unit from
-        every set holding i.  A tied unit-demand bidder takes one unit from
-        every superset of its items, and a table bidder without a least
-        bundle its least subset sum over its demand set, kept by demand
-        set.
+        The modular takes go through one subset-sum pass, which doubles the
+        table once per item, by a plain copy where the item's take is 0 (one
+        bidder alone demanding its one unit, say): a separable bidder's
+        minimum take is the sum of its per-item least argmaxes, and a
+        unit-demand bidder demanding exactly item i takes one unit from every
+        set holding i.  A tied unit-demand bidder takes one unit from every
+        superset of its items d.  With k its top item, that unit is added
+        during item k's doubling, to the new half's entries X + {k} for the X
+        below k that hold d - {k}, and the later doublings copy it onto every
+        other superset of d: 2^(k - |d|) entries instead of 2^(n - |d|),
+        counting items from 1.  A table bidder without a least bundle takes its
+        least subset sum over its demand set, kept by demand set.
         """
         takes, tied, tables = key
-        n = self._n
-        out = subset_sums(takes, n)
-        full = len(out) - 1
-        for d in tied:
-            s = d
-            while True:  # every superset of d, in increasing order
-                out[s] += 1
-                if s == full:
-                    break
-                s = (s + 1) | d
+        out = [0]
+        i = 0
+        for c in takes:
+            half = len(out)
+            if c:
+                out += [t + c for t in out]
+            else:
+                out *= 2
+            # ``tied`` is ascending, so the masks whose top item is this one
+            # come next: half <= d < 2 * half.
+            while i < len(tied) and tied[i] < 2 * half:
+                low = tied[i] ^ half
+                s = low
+                while True:  # every superset of low below half, in increasing order
+                    out[half + s] += 1
+                    if s == half - 1:
+                        break
+                    s = (s + 1) | low
+                i += 1
         for demand in tables:
             out = list(map(add, out, self._least_takes_of(demand)))
         return out

@@ -7,7 +7,7 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -33,9 +33,18 @@ def items_from_mask(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=256)
+def _chi(mask: int, n: int) -> tuple[int, ...]:
+    """The 0/1 vector chi_X of the item set ``mask`` over n coordinates,
+    kept for the latest 256 (mask, n) pairs."""
+    return tuple((mask >> k) & 1 for k in range(n))
+
+
 def chi_add(p: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Return ``p + chi_X`` for the item set encoded by ``mask``."""
-    return tuple(c + ((mask >> k) & 1) for k, c in enumerate(p))
+    """Return ``p + chi_X`` for the item set encoded by ``mask``: one
+    elementwise add of the kept vector ``_chi(mask, len(p))``, which a
+    descent's steps and runs, raising few distinct sets, share."""
+    return tuple(map(add, p, _chi(mask, len(p))))
 
 
 def chi_sub(p: tuple[int, ...], mask: int) -> tuple[int, ...]:

@@ -73,6 +73,10 @@ UNIT_EXTRACTION = ("tests/test_auction.py::TestExtractionAgainstEnumeration::"
 LEAST_BUNDLE_TWIN = ("tests/test_demand.py::TestLeastBundleKey::"
                      "test_key_tables_are_the_definitional_minimum_takes")
 GRID_TWIN = "tests/test_lyapunov.py::TestGridValues::test_matches_per_point_values"
+KEY_TABLE_TWIN = "tests/test_demand.py::TestKeyTable::test_table_is_the_definitional_one"
+CHI_TWIN = "tests/test_demand.py::TestSetIdentities::test_chi_add_matches_the_definition"
+STDOUT_PIECES = ("tests/test_cli.py::TestStreamedOutput::"
+                 "test_stdout_gets_pieces_of_at_most_pipe_buf")
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -308,6 +312,40 @@ MUTANTS = (
            "if w is None or not required[w]:",
            "if True:",
            (UNIT_EXTRACTION,)),
+    Mutant("key-table-top-item-in-lower-mask", "demand.py",
+           "low = tied[i] ^ half",
+           "low = tied[i]",
+           (KEY_TABLE_TWIN,)),
+    Mutant("key-table-unit-in-lower-half", "demand.py",
+           "out[half + s] += 1",
+           "out[s] += 1",
+           (KEY_TABLE_TWIN,)),
+    Mutant("key-table-walk-one-short", "demand.py",
+           "if s == half - 1:",
+           "if (s + 1) | low == half - 1:",
+           (KEY_TABLE_TWIN,)),
+    Mutant("key-table-negative-take-copied", "demand.py",
+           "            if c:\n",
+           "            if c > 0:\n",
+           (KEY_TABLE_TWIN,)),
+    Mutant("chi-reversed", "itemsets.py",
+           "return tuple((mask >> k) & 1 for k in range(n))",
+           "return tuple((mask >> k) & 1 for k in reversed(range(n)))",
+           (CHI_TWIN,)),
+    Mutant("chi-kept-by-mask-alone", "itemsets.py",
+           "@lru_cache(maxsize=256)\n",
+           "def _by_mask(build, kept={}):\n"
+           "    return lambda mask, n: kept.setdefault(mask, build(mask, n))\n\n\n"
+           "@_by_mask\n",
+           (CHI_TWIN,)),
+    Mutant("last-piece-not-yielded", "cli.py",
+           "    if run:\n        yield sep.join(run)\n",
+           "",
+           (STDOUT_PIECES,)),
+    Mutant("piece-boundary-separator-lost", "cli.py",
+           'yield sep + piece\n        sep = ",\\n"',
+           'yield sep + piece\n        sep = "\\n"',
+           (STDOUT_PIECES,)),
     Mutant("lnat-charge-fixed-budget", "cli.py",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)",
            "bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=_LNAT_CHECK_BUDGET)",

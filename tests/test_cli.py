@@ -998,6 +998,46 @@ class TestStreamedOutput:
         else:
             assert text.count("\n") == 20_001
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_gets_pieces_of_at_most_pipe_buf(self, fmt, tmp_path, monkeypatch):
+        """A 1,160-step trajectory under three chosen sets reaches stdout
+        in writes of at most ``_PIECE`` characters, several of them near
+        full, and the writes join to one ``json.dumps`` of the document
+        (JSON) or to the CSV text pinned by its sha256."""
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps({"model": "unit", "n": 3, "m": 4, "valuations": [
+            {"family": "unit_demand", "values": v} for v in
+            ([1200, 1000, 1120], [1160, 1040, 960], [1240, 800, 1080], [600, 1200, 880])]}))
+
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+            def flush(self):
+                pass
+
+        stream = Recorder()
+        monkeypatch.setattr(sys, "stdout", stream)
+        code = run_command(["solve", "--instance", str(path),
+                            "--strategy", "minimal-overdemanded", "--format", fmt])
+        monkeypatch.undo()
+        assert code == 0
+        sizes = [len(text) for text in stream.writes]
+        assert max(sizes) <= walras.cli._PIECE
+        assert sum(size > walras.cli._PIECE - 200 for size in sizes) >= 5, sizes
+        text = "".join(stream.writes)
+        if fmt == "json":
+            doc = json.loads(text)
+            assert doc["iterations"] == len(doc["trajectory"]) == 1160
+            assert text == json.dumps(doc, indent=2) + "\n"
+        else:
+            assert sha256(text.encode()).hexdigest() == \
+                "9e1546a18348ccdb1b3689b30a7e8e085ecc5fae21d01e7fe53f6a2863febebe"
+
     @pytest.mark.parametrize("text", [EX21_JSON, MULTI_JSON], ids=["ex21", "multi"])
     def test_json_matches_one_dump(self, text, tmp_path, capsys):
         """Spliced rows give the bytes of one ``json.dumps`` of the whole

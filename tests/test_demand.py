@@ -16,7 +16,7 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
 from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
 from walras.instance import DEFAULT_BUDGET, MULTI, UNIT, UNIT_DEMAND, box_volume, iter_box
-from walras.itemsets import items_from_mask, subset_sums
+from walras.itemsets import chi_add, items_from_mask, subset_sums
 from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
                            some_demanders_mask, unit_demand_mask)
 
@@ -540,6 +540,18 @@ class TestSetIdentities:
         assert subset_sums(vec, n) == [sum(vec[k] for k in range(n) if mask >> k & 1)
                                        for mask in range(1 << n)]
 
+    def test_chi_add_matches_the_definition(self):
+        """p + chi_X for the empty, first, last, full and random item sets
+        at widths 1 to 12, in ascending order: a kept vector read at a
+        width other than its own, or reversed, shows."""
+        rng = random.Random(44)
+        for n in range(1, 13):
+            for mask in {0, 1, 1 << (n - 1), (1 << n) - 1,
+                         *(rng.randrange(1 << n) for _ in range(20))}:
+                p = tuple(rng.randint(0, 9) for _ in range(n))
+                items = items_from_mask(mask)
+                assert chi_add(p, mask) == tuple(c + (k + 1 in items) for k, c in enumerate(p))
+
     @given(st.integers(0, 2**32 - 1))
     def test_mu_monotone_in_items(self, seed):
         rng = random.Random(seed)
@@ -719,6 +731,66 @@ class TestLeastBundleKey:
         dc = DemandCache(_NO_LEAST)
         assert box_demand_set(_NO_LEAST, 0, (2, 1)) == ((0, 1), (1, 0))
         assert dc.demand_key((2, 1)) == ((-1, -1), (), ((1, 2),))
+
+
+@st.composite
+def table_keys(draw):
+    """A bidderless market of at most 8 items, one or two units of each
+    item when n <= 3 and one otherwise, with a key of the shape
+    ``demand_key`` gives: any per-item takes, ascending tied masks of two
+    items or more, repeats allowed, and up to two table demand sets as
+    ascending box indices."""
+    n = draw(st.integers(1, 8))
+    u = tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))) if n <= 3 else (1,) * n
+    takes = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    tied = draw(st.lists(st.integers(3, (1 << n) - 1).filter(lambda d: d & (d - 1)),
+                         max_size=5)) if n > 1 else []
+    demand = st.lists(st.integers(0, box_volume(u) - 1), min_size=1, max_size=3,
+                      unique=True).map(lambda ix: tuple(sorted(ix)))
+    tables = draw(st.lists(demand, max_size=2))
+    return (Instance(model="multi", n=n, u=u, valuations=()),
+            (takes, tuple(sorted(tied)), tuple(tables)))
+
+
+def _keyed(n, tied, takes=None, tables=()):
+    """A bidderless market of n single-unit items with the key (``takes``,
+    default alternating 0 and -1, ``tied``, ``tables``)."""
+    takes = tuple(-(k % 2) for k in range(n)) if takes is None else takes
+    return Instance(model="multi", n=n, u=(1,) * n, valuations=()), (takes, tied, tables)
+
+
+def _definitional_key_table(inst, key):
+    """The table a key stands for: the subset sums of its takes, plus 1 on
+    every X holding d for each tied d, plus each table demand set's least
+    subset sums over its bundles."""
+    takes, tied, tables = key
+    n = inst.n
+    box = list(iter_box(inst.u))
+    out = subset_sums(takes, n)
+    for d in tied:
+        out = [t + (X & d == d) for X, t in enumerate(out)]
+    for demand in tables:
+        sums = [subset_sums(box[i], n) for i in demand]
+        out = [t + min(col) for t, col in zip(out, zip(*sums))]
+    return out
+
+
+class TestKeyTable:
+    """``deficiency_from_key`` adds a tied bidder's unit during its top
+    item's doubling, to the new half alone, and lets the later doublings
+    copy it; the twin adds it to every superset directly."""
+
+    @settings(max_examples=200)
+    @given(table_keys())
+    @example(_keyed(4, (0b1001,)))  # top item n
+    @example(_keyed(5, (0b00011,), takes=(2, 0, -1, 0, 1)))  # the set {1, 2}
+    @example(_keyed(5, (0b10001, 0b10110)))  # two sets with top item 5
+    @example(_keyed(6, (0b111111,)))  # the full item set
+    @example(_keyed(3, (), takes=(1, 0, -1), tables=((1, 6), (3,))))  # no tied bidder
+    def test_table_is_the_definitional_one(self, keyed):
+        inst, key = keyed
+        assert DemandCache(inst).deficiency_from_key(key) == \
+            _definitional_key_table(inst, key), key
 
 
 class TestSharedCache:
