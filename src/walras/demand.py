@@ -102,10 +102,8 @@ class DemandCache:
     least-take vectors of demand sets without a least bundle are kept by
     demand set, as the bundles' box indices, charged 2^n plus the set's
     size each against the budget and cleared when it would be exceeded.
-    Demand keys are built afresh at each call; keeping deficiency tables by
-    demand key is left to the caller (``LyapunovOracle.neighborhood`` does).
-    ``run_length`` bounds how many raises of one item set keep the key of a
-    market without table bidders, from the kept record and the columns.
+    Demand keys are built afresh at each call; the caller may keep tables
+    by them, as ``LyapunovOracle.neighborhood`` does.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -432,9 +430,11 @@ class DemandCache:
         worths, which separates by coordinate (Murota, *Discrete Convex
         Analysis*, SIAM 2003, ch. 8): pass j replaces the bundle axis x_j
         by the price axis ``axes[j]``, taking for each price c the
-        elementwise max over x_j of the worths' slice minus c * x_j.  The
-        passes whose price axis is no longer than u_j + 1 run first, so no
-        list is longer than the larger of the box and the grid.
+        elementwise max over x_j of the worths' slice minus c * x_j, at
+        c = 0 the slice x_j = u_j: an ``Instance``'s worths are
+        nondecreasing, and stay so along the bundle axes each pass leaves.
+        The passes whose price axis is no longer than u_j + 1 run first, so
+        no list is longer than the larger of the box and the grid.
         """
         u = self.instance.u
         sizes = [len(axis) for axis in axes]
@@ -455,18 +455,20 @@ class DemandCache:
 
 def _conjugate_pass(vals: list[int], cap: int, prices) -> list[int]:
     """One coordinate's conjugate: ``vals`` holds a grid whose leading axis
-    is a bundle axis 0..cap; the result drops it and appends the price axis
-    ``prices`` as the trailing one, holding max_k (vals[k, r] - c * k) at
-    (r, c)."""
+    is a bundle axis 0..cap, nondecreasing along it; the result drops it and
+    appends the price axis ``prices`` as the trailing one, holding
+    max_k (vals[k, r] - c * k) at (r, c), vals[cap, r] at c = 0."""
     rest = len(vals) // (cap + 1)
     rows = [vals[k * rest:(k + 1) * rest] for k in range(cap + 1)]
     width = len(prices)
     out = [0] * (rest * width)
     for i, c in enumerate(prices):
-        best = rows[0]
-        for k in range(1, cap + 1):
-            ck = c * k
-            best = [a if a >= x - ck else x - ck for a, x in zip(best, rows[k])]
+        best = rows[cap]
+        if c:
+            best = rows[0]
+            for k in range(1, cap + 1):
+                ck = c * k
+                best = [a if a >= x - ck else x - ck for a, x in zip(best, rows[k])]
         out[i::width] = best
     return out
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
                        compress, count, permutations, product)
 from math import prod
-from operator import add, ge, gt, itemgetter, lt, mul
+from operator import add, and_, ge, gt, itemgetter, lt, mul
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, InstanceFormatError
@@ -286,14 +286,13 @@ def verify_mnat_exc(v: Valuation, *,
     when each has an exchange worth at least the pair, else the first
     failing pair in lexicographic (x, y) order, x < y, as an
     ``MnatCounterexample``.  The pairs whose lifted difference moves four
-    distinct items stay in the check although no sampled table needed
-    them: no cited theorem lets a check drop them.
+    distinct items stay, though no sampled table needed them: no cited
+    theorem lets a check drop them.
 
     Before any value is read the budget is charged the box volume, then the
     check's reads in closed form (``_local_charge``); either over the
-    budget raises BudgetExceededError.  The check reads every pair once and
-    the witness is the least failing pair by flat index, which is
-    lexicographic order.
+    budget raises BudgetExceededError.  The witness is the least failing
+    pair by flat index.
     """
     u = v.box()
     volume = box_volume(u)
@@ -371,12 +370,11 @@ def _local_plan(u: Bundle) -> tuple:
 
 def _locally_exchangeable(u: Bundle, worth: list[int]) -> Iterator[tuple[int, int]]:
     """Yield the flat indices (ix, iy) of every pair of the box at lifted
-    distance 4 that has no exchange worth at least the pair itself."""
+    distance 4 whose every exchange is worth less than the pair."""
     for xs, ys, get_x, get_y, moves in _local_plan(u):
-        need = map(add, get_x(worth), get_y(worth))
-        sums = [map(add, gx(worth), gy(worth)) for gx, gy in moves]
-        best = map(max, *sums) if len(sums) > 1 else sums[0]
-        yield from compress(zip(xs, ys), map(lt, best, need))
+        x, y = get_x(worth), get_y(worth)
+        fails = [map(lt, map(add, gx(worth), gy(worth)), map(add, x, y)) for gx, gy in moves]
+        yield from compress(zip(xs, ys), map(and_, *fails) if len(fails) > 1 else fails[0])
 
 
 class MonotonicityCounterexample(NamedTuple):

@@ -165,17 +165,15 @@ def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector
     Analysis*, SIAM 2003, ch. 7); its unit squares and comparable pairs
     with a step of 2 imply the rest (``_locally_midpoint_convex``).  It
     returns None when they hold, else the theorem's first failing pair in
-    lexicographic order, q - p lexicographically positive, as an
-    ``LnatCounterexample``.
+    lexicographic order, as an ``LnatCounterexample``.
 
-    The budget is charged the number of the theorem's pairs in closed form
+    The budget is charged the theorem's pairs in closed form
     (``_midpoint_charge``) before any value is read; the box's values are
     then read in one ``g.grid`` call.  The theorem needs the box inside g's
     domain, so a None value raises ValueError naming the first such point.
-    Coordinates of width 0 are left out of the check: no pair moves one,
-    and its radix of 1 leaves every flat index as it is.  The smaller family
-    is read up to its first failure; only then is the theorem's read, and
-    the witness is its least failing pair by flat index, lexicographic order.
+    Coordinates of width 0 are left out: no pair moves one.  The smaller
+    family is read up to its first failure; only then is the theorem's
+    read, and the witness is its least failing pair by flat index.
     """
     lo, hi = tuple(box[0]), tuple(box[1])
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
@@ -225,37 +223,45 @@ def _locally_midpoint_convex(widths: list[int], vals: list[int],
     """Yield the flat indices (ip, iq) of every pair of ``words`` (see
     ``_words``) on the box [0, widths] with g(p) + g(q) < g(ceil((p + q)/2))
     + g(floor((p + q)/2)), given g's values ``vals`` over the box in
-    lexicographic order.  The check's words are (a) the unit squares
-    g(p + χ_i) + g(p + χ_j) >= g(p) + g(p + χ_i + χ_j), i < j, and (b) the
-    pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a) gives
-    g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978); if
+    lexicographic order, as the kept ``_midpoint_plan`` reads them.  The
+    check's words are (a) the unit squares (p + χ_i, p + χ_j), i < j, and
+    (b) the pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a)
+    gives g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978); if
     ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and are
-    them or a pair of (b), so (a) and (b) hold iff the theorem's pairs do.
-    A point's index is its block's start, set by the leading coordinates,
-    plus its place in the block of the trailing (at most three) ones.  Each
-    word splits in two: the trailing words shared by leading words list the
-    four points' places, read in each of those leading words' blocks."""
+    them or a pair of (b), so (a) and (b) hold iff the theorem's pairs do."""
+    size, blocks = _midpoint_plan(tuple(widths), tuple(words))
+    for ips, iqs, get, leads in blocks:
+        for starts in zip(*leads):
+            gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
+            if all(map(ge, map(add, gp, gq), map(add, gc, gf))):
+                continue  # the cheaper pass where the block holds, as most do
+            low = map(lt, map(add, gp, gq), map(add, gc, gf))
+            for ip, iq in compress(zip(ips, iqs), low):
+                yield starts[0] + ip, starts[1] + iq
+
+
+@functools.lru_cache(maxsize=2)
+def _midpoint_plan(widths: tuple, words: tuple) -> tuple[int, list[tuple]]:
+    """The reads of ``_locally_midpoint_convex``, kept for the latest two
+    (widths, words).  A point's index is its block's start, set by the
+    leading coordinates, plus its place in the block of the trailing (at
+    most three) ones.  Each group of leading words sharing trailing words
+    gives (p places, q places, the four places' getters, the four start
+    columns)."""
     k = max(len(widths) - 3, 0)
     stride = strides([w + 1 for w in widths])
     parts = [_parts(s, w) for s, w in zip(stride, widths)]
-    size = stride[k - 1] if k else len(vals)
-    tails, leads = {}, {}
+    tails, leads, blocks = {}, {}, []
     for word in words:
         tails.setdefault(word[:k], []).append(word[k:])
     for lead, rest in tails.items():
         leads.setdefault(tuple(rest), []).append(lead)
     for rest, first in leads.items():
         plan = _columns(parts[k:], rest)
-        if not plan[0]:
-            continue
-        get = [getter(col) for col in plan]
-        for starts in zip(*_columns(parts[:k], first)):
-            gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
-            if all(map(ge, map(add, gp, gq), map(add, gc, gf))):
-                continue  # the cheaper pass where the block holds, as most do
-            low = map(lt, map(add, gp, gq), map(add, gc, gf))
-            for ip, iq in compress(zip(plan[0], plan[1]), low):
-                yield starts[0] + ip, starts[1] + iq
+        if plan[0]:
+            blocks.append((plan[0], plan[1], [getter(col) for col in plan],
+                           _columns(parts[:k], first)))
+    return prod(w + 1 for w in widths[k:]), blocks
 
 
 def _parts(s: int, w: int) -> dict[int, list[tuple]]:

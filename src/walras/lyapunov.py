@@ -35,13 +35,9 @@ come from ``LyapunovOracle.grid_values`` in whole-list passes: the revenue
 term and the separable bidders as an outer sum of per-item columns, and each
 table bidder as its discrete Legendre-Fenchel conjugate taken one coordinate
 at a time (``DemandCache.utility_grid``).  A unit-demand bidder is read
-through its floor, a payoff it gets at least at every point of the grid,
-and its lifted items, the only ones whose worth less their lowest price
-beats that floor: with none its floor is a constant, with one it joins that
-item's column, and only a bidder with several runs a max over the grid,
-which repeats its list along every other item's axis.  That is still a max
-over the bidder's options, pruned by a lower bound, and reads no demand
-set.  The two certificate scans, of L(p + chi_X) at the stop and of
+through its floor and lifted items (``LyapunovOracle._grid``): still a max
+over its options, pruned by a lower bound, reading no demand set.  The two
+certificate scans, of L(p + chi_X) at the stop and of
 L(p - chi_X) for minimality, read the grid on the axes (p_j, p_j +- 1)
 through ``lnat.neighborhood_values``, so they still check the change table
 against values, and ``walras verify``'s L♮ check reads its whole box in one
@@ -72,7 +68,7 @@ class LyapunovOracle:
     one of each item) and the multi model, and keeps no value once read.
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
     ``grid_values`` reads L over a whole price grid and keeps the latest
-    two grids it built, by their axes, at most two lists of values.
+    two, by their axes.
     ``neighborhood`` keeps its change tables by demand key, at most
     ``budget`` entries in all (2^n per table), cleared when full; runs
     sharing the oracle share them.
@@ -143,18 +139,19 @@ class LyapunovOracle:
     def _grid(self, axes) -> list[int]:
         """L at every point of the product of the nonnegative price lists
         ``axes``, built in whole-list passes: the revenue term and the
-        separable bidders are an outer sum of one column per item, the
-        item's ``_term`` at each price of its axis; a table bidder's best
-        payoff is its conjugate grid, ``DemandCache.utility_grid``, whose
-        first pass reads the bundle box within the budget as ``value`` does.
-        A unit-demand bidder gets at least its floor, the best of 0 and of
-        w_j - max(axis_j) over items j, at every point, and only a lifted
-        item, one with w_j - min(axis_j) above the floor, can pay it more
-        anywhere, so its best payoff is the larger of the floor and the
-        lifted items' w_j - p_j.  With no item lifted the floor is a
-        constant; with one, the larger of the floor and w_j - c joins item
-        j's column; with more, a running max starts from the floor and
-        repeats the list along every other item's axis."""
+        separable bidders are an outer sum of one column per item, its
+        ``_term`` at each price of its axis; a table bidder's best
+        payoff is its conjugate grid, ``DemandCache.utility_grid``, which
+        reads the bundle box within the budget as ``value`` does.  A
+        unit-demand bidder gets at least its floor, the best of 0 and of
+        w_j - max(axis_j) over items j, everywhere, and only a lifted item,
+        one with w_j - min(axis_j) above the floor, can pay it more, so its
+        best payoff is the larger of the floor and the lifted items'
+        w_j - p_j.  With no item lifted the floor is a constant; with one,
+        the larger of the floor and w_j - c joins item j's column; with
+        more, a max from the floor runs on the lifted items' own sub-grid,
+        and each other item's axis repeats the block of the lifted axes
+        after it."""
         inst = self.instance
         if not all(axes):
             return []
@@ -183,13 +180,17 @@ class LyapunovOracle:
         for col in reversed(cols):
             total = [t + y for y in col for t in total]
         for floor, worths, lifted in several:
-            best = [floor]
+            best, slow = [floor], 1
             for w, axis, up in zip(reversed(worths), reversed(axes), reversed(lifted)):
                 if up:
-                    best = [x if x > y else y for y in [w - c for c in axis] for x in best]
+                    out = []
+                    for c in axis:
+                        y = w - c
+                        out += [x if x > y else y for x in best] * slow
+                    best, slow = out, 1
                 else:
-                    best = best * len(axis)
-            total = list(map(add, total, best))
+                    slow *= len(axis)
+            total = list(map(add, total, best * slow))
         for b in dc.tables:
             total = list(map(add, total, dc.utility_grid(b, axes)))
         return total

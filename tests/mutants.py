@@ -94,6 +94,13 @@ MUTANTS = (
            "low = map(lt, map(add, gp, gq), map(add, gc, gf))",
            "low = map(lambda a, b: a <= b, map(add, gp, gq), map(add, gc, gf))",
            (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
+    Mutant("midpoint-plan-shared-by-families", "lnat.py",
+           "@functools.lru_cache(maxsize=2)\n",
+           "def _by_widths(build, kept={}):\n"
+           "    return lambda widths, words: kept.setdefault(widths, build(widths, words))\n\n\n"
+           "@_by_widths\n",
+           (LNAT_TESTS + "test_planted_witness_outside_the_family",
+            LNAT_TESTS + "test_kept_plans_follow_the_box_and_the_family")),
     Mutant("lnat-no-back-step", "lnat.py",
            "((-2, -1, 0, 1, 2),)",
            "((-1, 0, 1, 2),)",
@@ -111,10 +118,15 @@ MUTANTS = (
            "first = max(_locally_exchangeable(u, _box_worths(v)), default=None)",
            (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",)),
     Mutant("mnat-lt-le", "instance.py",
-           "yield from compress(zip(xs, ys), map(lt, best, need))",
-           "yield from compress(zip(xs, ys), map(lambda a, b: a <= b, best, need))",
+           "map(lt, map(add, gx(worth), gy(worth)), map(add, x, y))",
+           "map(lambda a, b: a <= b, map(add, gx(worth), gy(worth)), map(add, x, y))",
            (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",
             *RELATIONS, ADDED_BIDDER)),
+    Mutant("exchange-any-move-fails", "instance.py",
+           "map(and_, *fails)",
+           "map(lambda a, b: a or b, *fails)",
+           (INSTANCE_TESTS + "TestExchangeVerifier::test_separable_holds",
+            INSTANCE_TESTS + "TestLocalExchange::test_sweep_meets_every_outcome")),
     Mutant("monotone-witness-max", "instance.py",
            "first = min(_nondecreasing(u, worth), default=None)",
            "first = max(_nondecreasing(u, worth), default=None)",
@@ -215,6 +227,10 @@ MUTANTS = (
            "tables.clear()",
            "pass",
            ("tests/test_lyapunov.py::TestKeptTables::test_kept_entries_stay_within_the_budget",)),
+    Mutant("conjugate-price-zero-first-row", "demand.py",
+           "best = rows[cap]",
+           "best = rows[0]",
+           (GRID_TWIN,)),
     Mutant("conjugate-price-not-times-units", "demand.py",
            "ck = c * k",
            "ck = c",
@@ -295,8 +311,8 @@ MUTANTS = (
            "t + (w - c)",
            (GRID_TWIN,)),
     Mutant("unit-grid-skipped-pass-not-repeated", "lyapunov.py",
-           "best = best * len(axis)",
-           "best = best",
+           "slow *= len(axis)",
+           "slow *= 1",
            (GRID_TWIN,)),
     Mutant("unit-enumeration-sells-every-item", "oracle.py",
            "        unsold = True\n",

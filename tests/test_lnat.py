@@ -264,6 +264,26 @@ class TestLocalMidpointCheck:
             seen.add(want is None)
         assert seen == {True, False}
 
+    def test_kept_plans_follow_the_box_and_the_family(self):
+        """The kept plans are read per (live widths, word family): three box
+        shapes in turn, one with a coordinate of width 0, [0, 1]^3 whose
+        coordinates are all trailing, and verify's [0, 3]^4, each checked
+        with a failing function (the product of its first three live
+        coordinates, whose first failing pair on [0, 1]^3 lies outside the
+        check's family) and then a passing one, give the twin's outcomes
+        and first failing pairs.  The passing check reuses the plan the
+        failing one built, and at most two plans are kept."""
+        for widths in [(1, 0, 2, 1), (1, 1, 1), (3, 3, 3, 3)] * 2:
+            box = ((0,) * len(widths), widths)
+            live = [c for c, w in enumerate(widths) if w][:3]
+            failing = FunctionOracle(n=len(widths), fn=lambda p, live=live: prod(p[c] for c in live))
+            passing = FunctionOracle(n=len(widths), fn=lambda p: sum(c * c for c in p))
+            assert self._check(failing, box) is not None, widths
+            hits = lnat._midpoint_plan.cache_info().hits
+            assert self._check(passing, box) is None, widths
+            assert lnat._midpoint_plan.cache_info().hits == hits + 1, widths
+            assert lnat._midpoint_plan.cache_info().currsize <= 2
+
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
         is read; at the charge it reads each box point once."""

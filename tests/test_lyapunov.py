@@ -440,7 +440,9 @@ class TestGridValues:
     payoff on a grid is at least its floor, the best of 0 and each item's
     worth less the item's highest price; its lifted items are those whose
     worth less the item's lowest price beats the floor, and the examples
-    fold each count of them."""
+    fold each count of them.  A table bidder's conjugate pass reads price 0
+    at the most units; the table examples put price 0 beside plateaus,
+    beside a reordered pass, and in a market of tabulated bidders."""
 
     @given(st.data())
     # no item lifted: worth below every price, and worth nothing
@@ -462,6 +464,17 @@ class TestGridValues:
         Valuation.unit_demand([6, 1]), Valuation.separable([[3], [2]]),
         tabulate(Valuation.unit_demand([4, 5])), Valuation.unit_demand([5, 6]))),
         [[1, 2], [0, 3]]))
+    # table plateaus, v(x + e_j) = v(x), on axes holding 0 and positive prices
+    @example(data=Drawn(Instance(model="multi", n=2, u=(2, 1), valuations=(
+        _monotone_table((2, 1), [0, 4, 0, 0, 3, 5]),)), [[0, 2, 5], [0, 1]]))
+    # item 1's axis outgrows its bundle axis, so the passes are reordered
+    @example(data=Drawn(Instance(model="multi", n=2, u=(1, 2), valuations=(
+        _monotone_table((1, 2), [0, 0, 2, 3, 0, 1]),)), [[0, 1, 3, 4], [0, 2]]))
+    # tabulated separable and unit-demand bidders on [0, 1]^5
+    @example(data=Drawn(Instance(model="multi", n=5, u=(1,) * 5, valuations=(
+        tabulate(Valuation.separable([[3], [0], [5], [2], [4]])),
+        tabulate(Valuation.unit_demand([4, 0, 6, 1, 3])))),
+        [[0, 1], [0, 2], [1, 0], [0], [2, 3]]))
     def test_matches_per_point_values(self, data):
         inst = data.draw(grid_markets())
         axes = data.draw(price_axes(inst))
