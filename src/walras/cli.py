@@ -19,7 +19,7 @@ from .instance import (DEFAULT_BUDGET, Instance, load_instance,
                        max_total_value, verify_mnat_exc,
                        verify_monotone_normalized)
 from .itemsets import mask_weight
-from .lnat import StrategyKind, _midpoint_charge, is_lnat_convex_on_box
+from .lnat import StrategyKind, is_lnat_convex_on_box, midpoint_charge
 from .lyapunov import LyapunovOracle
 
 STRATEGY_FLAGS = {
@@ -268,7 +268,7 @@ def _verify_lines(instance: Instance, checks: tuple[str, ...],
             root += 1
         worth = max_total_value(instance)
         side = min(root - 1, worth)
-        if side < 1 <= worth and _midpoint_charge([1] * instance.n) <= budget:
+        if side < 1 <= worth and midpoint_charge([1] * instance.n) <= budget:
             side = 1
         box = ((0,) * instance.n, (side,) * instance.n)
         bad = is_lnat_convex_on_box(ly.function_oracle(), box, budget=budget)

@@ -8,15 +8,14 @@ construction and safe to share across workers.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from itertools import (accumulate, chain, combinations_with_replacement,
-                       compress, count, permutations, product)
+from itertools import (accumulate, chain, combinations, combinations_with_replacement,
+                       compress, count, product)
 from math import prod
-from operator import add, and_, ge, gt, itemgetter, lt, mul
+from operator import add, and_, ge, gt, lt, neg, sub
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, InstanceFormatError
-from .itemsets import box_point, getter, strides
+from .itemsets import box_pairs, box_point, pair_failures, strides
 
 Bundle = tuple[int, ...]
 PriceVector = tuple[int, ...]
@@ -281,100 +280,55 @@ def verify_mnat_exc(v: Valuation, *,
     lift is M-concave on the lifted box, an M-convex set, and there
     M-concavity is decided by the exchange condition on the pairs with
     ‖x~ - y~‖₁ = 4 alone (Murota, *Discrete Convex Analysis*, SIAM 2003,
-    ch. 6: the local exchange theorem).  Those pairs are all the check
-    reads, in blocks by index offsets (``_local_plan``).  It returns None
-    when each has an exchange worth at least the pair, else the first
-    failing pair in lexicographic (x, y) order, x < y, as an
-    ``MnatCounterexample``.  The pairs whose lifted difference moves four
-    distinct items stay, though no sampled table needed them: no cited
-    theorem lets a check drop them.
-
-    Before any value is read the budget is charged the box volume, then the
-    check's reads in closed form (``_local_charge``); either over the
-    budget raises BudgetExceededError.  The witness is the least failing
-    pair by flat index.
+    ch. 6: the local exchange theorem), ``_exchanges``, planned by
+    ``box_pairs``.  It returns None when each has an exchange worth at least
+    the pair, else the least failing pair by flat index.  The budget is
+    charged the box volume, then the check's reads, before any value is
+    read.
     """
     u = v.box()
     volume = box_volume(u)
     if volume > budget:
         raise BudgetExceededError(
             f"verification box volume {volume} exceeds budget {budget}")
-    reads = _local_charge(u)
-    if reads > budget:
-        raise BudgetExceededError(
-            f"exchange check needs {reads} reads, budget is {budget}")
-    first = min(_locally_exchangeable(u, _box_worths(v)), default=None)
+    _, reads, plan = box_pairs(u, _exchanges, budget, budget)
+    if plan is None:
+        raise BudgetExceededError(f"exchange check needs {reads} reads, budget is {budget}")
+    first = min(pair_failures(_box_worths(v), plan, _exchange_fails), default=None)
     if first is None:
         return None
     x, y = (box_point(i, u) for i in first)
     return MnatCounterexample(x=x, y=y)
 
 
-@lru_cache(maxsize=8)
-def _local_steps(u: Bundle) -> tuple:
-    """The differences of the pairs the local exchange check reads on the
-    box [0, u].
-
-    A pair at lifted distance 4 has x~ - y~ = e_P - e_Q for disjoint
-    2-multisets P and Q of {0..n}, 0 the lifted coordinate.  Each unordered
-    pair is listed once, by d = y - x on the items lexicographically
-    positive, in ascending order of d.  A d whose pairs fit the box is
-    listed as (d, the sides of the sub-box of its x, the index offsets from
-    x of x, y and each move's two bundles).  A move is an exchange
-    x~ - e_i + e_j, y~ + e_i - e_j (i in P, j in Q); those reading the same
-    two bundles are kept once, which leaves one or two per d.  All lie in
-    the box, as it is M♮-convex.
-    """
-    n = len(u)
-    stride = strides([c + 1 for c in u])
-    lift = [0] + stride
-    steps = []
-    for P, Q in permutations(combinations_with_replacement(range(n + 1), 2), 2):
-        d = tuple(Q.count(k) - P.count(k) for k in range(1, n + 1))
-        if set(P) & set(Q) or d < (0,) * n:
+def _exchanges(n: int) -> list[tuple]:
+    """The exchange check's patterns on n items.  A pair at lifted distance
+    4 has x~ - y~ = e_P - e_Q for disjoint 2-multisets P and Q of {0..n}, 0
+    the lifted coordinate, listed once, with d = y - x lexicographically
+    positive.  It reads x, y and each move's bundles x~ - e_i + e_j,
+    y~ + e_i - e_j (i in P, j in Q); the move through the other i and j
+    reads the same two, so there are two moves if P and Q each hold two
+    indices, else one.  All lie in the box if x and y do.  No cited theorem
+    drops pairs moving four items."""
+    e = [(0,) * n] + [tuple(int(c == k) for c in range(n)) for k in range(n)]
+    patterns, steps = [], {}
+    for P, Q in combinations(combinations_with_replacement(range(n + 1), 2), 2):
+        if not set(P).isdisjoint(Q):
             continue
-        sides = [range(max(0, -t), c + 1 - max(0, t)) for t, c in zip(d, u)]
-        dy = sum(map(mul, stride, d))
-        moves = {tuple(sorted((lift[j] - lift[i], dy + lift[i] - lift[j]))) for i in P for j in Q}
-        if all(sides):
-            steps.append((d, sides, [0, dy, *chain(*sorted(moves))]))
-    return tuple(sorted(steps, key=itemgetter(0)))
+        d = tuple(map(sub, map(add, e[Q[0]], e[Q[1]]), map(add, e[P[0]], e[P[1]])))
+        if d < (0,) * n:
+            P, Q, d = Q, P, tuple(map(neg, d))
+        moves = [tuple(map(sub, e[j], e[P[0]])) for j in (Q if P[0] < P[1] and Q[0] < Q[1] else Q[:1])]
+        points = (0,) * n, d, *chain(*((m, tuple(map(sub, d, m))) for m in moves))
+        patterns.append(tuple(steps.setdefault(c, (c,)) for c in zip(*points)))
+    return patterns
 
 
-@lru_cache(maxsize=8)
-def _local_charge(u: Bundle) -> int:
-    """Reads of ``_local_plan(u)``: each x of a difference's sub-box reads
-    one value per offset."""
-    return sum(prod(map(len, sides)) * len(offsets) for _, sides, offsets in _local_steps(u))
-
-
-@lru_cache(maxsize=8)
-def _local_plan(u: Bundle) -> tuple:
-    """Flat-index reads of the local exchange check on the box [0, u]: the
-    pairs of ``_local_steps(u)``, grouped by their number of moves.  A group
-    is (x indices, y indices, get x, get y, ((get x', get y') per move))."""
-    stride = strides([c + 1 for c in u])
-    groups: dict[int, list[list[int]]] = {}
-    for _, sides, offsets in _local_steps(u):
-        cols = groups.setdefault(len(offsets), [[] for _ in offsets])
-        for x in product(*sides):
-            ix = sum(map(mul, stride, x))
-            for col, off in zip(cols, offsets):
-                col.append(ix + off)
-    plan = []
-    for cols in groups.values():
-        get = [getter(col) for col in cols]
-        plan.append((cols[0], cols[1], get[0], get[1], tuple(zip(get[2::2], get[3::2]))))
-    return tuple(plan)
-
-
-def _locally_exchangeable(u: Bundle, worth: list[int]) -> Iterator[tuple[int, int]]:
-    """Yield the flat indices (ix, iy) of every pair of the box at lifted
-    distance 4 whose every exchange is worth less than the pair."""
-    for xs, ys, get_x, get_y, moves in _local_plan(u):
-        x, y = get_x(worth), get_y(worth)
-        fails = [map(lt, map(add, gx(worth), gy(worth)), map(add, x, y)) for gx, gy in moves]
-        yield from compress(zip(xs, ys), map(and_, *fails) if len(fails) > 1 else fails[0])
+def _exchange_fails(x: tuple, y: tuple, *moves: tuple) -> Iterator[bool]:
+    """Per pair of a block, whether all its exchanges are worth less."""
+    need = tuple(map(add, x, y)) if len(moves) > 2 else map(add, x, y)
+    fails = [map(lt, map(add, a, b), need) for a, b in zip(moves[::2], moves[1::2])]
+    return map(and_, *fails) if len(fails) > 1 else fails[0]
 
 
 class MonotonicityCounterexample(NamedTuple):

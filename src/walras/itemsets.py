@@ -1,4 +1,5 @@
-"""Bitmask helpers for sets of items labelled 1..n.
+"""Bitmask helpers for sets of items labelled 1..n, and ``box_pairs``,
+the pair plans of the M♮ and L♮ local checks.
 
 Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 ``frozenset[int]`` values appear only at the oracle and witness edges.
@@ -7,7 +8,9 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, itemgetter
+from itertools import compress, product
+from math import inf, prod
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -116,3 +119,85 @@ def corner_indices(n: int) -> tuple[int, ...]:
     axes: coordinate k, bit k of the mask, has place value 2^(n - 1 - k).
     Kept for the latest n."""
     return tuple(subset_sums(strides([2] * n), n))
+
+
+#: Kept plans by (widths, family), oldest first: (pairs, reads, plan, index
+#: entries, budget of the building call).
+_PLANS: dict = {}
+
+
+def box_pairs(widths: tuple, family: Callable, budget: int, most: float = inf) -> tuple:
+    """(pairs, reads, plan) of ``family`` on the box [0, widths].
+
+    ``family(n)`` lists patterns: per coordinate, the steps a pair may take,
+    each as the offsets along it of the K points the pair reads, the pair
+    first.  A pair is a base point where all K lie in the box.  The plan
+    is (block size, blocks): leading coordinates give a block's start, the
+    trailing (at most three) its places; a block (first places, second
+    places, K getters, K start columns) serves patterns of one K sharing
+    their trailing steps.  Over ``most`` reads no plan is built.  Plans are
+    kept while their index entries fit the budget of each call that built
+    one, oldest dropped first.
+    """
+    kept = _PLANS.get((widths, family))
+    if kept is None:
+        patterns = family(len(widths))
+        spans = {key: sum(max(0, key[0] + 1 - max(o) + min(o)) for o in key[1])
+                 for key in {key for pattern in patterns for key in zip(widths, pattern)}}
+        bases = [prod(map(spans.get, zip(widths, pattern))) for pattern in patterns]
+        reads = sum(len(pattern[0][0]) * b for pattern, b in zip(patterns, bases))
+        if reads > most:
+            return sum(bases), reads, None
+        # Up to 2^13 reads, blocks save few entries: one is the whole box.
+        k = max(len(widths) - 3, 0) if reads > 1 << 13 else 0
+        stride = strides([w + 1 for w in widths])
+        tails, leads, blocks = {}, {}, []
+        for pattern in compress(patterns, bases):
+            tails.setdefault((len(pattern[0][0]), pattern[:k]), []).append(pattern[k:])
+        for lead, rest in tails.items():
+            leads.setdefault(tuple(rest), []).append(lead)
+        for rest, first in leads.items():
+            cols = _columns(stride[k:], widths[k:], rest, first[0][0])
+            starts = _columns(stride[:k], widths[:k], [lead for _, lead in first], first[0][0])
+            blocks.append((cols[0], cols[1], [getter(col) for col in cols], starts))
+        entries = sum(len(get) * (len(ps) + len(starts[0])) for ps, _, get, starts in blocks)
+        plan = prod(w + 1 for w in widths[k:]), blocks
+        _PLANS[widths, family] = kept = sum(bases), reads, plan, entries, budget
+        while sum(e[3] for e in _PLANS.values()) > min((e[4] for e in _PLANS.values()), default=0):
+            del _PLANS[next(iter(_PLANS))]
+    return kept[0], kept[1], kept[2] if kept[1] <= most else None
+
+
+def _columns(stride: list, widths: tuple, patterns: list, points: int) -> list[list[int]]:
+    """The index columns of the ``points`` points at each pattern's base
+    points in turn, in lexicographic order."""
+    out = [[] for _ in range(points)]
+    for pattern in patterns:
+        if all(len(steps) == 1 for steps in pattern):  # one column, shifted per point
+            base = [0]
+            for s, w, (step,) in zip(stride, widths, pattern):
+                base = [a + s * b for a, b in product(base, range(-min(step), w + 1 - max(step)))]
+            shift = [sum(map(mul, stride, offsets)) for offsets in zip(*(st for (st,) in pattern))]
+            cols = [[a + c for a in base] for c in shift or [0] * points]
+        else:
+            cols = [[0]] * points
+            for s, w, steps in zip(stride, widths, pattern):
+                parts = [[s * (b + step[i]) for step in steps
+                          for b in range(-min(step), w + 1 - max(step))] for i in range(points)]
+                cols = [[a + e for a in col for e in part] for col, part in zip(cols, parts)]
+        for joined, col in zip(out, cols):
+            joined.extend(col)
+    return out
+
+
+def pair_failures(vals: Sequence, plan: tuple, fails: Callable) -> Iterator[tuple[int, int]]:
+    """The flat indices (p, q) of each pair of ``plan`` that ``fails`` flags,
+    given each block start's K value tuples (read in place at 0); None
+    flags none."""
+    size, blocks = plan
+    for ps, qs, get, leads in blocks:
+        for starts in zip(*leads):
+            low = fails(*[read(vals[b:b + size] if b else vals) for read, b in zip(get, starts)])
+            if low is not None:
+                for p, q in compress(zip(ps, qs), low):
+                    yield starts[0] + p, starts[1] + q

@@ -31,7 +31,7 @@ import enum
 import functools
 import random
 from collections import Counter
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, product, repeat
 from math import prod
 from operator import add, ge, lt
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -39,7 +39,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 from .errors import (BudgetExceededError, ContractError, ConvexityError,
                      IterationCapError)
 from .instance import DEFAULT_BUDGET, PriceVector, _Record
-from .itemsets import box_point, chi_add, corner_indices, getter, strides
+from .itemsets import box_pairs, box_point, chi_add, corner_indices, pair_failures
 
 _SEED_LIMIT = 1 << 64
 
@@ -162,24 +162,21 @@ def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector
     A function whose effective domain is L♮-convex, as a box is, is
     L♮-convex iff g(p) + g(q) >= g(ceil((p + q)/2)) + g(floor((p + q)/2))
     holds on the pairs with ‖p - q‖∞ <= 2 (Murota, *Discrete Convex
-    Analysis*, SIAM 2003, ch. 7); its unit squares and comparable pairs
-    with a step of 2 imply the rest (``_locally_midpoint_convex``).  It
-    returns None when they hold, else the theorem's first failing pair in
-    lexicographic order, as an ``LnatCounterexample``.
+    Analysis*, SIAM 2003, ch. 7), ``_theorem``; the smaller family
+    ``_check``, read first, implies them; ``box_pairs`` plans both.  It
+    returns None when they hold, else the theorem's least failing pair by
+    flat index, as an ``LnatCounterexample``.
 
-    The budget is charged the theorem's pairs in closed form
-    (``_midpoint_charge``) before any value is read; the box's values are
-    then read in one ``g.grid`` call.  The theorem needs the box inside g's
-    domain, so a None value raises ValueError naming the first such point.
-    Coordinates of width 0 are left out: no pair moves one.  The smaller
-    family is read up to its first failure; only then is the theorem's
-    read, and the witness is its least failing pair by flat index.
+    The budget is charged the theorem's pairs (``midpoint_charge``) before
+    the box is read, in one ``g.grid`` call; a None value, out of g's
+    domain, raises ValueError naming the first such point.  Coordinates of
+    width 0, which no pair moves, are left out.
     """
     lo, hi = tuple(box[0]), tuple(box[1])
     if len(lo) != g.n or len(hi) != g.n or any(a > b for a, b in zip(lo, hi)):
         raise ValueError("box bounds must be two n-vectors with lo <= hi")
     widths = [b - a for a, b in zip(lo, hi)]
-    pairs = _midpoint_charge(widths)
+    pairs = midpoint_charge(widths)
     if pairs > budget:
         raise BudgetExceededError(
             f"convexity check needs {pairs} inequality tests, budget is {budget}")
@@ -187,19 +184,18 @@ def is_lnat_convex_on_box(g: FunctionOracle, box: tuple[PriceVector, PriceVector
     if None in vals:
         point = tuple(map(add, lo, box_point(vals.index(None), widths)))
         raise ValueError(f"the box leaves the function's domain at {point}")
-    live = [w for w in widths if w]
-    check, theorem = _words(len(live))
-    if next(_locally_midpoint_convex(live, vals, check), None) is None:
+    live = tuple(w for w in widths if w)
+    if next(pair_failures(vals, box_pairs(live, _check, budget)[2], _midpoint_fails), None) is None:
         return None
-    ip, iq = min(_locally_midpoint_convex(live, vals, theorem))
+    ip, iq = min(pair_failures(vals, box_pairs(live, _theorem, budget)[2], _midpoint_fails))
     return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),
                               q=tuple(map(add, lo, box_point(iq, widths))))
 
 
-def _midpoint_charge(widths: list[int]) -> int:
-    """The theorem's pairs p < q of the box [0, widths], ‖q - p‖∞ <= 2, which
-    the witness is read from.  Along a coordinate of r points, r - |t| (none
-    if not positive) step by t, so the ordered pairs number Π_c Σ_{|t| <= 2}
+def midpoint_charge(widths: list[int]) -> int:
+    """The theorem's pairs p < q of the box [0, widths], ‖q - p‖∞ <= 2, the
+    check's charge.  Along a coordinate of r points, r - |t| (none if not
+    positive) step by t, so the ordered pairs number Π_c Σ_{|t| <= 2}
     (r_c - |t|); less p = q, they come in twins.  Equal widths share a
     power, so a wide box costs a few big-integer powers, not n products."""
     counts = Counter(widths).items()
@@ -207,82 +203,36 @@ def _midpoint_charge(widths: list[int]) -> int:
     return (steps - prod((w + 1) ** k for w, k in counts)) // 2
 
 
-def _words(n: int) -> tuple[list[tuple], list[tuple]]:
-    """The words of the check's family and of the theorem's, one set of
-    steps q - p per coordinate: the check's (a) +1 at i and -1 at j > i,
-    (b) {0, 1} before the first 2, then 2, then {0, 1, 2}; the theorem's 0
-    before some c, {1, 2} at c, then -2..2."""
-    check = [tuple((1,) if c == i else (-1,) if c == j else (0,) for c in range(n))
-             for i, j in combinations(range(n), 2)]
-    check += [((0, 1),) * j + ((2,),) + ((0, 1, 2),) * (n - 1 - j) for j in range(n)]
-    return check, [((0,),) * c + ((1, 2),) + ((-2, -1, 0, 1, 2),) * (n - c - 1) for c in range(n)]
+def _midpoint(word: tuple) -> tuple:
+    """The pattern of a word of step sets q - p per coordinate: step t moves
+    p, q and the midpoints by 0, t, ceil(t/2) and floor(t/2)."""
+    return tuple(tuple((0, t, (t + 1) // 2, t // 2) for t in steps) for steps in word)
 
 
-def _locally_midpoint_convex(widths: list[int], vals: list[int],
-                             words: Sequence[tuple]) -> Iterator[tuple[int, int]]:
-    """Yield the flat indices (ip, iq) of every pair of ``words`` (see
-    ``_words``) on the box [0, widths] with g(p) + g(q) < g(ceil((p + q)/2))
-    + g(floor((p + q)/2)), given g's values ``vals`` over the box in
-    lexicographic order, as the kept ``_midpoint_plan`` reads them.  The
-    check's words are (a) the unit squares (p + χ_i, p + χ_j), i < j, and
-    (b) the pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box, (a)
-    gives g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978); if
-    ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and are
+def _check(n: int) -> list[tuple]:
+    """The check's family: (a) the unit squares (p + χ_i, p + χ_j), i < j,
+    and (b) the pairs (a, a + d), d in {0, 1, 2}^n with a 2.  On a box,
+    (a) gives g(p) + g(q) >= g(p ∧ q) + g(p ∨ q) (Topkis, Oper. Res. 1978);
+    if ‖p - q‖∞ <= 2, p ∧ q and p ∨ q have the midpoints of p and q, and are
     them or a pair of (b), so (a) and (b) hold iff the theorem's pairs do."""
-    size, blocks = _midpoint_plan(tuple(widths), tuple(words))
-    for ips, iqs, get, leads in blocks:
-        for starts in zip(*leads):
-            gp, gq, gc, gf = (read(vals[b:b + size]) for read, b in zip(get, starts))
-            if all(map(ge, map(add, gp, gq), map(add, gc, gf))):
-                continue  # the cheaper pass where the block holds, as most do
-            low = map(lt, map(add, gp, gq), map(add, gc, gf))
-            for ip, iq in compress(zip(ips, iqs), low):
-                yield starts[0] + ip, starts[1] + iq
+    words = [tuple((1,) if c == i else (-1,) if c == j else (0,) for c in range(n))
+             for i, j in combinations(range(n), 2)]
+    words += [((0, 1),) * j + ((2,),) + ((0, 1, 2),) * (n - 1 - j) for j in range(n)]
+    return list(map(_midpoint, words))
 
 
-@functools.lru_cache(maxsize=2)
-def _midpoint_plan(widths: tuple, words: tuple) -> tuple[int, list[tuple]]:
-    """The reads of ``_locally_midpoint_convex``, kept for the latest two
-    (widths, words).  A point's index is its block's start, set by the
-    leading coordinates, plus its place in the block of the trailing (at
-    most three) ones.  Each group of leading words sharing trailing words
-    gives (p places, q places, the four places' getters, the four start
-    columns)."""
-    k = max(len(widths) - 3, 0)
-    stride = strides([w + 1 for w in widths])
-    parts = [_parts(s, w) for s, w in zip(stride, widths)]
-    tails, leads, blocks = {}, {}, []
-    for word in words:
-        tails.setdefault(word[:k], []).append(word[k:])
-    for lead, rest in tails.items():
-        leads.setdefault(tuple(rest), []).append(lead)
-    for rest, first in leads.items():
-        plan = _columns(parts[k:], rest)
-        if plan[0]:
-            blocks.append((plan[0], plan[1], [getter(col) for col in plan],
-                           _columns(parts[:k], first)))
-    return prod(w + 1 for w in widths[k:]), blocks
+def _theorem(n: int) -> list[tuple]:
+    """The theorem's pairs p < q, ‖q - p‖∞ <= 2: 0 before some c, {1, 2} at
+    c, then -2..2."""
+    return [_midpoint(((0,),) * c + ((1, 2),) + ((-2, -1, 0, 1, 2),) * (n - c - 1))
+            for c in range(n)]
 
 
-def _parts(s: int, w: int) -> dict[int, list[tuple]]:
-    """Index parts s * (p, q, ceil((p + q)/2), floor((p + q)/2)) along a
-    coordinate of stride s, for p and q = p + t in [0, w], by step t."""
-    return {t: [(s * p, s * (p + t), s * ((2 * p + t + 1) // 2), s * ((2 * p + t) // 2))
-                for p in range(max(0, -t), w + 1 - max(0, t))] for t in range(-2, 3)}
-
-
-def _columns(parts: list[dict], words: Sequence[tuple]) -> list[list[int]]:
-    """The four index columns of every choice of one part per coordinate,
-    ``parts[c][t]`` for a step t of ``word[c]``, for each word in turn."""
-    out = [[] for _ in range(4)]
-    for word in words:
-        cols = [[0]] * 4
-        for part, steps in zip(parts, word):
-            factor = [e for t in steps for e in part[t]]
-            cols = [[a + e[i] for a in col for e in factor] for i, col in enumerate(cols)]
-        for joined, col in zip(out, cols):
-            joined.extend(col)
-    return out
+def _midpoint_fails(gp: tuple, gq: tuple, gc: tuple, gf: tuple) -> Iterator[bool] | None:
+    """Per pair of a block, whether g(p) + g(q) < g(ceil((p + q)/2)) +
+    g(floor((p + q)/2)); None, by a cheaper pass, where all hold."""
+    holds = all(map(ge, map(add, gp, gq), map(add, gc, gf)))
+    return None if holds else map(lt, map(add, gp, gq), map(add, gc, gf))
 
 
 def neighborhood_values(g: FunctionOracle, p: PriceVector, s: int = 1) -> list[int | None]:

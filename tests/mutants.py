@@ -50,6 +50,7 @@ class Mutant(NamedTuple):
 
 
 LNAT_TESTS = "tests/test_lnat.py::TestLocalMidpointCheck::"
+BOX_PAIRS = "tests/test_lnat.py::TestBoxPairs::"
 INSTANCE_TESTS = "tests/test_instance.py::"
 RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_answers"
 PERIOD_KEYS = "tests/test_auction.py::TestRunRoute::test_phase_lines_keep_their_demand_keys"
@@ -83,28 +84,38 @@ STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_
 
 MUTANTS = (
     Mutant("lnat-witness-max", "lnat.py",
-           "ip, iq = min(_locally_midpoint_convex(live, vals, theorem))",
-           "ip, iq = max(_locally_midpoint_convex(live, vals, theorem))",
+           "ip, iq = min(pair_failures(vals, box_pairs(live, _theorem, budget)[2], _midpoint_fails))",
+           "ip, iq = max(pair_failures(vals, box_pairs(live, _theorem, budget)[2], _midpoint_fails))",
            (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
     Mutant("lnat-witness-from-check", "lnat.py",
-           "ip, iq = min(_locally_midpoint_convex(live, vals, theorem))",
-           "ip, iq = min(_locally_midpoint_convex(live, vals, check))",
+           "ip, iq = min(pair_failures(vals, box_pairs(live, _theorem, budget)[2], _midpoint_fails))",
+           "ip, iq = min(pair_failures(vals, box_pairs(live, _check, budget)[2], _midpoint_fails))",
            (LNAT_TESTS + "test_planted_witness_outside_the_family",)),
     Mutant("lnat-lt-le", "lnat.py",
-           "low = map(lt, map(add, gp, gq), map(add, gc, gf))",
-           "low = map(lambda a, b: a <= b, map(add, gp, gq), map(add, gc, gf))",
+           "map(lt, map(add, gp, gq), map(add, gc, gf))",
+           "map(lambda a, b: a <= b, map(add, gp, gq), map(add, gc, gf))",
            (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
-    Mutant("midpoint-plan-shared-by-families", "lnat.py",
-           "@functools.lru_cache(maxsize=2)\n",
-           "def _by_widths(build, kept={}):\n"
-           "    return lambda widths, words: kept.setdefault(widths, build(widths, words))\n\n\n"
-           "@_by_widths\n",
+    Mutant("midpoint-plan-shared-by-families", "itemsets.py",
+           "kept = _PLANS.get((widths, family))",
+           "kept = next((e for (w, _), e in _PLANS.items() if w == widths), None)",
            (LNAT_TESTS + "test_planted_witness_outside_the_family",
             LNAT_TESTS + "test_kept_plans_follow_the_box_and_the_family")),
     Mutant("lnat-no-back-step", "lnat.py",
            "((-2, -1, 0, 1, 2),)",
            "((-1, 0, 1, 2),)",
-           (LNAT_TESTS + "test_charge_is_the_plans_pairs",)),
+           (BOX_PAIRS + "test_counts_and_charges_of_both_families",)),
+    Mutant("pair-base-range-short-at-the-upper-edge", "itemsets.py",
+           "for b in range(-min(step), w + 1 - max(step))] for i in range(points)]",
+           "for b in range(-min(step), w - max(step))] for i in range(points)]",
+           (BOX_PAIRS + "test_counts_and_charges_of_both_families",)),
+    Mutant("pair-pattern-first-offsets-swapped", "lnat.py",
+           "(0, t, (t + 1) // 2, t // 2)",
+           "(t, 0, (t + 1) // 2, t // 2)",
+           (LNAT_TESTS + "test_planted_distance_two_fault",)),
+    Mutant("plan-cache-ignores-its-entry-bound", "itemsets.py",
+           "while sum(e[3] for e in _PLANS.values()) > min((e[4] for e in _PLANS.values()), default=0):",
+           "while False:",
+           (BOX_PAIRS + "test_a_plan_over_its_budget_is_not_kept",)),
     Mutant("lnat-hi-for-lo", "lnat.py",
            "return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),",
            "return LnatCounterexample(p=tuple(map(add, hi, box_point(ip, widths))),",
@@ -114,12 +125,12 @@ MUTANTS = (
            "radices = [w + 2 for w in widths]",
            (LNAT_TESTS + "test_late_witness_at_verify_sizes",)),
     Mutant("mnat-witness-max", "instance.py",
-           "first = min(_locally_exchangeable(u, _box_worths(v)), default=None)",
-           "first = max(_locally_exchangeable(u, _box_worths(v)), default=None)",
+           "first = min(pair_failures(_box_worths(v), plan, _exchange_fails), default=None)",
+           "first = max(pair_failures(_box_worths(v), plan, _exchange_fails), default=None)",
            (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",)),
     Mutant("mnat-lt-le", "instance.py",
-           "map(lt, map(add, gx(worth), gy(worth)), map(add, x, y))",
-           "map(lambda a, b: a <= b, map(add, gx(worth), gy(worth)), map(add, x, y))",
+           "map(lt, map(add, a, b), need)",
+           "map(lambda a, b: a <= b, map(add, a, b), need)",
            (INSTANCE_TESTS + "TestLateWitnesses::test_exchange_failures_at_the_last_bundle",
             *RELATIONS, ADDED_BIDDER)),
     Mutant("exchange-any-move-fails", "instance.py",

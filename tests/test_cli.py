@@ -26,6 +26,7 @@ from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
                     verify_equilibrium)
 from walras.auction import UnitAllocation
 from walras.cli import _ROW_KEYS, STRATEGY_FLAGS, _row_json, run_command
+from walras.lnat import midpoint_charge
 
 COMPLEMENTS_JSON = (
     '{"model": "multi", "n": 2, "m": 1, "u": [1, 1], "valuations": '
@@ -415,6 +416,28 @@ class TestVerify:
         assert verify(9, budget=130_816) == (0, "lnat: holds on [0, 1]^9\n", "")
         assert verify(9, budget=130_815) == (0, "lnat: holds on [0, 0]^9\n", "")
         assert verify(9, worth=0) == (0, "lnat: holds on [0, 0]^9\n", "")
+
+    def test_the_box_rules_largest_charge(self, tmp_path, monkeypatch, capsys):
+        """The (s + 1)^(2n + 1) rule's largest charge is 32,640 tests, on
+        [0, 1]^8: at ``WALRAS_BUDGET=32640`` every unit market with n <= 10
+        items holds, and one test less refuses n = 8 alone, since a smaller
+        box is charged less and from n = 9 on [0, 1]^n is taken only when
+        its charge fits.  The charge is ``lnat.midpoint_charge``, the name
+        the rule reads."""
+        assert midpoint_charge([1] * 8) == 32_640
+        for budget in (32_640, 32_639):
+            monkeypatch.setenv("WALRAS_BUDGET", str(budget))
+            refused = []
+            for n in range(1, 11):
+                path = tmp_path / f"unit{n}.json"
+                path.write_text(serialize_instance(Instance("unit", n, (1,) * n, (
+                    Valuation.unit_demand([10**6] * n),) * 2)))
+                code = run_command(["verify", "--instance", str(path), "--check", "lnat"])
+                out, err = capsys.readouterr()
+                if code:
+                    refused.append((n, err))
+            assert refused == ([] if budget == 32_640 else [
+                (8, "error: convexity check needs 32640 inequality tests, budget is 32639\n")])
 
     def test_family_bidders_pass_the_exchange_check_by_theorem(self, tmp_path, monkeypatch,
                                                               capsys):

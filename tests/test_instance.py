@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import (EX21_JSON, CountingList, breaks_local_exchange, make_ex21,
+from conftest import (EX21_JSON, breaks_local_exchange, make_ex21,
                       random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, InstanceFormatError,
@@ -21,8 +21,9 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     verify_monotone_normalized)
 from walras.demand import _check_price
 from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE, UNIT_DEMAND,
-                             _as_int, _as_nonneg_int, _local_charge, _locally_exchangeable,
-                             _parse_valuation, box_volume, iter_box)
+                             _as_int, _as_nonneg_int, _exchanges, _parse_valuation,
+                             box_volume, iter_box)
+from walras.itemsets import box_pairs
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
@@ -57,6 +58,12 @@ def exchange_twin(v):
                 else:
                     return x, y, j + 1
     return None
+
+
+def exchange_reads(u):
+    """The exchange check's charge on the box [0, u], its reads, counted
+    without building a plan."""
+    return box_pairs(u, _exchanges, DEFAULT_BUDGET, 0)[1]
 
 
 def local_exchange_failures(v):
@@ -783,20 +790,9 @@ class TestLocalExchange:
                 or breaks_local_exchange(v, (0, 1), (2, 0)))
         assert self._check(v) == MnatCounterexample(x=(0, 1), y=(1, 2))
 
-    def test_charge_is_the_plans_reads(self):
-        """The closed-form charge equals the worths a passing check reads
-        on every box with n <= 3 and sides up to 3."""
-        for n in (1, 2, 3):
-            for u in product(range(4), repeat=n):
-                worth = CountingList([0] * box_volume(u))
-                assert list(_locally_exchangeable(u, worth)) == []
-                assert worth.counter[0] == _local_charge(u), u
-        assert _local_charge((2, 2, 2, 2)) == 4968
-        assert _local_charge((1,) * 5) == 1220
-
     def test_charge_refuses_before_any_read(self):
         v = tabulate(random_separable_valuation(random.Random(4), (2, 2, 2, 2)))
-        reads = _local_charge((2, 2, 2, 2))
+        reads = exchange_reads((2, 2, 2, 2))
         assert verify_mnat_exc(v, budget=reads) is None
         with pytest.raises(BudgetExceededError) as refusal:
             verify_mnat_exc(v, budget=reads - 1)
@@ -807,16 +803,17 @@ class TestLocalExchange:
 
 class TestExchangeMemory:
     def test_a_13_item_table_is_refused_before_the_plan(self):
-        """A 13-item, u = 1 table is refused by the closed-form charge
-        before ``_local_plan`` lists any index; the traced peak stays under
+        """A 13-item, u = 1 table is refused by the charge before
+        ``itemsets._columns`` lists any index; the traced peak stays under
         48 MB, and the subprocess has a timeout."""
         script = (
             "import tracemalloc\n"
             "import walras.instance as instance\n"
+            "import walras.itemsets as itemsets\n"
             "from walras import BudgetExceededError, Valuation, verify_mnat_exc\n"
-            "def unplanned(u):\n"
+            "def unplanned(*args):\n"
             "    raise AssertionError('the plan was built')\n"
-            "instance._local_plan = unplanned\n"
+            "itemsets._columns = unplanned\n"
             "u = (1,) * 13\n"
             "v = Valuation.from_table(\n"
             "    {x: sum((j + 1) * c for j, c in enumerate(x)) for x in instance.iter_box(u)})\n"
@@ -832,7 +829,7 @@ class TestExchangeMemory:
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         message, peak = proc.stdout.splitlines()
-        reads = _local_charge((1,) * 13)
+        reads = exchange_reads((1,) * 13)
         assert reads > DEFAULT_BUDGET
         assert message == f"exchange check needs {reads} reads, budget is {DEFAULT_BUDGET}"
         assert int(peak) < 48 * 2**20, int(peak)

@@ -4,22 +4,24 @@ import random
 from functools import reduce
 from itertools import combinations, product
 from math import prod
-from operator import and_, or_
+from operator import and_, or_, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (CountingList, Drawn, breaks_midpoint, column_markets, column_prices,
-                      make_two_bidder_multi, random_multi_instance,
+                      lift, make_two_bidder_multi, random_multi_instance,
                       random_unit_instance, tabulate, value_route)
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
                     minimal_descent_set, minimal_minimizer_step, minimize,
                     neighborhood_values)
-from walras import lnat
+from walras import instance, itemsets, lnat
 from walras.errors import BudgetExceededError, ContractError
-from walras.itemsets import chi_add, items_from_mask, proper_submasks
+from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
+from walras.itemsets import (box_pairs, chi_add, items_from_mask, pair_failures,
+                             proper_submasks)
 from walras.lnat import Step
 from walras.oracle import gp_minimal_table, is_gp_minimal
 
@@ -149,29 +151,6 @@ class TestLocalMidpointCheck:
         g = FunctionOracle(n=2, fn=lambda p: p[0] * p[1], box=((0, 0), (1, 1)))
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 1), q=(1, 0))
 
-    def test_charge_is_the_plans_pairs(self):
-        """A passing check reads each inequality of its family, unit squares
-        and comparable pairs with a step of 2, four times: ``family_size``
-        of them, which a brute count confirms; the budget is charged the
-        theorem's pairs, ``_midpoint_charge``, counted the same way, and
-        the witness's words read each of them four times.  On every box
-        with n <= 3 and widths up to 3, on wider ones that split into
-        leading and trailing coordinates, and on verify's boxes."""
-        boxes = [list(w) for n in (1, 2, 3) for w in product(range(4), repeat=n)]
-        boxes += [[2, 1, 0, 3], [1, 2, 2, 1, 2], [3, 0, 1, 1, 2, 1], [2] * 5, [3] * 4]
-        for widths in boxes:
-            check, theorem = lnat._words(len(widths))
-            vals = CountingList([0] * prod(w + 1 for w in widths))
-            assert list(lnat._locally_midpoint_convex(widths, vals, check)) == []
-            assert vals.counter[0] == 4 * family_size(widths), widths
-            assert family_size(widths) == brute_midpoint_pairs(widths, in_family), widths
-            assert lnat._midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
-            vals.counter[0] = 0
-            assert list(lnat._locally_midpoint_convex(widths, vals, theorem)) == []
-            assert vals.counter[0] == 4 * lnat._midpoint_charge(widths), widths
-        assert (family_size([2] * 5), lnat._midpoint_charge([2] * 5)) == (5731, 29403)
-        assert (family_size([3] * 4), lnat._midpoint_charge([3] * 4)) == (5024, 19080)
-
     @staticmethod
     def _agrees_with_every_pair(rng, kind):
         """Draw a box with n <= 5 and widths <= 3 and a function of ``kind``
@@ -223,11 +202,10 @@ class TestLocalMidpointCheck:
         g = FunctionOracle(n=3, fn=lambda p: p[0] * p[1] * p[2], box=((0,) * 3, (1,) * 3))
         points = list(product((0, 1), repeat=3))
         vals = [g.fn(p) for p in points]
-        check, theorem = lnat._words(3)
         trips = [pq for pq in midpoint_failures(g, points) if in_family(*pq)]
         assert trips[0] == ((0, 1, 1), (1, 0, 1)), trips
-        assert min(lnat._locally_midpoint_convex([1, 1, 1], vals, check)) == (3, 5)
-        assert min(lnat._locally_midpoint_convex([1, 1, 1], vals, theorem)) == (1, 6)
+        assert min(midpoint_failures_of(lnat._check, (1, 1, 1), vals)) == (3, 5)
+        assert min(midpoint_failures_of(lnat._theorem, (1, 1, 1), vals)) == (1, 6)
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 0, 1), q=(1, 1, 0))
 
     @pytest.mark.parametrize("width, n", [(2, 5), (3, 4)])
@@ -265,24 +243,26 @@ class TestLocalMidpointCheck:
         assert seen == {True, False}
 
     def test_kept_plans_follow_the_box_and_the_family(self):
-        """The kept plans are read per (live widths, word family): three box
+        """The kept plans are read per (live widths, family): three box
         shapes in turn, one with a coordinate of width 0, [0, 1]^3 whose
         coordinates are all trailing, and verify's [0, 3]^4, each checked
         with a failing function (the product of its first three live
         coordinates, whose first failing pair on [0, 1]^3 lies outside the
         check's family) and then a passing one, give the twin's outcomes
         and first failing pairs.  The passing check reuses the plan the
-        failing one built, and at most two plans are kept."""
+        failing one built, and only the three shapes' plans are kept."""
+        itemsets._PLANS.clear()
         for widths in [(1, 0, 2, 1), (1, 1, 1), (3, 3, 3, 3)] * 2:
             box = ((0,) * len(widths), widths)
-            live = [c for c, w in enumerate(widths) if w][:3]
-            failing = FunctionOracle(n=len(widths), fn=lambda p, live=live: prod(p[c] for c in live))
+            live = tuple(w for w in widths if w)
+            first = [c for c, w in enumerate(widths) if w][:3]
+            failing = FunctionOracle(n=len(widths), fn=lambda p, first=first: prod(p[c] for c in first))
             passing = FunctionOracle(n=len(widths), fn=lambda p: sum(c * c for c in p))
             assert self._check(failing, box) is not None, widths
-            hits = lnat._midpoint_plan.cache_info().hits
+            plan = itemsets._PLANS[live, lnat._check][2]
             assert self._check(passing, box) is None, widths
-            assert lnat._midpoint_plan.cache_info().hits == hits + 1, widths
-            assert lnat._midpoint_plan.cache_info().currsize <= 2
+            assert itemsets._PLANS[live, lnat._check][2] is plan, widths
+        assert {key[0] for key in itemsets._PLANS} == {(1, 2, 1), (1, 1, 1), (3, 3, 3, 3)}
 
     def test_refusal_reads_nothing(self, ex21):
         """At one test under the charge the check refuses before any value
@@ -299,6 +279,82 @@ class TestLocalMidpointCheck:
         assert reads == []
         assert is_lnat_convex_on_box(counted, box, budget=work) is None
         assert reads == list(product(range(4), repeat=3))
+
+
+class TestBoxPairs:
+    """``itemsets.box_pairs``, the one plan kernel of the M♮ exchange check
+    and the L♮ midpoint check, and its kept-plan cache."""
+
+    BOXES = [w for n in (1, 2, 3) for w in product(range(4), repeat=n)]
+    BOXES += [(2, 1, 0, 3), (1, 2, 2, 1, 2), (3, 0, 1, 1, 2, 1), (2,) * 5, (3,) * 4]
+
+    def test_counts_and_charges_of_both_families(self):
+        """On every box with n <= 3 and widths up to 3, on wider ones that
+        split into leading and trailing coordinates, and on verify's boxes,
+        the kernel's pairs are a brute count's: the check's and the
+        theorem's pairs for L♮ (``family_size`` of the check's, in closed
+        form, and ``midpoint_charge`` of the theorem's), and for M♮ the
+        pairs x < y whose lifts lie at distance 4.  A passing check reads
+        each pair's points once: its reads, four per L♮ pair, which are the
+        M♮ charge."""
+        for widths in self.BOXES:
+            for family, brute in ((lnat._check, brute_midpoint_pairs(widths, in_family)),
+                                  (lnat._theorem, lnat.midpoint_charge(widths))):
+                pairs, reads, plan = box_pairs(widths, family, DEFAULT_BUDGET)
+                vals = CountingList([0] * box_volume(widths))
+                assert list(pair_failures(vals, plan, lnat._midpoint_fails)) == []
+                assert pairs == brute and reads == vals.counter[0] == 4 * pairs, widths
+            assert lnat.midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
+            assert family_size(widths) == brute_midpoint_pairs(widths, in_family), widths
+        for widths in [w for w in self.BOXES if len(w) <= 3] + [(2, 2, 2, 2), (1,) * 5]:
+            pairs, reads, plan = box_pairs(widths, instance._exchanges, DEFAULT_BUDGET)
+            worth = CountingList([0] * box_volume(widths))
+            assert list(pair_failures(worth, plan, instance._exchange_fails)) == []
+            assert pairs == brute_exchange_pairs(widths) and worth.counter[0] == reads, widths
+        assert box_pairs((2, 2, 2, 2), instance._exchanges, DEFAULT_BUDGET)[1] == 4968
+        assert box_pairs((1,) * 5, instance._exchanges, DEFAULT_BUDGET)[1] == 1220
+        assert (family_size([2] * 5), lnat.midpoint_charge([2] * 5)) == (5731, 29403)
+        assert (family_size([3] * 4), lnat.midpoint_charge([3] * 4)) == (5024, 19080)
+
+    def test_a_plan_over_its_budget_is_not_kept(self):
+        """A plan is kept only while the kept index entries fit the budget
+        of each call that built one: the check's plan on [0, 2]^3, at least
+        four entries per pair, is built and returned but not kept at a
+        budget one below its entries, kept at its entries, and dropped, as
+        the oldest, when a second plan built under that budget joins it."""
+        itemsets._PLANS.clear()
+        pairs, _, plan = box_pairs((2, 2, 2), lnat._check, DEFAULT_BUDGET)
+        entries = itemsets._PLANS[(2, 2, 2), lnat._check][3]
+        assert entries >= 4 * pairs and plan is not None
+        itemsets._PLANS.clear()
+        again = box_pairs((2, 2, 2), lnat._check, entries - 1)[2]
+        assert [(ps, qs, starts) for ps, qs, _, starts in again[1]] == \
+            [(ps, qs, starts) for ps, qs, _, starts in plan[1]]
+        assert itemsets._PLANS == {}
+        box_pairs((2, 2, 2), lnat._check, entries)
+        assert list(itemsets._PLANS) == [((2, 2, 2), lnat._check)]
+        box_pairs((1, 1), lnat._check, entries)
+        assert list(itemsets._PLANS) == [((1, 1), lnat._check)]
+
+    def test_verify_boxes_are_reused(self, monkeypatch):
+        """At the default budget verify's L♮ boxes, [0, 2]^5 and [0, 3]^4,
+        keep both families' plans, and a second check of each reads them
+        from the cache without building any."""
+        itemsets._PLANS.clear()
+        built = []
+        columns = itemsets._columns
+        monkeypatch.setattr(itemsets, "_columns", lambda *args: built.append(args) or columns(*args))
+        for round_ in range(2):
+            for width, n in [(2, 5), (3, 4)]:
+                corner = (width,) * n
+                g = FunctionOracle(n=n, fn=lambda p, corner=corner: sum(p) + 5 * (p == corner))
+                assert is_lnat_convex_on_box(g, ((0,) * n, corner)) is not None
+            assert set(itemsets._PLANS) == {(w, f) for w in [(2,) * 5, (3,) * 4]
+                                            for f in (lnat._check, lnat._theorem)}
+            if round_ == 0:
+                assert built
+                first_round = len(built)
+        assert len(built) == first_round
 
 
 def complements_market(rng):
@@ -353,7 +409,7 @@ class TestGridRoute:
             else:
                 lo = tuple(rng.randint(-2, 2) for _ in range(inst.n))
                 hi = tuple(a + rng.randint(0, 2) for a in lo)
-            work = lnat._midpoint_charge([b - a for a, b in zip(lo, hi)])
+            work = lnat.midpoint_charge([b - a for a, b in zip(lo, hi)])
             budget = rng.choice((10**6, work, work - 1))
             want = self._outcome(plain, (lo, hi), budget)
             assert self._outcome(gridded, (lo, hi), budget) == want, (inst, lo, hi, budget)
@@ -786,11 +842,17 @@ def midpoint_twin(g, box):
     return None
 
 
+def midpoint_failures_of(family, widths, vals):
+    """The flat indices of the pairs of ``family`` on the box [0, widths]
+    that break the local inequality, given the values ``vals``."""
+    return pair_failures(vals, box_pairs(tuple(widths), family, DEFAULT_BUDGET)[2],
+                         lnat._midpoint_fails)
+
+
 def check_holds(widths, vals):
     """Whether the check's family yields no failure on the box [0, widths]
     with values ``vals``."""
-    check, _ = lnat._words(len(widths))
-    return next(lnat._locally_midpoint_convex(widths, vals, check), None) is None
+    return next(midpoint_failures_of(lnat._check, widths, vals), None) is None
 
 
 def midpoint_failures(g, points):
@@ -805,6 +867,14 @@ def brute_midpoint_pairs(widths, keep=lambda p, q: True):
     points = list(product(*(range(w + 1) for w in widths)))
     return sum(p < q and max(abs(b - a) for a, b in zip(p, q)) <= 2 and keep(p, q)
                for p in points for q in points)
+
+
+def brute_exchange_pairs(widths):
+    """Pairs x < y of the box [0, widths] whose lifts (-Σx, x) lie at
+    ‖·‖₁ = 4, counted one by one."""
+    points = list(iter_box(widths))
+    return sum(x < y and sum(map(abs, map(sub, lift(x), lift(y)))) == 4
+               for x in points for y in points)
 
 
 def in_family(p, q):
