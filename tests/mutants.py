@@ -103,11 +103,12 @@ MUTANTS = (
     Mutant("lnat-no-back-step", "lnat.py",
            "((-2, -1, 0, 1, 2),)",
            "((-1, 0, 1, 2),)",
-           (BOX_PAIRS + "test_counts_and_charges_of_both_families",)),
+           (LNAT_TESTS + "test_charge_is_the_plans_pairs",)),
     Mutant("pair-base-range-short-at-the-upper-edge", "itemsets.py",
            "for b in range(-min(step), w + 1 - max(step))] for i in range(points)]",
            "for b in range(-min(step), w - max(step))] for i in range(points)]",
-           (BOX_PAIRS + "test_counts_and_charges_of_both_families",)),
+           (LNAT_TESTS + "test_charge_is_the_plans_pairs",
+            INSTANCE_TESTS + "TestLocalExchange::test_charge_is_the_plans_reads")),
     Mutant("pair-pattern-first-offsets-swapped", "lnat.py",
            "(0, t, (t + 1) // 2, t // 2)",
            "(t, 0, (t + 1) // 2, t // 2)",

@@ -6,12 +6,13 @@ import random
 import subprocess
 import sys
 from itertools import product
+from operator import sub
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import (EX21_JSON, breaks_local_exchange, make_ex21,
+from conftest import (EX21_JSON, CountingList, breaks_local_exchange, lift, make_ex21,
                       random_multi_instance, random_separable_valuation,
                       random_unit_instance, tabulate)
 from walras import (BudgetExceededError, Instance, InstanceFormatError,
@@ -21,9 +22,10 @@ from walras import (BudgetExceededError, Instance, InstanceFormatError,
                     verify_monotone_normalized)
 from walras.demand import _check_price
 from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, SEPARABLE_CONCAVE, UNIT_DEMAND,
-                             _as_int, _as_nonneg_int, _exchanges, _parse_valuation,
+                             _as_int, _as_nonneg_int, _exchange_fails, _exchanges,
+                             _parse_valuation,
                              box_volume, iter_box)
-from walras.itemsets import box_pairs
+from walras.itemsets import box_pairs, pair_failures
 
 
 COMPLEMENTS_TABLE = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 3}
@@ -64,6 +66,14 @@ def exchange_reads(u):
     """The exchange check's charge on the box [0, u], its reads, counted
     without building a plan."""
     return box_pairs(u, _exchanges, DEFAULT_BUDGET, 0)[1]
+
+
+def brute_exchange_pairs(widths):
+    """Pairs x < y of the box [0, widths] whose lifts (-Σx, x) lie at
+    ‖·‖₁ = 4, counted one by one."""
+    points = list(iter_box(widths))
+    return sum(x < y and sum(map(abs, map(sub, lift(x), lift(y)))) == 4
+               for x in points for y in points)
 
 
 def local_exchange_failures(v):
@@ -789,6 +799,22 @@ class TestLocalExchange:
         assert (breaks_local_exchange(v, (0, 2), (1, 0))
                 or breaks_local_exchange(v, (0, 1), (2, 0)))
         assert self._check(v) == MnatCounterexample(x=(0, 1), y=(1, 2))
+
+    def test_charge_is_the_plans_reads(self):
+        """The charge, counted before any plan is built, equals the worths
+        a passing check reads on every box with n <= 3 and sides up to 3
+        and on verify's [0, 2]^4 and [0, 1]^5; the kernel's pairs are the
+        pairs x < y whose lifts lie at distance 4, counted one by one."""
+        boxes = [u for n in (1, 2, 3) for u in product(range(4), repeat=n)]
+        for u in boxes + [(2, 2, 2, 2), (1,) * 5]:
+            charge = exchange_reads(u)
+            pairs, reads, plan = box_pairs(u, _exchanges, DEFAULT_BUDGET)
+            worth = CountingList([0] * box_volume(u))
+            assert list(pair_failures(worth, plan, _exchange_fails)) == []
+            assert worth.counter[0] == reads == charge, u
+            assert pairs == brute_exchange_pairs(u), u
+        assert exchange_reads((2, 2, 2, 2)) == 4968
+        assert exchange_reads((1,) * 5) == 1220
 
     def test_charge_refuses_before_any_read(self):
         v = tabulate(random_separable_valuation(random.Random(4), (2, 2, 2, 2)))

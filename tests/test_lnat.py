@@ -4,20 +4,20 @@ import random
 from functools import reduce
 from itertools import combinations, product
 from math import prod
-from operator import and_, or_, sub
+from operator import and_, or_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (CountingList, Drawn, breaks_midpoint, column_markets, column_prices,
-                      lift, make_two_bidder_multi, random_multi_instance,
+                      make_two_bidder_multi, random_multi_instance,
                       random_unit_instance, tabulate, value_route)
 from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     LnatCounterexample, LyapunovOracle, StrategyKind, Valuation,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
                     minimal_descent_set, minimal_minimizer_step, minimize,
                     neighborhood_values)
-from walras import instance, itemsets, lnat
+from walras import itemsets, lnat
 from walras.errors import BudgetExceededError, ContractError
 from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
 from walras.itemsets import (box_pairs, chi_add, items_from_mask, pair_failures,
@@ -150,6 +150,29 @@ class TestLocalMidpointCheck:
         assert check_holds([1, 1], [0, 0, 0, -1])
         g = FunctionOracle(n=2, fn=lambda p: p[0] * p[1], box=((0, 0), (1, 1)))
         assert is_lnat_convex_on_box(g, g.box) == LnatCounterexample(p=(0, 1), q=(1, 0))
+
+    def test_charge_is_the_plans_pairs(self):
+        """A passing check reads each inequality of its family, unit squares
+        and comparable pairs with a step of 2, four times: ``family_size``
+        of them, which a brute count confirms; the budget is charged the
+        theorem's pairs, ``midpoint_charge``, counted the same way, and the
+        witness's family reads each of them four times.  The kernel's pair
+        and read counts are the ones the check meets.  On every box with
+        n <= 3 and widths up to 3, on wider ones that split into leading
+        and trailing coordinates, and on verify's boxes."""
+        boxes = [w for n in (1, 2, 3) for w in product(range(4), repeat=n)]
+        boxes += [(2, 1, 0, 3), (1, 2, 2, 1, 2), (3, 0, 1, 1, 2, 1), (2,) * 5, (3,) * 4]
+        for widths in boxes:
+            check, theorem = brute_midpoint_pairs(widths, in_family), brute_midpoint_pairs(widths)
+            assert family_size(widths) == check, widths
+            assert lnat.midpoint_charge(widths) == theorem, widths
+            for family, brute in ((lnat._check, check), (lnat._theorem, theorem)):
+                pairs, reads, plan = box_pairs(widths, family, DEFAULT_BUDGET)
+                vals = CountingList([0] * box_volume(widths))
+                assert list(pair_failures(vals, plan, lnat._midpoint_fails)) == []
+                assert pairs == brute and reads == vals.counter[0] == 4 * pairs, widths
+        assert (family_size([2] * 5), lnat.midpoint_charge([2] * 5)) == (5731, 29403)
+        assert (family_size([3] * 4), lnat.midpoint_charge([3] * 4)) == (5024, 19080)
 
     @staticmethod
     def _agrees_with_every_pair(rng, kind):
@@ -284,37 +307,6 @@ class TestLocalMidpointCheck:
 class TestBoxPairs:
     """``itemsets.box_pairs``, the one plan kernel of the M♮ exchange check
     and the L♮ midpoint check, and its kept-plan cache."""
-
-    BOXES = [w for n in (1, 2, 3) for w in product(range(4), repeat=n)]
-    BOXES += [(2, 1, 0, 3), (1, 2, 2, 1, 2), (3, 0, 1, 1, 2, 1), (2,) * 5, (3,) * 4]
-
-    def test_counts_and_charges_of_both_families(self):
-        """On every box with n <= 3 and widths up to 3, on wider ones that
-        split into leading and trailing coordinates, and on verify's boxes,
-        the kernel's pairs are a brute count's: the check's and the
-        theorem's pairs for L♮ (``family_size`` of the check's, in closed
-        form, and ``midpoint_charge`` of the theorem's), and for M♮ the
-        pairs x < y whose lifts lie at distance 4.  A passing check reads
-        each pair's points once: its reads, four per L♮ pair, which are the
-        M♮ charge."""
-        for widths in self.BOXES:
-            for family, brute in ((lnat._check, brute_midpoint_pairs(widths, in_family)),
-                                  (lnat._theorem, lnat.midpoint_charge(widths))):
-                pairs, reads, plan = box_pairs(widths, family, DEFAULT_BUDGET)
-                vals = CountingList([0] * box_volume(widths))
-                assert list(pair_failures(vals, plan, lnat._midpoint_fails)) == []
-                assert pairs == brute and reads == vals.counter[0] == 4 * pairs, widths
-            assert lnat.midpoint_charge(widths) == brute_midpoint_pairs(widths), widths
-            assert family_size(widths) == brute_midpoint_pairs(widths, in_family), widths
-        for widths in [w for w in self.BOXES if len(w) <= 3] + [(2, 2, 2, 2), (1,) * 5]:
-            pairs, reads, plan = box_pairs(widths, instance._exchanges, DEFAULT_BUDGET)
-            worth = CountingList([0] * box_volume(widths))
-            assert list(pair_failures(worth, plan, instance._exchange_fails)) == []
-            assert pairs == brute_exchange_pairs(widths) and worth.counter[0] == reads, widths
-        assert box_pairs((2, 2, 2, 2), instance._exchanges, DEFAULT_BUDGET)[1] == 4968
-        assert box_pairs((1,) * 5, instance._exchanges, DEFAULT_BUDGET)[1] == 1220
-        assert (family_size([2] * 5), lnat.midpoint_charge([2] * 5)) == (5731, 29403)
-        assert (family_size([3] * 4), lnat.midpoint_charge([3] * 4)) == (5024, 19080)
 
     def test_a_plan_over_its_budget_is_not_kept(self):
         """A plan is kept only while the kept index entries fit the budget
@@ -867,14 +859,6 @@ def brute_midpoint_pairs(widths, keep=lambda p, q: True):
     points = list(product(*(range(w + 1) for w in widths)))
     return sum(p < q and max(abs(b - a) for a, b in zip(p, q)) <= 2 and keep(p, q)
                for p in points for q in points)
-
-
-def brute_exchange_pairs(widths):
-    """Pairs x < y of the box [0, widths] whose lifts (-Σx, x) lie at
-    ‖·‖₁ = 4, counted one by one."""
-    points = list(iter_box(widths))
-    return sum(x < y and sum(map(abs, map(sub, lift(x), lift(y)))) == 4
-               for x in points for y in points)
 
 
 def in_family(p, q):
