@@ -8,9 +8,9 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, product
+from itertools import compress
 from math import inf, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -135,9 +135,11 @@ def box_pairs(widths: tuple, family: Callable, budget: int, most: float = inf) -
     is (block size, blocks): leading coordinates give a block's start, the
     trailing (at most three) its places; a block (first places, second
     places, K getters, K start columns) serves patterns of one K sharing
-    their trailing steps.  Over ``most`` reads no plan is built.  Plans are
-    kept while their index entries fit the budget of each call that built
-    one, oldest dropped first.
+    their trailing steps.  A caller charged the reads passes them as
+    ``most``: over it no plan is built, within it the plan is one block of
+    the whole box.  A plan over its call's budget in index entries is not
+    kept; the others are kept while their entries fit the budget of each
+    call that built one, oldest dropped first.
     """
     kept = _PLANS.get((widths, family))
     if kept is None:
@@ -148,43 +150,42 @@ def box_pairs(widths: tuple, family: Callable, budget: int, most: float = inf) -
         reads = sum(len(pattern[0][0]) * b for pattern, b in zip(patterns, bases))
         if reads > most:
             return sum(bases), reads, None
-        # Up to 2^13 reads, blocks save few entries: one is the whole box.
-        k = max(len(widths) - 3, 0) if reads > 1 << 13 else 0
+        k = max(len(widths) - 3, 0) if most == inf else 0
         stride = strides([w + 1 for w in widths])
-        tails, leads, blocks = {}, {}, []
+        tails, leads, blocks, parts = {}, {}, [], {}
         for pattern in compress(patterns, bases):
             tails.setdefault((len(pattern[0][0]), pattern[:k]), []).append(pattern[k:])
         for lead, rest in tails.items():
             leads.setdefault(tuple(rest), []).append(lead)
         for rest, first in leads.items():
-            cols = _columns(stride[k:], widths[k:], rest, first[0][0])
-            starts = _columns(stride[:k], widths[:k], [lead for _, lead in first], first[0][0])
+            cols = _columns(stride[k:], widths[k:], rest, first[0][0], parts)
+            starts = _columns(stride[:k], widths[:k], [lead for _, lead in first], first[0][0], parts)
             blocks.append((cols[0], cols[1], [getter(col) for col in cols], starts))
         entries = sum(len(get) * (len(ps) + len(starts[0])) for ps, _, get, starts in blocks)
         plan = prod(w + 1 for w in widths[k:]), blocks
-        _PLANS[widths, family] = kept = sum(bases), reads, plan, entries, budget
-        while sum(e[3] for e in _PLANS.values()) > min((e[4] for e in _PLANS.values()), default=0):
-            del _PLANS[next(iter(_PLANS))]
+        kept = sum(bases), reads, plan, entries, budget
+        if entries <= budget:
+            _PLANS[widths, family] = kept
+            while sum(e[3] for e in _PLANS.values()) > min(e[4] for e in _PLANS.values()):
+                del _PLANS[next(iter(_PLANS))]
     return kept[0], kept[1], kept[2] if kept[1] <= most else None
 
 
-def _columns(stride: list, widths: tuple, patterns: list, points: int) -> list[list[int]]:
+def _columns(stride: list, widths: tuple, patterns: list, points: int,
+             parts: dict) -> list[list[int]]:
     """The index columns of the ``points`` points at each pattern's base
-    points in turn, in lexicographic order."""
+    points in turn, in lexicographic order; ``parts`` keeps the index parts
+    along a coordinate by (stride, width, steps) for the plan's calls."""
     out = [[] for _ in range(points)]
     for pattern in patterns:
-        if all(len(steps) == 1 for steps in pattern):  # one column, shifted per point
-            base = [0]
-            for s, w, (step,) in zip(stride, widths, pattern):
-                base = [a + s * b for a, b in product(base, range(-min(step), w + 1 - max(step)))]
-            shift = [sum(map(mul, stride, offsets)) for offsets in zip(*(st for (st,) in pattern))]
-            cols = [[a + c for a in base] for c in shift or [0] * points]
-        else:
-            cols = [[0]] * points
-            for s, w, steps in zip(stride, widths, pattern):
-                parts = [[s * (b + step[i]) for step in steps
-                          for b in range(-min(step), w + 1 - max(step))] for i in range(points)]
-                cols = [[a + e for a in col for e in part] for col, part in zip(cols, parts)]
+        cols = [[0]] * points
+        for key in zip(stride, widths, pattern):
+            if key not in parts:
+                s, w, steps = key
+                parts[key] = [[s * (b + step[i]) for step in steps
+                               for b in range(-min(step), w + 1 - max(step))]
+                              for i in range(points)]
+            cols = [[a + e for a in col for e in part] for col, part in zip(cols, parts[key])]
         for joined, col in zip(out, cols):
             joined.extend(col)
     return out

@@ -203,10 +203,13 @@ def midpoint_charge(widths: list[int]) -> int:
     return (steps - prod((w + 1) ** k for w, k in counts)) // 2
 
 
+#: Step t moves p, q and the midpoints by 0, t, ceil(t/2) and floor(t/2).
+_OFFSETS = {t: (0, t, (t + 1) // 2, t // 2) for t in range(-2, 3)}
+
+
 def _midpoint(word: tuple) -> tuple:
-    """The pattern of a word of step sets q - p per coordinate: step t moves
-    p, q and the midpoints by 0, t, ceil(t/2) and floor(t/2)."""
-    return tuple(tuple((0, t, (t + 1) // 2, t // 2) for t in steps) for steps in word)
+    """The pattern of a word of step sets q - p per coordinate."""
+    return tuple(tuple(map(_OFFSETS.get, steps)) for steps in word)
 
 
 def _check(n: int) -> list[tuple]:

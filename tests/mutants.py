@@ -105,8 +105,8 @@ MUTANTS = (
            "((-1, 0, 1, 2),)",
            (LNAT_TESTS + "test_charge_is_the_plans_pairs",)),
     Mutant("pair-base-range-short-at-the-upper-edge", "itemsets.py",
-           "for b in range(-min(step), w + 1 - max(step))] for i in range(points)]",
-           "for b in range(-min(step), w - max(step))] for i in range(points)]",
+           "for b in range(-min(step), w + 1 - max(step))]",
+           "for b in range(-min(step), w - max(step))]",
            (LNAT_TESTS + "test_charge_is_the_plans_pairs",
             INSTANCE_TESTS + "TestLocalExchange::test_charge_is_the_plans_reads")),
     Mutant("pair-pattern-first-offsets-swapped", "lnat.py",
@@ -114,8 +114,16 @@ MUTANTS = (
            "(t, 0, (t + 1) // 2, t // 2)",
            (LNAT_TESTS + "test_planted_distance_two_fault",)),
     Mutant("plan-cache-ignores-its-entry-bound", "itemsets.py",
-           "while sum(e[3] for e in _PLANS.values()) > min((e[4] for e in _PLANS.values()), default=0):",
+           "while sum(e[3] for e in _PLANS.values()) > min(e[4] for e in _PLANS.values()):",
            "while False:",
+           (BOX_PAIRS + "test_a_plan_over_its_budget_is_not_kept",)),
+    Mutant("read-charged-plan-split", "itemsets.py",
+           "k = max(len(widths) - 3, 0) if most == inf else 0",
+           "k = max(len(widths) - 3, 0)",
+           (BOX_PAIRS + "test_a_read_charged_plan_is_one_block",)),
+    Mutant("plan-over-its-budget-kept", "itemsets.py",
+           "if entries <= budget:",
+           "if True:",
            (BOX_PAIRS + "test_a_plan_over_its_budget_is_not_kept",)),
     Mutant("lnat-hi-for-lo", "lnat.py",
            "return LnatCounterexample(p=tuple(map(add, lo, box_point(ip, widths))),",

@@ -17,7 +17,7 @@ from walras import (ConvexityError, FunctionOracle, Instance, IterationCapError,
                     first_gp_minimal, is_lnat_convex_on_box, max_total_value,
                     minimal_descent_set, minimal_minimizer_step, minimize,
                     neighborhood_values)
-from walras import itemsets, lnat
+from walras import instance, itemsets, lnat
 from walras.errors import BudgetExceededError, ContractError
 from walras.instance import DEFAULT_BUDGET, box_volume, iter_box
 from walras.itemsets import (box_pairs, chi_add, items_from_mask, pair_failures,
@@ -312,8 +312,9 @@ class TestBoxPairs:
         """A plan is kept only while the kept index entries fit the budget
         of each call that built one: the check's plan on [0, 2]^3, at least
         four entries per pair, is built and returned but not kept at a
-        budget one below its entries, kept at its entries, and dropped, as
-        the oldest, when a second plan built under that budget joins it."""
+        budget one below its entries, and kept at its entries; a larger plan
+        over that budget leaves it kept, and it is dropped, as the oldest,
+        when a second plan built under that budget joins it."""
         itemsets._PLANS.clear()
         pairs, _, plan = box_pairs((2, 2, 2), lnat._check, DEFAULT_BUDGET)
         entries = itemsets._PLANS[(2, 2, 2), lnat._check][3]
@@ -325,8 +326,21 @@ class TestBoxPairs:
         assert itemsets._PLANS == {}
         box_pairs((2, 2, 2), lnat._check, entries)
         assert list(itemsets._PLANS) == [((2, 2, 2), lnat._check)]
+        box_pairs((2, 2, 2, 2), lnat._check, entries)
+        assert list(itemsets._PLANS) == [((2, 2, 2), lnat._check)]
         box_pairs((1, 1), lnat._check, entries)
         assert list(itemsets._PLANS) == [((1, 1), lnat._check)]
+
+    def test_a_read_charged_plan_is_one_block(self):
+        """The exchange check, charged its reads, plans [0, 2]^5 as one
+        block of the whole box; the midpoint check's plans keep the
+        trailing three coordinates' block and a start per leading point."""
+        exchange = box_pairs((2,) * 5, instance._exchanges, DEFAULT_BUDGET, DEFAULT_BUDGET)[2]
+        assert exchange[0] == 3 ** 5
+        assert all(starts == [[0]] * len(get) for _, _, get, starts in exchange[1])
+        for family in (lnat._check, lnat._theorem):
+            size, blocks = box_pairs((2,) * 5, family, DEFAULT_BUDGET)[2]
+            assert size == 27 and max(len(starts[0]) for *_, starts in blocks) > 1
 
     def test_verify_boxes_are_reused(self, monkeypatch):
         """At the default budget verify's L♮ boxes, [0, 2]^5 and [0, 3]^4,
