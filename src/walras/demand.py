@@ -2,16 +2,16 @@
 
 ``DemandCache.__init__`` is the one place a valuation family decides how a
 bidder is read: it sorts the bidders, once, into a separable group, a
-unit-demand group and a box-scanned group, and every other reader, here,
-in the Lyapunov oracle and in the auction layer, branches on those groups.
-A separable bidder's demand set is the product of its per-item argmax sets
+unit-demand group and a table group, and every other reader, here, in the
+Lyapunov oracle and in the auction layer, branches on those groups.  A
+separable bidder's demand set is the product of its per-item argmax sets
 and its minimum take the sum of per-item least argmaxes; a unit-demand
 bidder demands single items, read as a bitmask with the artificial
-no-purchase item 0 at bit 0; a box-scanned (table) bidder scans the bundle
-box.  The deficiency table, demanded minus supplied units for every item
-set, adds each bidder's minimum take to minus the supply group by group;
-the unit model is the case where every bidder is unit-demand and the
-supply is one of each item.  The table depends on the price only through
+no-purchase item 0 at bit 0; a table bidder's is read from its candidate
+bundles in the bundle box.  The deficiency table, demanded minus supplied
+units for every item set, adds each bidder's minimum take to minus the
+supply group by group; the unit model is the case where every bidder is
+unit-demand and the supply is one of each item.  The table depends on the price only through
 the bidders' demand state, so it is built in two parts:
 ``DemandCache.demand_key`` reads that state as a hashable key, and
 ``DemandCache.deficiency_from_key`` builds the table from the key alone,
@@ -35,12 +35,21 @@ against the budget, only when a scan first needs it; deficiency tables
 The unit-demand and table bidders are scanned together, once per price:
 ``scan`` keeps one record for the latest price, each unit-demand bidder's
 payoff of every option 0..n, where option 0 is buying nothing at payoff 0
-(Andersson, Andersson and Talman, 2013), and each table bidder's payoff of
-every bundle, with their best payoffs.  The Lyapunov value reads the bests;
-``indirect_utility``, ``demand_set``, ``demand_key``, ``run_length`` and the
-unit allocation's ``unit_masks`` read the same record, so a descent step's
-value read and the next step's demand key share it, and a value read at a
-price that no demand read follows pays for no mask.  ``demand_key`` reads
+(Andersson, Andersson and Talman, 2013), with their best payoffs, and each
+table bidder's best payoff and argmaxes.  A table bidder is read from its
+candidate bundles at p, those that no one-unit drop or add beats
+(v(y) - v(y - e_j) >= p_j where y_j >= 1, v(y + e_j) - v(y) <= p_j where
+y_j < u_j): every demanded bundle of any valuation is one, so the best
+payoff and the argmaxes over the candidates are those over the box
+(Murota, *Discrete Convex Analysis*, SIAM 2003, ch. 6).  The cache builds
+one index over every table bidder's bundles on its first table scan, a
+bitmask of candidates per item and price interval
+(``DemandCache._candidate_index``); a scan is one bisection and one AND
+per item, and one payoff read per candidate.  The Lyapunov value reads the
+bests; ``indirect_utility``, ``demand_set``, ``demand_key``, ``run_length``
+and the unit allocation's ``unit_masks`` read the same record, so a descent
+step's value read and the next step's demand key share it, and a value
+read at a price that no demand read follows pays for no mask.  ``demand_key`` reads
 every unit-demand and table bidder by one rule: a bidder whose demand set
 has a least bundle x, below every other demanded bundle componentwise,
 takes x(X) from every item set X, which is modular, so x joins the
@@ -50,15 +59,17 @@ with a single best item i has chi_i, and one tied between items has none.
 A table bidder's least bundle, when there is one, is its first argmax in
 box order.  The least takes of a table bidder without one depend only on
 its demand set, so they are kept by demand set, within the budget, and
-cleared when full.  Any other bidder read through the box is scanned
-afresh at each read.
+cleared when full.  Any other bidder read through the box (a unit-demand
+or separable bidder's best payoff, or a unit-demand bidder's demand set in
+the multi model) is scanned whole, afresh at each read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, compress, product, repeat
-from operator import add, le, sub
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
+from itertools import accumulate, chain, compress, islice, product, repeat
+from operator import add, le, mul, sub
 
 from .errors import BudgetExceededError
 from .instance import (DEFAULT_BUDGET, SEPARABLE_CONCAVE, UNIT_DEMAND, Bundle,
@@ -93,15 +104,18 @@ class DemandCache:
     each item into one ascending column per item, with its suffix sums,
     which ``demand_key`` and ``item_utility`` read per item.  It keeps each
     unit-demand bidder's worths as the row (0, w_1, ..., w_n), option 0
-    buying nothing, the bundle box and each box-scanned bidder's worth of
-    every bundle, the table bidders' worth lists also in one list in
-    ``tables`` order.  The only per-price state is one record for the
-    latest price (``scan``): the unit-demand bidders' option payoffs and the
-    table bidders' bundle payoffs, with their bests, which the value,
-    demand-key, demand-set and allocation reads at that price share.  The
-    least-take vectors of demand sets without a least bundle are kept by
-    demand set, as the bundles' box indices, charged 2^n plus the set's
-    size each against the budget and cleared when it would be exceeded.
+    buying nothing, the bundle box and each box-read bidder's worth of
+    every bundle, and, from the first table scan on, the table bidders'
+    worth lists in ``tables`` order and their candidate index: per item at
+    most 65 masks of (table bidders) * |box| bits, built in time linear in
+    that width per interval.  The only per-price state is one record for
+    the latest price (``scan``): the unit-demand bidders' option payoffs
+    with their bests, and the table bidders' best payoffs and argmaxes,
+    which the value, demand-key, demand-set and allocation reads at that
+    price share.  The least-take vectors of demand sets without a least
+    bundle are kept by demand set, as the bundles' box indices, charged 2^n
+    plus the set's size each against the budget and cleared when it would
+    be exceeded.
     Demand keys are built afresh at each call; the caller may keep tables
     by them, as ``LyapunovOracle.neighborhood`` does.
     """
@@ -113,6 +127,7 @@ class DemandCache:
         self._bundles: tuple[Bundle, ...] | None = None
         self._values: dict[int, list[int]] = {}
         self._worths: list[list[int]] | None = None
+        self._index: list[tuple[list[int], list[int]]] | None = None
         self._latest: tuple = (None, [], [], [], [])
         self._least: dict[tuple[int, ...], list[int]] = {}
         self._least_size = 0
@@ -134,7 +149,6 @@ class DemandCache:
         self.units = tuple(units)
         self.tables = tuple(tables)
         self._rows = tuple((0, *instance.valuations[b].values) for b in units)
-        self._table_at = {b: i for i, b in enumerate(tables)}
 
     # -- shared ------------------------------------------------------------
 
@@ -159,16 +173,17 @@ class DemandCache:
                 f"{self.instance.m} bidders need {entries} entries, "
                 f"budget is {self.budget}")
 
-    def _scan(self, b: int, p: PriceVector) -> tuple[list[int], int]:
-        """Bidder b's payoff v(x) - p.x of every bundle, in box order, and
-        the best of them: a table bidder's from the kept ``scan``, any
-        other's scanned afresh."""
-        i = self._table_at.get(b)
-        if i is not None:
-            _, _, _, payoffs, bests = self.scan(p)
-            return payoffs[i], bests[i]
+    def _demand(self, b: int, p: PriceVector) -> tuple[int, tuple[int, ...]]:
+        """Bidder b's best payoff v(x) - p.x and its argmaxes' box indices,
+        ascending: a table bidder's from the kept ``scan``, any other's from
+        a scan of the whole box."""
+        if b in self.tables:
+            _, _, _, bests, argmaxes = self.scan(p)
+            i = self.tables.index(b)
+            return bests[i], argmaxes[i]
         payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))
-        return payoffs, max(payoffs)
+        best = max(payoffs)
+        return best, tuple(i for i, pay in enumerate(payoffs) if pay == best)
 
     def _bidder_values(self, b: int) -> list[int]:
         """Bidder b's worth of every bundle in box order, after the box's budget check."""
@@ -182,31 +197,100 @@ class DemandCache:
     # -- demand sets -----------------------------------------------------------
 
     def scan(self, p: PriceVector) -> tuple:
-        """The record ``(p, unit payoffs, unit bests, table payoffs, table
-        bests)``: each unit-demand bidder's payoff of every option, 0 for
-        buying nothing and w_i - p_i for item i, in ``units`` order, and
-        each table bidder's payoff v(x) - p.x of every bundle, in box order
-        and ``tables`` order, with the best of each list.  One scan per
-        price, kept for the latest price only."""
+        """The record ``(p, unit payoffs, unit bests, table bests, table
+        argmaxes)``: each unit-demand bidder's payoff of every option, 0 for
+        buying nothing and w_i - p_i for item i, in ``units`` order, with
+        the best of each row, and each table bidder's best payoff
+        v(x) - p.x and its argmaxes' box indices, ascending, in ``tables``
+        order, read from its candidate bundles (``_candidate_index``).  One
+        scan per price, kept for the latest price only."""
         kept = self._latest
         if p != kept[0]:
             offset = (0, *p)
             units = [list(map(sub, row, offset)) for row in self._rows]
-            worths = self._worths
-            if worths is None:
-                worths = self._worths = [self._bidder_values(b) for b in self.tables]
-            costs = _box_costs(p, self.instance.u) if worths else []
-            tables = [list(map(sub, vals, costs)) for vals in worths]
-            kept = self._latest = (p, units, list(map(max, units)),
-                                   tables, list(map(max, tables)))
+            bests, argmaxes = [], []
+            if self.tables:
+                index = self._index or self._candidate_index()
+                mask = -1
+                for (bounds, masks), c in zip(index, p):
+                    mask &= masks[bisect_right(bounds, c)]
+                bests, argmaxes = _candidate_bests(mask, self._worths, self._bundles, p)
+            kept = self._latest = (p, units, list(map(max, units)), bests, argmaxes)
         return kept
+
+    def _candidate_index(self) -> list[tuple[list[int], list[int]]]:
+        """The table bidders' candidate masks, built on the first table
+        scan and kept: per item j, the sorted price bounds where a bundle's
+        drop or add test of j changes, and one mask per interval between
+        them.  Bundle i of the b-th table bidder is bit b * |box| + i.  A
+        bundle y passes the drop test of j at price c if y_j = 0 or
+        v(y) - v(y - e_j) >= c, and the add test if y_j = u_j or
+        v(y + e_j) - v(y) <= c; a demanded bundle passes both at p_j, for
+        every j, whatever the valuation.  An interval's mask holds the
+        bundles passing the drop test at its low end and the add test at
+        its high end, so it holds every bundle passing both anywhere in it.
+        An item keeps at most 64 bounds, every ceil(L / 64)-th of L; fewer
+        bounds only widen the masks, which leaves the bests and argmaxes
+        read from them exact.
+
+        The marginals of item j pair each bundle with the one a unit of j
+        above it, stride s apart in box order.  With ``ends`` the intervals'
+        low ends, 0 and the bounds, each marginal v is coded, one byte per
+        bundle, as the count of ends below v plus the count at most v: so
+        v < ends[k] reads as a code of at most 2k, and v <= ends[k] as one
+        of at most 2k + 1.  One ``translate`` per interval k reads the
+        bundles whose add test passes at its high end, ends[k + 1] - 1
+        (code <= 2k + 2); shifted up by s bits, the set read for interval
+        k - 1 is the complement of interval k's drop test at its low end,
+        ends[k] (code <= 2k).  The bundles with y_j = u_j (no add test) or
+        y_j = 0 (no drop test) repeat every s * (u_j + 1) and are joined in
+        as fixed masks."""
+        box = self._bundle_box()
+        worths = self._worths = [self._bidder_values(b) for b in self.tables]
+        volume = len(box)
+        width = volume * len(worths)
+        full = (1 << width) - 1
+        index = []
+        for s, q in zip(strides([c + 1 for c in self.instance.u]), self.instance.u):
+            blocks = width // (s * (q + 1))
+            # v(y + e_j) - v(y) at y's bit; no marginal where y_j = u_j
+            diffs = list(map(sub, islice(chain.from_iterable(worths), s, None),
+                             chain.from_iterable(worths)))
+            marginals = set(compress(diffs, (b"\1" * (s * q) + b"\0" * s) * blocks))
+            bounds = sorted({c for v in marginals for c in (v, v + 1) if c > 0})
+            if len(bounds) > 64:
+                step = -(-len(bounds) // 64)
+                bounds = bounds[step - 1::step]
+            ends = [0, *bounds]
+            # a pair across a block edge is no marginal: the fixed masks
+            # cover its bits, so its code, 0, does not matter
+            code = defaultdict(int, {v: bisect_left(ends, v) + bisect_right(ends, v)
+                                     for v in marginals}).__getitem__
+            # most significant first, as ``int(_, 2)`` reads them
+            codes = (bytes(map(code, diffs)) + bytes(s))[::-1]
+
+            def coded(c: int) -> int:
+                """The bits whose code is at most c."""
+                return int(codes.translate(b"1" * (c + 1) + b"0" * (255 - c)), 2)
+
+            top = int(("1" * s + "0" * (s * q)) * blocks, 2)
+            bottom = int(("0" * (s * q) + "1" * s) * blocks, 2)
+            masks, below = [], coded(0)
+            for k in range(len(ends)):
+                adds = coded(2 * k + 2)
+                drops = ((full ^ below) << s) & full
+                masks.append((adds | top) & (drops | bottom))
+                below = adds
+            index.append((bounds, masks))
+        self._index = index
+        return index
 
     def unit_masks(self, p: PriceVector) -> list[int]:
         """The unit-demand bidders' demand sets at p as bitmasks, bit 0 the
         artificial no-purchase item and bit i item i, in ``units`` order:
         the argmaxes of the kept ``scan`` at p."""
         _, payoffs, bests, _, _ = self.scan(p)
-        return [sum([1 << i for i in _argmaxes(pay, best)])
+        return [sum([1 << i for i, x in enumerate(pay) if x == best])
                 for pay, best in zip(payoffs, bests)]
 
     def demand_set(self, b: int, p: PriceVector) -> tuple[Bundle, ...]:
@@ -214,12 +298,13 @@ class DemandCache:
 
         A separable bidder's demand set is the product of its per-item
         argmax sets, never limited by the box budget; every other bidder's
-        is read from a scan of the bundle box (``_scan``).
+        is read from the bundle box (``_demand``), a table bidder's from
+        its candidates.
         """
         if b in self.separable:
             return tuple(product(*_per_item_argmax(self.instance.valuations[b], p)))
         box = self._bundle_box()
-        return tuple(box[i] for i in _argmaxes(*self._scan(b, p)))
+        return tuple(box[i] for i in self._demand(b, p)[1])
 
     # -- minimum takes -----------------------------------------------------------
 
@@ -229,17 +314,18 @@ class DemandCache:
         A separable bidder's demand set is a product over items, so its
         minimum take from X is the sum of each item's least argmax; that
         avoids building the product, which ties make exponentially large.
-        Every other bidder takes the least subset sum over its box scan.
+        Every other bidder takes the least subset sum over its demand set,
+        read from the bundle box (``_demand``).
         """
         self._check_table_budget()
         if b in self.separable:
             least = tuple(ks[0] for ks in _per_item_argmax(self.instance.valuations[b], p))
             return tuple(subset_sums(least, self._n))
-        return tuple(self._least_takes_of(_argmaxes(*self._scan(b, p))))
+        return tuple(self._least_takes_of(self._demand(b, p)[1]))
 
     def _least_takes_of(self, demand: tuple[int, ...]) -> list[int]:
-        """``_least_takes`` of a box-scanned demand set, given by its
-        bundles' box indices and kept by them.  An entry is charged its 2^n
+        """``_least_takes`` of a demand set given by its bundles' box
+        indices, and kept by them.  An entry is charged its 2^n
         takes plus the set's size; the memo is cleared when the next entry
         would take it past the budget, and an entry larger than the budget
         is not kept."""
@@ -275,15 +361,15 @@ class DemandCache:
         ``takes``, and only a tied one's mask is built, its ``unit_masks``
         mask shifted down past bit 0.  A table bidder's least bundle, if
         any, is its first argmax in box order, which is lexicographically
-        least; its other argmaxes, counted first, are compared with it up
-        to the first that is not above it.  The least bundles are summed
+        least; its other argmaxes, kept by the scan, are compared with it
+        up to the first that is not above it.  The least bundles are summed
         into ``takes`` once.  Equal keys give equal tables, so a caller may
         keep tables by key; the table budget is checked here, on every
         call.
         """
         self._check_table_budget()
         takes = self.item_takes(p)
-        _, unit_payoffs, unit_bests, table_payoffs, table_bests = self.scan(p)
+        _, unit_payoffs, unit_bests, _, table_argmaxes = self.scan(p)
         tied = []
         for pay, best in zip(unit_payoffs, unit_bests):
             i = pay.index(best)
@@ -300,15 +386,13 @@ class DemandCache:
             tied.append(d >> 1)
         tables = []
         if self.tables:
-            box = self._bundle_box()
+            box = self._bundles
             least = []
-            for payoffs, best in zip(table_payoffs, table_bests):
-                i = payoffs.index(best)
-                x = box[i]
-                for _ in range(payoffs.count(best) - 1):
-                    i = payoffs.index(best, i + 1)
+            for demand in table_argmaxes:
+                x = box[demand[0]]
+                for i in demand[1:]:
                     if not all(map(le, x, box[i])):
-                        tables.append(_argmaxes(payoffs, best))
+                        tables.append(demand)
                         break
                 else:
                     least.append(x)
@@ -415,11 +499,11 @@ class DemandCache:
         return self._tails[j][i] - c * (len(col) - i)
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
-        """Best payoff max_x (v(x) - p.x) by a scan of the bundle box, for a
-        bidder of any family, read from the kept ``scan`` for a table
-        bidder.  No library code calls it; it stays because the benchmark's
-        span tracer patches it."""
-        return self._scan(b, p)[1]
+        """Best payoff max_x (v(x) - p.x) for a bidder of any family: a
+        table bidder's from its candidates, through the kept ``scan``, any
+        other's by a scan of the bundle box.  No library code calls it; it
+        stays because the benchmark's span tracer patches it."""
+        return self._demand(b, p)[0]
 
     def utility_grid(self, b: int, axes) -> list[int]:
         """Bidder b's best payoff ``max_x (v(x) - p.x)`` at every point p of
@@ -491,14 +575,31 @@ def _least_takes(demand: tuple[Bundle, ...], n: int) -> list[int]:
     return list(map(min, *sums)) if len(sums) > 1 else sums[0]
 
 
-def _argmaxes(payoffs: list[int], best: int) -> tuple[int, ...]:
-    """The indices of the entries of ``payoffs`` equal to ``best``, ascending."""
-    out = []
-    i = -1
-    for _ in range(payoffs.count(best)):
-        i = payoffs.index(best, i + 1)
-        out.append(i)
-    return tuple(out)
+def _candidate_bests(mask: int, worths: list[list[int]], box: tuple[Bundle, ...],
+                     p: PriceVector) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each table bidder's best payoff and argmaxes' box indices, ascending,
+    over the bundles whose bits ``mask`` sets, bit b * |box| + i for bundle
+    i of the b-th bidder: one payoff read per set bit.  The set bits are
+    read off one binary string, from its end, in time linear in its
+    length plus their count; every bidder has one, its best bundle."""
+    volume = len(box)
+    bits = f"{mask:b}"
+    top = len(bits) - 1
+    bests, argmaxes = [], []
+    at = bits.rfind("1")
+    while at >= 0:
+        b, i = divmod(top - at, volume)
+        pay = worths[b][i] - sum(map(mul, p, box[i]))
+        if b == len(bests):
+            bests.append(pay)
+            argmaxes.append([i])
+        elif pay > bests[b]:
+            bests[b] = pay
+            argmaxes[b] = [i]
+        elif pay == bests[b]:
+            argmaxes[b].append(i)
+        at = bits.rfind("1", 0, at)
+    return bests, list(map(tuple, argmaxes))
 
 
 def _box_costs(p: PriceVector, u) -> list[int]:

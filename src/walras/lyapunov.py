@@ -11,8 +11,10 @@ of one-variable functions of the item's price, each read from the item's
 sorted column of marginals (``DemandCache.item_utility``).  The unit-demand
 and table bidders' best payoffs come from the one record per price the
 cache keeps (``DemandCache.scan``), a unit-demand bidder's over the options
-0..n with option 0 buying nothing; the next change table's demand key at
-that price reads the same record.
+0..n with option 0 buying nothing, a table bidder's over its candidate
+bundles, those that no one-unit drop or add beats, which the cache's
+candidate index reads without a scan of the whole box; the next change
+table's demand key at that price reads the same record.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
 Lyapunov values certify each chosen step and the final stop.  That table
@@ -92,7 +94,7 @@ class LyapunovOracle:
         if dc.separable:
             total += sum(map(dc.item_utility, range(len(t)), t))
         if dc.units or dc.tables:
-            _, _, unit_bests, _, table_bests = dc.scan(t)
+            _, _, unit_bests, table_bests, _ = dc.scan(t)
             total += sum(unit_bests) + sum(table_bests)
         return total
 

@@ -78,6 +78,7 @@ KEY_TABLE_TWIN = "tests/test_demand.py::TestKeyTable::test_table_is_the_definiti
 CHI_TWIN = "tests/test_demand.py::TestSetIdentities::test_chi_add_matches_the_definition"
 STDOUT_PIECES = ("tests/test_cli.py::TestStreamedOutput::"
                  "test_stdout_gets_pieces_of_at_most_pipe_buf")
+CANDIDATE_TESTS = "tests/test_demand.py::TestCandidateScan::"
 STEP_READS = ("tests/test_lnat.py::TestNeighborhoodTable::test_off_by_one_table_fails_at_a_step",
               "tests/test_lnat.py::TestNeighborhoodTable::"
               "test_off_by_one_item_changes_fail_at_a_step_and_the_stop")
@@ -272,6 +273,15 @@ MUTANTS = (
            (SCAN_TESTS + "test_interleaved_reads_match_a_fresh_cache",
             "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers",
             *RELATIONS, ADDED_BIDDER)),
+    Mutant("candidate-drop-test-strict", "demand.py",
+           "drops = ((full ^ below) << s) & full",
+           "drops = ((full ^ coded(2 * k + 1)) << s) & full",
+           (CANDIDATE_TESTS + "test_candidates_give_the_full_scan",)),
+    Mutant("candidate-coarse-add-test-at-low-end", "demand.py",
+           "adds = coded(2 * k + 2)",
+           "adds = coded(2 * k + 1)",
+           (CANDIDATE_TESTS + "test_candidates_give_the_full_scan",
+            CANDIDATE_TESTS + "test_an_item_past_64_bounds_reads_exactly")),
     Mutant("run-columns-read-with-option-0", "demand.py",
            "for col, c in compress(zip(self._columns, p), inside[1:]):",
            "for col, c in compress(zip(self._columns, p), inside):",

@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,8 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
-from walras.instance import DEFAULT_BUDGET, MULTI, UNIT, UNIT_DEMAND, box_volume, iter_box
+from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, UNIT_DEMAND,
+                             box_volume, iter_box)
 from walras.itemsets import chi_add, items_from_mask, subset_sums
 from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
                            some_demanders_mask, unit_demand_mask)
@@ -103,11 +105,11 @@ class TestMultiDemandSets:
         per-item columns, the bidder groups and the unit-demand rows exactly
         as built, the bundle box, at most one worth list per bidder, one
         record of the unit-demand bidders' option payoffs and the table
-        bidders' bundle payoffs with their bests, at one price, the table
-        bidders' worth lists, and least takes kept by demand set within the
-        budget: nothing per step.  The table bidder is tied between its two
-        items on the way, a demand set with no least bundle, so its least
-        takes are kept."""
+        bidders' best payoffs and argmaxes, at one price, the table bidders'
+        worth lists and candidate index (one entry per item, built once),
+        and least takes kept by demand set within the budget: nothing per
+        step.  The table bidder is tied between its two items on the way, a
+        demand set with no least bundle, so its least takes are kept."""
         unit = Instance(model="unit", n=2, u=(1, 1), valuations=tuple(
             Valuation.unit_demand(v) for v in ([300, 250], [280, 260], [200, 290])))
         mixed = Instance(model="multi", n=2, u=(1, 1), valuations=(
@@ -124,32 +126,56 @@ class TestMultiDemandSets:
             assert res.p_min == (280, 260) and len(res.trajectory) >= 100
             assert ly.demand is dc
             assert set(vars(dc)) == {"instance", "budget", "_n", "_bundles", "_values",
-                                     "_worths", "_latest", "_least", "_least_size",
+                                     "_worths", "_index", "_latest", "_least", "_least_size",
                                      "_columns", "_tails", "separable", "units", "tables",
-                                     "_table_at", "_rows"}
-            assert dc._table_at == {b: i for i, b in enumerate(dc.tables)}
+                                     "_rows"}
             assert dc._rows == tuple((0, *inst.valuations[b].values) for b in dc.units)
             # one price, the final one the allocation read; one list of the
             # n + 1 options per unit-demand bidder, option 0 paying 0, and
-            # one of the 4 bundles per table bidder
-            kept = price, unit_payoffs, unit_bests, table_payoffs, table_bests = dc._latest
+            # one best payoff with its argmaxes among the 4 bundles per
+            # table bidder
+            kept = price, unit_payoffs, unit_bests, table_bests, table_argmaxes = dc._latest
             assert price == res.p_min
             assert len(unit_payoffs) == len(unit_bests) == len(dc.units)
             assert all(len(row) == inst.n + 1 and row[0] == 0 for row in unit_payoffs)
             assert unit_bests == list(map(max, unit_payoffs))
             assert dc.unit_masks(price) == [unit_demand_mask(b, price, inst) for b in dc.units]
-            assert len(table_payoffs) == len(table_bests) == len(dc.tables)
-            assert all(len(row) == 4 for row in table_payoffs)
-            assert table_bests == list(map(max, table_payoffs))
+            assert len(table_bests) == len(table_argmaxes) == len(dc.tables)
+            assert all(0 <= i < 4 for row in table_argmaxes for i in row)
+            assert kept == _record_twin(inst, price)
             assert dc._latest is kept
             assert (dc._columns, dc._tails, dc.separable, dc.units, dc.tables,
                     dc._rows) == built
             assert len(dc._values) <= inst.m
-            assert dc._worths == [dc._values[b] for b in dc.tables]
+            if dc.tables:
+                assert dc._worths == [dc._values[b] for b in dc.tables]
+                assert len(dc._index) == inst.n
+                assert all(len(masks) == len(bounds) + 1 for bounds, masks in dc._index)
+            else:
+                assert dc._worths is None and dc._index is None
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= dc.budget
             assert bool(dc._least) == bool(dc.tables)
-        assert dc._latest[3]  # the table bidder's reads kept its payoffs
+        assert dc._latest[4]  # the table bidder's reads kept its argmaxes
+
+
+def _record_twin(inst, p):
+    """``DemandCache.scan``'s record at p by the definition: each
+    unit-demand bidder's payoff of every option, 0 for buying nothing, with
+    the best of each row, then each table bidder's best payoff over the
+    whole bundle box, read with ``evaluate``, and its argmaxes' box
+    indices, ascending."""
+    box = list(iter_box(inst.u))
+    rows, bests, argmaxes = [], [], []
+    for v in inst.valuations:
+        if v.family == UNIT_DEMAND:
+            rows.append([0, *(w - c for w, c in zip(v.values, p))])
+        elif v.family == EXPLICIT_TABLE:
+            payoffs = [evaluate(v, x) - sum(map(mul, p, x)) for x in box]
+            best = max(payoffs)
+            bests.append(best)
+            argmaxes.append(tuple(i for i, pay in enumerate(payoffs) if pay == best))
+    return p, rows, list(map(max, rows)), bests, argmaxes
 
 
 def _extracted(inst, p, dc):
@@ -231,8 +257,9 @@ class TestUnitScan:
         """Interleaved reads (``_interleaved_reads``) on unit markets and on
         multi markets of unit-demand and table bidders match a fresh cache.
         The unit-demand half of the kept record has option 0 paying 0 in
-        every row and bests equal to the rows' maxima, and gives the
-        per-bidder twin's masks and best payoffs without a new scan.
+        every row and bests equal to the rows' maxima; the whole record, its
+        table half included, is the definitional one (``_record_twin``), and
+        it gives the per-bidder twin's masks without a new scan.
         Bidders for whom buying nothing is demanded and ones tied between
         items must both be seen."""
         seen = set()
@@ -251,8 +278,7 @@ class TestUnitScan:
                 _, unit_payoffs, unit_bests, _, _ = dc._latest
                 assert all(row[0] == 0 for row in unit_payoffs)
                 assert unit_bests == list(map(max, unit_payoffs))
-                assert unit_bests == [max(0, *(w - c for w, c in zip(
-                    inst.valuations[b].values, kept))) for b in dc.units]
+                assert dc._latest == _record_twin(inst, kept)
                 masks = dc.unit_masks(kept)
                 assert masks == [unit_demand_mask(b, kept, inst) for b in dc.units]
                 seen.update(("unit", mask & 1, mask & (mask - 1) > 1) for mask in masks)
@@ -275,8 +301,9 @@ class TestUnitScan:
         for inst in (make_ex21(), mixed, random_unit_instance(random.Random(5), n_max=4)):
             assert not DemandCache(inst).tables
             for kind in StrategyKind:
-                res, scans, costs = count(inst, kind)
+                res, scans, costs, candidates = count(inst, kind)
                 assert costs == [res.p_min] * _boxed_units(inst)
+                assert candidates == []
                 total["scans"] += len(scans)
                 total["steps"] += len(res.trajectory)
         assert total["scans"] < total["steps"], total
@@ -287,7 +314,9 @@ class TestTableScan:
         """Interleaved reads (``_interleaved_reads``) on multi markets of
         unit-demand and table bidders match a fresh cache, every deficiency
         equal to the oracle twin's, set by set.  The table half of the kept
-        record has bests equal to its rows' maxima.  Prices near the
+        record, read from the bidders' candidate bundles, holds each table
+        bidder's best payoff and argmaxes over the whole box, as the
+        definitional record does (``_record_twin``).  Prices near the
         tables' worths make ties common: table bidders demanding one
         bundle, which fold into the takes, and tied ones, which the key
         holds, must both be seen."""
@@ -296,9 +325,8 @@ class TestTableScan:
         @settings(max_examples=60, deadline=None)
         @given(st.data())
         def check(data):
-            for _, dc, _ in _interleaved_reads(data, scan_markets(), seen):
-                _, _, _, table_payoffs, table_bests = dc._latest
-                assert table_bests == list(map(max, table_payoffs))
+            for inst, dc, kept in _interleaved_reads(data, scan_markets(), seen):
+                assert dc._latest == _record_twin(inst, kept)
 
         check()
         assert {("table", False), ("table", True)} <= seen, seen
@@ -306,11 +334,12 @@ class TestTableScan:
     def test_one_table_scan_per_price_read(self, monkeypatch):
         """On markets with table bidders a descent and its allocation scan
         all bidders together once each time the price read changes
-        (``_count_scans``) and scan no table bidder on its own: every
-        bundle-cost list the cache builds is a scan's, but for one per
-        unit-demand bidder of a multi market, whose demand set the
-        allocation reads from the box.  A table market steps one raise at a
-        time, so it scans more often than it steps."""
+        (``_count_scans``), each scan reading the table bidders' candidates
+        once, at its price, and scan no table bidder on its own: the only
+        bundle-cost lists the cache builds are one per unit-demand bidder
+        of a multi market, whose demand set the allocation reads from the
+        box.  A table market steps one raise at a time, so it scans more
+        often than it steps."""
         count = _count_scans(monkeypatch)
         rng = random.Random(13)
         tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
@@ -322,9 +351,115 @@ class TestTableScan:
         for inst in (tables, both):
             assert DemandCache(inst).tables
             for kind in StrategyKind:
-                res, scans, costs = count(inst, kind)
-                assert costs == scans + [res.p_min] * _boxed_units(inst)
+                res, scans, costs, candidates = count(inst, kind)
+                assert costs == [res.p_min] * _boxed_units(inst)
+                assert candidates == scans
                 assert len(scans) > len(res.trajectory)
+
+
+def _capped_table(u, raises) -> Valuation:
+    """A normalized monotone table over [0, u], worth at most 9: each
+    bundle's worth is the best of its one-unit-smaller bundles' plus its
+    entry of ``raises``, capped at 9.  Substitutes or not."""
+    worth = {}
+    for x, up in zip(iter_box(u), raises):
+        below = [worth[x[:j] + (c - 1,) + x[j + 1:]] for j, c in enumerate(x) if c]
+        worth[x] = min(max(below) + up, 9) if below else 0
+    return Valuation.from_table(worth)
+
+
+@st.composite
+def candidate_markets(draw):
+    """A multi market of at most 3 items and 3 units of each with one to
+    three tables from ``_capped_table``, all-zero ones among them, and at
+    times separable bidders and, where every item has one unit,
+    unit-demand ones, in any order; with one to four prices, each item's 0,
+    past every worth, or drawn in [0, 10], where ties are common."""
+    n = draw(st.integers(1, 3))
+    u = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    volume = box_volume(u)
+    raises = st.one_of(st.lists(st.integers(0, 4), min_size=volume, max_size=volume),
+                       st.just([0] * volume))
+    vals = draw(st.lists(raises.map(lambda r: _capped_table(u, r)), min_size=1, max_size=3))
+    others = [st.tuples(*(st.lists(st.integers(0, 9), min_size=cap, max_size=cap).map(
+        lambda r: sorted(r, reverse=True)) for cap in u)).map(Valuation.separable)]
+    if u == (1,) * n:
+        others.append(st.lists(st.integers(0, 9), min_size=n, max_size=n).map(
+            Valuation.unit_demand))
+    vals += draw(st.lists(st.one_of(*others), max_size=2))
+    inst = Instance(model="multi", n=n, u=u, valuations=tuple(draw(st.permutations(vals))))
+    price = st.one_of(st.just(0), st.just(max_total_value(inst) + 1), st.integers(0, 10))
+    return inst, draw(st.lists(st.tuples(*[price] * n), min_size=1, max_size=4))
+
+
+def _coarse_market() -> Instance:
+    """One item of 40 units and two table bidders, one with the distinct
+    marginals 81, 79, ..., 3, the other with 80, 77, ..., 5 and then 3.
+    Each marginal v gives the bounds v and v + 1, so the item has more than
+    64 and keeps every second."""
+    rows = ([81 - 2 * k for k in range(40)], [max(80 - 3 * k, 3) for k in range(40)])
+    return Instance(model="multi", n=1, u=(40,), valuations=tuple(
+        tabulate(Valuation.separable([row])) for row in rows))
+
+
+class TestCandidateScan:
+    """``scan`` reads each table bidder's best payoff and argmaxes from its
+    candidate bundles, those that no one-unit drop or add beats, through
+    the cache's candidate index; the full scan of the box reads them from
+    every bundle.  Both must agree, and so must the demand keys and tables
+    built on them."""
+
+    @settings(max_examples=200)
+    @given(candidate_markets())
+    @example((_coarse_market(), [(0,), (4,), (5,), (41,), (82,)]))
+    def test_candidates_give_the_full_scan(self, market):
+        inst, prices = market
+        dc = DemandCache(inst)
+        for p in prices:
+            assert dc.scan(p) == _record_twin(inst, p), (inst, p)
+            key = dc.demand_key(p)
+            assert key == _key_twin(inst, DemandCache(inst), p), (inst, p)
+            assert dc.deficiency_from_key(key) == _definitional_deficiency(inst, p), (inst, p)
+
+    def test_an_item_past_64_bounds_reads_exactly(self):
+        """On ``_coarse_market`` the item's 80 bounds, 3 to 82, exceed 64,
+        so the index keeps every second, 4, 6, ..., 82, and each mask
+        widens to a superset of its interval's candidates; at every price
+        from 0 to past the top marginal the record and the key are still
+        the full scan's."""
+        inst = _coarse_market()
+        dc = DemandCache(inst)
+        for c in range(85):
+            assert dc.scan((c,)) == _record_twin(inst, (c,)), c
+            assert dc.demand_key((c,)) == _key_twin(inst, DemandCache(inst), (c,)), c
+        (bounds, masks), = dc._index
+        assert bounds == list(range(4, 83, 2)) and len(masks) == 41
+
+    def test_the_index_is_bounded_after_a_descent(self):
+        """After a descent, the index the cache kept holds, per item, at
+        most 64 ascending positive bounds and one mask more, so at most
+        65 * n masks, each of at most m * |box| bits: the table bidders'
+        count times the box volume."""
+        rng = random.Random(47)
+        markets = [_coarse_market(), Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
+            tabulate(random_separable_valuation(rng, (2, 2, 2), value_max=12))
+            for _ in range(5)))]
+        markets.append(Instance(model="multi", n=3, u=(1, 1, 1), valuations=(
+            Valuation.unit_demand([9, 4, 7]), Valuation.separable([[8], [3], [5]]),
+            tabulate(Valuation.unit_demand([6, 8, 2])),
+            tabulate(Valuation.separable([[7], [6], [1]])))))
+        for inst in markets:
+            ly = LyapunovOracle(inst)
+            ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
+            dc = ly.demand
+            width = len(dc.tables) * box_volume(inst.u)
+            assert len(dc._index) == inst.n
+            assert sum(len(masks) for _, masks in dc._index) <= 65 * inst.n
+            for bounds, masks in dc._index:
+                assert len(masks) == len(bounds) + 1 <= 65
+                assert bounds == sorted(set(bounds)) and min(bounds, default=1) > 0
+                assert all(0 <= mask < 1 << width for mask in masks)
+            assert width <= inst.m * box_volume(inst.u)
 
 
 def _boxed_units(inst):
@@ -336,20 +471,25 @@ def _boxed_units(inst):
 
 
 def _count_scans(monkeypatch):
-    """Count ``DemandCache.scan`` reads, new scans, bundle-cost lists and
-    demand-key reads; return ``count(inst, kind)``, which runs the auction
-    and checks that it scans once each time the price read changes: a
-    value read and the next demand key share one scan, a run's length reads
-    the scan its key read, and the stop's reads share one.  A run of one
-    set reads at most two prices, and a period run of k phases 3k - 1 (run
-    lengths at k - 1 earlier prices, values at 2k) for its one key; the
-    descents counted here still scan at most twice per demand key they
-    read, the allocation's scan included.  ``count`` returns the result,
-    the scanned prices and the bundle-cost lists' prices."""
+    """Count ``DemandCache.scan`` reads, new scans, bundle-cost lists,
+    candidate reads, candidate index builds and demand-key reads; return
+    ``count(inst, kind)``, which runs the auction and checks that it scans
+    once each time the price read changes: a value read and the next
+    demand key share one scan, a run's length reads the scan its key read,
+    and the stop's reads share one.  A run of one set reads at most two
+    prices, and a period run of k phases 3k - 1 (run lengths at k - 1
+    earlier prices, values at 2k) for its one key; the descents counted
+    here still scan at most twice per demand key they read, the
+    allocation's scan included.  It also checks that on a market with
+    table bidders the candidate index is built once per cache that reads
+    them, the run's oracle's and the allocation's own, and never
+    otherwise.  ``count`` returns the result, the scanned prices, the
+    bundle-cost lists' prices and the candidate reads' prices."""
     import walras.demand as demand
 
-    reads, scans, costs, keys = [], [], [], [0]
+    reads, scans, costs, candidates, keys, builds = [], [], [], [], [0], [0]
     read, box_costs, demand_key = DemandCache.scan, demand._box_costs, DemandCache.demand_key
+    best_of, build = demand._candidate_bests, DemandCache._candidate_index
 
     def counted_read(self, p):
         kept = self._latest
@@ -363,25 +503,37 @@ def _count_scans(monkeypatch):
         costs.append(p)
         return box_costs(p, u)
 
+    def counted_candidates(mask, worths, box, p):
+        candidates.append(p)
+        return best_of(mask, worths, box, p)
+
+    def counted_build(self):
+        builds[0] += 1
+        return build(self)
+
     def keyed(self, p):
         keys[0] += 1
         return demand_key(self, p)
 
     monkeypatch.setattr(DemandCache, "scan", counted_read)
     monkeypatch.setattr(demand, "_box_costs", counted_costs)
+    monkeypatch.setattr(demand, "_candidate_bests", counted_candidates)
+    monkeypatch.setattr(DemandCache, "_candidate_index", counted_build)
     monkeypatch.setattr(DemandCache, "demand_key", keyed)
 
     def count(inst, kind):
         reads.clear()
         scans.clear()
         costs.clear()
-        keys[0] = 0
+        candidates.clear()
+        keys[0] = builds[0] = 0
         res = ascending_auction(inst, kind)
         assert res.allocation is not None
         changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
         assert scans == [p for _, p in changes]
         assert len(reads) > len(changes) <= 2 * keys[0]
-        return res, list(scans), list(costs)
+        assert builds[0] == (2 if DemandCache(inst).tables else 0)
+        return res, list(scans), list(costs), list(candidates)
 
     return count
 

@@ -364,21 +364,20 @@ class TestPerItemColumns:
                 assert neighborhood_values(g, p, s) == expected, (inst, p, s)
 
     def test_the_twin_sees_a_planted_table_scan_fault(self, monkeypatch):
-        """With the table scan's cost of the full bundle one too low, a
-        table bidder's best payoff reads one more through ``value``, and
-        the twin, which reads no cache scan, keeps the true value."""
+        """With the candidate payoff read's worth of the full bundle one too
+        high, a table bidder's best payoff reads one more through
+        ``value``, and the twin, which reads no cache scan, keeps the true
+        value."""
         inst = Instance(model="multi", n=2, u=(1, 1),
                         valuations=(tabulate(Valuation.separable([[3], [2]])),))
         p = (1, 1)
         assert LyapunovOracle(inst).value(p) == lyapunov_value(p, inst) == 5
-        costs = demand._box_costs
+        read = demand._candidate_bests
 
-        def one_off(p, u):
-            out = costs(p, u)
-            out[-1] -= 1
-            return out
+        def one_off(mask, worths, box, p):
+            return read(mask, [w[:-1] + [w[-1] + 1] for w in worths], box, p)
 
-        monkeypatch.setattr(demand, "_box_costs", one_off)
+        monkeypatch.setattr(demand, "_candidate_bests", one_off)
         assert LyapunovOracle(inst).value(p) == 6
         assert lyapunov_value(p, inst) == 5
 
