@@ -1,7 +1,7 @@
 """Auction-facing layer over the generic descent engine.
 
-Runs the ascending auction as Lyapunov descent, whose trajectory is the
-only per-step record, and certifies equilibria with explicit allocations.
+Runs the ascending auction as Lyapunov descent, whose trajectory records
+its steps as runs, and certifies equilibria with explicit allocations.
 The set-by-set overdemand and excess-demand predicates the auction is
 defined by live in ``oracle``, where tests hold them against the descent's
 tables.

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .auction import UnitAllocation, ascending_auction
@@ -18,7 +19,7 @@ from .errors import WalrasError
 from .instance import (DEFAULT_BUDGET, Instance, load_instance,
                        max_total_value, verify_mnat_exc,
                        verify_monotone_normalized)
-from .itemsets import mask_weight
+from .itemsets import chi_add, mask_weight
 from .lnat import StrategyKind, is_lnat_convex_on_box, midpoint_charge
 from .lyapunov import LyapunovOracle
 
@@ -86,28 +87,45 @@ def _allocation_json(allocation) -> dict | None:
     return {"model": "multi", "bundles": [list(x) for x in allocation.bundles]}
 
 
-# The columns of a trajectory row, in the order ``_step_rows`` yields them.
+# The columns of a trajectory row, in the order of ``_row_template``'s slots.
 _ROW_KEYS = ("iteration", "p_before", "chosen_items", "chosen_mask", "lyapunov_before",
              "lyapunov_after", "deficiency", "demanded_units", "supply_units")
 
 
-def _step_rows(instance: Instance, result):
-    """Per-step columns of both formats, one tuple in ``_ROW_KEYS`` order;
-    the descent certified each step's value drop as its chosen set's
-    deficiency.  Each distinct chosen set's items and supply are computed
-    once, and its rows share the one items list."""
+def _rows(instance: Instance, result, row, sep: str) -> Iterator[str]:
+    """The step rows' text, from the trajectory's runs, by ``row(p, mask,
+    items, supply, change, iteration, g_before, g_after)``.  In a run of T
+    >= 2 periods, of union Y, each phase's row with ``%s`` for the prices
+    of Y and the last three fields is one template, which each of its rows
+    fills; the run's rows come joined by ``sep`` in blocks of whole
+    periods, about ``_PIECE`` characters each.  The descent certified each
+    value drop as its set's deficiency."""
     items = range(instance.n)
-    sets = {}
-    for k, step in enumerate(result.trajectory.steps):
-        mask = step.chosen_mask
-        kept = sets.get(mask)
-        if kept is None:
-            kept = sets[mask] = ([i + 1 for i in items if mask >> i & 1],
-                                 mask_weight(mask, instance.u))
-        chosen, supply = kept
-        deficiency = step.g_before - step.g_after
-        yield (k + 1, step.p_before, chosen, mask, step.g_before, step.g_after,
-               deficiency, deficiency + supply, supply)
+    kept = functools.cache(lambda mask: ([i + 1 for i in items if mask >> i & 1],
+                                         mask_weight(mask, instance.u)))
+    k = 1
+    for p, g, phases, periods in result.trajectory.runs:
+        if periods == 1 == len(phases):
+            (mask, change), = phases
+            yield row(p, mask, *kept(mask), change, k, g, g + change)
+            k += 1
+            continue
+        union = sum(mask for mask, _ in phases)
+        total = sum(change for _, change in phases)
+        plates, rows = [], []
+        for mask, change in phases:
+            held = ["%s" if union >> j & 1 else c for j, c in enumerate(p)]
+            plates.append(row(held, mask, *kept(mask), change))
+            # Each slot runs through an arithmetic progression over the periods.
+            slots = [range(k, k + periods * len(phases), len(phases))]
+            slots += [range(c, c + periods) for j, c in enumerate(p) if union >> j & 1]
+            slots += [range(v, v + periods * total, total) for v in (g, g + change)]
+            rows.append(map(plates[-1].__mod__, zip(*slots)))
+            p, g, k = chi_add(p, mask), g + change, k + 1
+        texts = chain.from_iterable(zip(*rows))
+        block = len(phases) * max(1, _PIECE // sum(map(len, plates)))
+        yield from iter(lambda: sep.join(islice(texts, block)), "")
+        k += (periods - 1) * len(phases)
 
 
 def _pieces(texts: Iterable[str], sep: str) -> Iterator[str]:
@@ -126,24 +144,27 @@ def _pieces(texts: Iterable[str], sep: str) -> Iterator[str]:
         yield sep.join(run)
 
 
-def _row_json(row: tuple) -> str:
-    """``json.dumps(dict(zip(_ROW_KEYS, row)), indent=2)`` indented four
-    more spaces, to its place in the trajectory list.  Formatted here
-    because CPython's encoder drops to pure Python whenever it indents: the
-    row's ints, list entries included, fill one template kept for its two
-    list lengths."""
-    iteration, prices, chosen, *rest = row
-    return _row_template(len(prices), len(chosen)) % (iteration, *prices, *chosen, *rest)
-
-
 @functools.lru_cache(maxsize=64)
 def _row_template(n: int, k: int) -> str:
-    """The ``%`` template of a JSON row of n prices and k chosen items."""
-    lists = ["[\n        " + ",\n        ".join(["%d"] * size) + "\n      ]" if size else "[]"
+    """The ``%`` template of a JSON row of n prices and k chosen items: the
+    bytes of ``json.dumps(dict(zip(_ROW_KEYS, row)), indent=2)`` indented
+    four more spaces, to its place in the trajectory list.  Formatted here
+    because CPython's encoder drops to pure Python whenever it indents."""
+    lists = ["[\n        " + ",\n        ".join(["%s"] * size) + "\n      ]" if size else "[]"
              for size in (n, k)]
-    vals = ["%d", *lists] + ["%d"] * 6
+    vals = ["%s", *lists] + ["%s"] * 6
     return "    {\n" + ",\n".join(f'      "{key}": {val}'
                                   for key, val in zip(_ROW_KEYS, vals)) + "\n    }"
+
+
+def _json_row(p, mask, chosen, supply, change, k="%s", g="%s", after="%s"):
+    return _row_template(len(p), len(chosen)) % (k, *p, *chosen, mask, g, after, -change,
+                                                 supply - change, supply)
+
+
+def _csv_row(p, mask, chosen, supply, change, k="%s", g="%s%.0s", after=None):
+    # A template's %.0s slot takes a row's value after and prints nothing.
+    return ",".join(map(str, [k, *p, mask, ";".join(map(str, chosen)), g, -change])) + "\n"
 
 
 def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) -> Iterator[str]:
@@ -166,7 +187,7 @@ def _result_json(instance: Instance, strategy_flag: str, seed: int, p0, result) 
     head, _, tail = json.dumps(doc, indent=2).partition('"trajectory": []')
     yield head + '"trajectory": ['
     sep = "\n"
-    for piece in _pieces(map(_row_json, _step_rows(instance, result)), ",\n"):
+    for piece in _pieces(_rows(instance, result, _json_row, ",\n"), ",\n"):
         yield sep + piece
         sep = ",\n"
     yield ("\n  ]" if result.trajectory else "]") + tail + "\n"
@@ -178,10 +199,7 @@ def _result_csv(instance: Instance, result) -> Iterator[str]:
     is quoted."""
     header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
     yield ",".join(header + ["chosen_mask", "chosen_items", "lyapunov", "deficiency"]) + "\n"
-    rows = _step_rows(instance, result)
-    yield from _pieces((",".join(map(str, [k, *prices, mask, ";".join(map(str, chosen)),
-                                           g_before, deficiency])) + "\n"
-                        for k, prices, chosen, mask, g_before, _, deficiency, *_ in rows), "")
+    yield from _pieces(_rows(instance, result, _csv_row, ""), "")
 
 
 def _load_start(instance: Instance, source: str):

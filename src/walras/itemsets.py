@@ -8,9 +8,9 @@ Item ``i`` corresponds to bit ``i - 1``.  The engine works on masks;
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from math import inf, prod
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -43,11 +43,12 @@ def _chi(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> k) & 1 for k in range(n))
 
 
-def chi_add(p: tuple[int, ...], mask: int) -> tuple[int, ...]:
-    """Return ``p + chi_X`` for the item set encoded by ``mask``: one
+def chi_add(p: tuple[int, ...], mask: int, s: int = 1) -> tuple[int, ...]:
+    """Return ``p + s * chi_X`` for the item set encoded by ``mask``: one
     elementwise add of the kept vector ``_chi(mask, len(p))``, which a
     descent's steps and runs, raising few distinct sets, share."""
-    return tuple(map(add, p, _chi(mask, len(p))))
+    chi = _chi(mask, len(p))
+    return tuple(map(add, p, chi if s == 1 else map(mul, chi, repeat(s))))
 
 
 def chi_sub(p: tuple[int, ...], mask: int) -> tuple[int, ...]:

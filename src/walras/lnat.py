@@ -13,16 +13,13 @@ certify each step and the stop, the stop through the one corner reader,
 ``_corner_changes``.  The termination test and every selection rule are
 functions of that table alone, and the rules compare its entries only with
 each other and entry 0, so a value table such as ``neighborhood_values``
-gets the same answers.  Every raise is taken one way, ``_take_periods``: T
-periods of k phases, one step being k = T = 1.  An oracle that bounds how
+gets the same answers.  Every iteration is one run, ``_take_periods``: T
+periods of k phases, a step being k = T = 1.  An oracle that bounds how
 long a raise keeps its table may declare ``runs``; ``minimize`` then raises
-a cycle of disjoint sets, found in the trajectory, for whole periods: the
-bounds certify that each phase's set stays the rule's choice, and value
-reads at both ends of each phase's line certify the values, since g is
-convex along it.  An oracle that is a sum of one-variable functions may
-declare it, and then every rule but the seeded one reads n per-item changes
-instead of a table; that route, like a table route without ``runs``, steps
-one raise per iteration.
+a cycle of disjoint sets for whole periods.  A separable oracle may declare
+its terms, and every rule but the seeded one then reads n per-item changes;
+that route, like a table route without ``runs``, steps one raise per
+iteration.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import enum
 import functools
 import random
 from collections import Counter
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from math import prod
 from operator import add, ge, lt
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -71,12 +68,9 @@ class FunctionOracle(_Record):
     as a bitmask, from p that keep the change table: every point
     p + s * chi_X, 0 <= s < t, has the table of p; None when every raise
     keeps it.  An oracle that declares it must be convex along each such
-    line, as an L♮-convex g is; ``minimize`` reads it on the table route
-    only, for the union X of a period's sets at each phase's price, and
-    does not read the table inside a period run: the bound alone certifies
-    the sets and value reads on the phase lines the values, so a bound that
-    is too long goes unseen while the run's values fit the lines.  Two
-    oracles are equal only when they are one object.
+    line, as an L♮-convex g is; ``minimize`` reads no table inside a period
+    run, so a bound that is too long goes unseen while the run's values fit
+    its lines.  Two oracles are equal only when they are one object.
     """
 
     __slots__ = _fields = ("n", "fn", "box", "value_floor", "grid", "terms", "items",
@@ -117,31 +111,62 @@ class StrategyKind(enum.Enum):
 
 class Step(NamedTuple("Step", [("p_before", PriceVector), ("chosen_mask", int),
                                 ("g_before", int), ("g_after", int)])):
-    """One descent iteration: the chosen set's bitmask and the values before
-    and after raising it.  The drop g_before - g_after is the set's
+    """One descent step: the chosen set's bitmask and the values before and
+    after raising it.  The drop g_before - g_after is the set's
     deficiency when g is a Lyapunov function.  A step must raise a nonempty
     set and lower the value (None, outside the domain, does not)."""
 
     __slots__ = ()
 
     def __new__(cls, p_before: PriceVector, chosen_mask: int, g_before: int, g_after: int):
-        if not chosen_mask:
-            raise ContractError("descent step chose the empty set")
-        if g_after is None or g_after >= g_before:
-            raise ContractError("descent step failed to decrease the objective")
+        _check_step(chosen_mask, g_before, g_after)
         return super().__new__(cls, p_before, chosen_mask, g_before, g_after)
 
 
-class Trajectory(NamedTuple):
-    """Ordered record of a full descent run; its length is its number of
-    steps."""
+def _check_step(mask: int, g_before: int, g_after: int | None) -> None:
+    if not mask:
+        raise ContractError("descent step chose the empty set")
+    if g_after is None or g_after >= g_before:
+        raise ContractError("descent step failed to decrease the objective")
 
-    start: PriceVector
-    steps: tuple[Step, ...]
-    p_final: PriceVector
+
+class Trajectory(_Record):
+    """Ordered record of a full descent; its length is its step count.
+
+    ``runs`` holds one (p_before, g_before, phases, T) per iteration: from
+    p_before, of value g_before, T periods of the k ``phases``, (mask,
+    change) pairs, raised in turn.  ``steps`` builds one ``Step`` per raise
+    on each read; one built from steps holds a run per step."""
+
+    __slots__ = ("start", "runs", "p_final", "_count")
+    _fields = ("start", "steps", "p_final")
+
+    def __init__(self, start: PriceVector, steps: Sequence[Step], p_final: PriceVector):
+        runs = tuple((step.p_before, step.g_before,
+                      ((step.chosen_mask, step.g_after - step.g_before),), 1) for step in steps)
+        self._assign(start, runs, p_final, len(runs))
+
+    @classmethod
+    def _of_runs(cls, start: PriceVector, runs: tuple, count: int, p_final: PriceVector):
+        self = cls.__new__(cls)
+        self._assign(start, runs, p_final, count)
+        return self
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        return tuple(_expand(self.runs))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._count
+
+
+def _expand(runs: Sequence[tuple]) -> Iterator[Step]:
+    """The steps of ``runs``, in order, one ``Step`` per raise."""
+    for p, g, phases, periods in runs:
+        for _ in range(periods):
+            for mask, change in phases:
+                yield Step(p, mask, g, g + change)
+                p, g = chi_add(p, mask), g + change
 
 
 class LnatCounterexample(NamedTuple):
@@ -280,9 +305,9 @@ def minimal_descent_set(vals: list[int | None]) -> int | None:
 def _masks_by_size(size: int) -> tuple[int, ...]:
     """The masks 1..size-1 by cardinality, then lexicographically by their
     members, as ``combinations`` lists them; kept for the latest size."""
-    n = size.bit_length() - 1
-    return tuple(sum(1 << i for i in combo)
-                 for k in range(1, n + 1) for combo in combinations(range(n), k))
+    bits = [1 << i for i in range(size.bit_length() - 1)]
+    return tuple(chain.from_iterable(map(sum, combinations(bits, k))
+                                     for k in range(1, len(bits) + 1)))
 
 
 def minimal_minimizer_step(vals: list[int | None]) -> int:
@@ -318,11 +343,8 @@ def first_gp_minimal(vals: list[int | None], seed: int) -> int | None:
     choice; it is built once per (seed, table size) and reused while those
     stay the same.  The walk stops at the first hit; it rejects a set whose
     entry is not below entry 0, or else at the first of its proper submasks,
-    walked downward, with an entry at or below its own.  It keeps nothing
-    and reads at most 2^|X| - 1 entries for a set X, up to 3^n per call,
-    where least-over-subsets values shared between sets would bound it by
-    about n * 2^n; on descent tables most sets are rejected early, and the
-    walk is the faster.
+    walked downward, with an entry at or below its own: up to 3^n reads
+    per call, but on descent tables most sets are rejected early.
     ``oracle.gp_minimal_table`` flags every set at once and is its twin.
     Returns None when no raise descends.
     """
@@ -379,29 +401,26 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     The caller must start at or below the minimal minimizer; this is not
     checkable here and is validated externally against brute force.  Each
     iteration reads one change table, ``neighborhood(p)``, which the
-    termination test reads up to its first negative entry (scanning past
-    None entries only when it meets one) and, while something descends, the
+    termination test reads up to its first negative entry (past None
+    entries only when it meets one) and, while something descends, the
     strategy.  ``g`` certifies the table: the change for the empty set must
     be 0, each step's g(p + chi_X) - g(p) must equal its entry, and a stop
     is confirmed by one read of g's own corner changes (``_corner_changes``);
     a mismatch raises ConvexityError.
 
     A separable g, one that declares ``terms``, is read per item by every
-    rule but the seeded one, whose order spans all item sets: each
-    iteration reads the n changes ``g.items(p)``, and the table they
-    define, entry X the sum of X's changes, is never built.  On it the
+    rule but the seeded one: each iteration reads the n changes
+    ``g.items(p)``, and the table they define is never built.  On it the
     steepest rule's set is D, the items whose change is negative, and the
     minimal descent set is D's lowest item.  Each step is certified as
     above, a stop by the n changes read from ``terms``, and ``neighborhood``
     serves the seeded rule alone.
 
-    Every iteration raises through ``_take_periods``; one step is one
-    phase taken once.  An oracle that declares ``runs`` has period runs
-    taken on the table route: a cycle of k <= n disjoint sets that the
-    latest steps raised, found by ``_period`` in the trajectory, is raised
-    for whole periods.  The ``runs`` bounds certify that each phase's rule
-    would pick its set again, and g's values at both ends of each phase's
-    line certify the values.
+    On the table route, an oracle that declares ``runs`` has each cycle of
+    k <= n disjoint sets that the latest steps raised (``_period``) taken
+    for whole periods: the bounds certify that each phase's rule would pick
+    its set again, and g's values at both ends of each phase's line the
+    values.
 
     More than ``MAX_ITEMS`` items raise BudgetExceededError on the table
     route.  The oracle must declare a ``value_floor``: every step lowers
@@ -409,9 +428,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     value_floor + 1 steps raises IterationCapError.  A ``budget`` caps the
     steps too, for values too large to wait for: a descent still descending
     after ``budget`` steps, below that cap, raises BudgetExceededError.
-    Returns the final point and the full trajectory, one Step per raise
-    holding the chosen rule's mask as it came; a rule that finds no set, or
-    a non-descent one, fails the Step's contract.
+    Returns the final point and the trajectory, one run per iteration; a
+    rule that finds no set, or a non-descent one, fails a Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -431,7 +449,9 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     size = g.n if per_item else 1 << g.n
     route = "item changes disagree" if per_item else "neighborhood table disagrees"
     runs = None if per_item else g.runs
-    steps: list[Step] = []
+    trail: list[tuple] = []
+    count = 0
+    single = {}  # one shared (phases, T) per (mask, change) stepped alone
     while True:
         if per_item:
             deltas = g.items(p)
@@ -451,8 +471,8 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
             if _corner_changes(g, p, base, 1, per_item) != list(deltas):
                 raise ConvexityError(f"{route} with the oracle at the stop")
             break
-        if len(steps) >= most:
-            if len(steps) >= cap:
+        if count >= most:
+            if count >= cap:
                 raise IterationCapError(f"no minimizer reached within {cap} iterations")
             raise BudgetExceededError(
                 f"descent exceeded budget {budget}: no minimizer within "
@@ -469,75 +489,95 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = first_gp_minimal(deltas, seed)
             mask = mask or 0  # nothing found: its Step refuses the empty set
             change = deltas[mask]
-        found = None if runs is None else _period(runs, steps, mask, change, p, g.n,
-                                                  most - len(steps))
-        phases, periods = found or ([(mask, change)], 1)
-        p, base = _take_periods(g, steps, phases, periods, p, base, route)
-    trajectory = Trajectory(start=tuple(p0), steps=tuple(steps), p_final=p)
-    return p, trajectory
+        found = None if runs is None else _period(runs, trail, mask, change, p, g.n,
+                                                  most - count)
+        if found is None:
+            found = single.get((mask, change))
+            if found is None:
+                found = single[mask, change] = ((mask, change),), 1
+        phases, periods = found
+        p, base = _take_periods(g, trail, phases, periods, p, base, route)
+        count += periods * len(phases)
+    return p, Trajectory._of_runs(tuple(p0), tuple(trail), count, p)
 
 
-def _period(runs: Callable[[PriceVector, int], int | None], steps: list[Step], mask: int,
+def _period(runs: Callable[[PriceVector, int], int | None], trail: list[tuple], mask: int,
             change: int | None, p: PriceVector, n: int,
-            most: int) -> tuple[list[tuple[int, int | None]], int] | None:
+            most: int) -> tuple[tuple[tuple[int, int | None], ...], int] | None:
     """The period run ``minimize`` takes at p, where the rule picked
     ``mask``, of table entry ``change``: k (mask, change) phases and T.
 
-    The period is the latest k <= n steps, back to the latest that raised
-    ``mask``; if their masks are pairwise disjoint, with union Y, p is its
-    price plus chi_Y.  The first phase is (``mask``, ``change``), each
-    later one its step's (mask, g_after - g_before).  Phase l keeps its
-    table, and so its set, at its last price p_l plus s * chi_Y for s <=
-    ``runs(p_l, Y) - 1``, and the first phase for s < ``runs(p, Y)``, read
-    at p first, while the oracle's state for p is current.  T is the least
-    bound, cut to the whole periods in ``most`` steps; below 2, None."""
-    for k in range(1, min(n, len(steps)) + 1):
-        if steps[-k].chosen_mask == mask:
+    The period is the latest k <= n steps of the runs in ``trail``, back
+    to the latest that raised ``mask``, if their masks are disjoint, with
+    union Y.  Its first phase is (``mask``, ``change``), each later one its
+    step's.  Phase l keeps its table at its last price p_l, p less chi of
+    the sets of phases l and on, plus s * chi_Y for s <= ``runs(p_l, Y) -
+    1``, the first for s < ``runs(p, Y)``, read first, while the oracle's
+    state for p is current.  T is the least bound, cut to the whole periods
+    in ``most`` steps; below 2, None."""
+    later = []  # the later phases, latest first
+    since = []  # for each, the union of its set and the later ones
+    union = 0
+    for step in islice(_latest(trail), n):
+        if step[0] == mask:
             break
+        if step[0] & (union | mask):
+            return None
+        union |= step[0]
+        later.append(step)
+        since.append(union)
     else:
         return None
-    last = steps[-k:]
-    union = 0
-    for step in last:
-        if step.chosen_mask & union:
-            return None
-        union |= step.chosen_mask
-    periods = most // k
-    for later, step in enumerate(last):
+    union |= mask
+    periods = most // (len(later) + 1)
+    for drop in (0, *reversed(since)):
         if periods < 2:
             return None
-        bound = runs(step.p_before if later else p, union)
+        bound = runs(chi_add(p, drop, -1) if drop else p, union)
         if bound is not None:
-            periods = min(periods, bound - (later > 0))
+            periods = min(periods, bound - (drop > 0))
     if periods < 2:
         return None
-    return [(mask, change)] + [(step.chosen_mask, step.g_after - step.g_before)
-                               for step in last[1:]], periods
+    return ((mask, change), *reversed(later)), periods
 
 
-def _take_periods(g: FunctionOracle, steps: list[Step], phases: list[tuple[int, int | None]],
-                  periods: int, p: PriceVector, base: int, route: str) -> tuple[PriceVector, int]:
-    """Append T = ``periods`` periods of ``phases``, (mask, change) pairs,
-    from p, where g(p) is ``base``, to ``steps``; return the final price
-    and its value.
+def _latest(trail: list[tuple]) -> Iterator[tuple[int, int | None]]:
+    """The (mask, change) of each step of ``trail``, latest first."""
+    for _, _, phases, periods in reversed(trail):
+        for _ in range(periods):
+            yield from reversed(phases)
 
-    The ends of period s's steps lie on the phase lines e_l + s * chi_Y
-    through the last period's step ends e_l, along which g is convex (for
-    the Lyapunov function each bidder's term is a max of functions affine
-    in s, and the revenue term is affine).  g is read at the ends of the
-    first period's steps, then, for T >= 2, of the last's, in trajectory
-    order, and each must be its step's value g(e_l) + s * C, for C the
-    phase's change: then every change along each line is C, and every
-    step's values hold."""
-    for s in range(1, periods + 1):
-        for mask, change in phases:
-            value = None if change is None else base + change
-            steps.append(Step(p, mask, base, value))
-            p, base = chi_add(p, mask), value
-            if (s == 1 or s == periods) and g.fn(p) != value:
-                where = "a step" if s == 1 else "a run's end"
-                raise ConvexityError(f"{route} with the oracle at {where}")
-    return p, base
+
+def _take_periods(g: FunctionOracle, trail: list[tuple],
+                  phases: tuple[tuple[int, int | None], ...], periods: int, p: PriceVector,
+                  base: int, route: str) -> tuple[PriceVector, int]:
+    """Append the run of T = ``periods`` periods of ``phases``, (mask,
+    change) pairs, from p, where g(p) is ``base``, to ``trail``; return
+    the final price and its value.
+
+    Each phase must be a valid ``Step``.  Period s's step ends lie on the
+    lines e_l + (s - 1) * chi_Y through the first period's step ends e_l,
+    along which g is convex (for the Lyapunov function, a sum of maxes of
+    affine terms).  g is read at each e_l, then, for T >= 2, at e_l + (T -
+    1) * chi_Y, each read must be its step's value, g(e_l) + (s - 1) * C
+    for C the period's change, and then every step's values hold."""
+    start, value = p, base
+    ends = []
+    for mask, change in phases:
+        _check_step(mask, base, None if change is None else base + change)
+        p, base = chi_add(p, mask), base + change
+        if g.fn(p) != base:
+            raise ConvexityError(f"{route} with the oracle at a step")
+        ends.append((p, base))
+    trail.append((start, value, phases, periods))
+    if periods == 1:
+        return p, base
+    union = sum(mask for mask, _ in phases)
+    total = base - value
+    for end, at in ends:
+        if g.fn(chi_add(end, union, periods - 1)) != at + (periods - 1) * total:
+            raise ConvexityError(f"{route} with the oracle at a run's end")
+    return chi_add(start, union, periods), base + (periods - 1) * total
 
 
 def _corner_changes(g: FunctionOracle, p: PriceVector, base: int, s: int,

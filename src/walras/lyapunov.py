@@ -4,49 +4,37 @@ The Lyapunov value of a price vector is the bidders' total indirect utility
 plus the revenue term, L(p) = sum_b max_x (v_b(x) - p.x) + p.u; its
 minimizers are exactly the equilibrium prices.  The unit model is the case
 where every bidder is unit-demand and u = 1, so one formula serves both
-models: the oracle reads the bidders by the groups ``DemandCache`` sorted
-them into and tests no model or family itself.  Separable bidders are read
-per item, not per bidder: their total indirect utility is a sum over items
-of one-variable functions of the item's price, each read from the item's
-sorted column of marginals (``DemandCache.item_utility``).  The unit-demand
-and table bidders' best payoffs come from the one record per price the
-cache keeps (``DemandCache.scan``), a unit-demand bidder's over the options
-0..n with option 0 buying nothing, a table bidder's over its candidate
-bundles, those that no one-unit drop or add beats, which the cache's
-candidate index reads without a scan of the whole box; the next change
-table's demand key at that price reads the same record.
+models, read by the bidder groups of ``DemandCache``.  Separable bidders
+are read per item, from each item's sorted column of marginals
+(``DemandCache.item_utility``); unit-demand and table bidders' best payoffs
+from the one record per price the cache keeps (``DemandCache.scan``), over
+the options 0..n (0 buys nothing) or a table's candidate bundles, which the
+next change table's demand key reads too.
 The descent reads its one-step changes from the demand side, minus the
 deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
-Lyapunov values certify each chosen step and the final stop.  That table
-depends on the price only through the bidders' demand state, which an
-ascending run keeps returning to, so the oracle builds it once per
+Lyapunov values certify each step and the stop.  That table depends on the
+price only through the demand state, so the oracle builds it once per
 ``DemandCache.demand_key`` and keeps it; on a market with unit-demand
 bidders and no table bidders it also bounds how many raises of one set keep
-that key (``DemandCache.run_length``), so the descent can take a whole run
-of such raises, or of a repeating cycle of disjoint sets, at once.
-Deficiencies come from minimum takes, never from Lyapunov values, so the
-identity ``L(p + chi_X) - L(p) == -deficiency_mask(X, p)`` cross-validates
-the two routes instead of holding by construction.  In a market of separable
-bidders alone L is a sum of one-variable functions, one per item, and the
-oracle's adapter declares it: every rule but the seeded one then reads the
-n per-item changes, minus ``DemandCache.item_takes``, and the certificates
-read the per-item terms, never a 2^n table.
+that key (``DemandCache.run_length``), so the descent can take a run of
+raises, or of a cycle of disjoint sets, at once.  Deficiencies come from
+minimum takes, never from Lyapunov values, so ``L(p + chi_X) - L(p) ==
+-deficiency_mask(X, p)`` cross-validates the two routes.  In a market of
+separable bidders alone L is a sum of one-variable functions, and every rule
+but the seeded one reads the n per-item changes (``DemandCache.item_takes``).
 
-Values over a whole price grid, the product of one price list per item,
-come from ``LyapunovOracle.grid_values`` in whole-list passes: the revenue
-term and the separable bidders as an outer sum of per-item columns, and each
-table bidder as its discrete Legendre-Fenchel conjugate taken one coordinate
-at a time (``DemandCache.utility_grid``).  A unit-demand bidder is read
-through its floor and lifted items (``LyapunovOracle._grid``): still a max
-over its options, pruned by a lower bound, reading no demand set.  The two
-certificate scans, of L(p + chi_X) at the stop and of
-L(p - chi_X) for minimality, read the grid on the axes (p_j, p_j +- 1)
-through ``lnat.neighborhood_values``, so they still check the change table
-against values, and ``walras verify``'s L♮ check reads its whole box in one
-call.  The oracle keeps its latest two grids by their axes: runs that share
-it and stop at one price, as ``walras compare``'s do, build the two
-certificate grids there once.  Kept grids hold values only, never change
-tables, so each run still checks its own table against them.
+Values over a price grid come from ``LyapunovOracle.grid_values`` in
+whole-list passes: the revenue term and the separable bidders as an outer
+sum of per-item columns, each table bidder as its discrete Legendre-Fenchel
+conjugate taken one coordinate at a time (``DemandCache.utility_grid``), a
+unit-demand bidder through its floor and lifted items
+(``LyapunovOracle._grid``).  The two certificate scans, of L(p + chi_X) at
+the stop and of L(p - chi_X) for minimality, read the grid on the axes
+(p_j, p_j +- 1) through ``lnat.neighborhood_values``, and ``walras
+verify``'s L♮ check its whole box in one call.  The oracle keeps its latest
+two grids by their axes, so runs that share it and stop at one price, as
+``walras compare``'s do, build the certificate grids once; kept grids hold
+values only, so each run still checks its own table against them.
 """
 
 from __future__ import annotations
@@ -248,14 +236,12 @@ class LyapunovOracle:
         sum of its per-item terms, and the adapter declares them: ``terms``
         reads them as ``value`` does, and ``items`` reads the per-item
         changes from the demand side.  When some bidder is unit-demand and
-        none is a table, it declares ``runs``, ``DemandCache.run_length``:
-        the change table is a function of the demand key, and the cache
-        bounds how many raises of a set keep the key in closed form from
-        its record at the price read and the separable columns: at the
-        step's price the record its key read kept, at a period's earlier
-        phase prices a new scan.  Table bidders have no such bound here,
-        so a table market steps one raise at a time; a market of separable
-        bidders alone takes the per-item route, which has no runs.
+        none is a table, it declares ``runs``, ``DemandCache.run_length``,
+        which bounds how many raises of a set keep the demand key, and so
+        the change table, in closed form: from the record its key read at
+        the step's price, from a new scan at a period's earlier phase
+        prices.  Table bidders have no such bound here, so a table market
+        steps one raise at a time.
         """
         def fn(q: PriceVector) -> int | None:
             if any(c < 0 for c in q):

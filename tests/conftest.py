@@ -9,8 +9,8 @@ from operator import mul
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from walras import (Instance, Valuation, evaluate, max_total_value,
-                    neighborhood_values)
+from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation, evaluate,
+                    max_total_value, neighborhood_values)
 from walras.instance import SEPARABLE_CONCAVE, UNIT_DEMAND, iter_box
 
 settings.register_profile(
@@ -266,3 +266,44 @@ class CountingList(list):
             return CountingList(super().__getitem__(key), self.counter)
         self.counter[0] += 1
         return super().__getitem__(key)
+
+
+@st.composite
+def run_markets(draw) -> Instance:
+    """Unit markets, and multi markets of one unit per item mixing
+    unit-demand and separable bidders, with values up to 10^3: the markets
+    whose oracles declare ``runs``."""
+    n = draw(st.integers(1, 3))
+    worths = st.lists(st.integers(0, 1000), min_size=n, max_size=n)
+    unit = worths.map(Valuation.unit_demand)
+    if draw(st.booleans()):
+        vals = draw(st.lists(unit, min_size=1, max_size=5))
+        return Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(vals))
+    separable = worths.map(lambda row: Valuation.separable([[w] for w in row]))
+    vals = draw(st.lists(st.one_of(unit, separable), min_size=1, max_size=5)
+                .filter(lambda vs: any(v.family == "unit_demand" for v in vs)))
+    return Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(vals))
+
+
+_adapter = LyapunovOracle.function_oracle
+
+
+def one_step_adapter(self):
+    """The Lyapunov adapter rebuilt without ``runs``, as the benchmark's
+    tracer rebuilds it: the descent then steps one raise at a time."""
+    g = _adapter(self)
+    return FunctionOracle(n=g.n, fn=g.fn, box=g.box, value_floor=g.value_floor,
+                          grid=g.grid, terms=g.terms, items=g.items)
+
+
+def probe_market() -> Instance:
+    """The probe market of long descents: 12 unit-demand bidders on 9
+    items, worths ``randint(0, 10**5)`` from ``random.Random(1)``.  Its
+    descents take 94,848 steps under ``steepest``, 282,818 under
+    ``minimal-overdemanded`` and 180,724 under ``excess-random``, seed 0."""
+    rng = random.Random(1)
+    return Instance(model="unit", n=9, u=(1,) * 9, valuations=tuple(
+        Valuation.unit_demand([rng.randint(0, 10**5) for _ in range(9)]) for _ in range(12)))
+
+
+PROBE_P_MIN = (85405, 91658, 84186, 71467, 81483, 82490, 94848, 66108, 86324)

@@ -56,6 +56,9 @@ RUN_TWIN = "tests/test_auction.py::TestRunRoute::test_runs_give_the_one_step_ans
 PERIOD_KEYS = "tests/test_auction.py::TestRunRoute::test_phase_lines_keep_their_demand_keys"
 PERIOD_READS = ("tests/test_auction.py::TestRunRoute::"
                 "test_period_runs_read_every_phase_line_at_both_ends")
+LONG_RUNS = ("tests/test_auction.py::TestLongRuns::"
+             "test_a_finished_run_holds_its_runs_not_its_steps")
+RUN_ROWS = "tests/test_cli.py::TestRunRows::test_runs_render_as_their_steps"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
@@ -196,33 +199,53 @@ MUTANTS = (
            "bounds.append(a_in - a_out + 1)",
            (RUN_KEYS + "test_keys_hold_along_a_run", RUN_TWIN, ADDED_BIDDER)),
     Mutant("run-end-t-minus-one", "lnat.py",
-           "if (s == 1 or s == periods) and",
-           "if (s == 1 or s == periods - 1) and",
+           "if g.fn(chi_add(end, union, periods - 1)) != at + (periods - 1) * total:",
+           "if g.fn(chi_add(end, union, periods - 2)) != at + (periods - 2) * total:",
+           (PERIOD_READS,)),
+    Mutant("run-end-read-on-the-first-line-only", "lnat.py",
+           "for end, at in ends:",
+           "for end, at in ends[:1]:",
            (PERIOD_READS,)),
     Mutant("period-bound-without-minus-one", "lnat.py",
-           "periods = min(periods, bound - (later > 0))",
+           "periods = min(periods, bound - (drop > 0))",
            "periods = min(periods, bound)",
            (PERIOD_KEYS, RUN_TWIN)),
     Mutant("period-masks-not-disjoint", "lnat.py",
-           "        if step.chosen_mask & union:\n            return None\n",
+           "        if step[0] & (union | mask):\n            return None\n",
            "",
            (RUN_TWIN, PERIOD_KEYS)),
     Mutant("period-line-first-read-skipped", "lnat.py",
-           "if (s == 1 or s == periods) and",
-           "if (s == 1 and (mask != phases[0][0] or periods == 1) or s == periods) and",
+           "if g.fn(p) != base:",
+           "if (mask != phases[0][0] or periods == 1) and g.fn(p) != base:",
            (PERIOD_READS,)),
     Mutant("period-change-from-first-phase", "lnat.py",
-           "(step.chosen_mask, step.g_after - step.g_before)",
-           "(step.chosen_mask, step.g_after - steps[-k].g_before)",
+           "*reversed(later)), periods",
+           "*((m, c + step[1]) for m, c in reversed(later))), periods",
            (RUN_TWIN,)),
     Mutant("period-first-change-from-last-period", "lnat.py",
-           "return [(mask, change)] +",
-           "return [(mask, last[0].g_after - last[0].g_before)] +",
+           "return ((mask, change),",
+           "return ((mask, step[1]),",
            (RUN_TWIN,)),
+    Mutant("period-later-price-without-offset", "lnat.py",
+           "        for _ in range(periods):\n            for mask, change in phases:\n",
+           "        for p in repeat(p, periods):\n            for mask, change in phases:\n",
+           (RUN_TWIN, RUN_ROWS)),
+    Mutant("period-later-bound-read-at-p", "lnat.py",
+           "bound = runs(chi_add(p, drop, -1) if drop else p, union)",
+           "bound = runs(p, union)",
+           (PERIOD_KEYS, RUN_TWIN)),
     Mutant("one-step-end-read-skipped", "lnat.py",
-           "if (s == 1 or s == periods) and",
-           "if periods > 1 and (s == 1 or s == periods) and",
+           "if g.fn(p) != base:",
+           "if periods > 1 and g.fn(p) != base:",
            STEP_READS),
+    Mutant("trajectory-len-counts-iterations", "lnat.py",
+           "        return self._count\n",
+           "        return len(self.runs)\n",
+           (LONG_RUNS, RUN_ROWS)),
+    Mutant("row-template-holds-a-y-price", "cli.py",
+           "        union = sum(mask for mask, _ in phases)\n",
+           "        union = sum(mask for mask, _ in phases)\n        union &= union - 1\n",
+           (RUN_ROWS,)),
     Mutant("corner-mask-unshifted", "lnat.py",
            "mask = 1 << i if per_item else i",
            "mask = i",

@@ -10,8 +10,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (Drawn, breaks_local_exchange, complements_table_market, random_multi_instance,
-                      random_separable_valuation, random_unit_instance, tabulate)
+from conftest import (PROBE_P_MIN, Drawn, breaks_local_exchange, complements_table_market,
+                      one_step_adapter, probe_market, random_multi_instance,
+                      random_separable_valuation, random_unit_instance, run_markets, tabulate)
 from walras import (DEFAULT_BUDGET, BudgetExceededError, FunctionOracle, Instance,
                     LyapunovOracle, MultiAllocation, StrategyKind, UnitAllocation,
                     Valuation, allocation_certifies, ascending_auction,
@@ -716,34 +717,6 @@ class TestSeparableRoute:
             assert len(res.trajectory) > 0 and not ly._tables and not asked
 
 
-@st.composite
-def run_markets(draw) -> Instance:
-    """Unit markets, and multi markets of one unit per item mixing
-    unit-demand and separable bidders, with values up to 10^3: the markets
-    whose oracles declare ``runs``."""
-    n = draw(st.integers(1, 3))
-    worths = st.lists(st.integers(0, 1000), min_size=n, max_size=n)
-    unit = worths.map(Valuation.unit_demand)
-    if draw(st.booleans()):
-        vals = draw(st.lists(unit, min_size=1, max_size=5))
-        return Instance(model="unit", n=n, u=(1,) * n, valuations=tuple(vals))
-    separable = worths.map(lambda row: Valuation.separable([[w] for w in row]))
-    vals = draw(st.lists(st.one_of(unit, separable), min_size=1, max_size=5)
-                .filter(lambda vs: any(v.family == "unit_demand" for v in vs)))
-    return Instance(model="multi", n=n, u=(1,) * n, valuations=tuple(vals))
-
-
-_adapter = LyapunovOracle.function_oracle
-
-
-def _one_step_adapter(self):
-    """The Lyapunov adapter rebuilt without ``runs``, as the benchmark's
-    tracer rebuilds it: the descent then steps one raise at a time."""
-    g = _adapter(self)
-    return FunctionOracle(n=g.n, fn=g.fn, box=g.box, value_floor=g.value_floor,
-                          grid=g.grid, terms=g.terms, items=g.items)
-
-
 def _run_answer(inst, kind, p0, seed, budget):
     """The run's final price and whole trajectory, or the type and text of
     the WalrasError it raised."""
@@ -774,18 +747,21 @@ OVERLAP_CYCLE = Instance(model="unit", n=4, u=(1,) * 4, valuations=tuple(map(_un
 def _record_periods(mp, taken):
     """Wrap ``lnat._period`` so that each period run the descent takes is
     appended to ``taken`` as (p, the last period's phase prices, their
-    masks, Y, T), read from the trajectory.  Each run's phases must be the
-    iteration's (mask, change), then the later steps' changes."""
+    masks, Y, T), read from the steps of the trajectory's runs.  Each
+    run's phases must be the iteration's (mask, change), then the later
+    steps' changes."""
     period = lnat._period
 
-    def recorded(runs, steps, mask, change, p, n, most):
-        found = period(runs, steps, mask, change, p, n, most)
+    def recorded(runs, trail, mask, change, p, n, most):
+        found = period(runs, trail, mask, change, p, n, most)
         if found is not None:
             phases, periods = found
             k = len(phases)
-            assert phases == [(mask, change)] + [
+            # The latest k steps lie in the latest k runs.
+            steps = list(lnat._expand(trail[-k:]))
+            assert phases == ((mask, change),) + tuple(
                 (step.chosen_mask, step.g_after - step.g_before)
-                for step in steps[len(steps) - k + 1:]]
+                for step in steps[len(steps) - k + 1:])
             masks = [step.chosen_mask for step in steps[-k:]]
             union = 0
             for m in masks:
@@ -835,7 +811,7 @@ class TestRunRoute:
                 _record_periods(mp, taken)
                 declared = _run_answer(inst, kind, p0, seed, budget)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(LyapunovOracle, "function_oracle", _one_step_adapter)
+                mp.setattr(LyapunovOracle, "function_oracle", one_step_adapter)
                 assert LyapunovOracle(inst).function_oracle().runs is None
                 assert _run_answer(inst, kind, p0, seed, budget) == declared
 
@@ -924,6 +900,41 @@ class TestRunRoute:
             declared[name] = LyapunovOracle(inst).function_oracle().runs is not None
         assert declared == {"unit": True, "mixed": True, "separable": False,
                             "tables": False, "empty": False}
+
+
+class TestLongRuns:
+    def test_a_finished_run_holds_its_runs_not_its_steps(self, monkeypatch):
+        """On the probe market of long descents, ``steepest`` (94,848 steps
+        in 32 iterations) and ``minimal-overdemanded`` (282,818 in 76)
+        build no ``Step``, and a finished run holds under 1 MB by
+        tracemalloc, a constant and at most 1 KB per run; reading
+        ``steps`` builds one ``Step`` per step."""
+        built = []
+        step = lnat.Step
+
+        def counted(*fields):
+            built.append(fields)
+            return step(*fields)
+
+        monkeypatch.setattr(lnat, "Step", counted)
+        inst = probe_market()
+        for kind, steps, iterations in ((StrategyKind.STEEPEST_MINIMAL, 94_848, 32),
+                                        (StrategyKind.MINIMAL_DESCENT, 282_818, 76)):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = ascending_auction(inst, kind)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            runs = res.trajectory.runs
+            assert res.p_min == PROBE_P_MIN
+            assert (len(res.trajectory), len(runs)) == (steps, iterations)
+            assert not built
+            assert held < min(1 << 20, 200_000 + 1_000 * len(runs)), held
+        res = ascending_auction(UNIT_CYCLE, StrategyKind.MINIMAL_DESCENT)
+        assert len(res.trajectory.runs) < len(res.trajectory) and not built
+        assert len(res.trajectory.steps) == len(built) == len(res.trajectory)
 
 
 class TestDescentWork:

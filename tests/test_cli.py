@@ -14,18 +14,20 @@ from hashlib import sha256
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import (EX21_JSON, breaks_local_exchange, breaks_midpoint,
-                      column_markets, complements_table_market, random_multi_instance,
-                      random_separable_valuation, random_unit_instance, tabulate)
+from conftest import (EX21_JSON, PROBE_P_MIN, breaks_local_exchange, breaks_midpoint,
+                      column_markets, complements_table_market, one_step_adapter, probe_market,
+                      random_multi_instance, random_separable_valuation, random_unit_instance,
+                      run_markets, tabulate)
 import walras.cli
 from walras import (FunctionOracle, Instance, LyapunovOracle, Valuation,
-                    brute_force_min_equilibrium, deficiency, max_total_value,
-                    parse_instance, separable_p_min, serialize_instance,
+                    ascending_auction, brute_force_min_equilibrium, deficiency,
+                    max_total_value, parse_instance, separable_p_min, serialize_instance,
                     verify_equilibrium)
 from walras.auction import UnitAllocation
-from walras.cli import _ROW_KEYS, STRATEGY_FLAGS, _row_json, run_command
+from walras.cli import _ROW_KEYS, STRATEGY_FLAGS, _allocation_json, _row_template, run_command
+from walras.itemsets import items_from_mask
 from walras.lnat import midpoint_charge
 
 COMPLEMENTS_JSON = (
@@ -58,6 +60,111 @@ def complements_path(tmp_path):
     path = tmp_path / "bad_complements.json"
     path.write_text(COMPLEMENTS_JSON)
     return str(path)
+
+
+def _row_json(row: tuple) -> str:
+    """One step's JSON row from its columns in ``_ROW_KEYS`` order, by the
+    template of its two list lengths."""
+    iteration, prices, chosen, *rest = row
+    return _row_template(len(prices), len(chosen)) % (iteration, *prices, *chosen, *rest)
+
+
+def _step_rows(instance: Instance, trajectory):
+    """Each step's columns in ``_ROW_KEYS`` order, one ``Step`` at a time:
+    the per-step twin of ``solve``'s rows, which it formats from runs."""
+    for k, step in enumerate(trajectory.steps, 1):
+        chosen = sorted(items_from_mask(step.chosen_mask))
+        supply = sum(instance.u[i - 1] for i in chosen)
+        deficiency = step.g_before - step.g_after
+        yield (k, step.p_before, chosen, step.chosen_mask, step.g_before, step.g_after,
+               deficiency, deficiency + supply, supply)
+
+
+def _per_step_json(instance: Instance, flag: str, seed: int, result) -> str:
+    """``solve``'s JSON text, its rows rendered step by step."""
+    rows = [_row_json(row) for row in _step_rows(instance, result.trajectory)]
+    doc = {"model": instance.model, "strategy": flag, "seed": seed,
+           "start": [0] * instance.n, "p_final": list(result.p_min),
+           "iterations": len(rows), "trajectory": [],
+           "allocation": _allocation_json(result.allocation),
+           "allocation_error": result.allocation_error}
+    head, _, tail = json.dumps(doc, indent=2).partition('"trajectory": []')
+    body = "\n" + ",\n".join(rows) + "\n  " if rows else ""
+    return head + '"trajectory": [' + body + "]" + tail + "\n"
+
+
+def _per_step_csv(instance: Instance, result) -> str:
+    """``solve``'s CSV text, its lines rendered step by step."""
+    header = ["iteration"] + [f"p{i}" for i in range(1, instance.n + 1)]
+    lines = [",".join(header + ["chosen_mask", "chosen_items", "lyapunov", "deficiency"])]
+    lines += [",".join(map(str, [k, *prices, mask, ";".join(map(str, chosen)), g_before,
+                                 deficiency]))
+              for k, prices, chosen, mask, g_before, _, deficiency, *_ in
+              _step_rows(instance, result.trajectory)]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def rendered_markets(draw) -> Instance:
+    """The unit and mixed markets of ``run_markets``, whose descents take
+    period runs, and separable multi markets or their tabulated twins,
+    whose descents step one raise at a time."""
+    if draw(st.booleans()):
+        return draw(run_markets())
+    n = draw(st.integers(1, 3))
+    u = tuple(draw(st.lists(st.integers(1, 2), min_size=n, max_size=n)))
+    rows = st.tuples(*(st.lists(st.integers(0, 30), min_size=c, max_size=c)
+                       .map(lambda r: sorted(r, reverse=True)) for c in u))
+    vals = draw(st.lists(rows.map(Valuation.separable), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        vals = list(map(tabulate, vals))
+    return Instance(model="multi", n=n, u=u, valuations=tuple(vals))
+
+
+#: A market whose ``minimal-overdemanded`` descent takes 1,160 steps, most
+#: of them in period runs of two and three sets.
+CYCLING_MARKET = Instance(model="unit", n=3, u=(1, 1, 1), valuations=tuple(map(
+    Valuation.unit_demand, ([1200, 1000, 1120], [1160, 1040, 960], [1240, 800, 1080],
+                            [600, 1200, 880]))))
+
+
+class TestRunRows:
+    def test_runs_render_as_their_steps(self, tmp_path):
+        """On unit, mixed unit + separable, separable and table markets, a
+        run-backed trajectory has the steps, length and final price of the
+        one-step route's, read from the same oracle with ``runs`` dropped,
+        and ``solve`` prints the JSON and CSV bytes of the per-step
+        renderer.  Period runs of two or more periods must be rendered."""
+        path = tmp_path / "market.json"
+        longest = []
+
+        @settings(max_examples=120, deadline=None)
+        @given(rendered_markets(), st.sampled_from(sorted(STRATEGY_FLAGS)),
+               st.integers(0, 2**64 - 1))
+        @example(CYCLING_MARKET, "minimal-overdemanded", 0)
+        def check(inst, flag, seed):
+            kind = STRATEGY_FLAGS[flag]
+            res = ascending_auction(inst, kind, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(LyapunovOracle, "function_oracle", one_step_adapter)
+                one = ascending_auction(inst, kind, seed=seed)
+            assert {periods for *_, periods in one.trajectory.runs} <= {1}
+            steps = res.trajectory.steps
+            assert steps == one.trajectory.steps
+            assert len(res.trajectory) == len(one.trajectory) == len(steps)
+            assert res.trajectory.p_final == one.trajectory.p_final == res.p_min
+            longest.append(max((periods for *_, periods in res.trajectory.runs), default=0))
+            path.write_text(serialize_instance(inst))
+            for fmt, expected in (("json", _per_step_json(inst, flag, seed, res)),
+                                  ("csv", _per_step_csv(inst, res))):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert run_command(["solve", "--instance", str(path), "--strategy", flag,
+                                        "--seed", str(seed), "--format", fmt]) == 0
+                assert out.getvalue() == expected, fmt
+
+        check()
+        assert max(longest) >= 2
 
 
 class TestSolve:
@@ -624,6 +731,21 @@ class TestVerify:
 
 
 class TestCompare:
+    def test_probe_market_report(self, tmp_path, capsys):
+        """``compare`` on the probe market of long descents prints each
+        rule's step count, as it did when the trajectory held one record
+        per step."""
+        path = tmp_path / "probe.json"
+        path.write_text(serialize_instance(probe_market()))
+        assert run_command(["compare", "--instance", str(path)]) == 0
+        steps = {"minimal-overdemanded": 282_818, "steepest": 94_848,
+                 "excess-random": 180_724, "excess-maximal": 94_848}
+        report = {flag: {"p_final": list(PROBE_P_MIN), "iterations": count}
+                  for flag, count in steps.items()}
+        assert capsys.readouterr().out == json.dumps(
+            {"seed": 0, "strategies": report, "all_equal": True,
+             "p_min": list(PROBE_P_MIN)}, indent=2) + "\n"
+
     def test_table_bidders_are_admitted_once(self, tmp_path, mnat_calls, capsys):
         calls = mnat_calls
         rng = random.Random(11)
