@@ -51,6 +51,38 @@ def test_table_compare_pool_matches_the_manifest(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == want["stdout_sha256"], cmd["key"]
 
 
+def test_table_compare_pool_solves_match_the_recorded_digests(tmp_path, monkeypatch):
+    """Every table-compare pool market under ``solve``, each rule in JSON and
+    CSV: exit 0, empty stderr and the stdout digest that
+    ``tests/golden/table_compare_solve.json`` records, keyed
+    ``<rung>/<k> <strategy> <format>``.  The manifest records these markets
+    under ``compare`` alone, which prints no allocation; the digests also
+    pin the trajectories and allocations ``solve`` prints."""
+    monkeypatch.delenv("WALRAS_BUDGET", raising=False)
+    gen = _bench_module("gen")
+    entries = json.loads((BENCH / "manifest.json").read_text(encoding="utf-8"))["entries"]
+    digests = json.loads((ROOT / "tests" / "golden" / "table_compare_solve.json")
+                         .read_text(encoding="utf-8"))
+    seen = set()
+    for rung, k in gen.pool_ids("table-compare"):
+        text = gen.instance_text(gen.pool_market("table-compare", rung, k))
+        want = entries[f"table-compare/{rung}/{k} compare"]["instance_sha256"]
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (rung, k)
+        path = tmp_path / f"{rung}_{k}.json"
+        path.write_text(text, encoding="utf-8")
+        for strategy in gen.STRATEGIES:
+            for fmt in ("json", "csv"):
+                key = f"{rung}/{k} {strategy} {fmt}"
+                out, err = StringIO(), StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run_command(["solve", "--instance", str(path),
+                                        "--strategy", strategy, "--format", fmt])
+                assert (code, err.getvalue()) == (0, ""), key
+                assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digests[key], key
+                seen.add(key)
+    assert seen == set(digests)
+
+
 def _replay_every_entry(workload, per_market, tmp_path, monkeypatch):
     """Run every command the manifest records for ``workload``, a run's
     draw or not, ``per_market`` of them on each pool market, and check its
