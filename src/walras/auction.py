@@ -118,8 +118,8 @@ def ascending_auction(instance: Instance,
     # The ascent's stop only shows that no raise descends; from a start above
     # the minimal equilibrium price it stops above it, so certify from below.
     base = g.fn(p_final)
-    for mask, val in _corners(g, p_final, base, -1):
-        if val <= base:
+    for mask, change in _corners(g, p_final, base, -1):
+        if change <= 0:
             raise WalrasError(
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
                 f"lowering items {sorted(items_from_mask(mask))} does not raise the "
@@ -267,7 +267,9 @@ def extract_allocation(instance: Instance, p: PriceVector, *,
     fall back to item 0; an unmatched bidder buys nothing.  Multi model:
     depth-first search over the product of demand sets with remaining-supply
     pruning.  Demand is read from a ``DemandCache`` of its own, shared with no
-    run.  Budget exhaustion raises, distinct from a proven None.
+    run: a multi market's bidder by bidder, from the bundle box or per item,
+    so no candidate index is built.  Budget exhaustion raises, distinct from
+    a proven None.
     """
     p = _check_price(instance, p)
     dc = DemandCache(instance, budget=budget)
@@ -306,8 +308,8 @@ def verify_equilibrium(instance: Instance, p: PriceVector, *,
     g = LyapunovOracle(instance, budget=budget).function_oracle()
     base = g.fn(p)
     for direction in (+1, -1):
-        for mask, val in _corners(g, p, base, direction):
-            if val < base:
+        for mask, change in _corners(g, p, base, direction):
+            if change < 0:
                 return EquilibriumVerdict(False, None,
                                           DescentWitness(direction, items_from_mask(mask)))
     if instance.model == MULTI and instance.m == 0:

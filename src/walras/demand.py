@@ -7,11 +7,11 @@ Lyapunov oracle and in the auction layer, branches on those groups.  A
 separable bidder's demand set is the product of its per-item argmax sets
 and its minimum take the sum of per-item least argmaxes; a unit-demand
 bidder demands single items, read as a bitmask with the artificial
-no-purchase item 0 at bit 0; a table bidder's is read from its candidate
-bundles in the bundle box.  The deficiency table, demanded minus supplied
-units for every item set, adds each bidder's minimum take to minus the
-supply group by group; the unit model is the case where every bidder is
-unit-demand and the supply is one of each item.  The table depends on the price only through
+no-purchase item 0 at bit 0; a table bidder's is read from its bundle
+box.  The deficiency table, demanded minus supplied units for every item
+set, adds each bidder's minimum take to minus the supply group by group;
+the unit model is the case where every bidder is unit-demand and the
+supply is one of each item.  The table depends on the price only through
 the bidders' demand state, so it is built in two parts:
 ``DemandCache.demand_key`` reads that state as a hashable key, and
 ``DemandCache.deficiency_from_key`` builds the table from the key alone,
@@ -46,11 +46,11 @@ one index over every table bidder's bundles on its first table scan, a
 bitmask of candidates per item and price interval
 (``DemandCache._candidate_index``); a scan is one bisection and one AND
 per item, and one payoff read per candidate.  The Lyapunov value reads the
-bests; ``indirect_utility``, ``demand_set``, ``demand_key``, ``run_length``
-and the unit allocation's ``unit_masks`` read the same record, so a descent
-step's value read and the next step's demand key share it, and a value
-read at a price that no demand read follows pays for no mask.  ``demand_key`` reads
-every unit-demand and table bidder by one rule: a bidder whose demand set
+bests; ``demand_key``, ``run_length`` and the unit allocation's
+``unit_masks`` read the same record, so a descent step's value read and the
+next step's demand key share it, and a value read at a price that no
+demand read follows pays for no mask.  ``demand_key`` reads every
+unit-demand and table bidder by one rule: a bidder whose demand set
 has a least bundle x, below every other demanded bundle componentwise,
 takes x(X) from every item set X, which is modular, so x joins the
 per-item takes; only a bidder without one is keyed by its demand set.  A
@@ -59,9 +59,11 @@ with a single best item i has chi_i, and one tied between items has none.
 A table bidder's least bundle, when there is one, is its first argmax in
 box order.  The least takes of a table bidder without one depend only on
 its demand set, so they are kept by demand set, within the budget, and
-cleared when full.  Any other bidder read through the box (a unit-demand
-or separable bidder's best payoff, or a unit-demand bidder's demand set in
-the multi model) is scanned whole, afresh at each read.
+cleared when full, for ``deficiency_from_key``.  The record, the index and
+the kept least takes serve these whole-market reads alone: a single
+bidder's ``demand_set``, ``mu_vector`` or ``indirect_utility`` scans its
+bundle box whole, afresh at each read, but a separable bidder's demand set
+and least takes, read per item.
 """
 
 from __future__ import annotations
@@ -111,13 +113,13 @@ class DemandCache:
     that width per interval.  The only per-price state is one record for
     the latest price (``scan``): the unit-demand bidders' option payoffs
     with their bests, and the table bidders' best payoffs and argmaxes,
-    which the value, demand-key, demand-set and allocation reads at that
-    price share.  The least-take vectors of demand sets without a least
-    bundle are kept by demand set, as the bundles' box indices, charged 2^n
+    which the value, demand-key, run-length and unit-allocation reads at
+    that price share; no single-bidder read moves it.  The least-take
+    vectors of demand sets without a least bundle are kept by demand set,
+    for ``deficiency_from_key``, as the bundles' box indices, charged 2^n
     plus the set's size each against the budget and cleared when it would
-    be exceeded.
-    Demand keys are built afresh at each call; the caller may keep tables
-    by them, as ``LyapunovOracle.neighborhood`` does.
+    be exceeded.  Demand keys are built afresh at each call; the caller
+    may keep tables by them, as ``LyapunovOracle.neighborhood`` does.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):
@@ -175,12 +177,7 @@ class DemandCache:
 
     def _demand(self, b: int, p: PriceVector) -> tuple[int, tuple[int, ...]]:
         """Bidder b's best payoff v(x) - p.x and its argmaxes' box indices,
-        ascending: a table bidder's from the kept ``scan``, any other's from
-        a scan of the whole box."""
-        if b in self.tables:
-            _, _, _, bests, argmaxes = self.scan(p)
-            i = self.tables.index(b)
-            return bests[i], argmaxes[i]
+        ascending, from a scan of the whole box."""
         payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))
         best = max(payoffs)
         return best, tuple(i for i, pay in enumerate(payoffs) if pay == best)
@@ -298,8 +295,7 @@ class DemandCache:
 
         A separable bidder's demand set is the product of its per-item
         argmax sets, never limited by the box budget; every other bidder's
-        is read from the bundle box (``_demand``), a table bidder's from
-        its candidates.
+        is read from the bundle box (``_demand``).
         """
         if b in self.separable:
             return tuple(product(*_per_item_argmax(self.instance.valuations[b], p)))
@@ -315,13 +311,13 @@ class DemandCache:
         minimum take from X is the sum of each item's least argmax; that
         avoids building the product, which ties make exponentially large.
         Every other bidder takes the least subset sum over its demand set,
-        read from the bundle box (``_demand``).
+        read from the bundle box (``demand_set``) and kept nowhere.
         """
         self._check_table_budget()
         if b in self.separable:
             least = tuple(ks[0] for ks in _per_item_argmax(self.instance.valuations[b], p))
             return tuple(subset_sums(least, self._n))
-        return tuple(self._least_takes_of(self._demand(b, p)[1]))
+        return tuple(_least_takes(self.demand_set(b, p), self._n))
 
     def _least_takes_of(self, demand: tuple[int, ...]) -> list[int]:
         """``_least_takes`` of a demand set given by its bundles' box
@@ -499,10 +495,9 @@ class DemandCache:
         return self._tails[j][i] - c * (len(col) - i)
 
     def indirect_utility(self, b: int, p: PriceVector) -> int:
-        """Best payoff max_x (v(x) - p.x) for a bidder of any family: a
-        table bidder's from its candidates, through the kept ``scan``, any
-        other's by a scan of the bundle box.  No library code calls it; it
-        stays because the benchmark's span tracer patches it."""
+        """Best payoff max_x (v(x) - p.x) for a bidder of any family, by a
+        scan of the bundle box.  No library code calls it; it stays because
+        the benchmark's span tracer patches it."""
         return self._demand(b, p)[0]
 
     def utility_grid(self, b: int, axes) -> list[int]:

@@ -591,18 +591,18 @@ def _corner_changes(g: FunctionOracle, p: PriceVector, base: int, s: int,
 
 
 def _corners(g: FunctionOracle, p: PriceVector, base: int, s: int) -> Iterator[tuple[int, int]]:
-    """``(mask, g(p + s * chi_X))`` for every nonempty X whose corner is in
-    g's domain, in increasing mask order, given ``base`` = g(p): for s = -1
-    the minimality cuts within the support of p.  A separable g's corners
-    are read for the single items alone, from its terms: g(p + s * chi_X) -
-    g(p) is then the sum of X's items' changes, so an X at or below
-    ``base`` (or below it) holds an item that is too, whose mask is not
+    """``(mask, g(p + s * chi_X) - base)`` for every nonempty X whose corner
+    is in g's domain, in increasing mask order, given ``base`` = g(p): for
+    s = -1 the minimality cuts within the support of p.  A separable g's
+    corners are read for the single items alone, from its terms: the change
+    is then the sum of X's items' changes, so an X whose change is at most
+    0, or below 0, holds an item whose change is too, whose mask is not
     larger, and the first such X is an item."""
     per_item = g.terms is not None
     for i, change in enumerate(_corner_changes(g, p, base, s, per_item)):
         mask = 1 << i if per_item else i
         if mask and change is not None:
-            yield mask, base + change
+            yield mask, change
 
 
 def _term_changes(terms: Callable[[int, int], int | None], p: PriceVector,

@@ -61,6 +61,7 @@ LONG_RUNS = ("tests/test_auction.py::TestLongRuns::"
 RUN_ROWS = "tests/test_cli.py::TestRunRows::test_runs_render_as_their_steps"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
+TABLE_SCAN = "tests/test_demand.py::TestTableScan::"
 VERIFY_TESTS = "tests/test_cli.py::TestVerify::"
 TWIN_TESTS = INSTANCE_TESTS + "TestValidationTwin::"
 SCALING = "tests/test_relations.py::TestScaling::test_scaling_the_worths_scales_p_min"
@@ -251,8 +252,8 @@ MUTANTS = (
            "mask = i",
            ("tests/test_lnat.py::TestCorners::test_corners_are_the_point_reads",)),
     Mutant("minimality-scan-skipped", "auction.py",
-           "for mask, val in _corners(g, p_final, base, -1):",
-           "for mask, val in ():",
+           "for mask, change in _corners(g, p_final, base, -1):",
+           "for mask, change in ():",
            ("tests/test_auction.py::TestMinimalityCertificate::"
             "test_start_above_the_minimal_price_is_refused",)),
     Mutant("admission-not-recorded", "auction.py",
@@ -296,6 +297,16 @@ MUTANTS = (
            (SCAN_TESTS + "test_interleaved_reads_match_a_fresh_cache",
             "tests/test_demand.py::TestMultiDemandSets::test_revisited_prices_give_the_same_answers",
             *RELATIONS, ADDED_BIDDER)),
+    Mutant("table-bidder-read-through-the-scan", "demand.py",
+           "        payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))\n",
+           "        if b in self.tables:\n"
+           "            i = self.tables.index(b)\n"
+           "            return self.scan(p)[3][i], self.scan(p)[4][i]\n"
+           "        payoffs = list(map(sub, self._bidder_values(b), _box_costs(p, self.instance.u)))\n",
+           (TABLE_SCAN + "test_single_bidder_reads_leave_the_descent_state",
+            TABLE_SCAN + "test_one_table_scan_per_price_read",
+            TABLE_SCAN + "test_interleaved_reads_match_a_fresh_cache",
+            "tests/test_oracle.py::TestTwinsReadNoScan::test_twins_run_with_the_scan_broken")),
     Mutant("candidate-drop-test-strict", "demand.py",
            "drops = ((full ^ below) << s) & full",
            "drops = ((full ^ coded(2 * k + 1)) << s) & full",

@@ -16,8 +16,8 @@ from walras import (BudgetExceededError, Instance, LyapunovOracle, StrategyKind,
                     bidders_only_demanding, demand_set, mu, unit_demand_set)
 from walras.auction import _extract_multi, _extract_unit
 from walras.demand import DemandCache, _per_item_argmax
-from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, UNIT, UNIT_DEMAND,
-                             box_volume, iter_box)
+from walras.instance import (DEFAULT_BUDGET, EXPLICIT_TABLE, MULTI, SEPARABLE_CONCAVE, UNIT,
+                             UNIT_DEMAND, box_volume, iter_box)
 from walras.itemsets import chi_add, items_from_mask, subset_sums
 from walras.oracle import (deficiency, lyapunov_value, only_demanders_mask,
                            some_demanders_mask, unit_demand_mask)
@@ -130,7 +130,7 @@ class TestMultiDemandSets:
                                      "_columns", "_tails", "separable", "units", "tables",
                                      "_rows"}
             assert dc._rows == tuple((0, *inst.valuations[b].values) for b in dc.units)
-            # one price, the final one the allocation read; one list of the
+            # one price, the final one the stop read; one list of the
             # n + 1 options per unit-demand bidder, option 0 paying 0, and
             # one best payoff with its argmaxes among the 4 bundles per
             # table bidder
@@ -207,17 +207,18 @@ def _has_unit_bidder(inst):
 
 
 def _interleaved_reads(data, markets, seen):
-    """Read Lyapunov values, demand sets (where table bidders make their
-    reads scan), demand keys with their deficiency tables, and allocations
-    through one oracle at prices p, q, p, in a drawn order, on a market
-    drawn from ``markets``; each read equals a fresh cache's answer and the
-    per-set twin's.  After every read the one record the cache keeps is of
-    the latest price read, but for an allocation read on a multi market
-    without table bidders, which reads its unit-demand bidders from the
-    bundle box and leaves the record as it was; the caller's reads of the
-    record scan nothing.  Yields the market, the cache and the kept price
-    after each read once a price is kept; whether each table bidder's
-    demand set holds more than one bundle goes into ``seen``."""
+    """Read Lyapunov values, demand sets, demand keys with their deficiency
+    tables, and allocations through one oracle at prices p, q, p, in a
+    drawn order, on a market drawn from ``markets``; each read equals a
+    fresh cache's answer and the per-set twin's.  After a value or key
+    read, and a unit market's allocation read, the one record the cache
+    keeps is of the latest price read.  A demand-set read, and a multi
+    market's allocation read, read every bidder from the bundle box or
+    per item: the record, the candidate index and the kept least takes
+    stay as they were.  The caller's reads of the record scan nothing.
+    Yields the market, the cache and the kept price after each read once a
+    price is kept; whether each table bidder's demand set holds more than
+    one bundle goes into ``seen``."""
     inst = data.draw(markets)
     prices = st.tuples(*[st.integers(0, 7)] * inst.n)
     p, q = data.draw(prices), data.draw(prices)
@@ -228,7 +229,7 @@ def _interleaved_reads(data, markets, seen):
     for price in (p, q, p):
         for read in reads:
             fresh = LyapunovOracle(inst)
-            before = dc._latest
+            before = dc._latest, dc._index, dc._least, dict(dc._least)
             if read == "value":
                 assert ly.value(price) == fresh.value(price) == lyapunov_value(price, inst)
             elif read == "sets":
@@ -243,8 +244,10 @@ def _interleaved_reads(data, markets, seen):
             else:
                 assert _extracted(inst, price, dc) == _extracted(inst, price, fresh.demand)
             record = dc._latest
-            if read == "extract" and inst.model == MULTI and not dc.tables:
-                assert record is before
+            if read == "sets" or (read == "extract" and inst.model == MULTI):
+                latest, index, least, kept = before
+                assert record is latest and dc._index is index
+                assert dc._least is least and dc._least == kept
             else:
                 assert record[0] == price
             if record[0] is not None:
@@ -302,7 +305,7 @@ class TestUnitScan:
             assert not DemandCache(inst).tables
             for kind in StrategyKind:
                 res, scans, costs, candidates = count(inst, kind)
-                assert costs == [res.p_min] * _boxed_units(inst)
+                assert costs == [res.p_min] * _boxed_bidders(inst)
                 assert candidates == []
                 total["scans"] += len(scans)
                 total["steps"] += len(res.trajectory)
@@ -332,14 +335,14 @@ class TestTableScan:
         assert {("table", False), ("table", True)} <= seen, seen
 
     def test_one_table_scan_per_price_read(self, monkeypatch):
-        """On markets with table bidders a descent and its allocation scan
-        all bidders together once each time the price read changes
-        (``_count_scans``), each scan reading the table bidders' candidates
-        once, at its price, and scan no table bidder on its own: the only
-        bundle-cost lists the cache builds are one per unit-demand bidder
-        of a multi market, whose demand set the allocation reads from the
-        box.  A table market steps one raise at a time, so it scans more
-        often than it steps."""
+        """On markets with table bidders a descent scans all bidders
+        together once each time the price read changes (``_count_scans``),
+        each scan reading the table bidders' candidates once, at its price,
+        through the one candidate index of the run, and scans no bidder on
+        its own.  The allocation scans nothing: it builds one bundle-cost
+        list at ``p_min`` per unit-demand and table bidder, whose demand
+        sets it reads from the box, and no index.  A table market steps one
+        raise at a time, so it scans more often than it steps."""
         count = _count_scans(monkeypatch)
         rng = random.Random(13)
         tables = Instance(model="multi", n=3, u=(2, 2, 2), valuations=tuple(
@@ -352,9 +355,39 @@ class TestTableScan:
             assert DemandCache(inst).tables
             for kind in StrategyKind:
                 res, scans, costs, candidates = count(inst, kind)
-                assert costs == [res.p_min] * _boxed_units(inst)
+                assert costs == [res.p_min] * _boxed_bidders(inst)
                 assert candidates == scans
                 assert len(scans) > len(res.trajectory)
+
+    def test_single_bidder_reads_leave_the_descent_state(self):
+        """``demand_set``, ``mu_vector`` and ``indirect_utility`` of a table
+        bidder read the bundle box: at a price the cache has not scanned,
+        after a descent whose record, candidate index and kept least takes
+        are all built, each read gives the box twin's answer and leaves those
+        three the same objects, the least takes with the same entries.  The
+        tabulated unit-demand bidder ties between its items on the way, so
+        least takes are kept."""
+        inst = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            Valuation.unit_demand([30, 25]), tabulate(Valuation.separable([[28], [26]])),
+            tabulate(Valuation.unit_demand([29, 29]))))
+        ly = LyapunovOracle(inst)
+        ascending_auction(inst, StrategyKind.STEEPEST_MINIMAL, oracle=ly)
+        dc = ly.demand
+        latest, index, least, kept = dc._latest, dc._index, dc._least, dict(dc._least)
+        assert latest[0] is not None and index and kept
+        box = list(iter_box(inst.u))
+        for q in [(3, 3), (29, 29), (0, 30)]:
+            assert q != latest[0]
+            for b in dc.tables:
+                demand = box_demand_set(inst, b, q)
+                assert dc.demand_set(b, q) == demand
+                assert dc.mu_vector(b, q) == tuple(
+                    min(sum(c for j, c in enumerate(x) if mask >> j & 1) for x in demand)
+                    for mask in range(1 << inst.n))
+                assert dc.indirect_utility(b, q) == max(
+                    evaluate(inst.valuations[b], x) - sum(map(mul, q, x)) for x in box)
+                assert dc._latest is latest and dc._index is index
+                assert dc._least is least and dc._least == kept
 
 
 def _capped_table(u, raises) -> Valuation:
@@ -462,12 +495,12 @@ class TestCandidateScan:
             assert width <= inst.m * box_volume(inst.u)
 
 
-def _boxed_units(inst):
-    """The unit-demand bidders whose demand set the allocation reads from
-    the bundle box: those of a multi market."""
+def _boxed_bidders(inst):
+    """The bidders whose demand set the allocation reads from the bundle
+    box: the unit-demand and table bidders of a multi market."""
     if inst.model != MULTI:
         return 0
-    return sum(v.family == UNIT_DEMAND for v in inst.valuations)
+    return sum(v.family != SEPARABLE_CONCAVE for v in inst.valuations)
 
 
 def _count_scans(monkeypatch):
@@ -479,12 +512,13 @@ def _count_scans(monkeypatch):
     and the stop's reads share one.  A run of one set reads at most two
     prices, and a period run of k phases 3k - 1 (run lengths at k - 1
     earlier prices, values at 2k) for its one key; the descents counted
-    here still scan at most twice per demand key they read, the
+    here still scan at most twice per demand key they read, a unit
     allocation's scan included.  It also checks that on a market with
-    table bidders the candidate index is built once per cache that reads
-    them, the run's oracle's and the allocation's own, and never
-    otherwise.  ``count`` returns the result, the scanned prices, the
-    bundle-cost lists' prices and the candidate reads' prices."""
+    table bidders the candidate index is built exactly once, by the run's
+    oracle, and never otherwise: the allocation's own cache reads every
+    bidder of a multi market from the box or per item.  ``count`` returns
+    the result, the scanned prices, the bundle-cost lists' prices and the
+    candidate reads' prices."""
     import walras.demand as demand
 
     reads, scans, costs, candidates, keys, builds = [], [], [], [], [0], [0]
@@ -532,7 +566,7 @@ def _count_scans(monkeypatch):
         changes = [r for i, r in enumerate(reads) if i == 0 or r != reads[i - 1]]
         assert scans == [p for _, p in changes]
         assert len(reads) > len(changes) <= 2 * keys[0]
-        assert builds[0] == (2 if DemandCache(inst).tables else 0)
+        assert builds[0] == (1 if DemandCache(inst).tables else 0)
         return res, list(scans), list(costs), list(candidates)
 
     return count

@@ -1241,8 +1241,9 @@ class TestKeptAnswers:
 class TestCorners:
     """``lnat._corners``, the corner reader of the minimality scan and
     ``verify_equilibrium``, against g read point by point: every nonempty
-    corner p + s * chi_X inside the domain, in increasing mask order, for
-    the single items alone on a separable oracle."""
+    corner p + s * chi_X inside the domain, with its change from g(p), in
+    increasing mask order, for the single items alone on a separable
+    oracle."""
 
     UNIT = Instance(model="unit", n=2, u=(1, 1), valuations=(
         Valuation.unit_demand([3, 5]), Valuation.unit_demand([4, 1])))
@@ -1265,11 +1266,12 @@ class TestCorners:
         p = tuple(0 if j in zeros else c for j, c in enumerate(p))
         g = LyapunovOracle(inst).function_oracle()
         masks = [1 << j for j in range(inst.n)] if g.terms is not None else range(1, 1 << inst.n)
+        base = g.fn(p)
         for s in (1, -1):
             expected = []
             for mask in masks:
                 value = g.fn(tuple(c + s * (mask >> j & 1) for j, c in enumerate(p)))
                 if value is not None:
-                    expected.append((mask, value))
-            assert list(lnat._corners(g, p, g.fn(p), s)) == expected, (inst, p, s)
+                    expected.append((mask, value - base))
+            assert list(lnat._corners(g, p, base, s)) == expected, (inst, p, s)
         assert len(expected) < len(masks)

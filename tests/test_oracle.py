@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (make_two_bidder_multi, random_multi_instance, random_unit_instance,
-                      wide_separable_market)
+                      tabulate, wide_separable_market)
 from walras import (BudgetExceededError, DescentWitness, Instance, StrategyKind, Valuation,
-                    all_lyapunov_minimizers, ascending_auction,
-                    brute_force_min_equilibrium,
-                    equilibrium_prices_by_enumeration, parse_instance, price_cap,
+                    all_lyapunov_minimizers, allocation_certifies, ascending_auction,
+                    brute_force_min_equilibrium, deficiency, demand_set,
+                    equilibrium_prices_by_enumeration, mu, parse_instance, price_cap,
                     separable_p_min, verify_equilibrium)
 from walras.demand import DemandCache
 from walras.oracle import _clearing, _unit_options
@@ -97,6 +97,37 @@ class TestTwinsReadNoGrid:
         assert all_lyapunov_minimizers(inst) == minimizers
         assert run_command(["oracle", "--instance", str(path)]) == 0
         assert capsys.readouterr() == printed
+
+
+class TestTwinsReadNoScan:
+    """The multi model's demand twins read each bidder from its bundle box or
+    per item, so they do not depend on the descent's kept record and
+    candidate index (``DemandCache.scan``) that they cross-check."""
+
+    def test_twins_run_with_the_scan_broken(self, monkeypatch):
+        inst = Instance(model="multi", n=2, u=(1, 1), valuations=(
+            tabulate(Valuation.unit_demand([5, 5])), tabulate(Valuation.separable([[3], [4]])),
+            Valuation.unit_demand([4, 2]), Valuation.separable([[2], [5]])))
+        res = ascending_auction(inst)
+        prices = list(product(range(7), repeat=inst.n))
+        sets = [set(), {1}, {2}, {1, 2}]
+
+        def read():
+            return ([[demand_set(b, p, inst) for b in range(inst.m)] for p in prices],
+                    [[mu(b, X, p, inst) for b in range(inst.m) for X in sets] for p in prices],
+                    [[deficiency(X, p, inst) for X in sets[1:]] for p in prices],
+                    equilibrium_prices_by_enumeration(inst),
+                    allocation_certifies(inst, res.p_min, res.allocation))
+
+        answers = read()
+        assert answers[3] and answers[4]
+
+        def broken(*args):
+            raise AssertionError("descent record read")
+
+        monkeypatch.setattr(DemandCache, "scan", broken)
+        monkeypatch.setattr(DemandCache, "_candidate_index", broken)
+        assert read() == answers
 
 
 class TestMinimalEquilibrium:
