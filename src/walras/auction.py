@@ -44,7 +44,7 @@ Allocation = UnitAllocation | MultiAllocation
 
 
 class AuctionResult(_Record):
-    """A finished run: its final price and trajectory.
+    """A finished run: its trajectory, whose final price is ``p_min``.
 
     ``allocation`` and ``allocation_error`` come from one extraction at
     ``p_min`` under the run's budget, made when either is first read and
@@ -53,12 +53,15 @@ class AuctionResult(_Record):
     ``allocation_error`` says so.
     """
 
-    __slots__ = ("p_min", "trajectory", "_instance", "_budget", "_extracted")
-    _fields = __slots__[:4]
+    __slots__ = ("trajectory", "_instance", "_budget", "_extracted")
+    _fields = __slots__[:3]
 
-    def __init__(self, p_min: PriceVector, trajectory: Trajectory,
-                 _instance: Instance, _budget: int):
-        self._assign(p_min, trajectory, _instance, _budget, None)
+    def __init__(self, trajectory: Trajectory, _instance: Instance, _budget: int):
+        self._assign(trajectory, _instance, _budget, None)
+
+    @property
+    def p_min(self) -> PriceVector:
+        return self.trajectory.p_final
 
     def _extract(self) -> tuple[Allocation | None, str | None]:
         if self._extracted is None:
@@ -124,7 +127,7 @@ def ascending_auction(instance: Instance,
                 f"final price {list(p_final)} is not the minimal equilibrium price: "
                 f"lowering items {sorted(items_from_mask(mask))} does not raise the "
                 "Lyapunov value (the start must not exceed the minimal equilibrium price)")
-    return AuctionResult(p_final, trajectory, instance, budget)
+    return AuctionResult(trajectory, instance, budget)
 
 
 # --- allocation extraction -------------------------------------------------

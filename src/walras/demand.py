@@ -119,7 +119,7 @@ class DemandCache:
     for ``deficiency_from_key``, as the bundles' box indices, charged 2^n
     plus the set's size each against the budget and cleared when it would
     be exceeded.  Demand keys are built afresh at each call; the caller
-    may keep tables by them, as ``LyapunovOracle.neighborhood`` does.
+    may keep tables by them, as ``LyapunovOracle._change_table`` does.
     """
 
     def __init__(self, instance: Instance, *, budget: int = DEFAULT_BUDGET):

@@ -8,7 +8,7 @@ loop lands on the unique componentwise-minimal minimizer.
 
 Each iteration reads one change table ``deltas[mask] = g(p + chi_mask) - g(p)``
 (entry 0 is 0, None outside the domain) from the route its caller passes,
-such as the Lyapunov oracle's demand-side ``neighborhood``; g's own values
+such as the Lyapunov oracle's demand-side deficiency tables; g's own values
 certify each step and the stop, the stop through the one corner reader,
 ``_corner_changes``.  The termination test and every selection rule are
 functions of that table alone, and the rules compare its entries only with
@@ -135,22 +135,18 @@ class Trajectory(_Record):
 
     ``runs`` holds one (p_before, g_before, phases, T) per iteration: from
     p_before, of value g_before, T periods of the k ``phases``, (mask,
-    change) pairs, raised in turn.  ``steps`` builds one ``Step`` per raise
-    on each read; one built from steps holds a run per step."""
+    change) pairs, raised in turn, so T * k steps.  The record compares,
+    hashes and pickles by its runs; ``steps`` builds one ``Step`` per raise
+    on each read, and two descents that group the same steps into other
+    runs are equal only in their ``steps``."""
 
     __slots__ = ("start", "runs", "p_final", "_count")
-    _fields = ("start", "steps", "p_final")
+    _fields = __slots__[:3]
 
-    def __init__(self, start: PriceVector, steps: Sequence[Step], p_final: PriceVector):
-        runs = tuple((step.p_before, step.g_before,
-                      ((step.chosen_mask, step.g_after - step.g_before),), 1) for step in steps)
-        self._assign(start, runs, p_final, len(runs))
-
-    @classmethod
-    def _of_runs(cls, start: PriceVector, runs: tuple, count: int, p_final: PriceVector):
-        self = cls.__new__(cls)
+    def __init__(self, start: PriceVector, runs: Sequence[tuple], p_final: PriceVector):
+        runs = tuple(runs)
+        count = sum(len(phases) * periods for _, _, phases, periods in runs)
         self._assign(start, runs, p_final, count)
-        return self
 
     @property
     def steps(self) -> tuple[Step, ...]:
@@ -428,8 +424,9 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     value_floor + 1 steps raises IterationCapError.  A ``budget`` caps the
     steps too, for values too large to wait for: a descent still descending
     after ``budget`` steps, below that cap, raises BudgetExceededError.
-    Returns the final point and the trajectory, one run per iteration; a
-    rule that finds no set, or a non-descent one, fails a Step's contract.
+    Returns the final point p and ``Trajectory(p0, runs, p)``, one run per
+    iteration; a rule that finds no set, or a non-descent one, fails a
+    Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -498,7 +495,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
         phases, periods = found
         p, base = _take_periods(g, trail, phases, periods, p, base, route)
         count += periods * len(phases)
-    return p, Trajectory._of_runs(tuple(p0), tuple(trail), count, p)
+    return p, Trajectory(tuple(p0), trail, p)
 
 
 def _period(runs: Callable[[PriceVector, int], int | None], trail: list[tuple], mask: int,

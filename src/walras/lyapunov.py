@@ -11,7 +11,7 @@ from the one record per price the cache keeps (``DemandCache.scan``), over
 the options 0..n (0 buys nothing) or a table's candidate bundles, which the
 next change table's demand key reads too.
 The descent reads its one-step changes from the demand side, minus the
-deficiency of every item set at once (``LyapunovOracle.neighborhood``), and
+deficiency of every item set at once (``LyapunovOracle._change_table``), and
 Lyapunov values certify each step and the stop.  That table depends on the
 price only through the demand state, so the oracle builds it once per
 ``DemandCache.demand_key`` and keeps it; on a market with unit-demand
@@ -185,22 +185,19 @@ class LyapunovOracle:
             total = list(map(add, total, dc.utility_grid(b, axes)))
         return total
 
-    def neighborhood(self, p: PriceVector) -> tuple[int, ...]:
-        """``L(p + chi_X) - L(p)`` for every item subset X, indexed by bitmask.
+    def _change_table(self, p: PriceVector) -> tuple[int, ...]:
+        """``L(p + chi_X) - L(p)`` for every item subset X, indexed by
+        bitmask, at a price already checked.
 
         Read as ``-deficiency(X, p)`` from one deficiency table, with no
         Lyapunov evaluation; ``minimize`` hands it to the selection rule as
         it is and checks only the chosen step and the stop against values.
-        The table is built once per demand key, kept (``demand_key`` took
-        (m + 1) * 2^n entries within the budget, so one always fits) and
-        handed out as the kept tuple itself.
+        ``ascending_auction`` hands it to the descent, which reads it at the
+        checked start and at each step's price, just checked by the step's
+        ``value`` read.  The table is built once per demand key, kept
+        (``demand_key`` took (m + 1) * 2^n entries within the budget, so one
+        always fits) and handed out as the kept tuple itself.
         """
-        return self._change_table(_check_price(self.instance, p))
-
-    def _change_table(self, p: PriceVector) -> tuple[int, ...]:
-        """``neighborhood`` at a price already checked.  ``ascending_auction``
-        hands it to the descent, which reads it at the checked start and at
-        each step's price, just checked by the step's ``value`` read."""
         dc = self.demand
         key = dc.demand_key(p)
         tables = self._tables

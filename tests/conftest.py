@@ -125,7 +125,7 @@ def value_route(g):
     """The descent's change tables read from g's own values: g(p + chi_X)
     - g(p) for every item set X, from one ``neighborhood_values`` read at p,
     None where a corner leaves the domain.  The value-read twin of a
-    caller's faster route, such as ``LyapunovOracle.neighborhood``, for
+    caller's faster route, such as ``LyapunovOracle._change_table``, for
     ``minimize(..., neighborhood=value_route(g))``."""
     def changes(p):
         vals = neighborhood_values(g, p)

@@ -58,6 +58,8 @@ PERIOD_READS = ("tests/test_auction.py::TestRunRoute::"
                 "test_period_runs_read_every_phase_line_at_both_ends")
 LONG_RUNS = ("tests/test_auction.py::TestLongRuns::"
              "test_a_finished_run_holds_its_runs_not_its_steps")
+COMPACT_RESULT = ("tests/test_auction.py::TestLongRuns::"
+                  "test_a_result_compares_hashes_and_pickles_its_runs")
 RUN_ROWS = "tests/test_cli.py::TestRunRows::test_runs_render_as_their_steps"
 RUN_KEYS = "tests/test_demand.py::TestRunLength::"
 SCAN_TESTS = "tests/test_demand.py::TestUnitScan::"
@@ -240,9 +242,13 @@ MUTANTS = (
            "if periods > 1 and g.fn(p) != base:",
            STEP_READS),
     Mutant("trajectory-len-counts-iterations", "lnat.py",
-           "        return self._count\n",
-           "        return len(self.runs)\n",
+           "count = sum(len(phases) * periods for _, _, phases, periods in runs)",
+           "count = len(runs)",
            (LONG_RUNS, RUN_ROWS)),
+    Mutant("trajectory-keyed-by-steps", "lnat.py",
+           "    _fields = __slots__[:3]\n",
+           '    _fields = ("start", "steps", "p_final")\n',
+           (COMPACT_RESULT,)),
     Mutant("row-template-holds-a-y-price", "cli.py",
            "        union = sum(mask for mask, _ in phases)\n",
            "        union = sum(mask for mask, _ in phases)\n        union &= union - 1\n",

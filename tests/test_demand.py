@@ -1011,7 +1011,7 @@ class TestSharedCache:
                 assert dc.indirect_utility(b, q) == fresh.indirect_utility(b, q), (inst, q, b)
                 assert dc.demand_set(b, q) == fresh.demand_set(b, q) == \
                     box_demand_set(inst, b, q), (inst, q, b)
-            assert ly.neighborhood(q) == LyapunovOracle(inst, budget=budget).neighborhood(q)
+            assert ly._change_table(q) == LyapunovOracle(inst, budget=budget)._change_table(q)
             assert dc._least_size == sum(len(d) + len(t) for d, t in dc._least.items())
             assert dc._least_size <= budget
 

@@ -186,14 +186,14 @@ def test_only_the_auction_takes_shared_state():
     assert not found, found
 
 
-def _referenced_names(path):
-    """Every name the module reads, bare or as an attribute."""
-    return _names(ast.parse(path.read_text(encoding="utf-8")))
+def _referenced_names(path, bare=True):
+    """Every name the module reads as an attribute, and, if ``bare``, bare."""
+    return _names(ast.parse(path.read_text(encoding="utf-8")), bare=bare)
 
 
-def _names(node, skip=None):
-    """Every name read under ``node``, bare or as an attribute, outside the
-    subtree ``skip``."""
+def _names(node, skip=None, bare=True):
+    """Every name read under ``node`` as an attribute, and, if ``bare``,
+    bare, outside the subtree ``skip``."""
     names = set()
     todo = [node]
     while todo:
@@ -201,7 +201,8 @@ def _names(node, skip=None):
         if node is skip:
             continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if bare:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         todo.extend(ast.iter_child_nodes(node))
@@ -241,21 +242,22 @@ def test_every_public_solver_function_has_a_caller(module):
 @pytest.mark.parametrize("cls", [DemandCache, LyapunovOracle], ids=lambda cls: cls.__name__)
 def test_every_public_cache_and_oracle_method_has_a_caller(cls):
     """The same rule for the public methods of the demand cache and the
-    Lyapunov oracle: each needs a reference in the library outside its own
-    body, or must be a name the benchmark's span tracer patches."""
+    Lyapunov oracle: each needs an attribute reference in the library
+    outside its own body, or must be a name the benchmark's span tracer
+    patches.  A bare name, such as a parameter's, calls no method."""
     src = ROOT / "src" / "walras"
     home = src / f"{cls.__module__.rsplit('.', 1)[1]}.py"
     tree = ast.parse(home.read_text(encoding="utf-8"))
     body = next(node for node in tree.body
                 if isinstance(node, ast.ClassDef) and node.name == cls.__name__).body
-    elsewhere = set().union(*(_referenced_names(path) for path in src.glob("*.py")
-                              if path != home))
+    elsewhere = set().union(*(_referenced_names(path, bare=False)
+                              for path in src.glob("*.py") if path != home))
     tracer = _span_tracer()
     tracer._build_patches()
     patched = {attr for owner, attr, _, _ in tracer._patches if owner is cls}
     orphans = [node.name for node in body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-               and node.name not in elsewhere | patched | _names(tree, skip=node)]
+               and node.name not in elsewhere | patched | _names(tree, node, bare=False)]
     assert not orphans, f"{cls.__name__}: no caller in src/ and no span: {orphans}"
 
 

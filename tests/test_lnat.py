@@ -1004,7 +1004,7 @@ class TestNeighborhoodTable:
     def _shifted(ly, delta):
         def neighborhood(p):
             return [d if mask == 0 else d + delta
-                    for mask, d in enumerate(ly.neighborhood(p))]
+                    for mask, d in enumerate(ly._change_table(p))]
         return neighborhood
 
     def test_off_by_one_table_fails_at_a_step(self, ex21, two_bidder_multi):
@@ -1039,7 +1039,7 @@ class TestNeighborhoodTable:
         ly = LyapunovOracle(ex21)
 
         def neighborhood(p):
-            return [1, *ly.neighborhood(p)[1:]]
+            return [1, *ly._change_table(p)[1:]]
 
         with pytest.raises(ConvexityError, match="at p"):
             minimize(ly.function_oracle(), (0, 0, 0), StrategyKind.STEEPEST_MINIMAL,
@@ -1056,7 +1056,7 @@ class TestNeighborhoodTable:
                 p0 = (start,) * inst.n
                 for kind in StrategyKind:
                     plain = minimize(g, p0, kind, seed=3, neighborhood=value_route(g))
-                    fast = minimize(g, p0, kind, seed=3, neighborhood=ly.neighborhood)
+                    fast = minimize(g, p0, kind, seed=3, neighborhood=ly._change_table)
                     assert fast == plain
 
 
@@ -1089,7 +1089,7 @@ class TestKeptTables:
             g = ly.function_oracle()
             for kind in StrategyKind:
                 plain = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=value_route(g))
-                fast = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=ly.neighborhood)
+                fast = minimize(g, (0,) * inst.n, kind, seed=trial, neighborhood=ly._change_table)
                 assert fast == plain, (inst, kind)
                 asked += len(fast[1]) + 1
             built += len(ly._tables)
@@ -1113,7 +1113,7 @@ class TestKeptTables:
         start = (0,) * inst.n
         for kind in StrategyKind:
             for seed in (0, 7, 2**64 - 1):
-                fast = minimize(g, start, kind, seed=seed, neighborhood=ly.neighborhood)
+                fast = minimize(g, start, kind, seed=seed, neighborhood=ly._change_table)
                 plain = minimize(g, start, kind, seed=seed, neighborhood=value_route(g))
                 assert fast == plain, (inst, kind, seed)
 
@@ -1175,7 +1175,7 @@ class TestChangeTable:
         for inst, p_min in ((ex21, (1, 1, 1)), (two_bidder_multi, (2,))):
             ly = LyapunovOracle(inst)
             g = tables_only(ly.function_oracle())
-            for route in (value_route(g), ly.neighborhood):
+            for route in (value_route(g), ly._change_table):
                 for start in ((0,) * inst.n, p_min):
                     tables.clear()
                     p, traj = minimize(g, start, kind, seed=7, neighborhood=route)
@@ -1189,7 +1189,7 @@ class TestChangeTable:
         g = ly.function_oracle()
         for nothing in (None, 0):
             monkeypatch.setattr(lnat, RULE_OF[kind], lambda vals, *seed: nothing)
-            for route in (value_route(g), ly.neighborhood):
+            for route in (value_route(g), ly._change_table):
                 with pytest.raises(ContractError, match="empty set"):
                     minimize(g, (0, 0, 0), kind, neighborhood=route)
 

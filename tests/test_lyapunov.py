@@ -163,11 +163,11 @@ def _neighborhood_markets(rng):
 
 def _table(ly, g, p):
     """The descent's table at p: Lyapunov value plus the demand-side changes."""
-    return [g(p) + d for d in ly.neighborhood(p)]
+    return [g(p) + d for d in ly._change_table(p)]
 
 
 class TestNeighborhoodTable:
-    """``LyapunovOracle.neighborhood`` against the generic value-route builder."""
+    """``LyapunovOracle._change_table`` against the generic value-route builder."""
 
     def test_matches_value_route_past_the_price_ceiling(self):
         rng = random.Random(23)
@@ -195,7 +195,7 @@ class TestNeighborhoodTable:
             top = max_total_value(inst)
             for _ in range(6):
                 p = tuple(rng.randint(0, top + 1) for _ in range(inst.n))
-                assert list(ly.neighborhood(p)) == \
+                assert list(ly._change_table(p)) == \
                     [-ly.deficiency_mask(mask, p) for mask in range(1 << inst.n)], (inst, p)
 
     def test_reads_no_lyapunov_value(self, monkeypatch):
@@ -214,7 +214,7 @@ class TestNeighborhoodTable:
             raise AssertionError("Lyapunov value read")
 
         monkeypatch.setattr(LyapunovOracle, "value", refuse)
-        assert [list(LyapunovOracle(inst).neighborhood((1,) * inst.n)) for inst in markets] == \
+        assert [list(LyapunovOracle(inst)._change_table((1,) * inst.n)) for inst in markets] == \
             expected
 
     def test_separable_table_skips_the_demand_set_product(self, monkeypatch):
@@ -246,7 +246,7 @@ def _visited_prices(ly):
 
 
 class TestKeptTables:
-    """``LyapunovOracle.neighborhood`` keeps its tables by demand key."""
+    """``LyapunovOracle._change_table`` keeps its tables by demand key."""
 
     def test_warm_tables_match_fresh_oracles(self):
         """At every price any strategy visits, the warm oracle's table equals
@@ -259,8 +259,8 @@ class TestKeptTables:
             prices = _visited_prices(ly)
             served += len(prices) - len(ly._tables)
             for p in prices:
-                want = LyapunovOracle(inst).neighborhood(p)
-                assert ly.neighborhood(p) == want, (inst, p)
+                want = LyapunovOracle(inst)._change_table(p)
+                assert ly._change_table(p) == want, (inst, p)
                 assert list(want) == [-ly.deficiency_mask(mask, p)
                                       for mask in range(1 << inst.n)]
         assert served > 0
@@ -270,14 +270,14 @@ class TestKeptTables:
         what later calls read."""
         for inst, p in ((ex21, (0, 0, 0)), (two_bidder_multi, (1,))):
             ly = LyapunovOracle(inst)
-            want = LyapunovOracle(inst).neighborhood(p)
-            first = ly.neighborhood(p)
-            assert ly.neighborhood(p) is first
+            want = LyapunovOracle(inst)._change_table(p)
+            first = ly._change_table(p)
+            assert ly._change_table(p) is first
             with pytest.raises(TypeError):
                 first[1] += 5
             with pytest.raises(AttributeError):
                 first.append(0)
-            assert ly.neighborhood(p) == want
+            assert ly._change_table(p) == want
 
     def test_kept_entries_stay_within_the_budget(self):
         """Under a small budget the kept tables never hold more than
@@ -297,7 +297,7 @@ class TestKeptTables:
             prices = list(product(range(max_total_value(inst) + 2), repeat=inst.n))
             for p in prices + prices[::-1]:
                 before = len(small._tables)
-                assert small.neighborhood(p) == full.neighborhood(p)
+                assert small._change_table(p) == full._change_table(p)
                 assert len(small._tables) << inst.n <= budget
                 held = max(held, len(small._tables))
                 cleared += len(small._tables) < before

@@ -1,8 +1,8 @@
 """The contract of the package's record types: each builds from keyword or
 positional fields, compares and hashes by its fields (``FunctionOracle`` by
-identity), survives a pickle round trip (all but ``FunctionOracle``, whose
-default grid is a closure), refuses assignment, and keeps its validation
-messages."""
+identity), which are slots, survives a pickle round trip (all but
+``FunctionOracle``, whose default grid is a closure), refuses assignment,
+and keeps its validation messages."""
 
 import pickle
 
@@ -14,13 +14,15 @@ from walras import (AuctionResult, DescentWitness, EquilibriumVerdict,
                     MultiAllocation, Step, Trajectory, UnitAllocation,
                     Valuation)
 from walras.errors import ContractError, InstanceFormatError
+from walras.instance import _Record
 
 UNIT_V = Valuation("unit_demand", (3, 1))
 SEP_V = Valuation("separable_concave", None, ((2, 1), (4,)))
 TABLE_V = Valuation("explicit_table", None, None, (((0,), 0), ((1,), 5)))
 INSTANCE = Instance("unit", 2, (1, 1), (UNIT_V, Valuation("unit_demand", (0, 2))))
 STEP = Step((0, 0), 1, 5, 3)
-TRAJECTORY = Trajectory((0, 0), (STEP, Step((1, 0), 3, 3, 2)), (2, 1))
+RUN = ((0, 0), 5, ((1, -2),), 1)
+TRAJECTORY = Trajectory((0, 0), (RUN, ((1, 0), 3, ((3, -1),), 1)), (2, 1))
 
 
 def _fn(p):
@@ -46,16 +48,16 @@ RECORDS = [
     (LnatCounterexample, ("p", "q"), ((0, 0), (1, 2)), ((0, 0), (2, 1))),
     (Step, ("p_before", "chosen_mask", "g_before", "g_after"),
      ((0, 0), 1, 5, 3), ((0, 0), 2, 5, 3)),
-    (Trajectory, ("start", "steps", "p_final"),
-     ((0, 0), (STEP,), (1, 0)), ((0, 0), (), (0, 0))),
+    (Trajectory, ("start", "runs", "p_final"),
+     ((0, 0), (RUN,), (1, 0)), ((0, 0), (), (0, 0))),
     (UnitAllocation, ("assignment",), ((1, 0, 2),), ((2, 0, 1),)),
     (MultiAllocation, ("bundles",), (((1,), (1,)),), (((2,), (0,)),)),
     (DescentWitness, ("direction", "items"), (1, frozenset({0})), (-1, frozenset({0}))),
     (EquilibriumVerdict, ("equilibrium", "allocation", "witness"),
      (True, UnitAllocation((1, 2)), None),
      (False, None, DescentWitness(1, frozenset({1})))),
-    (AuctionResult, ("p_min", "trajectory", "_instance", "_budget"),
-     ((2, 1), TRAJECTORY, INSTANCE, 1000), ((2, 1), TRAJECTORY, INSTANCE, 999)),
+    (AuctionResult, ("trajectory", "_instance", "_budget"),
+     (TRAJECTORY, INSTANCE, 1000), (TRAJECTORY, INSTANCE, 999)),
     (FunctionOracle, ("n", "fn", "box", "value_floor"),
      (2, _fn, ((0, 0), (3, 3)), 0), (2, _fn, None, None)),
 ]
@@ -82,9 +84,28 @@ def test_record_contract(cls, names, fields, other):
     assert tuple(getattr(by_keyword, name) for name in names) == fields
 
 
+def test_every_record_field_is_a_slot():
+    """``==``, ``hash``, pickle and ``repr`` read the slots ``_fields``
+    names, never a property derived from them."""
+    records = _Record.__subclasses__()
+    assert {cls for cls, *_ in RECORDS if issubclass(cls, _Record)} <= set(records)
+    for cls in records:
+        assert set(cls._fields) <= set(cls.__slots__), cls
+
+
 def test_trajectory_length_is_its_step_count():
     assert len(TRAJECTORY) == 2 and TRAJECTORY
+    assert TRAJECTORY.steps == (STEP, Step((1, 0), 3, 3, 2))
     assert len(Trajectory((0,), (), (0,))) == 0 and not Trajectory((0,), (), (0,))
+    cycle = Trajectory((0, 0), [((0, 0), 9, ((1, -2), (2, -1)), 3)], (3, 3))
+    assert len(cycle) == 6 and len(cycle.steps) == 6
+    assert cycle.steps[-1] == Step((3, 2), 2, 1, 0)
+
+
+def test_a_result_reads_p_min_from_its_trajectory():
+    result = AuctionResult(TRAJECTORY, INSTANCE, 1000)
+    assert result.p_min == TRAJECTORY.p_final == (2, 1)
+    assert repr(result) == f"AuctionResult(trajectory={TRAJECTORY!r})"
 
 
 def test_function_oracle_grid_defaults_to_pointwise_reads():
