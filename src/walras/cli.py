@@ -19,7 +19,7 @@ from .errors import WalrasError
 from .instance import (DEFAULT_BUDGET, Instance, load_instance,
                        max_total_value, verify_mnat_exc,
                        verify_monotone_normalized)
-from .itemsets import chi_add, mask_weight
+from .itemsets import mask_weight
 from .lnat import StrategyKind, is_lnat_convex_on_box, midpoint_charge
 from .lyapunov import LyapunovOracle
 
@@ -94,38 +94,46 @@ _ROW_KEYS = ("iteration", "p_before", "chosen_items", "chosen_mask", "lyapunov_b
 
 def _rows(instance: Instance, result, row, sep: str) -> Iterator[str]:
     """The step rows' text, from the trajectory's runs, by ``row(p, mask,
-    items, supply, change, iteration, g_before, g_after)``.  In a run of T
-    >= 2 periods, of union Y, each phase's row with ``%s`` for the prices
-    of Y and the last three fields is one template, which each of its rows
+    items, supply, change, iteration, g_before, g_after)``.  The price, a
+    list raised in place by each chosen item, and the value are carried
+    from the trajectory's start through the runs.  In a run of T >= 2
+    periods, of union Y, each phase's row with ``%s`` for the prices of Y
+    and the last three fields is one template, which each of its rows
     fills; the run's rows come joined by ``sep`` in blocks of whole
     periods, about ``_PIECE`` characters each.  The descent certified each
     value drop as its set's deficiency."""
     items = range(instance.n)
     kept = functools.cache(lambda mask: ([i + 1 for i in items if mask >> i & 1],
                                          mask_weight(mask, instance.u)))
-    k = 1
-    for p, g, phases, periods in result.trajectory.runs:
+    p, g, k = list(result.trajectory.start), result.trajectory.g_start, 1
+    for phases, periods in result.trajectory.runs:
         if periods == 1 == len(phases):
             (mask, change), = phases
-            yield row(p, mask, *kept(mask), change, k, g, g + change)
-            k += 1
+            chosen, supply = kept(mask)
+            yield row(p, mask, chosen, supply, change, k, g, g + change)
+            for i in chosen:
+                p[i - 1] += 1
+            g, k = g + change, k + 1
             continue
         union = sum(mask for mask, _ in phases)
         total = sum(change for _, change in phases)
-        plates, rows = [], []
+        plates, rows, done = [], [], 0  # done: the sets of the earlier phases
         for mask, change in phases:
             held = ["%s" if union >> j & 1 else c for j, c in enumerate(p)]
             plates.append(row(held, mask, *kept(mask), change))
             # Each slot runs through an arithmetic progression over the periods.
             slots = [range(k, k + periods * len(phases), len(phases))]
-            slots += [range(c, c + periods) for j, c in enumerate(p) if union >> j & 1]
+            slots += [range(c + (done >> j & 1), c + (done >> j & 1) + periods)
+                      for j, c in enumerate(p) if union >> j & 1]
             slots += [range(v, v + periods * total, total) for v in (g, g + change)]
             rows.append(map(plates[-1].__mod__, zip(*slots)))
-            p, g, k = chi_add(p, mask), g + change, k + 1
+            done, g, k = done | mask, g + change, k + 1
         texts = chain.from_iterable(zip(*rows))
         block = len(phases) * max(1, _PIECE // sum(map(len, plates)))
         yield from iter(lambda: sep.join(islice(texts, block)), "")
-        k += (periods - 1) * len(phases)
+        for j in items:
+            p[j] += periods * (union >> j & 1)
+        g, k = g + (periods - 1) * total, k + (periods - 1) * len(phases)
 
 
 def _pieces(texts: Iterable[str], sep: str) -> Iterator[str]:

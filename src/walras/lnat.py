@@ -133,32 +133,34 @@ def _check_step(mask: int, g_before: int, g_after: int | None) -> None:
 class Trajectory(_Record):
     """Ordered record of a full descent; its length is its step count.
 
-    ``runs`` holds one (p_before, g_before, phases, T) per iteration: from
-    p_before, of value g_before, T periods of the k ``phases``, (mask,
-    change) pairs, raised in turn, so T * k steps.  The record compares,
-    hashes and pickles by its runs; ``steps`` builds one ``Step`` per raise
-    on each read, and two descents that group the same steps into other
-    runs are equal only in their ``steps``."""
+    ``runs`` holds one (phases, T) per iteration: T periods of the k
+    ``phases``, (mask, change) pairs, raised in turn, so T * k steps.  The
+    first run starts at ``start``, of value ``g_start``, and each later run
+    where the one before it ends, so no run holds a price or a value.  The
+    record compares, hashes and pickles by those four fields; ``steps``
+    builds one ``Step`` per raise on each read, and two descents that group
+    the same steps into other runs are equal only in their ``steps``."""
 
-    __slots__ = ("start", "runs", "p_final", "_count")
-    _fields = __slots__[:3]
+    __slots__ = ("start", "g_start", "runs", "p_final", "_count")
+    _fields = __slots__[:4]
 
-    def __init__(self, start: PriceVector, runs: Sequence[tuple], p_final: PriceVector):
+    def __init__(self, start: PriceVector, g_start: int, runs: Sequence, p_final: PriceVector):
         runs = tuple(runs)
-        count = sum(len(phases) * periods for _, _, phases, periods in runs)
-        self._assign(start, runs, p_final, count)
+        count = sum(len(phases) * periods for phases, periods in runs)
+        self._assign(start, g_start, runs, p_final, count)
 
     @property
     def steps(self) -> tuple[Step, ...]:
-        return tuple(_expand(self.runs))
+        return tuple(_expand(self.start, self.g_start, self.runs))
 
     def __len__(self) -> int:
         return self._count
 
 
-def _expand(runs: Sequence[tuple]) -> Iterator[Step]:
-    """The steps of ``runs``, in order, one ``Step`` per raise."""
-    for p, g, phases, periods in runs:
+def _expand(p: PriceVector, g: int, runs: Sequence[tuple]) -> Iterator[Step]:
+    """The steps of ``runs`` from p, of value g, in order, one ``Step`` per
+    raise, the price and value carried from each step to the next."""
+    for phases, periods in runs:
         for _ in range(periods):
             for mask, change in phases:
                 yield Step(p, mask, g, g + change)
@@ -424,9 +426,10 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
     value_floor + 1 steps raises IterationCapError.  A ``budget`` caps the
     steps too, for values too large to wait for: a descent still descending
     after ``budget`` steps, below that cap, raises BudgetExceededError.
-    Returns the final point p and ``Trajectory(p0, runs, p)``, one run per
-    iteration; a rule that finds no set, or a non-descent one, fails a
-    Step's contract.
+    Returns the final point p and ``Trajectory(p0, g(p0), runs, p)``, one
+    (phases, T) run per iteration, appended as ``_period`` or the rule gave
+    it: every lone step of one (mask, change) shares one run.  A rule that
+    finds no set, or a non-descent one, fails a Step's contract.
     """
     if not isinstance(strategy, StrategyKind):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -436,7 +439,7 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
         raise BudgetExceededError(
             f"n={g.n} exceeds the subset-enumeration cap {MAX_ITEMS}")
     p = tuple(p0)
-    base = g.fn(p)
+    base = g_start = g.fn(p)
     if base is None:
         raise ValueError("start point is outside the oracle's domain")
     if g.value_floor is None:
@@ -486,16 +489,16 @@ def minimize(g: FunctionOracle, p0: PriceVector, strategy: StrategyKind, *,
                 mask = first_gp_minimal(deltas, seed)
             mask = mask or 0  # nothing found: its Step refuses the empty set
             change = deltas[mask]
-        found = None if runs is None else _period(runs, trail, mask, change, p, g.n,
-                                                  most - count)
-        if found is None:
-            found = single.get((mask, change))
-            if found is None:
-                found = single[mask, change] = ((mask, change),), 1
-        phases, periods = found
-        p, base = _take_periods(g, trail, phases, periods, p, base, route)
-        count += periods * len(phases)
-    return p, Trajectory(tuple(p0), trail, p)
+        run = None if runs is None else _period(runs, trail, mask, change, p, g.n,
+                                                most - count)
+        if run is None:
+            run = single.get((mask, change))
+            if run is None:
+                run = single[mask, change] = ((mask, change),), 1
+        p, base = _take_periods(g, run, p, base, route)
+        trail.append(run)
+        count += run[1] * len(run[0])
+    return p, Trajectory(tuple(p0), g_start, trail, p)
 
 
 def _period(runs: Callable[[PriceVector, int], int | None], trail: list[tuple], mask: int,
@@ -540,17 +543,16 @@ def _period(runs: Callable[[PriceVector, int], int | None], trail: list[tuple], 
 
 def _latest(trail: list[tuple]) -> Iterator[tuple[int, int | None]]:
     """The (mask, change) of each step of ``trail``, latest first."""
-    for _, _, phases, periods in reversed(trail):
+    for phases, periods in reversed(trail):
         for _ in range(periods):
             yield from reversed(phases)
 
 
-def _take_periods(g: FunctionOracle, trail: list[tuple],
-                  phases: tuple[tuple[int, int | None], ...], periods: int, p: PriceVector,
-                  base: int, route: str) -> tuple[PriceVector, int]:
-    """Append the run of T = ``periods`` periods of ``phases``, (mask,
-    change) pairs, from p, where g(p) is ``base``, to ``trail``; return
-    the final price and its value.
+def _take_periods(g: FunctionOracle, run: tuple, p: PriceVector, base: int,
+                  route: str) -> tuple[PriceVector, int]:
+    """Check the run (phases, T) of T periods of the (mask, change)
+    ``phases`` from p, where g(p) is ``base``; return the final price and
+    its value.
 
     Each phase must be a valid ``Step``.  Period s's step ends lie on the
     lines e_l + (s - 1) * chi_Y through the first period's step ends e_l,
@@ -558,6 +560,7 @@ def _take_periods(g: FunctionOracle, trail: list[tuple],
     affine terms).  g is read at each e_l, then, for T >= 2, at e_l + (T -
     1) * chi_Y, each read must be its step's value, g(e_l) + (s - 1) * C
     for C the period's change, and then every step's values hold."""
+    phases, periods = run
     start, value = p, base
     ends = []
     for mask, change in phases:
@@ -566,7 +569,6 @@ def _take_periods(g: FunctionOracle, trail: list[tuple],
         if g.fn(p) != base:
             raise ConvexityError(f"{route} with the oracle at a step")
         ends.append((p, base))
-    trail.append((start, value, phases, periods))
     if periods == 1:
         return p, base
     union = sum(mask for mask, _ in phases)

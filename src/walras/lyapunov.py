@@ -59,7 +59,7 @@ class LyapunovOracle:
     ``admitted`` is set when ``ascending_auction`` admits the explicit tables.
     ``grid_values`` reads L over a whole price grid and keeps the latest
     two, by their axes.
-    ``neighborhood`` keeps its change tables by demand key, at most
+    ``_change_table`` keeps its change tables by demand key, at most
     ``budget`` entries in all (2^n per table), cleared when full; runs
     sharing the oracle share them.
     """
@@ -88,7 +88,7 @@ class LyapunovOracle:
 
     def deficiency_mask(self, X_mask: int, p: PriceVector) -> int:
         """Demanded units from X minus supply of X, bidder by bidder from
-        minimum takes; the per-set twin of ``neighborhood``."""
+        minimum takes; the per-set twin of ``_change_table``."""
         p = tuple(p)
         dc = self.demand
         demanded = sum(dc.mu_vector(b, p)[X_mask] for b in range(self.instance.m))

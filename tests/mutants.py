@@ -242,16 +242,20 @@ MUTANTS = (
            "if periods > 1 and g.fn(p) != base:",
            STEP_READS),
     Mutant("trajectory-len-counts-iterations", "lnat.py",
-           "count = sum(len(phases) * periods for _, _, phases, periods in runs)",
+           "count = sum(len(phases) * periods for phases, periods in runs)",
            "count = len(runs)",
            (LONG_RUNS, RUN_ROWS)),
     Mutant("trajectory-keyed-by-steps", "lnat.py",
-           "    _fields = __slots__[:3]\n",
-           '    _fields = ("start", "steps", "p_final")\n',
+           "    _fields = __slots__[:4]\n",
+           '    _fields = ("start", "g_start", "steps", "p_final")\n',
            (COMPACT_RESULT,)),
     Mutant("row-template-holds-a-y-price", "cli.py",
            "        union = sum(mask for mask, _ in phases)\n",
            "        union = sum(mask for mask, _ in phases)\n        union &= union - 1\n",
+           (RUN_ROWS,)),
+    Mutant("row-price-one-period-short-after-a-run", "cli.py",
+           "p[j] += periods * (union >> j & 1)",
+           "p[j] += (periods - 1) * (union >> j & 1)",
            (RUN_ROWS,)),
     Mutant("corner-mask-unshifted", "lnat.py",
            "mask = 1 << i if per_item else i",
@@ -322,6 +326,11 @@ MUTANTS = (
            "adds = coded(2 * k + 1)",
            (CANDIDATE_TESTS + "test_candidates_give_the_full_scan",
             CANDIDATE_TESTS + "test_an_item_past_64_bounds_reads_exactly")),
+    Mutant("least-take-of-the-budget-not-kept", "demand.py",
+           "if charge <= self.budget:",
+           "if charge < self.budget:",
+           ("tests/test_demand.py::TestSharedCache::"
+            "test_least_takes_of_exactly_the_budget_are_kept",)),
     Mutant("run-columns-read-with-option-0", "demand.py",
            "for col, c in compress(zip(self._columns, p), inside[1:]):",
            "for col, c in compress(zip(self._columns, p), inside):",

@@ -1050,6 +1050,24 @@ class TestSharedCache:
         assert dc.deficiency_from_key(key) == [0, -2, -2, -2]
         assert dc._least == {} and dc._least_size == 0
 
+    def test_least_takes_of_exactly_the_budget_are_kept(self, monkeypatch):
+        """The same bidder's demand set, its 2^2 least takes and 6 bundles,
+        is kept under a budget of exactly 10, so reading it twice computes
+        its least takes once."""
+        import walras.demand as demand
+
+        inst = Instance(model="multi", n=2, u=(2, 2), valuations=(
+            Valuation.from_table({x: min(sum(x), 2) for x in product(range(3), repeat=2)}),))
+        calls = []
+        least_takes = demand._least_takes
+        monkeypatch.setattr(demand, "_least_takes",
+                            lambda *args: calls.append(args) or least_takes(*args))
+        dc = DemandCache(inst, budget=10)
+        key = dc.demand_key((0, 0))
+        for _ in range(2):
+            assert dc.deficiency_from_key(key) == [0, -2, -2, -2]
+        assert len(calls) == 1 and dc._least_size == 10
+
 
 class TestDeterminism:
     def test_demand_set_order_is_lexicographic(self, two_bidder_multi):

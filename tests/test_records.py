@@ -21,8 +21,8 @@ SEP_V = Valuation("separable_concave", None, ((2, 1), (4,)))
 TABLE_V = Valuation("explicit_table", None, None, (((0,), 0), ((1,), 5)))
 INSTANCE = Instance("unit", 2, (1, 1), (UNIT_V, Valuation("unit_demand", (0, 2))))
 STEP = Step((0, 0), 1, 5, 3)
-RUN = ((0, 0), 5, ((1, -2),), 1)
-TRAJECTORY = Trajectory((0, 0), (RUN, ((1, 0), 3, ((3, -1),), 1)), (2, 1))
+RUN = (((1, -2),), 1)
+TRAJECTORY = Trajectory((0, 0), 5, (RUN, (((3, -1),), 1)), (2, 1))
 
 
 def _fn(p):
@@ -48,8 +48,8 @@ RECORDS = [
     (LnatCounterexample, ("p", "q"), ((0, 0), (1, 2)), ((0, 0), (2, 1))),
     (Step, ("p_before", "chosen_mask", "g_before", "g_after"),
      ((0, 0), 1, 5, 3), ((0, 0), 2, 5, 3)),
-    (Trajectory, ("start", "runs", "p_final"),
-     ((0, 0), (RUN,), (1, 0)), ((0, 0), (), (0, 0))),
+    (Trajectory, ("start", "g_start", "runs", "p_final"),
+     ((0, 0), 5, (RUN,), (1, 0)), ((0, 0), 4, (RUN,), (1, 0))),
     (UnitAllocation, ("assignment",), ((1, 0, 2),), ((2, 0, 1),)),
     (MultiAllocation, ("bundles",), (((1,), (1,)),), (((2,), (0,)),)),
     (DescentWitness, ("direction", "items"), (1, frozenset({0})), (-1, frozenset({0}))),
@@ -96,8 +96,8 @@ def test_every_record_field_is_a_slot():
 def test_trajectory_length_is_its_step_count():
     assert len(TRAJECTORY) == 2 and TRAJECTORY
     assert TRAJECTORY.steps == (STEP, Step((1, 0), 3, 3, 2))
-    assert len(Trajectory((0,), (), (0,))) == 0 and not Trajectory((0,), (), (0,))
-    cycle = Trajectory((0, 0), [((0, 0), 9, ((1, -2), (2, -1)), 3)], (3, 3))
+    assert len(Trajectory((0,), 0, (), (0,))) == 0 and not Trajectory((0,), 0, (), (0,))
+    cycle = Trajectory((0, 0), 9, [(((1, -2), (2, -1)), 3)], (3, 3))
     assert len(cycle) == 6 and len(cycle.steps) == 6
     assert cycle.steps[-1] == Step((3, 2), 2, 1, 0)
 
